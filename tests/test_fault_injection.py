@@ -16,8 +16,8 @@ restarted/other actor. These tests pin that behavior end-to-end:
   a ``run_resumable`` shard; the manifest + shard digests must match a
   clean run exactly (resume metadata is not corrupted by the retry).
 
-All three assert the order-independent ``dataset_content_hash`` over
-(url, status, text) equals a clean run's hash.
+All three assert the order-independent content hash of ``shard_digests``
+over (url, status, text) equals a clean run's hash.
 """
 
 import os
@@ -39,7 +39,7 @@ def _clean_hash():
     from zzzarchived_arxiv_fulltext_ray.sources.pages import read_pages
 
     ds = extraction_pipeline(read_pages(SF), derive_psv=False)
-    return mf.dataset_content_hash(ds, HASH_COLS)
+    return mf.shard_digests(ds, HASH_COLS).content_hash
 
 
 def _crash_once_cls(flag_path: str, sleep_per_batch: float = 0.0):
@@ -79,7 +79,7 @@ def test_actor_death_mid_run(ray_session, tmp_path):
         concurrency=(1, 2),
         batch_size=64,  # several batches -> the retry is mid-stream
     )
-    h_crash = mf.dataset_content_hash(crashy, HASH_COLS)
+    h_crash = mf.shard_digests(crashy, HASH_COLS).content_hash
     assert os.path.exists(flag), "the fault was never injected"
     assert h_crash == _clean_hash()
 
@@ -138,7 +138,7 @@ def test_ray_kill_actor_mid_run(ray_session, tmp_path):
         concurrency=(1, 2),
         batch_size=64,
     )
-    h = mf.dataset_content_hash(ds, HASH_COLS)
+    h = mf.shard_digests(ds, HASH_COLS).content_hash
     t.join(timeout=5)
     assert killed.is_set(), "no live extraction actor was ever killed"
     assert h == _clean_hash()

@@ -224,8 +224,8 @@ def test_global_dedup_across_shards(ray_session, tmp_path):
     )
     out1 = tmp_path / "out1"
     mf.run_resumable([[str(both)]], build, str(out1))
-    h_global = mf.dataset_content_hash(_read_out(out), ["url", "text"])
-    h_single = mf.dataset_content_hash(_read_out(out1), ["url", "text"])
+    h_global = mf.shard_digests(_read_out(out), ["url", "text"]).content_hash
+    h_single = mf.shard_digests(_read_out(out1), ["url", "text"]).content_hash
     assert h_global == h_single
 
     # manifests were updated in place and still validate for resume
@@ -254,17 +254,17 @@ def test_content_hash_order_independent(ray_session):
     import ray.data
 
     from zzzarchived_arxiv_fulltext_ray.state.manifest import (
-        dataset_content_hash,
+        shard_digests,
     )
 
     docs = ray.data.read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "text"]
     )
-    h1 = dataset_content_hash(docs, ["doc_id", "text"])
+    h1 = shard_digests(docs, ["doc_id", "text"]).content_hash
     shuffled = ray.data.read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "text"]
     ).random_shuffle(seed=99)
-    h2 = dataset_content_hash(shuffled, ["doc_id", "text"])
+    h2 = shard_digests(shuffled, ["doc_id", "text"]).content_hash
     assert h1 == h2
 
 
@@ -441,3 +441,105 @@ def test_global_neardup_guard_incremental(ray_session, tmp_path):
     assert r3["processed"] == 0 and r3["skipped"] == 2
     for m in mf.run_status(str(out)):
         assert m["neardup_guarded"] is True
+
+
+def _crawl_major_run(tmp_path):
+    """Crawl-major layout: shard ``old`` holds only the first crawls of
+    x/1 and x/2 (every row loses), shard ``new`` their recrawls, and
+    shard ``solo`` a url crawled once (no losers)."""
+    from zzzarchived_arxiv_fulltext_ray.pipelines.extraction import (
+        extraction_pipeline,
+    )
+
+    files = {}
+    for name, rows in {
+        "old": [("http://x/1", 0, _words("one")),
+                ("http://x/2", 0, _words("two"))],
+        "new": [("http://x/1", 5, _words("oneb")),
+                ("http://x/2", 5, _words("twob"))],
+        "solo": [("http://x/9", 0, _words("nine"))],
+    }.items():
+        files[name] = tmp_path / f"{name}.parquet"
+        _write_pages_file(files[name], rows)
+
+    def build(ds):
+        return extraction_pipeline(ds, derive_psv=False, concurrency=(1, 2))
+
+    shards = [[str(files[n])] for n in ("old", "new", "solo")]
+    out = tmp_path / "out"
+    mf.run_resumable(shards, build, str(out))
+    sids = {n: mf.shard_id_for([str(files[n])]) for n in files}
+    return shards, build, out, sids
+
+
+def test_global_dedup_all_losing_shard_becomes_empty(ray_session, tmp_path):
+    import ray.data as rd
+
+    shards, build, out, sids = _crawl_major_run(tmp_path)
+    gd = mf.global_latest_crawl_pass(str(out))
+    assert gd == {"shards_rewritten": 1, "rows_removed": 2}
+
+    m = json.loads(mf.manifest_path(str(out), sids["old"]).read_text())
+    assert m["rows"] == 0 and m["failed_rows"] == 0
+    assert m["content_hash"] == 0 and m["global_dedup"] is True
+    old_dir = mf.shard_out_dir(str(out), sids["old"])
+    new_dir = mf.shard_out_dir(str(out), sids["new"])
+    assert rd.read_parquet(str(old_dir)).count() == 0
+    assert pq.read_schema(min(old_dir.glob("*.parquet"))).names == (
+        pq.read_schema(min(new_dir.glob("*.parquet"))).names
+    )
+    assert not list(out.glob("*.tmp")) and not list(out.glob("*.old"))
+
+    # the empty shard still validates, and the pass is idempotent
+    again = mf.global_latest_crawl_pass(str(out))
+    assert again == {"shards_rewritten": 0, "rows_removed": 0}
+    resume = mf.run_resumable(shards, build, str(out))
+    assert resume["processed"] == 0 and resume["skipped"] == 3
+    assert resume["rows"] == 3
+
+
+def test_global_dedup_leaves_loser_free_shards_untouched(
+    ray_session, tmp_path
+):
+    shards, build, out, sids = _crawl_major_run(tmp_path)
+
+    def snapshot(name):
+        sdir = mf.shard_out_dir(str(out), sids[name])
+        files = {f.name: f.stat().st_mtime_ns for f in sdir.glob("*.parquet")}
+        return files, mf.manifest_path(str(out), sids[name]).read_text()
+
+    before = {n: snapshot(n) for n in ("new", "solo")}
+    gd = mf.global_latest_crawl_pass(str(out))
+    assert gd["shards_rewritten"] == 1
+    for name, (files, manifest) in before.items():
+        assert snapshot(name) == (files, manifest), name
+
+
+def test_global_neardup_guard_fully_flagged_shard(ray_session, tmp_path):
+    """An incoming shard whose every doc near-copies the base is
+    committed as an empty shard, not left without a directory."""
+    import ray.data as rd
+
+    from zzzarchived_arxiv_fulltext_ray.pipelines.extraction import (
+        extraction_pipeline,
+    )
+
+    def build(ds):
+        return extraction_pipeline(ds, derive_psv=False, concurrency=(1, 2))
+
+    a, b = tmp_path / "a.parquet", tmp_path / "b.parquet"
+    _write_pages_file(a, [("http://x/1", 0, _words("alpha"))])
+    _write_pages_file(
+        b, [("http://x/2", 1, _words("alpha").replace("alphaword3", "c"))]
+    )
+    out = tmp_path / "out"
+    mf.run_resumable([[str(a)]], build, str(out))
+    mf.global_neardup_guard(str(out), threshold=0.5)
+    mf.run_resumable([[str(a)], [str(b)]], build, str(out))
+
+    g = mf.global_neardup_guard(str(out), threshold=0.5)
+    assert g == {"shards_guarded": 1, "shards_rewritten": 1, "rows_removed": 1}
+    sid = mf.shard_id_for([str(b)])
+    m = json.loads(mf.manifest_path(str(out), sid).read_text())
+    assert m["rows"] == 0 and m["neardup_guarded"] is True
+    assert rd.read_parquet(str(mf.shard_out_dir(str(out), sid))).count() == 0

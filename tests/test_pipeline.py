@@ -186,7 +186,7 @@ def test_jsonl_sink_roundtrip(ray_session, tmp_path):
     )
     from zzzarchived_arxiv_fulltext_ray.sources.pages import read_pages
     from zzzarchived_arxiv_fulltext_ray.state.manifest import (
-        dataset_content_hash,
+        shard_digests,
     )
 
     ds = extraction_pipeline(read_pages(SF), derive_psv=False).map_batches(
@@ -200,12 +200,12 @@ def test_jsonl_sink_roundtrip(ray_session, tmp_path):
         batch_format="pyarrow",
     ).write_json(str(js_dir))
 
-    h_pq = dataset_content_hash(
+    h_pq = shard_digests(
         rd.read_parquet(str(pq_dir)), ["url", "text", "status"]
-    )
-    h_js = dataset_content_hash(
+    ).content_hash
+    h_js = shard_digests(
         rd.read_json(str(js_dir)), ["url", "text", "status"]
-    )
+    ).content_hash
     assert h_pq == h_js
 
 

@@ -214,3 +214,34 @@ def test_watchdog_concurrent_threads_keyed_guards():
     t1.join(timeout=25)
     t2.join(timeout=25)
     assert results == {"overrun": "timeout", "ok": "done"}
+
+
+def test_markdown_render_failure_leaves_row_text():
+    """A page of 3,000 nested <div>s extracts as text, but the markdown
+    renderer's recursive tree walk raises RecursionError on it. The
+    render runs under the row guard: that row gets markdown = null,
+    keeps its text and status, and the rest of the batch renders."""
+    words = b"ordinary page content with many plain words in it " * 4
+    deep = b"<html><body>" + b"<div>" * 3000 + words + b"</div>" * 3000
+    good = b"<html><body><h1>Title</h1><p>" + words + b"</p></body></html>"
+    pages = [good, deep + b"</body></html>", good]
+    batch = pa.Table.from_pydict(
+        {
+            "url": ["u1", "u2-deep", "u3"],
+            "warc_ts": pa.array([0, 0, 0], pa.timestamp("us")),
+            "lang": ["en", "en", "en"],
+            "html": pa.array(pages, pa.large_binary()),
+            "text": ["", "", ""],
+            "n_bytes": pa.array([len(p) for p in pages], pa.int64()),
+            "size_bucket": pa.array([6, 6, 6], pa.int32()),
+        }
+    )
+    plain = ExtractorPool()(batch)
+    out = ExtractorPool(emit_markdown=True)(batch)
+
+    assert out["status"].to_pylist() == ["succeeded"] * 3
+    assert out["text"].to_pylist() == plain["text"].to_pylist()
+    assert "plain words" in out["text"].to_pylist()[1]
+    md = out["markdown"].to_pylist()
+    assert md[1] is None
+    assert md[0] == md[2] and md[0].startswith("# Title")

@@ -5,8 +5,8 @@
     pages (url, warc_ts, html, text, lang)
       -> sniff_stats_batch          (stateless tasks: kind/size metadata)
       -> latest-crawl dedup         (projected shuffle + broadcast filter)
-      -> ExtractorPool              (actor pool: cascade, drops html)
-      -> psv_batch                  (stateless tasks: PSV derivation)
+      -> ExtractorPool              (actor pool: cascade + PSV/markdown,
+                                     drops html)
 
 Everything streams: no stage materializes the dataset; output is
 consumed by ``write_parquet`` (see ``state/manifest.py`` for the

@@ -107,17 +107,23 @@ def winner_filter_batch(
     batch: pa.Table, winners: Tuple[pa.Array, pa.Array]
 ) -> pa.Table:
     """Keep rows whose (url, warc_ts) is the winner — or whose url has
-    no duplicates at all. Fully vectorized: probe the winner url set
-    with ``index_in`` (null = url not contested), gather the winning
+    no duplicates at all."""
+    if len(winners[0]) == 0:
+        return batch
+    return batch.filter(winner_mask(batch, winners))
+
+
+def winner_mask(batch: pa.Table, winners: Tuple[pa.Array, pa.Array]):
+    """Boolean keep-mask of :func:`winner_filter_batch` (``winners``
+    non-empty). Fully vectorized: probe the winner url set with
+    ``index_in`` (null = url not contested), gather the winning
     timestamp, compare, and fill the uncontested nulls with keep=True.
     """
     w_urls, w_ts = winners
-    if len(w_urls) == 0:
-        return batch
     idx = pc.index_in(batch["url"], value_set=w_urls)
     won_ts = pc.take(w_ts, idx)  # null where url uncontested
     eq = pc.equal(batch["warc_ts"].cast(pa.int64()), won_ts)
-    return batch.filter(pc.fill_null(eq, True))
+    return pc.fill_null(eq, True)
 
 
 class _WinnerPromise:

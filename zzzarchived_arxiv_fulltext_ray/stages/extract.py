@@ -1,11 +1,11 @@
 """Extraction stages (Ray Data transforms over Arrow batches).
 
 ``sniff_stats_batch`` (stateless tasks) derives payload metadata;
-``ExtractorPool`` (actor pool) runs the quality-gated cascade per row;
-``psv_batch`` (stateless tasks) derives the PSV format. The html
-payload column is dropped by the extractor — project heavy binary away
-as early as possible so downstream shuffles move text, not markup
-(SURVEY.md §4.2).
+``ExtractorPool`` (actor pool) runs the quality-gated cascade per row
+and, when asked, derives the PSV format and the markdown rendering in
+the same pass. The html payload column is dropped by the extractor —
+project heavy binary away as early as possible so downstream shuffles
+move text, not markup (SURVEY.md §4.2).
 
 The per-row work in the extractor is a whole-document parse + regex
 chain — inherently scalar (rows ARE documents, cf. SURVEY.md §7.3), so
@@ -13,6 +13,7 @@ the "vectorized" contract here is batch-in/batch-out Arrow with heavy
 per-row kernels, like any parser/model-inference stage.
 """
 
+import logging
 import signal
 import threading
 
@@ -21,7 +22,8 @@ import pyarrow.compute as pc
 
 from .. import EXTRACTOR_VERSION
 from ..functions import psv as psv_kernel
-from ..functions.cascade import extract_payload
+
+logger = logging.getLogger(__name__)
 
 # Per-document wall-clock cap, mirroring the reference's 600 s
 # subprocess timeout (extractor/fulltext/fulltext.py:12,74). A stuck
@@ -165,6 +167,18 @@ def sniff_stats_batch(batch: pa.Table) -> pa.Table:
     return batch.append_column("size_bucket", pa.array(buckets, pa.int32()))
 
 
+def _render_markdown(payload: bytes):
+    """Markdown-preserving variant of an HTML payload
+    (functions/markdown.py); None for every other payload kind."""
+    from ..functions import sniff as sniff_mod
+    from ..functions.markdown import render_markdown
+
+    kind, charset = sniff_mod.sniff(payload)
+    if kind != sniff_mod.KIND_HTML:
+        return None
+    return render_markdown(sniff_mod.decode_payload(payload, charset))
+
+
 class ExtractorPool:
     """Stateful extraction stage: one instance per actor, reused across
     batches (the warm-parser replacement for the reference's
@@ -194,8 +208,6 @@ class ExtractorPool:
         from ..functions import cascade, html_main, pdf_text  # warm imports
 
         self._extract = cascade.extract_payload
-        self.n_rows = 0
-        self.n_failed = 0
 
     def _extract_row(self, payload, fallback, url):
         from ..functions.cascade import ExtractResult
@@ -215,6 +227,21 @@ class ExtractorPool:
                 "timeout",
             )
 
+    def _render_row(self, payload, url):
+        """Markdown of an HTML payload under the cascade's per-row
+        timeout; a render that raises or times out gives None and
+        leaves the row's text and status as they are."""
+        try:
+            return run_with_row_timeout(
+                _render_markdown, self.row_timeout_sec, payload or b"",
+                watchdog=self._watchdog,
+            )
+        except Exception as exc:  # RowTimeout; RecursionError on nesting
+            logger.warning(
+                "markdown render failed for %r: %s", url, type(exc).__name__
+            )
+            return None
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
         payloads = batch["html"].to_pylist()
@@ -226,21 +253,7 @@ class ExtractorPool:
         for url, payload, fallback in zip(urls, payloads, texts):
             res = self._extract_row(payload, fallback, url)
             if out_md is not None:
-                # markdown-preserving variant for HTML payloads
-                # (functions/markdown.py); the cascade's parse of the
-                # same bytes already passed the per-row watchdog, and
-                # the renderer's tree walk is linear in that tree
-                from ..functions import sniff as sniff_mod
-                from ..functions.markdown import render_markdown
-
-                kind, charset = sniff_mod.sniff(payload or b"")
-                out_md.append(
-                    render_markdown(
-                        sniff_mod.decode_payload(payload, charset)
-                    )
-                    if kind == sniff_mod.KIND_HTML
-                    else None
-                )
+                out_md.append(self._render_row(payload, url))
             out_text.append(res.text)
             out_status.append(res.status)
             out_error.append(res.error)
@@ -253,9 +266,6 @@ class ExtractorPool:
                     if res.text is not None
                     else None
                 )
-            self.n_rows += 1
-            if res.status != "succeeded":
-                self.n_failed += 1
 
         n = len(urls)
         arrays = [
@@ -278,23 +288,3 @@ class ExtractorPool:
             arrays.append(pa.array(out_md, type=pa.string()))
             schema = schema.append(pa.field("markdown", pa.string()))
         return pa.Table.from_arrays(arrays, schema=schema)
-
-
-def extract_batch(batch: pa.Table) -> pa.Table:
-    """Stateless-task variant of :class:`ExtractorPool` (same output)."""
-    return ExtractorPool()(batch)
-
-
-def psv_batch(batch: pa.Table) -> pa.Table:
-    """Derive the PSV format from extracted plain text (E21; the
-    reference derives psv from the stored plain content,
-    ``fulltext/extract.py:226-227``)."""
-    texts = batch["text"].to_pylist()
-    psv_col = pa.array(
-        [
-            psv_kernel.normalize_text_psv(t) if t is not None else None
-            for t in texts
-        ],
-        type=pa.string(),
-    )
-    return batch.append_column("psv", psv_col)

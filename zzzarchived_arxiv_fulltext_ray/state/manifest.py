@@ -2,16 +2,23 @@
 
 The unit of resumability is an input *shard* (one or more input Parquet
 files). Each shard is processed with full cluster parallelism and
-written to its own output directory atomically (write to ``*.tmp``,
-rename), then a manifest JSON records lineage + metrics:
+committed to its own output directory atomically (write to ``*.tmp``,
+rename), then ONE read of the committed directory (:func:`shard_digests`)
+yields every figure the manifest JSON records with the lineage:
 
 * lineage: shard id (stable hash of the input paths — independent of
   cluster size, so a 4N-node resume sees the same shards), input paths,
   input fingerprint (size+mtime per file)
-* metrics: output rows, succeeded/failed counts, wall seconds
+* metrics: output rows, failed rows, wall seconds, HLL url sketch
 * integrity: an order-independent content hash (sum of per-row
   blake2b(url, text) digests mod 2^64) so a resumed run can be checked
   byte-equivalent to a clean one
+
+Every shard write — a fresh shard, the cross-shard passes that remove
+rows (:func:`global_latest_crawl_pass` rewrites only shards holding
+losing crawls; :func:`global_neardup_guard`) and :func:`compact_shards`
+— goes through one commit path (``_commit_shard``: tmp write, one
+digest, rename-aside swap) and one manifest writer.
 
 ``run_resumable`` skips shards whose manifest exists, whose input
 fingerprint still matches AND whose config fingerprint (extractor
@@ -34,7 +41,9 @@ import json
 import shutil
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
+)
 
 import pyarrow as pa
 
@@ -91,41 +100,42 @@ def content_hash_batch(batch: pa.Table, columns: Sequence[str]) -> int:
     return total
 
 
-def dataset_content_hash(ds, columns: Sequence[str]) -> int:
-    """Order-independent content hash of a Dataset (distributed partial
-    hashes, tiny final sum)."""
+class ShardDigest(NamedTuple):
+    """A shard output's accounting, from one pass over its rows."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {"h": pa.array([content_hash_batch(batch, columns)], pa.uint64())}
-        )
-
-    total = 0
-    for b in ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for v in b["h"].to_pylist():
-            total = (total + int(v)) % _HASH_MOD
-    return total
+    rows: int
+    failed_rows: int
+    content_hash: int
+    sketch: Optional[str]  # base64 HLL registers, None without a column
 
 
 def shard_digests(
     ds, hash_columns: Sequence[str], sketch_column: Optional[str] = None
-):
-    """One pass over a shard's output producing BOTH the
-    order-independent content hash and (optionally) an HLL distinct
-    sketch of ``sketch_column`` — the mergeable per-shard accounting
-    state. Distributed partials; the driver folds one uint64 and one
-    4 KiB register array per batch."""
+) -> ShardDigest:
+    """The one accounting pass over a shard's output: row count,
+    ``status == "failed"`` count (when the rows have a ``status``
+    column), the order-independent content hash and, with
+    ``sketch_column``, an HLL distinct sketch of that column — the
+    mergeable per-shard state. Distributed partials; the driver folds
+    three integers and one 4 KiB register array per batch."""
     import base64
+
+    import pyarrow.compute as pc
 
     from ..functions.sketches import HyperLogLog
 
     def partial(batch: pa.Table) -> pa.Table:
+        failed = 0
+        if "status" in batch.column_names:
+            failed = pc.sum(
+                pc.equal(batch["status"], "failed").cast(pa.int64())
+            ).as_py() or 0
         cols = {
+            "rows": pa.array([batch.num_rows], pa.int64()),
+            "failed": pa.array([failed], pa.int64()),
             "h": pa.array(
                 [content_hash_batch(batch, hash_columns)], pa.uint64()
-            )
+            ),
         }
         if sketch_column is not None:
             hll = HyperLogLog()
@@ -135,22 +145,19 @@ def shard_digests(
             cols["hll"] = pa.array([hll.serialize()], pa.large_binary())
         return pa.Table.from_pydict(cols)
 
-    total = 0
+    rows = failed = total = 0
     merged = HyperLogLog() if sketch_column is not None else None
     for b in ds.map_batches(partial, batch_format="pyarrow").iter_batches(
         batch_format="pyarrow"
     ):
-        for v in b["h"].to_pylist():
-            total = (total + int(v)) % _HASH_MOD
+        rows += sum(b["rows"].to_pylist())
+        failed += sum(b["failed"].to_pylist())
+        total = (total + sum(b["h"].to_pylist())) % _HASH_MOD
         if merged is not None:
             for blob in b["hll"].to_pylist():
                 merged = merged.merge(HyperLogLog.deserialize(blob))
-    sketch_b64 = (
-        base64.b64encode(merged.serialize()).decode()
-        if merged is not None
-        else None
-    )
-    return total, sketch_b64
+    sketch = merged and base64.b64encode(merged.serialize()).decode()
+    return ShardDigest(rows, failed, total, sketch)
 
 
 def run_distinct_estimate(out_dir: str) -> Optional[float]:
@@ -177,6 +184,66 @@ def manifest_path(out_dir: str, shard_id: str) -> Path:
 
 def shard_out_dir(out_dir: str, shard_id: str) -> Path:
     return Path(out_dir) / f"shard={shard_id}"
+
+
+def _write_manifest(out_dir: str, manifest: Dict) -> None:
+    """Write ``*.tmp``, then rename it over the shard's manifest: a
+    reader sees the old or the new manifest, never a torn one."""
+    mpath = manifest_path(out_dir, manifest["shard_id"])
+    mtmp = mpath.with_suffix(".tmp")
+    mtmp.write_text(json.dumps(manifest, indent=1))
+    mtmp.rename(mpath)
+
+
+def _commit_shard(
+    ds,
+    sdir: Path,
+    hash_columns: Sequence[str],
+    sketch_column: Optional[str] = None,
+    accept: Callable[[ShardDigest], bool] = lambda digest: True,
+) -> Optional[ShardDigest]:
+    """The one way a shard output is committed and accounted: write
+    ``ds`` to ``<shard>.tmp``, then make it the shard directory. Ray
+    writes no directory for zero rows, so a rewrite that removes every
+    row is committed as one zero-row Parquet file with the shard's
+    schema.
+
+    A NEW shard is renamed into place and digested through its
+    committed path. An EXISTING shard is digested in ``.tmp``; unless
+    ``accept(digest)`` rejects it (tmp discarded, returns None), a
+    rename-aside swap via ``<shard>.old`` replaces it, so no crash
+    point leaves the manifest without a data directory."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    tmp_dir, old_dir = sdir.with_suffix(".tmp"), sdir.with_suffix(".old")
+    for stale in (tmp_dir, old_dir):
+        if stale.exists():
+            shutil.rmtree(stale)
+    ds.write_parquet(str(tmp_dir))
+    if not any(tmp_dir.glob("*.parquet")):
+        # a new shard's empty build output may carry no schema at all
+        if not sdir.exists():
+            raise ValueError(f"{sdir.name}: the build produced no rows")
+        schema = pq.read_schema(min(sdir.glob("*.parquet")))
+        tmp_dir.mkdir(exist_ok=True)
+        pq.write_table(schema.empty_table(), tmp_dir / "empty.parquet")
+
+    if not sdir.exists():
+        tmp_dir.rename(sdir)
+        return shard_digests(
+            rd.read_parquet(str(sdir)), hash_columns, sketch_column
+        )
+    digest = shard_digests(
+        rd.read_parquet(str(tmp_dir)), hash_columns, sketch_column
+    )
+    if not accept(digest):
+        shutil.rmtree(tmp_dir)
+        return None
+    sdir.rename(old_dir)
+    tmp_dir.rename(sdir)
+    shutil.rmtree(old_dir)
+    return digest
 
 
 def is_shard_done(
@@ -237,74 +304,69 @@ def run_resumable(
         if is_shard_done(out_dir, shard, config_fingerprint):
             summary["skipped"] += 1
             manifest = json.loads(manifest_path(out_dir, sid).read_text())
-            summary["rows"] += manifest["rows"]
-            summary["failed_rows"] += manifest.get("failed_rows", 0)
-            combined_hash = (combined_hash + manifest["content_hash"]) % _HASH_MOD
-            continue
-
-        started = time.time()
-        ds = build(read_fn(shard))
-
-        final_dir = shard_out_dir(out_dir, sid)
-        tmp_dir = final_dir.with_suffix(".tmp")
-        for stale in (tmp_dir, final_dir):
-            if stale.exists():
-                shutil.rmtree(stale)
-        ds.write_parquet(str(tmp_dir))
-        tmp_dir.rename(final_dir)
-
-        out_ds = rd.read_parquet(str(final_dir))
-        rows = out_ds.count()
-        chash, sketch_b64 = shard_digests(
-            rd.read_parquet(str(final_dir)), hash_columns, sketch_column
-        )
-        n_failed = 0
-        if "status" in [f.name for f in out_ds.schema().base_schema]:
-            import pyarrow.compute as pc
-
-            def fails(batch: pa.Table) -> pa.Table:
-                n = pc.sum(
-                    pc.equal(batch["status"], "failed").cast(pa.int64())
-                ).as_py() or 0
-                return pa.Table.from_pydict({"n": pa.array([n], pa.int64())})
-
-            n_failed = sum(
-                v
-                for b in rd.read_parquet(str(final_dir))
-                .map_batches(fails, batch_format="pyarrow")
-                .iter_batches(batch_format="pyarrow")
-                for v in b["n"].to_pylist()
-            )
-
-        manifest = {
-            "shard_id": sid,
-            "input_paths": sorted(shard),
-            "input_fingerprint": input_fingerprint(shard),
-            "config_fingerprint": config_fingerprint,
-            "rows": rows,
-            "failed_rows": n_failed,
-            "content_hash": chash,
-            "hash_columns": list(hash_columns),
-            "sketch": (
-                {"column": sketch_column, "hll": sketch_b64}
-                if sketch_b64
-                else None
-            ),
-            "started": started,
-            "ended": time.time(),
-            "wall_sec": round(time.time() - started, 3),
-        }
-        mtmp = manifest_path(out_dir, sid).with_suffix(".tmp")
-        mtmp.write_text(json.dumps(manifest, indent=1))
-        mtmp.rename(manifest_path(out_dir, sid))
-
-        summary["processed"] += 1
-        summary["rows"] += rows
-        summary["failed_rows"] += n_failed
-        combined_hash = (combined_hash + chash) % _HASH_MOD
+        else:
+            started = time.time()
+            ds = build(read_fn(shard))
+            final_dir = shard_out_dir(out_dir, sid)
+            if final_dir.exists():
+                shutil.rmtree(final_dir)
+            digest = _commit_shard(ds, final_dir, hash_columns, sketch_column)
+            manifest = {
+                "shard_id": sid,
+                "input_paths": sorted(shard),
+                "input_fingerprint": input_fingerprint(shard),
+                "config_fingerprint": config_fingerprint,
+                "rows": digest.rows,
+                "failed_rows": digest.failed_rows,
+                "content_hash": digest.content_hash,
+                "hash_columns": list(hash_columns),
+                "sketch": (
+                    {"column": sketch_column, "hll": digest.sketch}
+                    if digest.sketch
+                    else None
+                ),
+                "started": started,
+                "ended": time.time(),
+                "wall_sec": round(time.time() - started, 3),
+            }
+            _write_manifest(out_dir, manifest)
+            summary["processed"] += 1
+        summary["rows"] += manifest["rows"]
+        summary["failed_rows"] += manifest.get("failed_rows", 0)
+        combined_hash = (combined_hash + manifest["content_hash"]) % _HASH_MOD
 
     summary["content_hash"] = combined_hash
     return summary
+
+
+def _rewrite_shard(
+    out_dir: str,
+    manifest: Dict,
+    keep: Callable[[pa.Table], pa.Table],
+    summary: Dict,
+    hash_columns: Sequence[str] = ("url", "text"),
+) -> bool:
+    """Filter a finished shard through ``keep``; commit the result if it
+    removed rows, updating ``manifest`` (in memory: the caller stamps
+    and writes it) and ``summary``. Returns whether it committed."""
+    import ray.data as rd
+
+    sdir = shard_out_dir(out_dir, manifest["shard_id"])
+    before = manifest["rows"]
+    digest = _commit_shard(
+        rd.read_parquet(str(sdir)).map_batches(keep, batch_format="pyarrow"),
+        sdir,
+        manifest.get("hash_columns", hash_columns),
+        accept=lambda d: d.rows < before,
+    )
+    if digest is None:
+        return False
+    manifest["rows"] = digest.rows
+    manifest["failed_rows"] = digest.failed_rows
+    manifest["content_hash"] = digest.content_hash
+    summary["shards_rewritten"] += 1
+    summary["rows_removed"] += before - digest.rows
+    return True
 
 
 def global_latest_crawl_pass(
@@ -315,13 +377,15 @@ def global_latest_crawl_pass(
     ``fulltext/extract.py:89-107``).
 
     ``run_resumable`` dedups within each shard; re-crawls of one url
-    split across shards survive it. This pass projects (url, warc_ts)
-    over every finished shard's output, resolves global winners with
-    the same distributed aggregate the in-pipeline dedup uses
-    (O(cross-shard-dup) driver state), then rewrites ONLY the shards
-    that hold losing rows — atomically, with their manifests updated
-    (rows/content_hash recomputed, ``global_dedup`` stamped) so a
-    subsequent resume still validates.
+    split across shards survive it. This pass reads the narrow
+    (url, warc_ts, path) projection of every finished shard's output,
+    resolves global winners with the same distributed aggregate the
+    in-pipeline dedup uses (O(cross-shard-dup) driver state), finds the
+    files holding losing rows in a second pass over that projection,
+    and rewrites ONLY those shards — through the shared commit path,
+    with manifests updated from its one digest (``global_dedup``
+    stamped) so a subsequent resume still validates. A shard whose
+    every row loses becomes an empty shard.
 
     Idempotent: a second invocation finds no losers and rewrites
     nothing.
@@ -331,76 +395,58 @@ def global_latest_crawl_pass(
     in another shard), so the merged distinct-url estimate
     (:func:`run_distinct_estimate`) stays correct.
     """
+    import pyarrow.compute as pc
+    import ray
     import ray.data as rd
 
-    from ..stages.dedup import dup_winner_table, winner_filter_batch
+    from ..stages.dedup import dup_winner_table, winner_mask
 
     manifests = {m["shard_id"]: m for m in run_status(out_dir)}
     summary = {"shards_rewritten": 0, "rows_removed": 0}
-    if not manifests:
-        return summary
-
-    shard_dirs = {
-        sid: shard_out_dir(out_dir, sid)
-        for sid in manifests
-        if shard_out_dir(out_dir, sid).exists()
-    }
     # read_parquet accepts one dir or a list of FILES, not a dir list
     out_files = [
         str(f)
-        for d in shard_dirs.values()
-        for f in sorted(Path(d).glob("*.parquet"))
+        for sid in manifests
+        for f in sorted(shard_out_dir(out_dir, sid).glob("*.parquet"))
     ]
-    all_out = rd.read_parquet(out_files, columns=["url", "warc_ts"])
-    wt = dup_winner_table(all_out)
-    if wt.num_rows == 0:
+    if not out_files:
         return summary
 
-    import ray
+    def crawls():
+        return rd.read_parquet(
+            out_files, columns=["url", "warc_ts"], include_paths=True
+        )
 
+    wt = dup_winner_table(crawls())
+    if wt.num_rows == 0:
+        return summary
     winners_ref = ray.put(
         (wt["url"].combine_chunks(), wt["max_ts"].combine_chunks())
     )
 
+    def loser_files(batch: pa.Table) -> pa.Table:
+        keep = winner_mask(batch, ray.get(winners_ref))
+        lost = batch["path"].filter(pc.invert(keep))
+        return pa.table({"path": pc.unique(lost)})
+
+    loser_sids = {
+        Path(path).parent.name.removeprefix("shard=")
+        for b in crawls()
+        .map_batches(loser_files, batch_format="pyarrow")
+        .iter_batches(batch_format="pyarrow")
+        for path in b["path"].to_pylist()
+    }
+
     def keep_winners(batch: pa.Table) -> pa.Table:
-        return winner_filter_batch(batch, ray.get(winners_ref))
+        return batch.filter(winner_mask(batch, ray.get(winners_ref)))
 
-    for sid, sdir in shard_dirs.items():
-        before = manifests[sid]["rows"]
-        kept = rd.read_parquet(str(sdir)).map_batches(
-            keep_winners, batch_format="pyarrow"
-        )
-        tmp_dir = sdir.parent / (sdir.name + ".gdtmp")
-        if tmp_dir.exists():
-            shutil.rmtree(tmp_dir)
-        kept.write_parquet(str(tmp_dir))
-        rows = rd.read_parquet(str(tmp_dir)).count()
-        if rows == before:
-            shutil.rmtree(tmp_dir)  # no losers in this shard
-            continue
-        # swap with old-data preserved at every intermediate state: a
-        # crash mid-swap leaves either the old dir (recoverable rename
-        # retry) or the new dir in place — never a window with the
-        # shard's data directory missing while its manifest survives
-        old_dir = sdir.parent / (sdir.name + ".gdold")
-        if old_dir.exists():
-            shutil.rmtree(old_dir)
-        sdir.rename(old_dir)
-        tmp_dir.rename(sdir)
-        shutil.rmtree(old_dir)
-
+    for sid in sorted(loser_sids):
         manifest = manifests[sid]
-        manifest["rows"] = rows
-        manifest["content_hash"] = dataset_content_hash(
-            rd.read_parquet(str(sdir)), manifest.get("hash_columns", hash_columns)
-        )
-        manifest["global_dedup"] = True
-        mtmp = manifest_path(out_dir, sid).with_suffix(".tmp")
-        mtmp.write_text(json.dumps(manifest, indent=1))
-        mtmp.rename(manifest_path(out_dir, sid))
-
-        summary["shards_rewritten"] += 1
-        summary["rows_removed"] += before - rows
+        if _rewrite_shard(
+            out_dir, manifest, keep_winners, summary, hash_columns
+        ):
+            manifest["global_dedup"] = True
+            _write_manifest(out_dir, manifest)
 
     return summary
 
@@ -465,12 +511,6 @@ def global_neardup_guard(
         "rows_removed": 0,
     }
 
-    def stamp(sid: str, manifest: Dict) -> None:
-        manifest["neardup_guarded"] = True
-        mtmp = manifest_path(out_dir, sid).with_suffix(".tmp")
-        mtmp.write_text(json.dumps(manifest, indent=1))
-        mtmp.rename(manifest_path(out_dir, sid))
-
     if not new_sids:
         return summary
 
@@ -532,36 +572,10 @@ def global_neardup_guard(
 
     for sid in new_sids:
         manifest = manifests[sid]
-        sdir = shard_out_dir(out_dir, sid)
         if flagged.size:
-            before = manifest["rows"]
-            kept = rd.read_parquet(str(sdir)).map_batches(
-                keep_unflagged, batch_format="pyarrow"
-            )
-            tmp_dir = sdir.parent / (sdir.name + ".ngtmp")
-            if tmp_dir.exists():
-                shutil.rmtree(tmp_dir)
-            kept.write_parquet(str(tmp_dir))
-            rows = rd.read_parquet(str(tmp_dir)).count()
-            if rows == before:
-                shutil.rmtree(tmp_dir)
-            else:
-                # rename-aside swap (the global-dedup pattern): no
-                # crash point leaves a manifest without its data dir
-                old_dir = sdir.parent / (sdir.name + ".ngold")
-                if old_dir.exists():
-                    shutil.rmtree(old_dir)
-                sdir.rename(old_dir)
-                tmp_dir.rename(sdir)
-                shutil.rmtree(old_dir)
-                manifest["rows"] = rows
-                manifest["content_hash"] = dataset_content_hash(
-                    rd.read_parquet(str(sdir)),
-                    manifest.get("hash_columns", ("url", "text")),
-                )
-                summary["shards_rewritten"] += 1
-                summary["rows_removed"] += before - rows
-        stamp(sid, manifest)
+            _rewrite_shard(out_dir, manifest, keep_unflagged, summary)
+        manifest["neardup_guarded"] = True
+        _write_manifest(out_dir, manifest)
 
     return summary
 
@@ -670,10 +684,10 @@ def compact_shards(
     otherwise leaves thousands of KB-scale files that tank every
     downstream scan).
 
-    Safety contract, per shard: the rewrite goes to a ``.tmp`` dir,
-    its ORDER-INDEPENDENT content hash (:func:`shard_digests`, same
-    columns the manifest recorded) must equal the manifest's hash
-    BEFORE the atomic rename-aside swap (the global-dedup pattern);
+    Safety contract, per shard: the rewrite goes through the shared
+    commit path, and its ORDER-INDEPENDENT content hash
+    (:func:`shard_digests`, same columns the manifest recorded) must
+    equal the manifest's hash BEFORE the rename-aside swap;
     the manifest keeps its content_hash/row count (content is
     byte-identical per hash) and gains a ``compacted`` block.
     Shards already at one file (or below ``min_files``) are skipped.
@@ -703,31 +717,17 @@ def compact_shards(
             summary["files_after"] += len(files)
             continue
 
-        tmp_dir = sdir.with_suffix(".compact_tmp")
-        old_dir = sdir.with_suffix(".pre_compact")
-        for stale in (tmp_dir, old_dir):
-            if stale.exists():
-                shutil.rmtree(stale)
-        (
-            rd.read_parquet(str(sdir))
-            .repartition(int(n_target))
-            .write_parquet(str(tmp_dir))
-        )
-        chash, _ = shard_digests(
-            rd.read_parquet(str(tmp_dir)),
+        digest = _commit_shard(
+            rd.read_parquet(str(sdir)).repartition(int(n_target)),
+            sdir,
             manifest["hash_columns"],
-            None,
+            accept=lambda d: d.content_hash == manifest["content_hash"],
         )
-        if chash != manifest["content_hash"]:
-            shutil.rmtree(tmp_dir)
+        if digest is None:
             raise RuntimeError(
                 f"compact_shards: content hash mismatch on shard {sid} "
                 "(rewrite aborted, original output untouched)"
             )
-        # rename-aside swap: original survives any crash point
-        sdir.rename(old_dir)
-        tmp_dir.rename(sdir)
-        shutil.rmtree(old_dir)
 
         n_after = len(list(sdir.glob("*.parquet")))
         manifest["compacted"] = {
@@ -736,9 +736,7 @@ def compact_shards(
             "target_bytes": target_bytes,
             "at": time.time(),
         }
-        mtmp = mpath.with_suffix(".tmp")
-        mtmp.write_text(json.dumps(manifest, indent=1))
-        mtmp.rename(mpath)
+        _write_manifest(out_dir, manifest)
         summary["shards_compacted"] += 1
         summary["files_after"] += n_after
     return summary
