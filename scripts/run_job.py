@@ -8,10 +8,14 @@ Sandbox (single node):
     python scripts/run_job.py --input '/tmp/graft_bench/pages_sf0.1_E20_R32/*.parquet' \
         --out /tmp/graft_job_out --files-per-shard 8
 
-The job shards its input files, processes each shard with full cluster
-parallelism through the extraction pipeline, writes atomically and
-records a lineage manifest per shard (state/manifest.py) — so a
-re-submitted job resumes where the previous one stopped.
+The job shards its input files and runs the not-done shards in waves
+(state/manifest.py): consecutive shards, up to 64 shards or 1 GiB of
+input, go through the extraction pipeline as one Ray Data execution —
+one winner pre-pass, one warm extraction actor pool, one write
+partitioned by shard — and one digest pass. Each shard is still
+committed to its own directory with its own lineage manifest, so a
+re-submitted job resumes where the previous one stopped; a crash loses
+only the shards of one wave whose manifests were not yet written.
 
 Input may be the Parquet pages table OR raw crawl segments: a glob of
 ``.warc`` / ``.warc.gz`` files (auto-detected, or forced with
@@ -20,7 +24,7 @@ Input may be the Parquet pages table OR raw crawl segments: a glob of
 ingest format (SURVEY S1), resumable per WARC shard.
 
 Dedup scope: latest-crawl dedup runs WITHIN each shard during
-processing. Pass ``--global-dedup`` to follow with a second-pass
+processing, also inside a wave (winners are keyed by shard and url). Pass ``--global-dedup`` to follow with a second-pass
 winner resolution across ALL shard outputs (rewrites only shards
 holding losing rows, updates their manifests) — use it whenever
 re-crawls of a url may be split across shards. Without it, co-locate

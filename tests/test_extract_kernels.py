@@ -55,6 +55,18 @@ class TestPdf:
         pdf = pdf_text.write_minimal_pdf(text, compress=True)
         assert pdf_text.extract_pdf_text(pdf) == text
 
+    @pytest.mark.parametrize("text,last", [
+        ("compressed line 10", b"\r"),
+        ("w" * 32 + "182", b"\n"),
+    ])
+    def test_roundtrip_flate_ending_in_eol_byte(self, text, last):
+        # the deflate stream's own last byte is CR or LF: only the EOL
+        # before ``endstream`` may be dropped, not that byte
+        pdf = pdf_text.write_minimal_pdf(text, compress=True)
+        body = pdf[pdf.index(b"stream\n") + 7:pdf.index(b"\nendstream")]
+        assert body.endswith(last)
+        assert pdf_text.extract_pdf_text(pdf) == text
+
     def test_unicode_payload(self):
         text = "naïve café — ligature ﬁ"
         pdf = pdf_text.write_minimal_pdf(text)

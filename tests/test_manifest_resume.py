@@ -331,8 +331,10 @@ def test_compact_shards_preserves_content(ray_session, sharded_input,
     out = tmp_path / "out"
 
     def build_many_files(ds):
-        # force many small output files per shard
-        return _build(ds).repartition(6)
+        # force many small output files per shard: the rows of a wave
+        # are shuffled first, so each of the 6 blocks holds rows of
+        # every shard (a plain repartition slices blocks contiguously)
+        return _build(ds).random_shuffle(seed=0).repartition(6)
 
     full = mf.run_resumable(sharded_input, build_many_files, str(out))
     assert full["processed"] == 4
@@ -543,3 +545,141 @@ def test_global_neardup_guard_fully_flagged_shard(ray_session, tmp_path):
     m = json.loads(mf.manifest_path(str(out), sid).read_text())
     assert m["rows"] == 0 and m["neardup_guarded"] is True
     assert rd.read_parquet(str(mf.shard_out_dir(str(out), sid))).count() == 0
+
+
+def _wave_build(ds):
+    from zzzarchived_arxiv_fulltext_ray.pipelines.extraction import (
+        extraction_pipeline,
+    )
+
+    return extraction_pipeline(ds, derive_psv=False, concurrency=(1, 2))
+
+
+def _accounting(m):
+    return {k: m[k] for k in ("rows", "failed_rows", "content_hash", "sketch")}
+
+
+def test_wave_commits_an_empty_shard(ray_session, tmp_path):
+    """A shard whose build yields no rows is committed as an empty
+    shard inside its wave (manifest rows 0); a resume skips both."""
+    from zzzarchived_arxiv_fulltext_ray.stages.extract import OUTPUT_SCHEMA
+
+    full, empty = tmp_path / "full.parquet", tmp_path / "empty.parquet"
+    _write_pages_file(full, [("http://x/1", 0, _words("one")),
+                             ("http://x/2", 0, _words("two"))])
+    pq.write_table(pq.read_schema(full).empty_table(), empty)
+    shards = [[str(empty)], [str(full)]]
+    out = tmp_path / "out"
+
+    run = mf.run_resumable(shards, _wave_build, str(out))
+    assert run["processed"] == 2 and run["waves"] == 1 and run["rows"] == 2
+    sid = {name: mf.shard_id_for(s) for name, s in zip(("empty", "full"),
+                                                         shards)}
+    m = json.loads(mf.manifest_path(str(out), sid["empty"]).read_text())
+    assert m["rows"] == 0 and m["failed_rows"] == 0 and m["content_hash"] == 0
+    assert m["wave"] == {"id": sid["empty"], "shards": 2}
+    # committed files carry the build's schema without the shard column
+    for name in sid:
+        for f in mf.shard_out_dir(str(out), sid[name]).glob("*.parquet"):
+            assert pq.read_schema(f).names == OUTPUT_SCHEMA.names, f
+    assert not list(out.glob("wave=*"))
+
+    resume = mf.run_resumable(shards, _wave_build, str(out))
+    assert resume["processed"] == 0 and resume["skipped"] == 2
+    assert resume["waves"] == 0 and resume["rows"] == 2
+
+
+def test_wave_without_rows_names_its_shards(ray_session, tmp_path):
+    empty = tmp_path / "empty.parquet"
+    _write_pages_file(tmp_path / "schema.parquet", [("http://x/1", 0, "x")])
+    pq.write_table(
+        pq.read_schema(tmp_path / "schema.parquet").empty_table(), empty
+    )
+    sid = mf.shard_id_for([str(empty)])
+    with pytest.raises(ValueError, match=sid):
+        mf.run_resumable([[str(empty)]], _wave_build, str(tmp_path / "out"))
+
+
+def test_build_must_keep_the_shard_column(ray_session, tmp_path):
+    a = tmp_path / "a.parquet"
+    _write_pages_file(a, [("http://x/1", 0, _words("one"))])
+    with pytest.raises(ValueError, match="shard_id"):
+        mf.run_resumable(
+            [[str(a)]],
+            lambda ds: _wave_build(ds).drop_columns(["shard_id"]),
+            str(tmp_path / "out"),
+        )
+
+
+def test_crash_mid_wave_resumes_byte_identically(
+    ray_session, sharded_input, tmp_path, monkeypatch
+):
+    """The run dies writing the 2nd manifest of a 4-shard wave; the
+    resume processes only the 3 shards without a manifest, removes the
+    stale wave dir and ends byte-identical to a clean run."""
+    clean_out, out = tmp_path / "clean", tmp_path / "out"
+    clean = mf.run_resumable(sharded_input, _build, str(clean_out))
+    assert clean["waves"] == 1
+
+    write_manifest = mf._write_manifest
+    calls = []
+
+    def dying_write(out_dir, manifest):
+        calls.append(manifest["shard_id"])
+        if len(calls) == 2:
+            raise RuntimeError("killed while writing a manifest")
+        write_manifest(out_dir, manifest)
+
+    monkeypatch.setattr(mf, "_write_manifest", dying_write)
+    with pytest.raises(RuntimeError, match="killed"):
+        mf.run_resumable(sharded_input, _build, str(out))
+    monkeypatch.setattr(mf, "_write_manifest", write_manifest)
+    stale = list(out.glob("wave=*.tmp"))
+    assert len(stale) == 1 and len(mf.run_status(str(out))) == 1
+    first = mf.manifest_path(str(out), calls[0]).read_text()
+
+    resumed = mf.run_resumable(sharded_input, _build, str(out))
+    assert resumed["processed"] == 3 and resumed["skipped"] == 1
+    assert resumed["waves"] == 1
+    assert not stale[0].exists() and not list(out.glob("wave=*"))
+    assert mf.manifest_path(str(out), calls[0]).read_text() == first
+    want = {m["shard_id"]: m for m in mf.run_status(str(clean_out))}
+    got = {m["shard_id"]: m for m in mf.run_status(str(out))}
+    assert got.keys() == want.keys()
+    for sid in want:
+        assert _accounting(got[sid]) == _accounting(want[sid]), sid
+    assert resumed["content_hash"] == clean["content_hash"]
+    assert resumed["rows"] == clean["rows"]
+
+
+@pytest.mark.parametrize("forced", [False, True],
+                         ids=["broadcast", "force_partitioned"])
+def test_wave_dedup_stays_per_shard(ray_session, tmp_path, monkeypatch,
+                                    forced):
+    """Every shard of a 4-shard wave accounts exactly as when it runs
+    alone — with a url re-crawled inside one shard and two urls
+    re-crawled across shards — in both dedup twins."""
+    if forced:
+        monkeypatch.setenv("GRAFT_FORCE_PARTITIONED", "1")
+    rows = {
+        "a": [("http://x/1", 0, _words("one")), ("http://x/1", 2, _words("onea")),
+              ("http://x/2", 0, _words("two"))],
+        "b": [("http://x/1", 5, _words("oneb")), ("http://x/3", 0, _words("three"))],
+        "c": [("http://x/3", 1, _words("threec")), ("http://x/4", 0, _words("four")),
+              ("http://x/4", 3, _words("fourc"))],
+        "d": [("http://x/5", 0, _words("five"))],
+    }
+    shards = []
+    for name, r in rows.items():
+        _write_pages_file(tmp_path / f"{name}.parquet", r)
+        shards.append([str(tmp_path / f"{name}.parquet")])
+
+    wave = mf.run_resumable(shards, _wave_build, str(tmp_path / "wave"))
+    assert wave["waves"] == 1 and wave["rows"] == 7
+    in_wave = {m["shard_id"]: m for m in mf.run_status(str(tmp_path / "wave"))}
+    for i, shard in enumerate(shards):
+        alone_out = tmp_path / f"alone{i}"
+        mf.run_resumable([shard], _wave_build, str(alone_out))
+        (alone,) = mf.run_status(str(alone_out))
+        assert alone["wave"]["shards"] == 1
+        assert _accounting(in_wave[alone["shard_id"]]) == _accounting(alone)

@@ -19,3 +19,7 @@ Layout
 """
 
 EXTRACTOR_VERSION = "0.3-ray"
+
+# The rows of a wave of shards (``state.manifest.run_resumable``) carry
+# their shard's id in this column through every extraction stage.
+SHARD_COLUMN = "shard_id"

@@ -18,7 +18,7 @@ pages table and the tests.
 import os
 import re
 import zlib
-from typing import List
+from typing import List, Optional
 
 try:  # pragma: no cover - not present in the sandbox image
     from pdfminer.high_level import extract_text as _pdfminer_extract
@@ -156,6 +156,20 @@ def _decode_text_bytes(raw: bytes) -> str:
         return raw.decode("latin-1")
 
 
+def _inflate(body: bytes) -> Optional[bytes]:
+    """A FlateDecode stream's content, or None when it is not one whole
+    deflate stream. ``_STREAM_RE`` already consumed the EOL after
+    ``stream``; the EOL before ``endstream`` is left over after the
+    deflate stream ends and ignored — never stripped, since the
+    compressed bytes themselves may end in CR or LF."""
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(body)
+    except zlib.error:
+        return None
+    return out if inflater.eof else None
+
+
 def extract_text_from_streams(payload: bytes, require_bt: bool = True) -> str:
     """Text-show operators across all content streams, line-structured.
 
@@ -183,9 +197,8 @@ def extract_text_from_streams(payload: bytes, require_bt: bool = True) -> str:
         header_start = payload.rfind(b"<<", 0, m.start())
         header = payload[header_start : m.start()] if header_start != -1 else b""
         if _FLATE_RE.search(header):
-            try:
-                body = zlib.decompress(body.strip(b"\r\n"))
-            except zlib.error:
+            body = _inflate(body)
+            if body is None:
                 continue
         if require_bt and b"BT" not in body:
             continue

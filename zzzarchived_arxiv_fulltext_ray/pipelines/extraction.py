@@ -39,9 +39,9 @@ def extraction_pipeline(
     remaining slots. ``dedup=None`` skips the latest-crawl dedup (for
     inputs known unique); ``"shuffle"`` selects the no-broadcast path.
     """
-    # dedup first, over the RAW pages stream: the winner pre-pass then
-    # projects (url, warc_ts) straight out of the Parquet read instead
-    # of re-scanning payload bytes
+    # dedup first, over the RAW pages stream, so no stage runs on a
+    # losing crawl. The winner pre-pass still reads payload bytes: Ray
+    # Data (2.49) pushes no projection into the Parquet read
     ds = pages_ds
     if dedup:
         ds = dedup_stage.latest_crawl(ds, method=dedup)
@@ -70,7 +70,8 @@ def extraction_pipeline(
         # same upstream and Ray Data has no common-subexpression
         # reuse, so by default the pre-split stages are MATERIALIZED
         # once into the object store (spill-backed; callers run this
-        # per bounded shard, cf. scripts/run_job.py) instead of
+        # per wave of shards, at most 1 GiB of input, cf.
+        # state/manifest.run_resumable) instead of
         # re-executing read+dedup-filter+sniff per branch. Pass
         # ``materialize_for_split=False`` to trade the double scan
         # back for zero pinned blocks (unbounded single-pipeline

@@ -40,6 +40,7 @@ from typing import Dict, List
 import numpy as np
 import pyarrow as pa
 
+from .. import SHARD_COLUMN
 from ..functions import pdf_text
 
 BASE_TS = datetime(2024, 1, 1, 0, 0, 0)
@@ -79,6 +80,10 @@ def url_for(doc_id: int) -> str:
 
 def warc_ts_for(doc_id: int, crawl: int) -> datetime:
     return BASE_TS + timedelta(seconds=doc_id) + crawl * CRAWL_STEP
+
+
+def crawls_of(doc_id: int) -> int:
+    return N_CRAWLS if doc_id % DUP_EVERY == 0 else 1
 
 
 def kind_code(doc_id: int) -> int:
@@ -203,8 +208,7 @@ def synthesize_rows(
             payload = markup.encode("utf-8")
             row_text = text
 
-        n_crawls = N_CRAWLS if doc_id % DUP_EVERY == 0 else 1
-        for crawl in range(n_crawls):
+        for crawl in range(crawls_of(doc_id)):
             urls.append(url_for(doc_id))
             stamps.append(warc_ts_for(doc_id, crawl))
             payloads.append(payload)
@@ -221,14 +225,20 @@ def synthesize_rows(
 
 
 def pages_batch_from_documents(batch: pa.Table, expand=1) -> pa.Table:
-    """``map_batches`` transform: documents batch -> pages batch."""
+    """``map_batches`` transform: documents batch -> pages batch. A
+    ``shard_id`` column (a wave of shards) is repeated per crawl row."""
+    doc_ids = batch["doc_id"].to_pylist()
     cols = synthesize_rows(
-        batch["doc_id"].to_pylist(),
+        doc_ids,
         batch["text"].to_pylist(),
         batch["lang"].to_pylist(),
         expand=expand,
     )
-    return pa.Table.from_pydict(cols, schema=PAGES_SCHEMA)
+    pages = pa.Table.from_pydict(cols, schema=PAGES_SCHEMA)
+    if SHARD_COLUMN not in batch.column_names:
+        return pages
+    rows = np.repeat(np.arange(batch.num_rows), [crawls_of(d) for d in doc_ids])
+    return pages.append_column(SHARD_COLUMN, batch[SHARD_COLUMN].take(rows))
 
 
 def read_pages(sf_dir: str, expand=1):

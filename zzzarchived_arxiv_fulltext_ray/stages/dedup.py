@@ -16,36 +16,48 @@ Two physical strategies for the same logical operator:
   when the url directory itself is too big to broadcast (true
   10^12-row regime), at the price of shuffling payloads.
 
+Inside a wave of shards (rows carrying a ``shard_id`` column, see
+``state/manifest.run_resumable``) both strategies resolve winners per
+(``shard_id``, url): a url re-crawled in two shards of one wave keeps a
+row in each, exactly as when the shards run one by one.
+
 Assumption (documented per SURVEY.md): (url, warc_ts) pairs are unique
 — re-crawls carry strictly increasing timestamps (the synthesizer
 guarantees this; real WARC data does too at second granularity).
 """
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import SHARD_COLUMN
 from ..functions.hashing import bucket_of_column
 
 
-def dup_winner_map(
-    ds, num_buckets: int = 64, partial_batch_size: int = 65536
-) -> dict:
-    """url -> max(warc_ts as int64 micros), for urls with >1 crawl.
+def _key_columns(t: pa.Table) -> List[str]:
+    """The columns a winner is resolved on: the url, scoped to its
+    shard when the rows carry one."""
+    if SHARD_COLUMN in t.column_names:
+        return [SHARD_COLUMN, "url"]
+    return ["url"]
 
-    Dict spelling of :func:`dup_winner_table` (kept for manifest-level
-    summaries); the filter stages use the Arrow table directly."""
-    t = dup_winner_table(ds, num_buckets, partial_batch_size)
-    return dict(
-        zip(t["url"].to_pylist(), t["max_ts"].to_pylist())
-    )
+
+def dedup_key(t: pa.Table):
+    """:func:`_key_columns` as one probe-able column: the url, or
+    shard id + US + url inside a wave."""
+    keys = [t[c] for c in _key_columns(t)]
+    if len(keys) == 1:
+        return keys[0]
+    return pc.binary_join_element_wise(*keys, "\x1f")
 
 
 def dup_winner_table(
     ds, num_buckets: int = 64, partial_batch_size: int = 65536
 ) -> pa.Table:
-    """(url, max_ts int64 micros) rows, ONLY for urls with >1 crawl.
+    """(url, max_ts int64 micros) rows, ONLY for urls with >1 crawl;
+    inside a wave, (shard_id, url, max_ts) rows for urls with >1 crawl
+    in their shard.
 
     Distributed: batch-level combine (vectorized per-batch groupby)
     over LARGE batches (``partial_batch_size``) first, so the partial
@@ -63,28 +75,31 @@ def dup_winner_table(
     (url, int64, int64) rows — raise ``num_buckets`` with corpus size.
     """
 
+    def project(batch: pa.Table) -> pa.Table:
+        # per block, ahead of the large-batch partial, so the partial
+        # concatenates key columns and never payload bytes
+        return batch.select(_key_columns(batch) + ["warc_ts"])
+
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_arrays(
-            [
-                batch["url"].combine_chunks(),
-                batch["warc_ts"].cast(pa.int64()).combine_chunks(),
-            ],
-            names=["url", "ts_us"],
+        keys = _key_columns(batch)
+        t = batch.select(keys).combine_chunks().append_column(
+            "ts_us", batch["warc_ts"].cast(pa.int64()).combine_chunks()
         )
-        g = t.group_by("url").aggregate([("ts_us", "max"), ("url", "count")])
-        g = g.rename_columns(["url", "max_ts", "n"])
+        g = t.group_by(keys).aggregate([("ts_us", "max"), ("url", "count")])
+        g = g.rename_columns(keys + ["max_ts", "n"])
         buckets = pa.array(bucket_of_column(g["url"], num_buckets), pa.int32())
         return g.append_column("bucket", buckets)
 
     def combine_bucket(group: pa.Table) -> pa.Table:
-        g = group.select(["url", "max_ts", "n"]).group_by("url").aggregate(
+        keys = _key_columns(group)
+        g = group.select(keys + ["max_ts", "n"]).group_by(keys).aggregate(
             [("max_ts", "max"), ("n", "sum")]
         )
-        g = g.rename_columns(["url", "max_ts", "n"])
+        g = g.rename_columns(keys + ["max_ts", "n"])
         return g.filter(pc.greater(g["n"], 1))
 
     dup_winners = (
-        ds.select_columns(["url", "warc_ts"])
+        ds.map_batches(project, batch_format="pyarrow", batch_size=None)
         .map_batches(
             partial, batch_format="pyarrow", batch_size=partial_batch_size
         )
@@ -99,15 +114,21 @@ def dup_winner_table(
              "max_ts": pa.array([], pa.int64())}
         )
     return pa.concat_tables(
-        [t.select(["url", "max_ts"]) for t in tables]
+        [t.select(_key_columns(t) + ["max_ts"]) for t in tables]
     ).combine_chunks()
+
+
+def winner_arrays(wt: pa.Table) -> Tuple[pa.Array, pa.Array]:
+    """The broadcast form of a :func:`dup_winner_table`: (dedup key,
+    winning timestamp) arrays, as :func:`winner_mask` probes them."""
+    return dedup_key(wt).combine_chunks(), wt["max_ts"].combine_chunks()
 
 
 def winner_filter_batch(
     batch: pa.Table, winners: Tuple[pa.Array, pa.Array]
 ) -> pa.Table:
     """Keep rows whose (url, warc_ts) is the winner — or whose url has
-    no duplicates at all."""
+    no duplicates at all (per shard inside a wave)."""
     if len(winners[0]) == 0:
         return batch
     return batch.filter(winner_mask(batch, winners))
@@ -115,12 +136,13 @@ def winner_filter_batch(
 
 def winner_mask(batch: pa.Table, winners: Tuple[pa.Array, pa.Array]):
     """Boolean keep-mask of :func:`winner_filter_batch` (``winners``
-    non-empty). Fully vectorized: probe the winner url set with
-    ``index_in`` (null = url not contested), gather the winning
-    timestamp, compare, and fill the uncontested nulls with keep=True.
+    non-empty, from :func:`winner_arrays`). Fully vectorized: probe the
+    winner key set with ``index_in`` (null = key not contested), gather
+    the winning timestamp, compare, and fill the uncontested nulls with
+    keep=True.
     """
-    w_urls, w_ts = winners
-    idx = pc.index_in(batch["url"], value_set=w_urls)
+    w_keys, w_ts = winners
+    idx = pc.index_in(dedup_key(batch), value_set=w_keys)
     won_ts = pc.take(w_ts, idx)  # null where url uncontested
     eq = pc.equal(batch["warc_ts"].cast(pa.int64()), won_ts)
     return pc.fill_null(eq, True)
@@ -181,10 +203,10 @@ def latest_crawl_broadcast(
     not the corpus size; the per-batch filter is a vectorized Arrow
     ``index_in``/``take``/``equal`` probe, no per-row Python.
 
-    Apply this to the RAW pages Dataset (before any payload-touching
-    stage): the ``select_columns`` projection then pushes down into the
-    Parquet read, so the winner pre-pass scans two tiny columns instead
-    of payload bytes.
+    Apply this to the RAW pages Dataset, before any payload-touching
+    stage. The pre-pass projects the key columns per block, but Ray
+    Data (2.49) has no projection pushdown into the Parquet read, so it
+    still reads the payload bytes of every file it scans.
 
     ``overlap=True`` (default) removes the pre-pass from the serial
     head: instead of executing the winner aggregate on the driver
@@ -200,10 +222,7 @@ def latest_crawl_broadcast(
     import ray
 
     if not overlap:
-        wt = dup_winner_table(ds)
-        winners_ref = ray.put(
-            (wt["url"].combine_chunks(), wt["max_ts"].combine_chunks())
-        )
+        winners_ref = ray.put(winner_arrays(dup_winner_table(ds)))
 
         def keep_latest_sync(batch: pa.Table) -> pa.Table:
             return winner_filter_batch(batch, ray.get(winners_ref))
@@ -218,10 +237,7 @@ def latest_crawl_broadcast(
 
     def prepass():
         try:
-            wt = dup_winner_table(ds)
-            ref = ray.put(
-                (wt["url"].combine_chunks(), wt["max_ts"].combine_chunks())
-            )
+            ref = ray.put(winner_arrays(dup_winner_table(ds)))
             ray.get(promise.set_value.remote([ref]))
         except Exception as exc:  # surface in every filter task
             try:
@@ -244,16 +260,26 @@ def latest_crawl_shuffle(ds):
 
     Scale path: no driver-side or broadcast state. Prefer running this
     AFTER payload columns are projected away, or accept that the
-    shuffle moves payload bytes.
+    shuffle moves payload bytes. Inside a wave the url group holds the
+    crawls of every shard, and each shard keeps its own newest one.
     """
 
-    def newest(group: pa.Table) -> pa.Table:
-        if group.num_rows == 1:
-            return group
+    def newest_row(group: pa.Table) -> pa.Table:
         idx = pc.index(
             group["warc_ts"], pc.max(group["warc_ts"]).as_py()
         ).as_py()
         return group.slice(idx, 1)
+
+    def newest(group: pa.Table) -> pa.Table:
+        if group.num_rows == 1:
+            return group
+        if SHARD_COLUMN not in group.column_names:
+            return newest_row(group)
+        shards = group[SHARD_COLUMN]
+        return pa.concat_tables(
+            newest_row(group.filter(pc.equal(shards, sid)))
+            for sid in pc.unique(shards).to_pylist()
+        )
 
     return ds.groupby("url").map_groups(newest, batch_format="pyarrow")
 

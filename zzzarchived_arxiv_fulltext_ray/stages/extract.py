@@ -20,7 +20,7 @@ import threading
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .. import EXTRACTOR_VERSION
+from .. import EXTRACTOR_VERSION, SHARD_COLUMN
 from ..functions import psv as psv_kernel
 
 logger = logging.getLogger(__name__)
@@ -185,7 +185,8 @@ class ExtractorPool:
     docker-container-per-document, SURVEY.md ST1).
 
     Use with ``ds.map_batches(ExtractorPool, batch_format="pyarrow",
-    concurrency=N, batch_size=B)``.
+    concurrency=N, batch_size=B)``. Rows of a wave of shards keep their
+    ``shard_id`` column, appended after ``OUTPUT_SCHEMA``'s.
     """
 
     def __init__(
@@ -287,4 +288,7 @@ class ExtractorPool:
         if out_md is not None:
             arrays.append(pa.array(out_md, type=pa.string()))
             schema = schema.append(pa.field("markdown", pa.string()))
+        if SHARD_COLUMN in batch.column_names:
+            arrays.append(batch[SHARD_COLUMN].combine_chunks())
+            schema = schema.append(batch.schema.field(SHARD_COLUMN))
         return pa.Table.from_arrays(arrays, schema=schema)

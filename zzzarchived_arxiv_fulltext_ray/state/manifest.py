@@ -1,10 +1,9 @@
 """Resumable, manifest-checkpointed pipeline runs (SURVEY.md §4.2).
 
 The unit of resumability is an input *shard* (one or more input Parquet
-files). Each shard is processed with full cluster parallelism and
-committed to its own output directory atomically (write to ``*.tmp``,
-rename), then ONE read of the committed directory (:func:`shard_digests`)
-yields every figure the manifest JSON records with the lineage:
+files). Each shard is committed to its own output directory by a rename
+and accounted by ONE read of the committed directory, which yields
+every figure the manifest JSON records with the lineage:
 
 * lineage: shard id (stable hash of the input paths — independent of
   cluster size, so a 4N-node resume sees the same shards), input paths,
@@ -14,11 +13,19 @@ yields every figure the manifest JSON records with the lineage:
   blake2b(url, text) digests mod 2^64) so a resumed run can be checked
   byte-equivalent to a clean one
 
-Every shard write — a fresh shard, the cross-shard passes that remove
+``run_resumable`` processes the not-done shards in *waves*: consecutive
+shards, in order, up to ``WAVE_MAX_BYTES`` of input and
+``WAVE_MAX_SHARDS`` shards. A wave is one Ray Data execution that
+extracts every shard with one warm ``ExtractorPool`` and writes them
+partitioned by ``shard_id`` (plus its winner pre-pass), and one
+execution that digests every shard; the shards are then renamed into
+place and their manifests written one by one, in order.
+
+The rewrites of finished shards — the cross-shard passes that remove
 rows (:func:`global_latest_crawl_pass` rewrites only shards holding
 losing crawls; :func:`global_neardup_guard`) and :func:`compact_shards`
-— goes through one commit path (``_commit_shard``: tmp write, one
-digest, rename-aside swap) and one manifest writer.
+— go through one commit path (``_commit_shard``: tmp write, one digest,
+rename-aside swap). Every manifest goes through one writer.
 
 ``run_resumable`` skips shards whose manifest exists, whose input
 fingerprint still matches AND whose config fingerprint (extractor
@@ -31,9 +38,10 @@ on top of its skip-if-output-exists resume
 (``extractor/fulltext/fulltext.py:239-242``) and placeholder-based
 work dedup (``fulltext/extract.py:89-107``).
 
-Shards run sequentially (each saturates the cluster); at 10^12-doc
-scale shard = a few thousand input files, so the sequential loop is
-hundreds of iterations, not millions.
+Resume stays per shard: a crash inside a wave loses only the shards of
+that wave whose manifests were not yet written, at most
+``WAVE_MAX_BYTES`` of input. Each wave pays the fixed cost of its Ray
+Data executions and actor pool once, not once per shard.
 """
 
 import hashlib
@@ -47,10 +55,14 @@ from typing import (
 
 import pyarrow as pa
 
-from .. import EXTRACTOR_VERSION
+from .. import EXTRACTOR_VERSION, SHARD_COLUMN
 
 MANIFEST_SUFFIX = ".manifest.json"
 _HASH_MOD = 1 << 64
+# a wave (run_resumable) holds at most this much input and this many
+# shards, and always at least one shard
+WAVE_MAX_BYTES = 1 << 30
+WAVE_MAX_SHARDS = 64
 
 
 def default_config_fingerprint(**extra) -> Dict:
@@ -118,46 +130,81 @@ def shard_digests(
     ``sketch_column``, an HLL distinct sketch of that column — the
     mergeable per-shard state. Distributed partials; the driver folds
     three integers and one 4 KiB register array per batch."""
+    return _keyed_digests({"": ds}, hash_columns, sketch_column)[""]
+
+
+def _keyed_digests(
+    datasets: Dict[str, object],
+    hash_columns: Sequence[str],
+    sketch_column: Optional[str] = None,
+) -> Dict[str, ShardDigest]:
+    """:func:`shard_digests` of several datasets in ONE execution: each
+    dataset's partials carry its key, the union of them is folded per
+    key."""
     import base64
 
     import pyarrow.compute as pc
 
     from ..functions.sketches import HyperLogLog
 
-    def partial(batch: pa.Table) -> pa.Table:
-        failed = 0
-        if "status" in batch.column_names:
-            failed = pc.sum(
-                pc.equal(batch["status"], "failed").cast(pa.int64())
-            ).as_py() or 0
-        cols = {
-            "rows": pa.array([batch.num_rows], pa.int64()),
-            "failed": pa.array([failed], pa.int64()),
-            "h": pa.array(
-                [content_hash_batch(batch, hash_columns)], pa.uint64()
-            ),
-        }
-        if sketch_column is not None:
-            hll = HyperLogLog()
-            hll.add_values(
-                str(v) for v in batch[sketch_column].to_pylist()
-            )
-            cols["hll"] = pa.array([hll.serialize()], pa.large_binary())
-        return pa.Table.from_pydict(cols)
+    def partial_of(key: str):
+        def partial(batch: pa.Table) -> pa.Table:
+            failed = 0
+            if "status" in batch.column_names:
+                failed = pc.sum(
+                    pc.equal(batch["status"], "failed").cast(pa.int64())
+                ).as_py() or 0
+            cols = {
+                "key": pa.array([key], pa.string()),
+                "rows": pa.array([batch.num_rows], pa.int64()),
+                "failed": pa.array([failed], pa.int64()),
+                "h": pa.array(
+                    [content_hash_batch(batch, hash_columns)], pa.uint64()
+                ),
+            }
+            if sketch_column is not None:
+                hll = HyperLogLog()
+                hll.add_values(
+                    str(v) for v in batch[sketch_column].to_pylist()
+                )
+                cols["hll"] = pa.array([hll.serialize()], pa.large_binary())
+            return pa.Table.from_pydict(cols)
 
-    rows = failed = total = 0
-    merged = HyperLogLog() if sketch_column is not None else None
-    for b in ds.map_batches(partial, batch_format="pyarrow").iter_batches(
+        return partial
+
+    first, *rest = [
+        ds.map_batches(partial_of(key), batch_format="pyarrow")
+        for key, ds in datasets.items()
+    ]
+    # key -> [rows, failed, content hash, merged HLL or None]
+    acc = {
+        key: [0, 0, 0, HyperLogLog() if sketch_column is not None else None]
+        for key in datasets
+    }
+    for b in (first.union(*rest) if rest else first).iter_batches(
         batch_format="pyarrow"
     ):
-        rows += sum(b["rows"].to_pylist())
-        failed += sum(b["failed"].to_pylist())
-        total = (total + sum(b["h"].to_pylist())) % _HASH_MOD
-        if merged is not None:
-            for blob in b["hll"].to_pylist():
-                merged = merged.merge(HyperLogLog.deserialize(blob))
-    sketch = merged and base64.b64encode(merged.serialize()).decode()
-    return ShardDigest(rows, failed, total, sketch)
+        blobs = (
+            b["hll"].to_pylist() if sketch_column is not None
+            else [None] * b.num_rows
+        )
+        for key, rows, failed, h, blob in zip(
+            b["key"].to_pylist(), b["rows"].to_pylist(),
+            b["failed"].to_pylist(), b["h"].to_pylist(), blobs,
+        ):
+            a = acc[key]
+            a[0] += rows
+            a[1] += failed
+            a[2] = (a[2] + h) % _HASH_MOD
+            if blob is not None:
+                a[3] = a[3].merge(HyperLogLog.deserialize(blob))
+    return {
+        key: ShardDigest(
+            rows, failed, total,
+            merged and base64.b64encode(merged.serialize()).decode(),
+        )
+        for key, (rows, failed, total, merged) in acc.items()
+    }
 
 
 def run_distinct_estimate(out_dir: str) -> Optional[float]:
@@ -199,20 +246,15 @@ def _commit_shard(
     ds,
     sdir: Path,
     hash_columns: Sequence[str],
-    sketch_column: Optional[str] = None,
-    accept: Callable[[ShardDigest], bool] = lambda digest: True,
+    accept: Callable[[ShardDigest], bool],
 ) -> Optional[ShardDigest]:
-    """The one way a shard output is committed and accounted: write
-    ``ds`` to ``<shard>.tmp``, then make it the shard directory. Ray
-    writes no directory for zero rows, so a rewrite that removes every
-    row is committed as one zero-row Parquet file with the shard's
-    schema.
-
-    A NEW shard is renamed into place and digested through its
-    committed path. An EXISTING shard is digested in ``.tmp``; unless
-    ``accept(digest)`` rejects it (tmp discarded, returns None), a
-    rename-aside swap via ``<shard>.old`` replaces it, so no crash
-    point leaves the manifest without a data directory."""
+    """The one way a finished shard's output is rewritten and accounted:
+    write ``ds`` to ``<shard>.tmp`` and digest it there. Ray writes no
+    directory for zero rows, so a rewrite that removes every row is
+    committed as one zero-row Parquet file with the shard's schema.
+    Unless ``accept(digest)`` rejects it (tmp discarded, returns None),
+    a rename-aside swap via ``<shard>.old`` replaces the shard
+    directory."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -222,21 +264,11 @@ def _commit_shard(
             shutil.rmtree(stale)
     ds.write_parquet(str(tmp_dir))
     if not any(tmp_dir.glob("*.parquet")):
-        # a new shard's empty build output may carry no schema at all
-        if not sdir.exists():
-            raise ValueError(f"{sdir.name}: the build produced no rows")
         schema = pq.read_schema(min(sdir.glob("*.parquet")))
         tmp_dir.mkdir(exist_ok=True)
         pq.write_table(schema.empty_table(), tmp_dir / "empty.parquet")
 
-    if not sdir.exists():
-        tmp_dir.rename(sdir)
-        return shard_digests(
-            rd.read_parquet(str(sdir)), hash_columns, sketch_column
-        )
-    digest = shard_digests(
-        rd.read_parquet(str(tmp_dir)), hash_columns, sketch_column
-    )
+    digest = shard_digests(rd.read_parquet(str(tmp_dir)), hash_columns)
     if not accept(digest):
         shutil.rmtree(tmp_dir)
         return None
@@ -269,6 +301,131 @@ def is_shard_done(
     return True
 
 
+def _waves(shards: Sequence[Sequence[str]]) -> List[List[Sequence[str]]]:
+    """``shards`` in order, cut into waves of at most
+    ``WAVE_MAX_SHARDS`` shards and ``WAVE_MAX_BYTES`` input bytes; a
+    shard larger than the byte bound is a wave of its own."""
+    waves: List[List[Sequence[str]]] = []
+    size = 0
+    for shard in shards:
+        n = sum(Path(p).stat().st_size for p in shard)
+        if (not waves or len(waves[-1]) == WAVE_MAX_SHARDS
+                or size + n > WAVE_MAX_BYTES):
+            waves.append([])
+            size = 0
+        waves[-1].append(shard)
+        size += n
+    return waves
+
+
+def _tag_shard(sid: str) -> Callable[[pa.Table], pa.Table]:
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            SHARD_COLUMN, pa.array([sid] * batch.num_rows, pa.string())
+        )
+
+    return tag
+
+
+def _run_wave(
+    wave: Sequence[Sequence[str]],
+    build: Callable,
+    out_dir: str,
+    read_fn: Callable,
+    config_fingerprint: Dict,
+    hash_columns: Sequence[str],
+    sketch_column: Optional[str],
+) -> List[Dict]:
+    """Extract, commit and account one wave of not-done shards; returns
+    their manifests, written in shard order.
+
+    Every shard's rows are tagged with its ``shard_id`` and ``build``
+    runs ONCE over the union, so the wave shares one winner pre-pass and
+    one ``ExtractorPool``; the build must carry the column through to
+    its output. One partitioned write lands ``shard_id=<sid>/`` dirs in
+    the wave's tmp dir (the column itself is not in the files); each is
+    renamed to ``shard=<sid>``, a shard with no rows getting one
+    zero-row file, and one execution digests every committed dir."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    started = time.time()
+    sids = [shard_id_for(shard) for shard in wave]
+    tmp = Path(out_dir) / f"wave={sids[0]}.tmp"
+    first, *rest = [
+        read_fn(shard).map_batches(_tag_shard(sid), batch_format="pyarrow")
+        for shard, sid in zip(wave, sids)
+    ]
+    try:
+        build(first.union(*rest) if rest else first).write_parquet(
+            str(tmp), partition_cols=[SHARD_COLUMN]
+        )
+    except KeyError as exc:
+        if SHARD_COLUMN not in str(exc):
+            raise
+        raise ValueError(
+            f"run_resumable: the build's output has no {SHARD_COLUMN!r} "
+            "column; a build must keep its input's shard_id column on "
+            "every output row"
+        ) from exc
+
+    written = sorted(tmp.glob(f"{SHARD_COLUMN}=*/*.parquet"))
+    if not written:
+        raise ValueError(f"wave of shards {sids}: the build produced no rows")
+    schema = pq.read_schema(written[0])
+    for f in written:
+        found = pq.read_schema(f)
+        if SHARD_COLUMN in found.names or not found.equals(schema):
+            raise RuntimeError(f"{f}: schema {found} differs from {schema}")
+
+    for sid in sids:
+        part = tmp / f"{SHARD_COLUMN}={sid}"
+        if not part.exists():  # the shard's build yielded no rows
+            part.mkdir(parents=True)
+            pq.write_table(schema.empty_table(), part / "empty.parquet")
+        sdir = shard_out_dir(out_dir, sid)
+        for stale in (sdir, sdir.with_suffix(".tmp"), sdir.with_suffix(".old")):
+            if stale.exists():
+                shutil.rmtree(stale)
+        part.rename(sdir)
+
+    digests = _keyed_digests(
+        {sid: rd.read_parquet(str(shard_out_dir(out_dir, sid)))
+         for sid in sids},
+        hash_columns,
+        sketch_column,
+    )
+    manifests = []
+    for shard, sid in zip(wave, sids):
+        digest = digests[sid]
+        ended = time.time()
+        manifest = {
+            "shard_id": sid,
+            "input_paths": sorted(shard),
+            "input_fingerprint": input_fingerprint(shard),
+            "config_fingerprint": config_fingerprint,
+            "rows": digest.rows,
+            "failed_rows": digest.failed_rows,
+            "content_hash": digest.content_hash,
+            "hash_columns": list(hash_columns),
+            "sketch": (
+                {"column": sketch_column, "hll": digest.sketch}
+                if digest.sketch
+                else None
+            ),
+            "started": started,
+            "ended": ended,
+            "wall_sec": round(ended - started, 3),
+            "wave": {"id": sids[0], "shards": len(sids)},
+        }
+        _write_manifest(out_dir, manifest)
+        manifests.append(manifest)
+    # a leftover wave dir marks a wave whose manifests were not all
+    # written; the next run removes it
+    shutil.rmtree(tmp)
+    return manifests
+
+
 def run_resumable(
     input_shards: Sequence[Sequence[str]],
     build: Callable,
@@ -278,9 +435,16 @@ def run_resumable(
     config_fingerprint: Optional[Dict] = None,
     sketch_column: Optional[str] = "__first_hash_column__",
 ) -> Dict:
-    """Process every not-yet-done shard: read -> build(ds) -> atomic
-    write + manifest. Returns a run summary (shards done/skipped,
-    rows, combined content hash).
+    """Process every not-yet-done shard, in waves (module docstring):
+    read -> build(ds) -> partitioned write, rename + manifest per shard.
+    Returns a run summary (shards processed/skipped, waves, rows,
+    combined content hash).
+
+    ``read_fn(paths)`` is called once per shard (default: read the
+    Parquet files). ``build`` receives the union of a wave's shards,
+    whose rows carry a ``shard_id`` column, and must keep that column
+    in its output; the extraction pipeline's stages do, and its dedup
+    stays per shard.
 
     ``config_fingerprint`` defaults to the extractor version: resuming
     after a version bump reprocesses every shard.
@@ -296,45 +460,33 @@ def run_resumable(
     if config_fingerprint is None:
         config_fingerprint = default_config_fingerprint()
     Path(out_dir).mkdir(parents=True, exist_ok=True)
+    for stale in Path(out_dir).glob("wave=*.tmp"):
+        shutil.rmtree(stale)
 
-    summary = {"processed": 0, "skipped": 0, "rows": 0, "failed_rows": 0}
-    combined_hash = 0
+    summary = {"processed": 0, "skipped": 0, "waves": 0, "rows": 0,
+               "failed_rows": 0}
+    manifests, todo = [], []
     for shard in input_shards:
-        sid = shard_id_for(shard)
         if is_shard_done(out_dir, shard, config_fingerprint):
             summary["skipped"] += 1
-            manifest = json.loads(manifest_path(out_dir, sid).read_text())
+            manifests.append(json.loads(
+                manifest_path(out_dir, shard_id_for(shard)).read_text()
+            ))
         else:
-            started = time.time()
-            ds = build(read_fn(shard))
-            final_dir = shard_out_dir(out_dir, sid)
-            if final_dir.exists():
-                shutil.rmtree(final_dir)
-            digest = _commit_shard(ds, final_dir, hash_columns, sketch_column)
-            manifest = {
-                "shard_id": sid,
-                "input_paths": sorted(shard),
-                "input_fingerprint": input_fingerprint(shard),
-                "config_fingerprint": config_fingerprint,
-                "rows": digest.rows,
-                "failed_rows": digest.failed_rows,
-                "content_hash": digest.content_hash,
-                "hash_columns": list(hash_columns),
-                "sketch": (
-                    {"column": sketch_column, "hll": digest.sketch}
-                    if digest.sketch
-                    else None
-                ),
-                "started": started,
-                "ended": time.time(),
-                "wall_sec": round(time.time() - started, 3),
-            }
-            _write_manifest(out_dir, manifest)
-            summary["processed"] += 1
+            todo.append(shard)
+    for wave in _waves(todo):
+        manifests += _run_wave(
+            wave, build, out_dir, read_fn, config_fingerprint,
+            hash_columns, sketch_column,
+        )
+        summary["processed"] += len(wave)
+        summary["waves"] += 1
+
+    combined_hash = 0
+    for manifest in manifests:
         summary["rows"] += manifest["rows"]
         summary["failed_rows"] += manifest.get("failed_rows", 0)
         combined_hash = (combined_hash + manifest["content_hash"]) % _HASH_MOD
-
     summary["content_hash"] = combined_hash
     return summary
 
@@ -399,7 +551,7 @@ def global_latest_crawl_pass(
     import ray
     import ray.data as rd
 
-    from ..stages.dedup import dup_winner_table, winner_mask
+    from ..stages.dedup import dup_winner_table, winner_arrays, winner_mask
 
     manifests = {m["shard_id"]: m for m in run_status(out_dir)}
     summary = {"shards_rewritten": 0, "rows_removed": 0}
@@ -420,9 +572,7 @@ def global_latest_crawl_pass(
     wt = dup_winner_table(crawls())
     if wt.num_rows == 0:
         return summary
-    winners_ref = ray.put(
-        (wt["url"].combine_chunks(), wt["max_ts"].combine_chunks())
-    )
+    winners_ref = ray.put(winner_arrays(wt))
 
     def loser_files(batch: pa.Table) -> pa.Table:
         keep = winner_mask(batch, ray.get(winners_ref))
