@@ -4,15 +4,18 @@ and whether it carries a DuckDB hash oracle or is rows-only (with
 the declared reason living in the docstring).
 
 Run after adding queries: python scripts/gen_query_index.py
+(``tests/test_query_index.py`` fails while QUERIES.md is stale).
 """
 
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
 
 
-def main():
+def render() -> str:
+    """The text of QUERIES.md for the current query surface."""
     import __ray_entry__ as e
 
     qs = e.queries()
@@ -33,9 +36,13 @@ def main():
         first = doc[0].strip() if doc else ""
         mark = "hash" if name in oracles else "rows-only"
         lines.append(f"| `{name}` | {mark} | {first} |")
-    out = Path(__file__).resolve().parent.parent / "QUERIES.md"
-    out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {out} ({len(qs)} queries)")
+    return "\n".join(lines) + "\n"
+
+
+def main():
+    out = ROOT / "QUERIES.md"
+    out.write_text(render())
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":

@@ -390,9 +390,7 @@ def test_canonicalize_idempotent():
 
 
 def test_topk_partial_preserves_float_dtype():
-    from zzzarchived_arxiv_fulltext_ray.stages.webtext import (
-        topk_per_key_partial,
-    )
+    from zzzarchived_arxiv_fulltext_ray.stages.topk import topk_batch
 
     batch = pa.table(
         {
@@ -401,7 +399,9 @@ def test_topk_partial_preserves_float_dtype():
             "p": pa.array([0.5, 2.5, 1.5], pa.float64()),
         }
     )
-    out = topk_per_key_partial(batch, "k", 2, val="p")
+    out = topk_batch(
+        batch, 2, [("p", "descending"), ("doc_id", "ascending")], group="k"
+    )
     assert out["p"].type == pa.float64()
     assert out["doc_id"].to_pylist() == [2, 3]  # p desc
 

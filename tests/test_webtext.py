@@ -6,16 +6,19 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from zzzarchived_arxiv_fulltext_ray.stages.topk import (
+    topk_batch,
+    topk_per_group,
+)
 from zzzarchived_arxiv_fulltext_ray.stages.webtext import (
-    capped_topk_per_key,
     decontaminate,
     pii_scrub_batch,
     repetition_batch,
     shingle_hash_batch,
-    topk_per_key_partial,
 )
 
 SF = "/root/testdata/sf0.001"
+LONGEST_FIRST = [("n_chars", "descending"), ("doc_id", "ascending")]
 
 
 def _t(**cols):
@@ -60,7 +63,7 @@ def test_topk_partial_is_lossless_building_block():
         doc_id=[1, 2, 3, 4, 5],
         n_chars=[10, 30, 30, 5, 7],
     )
-    out = topk_per_key_partial(batch, "domain", k=2, val="n_chars")
+    out = topk_batch(batch, 2, LONGEST_FIRST, group="domain")
     got = sorted(zip(out["domain"].to_pylist(), out["doc_id"].to_pylist()))
     # ties broken by doc_id asc: a keeps 2,3 (30,30); b keeps both
     assert got == [("a", 2), ("a", 3), ("b", 4), ("b", 5)]
@@ -80,7 +83,7 @@ def test_capped_topk_matches_brute_force(ray_session):
     )
     ds = rd.from_pandas(df).repartition(9)
     got = (
-        capped_topk_per_key(ds, "domain", k=4, val="n_chars")
+        topk_per_group(ds, "domain", 4, LONGEST_FIRST)
         .to_pandas()
         .sort_values(["domain", "doc_id"])
         .reset_index(drop=True)

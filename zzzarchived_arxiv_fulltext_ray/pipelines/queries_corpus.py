@@ -29,16 +29,10 @@ deterministic pure-function-of-doc_id inputs reconstructed in SQL.
 
 from typing import Callable, Dict
 
+from ..sources.pages import read_documents
+
 CORPUS_QUERIES: Dict[str, Callable] = {}
 CORPUS_ORACLE_SQL: Dict[str, str] = {}
-
-
-def _docs(sf_dir: str, columns):
-    import ray.data
-
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=columns
-    )
 
 
 # ------------------------------------------------------- link graph
@@ -324,7 +318,7 @@ def _q_url_canonicalize(sf_dir: str):
             }
         )
 
-    docs = _docs(sf_dir, ["doc_id"])
+    docs = read_documents(sf_dir, ["doc_id"])
     out = docs.map_batches(mangle_and_canon, batch_format="pyarrow")
     return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
@@ -349,7 +343,7 @@ def _q_token_budget_mix(sf_dir: str):
     floor(lang_total / 2)."""
     from ..stages.mixing import token_budget_select
 
-    docs = _docs(sf_dir, ["doc_id", "lang", "text"])
+    docs = read_documents(sf_dir, ["doc_id", "lang", "text"])
     return token_budget_select(docs, budget_num=1, budget_den=2)
 
 
@@ -359,7 +353,7 @@ def _q_token_budget_mix_distributed(sf_dir: str):
     a gate witness that both plans agree (cf. decontaminate_partitioned)."""
     from ..stages.mixing import token_budget_select
 
-    docs = _docs(sf_dir, ["doc_id", "lang", "text"])
+    docs = read_documents(sf_dir, ["doc_id", "lang", "text"])
     return token_budget_select(
         docs, budget_num=1, budget_den=2, boundary="distributed"
     )
@@ -404,7 +398,7 @@ def _q_shard_assign(sf_dir: str):
     global sort."""
     from ..stages.window import shard_assign
 
-    docs = _docs(sf_dir, ["doc_id", "lang", "text"])
+    docs = read_documents(sf_dir, ["doc_id", "lang", "text"])
     return shard_assign(docs, shard_tokens=1000)
 
 
@@ -588,7 +582,7 @@ def _q_inverted_index(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_documents(sf_dir, ["doc_id", "text"])
     # scale-free df band: mid-frequency = [max(5, N/100), 8N/10] in
     # integer arithmetic (count() is parquet-metadata-only, no scan)
     n_docs = docs.count()
@@ -718,7 +712,7 @@ def _q_doc_chunks(sf_dir: str):
             }
         )
 
-    out = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    out = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         chunks, batch_format="pyarrow"
     )
     return (
@@ -769,14 +763,14 @@ def _q_weighted_sample(sf_dir: str):
     two IEEE double operations (exact multiply < 2^52, one correctly
     rounded divide), so the ORDERING — which selects rows, not just
     values — is bit-identical cross-engine; ties (equal (w, h4))
-    break by doc_id. Distributed via the lossless partial-top-k
-    combiner tree (no whole-group shuffle)."""
+    break by doc_id. Distributed via ``stages/topk.topk_per_group``
+    (no whole-group shuffle)."""
     import hashlib
 
     import numpy as np
     import pyarrow as pa
 
-    from ..stages.webtext import capped_topk_per_key
+    from ..stages.topk import topk_per_group
 
     def prio(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -798,10 +792,12 @@ def _q_weighted_sample(sf_dir: str):
             }
         )
 
-    ds = _docs(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
+    ds = read_documents(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
         prio, batch_format="pyarrow"
     )
-    out = capped_topk_per_key(ds, key="lang", k=10, val="priority")
+    out = topk_per_group(
+        ds, "lang", 10, [("priority", "descending"), ("doc_id", "ascending")]
+    )
     return (
         out.to_pandas()
         .sort_values(["lang", "doc_id"])
@@ -854,7 +850,7 @@ def _q_domain_lang_entropy(sf_dir: str):
         )
 
     counts = (
-        _docs(sf_dir, ["doc_id", "lang", "n_chars"])
+        read_documents(sf_dir, ["doc_id", "lang", "n_chars"])
         .map_batches(pairs, batch_format="pyarrow")
         .groupby(["domain", "lang"])
         .aggregate(Sum("n", alias_name="n"))
@@ -1565,7 +1561,7 @@ def _q_doc_rank(sf_dir: str):
     histogram range partitioning, never a global sort."""
     from ..stages.window import global_row_number
 
-    docs = _docs(sf_dir, ["doc_id", "n_chars"])
+    docs = read_documents(sf_dir, ["doc_id", "n_chars"])
     out = global_row_number(docs, "doc_id", "n_chars").to_pandas()
     out = out.rename(columns={"id": "doc_id", "key": "n_chars"})
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -1589,7 +1585,7 @@ def _q_lang_ntile(sf_dir: str):
 
     from ..stages.window import grouped_row_number, ntile_of_rank
 
-    docs = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
+    docs = read_documents(sf_dir, ["doc_id", "lang", "n_chars"])
     # group sizes come from the ranking plan's own histogram — no
     # second corpus scan
     ranked, hist = grouped_row_number(
@@ -1635,7 +1631,7 @@ def _q_dsir_select(sf_dir: str):
     slice (doc_id % 101 == 0) as the target distribution."""
     from ..stages.mixing import dsir_score
 
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_documents(sf_dir, ["doc_id", "text"])
     return dsir_score(docs, target_mod=101, n_buckets=256)
 
 
@@ -2392,8 +2388,8 @@ def _q_bm25_search(sf_dir: str):
     total token length, per-query-term document frequency — combined
     per batch to ONE partial row, so the exchange is O(batches);
     (2) vectorized scoring with the idf/avgdl constants closed over
-    (driver state is 5 scalars), with a per-batch local top-k before
-    the bounded driver merge (the ``ann_topk`` combiner shape). The
+    (driver state is 5 scalars), then ``stages/topk.topk`` (a
+    per-batch local top-k before the bounded driver merge). The
     oracle replays the identical float expression tree, operation
     order mirrored, so scores match bit-for-bit."""
     import math
@@ -2404,10 +2400,12 @@ def _q_bm25_search(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
+    from ..stages.topk import topk
+
     TERMS = ("hash", "join", "merge")
     K1, B, TOPK = 1.2, 0.75, 20
 
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_documents(sf_dir, ["doc_id", "text"])
 
     def tf_len(batch: pa.Table):
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -2441,26 +2439,24 @@ def _q_bm25_search(sf_dir: str):
         for j in range(len(TERMS))
     ]
 
-    def score_topk(batch: pa.Table) -> pa.Table:
+    def scores(batch: pa.Table) -> pa.Table:
         ids, tfs, lens = tf_len(batch)
         score = np.zeros(len(ids), dtype=np.float64)
         for j in range(len(TERMS)):
             tf = tfs[:, j].astype(np.float64)
             den = tf + K1 * (1.0 - B + B * lens / avgdl)
             score = score + idf[j] * (tf * (K1 + 1.0)) / den
-        order = np.lexsort((ids, -score))[:TOPK]
         return pa.Table.from_pydict(
             {
-                "doc_id": pa.array(ids[order], pa.int64()),
-                "score": pa.array(score[order], pa.float64()),
+                "doc_id": pa.array(ids, pa.int64()),
+                "score": pa.array(score, pa.float64()),
             }
         )
 
-    out = docs.map_batches(score_topk, batch_format="pyarrow").to_pandas()
-    out = out.sort_values(
-        ["score", "doc_id"], ascending=[False, True]
-    ).head(TOPK)
-    return out.reset_index(drop=True)
+    return topk(
+        docs.map_batches(scores, batch_format="pyarrow"), TOPK,
+        [("score", "descending"), ("doc_id", "ascending")],
+    ).to_pandas()
 
 
 CORPUS_QUERIES["bm25_search"] = _q_bm25_search
@@ -2657,7 +2653,7 @@ def _q_lang_rank_dense(sf_dir: str):
     probe (``stages.window.grouped_rank_dense``) — no group shuffle."""
     from ..stages.window import grouped_rank_dense
 
-    docs = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
+    docs = read_documents(sf_dir, ["doc_id", "lang", "n_chars"])
     out = grouped_rank_dense(
         docs, "lang", "n_chars", descending=True, with_pct=True
     ).to_pandas()
@@ -2751,7 +2747,7 @@ def _q_source_lang_pivot(sf_dir: str):
     (``stages.relational.pivot_wide``)."""
     from ..stages.relational import grouped_value_counts, pivot_wide
 
-    docs = _docs(sf_dir, ["source", "lang"])
+    docs = read_documents(sf_dir, ["source", "lang"])
     grain = grouped_value_counts(docs, "source", "lang")
     out = pivot_wide(
         grain, "source", "lang", ["de", "en", "es", "fr", "zh"]
@@ -2779,7 +2775,7 @@ def _q_source_mode_lang(sf_dir: str):
     spelling), picked per group on the counted grain."""
     from ..stages.relational import grouped_mode, grouped_value_counts
 
-    docs = _docs(sf_dir, ["source", "lang"])
+    docs = read_documents(sf_dir, ["source", "lang"])
     grain = grouped_value_counts(docs, "source", "lang")
     out = grouped_mode(grain, "source", "lang").to_pandas()
     return out.sort_values("source").reset_index(drop=True)
@@ -3522,10 +3518,10 @@ def _q_copurchase_pairs(sf_dir: str):
     grain counts support. Order sizes max out at ~17 lines in this
     corpus, far under the hot-group cap, so the SQL self-join oracle
     is exact (no drops)."""
-    import pyarrow as pa
     import ray.data
 
     from ..stages.graph import cooccurrence_edges
+    from ..stages.topk import topk
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
@@ -3534,28 +3530,10 @@ def _q_copurchase_pairs(sf_dir: str):
         li, "l_orderkey", "l_partkey", min_count=1, keep_count=True
     )
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        if batch.num_rows == 0:
-            return batch
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        u = batch["u"].to_numpy(zero_copy_only=False)
-        v = batch["v"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, u, -n))[:20]
-        return batch.take(pa.array(order))
-
-    # partial top-k combiner: each block keeps its own top-20, the
-    # driver merge sees <= 20 x blocks rows
-    out = (
-        pairs.map_batches(local_topk, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values(
-            ["n", "u", "v"], ascending=[False, True, True]
-        )
-        .head(20)
-        .reset_index(drop=True)
-    )
+    out = topk(
+        pairs, 20,
+        [("n", "descending"), ("u", "ascending"), ("v", "ascending")],
+    ).to_pandas()
     out.columns = ["part_a", "part_b", "support"]
     out["support"] = out["support"].astype("int64")
     return out
@@ -3958,15 +3936,16 @@ ORDER BY 1
 def _q_lang_top_tokens(sf_dir: str):
     """Top-10 tokens per language by corpus count (ties -> token asc).
     Plan: per-batch (lang, token) Counter combine -> one exchange over
-    the (lang, token) grain -> per-batch LOCAL top-10 per lang over
-    the finalized counts -> tiny per-lang merge. The merge group holds
-    <= 10 x batches rows, never a language's vocabulary — the
-    partial-top-k combiner shape (``ann_topk``, `top_docs_per_lang`)."""
+    the (lang, token) grain -> ``stages/topk.topk_per_group``: a
+    per-batch LOCAL top-10 per lang over the finalized counts -> tiny
+    per-lang merge. The merge group holds <= 10 x batches rows, never
+    a language's vocabulary."""
     from collections import Counter
 
-    import numpy as np
     import pyarrow as pa
     from ray.data.aggregate import Sum
+
+    from ..stages.topk import topk_per_group
 
     K = 10
 
@@ -3988,27 +3967,13 @@ def _q_lang_top_tokens(sf_dir: str):
             }
         )
 
-    def _topk(t: pa.Table) -> pa.Table:
-        langs = np.asarray(t["lang"].to_pylist())
-        toks = np.asarray(t["token"].to_pylist())
-        ns = t["n"].to_numpy(zero_copy_only=False)
-        keep = np.zeros(len(langs), dtype=bool)
-        for lang in np.unique(langs):
-            m = np.nonzero(langs == lang)[0]
-            order = np.lexsort((toks[m], -ns[m]))[:K]
-            keep[m[order]] = True
-        return t.filter(pa.array(keep))
-
-    out = (
-        _docs(sf_dir, ["lang", "text"])
+    out = topk_per_group(
+        read_documents(sf_dir, ["lang", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["lang", "token"])
-        .aggregate(Sum("n", alias_name="n"))
-        .map_batches(_topk, batch_format="pyarrow")  # local top-k
-        .groupby("lang")
-        .map_groups(_topk, batch_format="pyarrow")   # tiny merge
-        .to_pandas()
-    )
+        .aggregate(Sum("n", alias_name="n")),
+        "lang", K, [("n", "descending"), ("token", "ascending")],
+    ).to_pandas()
     out["n"] = out["n"].astype("int64")
     return out.sort_values(
         ["lang", "n", "token"], ascending=[True, False, True]
@@ -4048,7 +4013,7 @@ def _q_doc_lang_enriched(sf_dir: str):
 
     from ..stages.relational import skew_routed_join
 
-    docs = _docs(sf_dir, ["doc_id", "lang"])
+    docs = read_documents(sf_dir, ["doc_id", "lang"])
 
     def partial(b: pa.Table) -> pa.Table:
         g = b.select(["lang"]).group_by("lang").aggregate(
@@ -4057,7 +4022,7 @@ def _q_doc_lang_enriched(sf_dir: str):
         return g.rename_columns(["lang", "lang_docs"])
 
     counts = (
-        _docs(sf_dir, ["lang"])
+        read_documents(sf_dir, ["lang"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("lang")
         .aggregate(Sum("lang_docs", alias_name="lang_docs"))
@@ -4086,7 +4051,7 @@ def _q_doc_rank_sorted(sf_dir: str):
     `doc_rank`; the two plans are pinned equal in pytest."""
     from ..stages.window import global_row_number_sorted
 
-    docs = _docs(sf_dir, ["doc_id", "n_chars"])
+    docs = read_documents(sf_dir, ["doc_id", "n_chars"])
     out = global_row_number_sorted(docs, "doc_id", "n_chars").to_pandas()
     out = out.rename(columns={"id": "doc_id", "key": "n_chars"})
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -4114,7 +4079,7 @@ def _q_source_lang_unpivot(sf_dir: str):
     )
 
     langs = ["de", "en", "es", "fr", "zh"]
-    docs = _docs(sf_dir, ["source", "lang"])
+    docs = read_documents(sf_dir, ["source", "lang"])
     grain = grouped_value_counts(docs, "source", "lang")
     wide = pivot_wide(grain, "source", "lang", langs)
     out = unpivot_long(
@@ -4459,7 +4424,7 @@ def _q_source_set_ops(sf_dir: str):
             )
 
         return (
-            _docs(sf_dir, ["source", "lang"])
+            read_documents(sf_dir, ["source", "lang"])
             .map_batches(partial, batch_format="pyarrow")
             .groupby("source")
             .aggregate(Count(alias_name="_n"))
@@ -4603,12 +4568,12 @@ def _q_doc_effective_vocab(sf_dir: str):
     and the SQL oracle agree bit-for-bit (a log-sum entropy would
     accumulate engine-dependent rounding). Ties -> smallest doc_id.
     Physical plan: per-doc stats are a pure per-batch map (no
-    exchange); the top-20 reduces via per-batch partial top-k, so the
+    exchange); the top-20 reduces via ``stages/topk.topk``, so the
     driver sees 20 rows per block, never the corpus."""
-    import pandas as pd
+    import numpy as np
     import pyarrow as pa
 
-    from ..pipelines.queries_training import _docs
+    from ..stages.topk import topk
 
     def stats(batch: pa.Table) -> pa.Table:
         from collections import Counter
@@ -4627,41 +4592,26 @@ def _q_doc_effective_vocab(sf_dir: str):
             out["n_tokens"].append(t)
             out["n_distinct"].append(len(c))
             out["sum_sq"].append(sum(v * v for v in c.values()))
+        t = np.asarray(out["n_tokens"], np.float64)
         return pa.Table.from_pydict(
             {
                 "doc_id": pa.array(out["doc_id"], pa.int64()),
                 "n_tokens": pa.array(out["n_tokens"], pa.int64()),
                 "n_distinct": pa.array(out["n_distinct"], pa.int64()),
                 "sum_sq": pa.array(out["sum_sq"], pa.int64()),
+                "eff_vocab": pa.array(
+                    t * t / np.asarray(out["sum_sq"], np.float64),
+                    pa.float64(),
+                ),
             }
         )
 
-    def topk(batch: pa.Table) -> pa.Table:
-        import pyarrow as pa
-
-        df = batch.to_pandas()
-        df["eff_vocab"] = (
-            df["n_tokens"].astype("float64")
-            * df["n_tokens"].astype("float64")
-            / df["sum_sq"].astype("float64")
-        )
-        df = df.sort_values(
-            ["eff_vocab", "doc_id"], ascending=[False, True]
-        ).head(20)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    parts = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(stats, batch_format="pyarrow")
-        .map_batches(topk, batch_format="pyarrow")
-        .to_pandas()
-    )
-    out = parts.sort_values(
-        ["eff_vocab", "doc_id"], ascending=[False, True]
-    ).head(20)
-    return out.reset_index(drop=True)[
-        ["doc_id", "n_tokens", "n_distinct", "sum_sq", "eff_vocab"]
-    ]
+    return topk(
+        read_documents(sf_dir, ["doc_id", "text"]).map_batches(
+            stats, batch_format="pyarrow"
+        ),
+        20, [("eff_vocab", "descending"), ("doc_id", "ascending")],
+    ).to_pandas()
 
 
 CORPUS_QUERIES["doc_effective_vocab"] = _q_doc_effective_vocab
@@ -4697,15 +4647,16 @@ def _q_token_source_affinity(sf_dir: str):
     chi-square keyword extraction, kept integer so ranking and oracle
     agree bit-for-bit; ties -> token asc). Physical plan: per-batch
     (token, n_focus, n_rest) partial counts -> one vocab-bounded
-    token groupby -> two-scalar totals aggregate -> per-batch partial
-    top-20, so the driver sees 20 rows per block."""
+    token groupby -> two-scalar totals aggregate -> ``stages/topk.topk``
+    over the per-batch keyness, so the driver sees 20 rows per
+    block."""
     from collections import Counter
 
-    import pandas as pd
+    import numpy as np
     import pyarrow as pa
     from ray.data.aggregate import Sum
 
-    from ..pipelines.queries_training import _docs
+    from ..stages.topk import topk
 
     FOCUS = "src0"
 
@@ -4731,7 +4682,7 @@ def _q_token_source_affinity(sf_dir: str):
         )
 
     counts = (
-        _docs(sf_dir, ["source", "text"])
+        read_documents(sf_dir, ["source", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("token")
         .aggregate(
@@ -4745,26 +4696,20 @@ def _q_token_source_affinity(sf_dir: str):
     )
     t_focus, t_rest = int(tot["tf"]), int(tot["tr"])
 
-    def topk(batch: pa.Table) -> pa.Table:
-        import pyarrow as pa
-
-        df = batch.to_pandas()
-        df["keyness"] = (
-            df["n_focus"].astype("int64") * t_rest
-            - df["n_rest"].astype("int64") * t_focus
+    def keyness(batch: pa.Table) -> pa.Table:
+        nf = batch["n_focus"].to_numpy(zero_copy_only=False)
+        nr = batch["n_rest"].to_numpy(zero_copy_only=False)
+        return batch.append_column(
+            "keyness",
+            pa.array(
+                nf.astype(np.int64) * t_rest - nr.astype(np.int64) * t_focus
+            ),
         )
-        df = df.sort_values(
-            ["keyness", "token"], ascending=[False, True]
-        ).head(20)
-        return pa.Table.from_pandas(df, preserve_index=False)
 
-    parts = counts.map_batches(topk, batch_format="pyarrow").to_pandas()
-    out = parts.sort_values(
-        ["keyness", "token"], ascending=[False, True]
-    ).head(20)
-    return out.reset_index(drop=True)[
-        ["token", "n_focus", "n_rest", "keyness"]
-    ]
+    return topk(
+        counts.map_batches(keyness, batch_format="pyarrow"), 20,
+        [("keyness", "descending"), ("token", "ascending")],
+    ).to_pandas()[["token", "n_focus", "n_rest", "keyness"]]
 
 
 CORPUS_QUERIES["token_source_affinity"] = _q_token_source_affinity
@@ -4909,13 +4854,11 @@ def _q_documents_profile(sf_dir: str):
     import pyarrow as pa
     from ray.data.aggregate import Count, Max, Min, Sum
 
-    from ..pipelines.queries_training import _docs
-
     INT_COLS = ["doc_id", "n_chars"]
     STR_COLS = ["lang", "source", "text"]
     COLS = INT_COLS + STR_COLS
 
-    ds = _docs(sf_dir, COLS).materialize()
+    ds = read_documents(sf_dir, COLS).materialize()
 
     def stats_partial(batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -5074,8 +5017,6 @@ def _q_lang_source_chi2(sf_dir: str):
     import pyarrow as pa
     from ray.data.aggregate import Sum
 
-    from ..pipelines.queries_training import _docs
-
     def partial(batch: pa.Table) -> pa.Table:
         g = (
             batch.select(["lang", "source"])
@@ -5085,7 +5026,7 @@ def _q_lang_source_chi2(sf_dir: str):
         return g.rename_columns(["lang", "source", "n"])
 
     cells = (
-        _docs(sf_dir, ["lang", "source"])
+        read_documents(sf_dir, ["lang", "source"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["lang", "source"])
         .aggregate(Sum("n", alias_name="n"))
@@ -5634,9 +5575,8 @@ def _q_doc_zorder_layout(sf_dir: str):
     from ray.data.aggregate import Max, Min, Sum
 
     from ..functions.hashing import morton2
-    from ..pipelines.queries_training import _docs
 
-    docs = _docs(sf_dir, ["doc_id", "n_chars"]).materialize()
+    docs = read_documents(sf_dir, ["doc_id", "n_chars"]).materialize()
     mx = docs.aggregate(Max("doc_id"), Max("n_chars"))
     max_did = int(mx["max(doc_id)"])
     max_nc = int(mx["max(n_chars)"])
@@ -6120,8 +6060,6 @@ def _q_doc_readability(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
-    from ..pipelines.queries_training import _docs
-
     vowel_re = re.compile(r"[aeiouy]+")
     sent_re = re.compile(r"[.!?]+")
 
@@ -6154,7 +6092,7 @@ def _q_doc_readability(sf_dir: str):
         )
 
     parts = (
-        _docs(sf_dir, ["lang", "text"])
+        read_documents(sf_dir, ["lang", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()
     )
@@ -6199,7 +6137,6 @@ def _q_doc_kendall(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
-    from ..pipelines.queries_training import _docs
     from ..stages.window import kendall_tau
 
     def xy(batch: pa.Table) -> pa.Table:
@@ -6213,7 +6150,7 @@ def _q_doc_kendall(sf_dir: str):
             }
         )
 
-    ds = _docs(sf_dir, ["n_chars", "text"]).map_batches(
+    ds = read_documents(sf_dir, ["n_chars", "text"]).map_batches(
         xy, batch_format="pyarrow"
     )
     r = kendall_tau(ds, "x", "y")
@@ -6288,8 +6225,6 @@ def _q_source_divergence(sf_dir: str):
     import pyarrow as pa
     from ray.data.aggregate import Sum
 
-    from ..pipelines.queries_training import _docs
-
     def partial(batch: pa.Table) -> pa.Table:
         from collections import Counter
 
@@ -6309,7 +6244,7 @@ def _q_source_divergence(sf_dir: str):
         )
 
     counts = (
-        _docs(sf_dir, ["source", "text"])
+        read_documents(sf_dir, ["source", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["source", "t"])
         .aggregate(Sum("c", alias_name="c"))
@@ -6508,13 +6443,12 @@ def _q_phrase_topk(sf_dir: str):
     """Phrase mining: the 20 most frequent 4-gram token phrases
     corpus-wide (tie-break by phrase string — total order). Per-batch
     Counter partials over sliding windows -> one groupby exchange
-    over distinct phrases -> per-block partial top-20 -> driver merge
-    (the lossless partial-top-k combiner, ~20 rows per block)."""
-    import pandas as pd
+    over distinct phrases -> ``stages/topk.topk`` (per-block partial
+    top-20 -> driver merge, ~20 rows per block)."""
     import pyarrow as pa
     from ray.data.aggregate import Sum
 
-    from ..pipelines.queries_training import _docs
+    from ..stages.topk import topk
 
     W = 4
 
@@ -6534,28 +6468,15 @@ def _q_phrase_topk(sf_dir: str):
             }
         )
 
-    def top20(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        df = batch.to_pandas()
-        df = df.sort_values(
-            ["n", "phrase"], ascending=[False, True]
-        ).head(20)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    parts = (
-        _docs(sf_dir, ["text"])
+    out = topk(
+        read_documents(sf_dir, ["text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("phrase")
-        .aggregate(Sum("n", alias_name="n"))
-        .map_batches(top20, batch_format="pyarrow")
-        .to_pandas()
-    )
-    out = parts.sort_values(
-        ["n", "phrase"], ascending=[False, True]
-    ).head(20)
+        .aggregate(Sum("n", alias_name="n")),
+        20, [("n", "descending"), ("phrase", "ascending")],
+    ).to_pandas()
     out["n"] = out["n"].astype("int64")
-    return out.reset_index(drop=True)[["phrase", "n"]]
+    return out[["phrase", "n"]]
 
 
 CORPUS_QUERIES["phrase_topk"] = _q_phrase_topk
@@ -6587,7 +6508,6 @@ def _q_doc_chatterjee_xi(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
-    from ..pipelines.queries_training import _docs
     from ..stages.window import chatterjee_xi
 
     def xy(batch: pa.Table) -> pa.Table:
@@ -6602,7 +6522,7 @@ def _q_doc_chatterjee_xi(sf_dir: str):
             }
         )
 
-    ds = _docs(sf_dir, ["doc_id", "n_chars", "text"]).map_batches(
+    ds = read_documents(sf_dir, ["doc_id", "n_chars", "text"]).map_batches(
         xy, batch_format="pyarrow"
     )
     r = chatterjee_xi(ds, "x", "y", tie_col="doc_id")

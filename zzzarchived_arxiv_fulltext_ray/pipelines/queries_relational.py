@@ -20,6 +20,8 @@ from typing import Callable, Dict
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.topk import topk
+
 RELATIONAL_QUERIES: Dict[str, Callable] = {}
 RELATIONAL_ORACLE_SQL: Dict[str, str] = {}
 
@@ -1353,30 +1355,14 @@ ORDER BY dev.event_id
 # ---------------------------------------------------------------------------
 
 
-def _topk_partial_factory(k: int, by, ascending):
-    """Per-batch partial top-k (the lossless combiner step: the global
-    top-k is contained in the union of per-block top-ks)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows <= k:
-            return batch
-        df = batch.to_pandas()
-        return pa.Table.from_pandas(
-            df.sort_values(by, ascending=ascending).head(k),
-            preserve_index=False,
-        )
-
-    return partial
-
-
 def _q_shipping_priority(sf_dir: str):
     """TPC-H Q3 shape: top-10 unshipped BUILDING-segment orders by
     open revenue at a cutoff date. Customers enter as a
     Bloom-prefiltered SEMI join (membership only), orders are
     date-filtered below their exchange, lineitem is date-filtered and
     pre-aggregated to the order grain per batch; the global top-10 is
-    a lossless partial-top-k combiner stream (each block contributes
-    <= 10 rows; the driver merges <= 10 x blocks rows)."""
+    ``stages/topk.topk`` (each block contributes <= 10 rows; the
+    driver merges <= 10 x blocks rows)."""
     import datetime
 
     import ray.data
@@ -1452,15 +1438,10 @@ def _q_shipping_priority(sf_dir: str):
         .groupby(["orderkey", "o_orderdate"])
         .aggregate(Sum("cents", alias_name="revenue_cents"))
     )
-    partials = per_order.map_batches(
-        _topk_partial_factory(
-            k, ["revenue_cents", "orderkey"], [False, True]
-        ),
-        batch_format="pyarrow",
+    out = topk(
+        per_order, k,
+        [("revenue_cents", "descending"), ("orderkey", "ascending")],
     ).to_pandas()
-    out = partials.sort_values(
-        ["revenue_cents", "orderkey"], ascending=[False, True]
-    ).head(k)
     out = out.rename(columns={"orderkey": "o_orderkey"})[
         ["o_orderkey", "o_orderdate", "revenue_cents"]
     ]
@@ -1493,9 +1474,9 @@ LIMIT 10
 
 def _q_returned_item_customers(sf_dir: str):
     """TPC-H Q10 shape: top-20 customers by revenue of RETURNED line
-    items against orders placed in one quarter. Same partial-top-k
-    combiner as shipping_priority, but the aggregate grain is the
-    customer; the 20 winners' attributes attach afterwards via a
+    items against orders placed in one quarter. Same
+    ``stages/topk.topk`` as shipping_priority, but the aggregate grain
+    is the customer; the 20 winners' attributes attach afterwards via a
     vectorized membership filter scan over customer (the enrich side
     streams — never a whole-dimension driver pull) and a broadcast
     nation-name lookup."""
@@ -1564,15 +1545,10 @@ def _q_returned_item_customers(sf_dir: str):
         .groupby("custkey")
         .aggregate(Sum("cents", alias_name="revenue_cents"))
     )
-    partials = per_cust.map_batches(
-        _topk_partial_factory(
-            k, ["revenue_cents", "custkey"], [False, True]
-        ),
-        batch_format="pyarrow",
+    winners = topk(
+        per_cust, k,
+        [("revenue_cents", "descending"), ("custkey", "ascending")],
     ).to_pandas()
-    winners = partials.sort_values(
-        ["revenue_cents", "custkey"], ascending=[False, True]
-    ).head(k)
     keys = np.sort(winners["custkey"].to_numpy())
 
     attrs = (

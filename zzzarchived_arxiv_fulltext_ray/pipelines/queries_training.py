@@ -10,12 +10,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.textstats import _LANG_MARKERS, STOPWORDS
-
-
-def _docs(sf_dir: str, columns):
-    import ray.data
-
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+from ..sources.pages import read_documents
 
 
 def _q_dedup_ngram(sf_dir: str):
@@ -23,7 +18,9 @@ def _q_dedup_ngram(sf_dir: str):
     from ..stages.neardup import neardup_pairs
 
     ds = neardup_pairs(
-        _docs(sf_dir, ["doc_id", "text"]), method="ngram", threshold=0.5
+        read_documents(sf_dir, ["doc_id", "text"]),
+        method="ngram",
+        threshold=0.5,
     )
     return (
         ds.to_pandas()
@@ -39,7 +36,7 @@ def _q_dedup_minhash(sf_dir: str):
     from ..stages.neardup import neardup_pairs
 
     ds = neardup_pairs(
-        _docs(sf_dir, ["doc_id", "text"]),
+        read_documents(sf_dir, ["doc_id", "text"]),
         method="minhash",
         threshold=0.5,
         num_perm=128,
@@ -62,7 +59,7 @@ def _q_dedup_ngram_partitioned(sf_dir: str):
     from ..stages.neardup import neardup_pairs
 
     ds = neardup_pairs(
-        _docs(sf_dir, ["doc_id", "text"]),
+        read_documents(sf_dir, ["doc_id", "text"]),
         method="ngram",
         threshold=0.5,
         verify="counts",
@@ -81,7 +78,9 @@ def _q_dedup_simhash(sf_dir: str):
     the shingle hashes and compares ``bit_count(xor(...))``."""
     from ..stages.neardup import simhash_pairs
 
-    ds = simhash_pairs(_docs(sf_dir, ["doc_id", "text"]), max_hamming=3)
+    ds = simhash_pairs(
+        read_documents(sf_dir, ["doc_id", "text"]), max_hamming=3
+    )
     return (
         ds.to_pandas()
         .sort_values(["doc_a", "doc_b"])
@@ -120,7 +119,7 @@ def _q_text_quality(sf_dir: str):
     """Length/punctuation/stopword quality scores per document (C4/Gopher-style feature kernels)."""
     from ..stages.textstage import quality_batch
 
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    ds = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         quality_batch, batch_format="pyarrow"
     )
     return ds.to_pandas().sort_values("doc_id").reset_index(drop=True)
@@ -130,7 +129,7 @@ def _q_lang_id(sf_dir: str):
     """N-gram-heuristic language identification per document vs the labeled lang column."""
     from ..stages.textstage import langid_batch
 
-    ds = _docs(sf_dir, ["doc_id", "text", "lang"]).map_batches(
+    ds = read_documents(sf_dir, ["doc_id", "text", "lang"]).map_batches(
         langid_batch, batch_format="pyarrow"
     )
     return (
@@ -147,7 +146,7 @@ def _q_doc_winnow(sf_dir: str):
     base-power table (``_WINNOW_SQL``)."""
     from ..stages.textstage import fingerprint_batch
 
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    ds = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         fingerprint_batch, batch_format="pyarrow"
     )
 
@@ -178,7 +177,7 @@ def _q_multimodal_decode(sf_dir: str):
     """Image decode/resize actor-pool stage over the synthetic binary image format (codec-gated; deterministic fake decode)."""
     from ..stages.multimodal import image_pipeline
 
-    ds = image_pipeline(_docs(sf_dir, ["doc_id"]))
+    ds = image_pipeline(read_documents(sf_dir, ["doc_id"]))
     df = ds.to_pandas()[
         ["doc_id", "width", "height", "channels", "n_bytes", "status",
          "resized_w", "resized_h"]
@@ -240,7 +239,7 @@ def _q_stratified_sample(sf_dir: str):
         return g.rename_columns(["lang", "sum_chars", "n_docs"])
 
     out = (
-        _docs(sf_dir, ["doc_id", "lang", "n_chars"])
+        read_documents(sf_dir, ["doc_id", "lang", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("lang")
         .aggregate(
@@ -275,7 +274,7 @@ def _q_corpus_filter(sf_dir: str):
         return g.rename_columns(["verdict", "sum_chars", "n_docs"])
 
     out = (
-        _docs(sf_dir, ["doc_id", "text"])
+        read_documents(sf_dir, ["doc_id", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("verdict")
         .aggregate(
@@ -294,7 +293,7 @@ def _q_multimodal_audio(sf_dir: str):
     """Audio decode + 1-second feature-window stage over synthetic PCM payloads (codec-gated)."""
     from ..stages.multimodal import audio_pipeline
 
-    ds = audio_pipeline(_docs(sf_dir, ["doc_id"]))
+    ds = audio_pipeline(read_documents(sf_dir, ["doc_id"]))
     df = ds.to_pandas()[
         ["doc_id", "sample_rate", "n_samples", "channels", "duration_ms",
          "n_windows", "status"]
@@ -306,7 +305,7 @@ def _q_multimodal_video(sf_dir: str):
     """Video frame-sampling stage over the synthetic container format (codec-gated)."""
     from ..stages.multimodal import video_pipeline
 
-    ds = video_pipeline(_docs(sf_dir, ["doc_id"]), sample_every=25)
+    ds = video_pipeline(read_documents(sf_dir, ["doc_id"]), sample_every=25)
     df = ds.to_pandas()[
         ["doc_id", "fps", "n_frames", "width", "height", "n_sampled",
          "last_sampled", "status"]
@@ -855,7 +854,9 @@ def _q_dedup_components(sf_dir: str):
     from ..stages.neardup import neardup_pairs
 
     pairs = neardup_pairs(
-        _docs(sf_dir, ["doc_id", "text"]), method="ngram", threshold=0.5
+        read_documents(sf_dir, ["doc_id", "text"]),
+        method="ngram",
+        threshold=0.5,
     )
     out = neardup_components(pairs, method="distributed").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -871,10 +872,12 @@ def _q_dedup_canonical_docs(sf_dir: str):
     from ..stages.neardup import neardup_pairs
 
     pairs = neardup_pairs(
-        _docs(sf_dir, ["doc_id", "text"]), method="ngram", threshold=0.5
+        read_documents(sf_dir, ["doc_id", "text"]),
+        method="ngram",
+        threshold=0.5,
     )
     comp = neardup_components(pairs, method="auto")
-    docs = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
+    docs = read_documents(sf_dir, ["doc_id", "lang", "n_chars"])
     out = canonical_filter(docs, comp, method="partitioned").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
@@ -973,54 +976,36 @@ def _q_events_asof_forward(sf_dir: str):
     return out.sort_values("event_id").reset_index(drop=True)
 
 
-def _sample_per_lang_partial(batch: pa.Table, k: int = 10) -> pa.Table:
-    """Vectorized per-batch partial of the fixed-size per-language
-    sample: keep each language's k docs with the smallest Knuth-mix
-    hash of doc_id (asc, doc_id tiebreak). The global winners are
-    within every batch's winners, so the partial is lossless — the
-    same combiner-tree shape as the grouped top-k."""
-    import numpy as np
-
-    langs = batch["lang"].to_numpy(zero_copy_only=False)
-    d = batch["doc_id"].to_numpy(zero_copy_only=False)
-    key = (d.astype(np.uint64) * np.uint64(_STRATA_MIX)) % np.uint64(
-        _STRATA_MOD
-    )
-    _, codes = np.unique(langs, return_inverse=True)
-    order = np.lexsort((d, key, codes))
-    codes_s = codes[order]
-    starts = np.flatnonzero(np.r_[True, codes_s[1:] != codes_s[:-1]])
-    sizes = np.diff(np.r_[starts, codes_s.size])
-    rank = np.arange(codes_s.size) - np.repeat(starts, sizes)
-    keep = order[rank < k]
-    return pa.Table.from_pydict(
-        {
-            "lang": pa.array(langs[keep], pa.string()),
-            "doc_id": pa.array(d[keep], pa.int64()),
-        }
-    )
-
-
 def _q_lang_sample(sf_dir: str):
     """Deterministic fixed-SIZE per-language sample (k=10 docs per
     language) — the bounded-count complement of the rate-based
     stratified_sample: rank docs per language by a Knuth multiplicative
     hash of doc_id (pure BIGINT arithmetic, so the oracle reproduces
-    the exact membership) and keep the k smallest, via per-batch
-    partial -> coalesce -> partial -> tiny merge. No whole-group
-    shuffle at any corpus size."""
-    partials = (
-        _docs(sf_dir, ["lang", "doc_id"])
-        .map_batches(_sample_per_lang_partial, batch_format="pyarrow")
-        .repartition(8)
-        .map_batches(_sample_per_lang_partial, batch_format="pyarrow")
+    the exact membership) and keep the k smallest (doc_id tiebreak)
+    with ``stages/topk.topk_per_group``. No whole-group shuffle at any
+    corpus size."""
+    import numpy as np
+
+    from ..stages.topk import topk_per_group
+
+    def with_key(batch: pa.Table) -> pa.Table:
+        d = batch["doc_id"].to_numpy(zero_copy_only=False)
+        key = (d.astype(np.uint64) * np.uint64(_STRATA_MIX)) % np.uint64(
+            _STRATA_MOD
+        )
+        return batch.append_column("key", pa.array(key))
+
+    out = topk_per_group(
+        read_documents(sf_dir, ["lang", "doc_id"]).map_batches(
+            with_key, batch_format="pyarrow"
+        ),
+        "lang", 10, [("key", "ascending"), ("doc_id", "ascending")],
+    ).to_pandas()
+    return (
+        out[["lang", "doc_id"]]
+        .sort_values(["lang", "doc_id"])
+        .reset_index(drop=True)
     )
-    out = (
-        partials.groupby("lang")
-        .map_groups(_sample_per_lang_partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return out.sort_values(["lang", "doc_id"]).reset_index(drop=True)
 
 
 def _q_doc_tfidf(sf_dir: str):
@@ -1028,7 +1013,9 @@ def _q_doc_tfidf(sf_dir: str):
     bucketed token join + per-doc top-k (weight desc, token asc)."""
     from ..stages.tfidf import doc_tfidf_topk
 
-    out = doc_tfidf_topk(_docs(sf_dir, ["doc_id", "text"]), k=3).to_pandas()
+    out = doc_tfidf_topk(
+        read_documents(sf_dir, ["doc_id", "text"]), k=3
+    ).to_pandas()
     return out.sort_values(["doc_id", "token"]).reset_index(drop=True)
 
 
@@ -1443,7 +1430,7 @@ def _q_token_frequencies(sf_dir: str):
         )
 
     out = (
-        _docs(sf_dir, ["text"])
+        read_documents(sf_dir, ["text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("token")
         .aggregate(Sum("n", alias_name="n"))
@@ -1500,7 +1487,7 @@ def _q_doc_length_histogram(sf_dir: str):
         return g.rename_columns(["bucket", "n_docs"])
 
     out = (
-        _docs(sf_dir, ["n_chars"])
+        read_documents(sf_dir, ["n_chars"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("bucket")
         .aggregate(Sum("n_docs", alias_name="n_docs"))
@@ -1533,7 +1520,7 @@ def _q_dataset_split(sf_dir: str):
         return g.rename_columns(["split", "sum_chars", "n_docs"])
 
     out = (
-        _docs(sf_dir, ["doc_id", "n_chars"])
+        read_documents(sf_dir, ["doc_id", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("split")
         .aggregate(
@@ -1698,7 +1685,7 @@ def _q_join_priority_revenue_native(sf_dir: str):
 def _q_top_longest_docs(sf_dir: str):
     """Global sort + limit: the 10 longest documents (doc_id as the
     deterministic tiebreak)."""
-    ds = _docs(sf_dir, ["doc_id", "n_chars"]).sort(
+    ds = read_documents(sf_dir, ["doc_id", "n_chars"]).sort(
         ["n_chars", "doc_id"], descending=True
     )
     return ds.limit(10).to_pandas()
@@ -2025,7 +2012,7 @@ def _q_token_heavy_hitters(sf_dir: str):
     only batch-dependent part, is pinned separately in pytest."""
     from ..stages.textstage import heavy_hitter_tokens
 
-    return heavy_hitter_tokens(_docs(sf_dir, ["text"]), k=20)
+    return heavy_hitter_tokens(read_documents(sf_dir, ["text"]), k=20)
 
 
 TRAINING_QUERIES["token_heavy_hitters"] = _q_token_heavy_hitters
@@ -2044,9 +2031,9 @@ def _q_corpus_sketch_stats(sf_dir: str):
 
     from ..stages.textstage import distinct_count_hll, quantiles_sketch
 
-    docs = _docs(sf_dir, ["doc_id", "n_chars"])
+    docs = read_documents(sf_dir, ["doc_id", "n_chars"])
     distinct_docs = distinct_count_hll(docs, "doc_id")
-    qs = quantiles_sketch(_docs(sf_dir, ["n_chars"]), "n_chars")
+    qs = quantiles_sketch(read_documents(sf_dir, ["n_chars"]), "n_chars")
     rows = [("distinct_doc_ids_hll", distinct_docs)] + [
         (f"n_chars_p{int(q * 100)}", v) for q, v in qs.items()
     ]
@@ -2070,7 +2057,7 @@ def _q_kmv_distinct_shingles(sf_dir: str):
 
     from ..stages.textstage import distinct_shingles_kmv
 
-    k, kth, est = distinct_shingles_kmv(_docs(sf_dir, ["text"]))
+    k, kth, est = distinct_shingles_kmv(read_documents(sf_dir, ["text"]))
     return pd.DataFrame(
         {
             "k": pd.Series([k], dtype="int64"),
@@ -2286,7 +2273,7 @@ def _q_lang_length_median(sf_dir: str):
         return g.rename_columns(["lang", "n_chars", "n"])
 
     hist = (
-        _docs(sf_dir, ["lang", "n_chars"])
+        read_documents(sf_dir, ["lang", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["lang", "n_chars"])
         .aggregate(Sum("n", alias_name="n"))
@@ -2320,49 +2307,18 @@ def _q_lang_length_median(sf_dir: str):
     return out.sort_values("lang").reset_index(drop=True)
 
 
-def _topk_per_lang_partial(batch: pa.Table, k: int = 3) -> pa.Table:
-    """Vectorized per-batch partial top-k: keep each language's top-k
-    rows by (-n_chars, doc_id asc) within this batch. Global top-k rows
-    are necessarily within their batch's top-k, so the partial is
-    lossless (the ``ann_topk`` combiner pattern)."""
-    import numpy as np
-
-    langs = batch["lang"].to_numpy(zero_copy_only=False)
-    n = batch["n_chars"].to_numpy(zero_copy_only=False)
-    d = batch["doc_id"].to_numpy(zero_copy_only=False)
-    _, codes = np.unique(langs, return_inverse=True)
-    order = np.lexsort((d, -n, codes))
-    codes_s = codes[order]
-    starts = np.flatnonzero(np.r_[True, codes_s[1:] != codes_s[:-1]])
-    sizes = np.diff(np.r_[starts, codes_s.size])
-    rank = np.arange(codes_s.size) - np.repeat(starts, sizes)
-    keep = order[rank < k]
-    return pa.Table.from_pydict(
-        {
-            "lang": pa.array(langs[keep], pa.string()),
-            "doc_id": pa.array(d[keep], pa.int64()),
-            "n_chars": pa.array(n[keep], pa.int64()),
-        }
-    )
-
-
 def _q_top_docs_per_lang(sf_dir: str):
-    """Top-3 longest documents per language (grouped top-k) as a
-    combiner tree, never a whole-group shuffle: per-batch partial
-    top-3 -> coalesce the tiny partial stream -> partial top-3 per
-    block -> final merge over <= 3 x blocks rows per language. No task
-    ever holds more than k rows per language per input block."""
-    partials = (
-        _docs(sf_dir, ["lang", "doc_id", "n_chars"])
-        .map_batches(_topk_per_lang_partial, batch_format="pyarrow")
-        .repartition(8)
-        .map_batches(_topk_per_lang_partial, batch_format="pyarrow")
-    )
-    out = (
-        partials.groupby("lang")
-        .map_groups(_topk_per_lang_partial, batch_format="pyarrow")
-        .to_pandas()
-    )
+    """Top-3 longest documents per language (grouped top-k, n_chars
+    desc, doc_id asc) with ``stages/topk.topk_per_group``, never a
+    whole-group shuffle: per-block partial top-3 -> one merge over
+    <= 3 x blocks rows per language. No task ever holds more than k
+    rows per language per input block."""
+    from ..stages.topk import topk_per_group
+
+    out = topk_per_group(
+        read_documents(sf_dir, ["lang", "doc_id", "n_chars"]), "lang", 3,
+        [("n_chars", "descending"), ("doc_id", "ascending")],
+    ).to_pandas()
     return out.sort_values(["lang", "doc_id"]).reset_index(drop=True)
 
 
@@ -2690,7 +2646,7 @@ def _q_token_f2_ams(sf_dir: str):
             }
         )
 
-    rows = _docs(sf_dir, ["text"]).map_batches(
+    rows = read_documents(sf_dir, ["text"]).map_batches(
         partial, batch_format="pyarrow"
     ).materialize()  # reused: sketch fold + exact groupby
 
@@ -2807,7 +2763,7 @@ def _q_lang_confusion(sf_dir: str):
         return g.rename_columns(["lang", "lang_pred", "n"])
 
     out = (
-        _docs(sf_dir, ["doc_id", "text", "lang"])
+        read_documents(sf_dir, ["doc_id", "text", "lang"])
         .map_batches(langid_batch, batch_format="pyarrow")
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["lang", "lang_pred"])
@@ -2863,7 +2819,7 @@ def _q_token_hapax(sf_dir: str):
         )
 
     agg = (
-        _docs(sf_dir, ["text"])
+        read_documents(sf_dir, ["text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("token")
         .aggregate(Sum("n", alias_name="n"))
@@ -2912,8 +2868,8 @@ FROM tc
 def _q_token_zipf_fit(sf_dir: str):
     """Zipf's-law fit: OLS slope/intercept of ln(freq) on ln(rank)
     over the top-50 tokens (rank by count desc, token asc — an exact
-    integer selection via partial top-k, so both engines regress the
-    SAME 50 points). The regression runs on the driver over 50 rows
+    integer selection via ``stages/topk.topk``, so both engines
+    regress the SAME 50 points). The regression runs on the driver over 50 rows
     with the explicit sufficient-sum formula; the oracle spells the
     identical sums (sum order differs at ~1e-15 — the documented
     pagerank tolerance, far below the 6-decimal compare)."""
@@ -2923,6 +2879,8 @@ def _q_token_zipf_fit(sf_dir: str):
 
     import pandas as pd
     from ray.data.aggregate import Sum
+
+    from ..stages.topk import topk
 
     def partial(batch: pa.Table) -> pa.Table:
         counts = Counter()
@@ -2935,23 +2893,13 @@ def _q_token_zipf_fit(sf_dir: str):
             }
         )
 
-    def topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(
-            ["n", "token"], ascending=[False, True]
-        ).head(50)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    top = (
-        _docs(sf_dir, ["text"])
+    top = topk(
+        read_documents(sf_dir, ["text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
-        .map_batches(topk, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values(["n", "token"], ascending=[False, True])
-        .head(50)
-        .reset_index(drop=True)
-    )
+        .aggregate(Sum("n", alias_name="n")),
+        50, [("n", "descending"), ("token", "ascending")],
+    ).to_pandas()
     k = len(top)
     sx = sy = sxy = sxx = 0.0
     for rank, n in enumerate(top["n"].astype("int64"), start=1):
@@ -3040,7 +2988,7 @@ def _q_doc_ngram_novelty(sf_dir: str):
             }
         )
 
-    rows = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    rows = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         partial, batch_format="pyarrow"
     ).materialize()  # reused: totals + first-appearance
 
@@ -3170,7 +3118,7 @@ def _q_token_heaps(sf_dir: str):
         )
 
     parts = (
-        _docs(sf_dir, ["doc_id", "text"])
+        read_documents(sf_dir, ["doc_id", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .materialize()  # feeds TWO aggregates; never re-tokenize
     )
@@ -3276,7 +3224,7 @@ def _q_lang_temperature_mix(sf_dir: str):
         )
 
     agg = (
-        _docs(sf_dir, ["lang", "text"])
+        read_documents(sf_dir, ["lang", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("lang")
         .aggregate(Sum("n", alias_name="n_tokens"))
@@ -3360,7 +3308,7 @@ def _q_dedup_lsh_eval(sf_dir: str):
     )
     from ..stages.relational import partitioned_hash_join
 
-    docs = _docs(sf_dir, ["doc_id", "text"]).materialize()
+    docs = read_documents(sf_dir, ["doc_id", "text"]).materialize()
     banded = docs.map_batches(
         shingle_batch, batch_format="pyarrow"
     ).map_batches(
@@ -3511,16 +3459,23 @@ def _q_ann_quantized_recall(sf_dir: str):
 
     Physical plan: one Max exchange for the per-dim scales (64 rows),
     scales + quantized query matrix broadcast via ray.put, per-batch
-    integer matmul + partial top-k, one tiny per-query merge — the
-    corpus is never held whole anywhere; the exact baseline is the
-    existing ann_topk stage (same streaming shape)."""
+    integer matmul, then ``stages/topk.topk_per_group`` (per-batch
+    partial top-k, one tiny per-query merge) — the corpus is never
+    held whole anywhere; the exact baseline is the existing ann_topk
+    stage (same streaming shape)."""
     import numpy as np
     import pandas as pd
     import ray
     import ray.data
     from ray.data.aggregate import Max
 
-    from ..stages.similarity import _matrix_of, ann_topk
+    from ..stages.similarity import (
+        NEIGHBOR_ORDER,
+        _matrix_of,
+        ann_topk,
+        neighbor_rows,
+    )
+    from ..stages.topk import topk_per_group
 
     k = 10
     qids = list(range(8))
@@ -3568,46 +3523,17 @@ def _q_ann_quantized_recall(sf_dir: str):
     qcodes = quantize(np.array(qdf["embedding"].tolist(), np.float64))
     qref = ray.put((qids_arr, qcodes))
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
+    def candidates(batch: pa.Table) -> pa.Table:
         ids, qc = ray.get(qref)
         vids = np.asarray(batch["vec_id"].to_pylist(), np.int64)
         dots = qc @ quantize(_matrix_of(batch)).T  # int64 exact
-        out_q, out_n, out_d = [], [], []
-        for qi, qid in enumerate(ids):
-            idxs = np.where(vids != qid)[0]
-            order = idxs[np.lexsort((vids[idxs], -dots[qi, idxs]))][:k]
-            out_q.extend([int(qid)] * len(order))
-            out_n.extend(vids[order].tolist())
-            out_d.extend(dots[qi, order].tolist())
-        return pa.Table.from_pydict(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "dot": pa.array(out_d, pa.int64()),
-            }
-        )
+        # the int64 dot product rides in the "sim" score column
+        return neighbor_rows(ids, vids, dots, vids != ids[:, None])
 
-    def merge_topk(group: pa.Table) -> pa.Table:
-        rows = sorted(
-            zip(group["dot"].to_pylist(), group["neighbor_id"].to_pylist()),
-            key=lambda t: (-t[0], t[1]),
-        )[:k]
-        qid = group["query_id"][0].as_py()
-        return pa.Table.from_pydict(
-            {
-                "query_id": pa.array([qid] * len(rows), pa.int64()),
-                "neighbor_id": pa.array([r[1] for r in rows], pa.int64()),
-            }
-        )
-
-    approx = (
-        emb.map_batches(local_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(merge_topk, batch_format="pyarrow")
-        .to_pandas()
-    )
+    approx = topk_per_group(
+        emb.map_batches(candidates, batch_format="pyarrow"),
+        "query_id", k, NEIGHBOR_ORDER,
+    ).to_pandas()[["query_id", "neighbor_id"]]
     exact = ann_topk(emb, query_ids=qids, k=k).to_pandas()[
         ["query_id", "neighbor_id"]
     ]
@@ -3704,12 +3630,12 @@ def _q_snippet_containment(sf_dir: str):
 
     from ..stages.neardup import cross_neardup_counts
 
-    snippets = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    snippets = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         to_snippets, batch_format="pyarrow"
     )
     pairs = cross_neardup_counts(
         snippets,
-        _docs(sf_dir, ["doc_id", "text"]),
+        read_documents(sf_dir, ["doc_id", "text"]),
         threshold=0.8,
         score="containment",
     )
@@ -3765,7 +3691,7 @@ def _q_incremental_dedup(sf_dir: str):
             mask = (dids % 10 == 0) if incoming else (dids % 10 != 0)
             return b.filter(pa.array(mask))
 
-        return _docs(sf, ["doc_id", "text"]).map_batches(
+        return read_documents(sf, ["doc_id", "text"]).map_batches(
             f, batch_format="pyarrow"
         )
 
@@ -3843,7 +3769,7 @@ def _q_snapshot_diff(sf_dir: str):
             {"doc_id": t["doc_id"], "text": pa.array(texts, pa.string())}
         )
 
-    docs = lambda: _docs(sf_dir, ["doc_id", "text"])  # noqa: E731
+    docs = lambda: read_documents(sf_dir, ["doc_id", "text"])  # noqa: E731
     cls = snapshot_diff(
         docs().map_batches(old_side, batch_format="pyarrow"),
         docs().map_batches(new_side, batch_format="pyarrow"),
@@ -3905,7 +3831,7 @@ def _q_bpe_merges(sf_dir: str):
     the three learned merges match byte-for-byte."""
     from ..stages.bpe import bpe_train
 
-    return bpe_train(_docs(sf_dir, ["text"]), rounds=3)
+    return bpe_train(read_documents(sf_dir, ["text"]), rounds=3)
 
 
 def _bpe_round_sql(r: int) -> str:
@@ -3975,28 +3901,18 @@ def _q_bpe_vocab(sf_dir: str):
     shared vocabulary scan). The oracle replays the same merge chain
     and explodes the final symbol strings."""
     from ..stages.bpe import bpe_train, symbol_counts, word_counts
+    from ..stages.topk import topk
 
-    wc = word_counts(_docs(sf_dir, ["text"])).materialize()
+    wc = word_counts(read_documents(sf_dir, ["text"])).materialize()
     tr = bpe_train(None, rounds=3, wc=wc)
     merges = list(zip(tr["left_sym"], tr["right_sym"]))
 
-    def top20(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        df = batch.to_pandas()
-        df = df.sort_values(["n", "sym"], ascending=[False, True]).head(20)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    parts = (
-        symbol_counts(wc, merges)
-        .map_batches(top20, batch_format="pyarrow")
-        .to_pandas()
-    )
-    out = parts.sort_values(
-        ["n", "sym"], ascending=[False, True]
-    ).head(20)
+    out = topk(
+        symbol_counts(wc, merges), 20,
+        [("n", "descending"), ("sym", "ascending")],
+    ).to_pandas()
     out["n"] = out["n"].astype("int64")
-    return out.reset_index(drop=True)[["sym", "n"]]
+    return out[["sym", "n"]]
 
 
 TRAINING_QUERIES["bpe_vocab"] = _q_bpe_vocab
@@ -4028,7 +3944,7 @@ def _q_bpe_compression(sf_dir: str):
 
     from ..stages.bpe import _WORD_RE, bpe_train, symbols_of, word_counts
 
-    wc = word_counts(_docs(sf_dir, ["text"])).materialize()
+    wc = word_counts(read_documents(sf_dir, ["text"])).materialize()
     tr = bpe_train(None, rounds=3, wc=wc)
     merges = list(zip(tr["left_sym"], tr["right_sym"]))
 
@@ -4067,7 +3983,7 @@ def _q_bpe_compression(sf_dir: str):
         )
 
     parts = (
-        _docs(sf_dir, ["lang", "text"])
+        read_documents(sf_dir, ["lang", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()
     )
@@ -4146,7 +4062,7 @@ def _q_doc_stitch_pairs(sf_dir: str):
         )
 
     pairs = suffix_prefix_join(
-        _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        read_documents(sf_dir, ["doc_id", "text"]).map_batches(
             frags, batch_format="pyarrow"
         ),
         k=5,
@@ -4229,10 +4145,10 @@ def _q_snapshot_reextract(sf_dir: str):
         return pa.Table.from_pydict(out)
 
     classes = snapshot_diff(
-        _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        read_documents(sf_dir, ["doc_id", "text"]).map_batches(
             old_side, batch_format="pyarrow"
         ),
-        _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        read_documents(sf_dir, ["doc_id", "text"]).map_batches(
             new_side, batch_format="pyarrow"
         ),
     )
@@ -4245,7 +4161,7 @@ def _q_snapshot_reextract(sf_dir: str):
         return b.filter(keep).select(["doc_id"])
 
     worklist = classes.map_batches(worklist_keys, batch_format="pyarrow")
-    new_docs = _docs(sf_dir, ["doc_id", "text", "lang"]).map_batches(
+    new_docs = read_documents(sf_dir, ["doc_id", "text", "lang"]).map_batches(
         new_side, batch_format="pyarrow"
     )
     work_docs = partitioned_hash_join(

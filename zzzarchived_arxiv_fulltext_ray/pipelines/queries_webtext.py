@@ -14,11 +14,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.pages import read_documents
+from ..stages.topk import topk, topk_per_group
 from ..stages.webtext import (
     EMAIL_RE,
     IPV4_RE,
     PHONE_RE,
-    capped_topk_per_key,
     decontaminate,
     pii_scrub_batch,
     repetition_batch,
@@ -27,13 +28,7 @@ from ..stages.webtext import (
 WEBTEXT_QUERIES: Dict[str, Callable] = {}
 WEBTEXT_ORACLE_SQL: Dict[str, str] = {}
 
-
-def _docs(sf_dir: str, columns):
-    import ray.data
-
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=columns
-    )
+_LONGEST_FIRST = [("n_chars", "descending"), ("doc_id", "ascending")]
 
 
 # --------------------------------------------------------------- PII
@@ -82,7 +77,7 @@ def _q_pii_redact(sf_dir: str):
     corpus: per-doc email/phone/IP counts and the redacted text.
     Pure Arrow RE2 kernels — same engine as the DuckDB oracle."""
     ds = (
-        _docs(sf_dir, ["doc_id", "text"])
+        read_documents(sf_dir, ["doc_id", "text"])
         .map_batches(inject_pii_batch, batch_format="pyarrow")
         .map_batches(pii_scrub_batch, batch_format="pyarrow")
     )
@@ -170,12 +165,12 @@ def _url_domain_batch(batch: pa.Table) -> pa.Table:
 
 def _q_domain_cap(sf_dir: str):
     """Per-domain document cap (C4/RefinedWeb-style): keep at most 5
-    docs per registered domain, longest first. Combiner-tree top-k —
-    no whole-domain shuffle."""
-    ds = _docs(sf_dir, ["doc_id", "n_chars"]).map_batches(
+    docs per registered domain, longest first (doc_id tiebreak), with
+    ``stages/topk.topk_per_group`` — no whole-domain shuffle."""
+    ds = read_documents(sf_dir, ["doc_id", "n_chars"]).map_batches(
         _url_domain_batch, batch_format="pyarrow"
     )
-    out = capped_topk_per_key(ds, key="domain", k=5, val="n_chars")
+    out = topk_per_group(ds, "domain", 5, _LONGEST_FIRST)
     return (
         out.to_pandas()
         .sort_values(["domain", "doc_id"])
@@ -211,7 +206,7 @@ _BENCH_MOD = 101  # doc_id % 101 == 0 -> benchmark member (~1%)
 
 
 def _split_docs(sf_dir: str):
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_documents(sf_dir, ["doc_id", "text"])
 
     def part(member: bool):
         def fn(batch: pa.Table) -> pa.Table:
@@ -274,7 +269,7 @@ def _q_doc_repetition(sf_dir: str):
     """Gopher-style repetition filter signals: per doc the most
     frequent word-2-gram count, the total gram count, and the
     integer-exact ``repetitive`` flag (top gram > 5% of grams)."""
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    ds = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         lambda b: repetition_batch(b, n=2, pct_threshold=5),
         batch_format="pyarrow",
     )
@@ -346,7 +341,7 @@ def _q_line_dedup(sf_dir: str):
     >= 5 times corpus-wide are dropped from every document."""
     from ..stages.webtext import line_dedup
 
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    ds = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         inject_boilerplate_batch, batch_format="pyarrow"
     )
     out = line_dedup(ds, min_count=5)
@@ -501,7 +496,7 @@ def _q_domain_split(sf_dir: str):
         )
 
     per_domain = (
-        _docs(sf_dir, ["doc_id", "n_chars"])
+        read_documents(sf_dir, ["doc_id", "n_chars"])
         .map_batches(_url_domain_batch, batch_format="pyarrow")
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["split", "domain"])
@@ -563,7 +558,7 @@ def _q_model_score(sf_dir: str):
     every batch is one vectorized lookup + segmented mean."""
     from ..stages.webtext import HashedLinearScorer
 
-    out = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    out = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         HashedLinearScorer,
         batch_format="pyarrow",
         concurrency=(1, 4),
@@ -699,7 +694,7 @@ def _q_lang_p90_filter(sf_dir: str):
     from ..stages.webtext import quantile_filter
 
     kept = quantile_filter(
-        _docs(sf_dir, ["doc_id", "lang", "n_chars"]),
+        read_documents(sf_dir, ["doc_id", "lang", "n_chars"]),
         key="lang",
         val="n_chars",
         q_num=9,
@@ -752,7 +747,7 @@ def _q_bloom_dedup_guard(sf_dir: str):
 
     from ..stages.dedup import bloom_guard_filter, build_key_bloom
 
-    urls = _docs(sf_dir, ["doc_id"]).map_batches(
+    urls = read_documents(sf_dir, ["doc_id"]).map_batches(
         lambda b: pa.Table.from_pydict(
             {
                 "doc_id": b["doc_id"],
@@ -842,8 +837,8 @@ def _q_bigram_pmi(sf_dir: str):
     UNIGRAM table (vocab-bounded — the justified broadcast, like the
     decontamination benchmark side) ships once via ``ray.put``; PMI
     scoring is a vectorized searchsorted + log over the bigram-count
-    stream; top-20 via the partial-top-k combiner. The driver never
-    holds the bigram table."""
+    stream; top-20 via ``stages/topk.topk``. The driver never holds
+    the bigram table."""
     import ray
     import ray.data
     from ray.data.aggregate import Sum
@@ -870,7 +865,7 @@ def _q_bigram_pmi(sf_dir: str):
         )
 
     counts = (
-        _docs(sf_dir, ["text"])
+        read_documents(sf_dir, ["text"])
         .map_batches(grams_partial, batch_format="pyarrow")
         .groupby(["kind", "gram"])
         .aggregate(Sum("n", alias_name="n"))
@@ -920,24 +915,19 @@ def _q_bigram_pmi(sf_dir: str):
         cb = cnt[np.searchsorted(voc, parts[:, 2])]
         c_ab = b["n"].to_numpy(zero_copy_only=False).astype(np.float64)
         pmi = np.log((c_ab / n_bi) / ((ca / n_uni) * (cb / n_uni)))
-        # lossless partial top-k: global top-20 rows are in their
-        # batch top-20 (ties broken by bigram asc, like the oracle)
-        idx = np.lexsort((grams, -pmi))[:20]
         return pa.Table.from_pydict(
             {
-                "bigram": pa.array(grams[idx], pa.string()),
-                "n": pa.array(c_ab[idx].astype(np.int64), pa.int64()),
-                "pmi": pa.array(pmi[idx], pa.float64()),
+                "bigram": pa.array(grams, pa.string()),
+                "n": pa.array(c_ab.astype(np.int64), pa.int64()),
+                "pmi": pa.array(pmi, pa.float64()),
             }
         )
 
-    parts = counts.map_batches(score, batch_format="pyarrow").to_pandas()
-    out = (
-        parts.sort_values(["pmi", "bigram"], ascending=[False, True])
-        .head(20)
-        .reset_index(drop=True)
-    )
-    return out
+    # ties broken by bigram asc, like the oracle
+    return topk(
+        counts.map_batches(score, batch_format="pyarrow"), 20,
+        [("pmi", "descending"), ("bigram", "ascending")],
+    ).to_pandas()
 
 
 WEBTEXT_QUERIES["bigram_pmi"] = _q_bigram_pmi
@@ -985,13 +975,13 @@ def _q_curate_corpus(sf_dir: str):
       -> cross-doc line dedup  (hot-set broadcast scrub)
       -> quality gate on the CLEAN text (>= 10 tokens AND >= 1 line
          survived)
-      -> per-domain cap        (top-5 by clean length, combiner tree)
+      -> per-domain cap        (top-5 by clean length, stages/topk.py)
 
     Output: kept (domain, doc_id, n_chars_clean). The oracle chains
     the same CTEs the per-operator oracles already use."""
-    from ..stages.webtext import capped_topk_per_key, line_dedup
+    from ..stages.webtext import line_dedup
 
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    ds = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         inject_boilerplate_batch, batch_format="pyarrow"
     )
     cleaned = line_dedup(ds, min_count=5)
@@ -1030,7 +1020,7 @@ def _q_curate_corpus(sf_dir: str):
         )
 
     gated = cleaned.map_batches(quality_gate, batch_format="pyarrow")
-    out = capped_topk_per_key(gated, key="domain", k=5, val="n_chars")
+    out = topk_per_group(gated, "domain", 5, _LONGEST_FIRST)
     df = (
         out.to_pandas()
         .rename(columns={"n_chars": "n_chars_clean"})
@@ -1144,7 +1134,7 @@ def _q_gopher_filter(sf_dir: str):
     engine's non-overlapping-match counting tricks)."""
     from ..stages.webtext import gopher_filter
 
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    ds = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         inject_structure_batch, batch_format="pyarrow"
     )
     out = gopher_filter(ds, keep_only=False)
@@ -1237,7 +1227,7 @@ def _q_substring_dedup(sf_dir: str):
     equal groupings up to the engine-wide 2^-64 hash contract."""
     from ..stages.webtext import substring_dedup
 
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_documents(sf_dir, ["doc_id", "text"])
     out = substring_dedup(ds, w=8, min_docs=2)
     return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
@@ -1271,7 +1261,7 @@ def _q_lm_perplexity(sf_dir: str):
     estimator cross-validated end-to-end, not just the plumbing."""
     from ..stages.webtext import bigram_lm_score
 
-    ds = _docs(sf_dir, ["doc_id", "text"])
+    ds = read_documents(sf_dir, ["doc_id", "text"])
     out = bigram_lm_score(ds, top_v=24)
     return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
@@ -1342,7 +1332,9 @@ def _q_ccnet_buckets(sf_dir: str):
 
     from ..stages.webtext import bigram_lm_score
 
-    scored = bigram_lm_score(_docs(sf_dir, ["doc_id", "text"]), top_v=24)
+    scored = bigram_lm_score(
+        read_documents(sf_dir, ["doc_id", "text"]), top_v=24
+    )
 
     def to_milli(batch: pa.Table) -> pa.Table:
         bpt = batch["bpt"].to_numpy(zero_copy_only=False)
@@ -1465,7 +1457,7 @@ def _q_doc_dup_lines(sf_dir: str):
     from ..stages.webtext import intra_doc_dup_batch
 
     ds = (
-        _docs(sf_dir, ["doc_id", "text"])
+        read_documents(sf_dir, ["doc_id", "text"])
         .map_batches(inject_dup_lines_batch, batch_format="pyarrow")
         .map_batches(intra_doc_dup_batch, batch_format="pyarrow")
     )
@@ -1550,7 +1542,7 @@ def _q_doc_score_auc(sf_dir: str):
     from ..stages.webtext import HashedLinearScorer
     from ..stages.window import global_row_number_sorted
 
-    docs = _docs(sf_dir, ["doc_id", "text", "lang"]).materialize()
+    docs = read_documents(sf_dir, ["doc_id", "text", "lang"]).materialize()
 
     scored = docs.map_batches(
         HashedLinearScorer,
@@ -1667,7 +1659,7 @@ def _q_doc_score_gains(sf_dir: str):
     from ..stages.webtext import HashedLinearScorer
     from ..stages.window import global_row_number_sorted, ntile_of_rank
 
-    docs = _docs(sf_dir, ["doc_id", "text", "lang"]).materialize()
+    docs = read_documents(sf_dir, ["doc_id", "text", "lang"]).materialize()
     scored = docs.map_batches(
         HashedLinearScorer, batch_format="pyarrow", concurrency=(1, 4)
     )
@@ -1787,7 +1779,7 @@ def _q_dup_span_removal(sf_dir: str):
     from ..stages.spans import dup_span_removal
 
     out = dup_span_removal(
-        _docs(sf_dir, ["doc_id", "text"]), w=8, min_count=2
+        read_documents(sf_dir, ["doc_id", "text"]), w=8, min_count=2
     ).to_pandas()
     if out.empty:  # empty-dataset to_pandas loses columns (CLAUDE.md)
         return pd.DataFrame(
@@ -1863,16 +1855,16 @@ def _q_bm25_topk(sf_dir: str):
     """Okapi BM25 top-15 docs for a fixed 3-term query. Two passes:
     a tiny fixed-width sufficient-stats fold (N, sum(dl), df per
     term — one row per block, driver sums python ints), then a score
-    map with the partial-top-k combiner (driver merges <= K x blocks
-    rows). The float formula is transcribed into the oracle with the
-    EXACT association (FLOAT-MIRROR contract); ln on identical double
-    inputs matches DuckDB (the doc_tfidf precedent)."""
+    map and ``stages/topk.topk`` (driver merges <= K x blocks rows).
+    The float formula is transcribed into the oracle with the EXACT
+    association (FLOAT-MIRROR contract); ln on identical double inputs
+    matches DuckDB (the doc_tfidf precedent)."""
     import math
 
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    docs = _docs(sf_dir, ["doc_id", "text"])
+    docs = read_documents(sf_dir, ["doc_id", "text"])
     terms = BM25_TERMS
 
     def stats_partial(batch: pa.Table) -> pa.Table:
@@ -1916,7 +1908,7 @@ def _q_bm25_topk(sf_dir: str):
         math.log((n - df + 0.5) / (df + 0.5) + 1.0) for df in dfs
     ]
 
-    def score_partial(batch: pa.Table) -> pa.Table:
+    def scores(batch: pa.Table) -> pa.Table:
         rows = []
         for doc_id, text in zip(
             batch["doc_id"].to_pylist(), batch["text"].to_pylist()
@@ -1938,8 +1930,6 @@ def _q_bm25_topk(sf_dir: str):
                                        + BM25_B * dl / avgdl))
                 )
             rows.append((doc_id, score))
-        rows.sort(key=lambda r: (-r[1], r[0]))
-        rows = rows[:BM25_TOPK]
         return pa.Table.from_pydict(
             {
                 "doc_id": pa.array([r[0] for r in rows], pa.int64()),
@@ -1947,21 +1937,18 @@ def _q_bm25_topk(sf_dir: str):
             }
         )
 
-    cand = docs.map_batches(
-        score_partial, batch_format="pyarrow"
+    out = topk(
+        docs.map_batches(scores, batch_format="pyarrow"), BM25_TOPK,
+        [("score", "descending"), ("doc_id", "ascending")],
     ).to_pandas()
-    if cand.empty:
+    if out.empty:
         return pd.DataFrame(
             {
                 "doc_id": pd.Series(dtype="int64"),
                 "score": pd.Series(dtype="float64"),
             }
         )
-    cand = cand.sort_values(
-        ["score", "doc_id"], ascending=[False, True]
-    ).head(BM25_TOPK)
-    cand["doc_id"] = cand["doc_id"].astype("int64")
-    return cand.reset_index(drop=True)
+    return out
 
 
 def _bm25_oracle() -> str:

@@ -241,6 +241,16 @@ def pages_batch_from_documents(batch: pa.Table, expand=1) -> pa.Table:
     return pages.append_column(SHARD_COLUMN, batch[SHARD_COLUMN].take(rows))
 
 
+def read_documents(sf_dir: str, columns):
+    """The ``columns`` of a scale-factor directory's documents table,
+    as a streaming Dataset."""
+    import ray.data
+
+    return ray.data.read_parquet(
+        f"{sf_dir}/documents.parquet", columns=columns
+    )
+
+
 def read_pages(sf_dir: str, expand=1):
     """The pages Dataset for a testdata scale-factor directory.
 
@@ -248,11 +258,7 @@ def read_pages(sf_dir: str, expand=1):
     driver-side materialization), so it behaves like reading a real
     pages table of any size.
     """
-    import ray.data
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = read_documents(sf_dir, ["doc_id", "text", "lang"])
     return docs.map_batches(
         lambda b: pages_batch_from_documents(b, expand=expand),
         batch_format="pyarrow",

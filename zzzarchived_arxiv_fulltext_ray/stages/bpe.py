@@ -12,10 +12,10 @@ re-expressed Ray-Data-first:
   every round;
 * each round: pair counts stream as per-batch Counter partials over
   the word table -> ``groupby(pair).sum`` (exchange over DISTINCT
-  symbol pairs, not word occurrences) -> per-block partial top-1 ->
-  driver reduce. Driver state = the R learned merges, nothing else —
-  the corpus and the word table never reach the driver (the kmeans
-  loop-state idiom);
+  symbol pairs, not word occurrences) -> ``topk(ds, 1)`` of
+  ``stages/topk.py`` (per-block partial top-1, driver reduce). Driver
+  state = the R learned merges, nothing else — the corpus and the
+  word table never reach the driver (the kmeans loop-state idiom);
 * merge application is a deterministic separator-delimited two-pass
   string REPLACE (:func:`symbols_of`) chosen precisely so a DuckDB
   oracle replays it with nested ``replace()`` calls, byte-for-byte.
@@ -43,6 +43,8 @@ from typing import List, Sequence, Tuple
 
 import pandas as pd
 import pyarrow as pa
+
+from .topk import topk
 
 _WORD_RE = re.compile(r"[a-z]{2,}")
 
@@ -102,14 +104,6 @@ def _pair_partials(batch: pa.Table, merges) -> pa.Table:
     )
 
 
-def _block_top1(batch: pa.Table) -> pa.Table:
-    if batch.num_rows == 0:
-        return batch
-    df = batch.to_pandas()
-    df = df.sort_values(["n", "pair"], ascending=[False, True]).head(1)
-    return pa.Table.from_pandas(df, preserve_index=False)
-
-
 def bpe_train(docs, rounds: int = 3, text_col: str = "text",
               wc=None) -> pd.DataFrame:
     """Learn the first ``rounds`` BPE merges; returns a DataFrame
@@ -130,27 +124,26 @@ def bpe_train(docs, rounds: int = 3, text_col: str = "text",
     rows = []
     for r in range(rounds):
         frozen = tuple(merges)
-        parts = (
+        best = topk(
             wc.map_batches(
                 lambda b, m=frozen: _pair_partials(b, m),
                 batch_format="pyarrow",
             )
             .groupby("pair")
-            .aggregate(Sum("n", alias_name="n"))
-            .map_batches(_block_top1, batch_format="pyarrow")
-            .take_all()
-        )
-        if not parts:
+            .aggregate(Sum("n", alias_name="n")),
+            1,
+            [("n", "descending"), ("pair", "ascending")],
+        ).to_pylist()
+        if not best:
             break
-        best = min(parts, key=lambda row: (-row["n"], row["pair"]))
-        left, right = best["pair"].split(" ")
+        left, right = best[0]["pair"].split(" ")
         merges.append((left, right))
         rows.append(
             {
                 "merge_round": r + 1,
                 "left_sym": left,
                 "right_sym": right,
-                "n": int(best["n"]),
+                "n": int(best[0]["n"]),
             }
         )
     return pd.DataFrame(

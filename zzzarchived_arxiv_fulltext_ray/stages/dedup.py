@@ -194,9 +194,7 @@ def _resolve_winners(handle):
     return got
 
 
-def latest_crawl_broadcast(
-    ds, dup_threshold: Optional[int] = None, overlap: bool = True
-):
+def latest_crawl_broadcast(ds, overlap: bool = True):
     """Keep the latest crawl per url via a projected aggregate +
     broadcast anti-filter. Only urls that actually have >1 crawl enter
     the broadcast winner table, so its size tracks the duplicate rate,

@@ -22,6 +22,7 @@ from typing import List
 import pyarrow as pa
 
 from ..functions import sniff
+from .topk import topk
 
 # href scanning runs on the DECODED markup: attribute values are
 # captured for both quote styles; unquoted hrefs (legacy HTML) stop at
@@ -130,11 +131,10 @@ def top_anchor_texts(pages_ds, k: int = 100):
     agg = partial.groupby(["target", "anchor"]).aggregate(
         Sum("n", alias_name="n")
     )
-    out = agg.to_pandas()
-    out = out.sort_values(
-        ["n", "target", "anchor"], ascending=[False, True, True]
-    ).head(k)
-    return out.reset_index(drop=True)
+    return topk(
+        agg, k, [("n", "descending"), ("target", "ascending"),
+                 ("anchor", "ascending")]
+    ).to_pandas()
 
 
 def _local_count(cols):
@@ -153,7 +153,8 @@ def top_link_targets(pages_ds, k: int = 100):
     Physical plan: parse links fused into the page scan -> per-batch
     partial counts (Arrow group_by) -> one groupby-sum over DISTINCT
     targets (bounded by the target vocabulary, not the corpus) ->
-    driver-side top-k of that small aggregate.
+    ``stages/topk.topk`` (per-block partial top-k, driver merge of
+    at most k x blocks rows).
     """
     from ray.data.aggregate import Sum
 
@@ -162,9 +163,9 @@ def top_link_targets(pages_ds, k: int = 100):
         _local_count(["target"]), batch_format="pyarrow"
     )
     agg = partial.groupby("target").aggregate(Sum("n", alias_name="n"))
-    out = agg.to_pandas()
-    out = out.sort_values(["n", "target"], ascending=[False, True]).head(k)
-    return out.reset_index(drop=True)
+    return topk(
+        agg, k, [("n", "descending"), ("target", "ascending")]
+    ).to_pandas()
 
 
 def domain_outdegree(pages_ds):

@@ -2,9 +2,9 @@
 
 * ``ann_topk`` — brute-force cosine top-k: the query matrix is
   broadcast once (``ray.put``), each batch computes a float64 matmul
-  against it and emits its LOCAL top-k per query (partial top-k
-  combiner), and a tiny groupby merges the partials. The shuffle moves
-  O(queries x k x batches) rows, never the corpus.
+  against it, and ``stages/topk.topk_per_group`` keeps each query's
+  LOCAL top-k per batch and merges them in a tiny groupby. The
+  shuffle moves O(queries x k x batches) rows, never the corpus.
 * ``embedding_neardup`` — exact all-pairs cosine >= threshold. The
   default physical plan is the **block-pair theta join**: rows are
   hash-assigned to B blocks and replicated to every block *pair*
@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .relational import partitioned_hash_join
+from .topk import topk_per_group
 
 
 def _matrix_of(batch: pa.Table) -> np.ndarray:
@@ -74,6 +75,25 @@ def load_query_matrix(emb_ds, query_ids: List[int]):
     return ray.put((qdf["vec_id"].to_numpy(), qmat))
 
 
+# sim desc, neighbor_id asc on exact ties — the oracle's ORDER BY
+# sim DESC, vec_id
+NEIGHBOR_ORDER = [("sim", "descending"), ("neighbor_id", "ascending")]
+
+
+def neighbor_rows(qids, vids, scores, mask):
+    """One (query_id, neighbor_id, sim) row per True cell of the
+    (queries x batch) ``mask`` — the candidates one batch offers the
+    grouped top-k (``stages/topk.py``) in ``NEIGHBOR_ORDER``."""
+    qi, ci = np.nonzero(mask)
+    return pa.Table.from_pydict(
+        {
+            "query_id": pa.array(np.asarray(qids, np.int64)[qi]),
+            "neighbor_id": pa.array(vids[ci]),
+            "sim": pa.array(scores[qi, ci]),
+        }
+    )
+
+
 def ann_topk(emb_ds, query_ids: List[int], k: int = 10):
     """(query_id, neighbor_id) pairs: the exact cosine top-k neighbors
     of each query vector (queries excluded from their own results)."""
@@ -81,57 +101,16 @@ def ann_topk(emb_ds, query_ids: List[int], k: int = 10):
 
     qref = load_query_matrix(emb_ds, query_ids)
 
-    def local_topk(batch: pa.Table) -> pa.Table:
+    def candidates(batch: pa.Table) -> pa.Table:
         qids, qmat = ray.get(qref)
         vids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-        mat = _normalize(_matrix_of(batch))
-        sims = qmat @ mat.T  # (n_q, n_batch)
-        out_q, out_n, out_s = [], [], []
-        for qi, qid in enumerate(qids):
-            row = sims[qi]
-            valid = vids != qid
-            # sim desc, neighbor_id asc on exact ties — matches the
-            # merge stage and the oracle's ORDER BY sim DESC, vec_id
-            order = np.lexsort((vids, -row))
-            taken = 0
-            for idx in order:
-                if not valid[idx]:
-                    continue
-                out_q.append(int(qid))
-                out_n.append(int(vids[idx]))
-                out_s.append(float(row[idx]))
-                taken += 1
-                if taken >= k:
-                    break
-        return pa.Table.from_pydict(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "sim": pa.array(out_s, pa.float64()),
-            }
-        )
+        sims = qmat @ _normalize(_matrix_of(batch)).T  # (n_q, n_batch)
+        return neighbor_rows(qids, vids, sims, vids != qids[:, None])
 
-    partials = emb_ds.map_batches(local_topk, batch_format="pyarrow")
-
-    def merge_topk(group: pa.Table) -> pa.Table:
-        rows = sorted(
-            zip(
-                group["sim"].to_pylist(),
-                group["neighbor_id"].to_pylist(),
-            ),
-            key=lambda t: (-t[0], t[1]),
-        )[:k]
-        qid = group["query_id"][0].as_py()
-        return pa.Table.from_pydict(
-            {
-                "query_id": pa.array([qid] * len(rows), pa.int64()),
-                "neighbor_id": pa.array([r[1] for r in rows], pa.int64()),
-            }
-        )
-
-    return partials.groupby("query_id").map_groups(
-        merge_topk, batch_format="pyarrow"
-    )
+    return topk_per_group(
+        emb_ds.map_batches(candidates, batch_format="pyarrow"),
+        "query_id", k, NEIGHBOR_ORDER,
+    ).select_columns(["query_id", "neighbor_id"])
 
 
 def _broadcast_corpus(emb_ds):
@@ -479,49 +458,23 @@ def ivf_topk(
         )
     pref = ray.put(probe_lists)
 
-    def local_topk(batch: pa.Table) -> pa.Table:
+    def candidates(batch: pa.Table) -> pa.Table:
         qids, qmat_w = ray.get(qref)
         probes = ray.get(pref)
         vids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
         lists = np.asarray(batch["ivf_list"].to_pylist(), dtype=np.int32)
-        mat = _normalize(_matrix_of(batch))
-        sims = qmat_w @ mat.T
-        out_q, out_n, out_s = [], [], []
-        for qi, qid in enumerate(qids):
-            mask = np.isin(lists, probes[int(qid)]) & (vids != qid)
-            idxs = np.where(mask)[0]
-            # sim desc, neighbor_id asc on ties (same as merge_topk)
-            order = idxs[np.lexsort((vids[idxs], -sims[qi, idxs]))][:k]
-            for idx in order:
-                out_q.append(int(qid))
-                out_n.append(int(vids[idx]))
-                out_s.append(float(sims[qi, idx]))
-        return pa.Table.from_pydict(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "sim": pa.array(out_s, pa.float64()),
-            }
+        sims = qmat_w @ _normalize(_matrix_of(batch)).T
+        probed = np.array(
+            [np.isin(lists, probes[int(qid)]) for qid in qids]
+        ).reshape(len(qids), len(vids))
+        return neighbor_rows(
+            qids, vids, sims, probed & (vids != qids[:, None])
         )
 
-    partials = assigned.map_batches(local_topk, batch_format="pyarrow")
-
-    def merge_topk(group: pa.Table) -> pa.Table:
-        rows = sorted(
-            zip(group["sim"].to_pylist(), group["neighbor_id"].to_pylist()),
-            key=lambda t: (-t[0], t[1]),
-        )[:k]
-        qid = group["query_id"][0].as_py()
-        return pa.Table.from_pydict(
-            {
-                "query_id": pa.array([qid] * len(rows), pa.int64()),
-                "neighbor_id": pa.array([r[1] for r in rows], pa.int64()),
-            }
-        )
-
-    return partials.groupby("query_id").map_groups(
-        merge_topk, batch_format="pyarrow"
-    )
+    return topk_per_group(
+        assigned.map_batches(candidates, batch_format="pyarrow"),
+        "query_id", k, NEIGHBOR_ORDER,
+    ).select_columns(["query_id", "neighbor_id"])
 
 
 def grouped_centroids(emb_ds, key: str = "label"):

@@ -11,8 +11,9 @@ Classic curation/analysis operator: rank each document's terms by
   vocabulary-sized and stays distributed;
 * idf join — the tf stream bucket-hash-joins the df table on token
   (``partitioned_hash_join``; no broadcast vocabulary);
-* per-doc top-k — ``groupby(doc_id)`` groups hold one doc's DISTINCT
-  tokens (bounded by doc length), ranked by weight desc / token asc.
+* per-doc top-k — ``stages/topk.topk_per_group`` keeps each doc's
+  top-k per batch, then merges them in one ``groupby(doc_id)``; ranked
+  by weight desc / token asc.
 
 Tokenization is the engine-wide ``str.split()`` contract (same as
 token_frequencies), so the oracle mirrors it with regexp_split.
@@ -24,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from .relational import partitioned_hash_join
+from .topk import topk_per_group
 
 
 def _tf_explode(batch: pa.Table) -> pa.Table:
@@ -80,14 +82,7 @@ def doc_tfidf_topk(docs_ds, k: int = 3, num_buckets: int = 64):
             }
         )
 
-    weighted = joined.map_batches(weigh, batch_format="pyarrow")
-
-    def topk(group: pa.Table) -> pa.Table:
-        w = group["weight"].to_numpy(zero_copy_only=False)
-        toks = group["token"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((toks, -w))[:k]
-        return group.take(pa.array(np.sort(order)))
-
-    return weighted.groupby("doc_id").map_groups(
-        topk, batch_format="pyarrow"
+    return topk_per_group(
+        joined.map_batches(weigh, batch_format="pyarrow"),
+        "doc_id", k, [("weight", "descending"), ("token", "ascending")],
     )

@@ -17,9 +17,10 @@ Scale notes per operator:
   vectorized pass per pattern, zero Python per row, and the SAME regex
   engine DuckDB uses, so the SQL oracles are structurally (not
   data-dependently) equivalent.
-* The per-domain cap is the lossless partial-top-k combiner tree (the
-  ``ann_topk`` shape): no task ever holds more than k rows per domain
-  per input block, so a hot domain cannot OOM a reducer.
+* The per-domain cap is the lossless partial top-k of
+  ``stages/topk.py`` (``topk_per_group``): no task ever holds more
+  than k rows per domain per input block, so a hot domain cannot OOM
+  a reducer.
 * Decontamination ships two physical plans like the near-dup family:
   ``broadcast`` (benchmark shingle hashes ray.put once, probed with a
   vectorized searchsorted per batch — right whenever the benchmark
@@ -38,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import hash64_column
+from .topk import topk
 
 # RE2-compatible (works identically under pyarrow's and DuckDB's RE2);
 # no backrefs, no lookaround.
@@ -67,59 +69,6 @@ def pii_scrub_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     out = out.append_column("n_phone", pc.cast(n_phone, pa.int64()))
     out = out.append_column("n_ip", pc.cast(n_ip, pa.int64()))
     return out.append_column("clean", clean)
-
-
-def topk_per_key_partial(
-    batch: pa.Table,
-    key: str,
-    k: int,
-    val: str = "n_chars",
-    id_col: str = "doc_id",
-) -> pa.Table:
-    """Lossless per-batch partial top-k per ``key`` by
-    (``val`` desc, ``id_col`` asc): any globally-top-k row is in its
-    batch's top-k, so stacking these partials is exact (the
-    ``ann_topk`` combiner shape generalized to an arbitrary string
-    key)."""
-    keys = batch[key].to_numpy(zero_copy_only=False)
-    v = batch[val].to_numpy(zero_copy_only=False)
-    d = batch[id_col].to_numpy(zero_copy_only=False)
-    _, codes = np.unique(keys, return_inverse=True)
-    order = np.lexsort((d, -v, codes))
-    codes_s = codes[order]
-    starts = np.flatnonzero(np.r_[True, codes_s[1:] != codes_s[:-1]])
-    sizes = np.diff(np.r_[starts, codes_s.size])
-    rank = np.arange(codes_s.size) - np.repeat(starts, sizes)
-    keep = order[rank < k]
-    return pa.Table.from_pydict(
-        {
-            key: pa.array(keys[keep], pa.string()),
-            id_col: pa.array(d[keep], pa.int64()),
-            # preserve the value dtype (int counts, float priorities)
-            val: pa.array(v[keep], pa.from_numpy_dtype(v.dtype)),
-        }
-    )
-
-
-def capped_topk_per_key(ds, key: str, k: int, val: str = "n_chars"):
-    """Grouped top-k as a combiner tree: per-batch partials ->
-    coalesce the tiny partial stream -> partials again -> final merge
-    over <= k x blocks rows per key. Never shuffles whole groups."""
-    partials = (
-        ds.map_batches(
-            lambda b: topk_per_key_partial(b, key, k, val=val),
-            batch_format="pyarrow",
-        )
-        .repartition(8)
-        .map_batches(
-            lambda b: topk_per_key_partial(b, key, k, val=val),
-            batch_format="pyarrow",
-        )
-    )
-    return partials.groupby(key).map_groups(
-        lambda g: topk_per_key_partial(g, key, k, val=val),
-        batch_format="pyarrow",
-    )
 
 
 def shingle_hash_batch(
@@ -907,8 +856,9 @@ def substring_dedup(
 def corpus_vocab(docs_ds, top_v: int, text_col: str = "text"):
     """Deterministic top-``top_v`` vocabulary by corpus frequency
     (ties broken by word ascending — the SQL ``ORDER BY c DESC, w``
-    convention). One (word, cnt) partial-count exchange; only the
-    vocab-bounded tail reaches the driver."""
+    convention). One (word, cnt) partial-count exchange, then
+    ``stages/topk.topk``: only ``top_v`` rows per block reach the
+    driver."""
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -923,16 +873,15 @@ def corpus_vocab(docs_ds, top_v: int, text_col: str = "text"):
             }
         )
 
-    rows = (
+    agg = (
         docs_ds.map_batches(partial, batch_format="pyarrow")
         .groupby("w")
         .aggregate(Sum("cnt", alias_name="cnt"))
-        .take_all()
     )
-    words = np.array([r["w"] for r in rows])
-    counts = np.array([r["cnt"] for r in rows], dtype=np.int64)
-    order = np.lexsort((words, -counts))[:top_v]
-    return np.sort(words[order])  # sorted for searchsorted-free index_in
+    top = topk(agg, top_v, [("cnt", "descending"), ("w", "ascending")])
+    words = top["w"].to_numpy(zero_copy_only=False) if top.num_columns else []
+    # sorted for searchsorted-free index_in
+    return np.sort(np.asarray(words, dtype=str))
 
 
 def _mapped_token_ids(
