@@ -793,9 +793,9 @@ def test_pivot_wide_and_mode_match_brute(ray_session):
     import pandas as pd
     import ray.data
 
+    from zzzarchived_arxiv_fulltext_ray.stages.aggregate import aggregate
     from zzzarchived_arxiv_fulltext_ray.stages.relational import (
         grouped_mode,
-        grouped_value_counts,
         pivot_wide,
     )
 
@@ -807,7 +807,7 @@ def test_pivot_wide_and_mode_match_brute(ray_session):
         }
     )
     ds = ray.data.from_pandas(df).repartition(4)
-    grain = grouped_value_counts(ds, "row", "col")
+    grain = aggregate(ds, ["row", "col"], [("n", "count", None)])
 
     wide = (
         pivot_wide(grain, "row", "col", ["x", "y", "z"])
@@ -843,13 +843,13 @@ def test_pivot_wide_undeclared_category_raises(ray_session):
     import pandas as pd
     import ray.data
 
-    from zzzarchived_arxiv_fulltext_ray.stages.relational import (
-        grouped_value_counts,
-        pivot_wide,
-    )
+    from zzzarchived_arxiv_fulltext_ray.stages.aggregate import aggregate
+    from zzzarchived_arxiv_fulltext_ray.stages.relational import pivot_wide
 
     df = pd.DataFrame({"row": ["a", "a"], "col": ["x", "surprise"]})
-    grain = grouped_value_counts(ray.data.from_pandas(df), "row", "col")
+    grain = aggregate(
+        ray.data.from_pandas(df), ["row", "col"], [("n", "count", None)]
+    )
     with pytest.raises(Exception, match="not in"):
         pivot_wide(grain, "row", "col", ["x"]).to_pandas()
 
@@ -1093,8 +1093,8 @@ def test_pivot_unpivot_round_trip(ray_session):
     import pandas as pd
     import ray.data
 
+    from zzzarchived_arxiv_fulltext_ray.stages.aggregate import aggregate
     from zzzarchived_arxiv_fulltext_ray.stages.relational import (
-        grouped_value_counts,
         pivot_wide,
         unpivot_long,
     )
@@ -1106,8 +1106,10 @@ def test_pivot_unpivot_round_trip(ray_session):
             "col": rng.choice(["x", "y", "z"], size=400),
         }
     )
-    grain = grouped_value_counts(
-        ray.data.from_pandas(df).repartition(3), "row", "col"
+    grain = aggregate(
+        ray.data.from_pandas(df).repartition(3),
+        ["row", "col"],
+        [("n", "count", None)],
     )
     wide = pivot_wide(grain, "row", "col", ["x", "y", "z"])
     back = (

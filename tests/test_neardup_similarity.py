@@ -257,36 +257,6 @@ def test_partitioned_anti_semi_join(ray_session):
     assert list(anti.columns) == ["k", "lv"]  # left columns only
 
 
-def test_native_join_matches_bucketed(ray_session):
-    import pandas as pd
-    import ray.data
-
-    from zzzarchived_arxiv_fulltext_ray.stages.relational import (
-        native_join,
-        partitioned_hash_join,
-    )
-
-    left = pd.DataFrame({"k": [1, 2, 2, 3, 5], "lv": ["a", "b", "c", "d", "e"]})
-    right = pd.DataFrame({"k": [2, 3, 3, 4], "rv": [10, 20, 30, 40]})
-    a = (
-        partitioned_hash_join(
-            ray.data.from_pandas(left), ray.data.from_pandas(right),
-            key="k", num_buckets=4,
-        )
-        .to_pandas()[["k", "lv", "rv"]]
-        .sort_values(["k", "lv", "rv"]).reset_index(drop=True)
-    )
-    b = (
-        native_join(
-            ray.data.from_pandas(left), ray.data.from_pandas(right),
-            key="k", num_partitions=4,
-        )
-        .to_pandas()[["k", "lv", "rv"]]
-        .sort_values(["k", "lv", "rv"]).reset_index(drop=True)
-    )
-    assert a.equals(b)
-
-
 def test_ivf_topk_recall(ray_session):
     """IVF probing half the lists recovers most of the exact top-k on
     this near-uniform synthetic corpus (real clustered embeddings give

@@ -111,35 +111,32 @@ def extraction_pipeline(
 def run_metrics(extracted_ds) -> dict:
     """Run-level metrics over the extraction output (SURVEY.md A2):
     row counts by status + bytes processed, as a small dict
-    (``Dataset.aggregate`` collapses to one row)."""
+    (the keyless ``stages/aggregate.py``)."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    from ..stages.aggregate import aggregate
 
-        ok = pc.sum(
-            pc.equal(batch["status"], "succeeded").cast(pa.int64())
-        ).as_py() or 0
-        return pa.Table.from_pydict(
+    def rows(batch: pa.Table) -> pa.Table:
+        ok = pc.fill_null(
+            pc.equal(batch["status"], "succeeded").cast(pa.int64()), 0
+        )
+        return pa.table(
             {
-                "n_rows": [batch.num_rows],
-                "n_ok": [ok],
-                "n_failed": [batch.num_rows - ok],
-                "n_bytes": [
-                    pc.sum(batch["n_bytes"]).as_py() or 0
-                ],
+                "ok": ok,
+                "failed": pc.subtract(1, ok),
+                "bytes": pc.fill_null(batch["n_bytes"], 0),
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    totals = (
-        extracted_ds.map_batches(partial, batch_format="pyarrow")
-        .aggregate(
-            Sum("n_rows", alias_name="rows"),
-            Sum("n_ok", alias_name="ok"),
-            Sum("n_failed", alias_name="failed"),
-            Sum("n_bytes", alias_name="bytes"),
-        )
+    return aggregate(
+        extracted_ds,
+        [],
+        [
+            ("rows", "count", None),
+            ("ok", "sum", "ok"),
+            ("failed", "sum", "failed"),
+            ("bytes", "sum", "bytes"),
+        ],
+        rows=rows,
     )
-    return totals

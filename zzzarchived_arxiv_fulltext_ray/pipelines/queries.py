@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.pages import read_pages
+from ..stages.aggregate import aggregate
 from .extraction import extraction_pipeline
 
 # SQL fragment reconstructing the deterministic pages scalars from the
@@ -68,14 +69,10 @@ def _q_extract_dedup_latest(sf_dir: str):
 def _q_extract_status_counts(sf_dir: str):
     """Rows per (status, payload_kind) after dedup — run accounting
     (reference per-task SUCCEEDED/FAILED records, SURVEY.md A2)."""
-    from ray.data.aggregate import Count
-
     ds = extraction_pipeline(read_pages(sf_dir), derive_psv=False)
-    out = (
-        ds.groupby(["status", "payload_kind"])
-        .aggregate(Count(alias_name="n"))
-        .to_pandas()
-    )
+    out = aggregate(
+        ds, ["status", "payload_kind"], [("n", "count", None)]
+    ).to_pandas()
     return out.sort_values(["status", "payload_kind"]).reset_index(drop=True)
 
 
@@ -132,7 +129,6 @@ def _q_dedup_exact(sf_dir: str):
     import hashlib
 
     import ray.data
-    from ray.data.aggregate import Min
 
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
@@ -148,48 +144,33 @@ def _q_dedup_exact(sf_dir: str):
             names=["fingerprint", "doc_id"],
         )
 
-    out = (
-        docs.map_batches(fp, batch_format="pyarrow")
-        .groupby("fingerprint")
-        .aggregate(Min("doc_id", alias_name="keep_doc_id"))
-        .to_pandas()
-    )
-    return out
+    out = aggregate(
+        docs, "fingerprint", [("keep_doc_id", "min", "doc_id")], rows=fp
+    ).to_pandas()
+    return out.sort_values("fingerprint").reset_index(drop=True)
 
 
 def _q_lang_stats(sf_dir: str):
-    """Per-language corpus stats with partial pre-aggregation inside
-    map_batches (combiner) before the small groupby shuffle."""
+    """Per-language corpus stats through the grouped-aggregate
+    combinator (``stages/aggregate.py``)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
     )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        grouped = batch.group_by("lang").aggregate(
-            [("n_chars", "sum"), ("lang", "count")]
-        )
-        return grouped.rename_columns(["lang", "sum_chars", "n_docs"])
-
-    out = (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum("sum_chars", alias_name="sum_chars"),
-            Sum("n_docs", alias_name="n_docs"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        docs,
+        "lang",
+        [("sum_chars", "sum", "n_chars"), ("n_docs", "count", "lang")],
+    ).to_pandas()
     return out.sort_values("lang").reset_index(drop=True)
 
 
 def _q_lineitem_agg(sf_dir: str):
-    """TPC-H-Q1-style grouped aggregate with batch-level partial
-    aggregation; money summed in integer cents for exact comparison."""
+    """TPC-H-Q1-style grouped aggregate through the grouped-aggregate
+    combinator (``stages/aggregate.py``); money summed in integer
+    cents for exact comparison."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -201,39 +182,31 @@ def _q_lineitem_agg(sf_dir: str):
         ],
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         cents = pc.cast(
             pc.round(pc.multiply(batch["l_extendedprice"], 100.0), round_mode="half_towards_infinity"),
             pa.int64(),
         )
-        qty = pc.cast(batch["l_quantity"], pa.int64())
-        t = pa.Table.from_arrays(
+        return pa.Table.from_arrays(
             [
-                batch["l_returnflag"].combine_chunks(),
-                batch["l_linestatus"].combine_chunks(),
-                qty,
+                batch["l_returnflag"],
+                batch["l_linestatus"],
+                pc.cast(batch["l_quantity"], pa.int64()),
                 cents,
-                pa.array([1] * batch.num_rows, pa.int64()),
             ],
-            names=["l_returnflag", "l_linestatus", "qty", "cents", "one"],
-        )
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("cents", "sum"), ("one", "sum")]
-        )
-        return g.rename_columns(
-            ["l_returnflag", "l_linestatus", "sum_qty", "sum_cents", "n_rows"]
+            names=["l_returnflag", "l_linestatus", "qty", "cents"],
         )
 
-    out = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_cents", alias_name="sum_cents"),
-            Sum("n_rows", alias_name="n_rows"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        li,
+        ["l_returnflag", "l_linestatus"],
+        [
+            ("sum_qty", "sum", "qty"),
+            ("sum_cents", "sum", "cents"),
+            ("n_rows", "count", None),
+        ],
+        rows=rows,
+    ).to_pandas()
     return out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(
         drop=True
     )
@@ -244,8 +217,9 @@ def _q_lineitem_rollup(sf_dir: str):
     grain plus its per-flag subtotals and the grand total, NULL keys
     marking the super-aggregate rows (SQL ``GROUP BY ROLLUP``).
 
-    Scale shape: only the FINEST grain is computed distributed (batch
-    partial combine -> one small groupby exchange); every rollup
+    Scale shape: only the FINEST grain is computed distributed
+    (``stages/aggregate.py``: Arrow partial -> one small exchange);
+    every rollup
     level is then derived from that bounded result (|flags| x
     |statuses| rows regardless of corpus size) — super-aggregates are
     a pure function of the finest grain, so no second pass over the
@@ -308,7 +282,6 @@ def _q_segment_revenue(sf_dir: str):
     lookup (no shuffle), grouped by market segment."""
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     cust = (
         ray.data.read_parquet(
@@ -330,35 +303,22 @@ def _q_segment_revenue(sf_dir: str):
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
 
-    def join_and_partial(batch: pa.Table) -> pa.Table:
+    def join_rows(batch: pa.Table) -> pa.Table:
         keys, seg_vals = ray.get(seg_ref)
         idx = pc.index_in(batch["o_custkey"], value_set=keys)
-        segs = pc.take(seg_vals, idx)
         cents = pc.cast(
             pc.round(pc.multiply(batch["o_totalprice"], 100.0), round_mode="half_towards_infinity"), pa.int64()
         )
-        t = pa.Table.from_arrays(
-            [
-                segs,
-                cents,
-                pa.array([1] * batch.num_rows, pa.int64()),
-            ],
-            names=["c_mktsegment", "cents", "one"],
+        return pa.Table.from_arrays(
+            [pc.take(seg_vals, idx), cents], names=["c_mktsegment", "cents"]
         )
-        g = t.group_by("c_mktsegment").aggregate(
-            [("cents", "sum"), ("one", "sum")]
-        )
-        return g.rename_columns(["c_mktsegment", "sum_cents", "n_orders"])
 
-    out = (
-        orders.map_batches(join_and_partial, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .aggregate(
-            Sum("sum_cents", alias_name="sum_cents"),
-            Sum("n_orders", alias_name="n_orders"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        orders,
+        "c_mktsegment",
+        [("sum_cents", "sum", "cents"), ("n_orders", "count", None)],
+        rows=join_rows,
+    ).to_pandas()
     return out.sort_values("c_mktsegment").reset_index(drop=True)
 
 

@@ -30,6 +30,7 @@ deterministic pure-function-of-doc_id inputs reconstructed in SQL.
 from typing import Callable, Dict
 
 from ..sources.pages import read_documents
+from ..stages.aggregate import aggregate
 
 CORPUS_QUERIES: Dict[str, Callable] = {}
 CORPUS_ORACLE_SQL: Dict[str, str] = {}
@@ -577,10 +578,7 @@ def _q_inverted_index(sf_dir: str):
     for selected tokens only — hot/stop tokens never shuffle their
     postings. Postings ship as a csv string (deterministic, ordered)
     so both engines compare exactly."""
-    import numpy as np
     import pyarrow as pa
-
-    from ray.data.aggregate import Sum
 
     docs = read_documents(sf_dir, ["doc_id", "text"])
     # scale-free df band: mid-frequency = [max(5, N/100), 8N/10] in
@@ -598,22 +596,13 @@ def _q_inverted_index(sf_dir: str):
                 toks.append(w)
         return ids, toks
 
-    def df_partial(batch: pa.Table) -> pa.Table:
+    def doc_tokens(batch: pa.Table) -> pa.Table:
         _, toks = distinct_pairs(batch)
-        u, c = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-        return pa.Table.from_pydict(
-            {
-                "token": pa.array(list(u), pa.string()),
-                "df": pa.array(c, pa.int64()),
-            }
-        )
+        return pa.table({"token": pa.array(toks, pa.string())})
 
-    df = (
-        docs.map_batches(df_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("df", alias_name="df"))
-        .to_pandas()
-    )
+    df = aggregate(
+        docs, "token", [("df", "count", None)], rows=doc_tokens
+    ).to_pandas()
     sel = df[(df["df"] >= DF_LO) & (df["df"] <= DF_HI)]
     vocab = dict(zip(sel["token"], sel["df"].astype(int)))  # bounded
 
@@ -830,31 +819,30 @@ ORDER BY lang, doc_id
 def _q_domain_lang_entropy(sf_dir: str):
     """Language-mix entropy per domain (a crawl spam/quality signal:
     single-language domains score 0, mixed-content farms score high).
-    Counts pre-combine per batch; the exchange is over (domain, lang)
-    pairs only; the entropy arithmetic runs on that small aggregate."""
+    Counts run through ``stages/aggregate.py``; the exchange is over
+    (domain, lang) pairs only; the entropy arithmetic runs on that
+    small aggregate."""
     import numpy as np
     import pyarrow as pa
-
-    from ray.data.aggregate import Sum
 
     from .queries_webtext import _url_domain_batch
 
     def pairs(batch: pa.Table) -> pa.Table:
-        t = _url_domain_batch(batch)
         return (
-            t.select(["domain"])
+            _url_domain_batch(batch)
+            .select(["domain"])
             .append_column("lang", batch["lang"].combine_chunks())
-            .group_by(["domain", "lang"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["domain", "lang", "n"])
         )
 
     counts = (
-        read_documents(sf_dir, ["doc_id", "lang", "n_chars"])
-        .map_batches(pairs, batch_format="pyarrow")
-        .groupby(["domain", "lang"])
-        .aggregate(Sum("n", alias_name="n"))
+        aggregate(
+            read_documents(sf_dir, ["doc_id", "lang", "n_chars"]),
+            ["domain", "lang"],
+            [("n", "count", None)],
+            rows=pairs,
+        )
         .to_pandas()
+        .sort_values(["domain", "lang"])
     )
     rows = []
     for domain, grp in counts.groupby("domain"):
@@ -1106,7 +1094,6 @@ def _q_events_activity_islands(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import ray.data
-    from ray.data.aggregate import Min
 
     DAY_US = 86_400_000_000
     n_buckets = 64
@@ -1280,15 +1267,14 @@ ORDER BY p_partkey
 
 def _q_nation_revenue_share(sf_dir: str):
     """RATIO_TO_REPORT: each nation's share of total order revenue.
-    Orders pre-aggregate to per-customer cents inside batches, one
-    bucketed join attaches nationkey, a tiny groupby + global scalar
+    Orders aggregate to per-customer cents (``stages/aggregate.py``),
+    one bucketed join attaches nationkey, a tiny groupby + global scalar
     produce the shares — the group-sum / global-sum composition with
     every exchange on an aggregated grain. Share is one float
     division of exact ints."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
 
@@ -1296,7 +1282,7 @@ def _q_nation_revenue_share(sf_dir: str):
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
 
-    def o_partial(batch: pa.Table) -> pa.Table:
+    def o_rows(batch: pa.Table) -> pa.Table:
         cents = pc.cast(
             pc.round(
                 pc.multiply(batch["o_totalprice"], 100.0),
@@ -1304,20 +1290,12 @@ def _q_nation_revenue_share(sf_dir: str):
             ),
             pa.int64(),
         )
-        t = pa.Table.from_arrays(
-            [batch["o_custkey"].combine_chunks(), cents],
-            names=["c_custkey", "cents"],
-        )
-        return (
-            t.group_by("c_custkey")
-            .aggregate([("cents", "sum")])
-            .rename_columns(["c_custkey", "cents"])
+        return pa.Table.from_arrays(
+            [batch["o_custkey"], cents], names=["c_custkey", "cents"]
         )
 
-    per_cust = (
-        orders.map_batches(o_partial, batch_format="pyarrow")
-        .groupby("c_custkey")
-        .aggregate(Sum("cents", alias_name="cents"))
+    per_cust = aggregate(
+        orders, "c_custkey", [("cents", "sum", "cents")], rows=o_rows
     )
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
@@ -1335,11 +1313,9 @@ def _q_nation_revenue_share(sf_dir: str):
     joined = partitioned_hash_join(
         per_cust, cust, "c_custkey", num_buckets=32
     )
-    out = (
-        joined.groupby("c_nationkey")
-        .aggregate(Sum("cents", alias_name="revenue_cents"))
-        .to_pandas()
-    )
+    out = aggregate(
+        joined, "c_nationkey", [("revenue_cents", "sum", "cents")]
+    ).to_pandas()
     out["revenue_cents"] = out["revenue_cents"].astype("int64")
     total = int(out["revenue_cents"].sum())
     out["share"] = out["revenue_cents"].astype("float64") / float(total)
@@ -1459,8 +1435,6 @@ def _q_events_rolling_wau(sf_dir: str):
     import pyarrow as pa
     import ray.data
 
-    from ray.data.aggregate import Sum
-
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
@@ -1502,34 +1476,15 @@ def _q_events_rolling_wau(sf_dir: str):
             keep = np.isin(w, active)
             us.append(u[keep])
             ws.append(w[keep])
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "w": pa.array(np.concatenate(ws), pa.int64()),
                 "user_id": pa.array(np.concatenate(us), pa.int64()),
             }
         )
-        return t.group_by(["w", "user_id"]).aggregate([])
 
-    distinct = (
-        ud.map_batches(fan_out, batch_format="pyarrow")
-        .groupby(["w", "user_id"])
-        .count()
-    )
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select(["w"])
-            .group_by("w")
-            .aggregate([([], "count_all")])
-            .rename_columns(["w", "n"])
-        )
-
-    wau = (
-        distinct.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("w")
-        .aggregate(Sum("n", alias_name="wau"))
-        .to_pandas()
-    )
+    distinct = aggregate(ud, ["w", "user_id"], [], rows=fan_out)
+    wau = aggregate(distinct, "w", [("wau", "count", None)]).to_pandas()
     day_str = (
         np.array(wau["w"], dtype="datetime64[D]").astype(str)
     )
@@ -1692,7 +1647,6 @@ def _q_events_churn(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
 
@@ -1702,7 +1656,7 @@ def _q_events_churn(sf_dir: str):
 
     _US_PER_DAY = 86_400_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         cents = pc.cast(
             pc.floor(pc.add(pc.multiply(batch["value"], 100.0), 0.5)),
             pa.int64(),
@@ -1710,17 +1664,15 @@ def _q_events_churn(sf_dir: str):
         day = pc.divide(
             pc.cast(batch["ts"], pa.int64()), _US_PER_DAY
         )
-        t = pa.Table.from_arrays(
-            [batch["user_id"].combine_chunks(), day, cents],
+        return pa.Table.from_arrays(
+            [batch["user_id"], day, cents],
             names=["user_id", "epoch_day", "c"],
         )
-        g = t.group_by(["user_id", "epoch_day"]).aggregate([("c", "sum")])
-        return g.rename_columns(["user_id", "epoch_day", "c"])
 
     daily = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby(["user_id", "epoch_day"])
-        .aggregate(Sum("c", alias_name="c"))
+        aggregate(
+            ev, ["user_id", "epoch_day"], [("c", "sum", "c")], rows=rows
+        )
         # both join branches consume this: materialize the SMALL
         # post-aggregate grain once instead of re-executing the
         # corpus scan + exchange per branch (the corpus itself
@@ -2325,13 +2277,12 @@ def _q_events_props_stats(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from ray.data.aggregate import Sum
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "props"]
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         k = pc.cast(
             pc.struct_field(
                 pc.extract_regex(batch["props"], r'"k":\s*(?P<k>-?\d+)'),
@@ -2339,28 +2290,16 @@ def _q_events_props_stats(sf_dir: str):
             ),
             pa.int64(),
         )
-        t = pa.Table.from_arrays(
-            [
-                batch["event_type"].combine_chunks(),
-                k,
-                pc.cast(pc.is_valid(k), pa.int64()),
-            ],
-            names=["event_type", "k", "one"],
+        return pa.Table.from_arrays(
+            [batch["event_type"], k], names=["event_type", "k"]
         )
-        g = t.group_by("event_type").aggregate(
-            [("k", "sum"), ("one", "sum")]
-        )
-        return g.rename_columns(["event_type", "sum_k", "n_with_k"])
 
-    out = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("sum_k", alias_name="sum_k"),
-            Sum("n_with_k", alias_name="n_with_k"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        ev,
+        "event_type",
+        [("sum_k", "sum", "k"), ("n_with_k", "count", "k")],
+        rows=rows,
+    ).to_pandas()
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -2397,9 +2336,6 @@ def _q_bm25_search(sf_dir: str):
 
     import numpy as np
     import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
     from ..stages.topk import topk
 
     TERMS = ("hash", "join", "merge")
@@ -2418,24 +2354,25 @@ def _q_bm25_search(sf_dir: str):
                 tfs[i, j] = c.get(term, 0)
         return ids, tfs, lens
 
-    def stats_partial(batch: pa.Table) -> pa.Table:
+    def stats_rows(batch: pa.Table) -> pa.Table:
         _ids, tfs, lens = tf_len(batch)
-        row = {
-            "n_docs": [len(lens)],
-            "sum_len": [int(lens.sum())],
-        }
-        for j, term in enumerate(TERMS):
-            row[f"df_{j}"] = [int((tfs[:, j] > 0).sum())]
-        return pa.Table.from_pydict(row)
+        cols = {"len": pa.array(lens, pa.int64())}
+        for j in range(len(TERMS)):
+            cols[f"has_{j}"] = pa.array((tfs[:, j] > 0).astype(np.int64))
+        return pa.table(cols)
 
-    agg = docs.map_batches(stats_partial, batch_format="pyarrow").sum(
-        ["n_docs", "sum_len"] + [f"df_{j}" for j in range(len(TERMS))]
+    agg = aggregate(
+        docs,
+        [],
+        [("n", "count", None), ("sum_len", "sum", "len")]
+        + [(f"df_{j}", "sum", f"has_{j}") for j in range(len(TERMS))],
+        rows=stats_rows,
     )
-    n = agg["sum(n_docs)"]
-    avgdl = agg["sum(sum_len)"] / n  # float division, mirrored in SQL
+    n = agg["n"]
+    avgdl = agg["sum_len"] / n  # float division, mirrored in SQL
     idf = [
-        math.log(1.0 + (n - agg[f"sum(df_{j})"] + 0.5)
-                 / (agg[f"sum(df_{j})"] + 0.5))
+        math.log(1.0 + (n - agg[f"df_{j}"] + 0.5)
+                 / (agg[f"df_{j}"] + 0.5))
         for j in range(len(TERMS))
     ]
 
@@ -2514,39 +2451,16 @@ def _q_domain_unique_targets(sf_dir: str):
     occurrence stream), then a per-batch count combine into the tiny
     per-domain aggregate. Re-crawl duplicate pages collapse in the
     distinct, so the result is crawl-multiplicity-invariant."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Count, Sum
-
     from ..sources.pages import read_pages
     from ..stages.links import extract_links_batch
 
     pairs = read_pages(sf_dir).map_batches(
         extract_links_batch, batch_format="pyarrow"
     )
-
-    def local_distinct(b: pa.Table) -> pa.Table:
-        return (
-            b.group_by(["src_domain", "target"])
-            .aggregate([])
-        )
-
-    distinct = (
-        pairs.map_batches(local_distinct, batch_format="pyarrow")
-        .groupby(["src_domain", "target"])
-        .aggregate(Count(alias_name="_n"))
-    )
-
-    def count_partial(b: pa.Table) -> pa.Table:
-        g = b.group_by("src_domain").aggregate([([], "count_all")])
-        return g.rename_columns(["src_domain", "n_targets"])
-
-    out = (
-        distinct.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("src_domain")
-        .aggregate(Sum("n_targets", alias_name="n_targets"))
-        .to_pandas()
-    )
+    distinct = aggregate(pairs, ["src_domain", "target"], [])
+    out = aggregate(
+        distinct, "src_domain", [("n_targets", "count", None)]
+    ).to_pandas()
     out["n_targets"] = out["n_targets"].astype("int64")
     return out.sort_values("src_domain").reset_index(drop=True)
 
@@ -2745,10 +2659,10 @@ def _q_source_lang_pivot(sf_dir: str):
     set. Raw rows never shuffle (counts combine per batch); the
     reshape runs per source group over the tiny grain
     (``stages.relational.pivot_wide``)."""
-    from ..stages.relational import grouped_value_counts, pivot_wide
+    from ..stages.relational import pivot_wide
 
     docs = read_documents(sf_dir, ["source", "lang"])
-    grain = grouped_value_counts(docs, "source", "lang")
+    grain = aggregate(docs, ["source", "lang"], [("n", "count", None)])
     out = pivot_wide(
         grain, "source", "lang", ["de", "en", "es", "fr", "zh"]
     ).to_pandas()
@@ -2773,10 +2687,10 @@ def _q_source_mode_lang(sf_dir: str):
     """Grouped MODE: the dominant language per source (ties -> the
     lexicographically smallest, the deterministic SQL row_number
     spelling), picked per group on the counted grain."""
-    from ..stages.relational import grouped_mode, grouped_value_counts
+    from ..stages.relational import grouped_mode
 
     docs = read_documents(sf_dir, ["source", "lang"])
-    grain = grouped_value_counts(docs, "source", "lang")
+    grain = aggregate(docs, ["source", "lang"], [("n", "count", None)])
     out = grouped_mode(grain, "source", "lang").to_pandas()
     return out.sort_values("source").reset_index(drop=True)
 
@@ -2860,13 +2774,12 @@ def _q_events_retention(sf_dir: str):
     Scale shape: the event stream collapses per batch to the distinct
     (user, day) grain before its one exchange; the cohort/offset
     derivation is a per-USER group task (high-cardinality key — no
-    giant group); the final (cohort, offset) matrix aggregates with a
-    per-batch combine. Three exchanges total, each over grains that
+    giant group); the final (cohort, offset) matrix aggregates through
+    ``stages/aggregate.py``. Three exchanges total, each over grains that
     shrink monotonically."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from ray.data.aggregate import Count, Sum
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
@@ -2875,17 +2788,11 @@ def _q_events_retention(sf_dir: str):
 
     def day_grain(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(batch["ts"], pa.int64()), _US_PER_DAY)
-        t = pa.Table.from_arrays(
-            [batch["user_id"].combine_chunks(), day],
-            names=["user_id", "epoch_day"],
+        return pa.Table.from_arrays(
+            [batch["user_id"], day], names=["user_id", "epoch_day"]
         )
-        return t.group_by(["user_id", "epoch_day"]).aggregate([])
 
-    grain = (
-        ev.map_batches(day_grain, batch_format="pyarrow")
-        .groupby(["user_id", "epoch_day"])
-        .aggregate(Count(alias_name="_n"))
-    )
+    grain = aggregate(ev, ["user_id", "epoch_day"], [], rows=day_grain)
 
     def offsets_of_user(g: pa.Table) -> pa.Table:
         days = g["epoch_day"].to_numpy(zero_copy_only=False)
@@ -2899,20 +2806,13 @@ def _q_events_retention(sf_dir: str):
             }
         )
 
-    def count_partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(["cohort_day", "day_offset"]).aggregate(
-            [([], "count_all")]
-        )
-        return g.rename_columns(["cohort_day", "day_offset", "n_users"])
-
-    out = (
-        grain.groupby("user_id")
-        .map_groups(offsets_of_user, batch_format="pyarrow")
-        .map_batches(count_partial, batch_format="pyarrow")
-        .groupby(["cohort_day", "day_offset"])
-        .aggregate(Sum("n_users", alias_name="n_users"))
-        .to_pandas()
-    )
+    out = aggregate(
+        grain.groupby("user_id").map_groups(
+            offsets_of_user, batch_format="pyarrow"
+        ),
+        ["cohort_day", "day_offset"],
+        [("n_users", "count", None)],
+    ).to_pandas()
     out["n_users"] = out["n_users"].astype("int64")
     return out.sort_values(["cohort_day", "day_offset"]).reset_index(
         drop=True
@@ -2951,7 +2851,6 @@ def _q_urgent_revenue_by_month(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import bloom_prefiltered_join
 
@@ -2997,11 +2896,9 @@ def _q_urgent_revenue_by_month(sf_dir: str):
         key="orderkey",
         num_buckets=64,
     )
-    out = (
-        joined.groupby("month")
-        .aggregate(Sum("cents", alias_name="sum_cents"))
-        .to_pandas()
-    )
+    out = aggregate(
+        joined, "month", [("sum_cents", "sum", "cents")]
+    ).to_pandas()
     out["sum_cents"] = out["sum_cents"].astype("int64")
     return out.sort_values("month").reset_index(drop=True)
 
@@ -3009,17 +2906,16 @@ def _q_urgent_revenue_by_month(sf_dir: str):
 def _q_customer_order_dist(sf_dir: str):
     """TPC-H Q13 shape: distribution of per-customer order counts,
     INCLUDING zero-order customers — the canonical left-outer-join +
-    double aggregate. Plan: per-batch partial counts on o_custkey
-    (the big side never moves raw), one small groupby, a bucketed
+    double aggregate. Plan: counts on o_custkey through
+    ``stages/aggregate.py`` (the big side never moves raw), a bucketed
     LEFT join of the customer keys against the counts
     (``partitioned_hash_join``), then the count-of-counts histogram
-    again as batch partials + a tiny groupby. No driver state; both
+    through the same combinator. No driver state; both
     exchanges are on already-aggregated grains."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
 
@@ -3028,22 +2924,13 @@ def _q_customer_order_dist(sf_dir: str):
         columns=["o_custkey", "o_orderpriority"],
     )
 
-    def o_partial(batch: pa.Table) -> pa.Table:
+    def o_rows(batch: pa.Table) -> pa.Table:
         b = batch.filter(
             pc.not_equal(batch["o_orderpriority"], "1-URGENT")
         )
-        g = (
-            b.select(["o_custkey"])
-            .group_by("o_custkey")
-            .aggregate([([], "count_all")])
-        )
-        return g.rename_columns(["custkey", "n"])
+        return b.select(["o_custkey"]).rename_columns(["custkey"])
 
-    counts = (
-        orders.map_batches(o_partial, batch_format="pyarrow")
-        .groupby("custkey")
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    counts = aggregate(orders, "custkey", [("n", "count", None)], rows=o_rows)
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey"]
     ).map_batches(
@@ -3053,23 +2940,13 @@ def _q_customer_order_dist(sf_dir: str):
         cust, counts, "custkey", num_buckets=32, how="left"
     )
 
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        n = pc.fill_null(
-            pc.cast(batch["n"], pa.int64()), 0
-        )
-        g = (
-            pa.Table.from_arrays([n], names=["c_count"])
-            .group_by("c_count")
-            .aggregate([([], "count_all")])
-        )
-        return g.rename_columns(["c_count", "m"])
+    def hist_rows(batch: pa.Table) -> pa.Table:
+        n = pc.fill_null(pc.cast(batch["n"], pa.int64()), 0)
+        return pa.Table.from_arrays([n], names=["c_count"])
 
-    out = (
-        joined.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("c_count")
-        .aggregate(Sum("m", alias_name="custdist"))
-        .to_pandas()
-    )
+    out = aggregate(
+        joined, "c_count", [("custdist", "count", None)], rows=hist_rows
+    ).to_pandas()
     out["custdist"] = out["custdist"].astype("int64")
     return out.sort_values(
         ["custdist", "c_count"], ascending=[False, False]
@@ -3169,7 +3046,6 @@ def _q_events_daily_gapfill(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
     import ray.data
-    from ray.data.aggregate import Max, Min, Sum
 
     DAY_US = 86_400_000_000
 
@@ -3177,55 +3053,40 @@ def _q_events_daily_gapfill(sf_dir: str):
         f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         val = batch["value"].to_numpy(zero_copy_only=False)
         us = (
             batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         )
-        day = (us // DAY_US) * DAY_US
         m = val > 250.0
-        t = pa.Table.from_pydict(
+        k = int(m.sum())
+        counted = pa.Table.from_pydict(
             {
-                "event_type": batch["event_type"].combine_chunks(),
-                "day_us": pa.array(day, pa.int64()),
-                "lo": pa.array(us, pa.int64()),
-                "hi": pa.array(us, pa.int64()),
+                "event_type": batch["event_type"].filter(pa.array(m)),
+                "day_us": pa.array((us[m] // DAY_US) * DAY_US, pa.int64()),
+                "one": pa.array(np.ones(k, np.int64)),
+                "lo": pa.array([2**63 - 1] * k, pa.int64()),
+                "hi": pa.array([-(2**63)] * k, pa.int64()),
             }
-        )
-        counted = (
-            t.filter(pa.array(m))
-            .select(["event_type", "day_us"])
-            .group_by(["event_type", "day_us"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["event_type", "day_us", "n"])
         )
         # span rows ride along with day_us = -1 (never a real day)
         span = pa.Table.from_pydict(
             {
                 "event_type": pa.array([""], pa.string()),
                 "day_us": pa.array([-1], pa.int64()),
-                "n": pa.array([0], pa.int64()),
+                "one": pa.array([0], pa.int64()),
                 "lo": pa.array([int(us.min())], pa.int64()),
                 "hi": pa.array([int(us.max())], pa.int64()),
             }
         )
-        counted = counted.append_column(
-            "lo", pa.array([2**63 - 1] * counted.num_rows, pa.int64())
-        ).append_column(
-            "hi", pa.array([-(2**63)] * counted.num_rows, pa.int64())
-        )
         return pa.concat_tables([counted, span])
 
-    agg = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "day_us"])
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Min("lo", alias_name="lo"),
-            Max("hi", alias_name="hi"),
-        )
-        .to_pandas()
-    )
+    agg = aggregate(
+        ev,
+        ["event_type", "day_us"],
+        [("n", "sum", "one"), ("lo", "min", "lo"), ("hi", "max", "hi")],
+        rows=rows,
+    ).to_pandas()
     span = agg[agg["day_us"] == -1]
     lo_day = (int(span["lo"].min()) // DAY_US) * DAY_US
     hi_day = (int(span["hi"].max()) // DAY_US) * DAY_US
@@ -3253,12 +3114,13 @@ def _event_types(sf_dir: str) -> set:
 
     return {
         r["event_type"]
-        for r in ray.data.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["event_type"]
-        )
-        .groupby("event_type")
-        .count()
-        .take_all()
+        for r in aggregate(
+            ray.data.read_parquet(
+                f"{sf_dir}/events.parquet", columns=["event_type"]
+            ),
+            "event_type",
+            [],
+        ).take_all()
     }
 
 
@@ -3294,7 +3156,6 @@ def _q_events_cumulative_users(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
     import ray.data
-    from ray.data.aggregate import Min, Sum
 
     DAY_US = 86_400_000_000
 
@@ -3303,43 +3164,27 @@ def _q_events_cumulative_users(sf_dir: str):
         columns=["ts", "event_type", "user_id"],
     )
 
-    def first_partial(batch: pa.Table) -> pa.Table:
+    def day_rows(batch: pa.Table) -> pa.Table:
         us = (
             batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         )
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "event_type": batch["event_type"].combine_chunks(),
                 "user_id": batch["user_id"].combine_chunks(),
                 "day_us": pa.array((us // DAY_US) * DAY_US, pa.int64()),
             }
         )
-        return (
-            t.group_by(["event_type", "user_id"])
-            .aggregate([("day_us", "min")])
-            .rename_columns(["event_type", "user_id", "day_us"])
-        )
 
-    first_day = (
-        ev.map_batches(first_partial, batch_format="pyarrow")
-        .groupby(["event_type", "user_id"])
-        .aggregate(Min("day_us", alias_name="day_us"))
+    first_day = aggregate(
+        ev,
+        ["event_type", "user_id"],
+        [("day_us", "min", "day_us")],
+        rows=day_rows,
     )
-
-    def new_partial(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.select(["event_type", "day_us"])
-            .group_by(["event_type", "day_us"])
-            .aggregate([([], "count_all")])
-        )
-        return g.rename_columns(["event_type", "day_us", "n"])
-
-    daily = (
-        first_day.map_batches(new_partial, batch_format="pyarrow")
-        .groupby(["event_type", "day_us"])
-        .aggregate(Sum("n", alias_name="new_users"))
-        .to_pandas()
-    )
+    daily = aggregate(
+        first_day, ["event_type", "day_us"], [("new_users", "count", None)]
+    ).to_pandas()
     daily["new_users"] = daily["new_users"].astype("int64")
     daily = daily.sort_values(["event_type", "day_us"]).reset_index(
         drop=True
@@ -3383,7 +3228,6 @@ def _q_idle_customer_balance(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
 
@@ -3414,23 +3258,13 @@ def _q_idle_customer_balance(sf_dir: str):
         with_cents, batch_format="pyarrow"
     ).materialize()  # reused: avg partials + threshold filter
 
-    def avg_partial(batch: pa.Table) -> pa.Table:
-        cents = batch["cents"].to_numpy(zero_copy_only=False)
-        pos = cents > 0
-        return pa.Table.from_pydict(
-            {
-                "s": pa.array([int(cents[pos].sum())], pa.int64()),
-                "c": pa.array([int(pos.sum())], pa.int64()),
-            }
-        )
-
-    agg = (
-        cust_c.map_batches(avg_partial, batch_format="pyarrow")
-        .groupby(None)
-        .aggregate(Sum("s", alias_name="s"), Sum("c", alias_name="c"))
-        .to_pandas()
+    agg = aggregate(
+        cust_c,
+        [],
+        [("s", "sum", "cents"), ("c", "count", "cents")],
+        rows=lambda b: b.select(["cents"]).filter(pc.greater(b["cents"], 0)),
     )
-    total, cnt = int(agg["s"][0]), int(agg["c"][0])
+    total, cnt = int(agg["s"] or 0), int(agg["c"])
 
     def above_avg(batch: pa.Table) -> pa.Table:
         cents = batch["cents"].to_numpy(zero_copy_only=False)
@@ -3453,23 +3287,11 @@ def _q_idle_customer_balance(sf_dir: str):
         rich, orders, "c_custkey", num_buckets=32, how="anti"
     )
 
-    def nation_partial(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.select(["c_nationkey", "cents"])
-            .group_by("c_nationkey")
-            .aggregate([("cents", "sum"), ([], "count_all")])
-        )
-        return g.rename_columns(["c_nationkey", "bal_cents", "numcust"])
-
-    out = (
-        idle.map_batches(nation_partial, batch_format="pyarrow")
-        .groupby("c_nationkey")
-        .aggregate(
-            Sum("bal_cents", alias_name="total_bal_cents"),
-            Sum("numcust", alias_name="numcust"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        idle,
+        "c_nationkey",
+        [("total_bal_cents", "sum", "cents"), ("numcust", "count", None)],
+    ).to_pandas()
     out["total_bal_cents"] = out["total_bal_cents"].astype("int64")
     out["numcust"] = out["numcust"].astype("int64")
     return (
@@ -3684,7 +3506,6 @@ def _q_top_revenue_supplier(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
 
@@ -3698,7 +3519,7 @@ def _q_top_revenue_supplier(sf_dir: str):
     lo = np.datetime64("1996-01-01")
     hi = np.datetime64("1996-04-01")
 
-    def li_partial(batch: pa.Table) -> pa.Table:
+    def li_rows(batch: pa.Table) -> pa.Table:
         ship = batch["l_shipdate"].to_numpy(zero_copy_only=False)
         b = batch.filter(pa.array((ship >= lo) & (ship < hi)))
         cents = pc.cast(
@@ -3714,22 +3535,16 @@ def _q_top_revenue_supplier(sf_dir: str):
             ),
             pa.int64(),
         )
-        t = pa.Table.from_arrays(
-            [b["l_suppkey"].combine_chunks(), cents],
-            names=["s_suppkey", "cents"],
-        )
-        return (
-            t.group_by("s_suppkey")
-            .aggregate([("cents", "sum")])
-            .rename_columns(["s_suppkey", "cents"])
+        return pa.Table.from_arrays(
+            [b["l_suppkey"], cents], names=["s_suppkey", "cents"]
         )
 
-    rev = (
-        li.map_batches(li_partial, batch_format="pyarrow")
-        .groupby("s_suppkey")
-        .aggregate(Sum("cents", alias_name="total_revenue_cents"))
-        .materialize()  # reused: max scan + winner filter
-    )
+    rev = aggregate(
+        li,
+        "s_suppkey",
+        [("total_revenue_cents", "sum", "cents")],
+        rows=li_rows,
+    ).materialize()  # reused: max scan + winner filter
     top = int(rev.max("total_revenue_cents"))
     winners = rev.filter(
         expr=f"total_revenue_cents == {top}"
@@ -3787,7 +3602,6 @@ def _q_small_qty_revenue(sf_dir: str):
     import pyarrow.compute as pc
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     import pandas as pd
 
@@ -3808,7 +3622,7 @@ def _q_small_qty_revenue(sf_dir: str):
 
     li_cols = ["l_partkey", "l_quantity", "l_extendedprice"]
 
-    def stats_partial(batch: pa.Table) -> pa.Table:
+    def stats_rows(batch: pa.Table) -> pa.Table:
         keys = ray.get(pk_ref)
         part = batch["l_partkey"].to_numpy(zero_copy_only=False)
         pos = np.searchsorted(keys, part)
@@ -3816,7 +3630,7 @@ def _q_small_qty_revenue(sf_dir: str):
         mask = keys[pos] == part if keys.size else np.zeros(
             part.size, bool
         )
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "partkey": pa.array(part[mask], pa.int64()),
                 "qty": pa.array(
@@ -3824,31 +3638,25 @@ def _q_small_qty_revenue(sf_dir: str):
                     .to_numpy(zero_copy_only=False)[mask]
                     .astype(np.int64)
                 ),
-                "one": pa.array(np.ones(int(mask.sum()), np.int64)),
             }
-        )
-        return (
-            t.group_by("partkey")
-            .aggregate([("qty", "sum"), ("one", "sum")])
-            .rename_columns(["partkey", "sq", "cnt"])
         )
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=li_cols
     )
-    stats = (
-        li.map_batches(stats_partial, batch_format="pyarrow")
-        .groupby("partkey")
-        .aggregate(Sum("sq", alias_name="sq"), Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
+    stats = aggregate(
+        li,
+        "partkey",
+        [("sq", "sum", "qty"), ("cnt", "count", None)],
+        rows=stats_rows,
+    ).to_pandas()
     skeys = np.sort(stats["partkey"].to_numpy().astype(np.int64))
     order = np.argsort(stats["partkey"].to_numpy())
     ssq = stats["sq"].to_numpy().astype(np.int64)[order]
     scnt = stats["cnt"].to_numpy().astype(np.int64)[order]
     st_ref = ray.put((skeys, ssq, scnt))
 
-    def select_partial(batch: pa.Table) -> pa.Table:
+    def select_rows(batch: pa.Table) -> pa.Table:
         keys, sq, cnt = ray.get(st_ref)
         part = batch["l_partkey"].to_numpy(zero_copy_only=False)
         pos = np.searchsorted(keys, part)
@@ -3871,21 +3679,14 @@ def _q_small_qty_revenue(sf_dir: str):
             ),
             pa.int64(),
         ).to_numpy(zero_copy_only=False)
-        return pa.Table.from_pydict(
-            {
-                "c": pa.array([int(cents[mask].sum())], pa.int64()),
-                "n": pa.array([int(mask.sum())], pa.int64()),
-            }
-        )
+        return pa.table({"cents": pa.array(cents[mask], pa.int64())})
 
-    agg = (
-        li.map_batches(select_partial, batch_format="pyarrow")
-        .groupby(None)
-        .aggregate(Sum("c", alias_name="c"), Sum("n", alias_name="n"))
-        .to_pandas()
+    agg = aggregate(
+        li, [], [("c", "sum", "cents"), ("n", "count", None)],
+        rows=select_rows,
     )
-    total = int(agg["c"][0]) if len(agg) else 0
-    nrows = int(agg["n"][0]) if len(agg) else 0
+    total = int(agg["c"] or 0)
+    nrows = agg["n"]
     return pd.DataFrame(
         {
             "total_cents": pd.Series([total], dtype="int64"),
@@ -3940,38 +3741,34 @@ def _q_lang_top_tokens(sf_dir: str):
     per-batch LOCAL top-10 per lang over the finalized counts -> tiny
     per-lang merge. The merge group holds <= 10 x batches rows, never
     a language's vocabulary."""
-    from collections import Counter
-
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
     from ..stages.topk import topk_per_group
 
     K = 10
 
-    def partial(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
+    def rows(batch: pa.Table) -> pa.Table:
+        langs, toks = [], []
         for lang, text in zip(
             batch["lang"].to_pylist(), batch["text"].to_pylist()
         ):
             for tok in text.split():
-                counts[(lang, tok)] += 1
-        langs, toks = (
-            zip(*counts.keys()) if counts else ((), ())
-        )
+                langs.append(lang)
+                toks.append(tok)
         return pa.Table.from_pydict(
             {
-                "lang": pa.array(list(langs), pa.string()),
-                "token": pa.array(list(toks), pa.string()),
-                "n": pa.array(list(counts.values()), pa.int64()),
+                "lang": pa.array(langs, pa.string()),
+                "token": pa.array(toks, pa.string()),
             }
         )
 
     out = topk_per_group(
-        read_documents(sf_dir, ["lang", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "token"])
-        .aggregate(Sum("n", alias_name="n")),
+        aggregate(
+            read_documents(sf_dir, ["lang", "text"]),
+            ["lang", "token"],
+            [("n", "count", None)],
+            rows=rows,
+        ),
         "lang", K, [("n", "descending"), ("token", "ascending")],
     ).to_pandas()
     out["n"] = out["n"].astype("int64")
@@ -4008,24 +3805,15 @@ def _q_doc_lang_enriched(sf_dir: str):
     mini-join instead (no exchange for the skewed mass; cold keys —
     none here — still take the bucketed plan). Pinned identical to
     the plain bucketed join in pytest."""
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import skew_routed_join
 
     docs = read_documents(sf_dir, ["doc_id", "lang"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.select(["lang"]).group_by("lang").aggregate(
-            [([], "count_all")]
-        )
-        return g.rename_columns(["lang", "lang_docs"])
-
-    counts = (
-        read_documents(sf_dir, ["lang"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("lang_docs", alias_name="lang_docs"))
+    counts = aggregate(
+        read_documents(sf_dir, ["lang"]),
+        "lang",
+        [("lang_docs", "count", None)],
     )
     out = skew_routed_join(docs, counts, key="lang").to_pandas()
     out["lang_docs"] = out["lang_docs"].astype("int64")
@@ -4072,15 +3860,11 @@ def _q_source_lang_unpivot(sf_dir: str):
     absent combinations (what distinguishes unpivot output from the
     sparse counted grain). Pure per-batch reshape after the pivot; no
     extra exchange."""
-    from ..stages.relational import (
-        grouped_value_counts,
-        pivot_wide,
-        unpivot_long,
-    )
+    from ..stages.relational import pivot_wide, unpivot_long
 
     langs = ["de", "en", "es", "fr", "zh"]
     docs = read_documents(sf_dir, ["source", "lang"])
-    grain = grouped_value_counts(docs, "source", "lang")
+    grain = aggregate(docs, ["source", "lang"], [("n", "count", None)])
     wide = pivot_wide(grain, "source", "lang", langs)
     out = unpivot_long(
         wide, "source", langs, col_name="lang", val_name="n"
@@ -4163,7 +3947,6 @@ def _q_events_value_quartiles(sf_dir: str):
         return pa.table({"cents": cents})
 
     import numpy as np
-    from ray.data.aggregate import Count
 
     from ..stages.selection import distributed_kth_values
 
@@ -4171,7 +3954,7 @@ def _q_events_value_quartiles(sf_dir: str):
     # refinement passes re-read cached blocks, not parquet; and all
     # six order statistics refine in lockstep (shared scans)
     cents = ev.map_batches(to_cents, batch_format="pyarrow").materialize()
-    n = int(cents.aggregate(Count("cents"))["count(cents)"])
+    n = aggregate(cents, [], [("n", "count", None)])["n"]
     qs = (0.25, 0.5, 0.75)
     pos = {q: q * (n - 1) for q in qs}
     ks = set()
@@ -4411,26 +4194,15 @@ def _q_source_set_ops(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from ray.data.aggregate import Count
 
     from ..stages.relational import partitioned_hash_join
 
     def side(lang):
-        def partial(b: pa.Table) -> pa.Table:
-            m = pc.equal(b["lang"], lang)
-            return (
-                b.filter(m).select(["source"]).group_by("source")
-                .aggregate([])
-            )
-
-        return (
-            read_documents(sf_dir, ["source", "lang"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("source")
-            .aggregate(Count(alias_name="_n"))
-            .map_batches(
-                lambda b: b.select(["source"]), batch_format="pyarrow"
-            )
+        return aggregate(
+            read_documents(sf_dir, ["source", "lang"]),
+            "source",
+            [],
+            rows=lambda b: b.filter(pc.equal(b["lang"], lang)),
         )
 
     # ONE left join with a match indicator gives EXCEPT and
@@ -4645,54 +4417,44 @@ def _q_token_source_affinity(sf_dir: str):
     EXACT integer cross-product keyness = n_focus * T_rest -
     n_rest * T_focus (the sign/magnitude core of log-odds and
     chi-square keyword extraction, kept integer so ranking and oracle
-    agree bit-for-bit; ties -> token asc). Physical plan: per-batch
-    (token, n_focus, n_rest) partial counts -> one vocab-bounded
-    token groupby -> two-scalar totals aggregate -> ``stages/topk.topk``
+    agree bit-for-bit; ties -> token asc). Physical plan: one
+    vocab-bounded (token, n_focus, n_rest) grouped sum
+    (``stages/aggregate.py``) -> two-scalar totals aggregate ->
+    ``stages/topk.topk``
     over the per-batch keyness, so the driver sees 20 rows per
     block."""
-    from collections import Counter
-
     import numpy as np
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
     from ..stages.topk import topk
 
     FOCUS = "src0"
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow as pa
-
-        nf, nr = Counter(), Counter()
+    def rows(batch: pa.Table) -> pa.Table:
+        toks, focus = [], []
         for src, text in zip(
             batch["source"].to_pylist(), batch["text"].to_pylist()
         ):
-            (nf if src == FOCUS else nr).update(text.split())
-        toks = sorted(set(nf) | set(nr))
+            words = text.split()
+            toks.extend(words)
+            focus.extend([int(src == FOCUS)] * len(words))
+        f = np.asarray(focus, np.int64)
         return pa.Table.from_pydict(
             {
                 "token": pa.array(toks, pa.string()),
-                "n_focus": pa.array(
-                    [nf.get(t, 0) for t in toks], pa.int64()
-                ),
-                "n_rest": pa.array(
-                    [nr.get(t, 0) for t in toks], pa.int64()
-                ),
+                "focus": pa.array(f),
+                "rest": pa.array(1 - f),
             }
         )
 
-    counts = (
-        read_documents(sf_dir, ["source", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(
-            Sum("n_focus", alias_name="n_focus"),
-            Sum("n_rest", alias_name="n_rest"),
-        )
-        .materialize()  # reused: totals + scoring
-    )
-    tot = counts.aggregate(
-        Sum("n_focus", alias_name="tf"), Sum("n_rest", alias_name="tr")
+    counts = aggregate(
+        read_documents(sf_dir, ["source", "text"]),
+        "token",
+        [("n_focus", "sum", "focus"), ("n_rest", "sum", "rest")],
+        rows=rows,
+    ).materialize()  # reused: totals + scoring
+    tot = aggregate(
+        counts, [], [("tf", "sum", "n_focus"), ("tr", "sum", "n_rest")]
     )
     t_focus, t_rest = int(tot["tf"]), int(tot["tr"])
 
@@ -4852,7 +4614,6 @@ def _q_documents_profile(sf_dir: str):
     value itself), pre-deduped per batch."""
     import pandas as pd
     import pyarrow as pa
-    from ray.data.aggregate import Count, Max, Min, Sum
 
     INT_COLS = ["doc_id", "n_chars"]
     STR_COLS = ["lang", "source", "text"]
@@ -4860,103 +4621,67 @@ def _q_documents_profile(sf_dir: str):
 
     ds = read_documents(sf_dir, COLS).materialize()
 
-    def stats_partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow as pa
+    def stats_rows(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        out = {"col_name": [], "n": [], "n_null": [], "mn": [],
-               "mx": []}
+        parts = []
         for c in COLS:
             col = batch[c]
-            n, nn = len(col), col.null_count
-            if c in INT_COLS:
-                v = col.drop_null()
-                mn = pc.min(v).as_py() if len(v) else None
-                mx = pc.max(v).as_py() if len(v) else None
-            else:
-                lens = pc.utf8_length(col.drop_null())
-                mn = pc.min(lens).as_py() if len(lens) else None
-                mx = pc.max(lens).as_py() if len(lens) else None
-            if mn is None:
-                continue
-            out["col_name"].append(c)
-            out["n"].append(n)
-            out["n_null"].append(nn)
-            out["mn"].append(int(mn))
-            out["mx"].append(int(mx))
-        return pa.Table.from_pydict(
-            {
-                "col_name": pa.array(out["col_name"], pa.string()),
-                "n": pa.array(out["n"], pa.int64()),
-                "n_null": pa.array(out["n_null"], pa.int64()),
-                "mn": pa.array(out["mn"], pa.int64()),
-                "mx": pa.array(out["mx"], pa.int64()),
-            }
-        )
+            v = col if c in INT_COLS else pc.utf8_length(col)
+            t = pa.table(
+                {
+                    "col_name": pa.array([c] * len(col), pa.string()),
+                    "v": pc.cast(v, pa.int64()),
+                    "is_null": pc.cast(pc.is_null(col), pa.int64()),
+                }
+            )
+            # a column without a value sits this batch out
+            parts.append(t if col.null_count < len(col) else t.slice(0, 0))
+        return pa.concat_tables(parts)
 
-    stats = (
-        ds.map_batches(stats_partial, batch_format="pyarrow")
-        .groupby("col_name")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("n_null", alias_name="n_null"),
-            Min("mn", alias_name="min_v"),
-            Max("mx", alias_name="max_v"),
-        )
-        .to_pandas()
-    )
+    stats = aggregate(
+        ds,
+        "col_name",
+        [
+            ("n", "count", None),
+            ("n_null", "sum", "is_null"),
+            ("min_v", "min", "v"),
+            ("max_v", "max", "v"),
+        ],
+        rows=stats_rows,
+    ).to_pandas()
 
-    def hash_partial(batch: pa.Table) -> pa.Table:
+    def hash_rows(batch: pa.Table) -> pa.Table:
         import numpy as np
-        import pyarrow as pa
 
         from ..functions.shingles import stable_hash64
 
         cols, hs = [], []
         for c in COLS:
             if c in INT_COLS:
-                u = np.unique(
-                    batch[c].drop_null().to_numpy(zero_copy_only=False)
-                ).astype(np.int64)
+                u = batch[c].drop_null().to_numpy(zero_copy_only=False)
             else:
-                u = np.unique(
-                    np.array(
-                        [
-                            stable_hash64(s)
-                            for s in batch[c].drop_null().to_pylist()
-                        ],
-                        dtype=np.uint64,
-                    ).view(np.int64)
-                )
+                u = np.array(
+                    [
+                        stable_hash64(s)
+                        for s in batch[c].drop_null().to_pylist()
+                    ],
+                    dtype=np.uint64,
+                ).view(np.int64)
             cols += [c] * u.size
-            hs.append(u)
+            hs.append(u.astype(np.int64))
         return pa.Table.from_pydict(
             {
                 "col_name": pa.array(cols, pa.string()),
-                "h": pa.array(
-                    np.concatenate(hs) if hs else
-                    np.empty(0, np.int64),
-                    pa.int64(),
-                ),
+                "h": pa.array(np.concatenate(hs), pa.int64()),
             }
         )
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        import pyarrow as pa
-
-        g = batch.group_by(["col_name"]).aggregate([("h", "count")])
-        return g.rename_columns(["col_name", "d"])
-
-    distinct = (
-        ds.map_batches(hash_partial, batch_format="pyarrow")
-        .groupby(["col_name", "h"])
-        .aggregate(Count(alias_name="c"))
-        .map_batches(count_partial, batch_format="pyarrow")
-        .groupby("col_name")
-        .aggregate(Sum("d", alias_name="n_distinct"))
-        .to_pandas()
-    )
+    distinct = aggregate(
+        aggregate(ds, ["col_name", "h"], [], rows=hash_rows),
+        "col_name",
+        [("n_distinct", "count", None)],
+    ).to_pandas()
     out = stats.merge(distinct, on="col_name")
     out = out[["col_name", "n", "n_null", "n_distinct", "min_v",
                "max_v"]]
@@ -5014,24 +4739,12 @@ def _q_lang_source_chi2(sf_dir: str):
     relative — far below the 6-decimal compare, the same tolerance
     contract as pagerank. Output: one row (n, dof, chi2)."""
     import pandas as pd
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.select(["lang", "source"])
-            .group_by(["lang", "source"])
-            .aggregate([("source", "count")])
-        )
-        return g.rename_columns(["lang", "source", "n"])
-
-    cells = (
-        read_documents(sf_dir, ["lang", "source"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "source"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    cells = aggregate(
+        read_documents(sf_dir, ["lang", "source"]),
+        ["lang", "source"],
+        [("n", "count", "source")],
+    ).to_pandas()
     cells["n"] = cells["n"].astype("int64")
     rows = cells.groupby("lang")["n"].sum()
     colsums = cells.groupby("source")["n"].sum()
@@ -5238,7 +4951,6 @@ def _q_supplier_diameter(sf_dir: str):
     hops table never lands on the driver)."""
     import pyarrow as pa
     import ray.data
-    from ray.data.aggregate import Max, Min
 
     from ..stages.graph import bfs_hops, cooccurrence_edges
 
@@ -5259,19 +4971,20 @@ def _q_supplier_diameter(sf_dir: str):
         "l_orderkey", "l_suppkey", min_count=2,
     ).materialize()
 
-    seed = int(edges.aggregate(Min("u", alias_name="m"))["m"])
+    seed = int(aggregate(edges, [], [("m", "min", "u")])["m"])
     sweep1 = bfs_hops(
         edges, [seed], max_hops=H, assume_canonical=True
     ).materialize()
-    mh1 = int(sweep1.aggregate(Max("hops", alias_name="m"))["m"])
+    mh1 = int(aggregate(sweep1, [], [("m", "max", "hops")])["m"])
     far = int(
-        sweep1.filter(expr=f"hops == {mh1}")
-        .aggregate(Min("node", alias_name="m"))["m"]
+        aggregate(
+            sweep1.filter(expr=f"hops == {mh1}"), [], [("m", "min", "node")]
+        )["m"]
     )
     sweep2 = bfs_hops(
         edges, [far], max_hops=H, assume_canonical=True
     )
-    ecc = int(sweep2.aggregate(Max("hops", alias_name="m"))["m"])
+    ecc = int(aggregate(sweep2, [], [("m", "max", "hops")])["m"])
     import pandas as pd
 
     return pd.DataFrame(
@@ -5333,13 +5046,12 @@ def _q_embedding_quantize(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
     import ray.data
-    from ray.data.aggregate import Max, Min, Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["embedding"]
     ).materialize()
 
-    def absmax_partial(b: pa.Table) -> pa.Table:
+    def absmax_rows(b: pa.Table) -> pa.Table:
         import numpy as np
 
         from ..stages.similarity import _matrix_of
@@ -5354,9 +5066,7 @@ def _q_embedding_quantize(sf_dir: str):
         )
 
     scales = (
-        ds.map_batches(absmax_partial, batch_format="pyarrow")
-        .groupby("dim")
-        .aggregate(Max("am", alias_name="scale"))
+        aggregate(ds, "dim", [("scale", "max", "am")], rows=absmax_rows)
         .to_pandas()
         .sort_values("dim")
     )
@@ -5364,7 +5074,7 @@ def _q_embedding_quantize(sf_dir: str):
 
     scale_ref = ray.put(scales["scale"].to_numpy())
 
-    def code_partial(b: pa.Table) -> pa.Table:
+    def code_rows(b: pa.Table) -> pa.Table:
         import numpy as np
         import ray
 
@@ -5382,16 +5092,16 @@ def _q_embedding_quantize(sf_dir: str):
             }
         )
 
-    stats = (
-        ds.map_batches(code_partial, batch_format="pyarrow")
-        .groupby("dim")
-        .aggregate(
-            Sum("sum_codes", alias_name="sum_codes"),
-            Min("min_code", alias_name="min_code"),
-            Max("max_code", alias_name="max_code"),
-        )
-        .to_pandas()
-    )
+    stats = aggregate(
+        ds,
+        "dim",
+        [
+            ("sum_codes", "sum", "sum_codes"),
+            ("min_code", "min", "min_code"),
+            ("max_code", "max", "max_code"),
+        ],
+        rows=code_rows,
+    ).to_pandas()
     out = scales.merge(stats, on="dim")
     for c in ("dim", "sum_codes", "min_code", "max_code"):
         out[c] = out[c].astype("int64")
@@ -5443,7 +5153,6 @@ def _q_embedding_pca_top(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["embedding"]
@@ -5570,20 +5279,19 @@ def _q_doc_zorder_layout(sf_dir: str):
     factor — raw ids never reach the top Morton bits (the
     sf-dependent-witness lesson)."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
-    from ray.data.aggregate import Max, Min, Sum
 
     from ..functions.hashing import morton2
 
     docs = read_documents(sf_dir, ["doc_id", "n_chars"]).materialize()
-    mx = docs.aggregate(Max("doc_id"), Max("n_chars"))
-    max_did = int(mx["max(doc_id)"])
-    max_nc = int(mx["max(n_chars)"])
+    mx = aggregate(
+        docs, [], [("doc_id", "max", "doc_id"), ("n_chars", "max", "n_chars")]
+    )
+    max_did = int(mx["doc_id"])
+    max_nc = int(mx["n_chars"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         import numpy as np
-        import pandas as pd
         import pyarrow as pa
 
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -5594,37 +5302,23 @@ def _q_doc_zorder_layout(sf_dir: str):
              // np.uint64(max_did + 1))
         m = morton2(a, b)
         bucket = (m >> np.uint64(28)).astype(np.int64)
-        df = (
-            pd.DataFrame({"bucket": bucket, "nc": nc})
-            .groupby("bucket", sort=False)
-            .agg(n=("nc", "size"), nc_min=("nc", "min"),
-                 nc_max=("nc", "max"))
-            .reset_index()
-        )
         return pa.Table.from_pydict(
             {
-                "bucket": pa.array(df["bucket"], pa.int64()),
-                "n": pa.array(df["n"].astype("int64"), pa.int64()),
-                "nc_min": pa.array(
-                    df["nc_min"].astype("int64"), pa.int64()
-                ),
-                "nc_max": pa.array(
-                    df["nc_max"].astype("int64"), pa.int64()
-                ),
+                "bucket": pa.array(bucket, pa.int64()),
+                "nc": pa.array(nc.astype(np.int64), pa.int64()),
             }
         )
 
-    out = (
-        docs
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Min("nc_min", alias_name="nc_min"),
-            Max("nc_max", alias_name="nc_max"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        docs,
+        "bucket",
+        [
+            ("n", "count", None),
+            ("nc_min", "min", "nc"),
+            ("nc_max", "max", "nc"),
+        ],
+        rows=rows,
+    ).to_pandas()
     for c in out.columns:
         out[c] = out[c].astype("int64")
     return out.sort_values("bucket").reset_index(drop=True)
@@ -5682,7 +5376,6 @@ def _q_label_separation(sf_dir: str):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
     import ray.data
 
@@ -5693,7 +5386,6 @@ def _q_label_separation(sf_dir: str):
 
     def partial(b: pa.Table) -> pa.Table:
         import numpy as np
-        import pandas as pd
         import pyarrow as pa
 
         from ..stages.similarity import _matrix_of
@@ -5719,12 +5411,13 @@ def _q_label_separation(sf_dir: str):
             cols[f"s{i}"] = pa.array(scols[f"s{i}"], pa.float64())
         return pa.Table.from_pydict(cols)
 
-    aggs = [Sum("n", alias_name="n"), Sum("q", alias_name="q")]
-    aggs += [Sum(f"s{i}", alias_name=f"s{i}") for i in range(D)]
     st = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("label")
-        .aggregate(*aggs)
+        aggregate(
+            ds,
+            "label",
+            [(c, "sum", c) for c in ["n", "q"] + [f"s{i}" for i in range(D)]],
+            rows=partial,
+        )
         .to_pandas()
         .sort_values("label")
         .reset_index(drop=True)
@@ -6216,40 +5909,35 @@ def _q_source_divergence(sf_dir: str):
     order on both engines (python loop <-> SQL windowed sum — the
     ordered-sum / KM-product device), then one float scale factor.
 
-    Physical plan: per-batch (source, token) Counter partials ->
-    one groupby exchange over distinct (source, token) pairs; the
+    Physical plan: one (source, token) grouped count
+    (``stages/aggregate.py``) over distinct pairs; the
     driver holds the vocab x sources count table (bounded-vocab
     contract, the kendall/lang_length_median histogram idiom) and
     evaluates the 380-pair matrix locally."""
     import pandas as pd
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        c = Counter()
+    def rows(batch: pa.Table) -> pa.Table:
+        srcs, toks = [], []
         for src, text in zip(
             batch["source"].to_pylist(), batch["text"].to_pylist()
         ):
-            for t in (text or "").split():
-                c[(src, t)] += 1
-        keys = sorted(c)
+            words = (text or "").split()
+            srcs.extend([src] * len(words))
+            toks.extend(words)
         return pa.Table.from_pydict(
             {
-                "source": pa.array([k[0] for k in keys], pa.string()),
-                "t": pa.array([k[1] for k in keys], pa.string()),
-                "c": pa.array([c[k] for k in keys], pa.int64()),
+                "source": pa.array(srcs, pa.string()),
+                "t": pa.array(toks, pa.string()),
             }
         )
 
-    counts = (
-        read_documents(sf_dir, ["source", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["source", "t"])
-        .aggregate(Sum("c", alias_name="c"))
-        .to_pandas()
-    )
+    counts = aggregate(
+        read_documents(sf_dir, ["source", "text"]),
+        ["source", "t"],
+        [("c", "count", None)],
+        rows=rows,
+    ).to_pandas()
     vocab = sorted(counts["t"].unique())
     v = len(vocab)
     sources = sorted(counts["source"].unique())
@@ -6366,16 +6054,12 @@ def _q_supplier_closeness(sf_dir: str):
         seeds = ray.data.from_arrow(
             pa.table({"node": pa.array([seed], pa.int64())})
         )
-        hist = (
-            bfs_hops(edges, seeds, max_hops=4, assume_canonical=True)
-            .groupby("hops")
-            .count()
-            .to_pandas()
-        )
-        h = {
-            int(r["hops"]): int(r["count()"])
-            for _, r in hist.iterrows()
-        }
+        hist = aggregate(
+            bfs_hops(edges, seeds, max_hops=4, assume_canonical=True),
+            "hops",
+            [("n", "count", None)],
+        ).to_pandas()
+        h = {int(r["hops"]): int(r["n"]) for _, r in hist.iterrows()}
         h1, h2, h3, h4 = (h.get(i, 0) for i in (1, 2, 3, 4))
         c12 = 12 * h1 + 6 * h2 + 4 * h3 + 3 * h4
         rows.append(
@@ -6441,38 +6125,32 @@ FROM lvl GROUP BY seed ORDER BY seed
 
 def _q_phrase_topk(sf_dir: str):
     """Phrase mining: the 20 most frequent 4-gram token phrases
-    corpus-wide (tie-break by phrase string — total order). Per-batch
-    Counter partials over sliding windows -> one groupby exchange
-    over distinct phrases -> ``stages/topk.topk`` (per-block partial
+    corpus-wide (tie-break by phrase string — total order). Sliding
+    windows counted per distinct phrase (``stages/aggregate.py``) ->
+    ``stages/topk.topk`` (per-block partial
     top-20 -> driver merge, ~20 rows per block)."""
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
     from ..stages.topk import topk
 
     W = 4
 
-    def partial(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        c = Counter()
+    def rows(batch: pa.Table) -> pa.Table:
+        phrases = []
         for text in batch["text"].to_pylist():
             w = (text or "").split()
-            for i in range(len(w) - W + 1):
-                c[" ".join(w[i:i + W])] += 1
-        keys = sorted(c)
-        return pa.Table.from_pydict(
-            {
-                "phrase": pa.array(keys, pa.string()),
-                "n": pa.array([c[k] for k in keys], pa.int64()),
-            }
-        )
+            phrases.extend(
+                " ".join(w[i:i + W]) for i in range(len(w) - W + 1)
+            )
+        return pa.table({"phrase": pa.array(phrases, pa.string())})
 
     out = topk(
-        read_documents(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("phrase")
-        .aggregate(Sum("n", alias_name="n")),
+        aggregate(
+            read_documents(sf_dir, ["text"]),
+            "phrase",
+            [("n", "count", None)],
+            rows=rows,
+        ),
         20, [("n", "descending"), ("phrase", "ascending")],
     ).to_pandas()
     out["n"] = out["n"].astype("int64")

@@ -20,6 +20,7 @@ from typing import Callable, Dict
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.aggregate import aggregate
 from ..stages.topk import topk
 
 RELATIONAL_QUERIES: Dict[str, Callable] = {}
@@ -32,6 +33,28 @@ def _cents(arr, scale: float = 100.0) -> pa.Array:
         pc.round(pc.multiply(arr, scale), round_mode="half_towards_infinity"),
         pa.int64(),
     )
+
+
+def _cents_arm_hist(sf_dir: str):
+    """(cents, arm, n): event value cents counted per A/B arm
+    (``user_id % 2``) — the value histogram the two-sample tests
+    read."""
+    import ray.data
+
+    def rows(b: pa.Table) -> pa.Table:
+        uid = pc.cast(b["user_id"], pa.int64())
+        return pa.table(
+            {"cents": _cents(b["value"]), "arm": pc.bit_wise_and(uid, 1)}
+        )
+
+    return aggregate(
+        ray.data.read_parquet(
+            f"{sf_dir}/events.parquet", columns=["user_id", "value"]
+        ),
+        ["cents", "arm"],
+        [("n", "count", None)],
+        rows=rows,
+    ).to_pandas()
 
 
 def _rev_cents(batch: pa.Table) -> pa.Array:
@@ -89,13 +112,12 @@ def _q_volume_shipping(sf_dir: str):
     lookup; customers are filtered to the two nations BEFORE their
     exchange; lineitem is filtered by ship-date window AND supplier
     nation before its exchange, so both partitioned joins move only
-    qualifying rows. The final aggregate pre-combines per batch to at
-    most 2 x 2 x n_years rows."""
+    qualifying rows. The final aggregate (``stages/aggregate.py``)
+    reduces each batch to at most 2 x 2 x n_years rows."""
     import datetime
 
     import numpy as np
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
 
@@ -173,28 +195,17 @@ def _q_volume_shipping(sf_dir: str):
 
     joined = partitioned_hash_join(li, oc, key="orderkey", num_buckets=32)
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def cross(batch: pa.Table) -> pa.Table:
         sn = batch["supp_nat"].to_numpy(zero_copy_only=False)
         cn = batch["cust_nat"].to_numpy(zero_copy_only=False)
-        t = batch.filter(pa.array(sn != cn))  # the two cross directions
-        g = (
-            t.select(["supp_nat", "cust_nat", "l_year", "cents"])
-            .group_by(["supp_nat", "cust_nat", "l_year"])
-            .aggregate([("cents", "sum"), ([], "count_all")])
-        )
-        return g.rename_columns(
-            ["supp_nat", "cust_nat", "l_year", "revenue_cents", "n_items"]
-        )
+        return batch.filter(pa.array(sn != cn))  # the two cross directions
 
-    out = (
-        joined.map_batches(combine, batch_format="pyarrow")
-        .groupby(["supp_nat", "cust_nat", "l_year"])
-        .aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"),
-            Sum("n_items", alias_name="n_items"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        joined,
+        ["supp_nat", "cust_nat", "l_year"],
+        [("revenue_cents", "sum", "cents"), ("n_items", "count", None)],
+        rows=cross,
+    ).to_pandas()
     out["supp_nation"] = out["supp_nat"].map(lambda k: nat_name[int(k)])
     out["cust_nation"] = out["cust_nat"].map(lambda k: nat_name[int(k)])
     out = out[
@@ -252,7 +263,6 @@ def _q_market_share(sf_dir: str):
     import pyarrow.parquet as pq
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
 
@@ -371,33 +381,28 @@ def _q_market_share(sf_dir: str):
 
     final = lo_join.map_batches(keep_region, batch_format="pyarrow")
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         is_target = pc.equal(batch["supp_nat"], pa.scalar(target_nation))
         nation_cents = pc.if_else(
             is_target, batch["cents"], pa.scalar(0, pa.int64())
         )
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "o_year": batch["o_year"],
                 "nation_cents": nation_cents,
                 "total_cents": batch["cents"],
             }
         )
-        return (
-            t.group_by("o_year")
-            .aggregate([("nation_cents", "sum"), ("total_cents", "sum")])
-            .rename_columns(["o_year", "nation_cents", "total_cents"])
-        )
 
-    out = (
-        final.map_batches(combine, batch_format="pyarrow")
-        .groupby("o_year")
-        .aggregate(
-            Sum("nation_cents", alias_name="nation_cents"),
-            Sum("total_cents", alias_name="total_cents"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        final,
+        "o_year",
+        [
+            ("nation_cents", "sum", "nation_cents"),
+            ("total_cents", "sum", "total_cents"),
+        ],
+        rows=rows,
+    ).to_pandas()
     out["nation_cents"] = out["nation_cents"].astype("int64")
     out["total_cents"] = out["total_cents"].astype("int64")
     out["mkt_share"] = out["nation_cents"].astype("float64") / out[
@@ -451,7 +456,6 @@ def _q_promo_revenue(sf_dir: str):
     import datetime
 
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
 
@@ -489,34 +493,24 @@ def _q_promo_revenue(sf_dir: str):
 
     joined = partitioned_hash_join(li, parts, key="partkey", num_buckets=32)
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         promo = pc.if_else(
             pc.equal(batch["is_promo"], pa.scalar(1, pa.int8())),
             batch["cents"],
             pa.scalar(0, pa.int64()),
         )
-        return pa.Table.from_pydict(
-            {
-                "promo_cents": [
-                    pc.sum(promo, min_count=0).as_py() or 0
-                ],
-                "total_cents": [
-                    pc.sum(batch["cents"], min_count=0).as_py() or 0
-                ],
-            }
-        )
+        return pa.table({"promo": promo, "cents": batch["cents"]})
 
-    out = (
-        joined.map_batches(combine, batch_format="pyarrow")
-        .aggregate(
-            Sum("promo_cents", alias_name="promo_cents"),
-            Sum("total_cents", alias_name="total_cents"),
-        )
+    out = aggregate(
+        joined,
+        [],
+        [("promo_cents", "sum", "promo"), ("total_cents", "sum", "cents")],
+        rows=rows,
     )
     import pandas as pd
 
-    promo = int(out["promo_cents"])
-    total = int(out["total_cents"])
+    promo = int(out["promo_cents"] or 0)
+    total = int(out["total_cents"] or 0)
     return pd.DataFrame(
         {
             "promo_cents": [promo],
@@ -562,7 +556,6 @@ def _q_disjunctive_revenue(sf_dir: str):
     a tiny groupby sums per branch."""
     import numpy as np
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
 
@@ -622,7 +615,7 @@ def _q_disjunctive_revenue(sf_dir: str):
 
     joined = partitioned_hash_join(li, parts, key="partkey", num_buckets=32)
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         brand = batch["p_brand"].to_numpy(zero_copy_only=False)
         size = batch["p_size"].to_numpy(zero_copy_only=False)
         qty = batch["l_quantity"].to_numpy(zero_copy_only=False)
@@ -636,27 +629,19 @@ def _q_disjunctive_revenue(sf_dir: str):
                 & (qty <= qhi)
             )
             branch[m] = i
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "branch": pa.array(branch, pa.int64()),
                 "cents": batch["cents"],
             }
         ).filter(pa.array(branch >= 0))
-        return (
-            t.group_by("branch")
-            .aggregate([("cents", "sum"), ([], "count_all")])
-            .rename_columns(["branch", "revenue_cents", "n_items"])
-        )
 
-    out = (
-        joined.map_batches(combine, batch_format="pyarrow")
-        .groupby("branch")
-        .aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"),
-            Sum("n_items", alias_name="n_items"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        joined,
+        "branch",
+        [("revenue_cents", "sum", "cents"), ("n_items", "count", None)],
+        rows=rows,
+    ).to_pandas()
     out["p_brand"] = out["branch"].map(lambda i: brand_names[int(i)])
     out = out[["p_brand", "revenue_cents", "n_items"]]
     out["revenue_cents"] = out["revenue_cents"].astype("int64")
@@ -691,13 +676,13 @@ def _q_large_order_customers(sf_dir: str):
     """TPC-H Q18 shape: orders whose total line quantity exceeds a
     threshold, enriched back with order and customer attributes.
 
-    Physical plan: per-batch partial (orderkey, qty_sum) combiners
-    shrink lineitem to the order grain BEFORE the one real exchange;
+    Physical plan: ``stages/aggregate.py`` shrinks lineitem to the
+    (orderkey, qty_sum) grain in each batch BEFORE the one real
+    exchange;
     the HAVING filter drops ~90% of orders right after it, so the
     join-back to orders and customers moves only survivors (both
     partitioned joins sized to the survivor side)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import (
         bloom_prefiltered_join,
@@ -706,28 +691,25 @@ def _q_large_order_customers(sf_dir: str):
 
     threshold = 180.0  # sum(l_quantity) per order; ~10% of orders qualify
 
-    def li_partial(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_pydict(
+    def li_rows(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pydict(
             {
                 "o_orderkey": batch["l_orderkey"],
                 # quantities are integral doubles; exact as int64
                 "qty": pc.cast(batch["l_quantity"], pa.int64()),
             }
         )
-        return (
-            t.group_by("o_orderkey")
-            .aggregate([("qty", "sum")])
-            .rename_columns(["o_orderkey", "qty"])
-        )
 
     big_orders = (
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_orderkey", "l_quantity"],
+        aggregate(
+            ray.data.read_parquet(
+                f"{sf_dir}/lineitem.parquet",
+                columns=["l_orderkey", "l_quantity"],
+            ),
+            "o_orderkey",
+            [("total_qty", "sum", "qty")],
+            rows=li_rows,
         )
-        .map_batches(li_partial, batch_format="pyarrow")
-        .groupby("o_orderkey")
-        .aggregate(Sum("qty", alias_name="total_qty"))
         .map_batches(
             lambda b: b.filter(
                 pc.greater(b["total_qty"], pa.scalar(int(threshold)))
@@ -821,7 +803,6 @@ def _q_sole_late_supplier(sf_dir: str):
     import numpy as np
     import pyarrow.parquet as pq
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..functions.hashing import bucket_of_column
     from ..stages.relational import partitioned_hash_join
@@ -904,20 +885,13 @@ def _q_sole_late_supplier(sf_dir: str):
         wsk = np.add.reduceat(psk * plate, ostart)[win]
         return pa.Table.from_pydict({"s_suppkey": pa.array(wsk, pa.int64())})
 
-    won = (
+    won = aggregate(
         lo.map_batches(pair_partial, batch_format="pyarrow")
         .groupby("__b")
-        .map_groups(winners_of_bucket, batch_format="pyarrow")
-        .map_batches(
-            lambda b: pa.Table.from_pydict(
-                {"s_suppkey": b["s_suppkey"], "numwait": [1] * len(b)}
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("s_suppkey")
-        .aggregate(Sum("numwait", alias_name="numwait"))
-        .to_pandas()
-    )
+        .map_groups(winners_of_bucket, batch_format="pyarrow"),
+        "s_suppkey",
+        [("numwait", "count", None)],
+    ).to_pandas()
 
     sup = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
@@ -976,10 +950,9 @@ def _q_part_profit_by_nation(sf_dir: str):
     Physical plan: part is filtered by the name token and projected
     to (partkey, retail price) before a Bloom-prefiltered partitioned
     join; the supplier->nation projection is a broadcast lookup; the
-    (25 x n_years)-row aggregate pre-combines per batch."""
+    (25 x n_years)-row aggregate runs through ``stages/aggregate.py``."""
     import numpy as np
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import bloom_prefiltered_join
 
@@ -1026,7 +999,7 @@ def _q_part_profit_by_nation(sf_dir: str):
 
     joined = bloom_prefiltered_join(li, parts, key="partkey", num_buckets=32)
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         price = batch["p_retailprice"].to_numpy(zero_copy_only=False)
         qty = batch["l_quantity"].to_numpy(zero_copy_only=False)
         cost = np.floor(np.abs(price * qty * 10.0) + 0.5).astype(np.int64)
@@ -1034,28 +1007,20 @@ def _q_part_profit_by_nation(sf_dir: str):
         profit = (
             batch["rev_cents"].to_numpy(zero_copy_only=False) - cost
         )
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "supp_nat": batch["supp_nat"],
                 "l_year": batch["l_year"],
                 "profit_cents": pa.array(profit, pa.int64()),
             }
         )
-        return (
-            t.group_by(["supp_nat", "l_year"])
-            .aggregate([("profit_cents", "sum"), ([], "count_all")])
-            .rename_columns(["supp_nat", "l_year", "profit_cents", "n_items"])
-        )
 
-    out = (
-        joined.map_batches(combine, batch_format="pyarrow")
-        .groupby(["supp_nat", "l_year"])
-        .aggregate(
-            Sum("profit_cents", alias_name="profit_cents"),
-            Sum("n_items", alias_name="n_items"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        joined,
+        ["supp_nat", "l_year"],
+        [("profit_cents", "sum", "profit_cents"), ("n_items", "count", None)],
+        rows=rows,
+    ).to_pandas()
     out["nation"] = out["supp_nat"].map(lambda k: nat_name[int(k)])
     out = out[["nation", "l_year", "profit_cents", "n_items"]]
     out["profit_cents"] = out["profit_cents"].astype("int64")
@@ -1366,7 +1331,6 @@ def _q_shipping_priority(sf_dir: str):
     import datetime
 
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import (
         bloom_prefiltered_join,
@@ -1395,7 +1359,8 @@ def _q_shipping_priority(sf_dir: str):
             {
                 "orderkey": t["o_orderkey"],
                 "custkey": t["o_custkey"],
-                "o_orderdate": t["o_orderdate"],
+                # order dates are whole days: second resolution
+                "o_orderdate": t["o_orderdate"].cast(pa.timestamp("s")),
             }
         )
 
@@ -1433,10 +1398,10 @@ def _q_shipping_priority(sf_dir: str):
         ],
     ).map_batches(li_prep, batch_format="pyarrow")
 
-    per_order = (
-        partitioned_hash_join(li, orders_b, key="orderkey", num_buckets=32)
-        .groupby(["orderkey", "o_orderdate"])
-        .aggregate(Sum("cents", alias_name="revenue_cents"))
+    per_order = aggregate(
+        partitioned_hash_join(li, orders_b, key="orderkey", num_buckets=32),
+        ["orderkey", "o_orderdate"],
+        [("revenue_cents", "sum", "cents")],
     )
     out = topk(
         per_order, k,
@@ -1484,7 +1449,6 @@ def _q_returned_item_customers(sf_dir: str):
 
     import numpy as np
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
 
@@ -1531,19 +1495,10 @@ def _q_returned_item_customers(sf_dir: str):
         ],
     ).map_batches(li_prep, batch_format="pyarrow")
 
-    def cust_partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select(["custkey", "cents"])
-            .group_by("custkey")
-            .aggregate([("cents", "sum")])
-            .rename_columns(["custkey", "cents"])
-        )
-
-    per_cust = (
-        partitioned_hash_join(li, orders, key="orderkey", num_buckets=32)
-        .map_batches(cust_partial, batch_format="pyarrow")
-        .groupby("custkey")
-        .aggregate(Sum("cents", alias_name="revenue_cents"))
+    per_cust = aggregate(
+        partitioned_hash_join(li, orders, key="orderkey", num_buckets=32),
+        "custkey",
+        [("revenue_cents", "sum", "cents")],
     )
     winners = topk(
         per_cust, k,
@@ -1720,7 +1675,6 @@ def _q_doc_spearman(sf_dir: str):
     import pandas as pd
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["text"]
@@ -1737,18 +1691,8 @@ def _q_doc_spearman(sf_dir: str):
     pairs = docs.map_batches(pair, batch_format="pyarrow").materialize()
 
     def hist_of(col: str):
-        def partial(b: pa.Table) -> pa.Table:
-            return (
-                b.select([col])
-                .group_by(col)
-                .aggregate([([], "count_all")])
-                .rename_columns([col, "n"])
-            )
-
         rows = (
-            pairs.map_batches(partial, batch_format="pyarrow")
-            .groupby(col)
-            .aggregate(Sum("n", alias_name="n"))
+            aggregate(pairs, col, [("n", "count", None)])
             .to_pandas()
             .sort_values(col)
         )
@@ -1763,30 +1707,23 @@ def _q_doc_spearman(sf_dir: str):
     bv, br2 = hist_of("n_tokens")
     lut_ref = ray.put((av, ar2, bv, br2))
 
-    def stats(b: pa.Table) -> pa.Table:
+    def ranks(b: pa.Table) -> pa.Table:
         avv, ar, bvv, br = ray.get(lut_ref)
         a = b["n_chars"].to_numpy(zero_copy_only=False)
         t = b["n_tokens"].to_numpy(zero_copy_only=False)
         ra = ar[np.searchsorted(avv, a)]
         rb = br[np.searchsorted(bvv, t)]
         return pa.Table.from_pydict(
-            {
-                "n_docs": [len(a)],
-                "s_ra": [int(ra.sum())],
-                "s_rb": [int(rb.sum())],
-                "s_raa": [int((ra * ra).sum())],
-                "s_rbb": [int((rb * rb).sum())],
-                "s_rab": [int((ra * rb).sum())],
-            }
+            {"ra": ra, "rb": rb, "raa": ra * ra, "rbb": rb * rb,
+             "rab": ra * rb}
         )
 
-    agg = pairs.map_batches(stats, batch_format="pyarrow").aggregate(
-        Sum("n_docs", alias_name="n_docs"),
-        Sum("s_ra", alias_name="s_ra"),
-        Sum("s_rb", alias_name="s_rb"),
-        Sum("s_raa", alias_name="s_raa"),
-        Sum("s_rbb", alias_name="s_rbb"),
-        Sum("s_rab", alias_name="s_rab"),
+    agg = aggregate(
+        pairs,
+        [],
+        [("n_docs", "count", None)]
+        + [("s_" + c, "sum", c) for c in ("ra", "rb", "raa", "rbb", "rab")],
+        rows=ranks,
     )
     n, sa, sb, saa, sbb, sab = (
         int(agg[k])
@@ -1890,7 +1827,7 @@ def _q_events_value_eqdepth(sf_dir: str):
     bounds = np.array([kv[k] for k in ks], dtype=np.int64)
     bref = ray.put(bounds)
 
-    def bin_counts(b: pa.Table) -> pa.Table:
+    def bins_of(b: pa.Table) -> pa.Table:
         edges = ray.get(bref)
         x = b["cents"].to_numpy(zero_copy_only=False)
         # bin = 1 + #(boundaries strictly below the value): values
@@ -1898,21 +1835,11 @@ def _q_events_value_eqdepth(sf_dir: str):
         # the SQL (v > b_k) indicator sum; side="right" searchsorted
         # over ascending (possibly duplicated) edges computes it
         bins = 1 + (x[:, None] > edges[None, :]).sum(axis=1)
-        t = pa.Table.from_pydict({"bin_id": pa.array(bins, pa.int64())})
-        return (
-            t.group_by("bin_id")
-            .aggregate([([], "count_all")])
-            .rename_columns(["bin_id", "n"])
-        )
+        return pa.Table.from_pydict({"bin_id": pa.array(bins, pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    out = (
-        cents.map_batches(bin_counts, batch_format="pyarrow")
-        .groupby("bin_id")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    out = aggregate(
+        cents, "bin_id", [("n", "count", None)], rows=bins_of
+    ).to_pandas()
     out["bin_id"] = out["bin_id"].astype("int64")
     out["n"] = out["n"].astype("int64")
     out["hi_cents"] = out["bin_id"].map(
@@ -1977,7 +1904,6 @@ def _q_events_twap(sf_dir: str):
     map_groups dispatch)."""
     import numpy as np
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..functions.hashing import bucket_of_column
 
@@ -2180,7 +2106,6 @@ def _q_events_band_pairs(sf_dir: str):
     range condition DuckDB joins directly."""
     import numpy as np
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.interval import interval_join
 
@@ -2238,32 +2163,20 @@ def _q_events_band_pairs(sf_dir: str):
         granule_us=band_us,
     )
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         c = batch["c_us"].to_numpy(zero_copy_only=False)
         v = batch["v_us"].to_numpy(zero_copy_only=False)
         gap = np.abs(c - v) // 1_000_000
-        t = pa.Table.from_pydict(
-            {
-                "user_id": batch["user_id"],
-                "n_pairs": pa.array(np.ones(len(c), np.int64)),
-                "sum_gap_sec": pa.array(gap, pa.int64()),
-            }
-        )
-        return (
-            t.group_by("user_id")
-            .aggregate([("n_pairs", "sum"), ("sum_gap_sec", "sum")])
-            .rename_columns(["user_id", "n_pairs", "sum_gap_sec"])
+        return pa.Table.from_pydict(
+            {"user_id": batch["user_id"], "gap": pa.array(gap, pa.int64())}
         )
 
-    out = (
-        joined.map_batches(combine, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            Sum("n_pairs", alias_name="n_pairs"),
-            Sum("sum_gap_sec", alias_name="sum_gap_sec"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        joined,
+        "user_id",
+        [("n_pairs", "count", None), ("sum_gap_sec", "sum", "gap")],
+        rows=rows,
+    ).to_pandas()
     for c in ("user_id", "n_pairs", "sum_gap_sec"):
         out[c] = out[c].astype("int64")
     return out.sort_values("user_id").reset_index(drop=True)
@@ -2650,30 +2563,22 @@ def _q_events_gini(sf_dir: str):
     import numpy as np
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_pydict(
+    def rows(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pydict(
             {
                 "event_type": batch["event_type"],
                 "cents": _cents(batch["value"]),
             }
         )
-        g = t.group_by(["event_type", "cents"]).aggregate(
-            [("cents", "count")]
-        )
-        return g.rename_columns(["event_type", "cents", "c"])
 
-    hist = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "cents"])
-        .aggregate(Sum("c", alias_name="c"))
-        .to_pandas()
-    )
+    hist = aggregate(
+        ev, ["event_type", "cents"], [("c", "count", "cents")], rows=rows
+    ).to_pandas()
     rows = []
     for et, sub in hist.groupby("event_type", sort=True):
         sub = sub.sort_values("cents")
@@ -2809,14 +2714,13 @@ def _q_events_ab_test(sf_dir: str):
     import numpy as np
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Max, Sum
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_type", "value"],
     )
 
-    def partial(b: pa.Table) -> pa.Table:
+    def conv_rows(b: pa.Table) -> pa.Table:
         uid = b["user_id"].to_numpy(zero_copy_only=False)
         val = b["value"].to_numpy(zero_copy_only=False)
         conv = (
@@ -2825,37 +2729,29 @@ def _q_events_ab_test(sf_dir: str):
             )
             & (val > 250.0)
         ).astype(np.int64)
-        df = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {"user_id": pa.array(uid, pa.int64()),
              "conv": pa.array(conv, pa.int64())}
         )
-        g = df.group_by(["user_id"]).aggregate([("conv", "max")])
-        return g.rename_columns(["user_id", "conv"])
 
-    per_user = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Max("conv", alias_name="conv"))
+    per_user = aggregate(
+        ev, "user_id", [("conv", "max", "conv")], rows=conv_rows
     )
 
-    def split_partial(b: pa.Table) -> pa.Table:
+    def split_rows(b: pa.Table) -> pa.Table:
         uid = b["user_id"].to_numpy(zero_copy_only=False)
         conv = b["conv"].to_numpy(zero_copy_only=False)
-        a = uid % 2 == 0
+        a = (uid % 2 == 0).astype(np.int64)
         return pa.Table.from_pydict(
-            {
-                "n_a": pa.array([int(a.sum())], pa.int64()),
-                "c_a": pa.array([int(conv[a].sum())], pa.int64()),
-                "n_b": pa.array([int((~a).sum())], pa.int64()),
-                "c_b": pa.array([int(conv[~a].sum())], pa.int64()),
-            }
+            {"a": a, "ca": conv * a, "b": 1 - a, "cb": conv * (1 - a)}
         )
 
-    agg = per_user.map_batches(
-        split_partial, batch_format="pyarrow"
-    ).aggregate(
-        Sum("n_a", alias_name="n_a"), Sum("c_a", alias_name="c_a"),
-        Sum("n_b", alias_name="n_b"), Sum("c_b", alias_name="c_b"),
+    agg = aggregate(
+        per_user,
+        [],
+        [("n_a", "sum", "a"), ("c_a", "sum", "ca"),
+         ("n_b", "sum", "b"), ("c_b", "sum", "cb")],
+        rows=split_rows,
     )
     n_a, c_a = int(agg["n_a"]), int(agg["c_a"])
     n_b, c_b = int(agg["n_b"]), int(agg["c_b"])
@@ -2912,11 +2808,10 @@ def _q_events_markov(sf_dir: str):
     division per cell). Physical plan: ONE coalesced exchange on
     hash(user_id) into 64 buckets, lexsort + vectorized shift inside
     each bucket (adjacent pairs never cross users), per-bucket pair
-    counts pre-combined before a tiny (prev, next) groupby."""
+    counts summed per (prev, next) by ``stages/aggregate.py``."""
     import numpy as np
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..functions.hashing import bucket_of_column
 
@@ -2985,14 +2880,13 @@ def _q_events_markov(sf_dir: str):
             }
         )
 
-    out = (
+    out = aggregate(
         ev.map_batches(prep, batch_format="pyarrow")
         .groupby("__b")
-        .map_groups(pairs_of_bucket, batch_format="pyarrow")
-        .groupby(["prev_type", "next_type"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+        .map_groups(pairs_of_bucket, batch_format="pyarrow"),
+        ["prev_type", "next_type"],
+        [("n", "sum", "n")],
+    ).to_pandas()
     out["n"] = out["n"].astype("int64")
     row_tot = out.groupby("prev_type")["n"].transform("sum")
     out["p"] = out["n"].astype("float64") / row_tot.astype("float64")
@@ -3036,13 +2930,12 @@ def _q_events_benford(sf_dir: str):
     import numpy as np
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["value"]
     )
 
-    def partial(b: pa.Table) -> pa.Table:
+    def digit_counts(b: pa.Table) -> pa.Table:
         import numpy as np
 
         cents = _cents(b["value"]).to_numpy(zero_copy_only=False)
@@ -3057,8 +2950,9 @@ def _q_events_benford(sf_dir: str):
              for d in range(1, 10)}
         )
 
-    agg = ev.map_batches(partial, batch_format="pyarrow").aggregate(
-        *[Sum(f"d{d}", alias_name=f"d{d}") for d in range(1, 10)]
+    agg = aggregate(
+        ev, [], [(f"d{d}", "sum", f"d{d}") for d in range(1, 10)],
+        rows=digit_counts,
     )
     ns = [int(agg[f"d{d}"]) for d in range(1, 10)]
     n_total = sum(ns)
@@ -3111,9 +3005,7 @@ def _q_events_winsorized_mean(sf_dir: str):
     clipped sum stays exact int64 and the mean is one float division.
     Output per type: n, p05/p95 cents, winsorized sum and mean."""
     import numpy as np
-    import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.selection import grouped_quantile_disc
 
@@ -3138,7 +3030,7 @@ def _q_events_winsorized_mean(sf_dir: str):
 
     bounds_ref = ray.put((lo_q, hi_q))
 
-    def clip_partial(b: pa.Table) -> pa.Table:
+    def clip_rows(b: pa.Table) -> pa.Table:
         import numpy as np
         import ray
 
@@ -3147,30 +3039,19 @@ def _q_events_winsorized_mean(sf_dir: str):
         c = b["cents"].to_numpy(zero_copy_only=False)
         lo = np.array([lo_m[t] for t in et], dtype=np.int64)
         hi = np.array([hi_m[t] for t in et], dtype=np.int64)
-        w = np.clip(c, lo, hi)
-        import pandas as pd
-
-        df = (
-            pd.DataFrame({"event_type": et, "w": w})
-            .groupby("event_type", sort=False)
-            .agg(wsum=("w", "sum"), n=("w", "size"))
-            .reset_index()
-        )
         return pa.Table.from_pydict(
             {
-                "event_type": pa.array(df["event_type"], pa.string()),
-                "wsum": pa.array(df["wsum"].astype("int64"), pa.int64()),
-                "n": pa.array(df["n"].astype("int64"), pa.int64()),
+                "event_type": pa.array(et, pa.string()),
+                "w": pa.array(np.clip(c, lo, hi), pa.int64()),
             }
         )
 
-    out = (
-        keyed.map_batches(clip_partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("wsum", alias_name="wsum"),
-                   Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    out = aggregate(
+        keyed,
+        "event_type",
+        [("wsum", "sum", "w"), ("n", "count", None)],
+        rows=clip_rows,
+    ).to_pandas()
     out["wsum"] = out["wsum"].astype("int64")
     out["n"] = out["n"].astype("int64")
     out["p05_cents"] = out["event_type"].map(lo_q).astype("int64")
@@ -3220,9 +3101,7 @@ def _q_events_interarrival(sf_dir: str):
     partials, tiny band groupby. The oracle reuses the pure-SQL
     bit-length smear from the HLL toolkit."""
     import numpy as np
-    import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..functions.hashing import bucket_of_column
 
@@ -3256,53 +3135,29 @@ def _q_events_interarrival(sf_dir: str):
         import numpy as np
 
         uid = group["user_id"].to_numpy(zero_copy_only=False)
-        empty = pa.Table.from_pydict(
-            {
-                "band": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "gap_sum": pa.array([], pa.int64()),
-            }
-        )
-        if uid.size < 2:
-            return empty
         eid = group["event_id"].to_numpy(zero_copy_only=False)
         us = group["us"].to_numpy(zero_copy_only=False)
         order = np.lexsort((eid, us, uid))
         uid, us = uid[order], us[order]
         same = uid[1:] == uid[:-1]
         gap_s = ((us[1:] - us[:-1]) // 1_000_000)[same]
-        if gap_s.size == 0:
-            return empty
         band = np.zeros(gap_s.size, dtype=np.int64)
         nz = gap_s > 0
         band[nz] = np.frexp(gap_s[nz].astype(np.float64))[1]
-        import pandas as pd
-
-        df = (
-            pd.DataFrame({"band": band, "g": gap_s})
-            .groupby("band", sort=False)
-            .agg(n=("g", "size"), gap_sum=("g", "sum"))
-            .reset_index()
-        )
         return pa.Table.from_pydict(
             {
-                "band": pa.array(df["band"].astype("int64"), pa.int64()),
-                "n": pa.array(df["n"].astype("int64"), pa.int64()),
-                "gap_sum": pa.array(
-                    df["gap_sum"].astype("int64"), pa.int64()
-                ),
+                "band": pa.array(band, pa.int64()),
+                "g": pa.array(gap_s, pa.int64()),
             }
         )
 
-    out = (
+    out = aggregate(
         ev.map_batches(prep, batch_format="pyarrow")
         .groupby("__b")
-        .map_groups(gaps_of_bucket, batch_format="pyarrow")
-        .groupby("band")
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("gap_sum", alias_name="gap_sum"))
-        .to_pandas()
-    )
+        .map_groups(gaps_of_bucket, batch_format="pyarrow"),
+        "band",
+        [("n", "count", None), ("gap_sum", "sum", "g")],
+    ).to_pandas()
     for c in ("band", "n", "gap_sum"):
         out[c] = out[c].astype("int64")
     return out.sort_values("band").reset_index(drop=True)
@@ -3355,7 +3210,6 @@ def _q_events_type_xcorr(sf_dir: str):
     import numpy as np
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Max, Min, Sum
 
     DAY_US = 86_400_000_000
 
@@ -3363,9 +3217,8 @@ def _q_events_type_xcorr(sf_dir: str):
         f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
     )
 
-    def partial(b: pa.Table) -> pa.Table:
+    def day_et(b: pa.Table) -> pa.Table:
         import numpy as np
-        import pandas as pd
         import pyarrow as pa
 
         et = np.asarray(b["event_type"].to_pylist())
@@ -3373,30 +3226,22 @@ def _q_events_type_xcorr(sf_dir: str):
             b["ts"].to_numpy(zero_copy_only=False)
             .astype("datetime64[us]").astype(np.int64)
         )
-        day = us // DAY_US
         keep = (et == "click") | (et == "purchase")
-        df = (
-            pd.DataFrame({"day": day[keep], "et": et[keep]})
-            .groupby(["day", "et"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
         return pa.Table.from_pydict(
             {
-                "day": pa.array(df["day"].astype("int64"), pa.int64()),
-                "et": pa.array(df["et"], pa.string()),
-                "n": pa.array(df["n"].astype("int64"), pa.int64()),
+                "day": pa.array(us[keep] // DAY_US, pa.int64()),
+                "et": pa.array(et[keep], pa.string()),
             }
         )
 
-    counts = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby(["day", "et"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
-    lim = ev.map_batches(
-        lambda b: pa.Table.from_pydict(
+    counts = aggregate(
+        ev, ["day", "et"], [("n", "count", None)], rows=day_et
+    ).to_pandas()
+    lim = aggregate(
+        ev,
+        [],
+        [("lo", "min", "d"), ("hi", "max", "d")],
+        rows=lambda b: pa.Table.from_pydict(
             {
                 "d": pa.array(
                     b["ts"].to_numpy(zero_copy_only=False)
@@ -3406,8 +3251,7 @@ def _q_events_type_xcorr(sf_dir: str):
                 )
             }
         ),
-        batch_format="pyarrow",
-    ).aggregate(Min("d", alias_name="lo"), Max("d", alias_name="hi"))
+    )
     lo, hi = int(lim["lo"]), int(lim["hi"])
     days = np.arange(lo, hi + 1)
     series = {}
@@ -3505,7 +3349,6 @@ def _q_events_survival(sf_dir: str):
     import numpy as np
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Max, Min
 
     DAY_US = 86_400_000_000
 
@@ -3514,12 +3357,10 @@ def _q_events_survival(sf_dir: str):
         columns=["user_id", "ts", "event_type", "value"],
     )
 
-    def partial(b: pa.Table) -> pa.Table:
+    def user_days(b: pa.Table) -> pa.Table:
         import numpy as np
-        import pandas as pd
         import pyarrow as pa
 
-        uid = b["user_id"].to_numpy(zero_copy_only=False)
         day = (
             b["ts"].to_numpy(zero_copy_only=False)
             .astype("datetime64[us]").astype(np.int64) // DAY_US
@@ -3528,41 +3369,26 @@ def _q_events_survival(sf_dir: str):
         val = b["value"].to_numpy(zero_copy_only=False)
         adopt = (et == "purchase") & (val > 250.0)
         big = np.int64(1) << 40
-        df = pd.DataFrame(
-            {
-                "user_id": uid,
-                "f": day,
-                "l": day,
-                # adoption day, +inf-sentinel when this row is not one
-                "p": np.where(adopt, day, big),
-            }
-        ).groupby("user_id", sort=False).agg(
-            f=("f", "min"), l=("l", "max"), p=("p", "min")
-        ).reset_index()
         return pa.Table.from_pydict(
             {
                 "user_id": pa.array(
-                    df["user_id"].astype("int64"), pa.int64()
+                    b["user_id"].to_numpy(zero_copy_only=False), pa.int64()
                 ),
-                "f": pa.array(df["f"].astype("int64"), pa.int64()),
-                "l": pa.array(df["l"].astype("int64"), pa.int64()),
-                "p": pa.array(df["p"].astype("int64"), pa.int64()),
+                "day": pa.array(day, pa.int64()),
+                # adoption day, +inf-sentinel when this row is not one
+                "p": pa.array(np.where(adopt, day, big), pa.int64()),
             }
         )
 
-    per_user = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            Min("f", alias_name="f"),
-            Max("l", alias_name="l"),
-            Min("p", alias_name="p"),
-        )
+    per_user = aggregate(
+        ev,
+        "user_id",
+        [("f", "min", "day"), ("l", "max", "day"), ("p", "min", "p")],
+        rows=user_days,
     )
 
-    def km_partial(b: pa.Table) -> pa.Table:
+    def km_rows(b: pa.Table) -> pa.Table:
         import numpy as np
-        import pandas as pd
         import pyarrow as pa
 
         f = b["f"].to_numpy(zero_copy_only=False)
@@ -3571,32 +3397,19 @@ def _q_events_survival(sf_dir: str):
         big = np.int64(1) << 40
         observed = p < big
         t = np.where(observed, p - f, l - f)
-        df = (
-            pd.DataFrame({"t": t, "e": observed.astype(np.int64)})
-            .groupby("t", sort=False)
-            .agg(n_event=("e", "sum"), n_total=("e", "size"))
-            .reset_index()
-        )
         return pa.Table.from_pydict(
             {
-                "t": pa.array(df["t"].astype("int64"), pa.int64()),
-                "n_event": pa.array(
-                    df["n_event"].astype("int64"), pa.int64()
-                ),
-                "n_total": pa.array(
-                    df["n_total"].astype("int64"), pa.int64()
-                ),
+                "t": pa.array(t, pa.int64()),
+                "e": pa.array(observed.astype(np.int64)),
             }
         )
 
-    from ray.data.aggregate import Sum
-
     hist = (
-        per_user.map_batches(km_partial, batch_format="pyarrow")
-        .groupby("t")
-        .aggregate(
-            Sum("n_event", alias_name="n_event"),
-            Sum("n_total", alias_name="n_total"),
+        aggregate(
+            per_user,
+            "t",
+            [("n_event", "sum", "e"), ("n_total", "count", None)],
+            rows=km_rows,
         )
         .to_pandas()
         .sort_values("t")
@@ -3671,7 +3484,6 @@ def _q_events_logrank(sf_dir: str):
     import numpy as np
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Max, Min, Sum
 
     DAY_US = 86_400_000_000
 
@@ -3680,12 +3492,10 @@ def _q_events_logrank(sf_dir: str):
         columns=["user_id", "ts", "event_type", "value"],
     )
 
-    def partial(b: pa.Table) -> pa.Table:
+    def user_days(b: pa.Table) -> pa.Table:
         import numpy as np
-        import pandas as pd
         import pyarrow as pa
 
-        uid = b["user_id"].to_numpy(zero_copy_only=False)
         day = (
             b["ts"].to_numpy(zero_copy_only=False)
             .astype("datetime64[us]").astype(np.int64) // DAY_US
@@ -3694,40 +3504,25 @@ def _q_events_logrank(sf_dir: str):
         val = b["value"].to_numpy(zero_copy_only=False)
         adopt = (et == "purchase") & (val > 250.0)
         big = np.int64(1) << 40
-        df = pd.DataFrame(
-            {
-                "user_id": uid,
-                "f": day,
-                "l": day,
-                "p": np.where(adopt, day, big),
-            }
-        ).groupby("user_id", sort=False).agg(
-            f=("f", "min"), l=("l", "max"), p=("p", "min")
-        ).reset_index()
         return pa.Table.from_pydict(
             {
                 "user_id": pa.array(
-                    df["user_id"].astype("int64"), pa.int64()
+                    b["user_id"].to_numpy(zero_copy_only=False), pa.int64()
                 ),
-                "f": pa.array(df["f"].astype("int64"), pa.int64()),
-                "l": pa.array(df["l"].astype("int64"), pa.int64()),
-                "p": pa.array(df["p"].astype("int64"), pa.int64()),
+                "day": pa.array(day, pa.int64()),
+                "p": pa.array(np.where(adopt, day, big), pa.int64()),
             }
         )
 
-    per_user = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            Min("f", alias_name="f"),
-            Max("l", alias_name="l"),
-            Min("p", alias_name="p"),
-        )
+    per_user = aggregate(
+        ev,
+        "user_id",
+        [("f", "min", "day"), ("l", "max", "day"), ("p", "min", "p")],
+        rows=user_days,
     )
 
-    def hist_partial(b: pa.Table) -> pa.Table:
+    def hist_rows(b: pa.Table) -> pa.Table:
         import numpy as np
-        import pandas as pd
         import pyarrow as pa
 
         uid = b["user_id"].to_numpy(zero_copy_only=False)
@@ -3737,38 +3532,20 @@ def _q_events_logrank(sf_dir: str):
         big = np.int64(1) << 40
         observed = p < big
         t = np.where(observed, p - f, l - f)
-        arm = (uid % 2).astype(np.int64)
-        df = (
-            pd.DataFrame(
-                {"t": t, "arm": arm,
-                 "e": observed.astype(np.int64)}
-            )
-            .groupby(["t", "arm"], sort=False)
-            .agg(n_event=("e", "sum"), n_total=("e", "size"))
-            .reset_index()
-        )
         return pa.Table.from_pydict(
             {
-                "t": pa.array(df["t"].astype("int64"), pa.int64()),
-                "arm": pa.array(df["arm"].astype("int64"), pa.int64()),
-                "n_event": pa.array(
-                    df["n_event"].astype("int64"), pa.int64()
-                ),
-                "n_total": pa.array(
-                    df["n_total"].astype("int64"), pa.int64()
-                ),
+                "t": pa.array(t, pa.int64()),
+                "arm": pa.array((uid % 2).astype(np.int64)),
+                "e": pa.array(observed.astype(np.int64)),
             }
         )
 
-    hist = (
-        per_user.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["t", "arm"])
-        .aggregate(
-            Sum("n_event", alias_name="n_event"),
-            Sum("n_total", alias_name="n_total"),
-        )
-        .to_pandas()
-    )
+    hist = aggregate(
+        per_user,
+        ["t", "arm"],
+        [("n_event", "sum", "e"), ("n_total", "count", None)],
+        rows=hist_rows,
+    ).to_pandas()
     piv = hist.pivot_table(
         index="t", columns="arm",
         values=["n_event", "n_total"], aggfunc="sum", fill_value=0,
@@ -3870,43 +3647,8 @@ def _q_events_ks_test(sf_dir: str):
     distribution-drift detector, shuffle = one value histogram."""
     import numpy as np
     import pandas as pd
-    import ray.data
-    from ray.data.aggregate import Sum
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "value"]
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-        import pyarrow as pa
-
-        uid = b["user_id"].to_numpy(zero_copy_only=False)
-        cents = _cents(b["value"]).to_numpy(zero_copy_only=False)
-        df = (
-            pd.DataFrame(
-                {"cents": cents, "arm": (uid % 2).astype(np.int64)}
-            )
-            .groupby(["cents", "arm"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.Table.from_pydict(
-            {
-                "cents": pa.array(df["cents"].astype("int64"),
-                                  pa.int64()),
-                "arm": pa.array(df["arm"].astype("int64"), pa.int64()),
-                "n": pa.array(df["n"].astype("int64"), pa.int64()),
-            }
-        )
-
-    hist = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby(["cents", "arm"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    hist = _cents_arm_hist(sf_dir)
     piv = hist.pivot_table(
         index="cents", columns="arm", values="n", aggfunc="sum",
         fill_value=0,
@@ -3980,43 +3722,8 @@ def _q_events_mannwhitney(sf_dir: str):
 
     import numpy as np
     import pandas as pd
-    import ray.data
-    from ray.data.aggregate import Sum
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "value"]
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-        import pyarrow as pa
-
-        uid = b["user_id"].to_numpy(zero_copy_only=False)
-        cents = _cents(b["value"]).to_numpy(zero_copy_only=False)
-        df = (
-            pd.DataFrame(
-                {"cents": cents, "arm": (uid % 2).astype(np.int64)}
-            )
-            .groupby(["cents", "arm"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.Table.from_pydict(
-            {
-                "cents": pa.array(df["cents"].astype("int64"),
-                                  pa.int64()),
-                "arm": pa.array(df["arm"].astype("int64"), pa.int64()),
-                "n": pa.array(df["n"].astype("int64"), pa.int64()),
-            }
-        )
-
-    hist = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby(["cents", "arm"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    hist = _cents_arm_hist(sf_dir)
     piv = hist.pivot_table(
         index="cents", columns="arm", values="n", aggfunc="sum",
         fill_value=0,
@@ -4104,41 +3811,23 @@ def _q_events_anova(sf_dir: str):
     import numpy as np
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-        import pyarrow as pa
-
-        et = b["event_type"].to_pylist()
-        c = _cents(b["value"]).to_numpy(zero_copy_only=False)
-        df = (
-            pd.DataFrame({"et": et, "c": c, "q": c.astype(object) * c})
-            .groupby("et", sort=False)
-            .agg(n=("c", "size"), s=("c", "sum"), q=("q", "sum"))
-            .reset_index()
-        )
-        return pa.Table.from_pydict(
-            {
-                "event_type": pa.array(df["et"], pa.string()),
-                "n": pa.array(df["n"].astype("int64"), pa.int64()),
-                "s": pa.array(df["s"].astype("int64"), pa.int64()),
-                "q": pa.array(df["q"].astype("int64"), pa.int64()),
-            }
+    def rows(b: pa.Table) -> pa.Table:
+        c = _cents(b["value"])
+        return pa.table(
+            {"event_type": b["event_type"], "c": c, "q": pc.multiply(c, c)}
         )
 
     st = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("s", alias_name="s"),
-            Sum("q", alias_name="q"),
+        aggregate(
+            ev,
+            "event_type",
+            [("n", "count", None), ("s", "sum", "c"), ("q", "sum", "q")],
+            rows=rows,
         )
         .to_pandas()
         .sort_values("event_type")
@@ -4234,7 +3923,6 @@ def _q_events_permutation_test(sf_dir: str):
     import numpy as np
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..functions.shingles import _splitmix64, stable_hash64
 
@@ -4275,17 +3963,10 @@ def _q_events_permutation_test(sf_dir: str):
             {k: pa.array(v, pa.int64()) for k, v in cols.items()}
         )
 
-    aggs = [
-        Sum(c, alias_name=c)
-        for c in ["s1_obs", "n1_obs", "s_all", "n_all"]
-    ] + [
-        Sum(f"{p}_{j}", alias_name=f"{p}_{j}")
-        for j in range(B)
-        for p in ("s1", "n1")
+    cols = ["s1_obs", "n1_obs", "s_all", "n_all"] + [
+        f"{p}_{j}" for j in range(B) for p in ("s1", "n1")
     ]
-    agg = ev.map_batches(partial, batch_format="pyarrow").aggregate(
-        *aggs
-    )
+    agg = aggregate(ev, [], [(c, "sum", c) for c in cols], rows=partial)
     s_all, n_all = int(agg["s_all"]), int(agg["n_all"])
 
     def diff_parts(s1, n1):
@@ -4383,9 +4064,7 @@ def _q_events_lorenz(sf_dir: str):
     running float ratio of exact integers computed in decile order on
     the driver over 10 rows."""
     import numpy as np
-    import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.window import grouped_row_number, ntile_of_rank
 
@@ -4393,39 +4072,18 @@ def _q_events_lorenz(sf_dir: str):
         f"{sf_dir}/events.parquet", columns=["user_id", "value"]
     )
 
-    def prep(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = (
-            pd.DataFrame(
-                {
-                    "user_id": b["user_id"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "cents": _cents(b["value"]).to_numpy(
-                        zero_copy_only=False
-                    ),
-                }
-            )
-            .groupby("user_id", sort=False)["cents"]
-            .sum()
-            .reset_index()
-        )
-        return pa.Table.from_pydict(
-            {
-                "user_id": pa.array(
-                    df["user_id"].astype("int64"), pa.int64()
-                ),
-                "cents": pa.array(
-                    df["cents"].astype("int64"), pa.int64()
-                ),
-            }
-        )
-
     totals = (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Sum("cents", alias_name="total"))
+        aggregate(
+            ev,
+            "user_id",
+            [("total", "sum", "cents")],
+            rows=lambda b: pa.table(
+                {
+                    "user_id": pc.cast(b["user_id"], pa.int64()),
+                    "cents": _cents(b["value"]),
+                }
+            ),
+        )
         .map_batches(
             lambda b: b.append_column(
                 "grp", pa.array(["all"] * b.num_rows, pa.string())
@@ -4439,45 +4097,22 @@ def _q_events_lorenz(sf_dir: str):
     n_users = int(hist["n"].sum())
 
     def tile(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
         rnk = batch["rnk"].to_numpy(zero_copy_only=False)
-        t = ntile_of_rank(rnk, n_users, 10)
-        import pandas as pd
-
-        df = (
-            pd.DataFrame(
-                {
-                    "decile": t,
-                    "total": batch["key"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                }
-            )
-            .groupby("decile", sort=False)
-            .agg(n_users=("total", "size"), cents=("total", "sum"))
-            .reset_index()
-        )
-        return pa.Table.from_pydict(
+        return pa.table(
             {
                 "decile": pa.array(
-                    df["decile"].astype("int64"), pa.int64()
+                    ntile_of_rank(rnk, n_users, 10), pa.int64()
                 ),
-                "n_users": pa.array(
-                    df["n_users"].astype("int64"), pa.int64()
-                ),
-                "cents": pa.array(
-                    df["cents"].astype("int64"), pa.int64()
-                ),
+                "total": pc.cast(batch["key"], pa.int64()),
             }
         )
 
     out = (
-        ranked.map_batches(tile, batch_format="pyarrow")
-        .groupby("decile")
-        .aggregate(
-            Sum("n_users", alias_name="n_users"),
-            Sum("cents", alias_name="cents"),
+        aggregate(
+            ranked,
+            "decile",
+            [("n_users", "count", None), ("cents", "sum", "total")],
+            rows=tile,
         )
         .to_pandas()
         .sort_values("decile")
@@ -4533,7 +4168,6 @@ def _q_events_entropy_rate(sf_dir: str):
     import numpy as np
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..functions.hashing import bucket_of_column
 
@@ -4602,11 +4236,13 @@ def _q_events_entropy_rate(sf_dir: str):
         )
 
     cells = (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(pairs_of_bucket, batch_format="pyarrow")
-        .groupby(["prev_type", "next_type"])
-        .aggregate(Sum("n", alias_name="n"))
+        aggregate(
+            ev.map_batches(prep, batch_format="pyarrow")
+            .groupby("__b")
+            .map_groups(pairs_of_bucket, batch_format="pyarrow"),
+            ["prev_type", "next_type"],
+            [("n", "sum", "n")],
+        )
         .to_pandas()
         .sort_values(["prev_type", "next_type"])
         .reset_index(drop=True)
@@ -4698,7 +4334,6 @@ def _q_events_bootstrap_ci(sf_dir: str):
     import numpy as np
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..functions.shingles import _splitmix64, stable_hash64
 
@@ -4738,16 +4373,10 @@ def _q_events_bootstrap_ci(sf_dir: str):
             cols[f"w_{j}"] = pa.array([int(w.sum())], pa.int64())
         return pa.Table.from_pydict(cols)
 
-    aggs = [Sum("s_obs", alias_name="s_obs"),
-            Sum("n_obs", alias_name="n_obs")]
-    aggs += [
-        Sum(f"{p}_{j}", alias_name=f"{p}_{j}")
-        for j in range(B)
-        for p in ("s", "w")
+    cols = ["s_obs", "n_obs"] + [
+        f"{p}_{j}" for j in range(B) for p in ("s", "w")
     ]
-    agg = ev.map_batches(partial, batch_format="pyarrow").aggregate(
-        *aggs
-    )
+    agg = aggregate(ev, [], [(c, "sum", c) for c in cols], rows=partial)
     means = []
     for j in range(B):
         s, w = int(agg[f"s_{j}"]), int(agg[f"w_{j}"])

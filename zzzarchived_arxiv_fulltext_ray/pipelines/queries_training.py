@@ -11,6 +11,7 @@ import pyarrow.compute as pc
 
 from ..functions.textstats import _LANG_MARKERS, STOPWORDS
 from ..sources.pages import read_documents
+from ..stages.aggregate import aggregate
 
 
 def _q_dedup_ngram(sf_dir: str):
@@ -217,72 +218,36 @@ def _q_stratified_sample(sf_dir: str):
     """Deterministic per-language downsampling (data-curation op):
     membership is a pure function of (doc_id, lang), so the sample is
     stable across reruns and cluster sizes; per-language kept counts +
-    character mass, batch-combined."""
-    from ray.data.aggregate import Sum
+    character mass through ``stages/aggregate.py``."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(
+    def kept(batch: pa.Table) -> pa.Table:
+        return batch.filter(
             stratified_keep_mask(
                 batch["doc_id"].to_numpy(zero_copy_only=False),
                 batch["lang"].to_numpy(zero_copy_only=False),
             )
         )
-        t = pa.Table.from_arrays(
-            [
-                kept["lang"].combine_chunks(),
-                kept["n_chars"].combine_chunks(),
-                pa.array([1] * kept.num_rows, pa.int64()),
-            ],
-            names=["lang", "n_chars", "one"],
-        )
-        g = t.group_by("lang").aggregate([("n_chars", "sum"), ("one", "sum")])
-        return g.rename_columns(["lang", "sum_chars", "n_docs"])
 
-    out = (
-        read_documents(sf_dir, ["doc_id", "lang", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum("sum_chars", alias_name="sum_chars"),
-            Sum("n_docs", alias_name="n_docs"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        read_documents(sf_dir, ["doc_id", "lang", "n_chars"]),
+        "lang",
+        [("sum_chars", "sum", "n_chars"), ("n_docs", "count", None)],
+        rows=kept,
+    ).to_pandas()
     return out.sort_values("lang").reset_index(drop=True)
 
 
 def _q_corpus_filter(sf_dir: str):
     """C4-style quality-filter cascade: per-verdict document counts +
-    kept character mass (batch-level combine before the tiny groupby)."""
-    from ray.data.aggregate import Sum
-
+    kept character mass (``stages/aggregate.py``)."""
     from ..stages.textstage import filter_verdict_batch
 
-    def partial(batch: pa.Table) -> pa.Table:
-        v = filter_verdict_batch(batch)
-        t = pa.Table.from_arrays(
-            [
-                v["verdict"].combine_chunks(),
-                v["n_chars"].combine_chunks(),
-                pa.array([1] * v.num_rows, pa.int64()),
-            ],
-            names=["verdict", "n_chars", "one"],
-        )
-        g = t.group_by("verdict").aggregate(
-            [("n_chars", "sum"), ("one", "sum")]
-        )
-        return g.rename_columns(["verdict", "sum_chars", "n_docs"])
-
-    out = (
-        read_documents(sf_dir, ["doc_id", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("verdict")
-        .aggregate(
-            Sum("sum_chars", alias_name="sum_chars"),
-            Sum("n_docs", alias_name="n_docs"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        read_documents(sf_dir, ["doc_id", "text"]),
+        "verdict",
+        [("sum_chars", "sum", "n_chars"), ("n_docs", "count", None)],
+        rows=filter_verdict_batch,
+    ).to_pandas()
     return out.sort_values("verdict").reset_index(drop=True)
 
 
@@ -352,115 +317,83 @@ def _q_events_lag(sf_dir: str):
 
 
 def _q_events_user_stats(sf_dir: str):
-    """Multi-statistic grouped aggregate with batch-level combine:
+    """Multi-statistic grouped aggregate (``stages/aggregate.py``):
     per-user event count, sum and sum-of-squares (exact integer cents
     — variance/stddev derive from these without float drift)."""
     import pyarrow.compute as pc
     import ray.data
 
-    from ray.data.aggregate import Sum
-
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"]
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         cents = pc.cast(
             pc.round(pc.multiply(batch["value"], 100.0), round_mode="half_towards_infinity"), pa.int64()
         )
-        t = pa.Table.from_arrays(
-            [
-                batch["user_id"].combine_chunks(),
-                cents,
-                pc.multiply(cents, cents),
-                pa.array([1] * batch.num_rows, pa.int64()),
-            ],
-            names=["user_id", "cents", "cents_sq", "one"],
-        )
-        g = t.group_by("user_id").aggregate(
-            [("cents", "sum"), ("cents_sq", "sum"), ("one", "sum")]
-        )
-        return g.rename_columns(
-            ["user_id", "sum_cents", "sum_cents_sq", "n_events"]
+        return pa.Table.from_arrays(
+            [batch["user_id"], cents, pc.multiply(cents, cents)],
+            names=["user_id", "cents", "cents_sq"],
         )
 
-    out = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            Sum("sum_cents", alias_name="sum_cents"),
-            Sum("sum_cents_sq", alias_name="sum_cents_sq"),
-            Sum("n_events", alias_name="n_events"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        ev,
+        "user_id",
+        [
+            ("sum_cents", "sum", "cents"),
+            ("sum_cents_sq", "sum", "cents_sq"),
+            ("n_events", "count", None),
+        ],
+        rows=rows,
+    ).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
 def _hour_cents_sstats(sf_dir: str):
     """Per-event-type exact integer sufficient statistics of
-    (hour-of-day, cents): one streaming pass, batch-level combine,
-    six int64 sums per group. Shared by the correlation and the
+    (hour-of-day, cents): one streaming pass through
+    ``stages/aggregate.py``, six int64 sums per group. Shared by the
+    correlation and the
     regression finishers — every second-moment analytic is a
     closed-form float expression of these ints."""
     import pyarrow.compute as pc
     import ray.data
 
-    from ray.data.aggregate import Sum
-
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         cents = pc.cast(
             pc.round(
                 pc.multiply(batch["value"], 100.0),
                 round_mode="half_towards_infinity",
             ),
             pa.int64(),
-        )
-        import numpy as np
-
+        ).to_numpy(zero_copy_only=False)
         us = (
             pc.cast(batch["ts"].combine_chunks(), pa.int64())
             .to_numpy(zero_copy_only=False)
         )
         hour = (us // 3_600_000_000) % 24
-        cents_np = cents.to_numpy(zero_copy_only=False)
-        t = pa.Table.from_arrays(
-            [
-                batch["event_type"].combine_chunks(),
-                pa.array(hour, pa.int64()),
-                cents,
-                pa.array(hour * cents_np, pa.int64()),
-                pa.array(hour * hour, pa.int64()),
-                pa.array(cents_np * cents_np, pa.int64()),
-                pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-            ],
-            names=["event_type", "x", "y", "xy", "xx", "yy", "one"],
-        )
-        g = t.group_by("event_type").aggregate(
-            [("x", "sum"), ("y", "sum"), ("xy", "sum"),
-             ("xx", "sum"), ("yy", "sum"), ("one", "sum")]
-        )
-        return g.rename_columns(
-            ["event_type", "sx", "sy", "sxy", "sxx", "syy", "n"]
+        return pa.table(
+            {
+                "event_type": batch["event_type"],
+                "x": pa.array(hour, pa.int64()),
+                "y": pa.array(cents, pa.int64()),
+                "xy": pa.array(hour * cents, pa.int64()),
+                "xx": pa.array(hour * hour, pa.int64()),
+                "yy": pa.array(cents * cents, pa.int64()),
+            }
         )
 
-    return (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("sx", alias_name="sx"),
-            Sum("sy", alias_name="sy"),
-            Sum("sxy", alias_name="sxy"),
-            Sum("sxx", alias_name="sxx"),
-            Sum("syy", alias_name="syy"),
-            Sum("n", alias_name="n"),
-        )
-        .to_pandas()
-    )
+    return aggregate(
+        ev,
+        "event_type",
+        [("s" + c, "sum", c) for c in ("x", "y", "xy", "xx", "yy")]
+        + [("n", "count", None)],
+        rows=rows,
+    ).to_pandas()
 
 
 def _q_events_hour_corr(sf_dir: str):
@@ -1411,31 +1344,27 @@ TRAINING_ORACLE_SQL: Dict[str, str] = {
 }
 
 
-def _q_token_frequencies(sf_dir: str):
-    """Corpus token frequencies: per-batch explode+combine, then a
-    small groupby shuffle over (token, partial_count) rows."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        counts = Counter()
-        for t in batch["text"].to_pylist():
-            counts.update(t.split())
-        return pa.Table.from_pydict(
-            {
-                "token": pa.array(list(counts.keys()), pa.string()),
-                "n": pa.array(list(counts.values()), pa.int64()),
-            }
-        )
-
-    out = (
-        read_documents(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
+def _tokens_of(batch: pa.Table) -> pa.Table:
+    """One row per whitespace token of the batch's ``text``."""
+    return pa.table(
+        {
+            "token": pa.array(
+                [w for t in batch["text"].to_pylist() for w in t.split()],
+                pa.string(),
+            )
+        }
     )
+
+
+def _q_token_frequencies(sf_dir: str):
+    """Corpus token frequencies: per-batch explode, then
+    ``stages/aggregate.py`` counts per token."""
+    out = aggregate(
+        read_documents(sf_dir, ["text"]),
+        "token",
+        [("n", "count", None)],
+        rows=_tokens_of,
+    ).to_pandas()
     return out.sort_values("token").reset_index(drop=True)
 
 
@@ -1468,31 +1397,23 @@ def _q_events_sessions(sf_dir: str):
 
 
 def _q_doc_length_histogram(sf_dir: str):
-    """Histogram of document lengths in 100-char buckets, with
-    batch-level pre-aggregation before the tiny groupby."""
+    """Histogram of document lengths in 100-char buckets through
+    ``stages/aggregate.py``."""
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         bucket = pc.multiply(
             pc.cast(pc.floor(pc.divide(batch["n_chars"], 100.0)), pa.int64()),
             100,
         )
-        t = pa.Table.from_arrays(
-            [bucket, pa.array([1] * batch.num_rows, pa.int64())],
-            names=["bucket", "one"],
-        )
-        g = t.group_by("bucket").aggregate([("one", "sum")])
-        return g.rename_columns(["bucket", "n_docs"])
+        return pa.Table.from_arrays([bucket], names=["bucket"])
 
-    out = (
-        read_documents(sf_dir, ["n_chars"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(Sum("n_docs", alias_name="n_docs"))
-        .to_pandas()
-    )
+    out = aggregate(
+        read_documents(sf_dir, ["n_chars"]),
+        "bucket",
+        [("n_docs", "count", None)],
+        rows=rows,
+    ).to_pandas()
     return out.sort_values("bucket").reset_index(drop=True)
 
 
@@ -1500,35 +1421,23 @@ def _q_dataset_split(sf_dir: str):
     """Deterministic train/valid/test split by doc_id hash bucket —
     the split assignment every training pipeline needs to be stable
     across reruns and cluster sizes."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
+    def rows(batch: pa.Table) -> pa.Table:
         splits = [
             "train" if i % 10 < 8 else ("valid" if i % 10 == 8 else "test")
-            for i in ids
+            for i in batch["doc_id"].to_pylist()
         ]
-        t = pa.Table.from_arrays(
-            [
-                pa.array(splits, pa.string()),
-                batch["n_chars"].combine_chunks(),
-                pa.array([1] * len(ids), pa.int64()),
-            ],
-            names=["split", "n_chars", "one"],
+        return pa.Table.from_arrays(
+            [pa.array(splits, pa.string()), batch["n_chars"]],
+            names=["split", "n_chars"],
         )
-        g = t.group_by("split").aggregate([("n_chars", "sum"), ("one", "sum")])
-        return g.rename_columns(["split", "sum_chars", "n_docs"])
 
-    out = (
-        read_documents(sf_dir, ["doc_id", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("split")
-        .aggregate(
-            Sum("sum_chars", alias_name="sum_chars"),
-            Sum("n_docs", alias_name="n_docs"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        read_documents(sf_dir, ["doc_id", "n_chars"]),
+        "split",
+        [("sum_chars", "sum", "n_chars"), ("n_docs", "count", None)],
+        rows=rows,
+    ).to_pandas()
     return out.sort_values("split").reset_index(drop=True)
 
 
@@ -1577,8 +1486,6 @@ def _q_join_priority_revenue(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data
 
-    from ray.data.aggregate import Sum
-
     from ..stages.relational import partitioned_hash_join
 
     li = ray.data.read_parquet(
@@ -1617,67 +1524,9 @@ def _q_join_priority_revenue(sf_dir: str):
         key="orderkey",
         num_buckets=128,
     )
-    out = (
-        joined.groupby("o_orderpriority")
-        .aggregate(
-            Sum("cents", alias_name="sum_cents"),
-        )
-        .to_pandas()
-    )
-    out["sum_cents"] = out["sum_cents"].astype("int64")
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
-
-
-def _q_join_priority_revenue_native(sf_dir: str):
-    """Same join on Ray Data's built-in ``Dataset.join`` (hash-shuffle
-    aggregator actors) — shares the bucketed join's oracle; the two
-    physical joins are benchmarked against each other per round."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from ray.data.aggregate import Sum
-
-    from ..stages.relational import native_join
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_extendedprice"]
-    )
-
-    def li_prep(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(
-            pc.round(pc.multiply(batch["l_extendedprice"], 100.0), round_mode="half_towards_infinity"), pa.int64()
-        )
-        t = pa.Table.from_arrays(
-            [batch["l_orderkey"].combine_chunks(), cents],
-            names=["orderkey", "cents"],
-        )
-        g = t.group_by("orderkey").aggregate([("cents", "sum")])
-        return g.rename_columns(["orderkey", "cents"])
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"]
-    )
-
-    def o_prep(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [
-                batch["o_orderkey"].combine_chunks(),
-                batch["o_orderpriority"].combine_chunks(),
-            ],
-            names=["orderkey", "o_orderpriority"],
-        )
-
-    joined = native_join(
-        li.map_batches(li_prep, batch_format="pyarrow"),
-        orders.map_batches(o_prep, batch_format="pyarrow"),
-        key="orderkey",
-        num_partitions=16,
-    )
-    out = (
-        joined.groupby("o_orderpriority")
-        .aggregate(Sum("cents", alias_name="sum_cents"))
-        .to_pandas()
-    )
+    out = aggregate(
+        joined, "o_orderpriority", [("sum_cents", "sum", "cents")]
+    ).to_pandas()
     out["sum_cents"] = out["sum_cents"].astype("int64")
     return out.sort_values("o_orderpriority").reset_index(drop=True)
 
@@ -1773,7 +1622,6 @@ def _q_regional_revenue(sf_dir: str):
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
 
@@ -1872,7 +1720,7 @@ def _q_regional_revenue(sf_dir: str):
 
     joined = partitioned_hash_join(li, oc, key="orderkey")
 
-    def colocate_and_combine(batch: pa.Table) -> pa.Table:
+    def colocated(batch: pa.Table) -> pa.Table:
         skeys = batch["l_suppkey"].to_numpy(zero_copy_only=False)
         cnat = batch["c_nationkey"].to_numpy(zero_copy_only=False)
         t = batch.filter(pa.array(supp_nat[skeys] == cnat))
@@ -1880,25 +1728,16 @@ def _q_regional_revenue(sf_dir: str):
             [nat_name[int(k)] for k in t["c_nationkey"].to_pylist()],
             pa.string(),
         )
-        g = (
-            pa.Table.from_arrays(
-                [names, t["cents"].combine_chunks()],
-                names=["nation", "cents"],
-            )
-            .group_by("nation")
-            .aggregate([("cents", "sum"), ([], "count_all")])
+        return pa.Table.from_arrays(
+            [names, t["cents"]], names=["nation", "cents"]
         )
-        return g.rename_columns(["nation", "revenue_cents", "n_items"])
 
-    out = (
-        joined.map_batches(colocate_and_combine, batch_format="pyarrow")
-        .groupby("nation")
-        .aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"),
-            Sum("n_items", alias_name="n_items"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        joined,
+        "nation",
+        [("revenue_cents", "sum", "cents"), ("n_items", "count", None)],
+        rows=colocated,
+    ).to_pandas()
     return out.sort_values("nation").reset_index(drop=True)
 
 
@@ -1923,9 +1762,6 @@ ORDER BY 1
 """
 
 TRAINING_QUERIES["join_priority_revenue"] = _q_join_priority_revenue
-TRAINING_QUERIES["join_priority_revenue_native"] = (
-    _q_join_priority_revenue_native
-)
 TRAINING_QUERIES["top_longest_docs"] = _q_top_longest_docs
 TRAINING_QUERIES["url_blocklist"] = _q_url_blocklist
 TRAINING_QUERIES["url_blocklist_partitioned"] = _q_url_blocklist_partitioned
@@ -1948,14 +1784,6 @@ WHERE p.kind NOT IN (4, 5, 6)
 ORDER BY p.url
 """
 
-TRAINING_ORACLE_SQL["join_priority_revenue_native"] = """
-SELECT o.o_orderpriority,
-       CAST(sum(CAST(round(l.l_extendedprice * 100) AS BIGINT)) AS BIGINT)
-           AS sum_cents
-FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
-GROUP BY o.o_orderpriority
-ORDER BY o.o_orderpriority
-"""
 TRAINING_ORACLE_SQL["join_priority_revenue"] = """
 SELECT o.o_orderpriority,
        CAST(sum(CAST(round(l.l_extendedprice * 100) AS BIGINT)) AS BIGINT)
@@ -2198,8 +2026,6 @@ def _q_events_sliding(sf_dir: str):
     import numpy as np
     import ray.data
 
-    from ray.data.aggregate import Sum
-
     step_us = 15 * 60 * 1_000_000
     width_steps = 4  # 1 h / 15 min
 
@@ -2224,28 +2050,17 @@ def _q_events_sliding(sf_dir: str):
                         "user_id": users,
                         "window_start": start,
                         "cents": cents,
-                        "one": np.ones(len(users), np.int64),
                     }
                 )
             )
-        t = pa.concat_tables(outs)
-        # batch-level combine before the shuffle
-        g = t.group_by(["user_id", "window_start"]).aggregate(
-            [("cents", "sum"), ("one", "sum")]
-        )
-        return g.rename_columns(
-            ["user_id", "window_start", "sum_cents", "n_events"]
-        )
+        return pa.concat_tables(outs)
 
-    out = (
-        ev.map_batches(fan_out, batch_format="pyarrow")
-        .groupby(["user_id", "window_start"])
-        .aggregate(
-            Sum("sum_cents", alias_name="sum_cents"),
-            Sum("n_events", alias_name="n_events"),
-        )
-        .to_pandas()
-    )
+    out = aggregate(
+        ev,
+        ["user_id", "window_start"],
+        [("sum_cents", "sum", "cents"), ("n_events", "count", None)],
+        rows=fan_out,
+    ).to_pandas()
     import pandas as pd
 
     out["window_start"] = pd.to_datetime(
@@ -2257,26 +2072,17 @@ def _q_events_sliding(sf_dir: str):
 def _q_lang_length_median(sf_dir: str):
     """Exact per-group order statistics (lower median + max + count per
     language) WITHOUT shuffling whole groups of a 5-value key: reduce
-    the stream to a (lang, n_chars) count histogram first (vectorized
-    per-batch combine, then a groupby sum), then read the median off
+    the stream to a (lang, n_chars) count histogram first
+    (``stages/aggregate.py``), then read the median off
     cumulative counts per language. Per-task state is O(distinct
     lengths per lang), never O(rows) — exact at any corpus size, and
     still hash-identical to quantile_disc (integer values)."""
     import numpy as np
 
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["lang", "n_chars"]).aggregate(
-            [("n_chars", "count")]
-        )
-        return g.rename_columns(["lang", "n_chars", "n"])
-
-    hist = (
-        read_documents(sf_dir, ["lang", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "n_chars"])
-        .aggregate(Sum("n", alias_name="n"))
+    hist = aggregate(
+        read_documents(sf_dir, ["lang", "n_chars"]),
+        ["lang", "n_chars"],
+        [("n", "count", "n_chars")],
     )
 
     def stats(group: pa.Table) -> pa.Table:
@@ -2471,7 +2277,6 @@ def _q_order_priority_semi(sf_dir: str):
     keys inside ``partitioned_hash_join(how='semi')`` so the shuffle
     never moves lineitem payload."""
     import ray.data
-    from ray.data.aggregate import Count
 
     from ..stages.relational import partitioned_hash_join
 
@@ -2491,11 +2296,9 @@ def _q_order_priority_semi(sf_dir: str):
         columns=["l_orderkey", "l_returnflag"],
     ).map_batches(returned_keys, batch_format="pyarrow")
     semi = partitioned_hash_join(orders, li, key="o_orderkey", how="semi")
-    out = (
-        semi.groupby("o_orderpriority")
-        .aggregate(Count(alias_name="n_orders"))
-        .to_pandas()
-    )
+    out = aggregate(
+        semi, "o_orderpriority", [("n_orders", "count", None)]
+    ).to_pandas()
     return out.sort_values("o_orderpriority").reset_index(drop=True)
 
 
@@ -2503,10 +2306,10 @@ def _q_brand_supplier_count(sf_dir: str):
     """Q16-shaped distinct-count with an exclusion list: suppliers per
     brand over larger parts, minus negative-balance suppliers.
     Pipeline: bucketed hash join (lineitem x part) -> broadcast
-    anti-join (the tiny exclusion side ships once) -> per-batch local
-    (brand, supp) dedupe combiner -> pair groupby -> brand count."""
+    anti-join (the tiny exclusion side ships once) -> distinct
+    (brand, supp) pairs -> brand count, both through
+    ``stages/aggregate.py``."""
     import ray.data
-    from ray.data.aggregate import Count
 
     from ..stages.relational import (
         broadcast_anti_join,
@@ -2550,20 +2353,10 @@ def _q_brand_supplier_count(sf_dir: str):
     joined = partitioned_hash_join(li, part, key="p_partkey", how="inner")
     kept = broadcast_anti_join(joined, "l_suppkey", bad)
 
-    def local_distinct(batch: pa.Table) -> pa.Table:
-        return batch.select(["p_brand", "l_suppkey"]).group_by(
-            ["p_brand", "l_suppkey"]
-        ).aggregate([])
-
-    pairs = kept.map_batches(local_distinct, batch_format="pyarrow")
-    distinct_pairs = pairs.groupby(["p_brand", "l_suppkey"]).aggregate(
-        Count(alias_name="_n")
-    )
-    out = (
-        distinct_pairs.groupby("p_brand")
-        .aggregate(Count(alias_name="n_suppliers"))
-        .to_pandas()[["p_brand", "n_suppliers"]]
-    )
+    distinct_pairs = aggregate(kept, ["p_brand", "l_suppkey"], [])
+    out = aggregate(
+        distinct_pairs, "p_brand", [("n_suppliers", "count", None)]
+    ).to_pandas()
     return out.sort_values("p_brand").reset_index(drop=True)
 
 
@@ -2627,7 +2420,6 @@ def _q_token_f2_ams(sf_dir: str):
     from collections import Counter
 
     import numpy as np
-    from ray.data.aggregate import Sum
 
     from ..functions.shingles import stable_hash64
     from ..functions.sketches import AMSSketch
@@ -2670,12 +2462,12 @@ def _q_token_f2_ams(sf_dir: str):
              for j in range(n_counters)}
         )
 
-    aggs = [
-        Sum(f"z{j}", alias_name=f"z{j}") for j in range(n_counters)
-    ]
-    ztot = rows.map_batches(
-        z_partial, batch_format="pyarrow"
-    ).aggregate(*aggs)
+    ztot = aggregate(
+        rows,
+        [],
+        [(f"z{j}", "sum", f"z{j}") for j in range(n_counters)],
+        rows=z_partial,
+    )
     sk = AMSSketch()
     sk.z = np.array(
         [int(ztot[f"z{j}"]) for j in range(n_counters)],
@@ -2683,20 +2475,13 @@ def _q_token_f2_ams(sf_dir: str):
     )
     ams_estimate = sk.estimate()
 
-    def sq_partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        return pa.Table.from_pydict(
-            {"sq": pa.array([int((n.astype(object) * n).sum())],
-                            pa.int64())}
-        )
-
     f2_exact = int(
-        rows.groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
-        .map_batches(sq_partial, batch_format="pyarrow")
-        .aggregate(Sum("sq", alias_name="sq"))["sq"]
+        aggregate(
+            aggregate(rows, "token", [("n", "sum", "n")]),
+            [],
+            [("sq", "sum", "sq")],
+            rows=lambda b: pa.table({"sq": pc.multiply(b["n"], b["n"])}),
+        )["sq"]
     )
     import pandas as pd
 
@@ -2747,29 +2532,20 @@ FROM f2, est
 def _q_lang_confusion(sf_dir: str):
     """Model-evaluation confusion matrix: declared lang x n-gram
     heuristic prediction (``stages.textstage.langid_batch``), exact
-    counts. Per-batch (lang, lang_pred) partial counts pre-combine
-    before one tiny groupby — the corpus never shuffles text."""
-    from ray.data.aggregate import Sum
-
+    counts. One (lang, lang_pred) grouped count
+    (``stages/aggregate.py``) — the corpus never shuffles text."""
     from ..stages.textstage import langid_batch
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.select(["lang_label", "lang_pred"])
-            .rename_columns(["lang", "lang_pred"])
-            .group_by(["lang", "lang_pred"])
-            .aggregate([("lang_pred", "count")])
-        )
-        return g.rename_columns(["lang", "lang_pred", "n"])
-
-    out = (
-        read_documents(sf_dir, ["doc_id", "text", "lang"])
-        .map_batches(langid_batch, batch_format="pyarrow")
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "lang_pred"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    out = aggregate(
+        read_documents(sf_dir, ["doc_id", "text", "lang"]).map_batches(
+            langid_batch, batch_format="pyarrow"
+        ),
+        ["lang", "lang_pred"],
+        [("n", "count", "lang_pred")],
+        rows=lambda b: b.select(["lang_label", "lang_pred"]).rename_columns(
+            ["lang", "lang_pred"]
+        ),
+    ).to_pandas()
     out["n"] = out["n"].astype("int64")
     return out.sort_values(["lang", "lang_pred"]).reset_index(drop=True)
 
@@ -2787,49 +2563,35 @@ def _q_token_hapax(sf_dir: str):
     """Hapax legomena census (the vocabulary-growth / data-quality
     stat): total tokens, vocabulary size, tokens occurring exactly
     once / twice, and the hapax share of the vocabulary — exact
-    integers from the token groupby (per-batch partial counts), the
+    integers from the token counts (``stages/aggregate.py``), the
     share one float division."""
-    from collections import Counter
-
     import pandas as pd
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        counts = Counter()
-        for t in batch["text"].to_pylist():
-            counts.update(t.split())
-        return pa.Table.from_pydict(
-            {
-                "token": pa.array(list(counts.keys()), pa.string()),
-                "n": pa.array(list(counts.values()), pa.int64()),
-            }
-        )
 
     def census(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        return pa.Table.from_pydict(
+        n = batch["n"]
+        return pa.table(
             {
-                "n_tokens": pa.array([int(n.sum())], pa.int64()),
-                "vocab": pa.array([int(n.size)], pa.int64()),
-                "hapax": pa.array([int((n == 1).sum())], pa.int64()),
-                "dis": pa.array([int((n == 2).sum())], pa.int64()),
+                "n": n,
+                "is1": pc.cast(pc.equal(n, 1), pa.int64()),
+                "is2": pc.cast(pc.equal(n, 2), pa.int64()),
             }
         )
 
-    agg = (
-        read_documents(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
-        .map_batches(census, batch_format="pyarrow")
-        .aggregate(
-            Sum("n_tokens", alias_name="n_tokens"),
-            Sum("vocab", alias_name="vocab"),
-            Sum("hapax", alias_name="hapax"),
-            Sum("dis", alias_name="dis"),
-        )
+    agg = aggregate(
+        aggregate(
+            read_documents(sf_dir, ["text"]),
+            "token",
+            [("n", "count", None)],
+            rows=_tokens_of,
+        ),
+        [],
+        [
+            ("n_tokens", "sum", "n"),
+            ("vocab", "count", None),
+            ("hapax", "sum", "is1"),
+            ("dis", "sum", "is2"),
+        ],
+        rows=census,
     )
     n_tokens, vocab = int(agg["n_tokens"]), int(agg["vocab"])
     hapax, dis = int(agg["hapax"]), int(agg["dis"])
@@ -2875,29 +2637,17 @@ def _q_token_zipf_fit(sf_dir: str):
     pagerank tolerance, far below the 6-decimal compare)."""
     import math
 
-    from collections import Counter
-
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from ..stages.topk import topk
 
-    def partial(batch: pa.Table) -> pa.Table:
-        counts = Counter()
-        for t in batch["text"].to_pylist():
-            counts.update(t.split())
-        return pa.Table.from_pydict(
-            {
-                "token": pa.array(list(counts.keys()), pa.string()),
-                "n": pa.array(list(counts.values()), pa.int64()),
-            }
-        )
-
     top = topk(
-        read_documents(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="n")),
+        aggregate(
+            read_documents(sf_dir, ["text"]),
+            "token",
+            [("n", "count", None)],
+            rows=_tokens_of,
+        ),
         50, [("n", "descending"), ("token", "ascending")],
     ).to_pandas()
     k = len(top)
@@ -2956,7 +2706,6 @@ def _q_doc_ngram_novelty(sf_dir: str):
     (no ratio), mirroring the oracle's WHERE."""
     import numpy as np
     import pandas as pd
-    from ray.data.aggregate import Min, Sum
 
     from ..functions.shingles import shingle_hashes
 
@@ -2992,45 +2741,15 @@ def _q_doc_ngram_novelty(sf_dir: str):
         partial, batch_format="pyarrow"
     ).materialize()  # reused: totals + first-appearance
 
-    def tot_partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        d, c = np.unique(
-            batch["doc_id"].to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        return pa.Table.from_pydict(
-            {"doc_id": pa.array(d, pa.int64()),
-             "n_shingles": pa.array(c, pa.int64())}
-        )
-
-    totals = (
-        rows.map_batches(tot_partial, batch_format="pyarrow")
-        .groupby("doc_id")
-        .aggregate(Sum("n_shingles", alias_name="n_shingles"))
-        .to_pandas()
-    )
-
-    def novel_partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        d, c = np.unique(
-            batch["d0"].to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        return pa.Table.from_pydict(
-            {"doc_id": pa.array(d, pa.int64()),
-             "n_novel": pa.array(c, pa.int64())}
-        )
-
-    novel = (
-        rows.groupby("h")
-        .aggregate(Min("doc_id", alias_name="d0"))
-        .map_batches(novel_partial, batch_format="pyarrow")
-        .groupby("doc_id")
-        .aggregate(Sum("n_novel", alias_name="n_novel"))
-        .to_pandas()
-    )
+    totals = aggregate(
+        rows, "doc_id", [("n_shingles", "count", None)]
+    ).to_pandas()
+    novel = aggregate(
+        aggregate(rows, "h", [("d0", "min", "doc_id")]),
+        "doc_id",
+        [("n_novel", "count", None)],
+        rows=lambda b: b.select(["d0"]).rename_columns(["doc_id"]),
+    ).to_pandas()
     out = totals.merge(novel, on="doc_id", how="left")
     out["n_novel"] = out["n_novel"].fillna(0).astype("int64")
     out["n_shingles"] = out["n_shingles"].astype("int64")
@@ -3095,7 +2814,6 @@ def _q_token_heaps(sf_dir: str):
 
     import numpy as np
     import pandas as pd
-    from ray.data.aggregate import Min, Sum
 
     from ..stages.mixing import doc_hash_keys
 
@@ -3122,27 +2840,15 @@ def _q_token_heaps(sf_dir: str):
         .map_batches(partial, batch_format="pyarrow")
         .materialize()  # feeds TWO aggregates; never re-tokenize
     )
-    per_phase = (
-        parts.groupby("phase")
-        .aggregate(Sum("n", alias_name="n_tokens"))
-        .to_pandas()
-    )
-    first = (
-        parts.groupby("token")
-        .aggregate(Min("phase", alias_name="p0"))
-        .map_batches(
-            lambda b: pa.Table.from_pydict(
-                {
-                    "phase": b["p0"],
-                    "one": pa.array(np.ones(len(b), np.int64)),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("phase")
-        .aggregate(Sum("one", alias_name="new_vocab"))
-        .to_pandas()
-    )
+    per_phase = aggregate(
+        parts, "phase", [("n_tokens", "sum", "n")]
+    ).to_pandas()
+    first = aggregate(
+        aggregate(parts, "token", [("p0", "min", "phase")]),
+        "phase",
+        [("new_vocab", "count", None)],
+        rows=lambda b: b.select(["p0"]).rename_columns(["phase"]),
+    ).to_pandas()
     out = (
         pd.DataFrame({"phase": np.arange(10, dtype=np.int64)})
         .merge(per_phase, on="phase", how="left")
@@ -3205,29 +2911,26 @@ def _q_lang_temperature_mix(sf_dir: str):
     The aggregate is language-arity-sized at any corpus scale; the
     float steps are transcribed into SQL with identical association
     (FLOAT-MIRROR contract)."""
-    from collections import Counter
-
     import pandas as pd
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for lang, t in zip(
-            batch["lang"].to_pylist(), batch["text"].to_pylist()
-        ):
-            c[lang] += len(t.split())
-        return pa.Table.from_pydict(
+    def rows(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "lang": pa.array(list(c.keys()), pa.string()),
-                "n": pa.array(list(c.values()), pa.int64()),
+                "lang": batch["lang"],
+                "n": pa.array(
+                    [len(t.split()) for t in batch["text"].to_pylist()],
+                    pa.int64(),
+                ),
             }
         )
 
     agg = (
-        read_documents(sf_dir, ["lang", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n", alias_name="n_tokens"))
+        aggregate(
+            read_documents(sf_dir, ["lang", "text"]),
+            "lang",
+            [("n_tokens", "sum", "n")],
+            rows=rows,
+        )
         .to_pandas()
         .sort_values("lang")
         .reset_index(drop=True)
@@ -3298,7 +3001,6 @@ def _q_dedup_lsh_eval(sf_dir: str):
     embedded as literals and replayed with the HUGEINT splitmix64
     device, including the >256-doc hot-bucket drop."""
     import pandas as pd
-    from ray.data.aggregate import Count
 
     from ..stages.neardup import (
         bucket_pairs,
@@ -3322,13 +3024,9 @@ def _q_dedup_lsh_eval(sf_dir: str):
     )
     # bucket_pairs dedups only within batches; one tiny pair-grain
     # aggregate makes the candidate set globally distinct
-    cands = (
-        bucket_pairs(banded)
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="nk"))
-        .select_columns(["doc_a", "doc_b"])
-        .materialize()
-    )
+    cands = aggregate(
+        bucket_pairs(banded), ["doc_a", "doc_b"], []
+    ).materialize()
     truth = (
         neardup_pairs(docs, method="ngram", threshold=0.5)
         .select_columns(["doc_a", "doc_b"])
@@ -3467,7 +3165,6 @@ def _q_ann_quantized_recall(sf_dir: str):
     import pandas as pd
     import ray
     import ray.data
-    from ray.data.aggregate import Max
 
     from ..stages.similarity import (
         NEIGHBOR_ORDER,
@@ -3483,7 +3180,7 @@ def _q_ann_quantized_recall(sf_dir: str):
         f"{sf_dir}/embeddings.parquet"
     ).materialize()  # feeds scales + exact + quantized passes once
 
-    def absmax_partial(b: pa.Table) -> pa.Table:
+    def absmax_rows(b: pa.Table) -> pa.Table:
         import numpy as np
 
         m = np.abs(_matrix_of(b).astype(np.float64)).max(axis=0)
@@ -3495,13 +3192,11 @@ def _q_ann_quantized_recall(sf_dir: str):
         )
 
     sc = (
-        emb.map_batches(absmax_partial, batch_format="pyarrow")
-        .groupby("dim")
-        .aggregate(Max("am"))
+        aggregate(emb, "dim", [("am", "max", "am")], rows=absmax_rows)
         .to_pandas()
         .sort_values("dim")
     )
-    scales = sc["max(am)"].to_numpy()
+    scales = sc["am"].to_numpy()
 
     def quantize(m: "np.ndarray") -> "np.ndarray":
         # floor(v * 127 / scale + 0.5): same association as the SQL

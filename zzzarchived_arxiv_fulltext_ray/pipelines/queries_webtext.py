@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.pages import read_documents
+from ..stages.aggregate import aggregate
 from ..stages.topk import topk, topk_per_group
 from ..stages.webtext import (
     EMAIL_RE,
@@ -445,9 +446,10 @@ def _q_events_interval(sf_dir: str):
         end="end_ts",
         granule_us=FIVE_MIN_US,
     )
-    agg = joined.groupby("incident_id").aggregate(
-        ray.data.aggregate.Count(alias_name="n_events"),
-        ray.data.aggregate.Sum("cents", alias_name="sum_cents"),
+    agg = aggregate(
+        joined,
+        "incident_id",
+        [("n_events", "count", None), ("sum_cents", "sum", "cents")],
     )
     df = agg.to_pandas().sort_values("incident_id").reset_index(drop=True)
     df["n_events"] = df["n_events"].astype("int64")
@@ -481,36 +483,25 @@ def _q_domain_split(sf_dir: str):
     function of the DOMAIN (last md5 nibble, 12/2/2 of 16), so a
     domain's documents can never straddle splits. Output proves it:
     per split, the distinct-domain count plus doc/char totals."""
-    import ray.data
-    from ray.data.aggregate import Count, Sum
-
     from ..stages.webtext import domain_split_batch
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = domain_split_batch(batch)
-        return (
-            t.select(["split", "domain", "n_chars"])
-            .group_by(["split", "domain"])
-            .aggregate([("n_chars", "sum"), ("n_chars", "count")])
-            .rename_columns(["split", "domain", "sum_chars", "n_docs"])
-        )
-
-    per_domain = (
-        read_documents(sf_dir, ["doc_id", "n_chars"])
-        .map_batches(_url_domain_batch, batch_format="pyarrow")
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["split", "domain"])
-        .aggregate(
-            Sum("sum_chars", alias_name="sum_chars"),
-            Sum("n_docs", alias_name="n_docs"),
-        )
+    per_domain = aggregate(
+        read_documents(sf_dir, ["doc_id", "n_chars"]).map_batches(
+            _url_domain_batch, batch_format="pyarrow"
+        ),
+        ["split", "domain"],
+        [("sum_chars", "sum", "n_chars"), ("n_docs", "count", "n_chars")],
+        rows=domain_split_batch,
     )
     out = (
-        per_domain.groupby("split")
-        .aggregate(
-            Count(alias_name="n_domains"),
-            Sum("n_docs", alias_name="n_docs"),
-            Sum("sum_chars", alias_name="sum_chars"),
+        aggregate(
+            per_domain,
+            "split",
+            [
+                ("n_domains", "count", None),
+                ("n_docs", "sum", "n_docs"),
+                ("sum_chars", "sum", "sum_chars"),
+            ],
         )
         .to_pandas()
         .sort_values("split")
@@ -634,7 +625,6 @@ def _q_kmeans_clusters(sf_dir: str):
     rows-only); exact parity with single-node Lloyd's is pinned in
     pytest (test_kmeans_matches_single_node_lloyds)."""
     import ray.data
-    from ray.data.aggregate import Count, Sum
 
     from ..stages.similarity import kmeans
 
@@ -643,10 +633,10 @@ def _q_kmeans_clusters(sf_dir: str):
     )
     final, _cents, _inertia = kmeans(emb, k=8, iters=5)
     out = (
-        final.groupby("cluster")
-        .aggregate(
-            Count(alias_name="n_vecs"),
-            Sum("dist2", alias_name="inertia"),
+        aggregate(
+            final,
+            "cluster",
+            [("n_vecs", "count", None), ("inertia", "sum", "dist2")],
         )
         .to_pandas()
         .sort_values("cluster")
@@ -689,8 +679,6 @@ def _q_lang_p90_filter(sf_dir: str):
     per-language 0.9 discrete quantile) — the per-group
     quantile-threshold filter every curation pipeline runs. Exchange
     is the (lang, n_chars) count histogram, never whole groups."""
-    from ray.data.aggregate import Count, Sum
-
     from ..stages.webtext import quantile_filter
 
     kept = quantile_filter(
@@ -701,10 +689,10 @@ def _q_lang_p90_filter(sf_dir: str):
         q_den=10,
     )
     out = (
-        kept.groupby("lang")
-        .aggregate(
-            Count(alias_name="n_kept"),
-            Sum("n_chars", alias_name="sum_chars"),
+        aggregate(
+            kept,
+            "lang",
+            [("n_kept", "count", None), ("sum_chars", "sum", "n_chars")],
         )
         .to_pandas()
         .sort_values("lang")
@@ -840,35 +828,26 @@ def _q_bigram_pmi(sf_dir: str):
     stream; top-20 via ``stages/topk.topk``. The driver never holds
     the bigram table."""
     import ray
-    import ray.data
-    from ray.data.aggregate import Sum
 
-    def grams_partial(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        uni: dict = {}
-        bi: dict = {}
-        for t in texts:
+    def grams(batch: pa.Table) -> pa.Table:
+        uni, bi = [], []
+        for t in batch["text"].to_pylist():
             toks = t.split()
-            for w in toks:
-                uni[w] = uni.get(w, 0) + 1
-            for a, b in zip(toks, toks[1:]):
-                bi[(a, b)] = bi.get((a, b), 0) + 1
-        rows_w = list(uni.keys()) + [a + " " + b for a, b in bi]
-        rows_n = list(uni.values()) + list(bi.values())
-        rows_kind = ["u"] * len(uni) + ["b"] * len(bi)
+            uni.extend(toks)
+            bi.extend(a + " " + b for a, b in zip(toks, toks[1:]))
+        kind = ["u"] * len(uni) + ["b"] * len(bi)
         return pa.Table.from_pydict(
             {
-                "gram": pa.array(rows_w, pa.string()),
-                "kind": pa.array(rows_kind, pa.string()),
-                "n": pa.array(rows_n, pa.int64()),
+                "kind": pa.array(kind, pa.string()),
+                "gram": pa.array(uni + bi, pa.string()),
             }
         )
 
-    counts = (
-        read_documents(sf_dir, ["text"])
-        .map_batches(grams_partial, batch_format="pyarrow")
-        .groupby(["kind", "gram"])
-        .aggregate(Sum("n", alias_name="n"))
+    counts = aggregate(
+        read_documents(sf_dir, ["text"]),
+        ["kind", "gram"],
+        [("n", "count", None)],
+        rows=grams,
     )
     # one count exchange feeds three consumers (totals, unigram
     # broadcast, bigram scoring): materialize the small aggregated
@@ -876,10 +855,8 @@ def _q_bigram_pmi(sf_dir: str):
     counts = counts.materialize()
 
     totals = {
-        r["kind"]: r["sum(n)"]
-        for r in counts.groupby("kind")
-        .aggregate(Sum("n"))
-        .take_all()
+        r["kind"]: r["n"]
+        for r in aggregate(counts, "kind", [("n", "sum", "n")]).take_all()
     }
     n_uni, n_bi = float(totals["u"]), float(totals["b"])
 
@@ -1328,7 +1305,6 @@ def _q_ccnet_buckets(sf_dir: str):
     that intermediate is a 3-fixed-width-column parquet checkpoint
     instead."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.webtext import bigram_lm_score
 
@@ -1349,24 +1325,12 @@ def _q_ccnet_buckets(sf_dir: str):
 
     sm = scored.map_batches(to_milli, batch_format="pyarrow").materialize()
 
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        vals, counts = np.unique(
-            batch["milli_bpt"].to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        return pa.Table.from_pydict(
-            {
-                "v": pa.array(vals, pa.int64()),
-                "cnt": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    hist = (
-        sm.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("v")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .take_all()
-    )
+    hist = aggregate(
+        sm,
+        "v",
+        [("cnt", "count", None)],
+        rows=lambda b: b.select(["milli_bpt"]).rename_columns(["v"]),
+    ).take_all()
     vals = np.array([r["v"] for r in hist], dtype=np.int64)
     counts = np.array([r["cnt"] for r in hist], dtype=np.int64)
     order = np.argsort(vals)
@@ -1536,7 +1500,6 @@ def _q_doc_score_auc(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
     from ..stages.webtext import HashedLinearScorer
@@ -1572,23 +1535,17 @@ def _q_doc_score_auc(sf_dir: str):
         ranked, flags, key="doc_id", num_buckets=32
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        rnk = b["rnk"].to_numpy(zero_copy_only=False)
-        en = b["is_en"].to_numpy(zero_copy_only=False).astype(bool)
-        return pa.Table.from_pydict(
+    agg = aggregate(
+        joined,
+        [],
+        [("r_en", "sum", "r"), ("n_en", "sum", "is_en"),
+         ("n_all", "count", None)],
+        rows=lambda b: pa.table(
             {
-                "r_en": pa.array([int(rnk[en].sum())], pa.int64()),
-                "n_en": pa.array([int(en.sum())], pa.int64()),
-                "n_all": pa.array([int(en.size)], pa.int64()),
+                "r": pc.multiply(pc.cast(b["rnk"], pa.int64()), b["is_en"]),
+                "is_en": b["is_en"],
             }
-        )
-
-    agg = joined.map_batches(partial, batch_format="pyarrow").aggregate(
-        Sum("r_en", alias_name="r_en"),
-        Sum("n_en", alias_name="n_en"),
-        Sum("n_all", alias_name="n_all"),
+        ),
     )
     r_en, n_en, n_all = (
         int(agg["r_en"]), int(agg["n_en"]), int(agg["n_all"])
@@ -1650,10 +1607,8 @@ def _q_doc_score_gains(sf_dir: str):
     the cumulative recall curve as running ratios of exact integers.
     The model-eval companion of doc_score_auc."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
     import ray.data
-    from ray.data.aggregate import Sum
 
     from ..stages.relational import partitioned_hash_join
     from ..stages.webtext import HashedLinearScorer
@@ -1688,36 +1643,24 @@ def _q_doc_score_gains(sf_dir: str):
         ranked, flags, key="doc_id", num_buckets=32
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-
+    def deciles(b: pa.Table) -> pa.Table:
         rnk = b["rnk"].to_numpy(zero_copy_only=False)
-        en = b["is_en"].to_numpy(zero_copy_only=False)
-        dec = ntile_of_rank(rnk, n_all, 10)
-        df = (
-            pd.DataFrame({"decile": dec, "en": en})
-            .groupby("decile", sort=False)
-            .agg(n=("en", "size"), n_en=("en", "sum"))
-            .reset_index()
-        )
-        return pa.Table.from_pydict(
+        return pa.table(
             {
                 "decile": pa.array(
-                    df["decile"].astype("int64"), pa.int64()
+                    ntile_of_rank(rnk, n_all, 10), pa.int64()
                 ),
-                "n": pa.array(df["n"].astype("int64"), pa.int64()),
-                "n_en": pa.array(
-                    df["n_en"].astype("int64"), pa.int64()
-                ),
+                "en": b["is_en"],
             }
         )
 
     out = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .groupby("decile")
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("n_en", alias_name="n_en"))
+        aggregate(
+            joined,
+            "decile",
+            [("n", "count", None), ("n_en", "sum", "en")],
+            rows=deciles,
+        )
         .to_pandas()
         .sort_values("decile")
         .reset_index(drop=True)
@@ -1862,46 +1805,33 @@ def _q_bm25_topk(sf_dir: str):
     import math
 
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     docs = read_documents(sf_dir, ["doc_id", "text"])
     terms = BM25_TERMS
 
-    def stats_partial(batch: pa.Table) -> pa.Table:
-        row = {"n_docs": 0, "dl_sum": 0}
-        dfs = [0] * len(terms)
+    def doc_stats(batch: pa.Table) -> pa.Table:
+        dl, has = [], [[] for _ in terms]
         for text in batch["text"].to_pylist():
             words = text.split()
-            row["n_docs"] += 1
-            row["dl_sum"] += len(words)
+            dl.append(len(words))
             ws = set(words)
             for ti, t in enumerate(terms):
-                if t in ws:
-                    dfs[ti] += 1
-        d = {
-            "n_docs": pa.array([row["n_docs"]], pa.int64()),
-            "dl_sum": pa.array([row["dl_sum"]], pa.int64()),
-        }
+                has[ti].append(int(t in ws))
+        cols = {"dl": pa.array(dl, pa.int64())}
         for ti in range(len(terms)):
-            d[f"df_{ti}"] = pa.array([dfs[ti]], pa.int64())
-        return pa.Table.from_pydict(d)
+            cols[f"has_{ti}"] = pa.array(has[ti], pa.int64())
+        return pa.table(cols)
 
-    aggs = [Sum("n_docs", alias_name="n_docs"),
-            Sum("dl_sum", alias_name="dl_sum")] + [
-        Sum(f"df_{ti}", alias_name=f"df_{ti}")
-        for ti in range(len(terms))
-    ]
-    st = (
-        docs.map_batches(
-            stats_partial, batch_format="pyarrow", batch_size=None
-        )
-        .groupby(None)
-        .aggregate(*aggs)
-        .to_pandas()
+    st = aggregate(
+        docs,
+        [],
+        [("n_docs", "count", None), ("dl_sum", "sum", "dl")]
+        + [(f"df_{ti}", "sum", f"has_{ti}") for ti in range(len(terms))],
+        rows=doc_stats,
     )
-    n = int(st["n_docs"][0])
-    dl_sum = int(st["dl_sum"][0])
-    dfs = [int(st[f"df_{ti}"][0]) for ti in range(len(terms))]
+    n = st["n_docs"]
+    dl_sum = int(st["dl_sum"])
+    dfs = [int(st[f"df_{ti}"]) for ti in range(len(terms))]
     avgdl = dl_sum / n
     # idf_t = ln((N - df + 0.5) / (df + 0.5) + 1.0) — SQL-mirrored
     idfs = [

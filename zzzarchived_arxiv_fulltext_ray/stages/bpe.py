@@ -44,6 +44,7 @@ from typing import List, Sequence, Tuple
 import pandas as pd
 import pyarrow as pa
 
+from .aggregate import aggregate
 from .topk import topk
 
 _WORD_RE = re.compile(r"[a-z]{2,}")
@@ -64,29 +65,24 @@ def symbols_of(word: str, merges: Sequence[Tuple[str, str]]) -> str:
 
 def word_counts(docs, text_col: str = "text"):
     """(word, cnt) Dataset over lowercase ``[a-z]{2,}`` whitespace
-    tokens — per-batch Counter partials, then one groupby exchange
-    over distinct words."""
-    from ray.data.aggregate import Sum
+    tokens, counted by ``stages/aggregate.py``."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for text in batch[text_col].to_pylist():
-            for w in (text or "").lower().split():
-                if _WORD_RE.fullmatch(w):
-                    c[w] += 1
-        words = sorted(c)
-        return pa.Table.from_pydict(
+    def words(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "word": pa.array(words, pa.string()),
-                "cnt": pa.array([c[w] for w in words], pa.int64()),
+                "word": pa.array(
+                    [
+                        w
+                        for text in batch[text_col].to_pylist()
+                        for w in (text or "").lower().split()
+                        if _WORD_RE.fullmatch(w)
+                    ],
+                    pa.string(),
+                )
             }
         )
 
-    return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
+    return aggregate(docs, "word", [("cnt", "count", None)], rows=words)
 
 
 def _pair_partials(batch: pa.Table, merges) -> pa.Table:
@@ -114,8 +110,6 @@ def bpe_train(docs, rounds: int = 3, text_col: str = "text",
 
     Stops early if the vocabulary runs out of adjacent pairs (every
     word fully merged) — callers get fewer rows, never an error."""
-    from ray.data.aggregate import Sum
-
     if wc is None:
         wc = word_counts(docs, text_col=text_col)
     wc = wc.materialize()
@@ -125,12 +119,12 @@ def bpe_train(docs, rounds: int = 3, text_col: str = "text",
     for r in range(rounds):
         frozen = tuple(merges)
         best = topk(
-            wc.map_batches(
-                lambda b, m=frozen: _pair_partials(b, m),
-                batch_format="pyarrow",
-            )
-            .groupby("pair")
-            .aggregate(Sum("n", alias_name="n")),
+            aggregate(
+                wc,
+                "pair",
+                [("n", "sum", "n")],
+                rows=lambda b, m=frozen: _pair_partials(b, m),
+            ),
             1,
             [("n", "descending"), ("pair", "ascending")],
         ).to_pylist()
@@ -157,27 +151,21 @@ def symbol_counts(wc, merges: Sequence[Tuple[str, str]]):
     after applying ``merges`` to the (word, cnt) vocabulary — the
     "apply" half of train-then-apply. One exchange over distinct
     symbols."""
-    from ray.data.aggregate import Sum
-
     frozen = tuple(merges)
 
     def explode(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
+        syms, ns = [], []
         for w, n in zip(
             batch["word"].to_pylist(), batch["cnt"].to_pylist()
         ):
             for s in symbols_of(w, frozen).strip("|").split("|"):
-                c[s] += n
-        syms = sorted(c)
+                syms.append(s)
+                ns.append(n)
         return pa.Table.from_pydict(
             {
                 "sym": pa.array(syms, pa.string()),
-                "n": pa.array([c[s] for s in syms], pa.int64()),
+                "n": pa.array(ns, pa.int64()),
             }
         )
 
-    return (
-        wc.map_batches(explode, batch_format="pyarrow")
-        .groupby("sym")
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    return aggregate(wc, "sym", [("n", "sum", "n")], rows=explode)

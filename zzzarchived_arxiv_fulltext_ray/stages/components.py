@@ -106,8 +106,7 @@ def _components_distributed(pairs_ds, max_rounds: int = 64):
     convergence is detected by one cheap global sum (monotone:
     unchanged sum == fixpoint), no compare-join needed.
     """
-    from ray.data.aggregate import Min, Sum
-
+    from .aggregate import aggregate
     from .relational import partitioned_hash_join
 
     _pin = pin_loop_state
@@ -131,11 +130,11 @@ def _components_distributed(pairs_ds, max_rounds: int = 64):
         ).cast(_LABEL_SCHEMA)
 
     labels = _pin(
-        edges.map_batches(init_labels, batch_format="pyarrow")
-        .groupby("doc_id")
-        .aggregate(Min("label", alias_name="label"))
+        aggregate(
+            edges, "doc_id", [("label", "min", "label")], rows=init_labels
+        )
     )
-    prev_sum = labels.aggregate(Sum("label"))["sum(label)"]
+    prev_sum = aggregate(labels, [], [("s", "sum", "label")])["s"]
 
     for _ in range(max_rounds):
         lab_src = labels.map_batches(
@@ -166,12 +165,13 @@ def _components_distributed(pairs_ds, max_rounds: int = 64):
             lambda b: b.select(["doc_id", "label"]), batch_format="pyarrow"
         )
         labels = _pin(
-            labels.union(via_edges)
-            .union(jump)
-            .groupby("doc_id")
-            .aggregate(Min("label", alias_name="label"))
+            aggregate(
+                labels.union(via_edges).union(jump),
+                "doc_id",
+                [("label", "min", "label")],
+            )
         )
-        cur_sum = labels.aggregate(Sum("label"))["sum(label)"]
+        cur_sum = aggregate(labels, [], [("s", "sum", "label")])["s"]
         if cur_sum == prev_sum:  # labels are monotone non-increasing
             break
         prev_sum = cur_sum

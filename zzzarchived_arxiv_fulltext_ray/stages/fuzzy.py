@@ -57,6 +57,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import hash64_column
+from .aggregate import aggregate
 
 logger = logging.getLogger(__name__)
 
@@ -190,20 +191,9 @@ def fuzzy_self_join(ds, col: str, max_bucket: int = 256, max_len: int = 64):
         pairs_of_group, batch_format="pyarrow"
     )
 
-    # within-batch distinct (cheap, vectorized) then the tiny global one
-    def local_distinct(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        return batch.group_by(["name_a", "name_b"]).aggregate(
-            [("dist", "max")]
-        ).rename_columns(["name_a", "name_b", "dist"])
-
-    from ray.data.aggregate import Max
-
+    # distinct pairs through stages/aggregate.py
     out = (
-        pairs.map_batches(local_distinct, batch_format="pyarrow")
-        .groupby(["name_a", "name_b"])
-        .aggregate(Max("dist", alias_name="dist"))
+        aggregate(pairs, ["name_a", "name_b"], [("dist", "max", "dist")])
         # the verified-distinct result is tiny (pairs, not corpus):
         # materialize it so the emptiness probe and the caller's
         # consumption share ONE execution of the plan
@@ -330,21 +320,8 @@ def fuzzy_join(
         pairs_of_group, batch_format="pyarrow"
     )
 
-    def local_distinct(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        return (
-            batch.group_by(["name_a", "name_b"])
-            .aggregate([("dist", "max")])
-            .rename_columns(["name_a", "name_b", "dist"])
-        )
-
-    from ray.data.aggregate import Max
-
     out = (
-        pairs.map_batches(local_distinct, batch_format="pyarrow")
-        .groupby(["name_a", "name_b"])
-        .aggregate(Max("dist", alias_name="dist"))
+        aggregate(pairs, ["name_a", "name_b"], [("dist", "max", "dist")])
         .materialize()  # tiny result: one execution for probe + caller
     )
     if out.count() == 0:

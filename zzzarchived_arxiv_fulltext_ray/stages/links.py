@@ -11,9 +11,9 @@ identically to their text-extraction path.
 
 Scale shape: link parsing is a stateless per-row kernel fused into the
 page scan (compiled module-level regex; no actor state needed), and
-every aggregate pre-combines per batch (local Arrow ``group_by``)
-before the one small exchange over DISTINCT targets/domains — the
-corpus-sized stream never shuffles.
+every aggregate runs through ``stages/aggregate.py`` (a per-batch
+Arrow partial before the one small exchange over DISTINCT
+targets/domains) — the corpus-sized stream never shuffles.
 """
 
 import re
@@ -22,6 +22,7 @@ from typing import List
 import pyarrow as pa
 
 from ..functions import sniff
+from .aggregate import aggregate
 from .topk import topk
 
 # href scanning runs on the DECODED markup: attribute values are
@@ -118,18 +119,12 @@ def extract_anchors_batch(batch: pa.Table) -> pa.Table:
 
 def top_anchor_texts(pages_ds, k: int = 100):
     """Most common (target, anchor-text) pairs, (n desc, target,
-    anchor) top ``k`` — same pre-combine-then-distinct-exchange shape
-    as :func:`top_link_targets`."""
-    from ray.data.aggregate import Sum
-
-    pairs = pages_ds.map_batches(
-        extract_anchors_batch, batch_format="pyarrow"
-    )
-    partial = pairs.map_batches(
-        _local_count(["target", "anchor"]), batch_format="pyarrow"
-    )
-    agg = partial.groupby(["target", "anchor"]).aggregate(
-        Sum("n", alias_name="n")
+    anchor) top ``k`` — same count-then-top-k shape as
+    :func:`top_link_targets`."""
+    agg = aggregate(
+        pages_ds.map_batches(extract_anchors_batch, batch_format="pyarrow"),
+        ["target", "anchor"],
+        [("n", "count", None)],
     )
     return topk(
         agg, k, [("n", "descending"), ("target", "ascending"),
@@ -137,32 +132,17 @@ def top_anchor_texts(pages_ds, k: int = 100):
     ).to_pandas()
 
 
-def _local_count(cols):
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.group_by(cols).aggregate([([], "count_all")]).rename_columns(
-            cols + ["n"]
-        )
-
-    return fn
-
-
 def top_link_targets(pages_ds, k: int = 100):
     """Corpus-wide most-linked-to targets: (target, n), n desc then
     target asc, top ``k``.
 
-    Physical plan: parse links fused into the page scan -> per-batch
-    partial counts (Arrow group_by) -> one groupby-sum over DISTINCT
-    targets (bounded by the target vocabulary, not the corpus) ->
-    ``stages/topk.topk`` (per-block partial top-k, driver merge of
-    at most k x blocks rows).
+    Physical plan: parse links fused into the page scan -> per-target
+    counts through ``stages/aggregate.py`` (bounded by the target
+    vocabulary, not the corpus) -> ``stages/topk.topk`` (per-block
+    partial top-k, driver merge of at most k x blocks rows).
     """
-    from ray.data.aggregate import Sum
-
     links = pages_ds.map_batches(extract_links_batch, batch_format="pyarrow")
-    partial = links.map_batches(
-        _local_count(["target"]), batch_format="pyarrow"
-    )
-    agg = partial.groupby("target").aggregate(Sum("n", alias_name="n"))
+    agg = aggregate(links, "target", [("n", "count", None)])
     return topk(
         agg, k, [("n", "descending"), ("target", "ascending")]
     ).to_pandas()
@@ -170,15 +150,8 @@ def top_link_targets(pages_ds, k: int = 100):
 
 def domain_outdegree(pages_ds):
     """Outlink count per source domain: (src_domain, n_links), sorted
-    by domain. Same pre-combine-then-small-exchange shape."""
-    from ray.data.aggregate import Sum
-
+    by domain."""
     links = pages_ds.map_batches(extract_links_batch, batch_format="pyarrow")
-    partial = links.map_batches(
-        _local_count(["src_domain"]), batch_format="pyarrow"
-    )
-    agg = partial.groupby("src_domain").aggregate(
-        Sum("n", alias_name="n_links")
-    )
+    agg = aggregate(links, "src_domain", [("n_links", "count", None)])
     out = agg.to_pandas().sort_values("src_domain")
     return out.reset_index(drop=True)

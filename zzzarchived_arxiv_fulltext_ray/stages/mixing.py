@@ -26,8 +26,9 @@ is a stateless filter against the broadcast cutoffs. Equivalent to a
 global per-group ordered window-sum, at the cost of two narrow scans
 + one small exchange.
 
-Scale shape (dsir_score): bucket counts pre-combine per batch into
-256-long partials (one small exchange); the log-ratio table is a
+Scale shape (dsir_score): bucket counts reduce per batch to 256-long
+rows summed by ``stages/aggregate.py`` (one small exchange); the
+log-ratio table is a
 256-float broadcast; scoring is a stateless second scan. No token
 ever shuffles.
 """
@@ -37,6 +38,8 @@ from typing import Dict, List
 
 import numpy as np
 import pyarrow as pa
+
+from .aggregate import aggregate
 
 _MEMO_CAP = 1 << 20
 
@@ -166,32 +169,18 @@ def token_budget_select(
     if boundary not in ("auto", "driver", "distributed"):
         raise ValueError(f"unknown boundary plan: {boundary}")
 
-    from ray.data.aggregate import Sum
-
     hashed = docs_ds.map_batches(
         lambda b: _tokens_hash_batch(b, n_buckets, id_col, group_col),
         batch_format="pyarrow",
     )
 
-    # pass 1: (group, bucket) token histogram — pre-combined per
-    # batch, then one exchange over <= n_groups * n_buckets rows
-    def partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select([group_col, "bucket", "n_tokens"])
-            .group_by([group_col, "bucket"])
-            .aggregate([("n_tokens", "sum"), ("n_tokens", "count")])
-            .rename_columns([group_col, "bucket", "n_tokens", "n_rows"])
-        )
-
-    hist = (
-        hashed.map_batches(partial, batch_format="pyarrow")
-        .groupby([group_col, "bucket"])
-        .aggregate(
-            Sum("n_tokens", alias_name="n_tokens"),
-            Sum("n_rows", alias_name="n_rows"),
-        )
-        .to_pandas()
-    )
+    # pass 1: (group, bucket) token histogram — one grouped aggregate
+    # whose exchange carries <= n_groups * n_buckets rows per block
+    hist = aggregate(
+        hashed,
+        [group_col, "bucket"],
+        [("n_tokens", "sum", "n_tokens"), ("n_rows", "count", "n_tokens")],
+    ).to_pandas()
 
     if hist.empty:
         # all rows filtered upstream: typed-empty result, not a
@@ -355,8 +344,6 @@ def dsir_score(docs_ds, target_mod: int = 101, n_buckets: int = 256):
 
     Returns a pandas frame (doc_id, n_tokens, score) sorted by doc_id.
     """
-    from ray.data.aggregate import Sum
-
     # pass 1: 256-bucket token counts, corpus-wide and target-slice
     def count_partial(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -379,9 +366,12 @@ def dsir_score(docs_ds, target_mod: int = 101, n_buckets: int = 256):
         )
 
     counts = (
-        docs_ds.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(Sum("c_all", alias_name="c_all"), Sum("c_tgt", alias_name="c_tgt"))
+        aggregate(
+            docs_ds,
+            "bucket",
+            [("c_all", "sum", "c_all"), ("c_tgt", "sum", "c_tgt")],
+            rows=count_partial,
+        )
         .to_pandas()
         .sort_values("bucket")
     )

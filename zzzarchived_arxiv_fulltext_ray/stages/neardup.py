@@ -39,6 +39,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import shingles as sk
+from .aggregate import aggregate
 from .relational import partitioned_hash_join
 
 logger = logging.getLogger(__name__)
@@ -239,10 +240,8 @@ def bucket_pairs(ds, max_bucket: int = 256):
 def _distinct_pairs(verified_ds, value_col: str):
     """Collapse duplicate verified pairs (identical values by
     construction) — a tiny aggregate over the verified output."""
-    from ray.data.aggregate import Max
-
-    return verified_ds.groupby(["doc_a", "doc_b"]).aggregate(
-        Max(value_col, alias_name=value_col)
+    return aggregate(
+        verified_ds, ["doc_a", "doc_b"], [(value_col, "max", value_col)]
     )
 
 
@@ -647,7 +646,6 @@ def simhash_pairs(
     ``max_bucket**2 / 2`` vectorized ops per task instead of an
     unbounded pure-Python double loop; pairs whose only shared block
     is a dropped one are lost (logged)."""
-    from ray.data.aggregate import Min
 
     shingled = docs_ds.map_batches(
         lambda b: shingle_batch(b, k), batch_format="pyarrow"
@@ -698,19 +696,10 @@ def simhash_pairs(
         pairs_of_group, batch_format="pyarrow"
     )
 
-    # distinct pairs via one vectorized aggregate (duplicates across
-    # blocks carry the same hamming, so Min is just "pick one")
-    def local_distinct(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by(["doc_a", "doc_b"])
-            .aggregate([("hamming", "min")])
-            .rename_columns(["doc_a", "doc_b", "hamming"])
-        )
-
-    return (
-        pairs.map_batches(local_distinct, batch_format="pyarrow")
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Min("hamming", alias_name="hamming"))
+    # distinct pairs via one grouped aggregate (duplicates across
+    # blocks carry the same hamming, so min is just "pick one")
+    return aggregate(
+        pairs, ["doc_a", "doc_b"], [("hamming", "min", "hamming")]
     )
 
 

@@ -10,9 +10,9 @@ redistribution as a pure Ray Data plan:
   beyond two scalars per round (node count, dangling mass);
 * each power-iteration round is (1) a bucketed hash join of ranks
   against the out-probability edge list on the source node
-  (``relational.partitioned_hash_join`` — Acero per bucket), with a
-  per-batch local combine on the destination before (2) the
-  groupby-sum exchange over destinations, then (3) a left-outer join
+  (``relational.partitioned_hash_join`` — Acero per bucket), then (2)
+  the sum over destinations through ``stages/aggregate.py`` (Arrow
+  partial per batch, bucketed Arrow merge), then (3) a left-outer join
   back onto the static node relation applying teleport + dangling
   mass, so nodes with zero inflow keep receiving rank;
 * loop state is pinned (lineage severed AND coalesced to a constant
@@ -34,18 +34,9 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import aggregate
 from .components import pin_loop_state
 from .relational import partitioned_hash_join
-
-
-def _local_sum(cols, val):
-    """Per-batch Arrow combine: group by ``cols``, sum ``val``."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(cols).aggregate([(val, "sum")])
-        return g.rename_columns(cols + [val])
-
-    return fn
 
 
 def pagerank(
@@ -63,23 +54,11 @@ def pagerank(
     r_{k+1}(v) = (1-d)/N + d * (sum_{u->v} r_k(u) * w(u,v)/outw(u)
                                 + dangling_mass_k / N)
     """
-    from ray.data.aggregate import Min, Sum
-
     # ---- out-weight normalized edge list (built once, pinned) -----
-    edges = (
-        edges_ds.map_batches(
-            _local_sum(["src", "dst"], "w"), batch_format="pyarrow"
-        )
-        .groupby(["src", "dst"])
-        .aggregate(Sum("w", alias_name="w"))
+    edges = pin_loop_state(
+        aggregate(edges_ds, ["src", "dst"], [("w", "sum", "w")]), num_blocks
     )
-    edges = pin_loop_state(edges, num_blocks)
-
-    outw = (
-        edges.map_batches(_local_sum(["src"], "w"), batch_format="pyarrow")
-        .groupby("src")
-        .aggregate(Sum("w", alias_name="outw"))
-    )
+    outw = aggregate(edges, "src", [("outw", "sum", "w")])
 
     def normalize(b: pa.Table) -> pa.Table:
         p = pc.divide(
@@ -98,24 +77,21 @@ def pagerank(
     )
 
     # ---- node relation with dangling flag (static) ----------------
-    def side(col: str, flag: int):
-        def fn(b: pa.Table) -> pa.Table:
-            # distinct within the batch: cheap pre-combine
-            u = pc.unique(b[col].combine_chunks())
-            return pa.Table.from_arrays(
-                [u, pa.array([flag] * len(u), pa.int64())],
-                names=["node", "f"],
-            )
+    def sides(b: pa.Table) -> pa.Table:
+        n = b.num_rows
+        return pa.table(
+            {
+                "node": pa.concat_arrays(
+                    [b["src"].combine_chunks(), b["dst"].combine_chunks()]
+                ),
+                "f": pa.array([0] * n + [1] * n, pa.int64()),
+            }
+        )
 
-        return fn
-
-    nodes = (
-        edges.map_batches(side("src", 0), batch_format="pyarrow")
-        .union(edges.map_batches(side("dst", 1), batch_format="pyarrow"))
-        .groupby("node")
-        .aggregate(Min("f", alias_name="dang"))
+    nodes = pin_loop_state(
+        aggregate(edges, "node", [("dang", "min", "f")], rows=sides),
+        num_blocks,
     )
-    nodes = pin_loop_state(nodes, num_blocks)
     n = n_nodes if n_nodes is not None else nodes.count()
 
     # ---- r0: uniform -----------------------------------------------
@@ -145,26 +121,21 @@ def pagerank(
             )
 
         def contrib(b: pa.Table) -> pa.Table:
-            t = pa.Table.from_arrays(
-                [
-                    b["dst"].combine_chunks(),
-                    pc.multiply(b["r"], b["p"]),
-                ],
+            return pa.Table.from_arrays(
+                [b["dst"], pc.multiply(b["r"], b["p"])],
                 names=["node", "infl"],
             )
-            g = t.group_by("node").aggregate([("infl", "sum")])
-            return g.rename_columns(["node", "infl"])
 
-        inflow = (
+        inflow = aggregate(
             partitioned_hash_join(
                 ranks.map_batches(as_src, batch_format="pyarrow"),
                 edges_norm,
                 "src",
                 num_buckets=num_buckets,
-            )
-            .map_batches(contrib, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(Sum("infl", alias_name="infl"))
+            ),
+            "node",
+            [("infl", "sum", "infl")],
+            rows=contrib,
         )
 
         def apply_rank(b: pa.Table) -> pa.Table:

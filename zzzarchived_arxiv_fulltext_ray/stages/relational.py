@@ -8,8 +8,7 @@ physical join strategies the engine standardizes on:
   ``bucket = stable_hash(key) % B`` to both sides, tag the side,
   union, ``groupby(bucket)``, and merge the two sides inside each
   group. One all-to-all exchange, no driver state; salt hot keys by
-  raising B. (Recent Ray releases ship ``Dataset.join`` — this is the
-  portable spelling that also documents the partitioning contract.)
+  raising B.
 * **one side small** → broadcast semi/anti join: ``ray.put`` the key
   set once, filter inside ``map_batches``.
 """
@@ -36,6 +35,22 @@ _ARROW_JOIN_TYPE = {
     "anti": "left anti",
     "semi": "left semi",
 }
+
+
+def _arrow_fields(schema_obj):
+    """``(name, Arrow type)`` per column of a Dataset schema:
+    pandas-backed Datasets report numpy dtypes / ``object`` in
+    ``.types``, normalized here to Arrow types."""
+    fields = []
+    for name, typ in zip(schema_obj.names, schema_obj.types):
+        if not isinstance(typ, pa.DataType):
+            typ = (
+                pa.string()
+                if typ is object or typ == np.dtype("O")
+                else pa.from_numpy_dtype(np.dtype(typ))
+            )
+        fields.append((name, typ))
+    return fields
 
 
 def partitioned_hash_join(
@@ -65,20 +80,6 @@ def partitioned_hash_join(
         right_ds = right_ds.map_batches(
             lambda b: b.select(keys), batch_format="pyarrow"
         )
-
-    def _arrow_fields(schema_obj):
-        # pandas-backed Datasets report numpy dtypes / `object` in
-        # .types — normalize everything to Arrow types
-        fields = []
-        for name, typ in zip(schema_obj.names, schema_obj.types):
-            if not isinstance(typ, pa.DataType):
-                typ = (
-                    pa.string()
-                    if typ is object or typ == np.dtype("O")
-                    else pa.from_numpy_dtype(np.dtype(typ))
-                )
-            fields.append((name, typ))
-        return fields
 
     left_fields = _arrow_fields(left_ds.schema())
     right_fields = _arrow_fields(right_ds.schema())
@@ -136,21 +137,6 @@ def partitioned_hash_join(
     )
 
 
-def native_join(
-    left_ds, right_ds, key: str, num_partitions: int = 32, how: str = "inner"
-):
-    """Ray Data's built-in ``Dataset.join`` (hash-shuffle aggregator
-    actors, Ray >= 2.46) — benchmarked against
-    :func:`partitioned_hash_join` in tests/BASELINE.md; same contract
-    (disjoint non-key columns)."""
-    return left_ds.join(
-        right_ds,
-        join_type=how,
-        num_partitions=num_partitions,
-        on=(key,),
-    )
-
-
 def broadcast_anti_join(ds, key: str, blocked_keys):
     """Keep rows whose ``key`` is NOT in ``blocked_keys`` (the
     broadcast anti-join / blocklist-filter pattern); the per-batch
@@ -168,27 +154,6 @@ def broadcast_anti_join(ds, key: str, blocked_keys):
         )
 
     return ds.map_batches(keep, batch_format="pyarrow")
-
-
-def grouped_value_counts(ds, row_col: str, col_col: str):
-    """The shared (row, col, n) grain for pivot/mode: per-batch
-    vectorized count combine, one exchange over the (row, col) keys —
-    the raw row stream never shuffles."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select([row_col, col_col])
-            .group_by([row_col, col_col])
-            .aggregate([([], "count_all")])
-            .rename_columns([row_col, col_col, "n"])
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby([row_col, col_col])
-        .aggregate(Sum("n", alias_name="n"))
-    )
 
 
 def pivot_wide(grain_ds, row_col: str, col_col: str,
@@ -466,17 +431,7 @@ def skew_routed_join(
     if hot_tables:
         hot_build = pa.concat_tables(hot_tables)
     else:  # hot keys absent from the build side: typed empty
-        fields = []
-        sch = right_ds.schema()
-        for name, typ in zip(sch.names, sch.types):
-            if not isinstance(typ, pa.DataType):
-                typ = (
-                    pa.string()
-                    if typ is object or typ == np.dtype("O")
-                    else pa.from_numpy_dtype(np.dtype(typ))
-                )
-            fields.append((name, typ))
-        hot_build = pa.schema(fields).empty_table()
+        hot_build = pa.schema(_arrow_fields(right_ds.schema())).empty_table()
     if hot_build.num_rows > max_broadcast_rows:
         raise ValueError(
             f"skew_routed_join: {hot_build.num_rows} hot build rows "

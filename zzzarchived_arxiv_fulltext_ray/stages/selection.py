@@ -31,6 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .aggregate import aggregate
+
 __all__ = [
     "distributed_kth_value",
     "distributed_quantile_disc",
@@ -61,6 +63,20 @@ def _range_histogram(ds, col: str, lo: int, hi: int, num_buckets: int,
     return total
 
 
+def _value_range(ds, col: str):
+    """(min, max) of ``col`` over its non-null values; (None, None)
+    when it has none."""
+    agg = aggregate(
+        ds.select_columns([col]), [], [("lo", "min", col), ("hi", "max", col)]
+    )
+    return agg["lo"], agg["hi"]
+
+
+def _row_count(ds, col: str) -> int:
+    """Rows of ``ds``, counted on the one projected column."""
+    return aggregate(ds.select_columns([col]), [], [("n", "count", None)])["n"]
+
+
 def distributed_kth_value(
     ds, col: str, k: int, num_buckets: int = 4096
 ) -> int:
@@ -70,10 +86,7 @@ def distributed_kth_value(
     aggregate semantics)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    from ray.data.aggregate import Max, Min
-
-    agg = ds.select_columns([col]).aggregate(Min(col), Max(col))
-    lo, hi = agg[f"min({col})"], agg[f"max({col})"]
+    lo, hi = _value_range(ds, col)
     if lo is None:
         raise ValueError("distributed_kth_value: no non-null values")
     lo, hi = int(lo), int(hi)
@@ -107,9 +120,7 @@ def distributed_quantile_disc(
 
     The row count comes from one projected count; the selection adds
     ceil(log_B(domain)) scans."""
-    from ray.data.aggregate import Count
-
-    n = int(ds.select_columns([col]).aggregate(Count(col))[f"count({col})"])
+    n = _row_count(ds, col)
     if n == 0:
         raise ValueError("distributed_quantile_disc: empty column")
     # rank = ceil(q * n) in INTEGER arithmetic: q as a fraction over a
@@ -128,9 +139,7 @@ def distributed_quantile_cont(
     statistics. Both order statistics come from
     :func:`distributed_kth_value`; the interpolation mirrors the SQL
     formula term-for-term in float64. Returns (value, n)."""
-    from ray.data.aggregate import Count
-
-    n = int(ds.select_columns([col]).aggregate(Count(col))[f"count({col})"])
+    n = _row_count(ds, col)
     if n == 0:
         raise ValueError("distributed_quantile_cont: empty column")
     pos = q * (n - 1)
@@ -160,19 +169,19 @@ def grouped_quantile_disc(
     per-group shuffle instead). Passes = ceil(log_B(max domain)).
     Rank convention = ceil(q * n_g), matching DuckDB quantile_disc.
     Returns [(group, value, n_g), ...] sorted by group."""
-    from ray.data.aggregate import Count, Max, Min
-
     stats = (
-        ds.select_columns([group_col, col])
-        .groupby(group_col)
-        .aggregate(Min(col), Max(col), Count(col))
+        aggregate(
+            ds.select_columns([group_col, col]),
+            group_col,
+            [("lo", "min", col), ("hi", "max", col), ("n", "count", None)],
+        )
         .to_pandas()
         .sort_values(group_col)
     )
     groups = stats[group_col].to_numpy()
-    lo = stats[f"min({col})"].to_numpy().astype(np.int64).copy()
-    hi = stats[f"max({col})"].to_numpy().astype(np.int64).copy()
-    n = stats[f"count({col})"].to_numpy().astype(np.int64)
+    lo = stats["lo"].to_numpy().astype(np.int64).copy()
+    hi = stats["hi"].to_numpy().astype(np.int64).copy()
+    n = stats["n"].to_numpy().astype(np.int64)
     num, den = round(q * 10**6), 10**6
     k_rem = np.maximum(1, -(-(num * n) // den))
     G = len(groups)
@@ -245,15 +254,12 @@ def distributed_kth_values(
     three-quartile query needs up to six order statistics; this
     collapses ~6x the scans into the pass count of one). Same
     per-pass driver-state bound, multiplied by len(ks)."""
-    from ray.data.aggregate import Max, Min
-
     targets = sorted(set(int(k) for k in ks))
     if not targets:
         return {}
     if targets[0] < 1:
         raise ValueError(f"k must be >= 1, got {targets[0]}")
-    agg = ds.select_columns([col]).aggregate(Min(col), Max(col))
-    glo, ghi = agg[f"min({col})"], agg[f"max({col})"]
+    glo, ghi = _value_range(ds, col)
     if glo is None:
         raise ValueError("distributed_kth_values: no non-null values")
     T = len(targets)
@@ -353,10 +359,7 @@ def distributed_weighted_kth(
     asserted per scan via the total never decreasing)."""
     if k_w < 1:
         raise ValueError(f"k_w must be >= 1, got {k_w}")
-    from ray.data.aggregate import Max, Min
-
-    agg = ds.select_columns([col]).aggregate(Min(col), Max(col))
-    lo, hi = agg[f"min({col})"], agg[f"max({col})"]
+    lo, hi = _value_range(ds, col)
     if lo is None:
         raise ValueError("distributed_weighted_kth: no non-null values")
     lo, hi = int(lo), int(hi)
@@ -392,10 +395,8 @@ def distributed_weighted_median(
     """Lower weighted median: the smallest value whose cumulative
     weight reaches ceil(W/2) (W = total weight, integer arithmetic).
     Returns (value, W)."""
-    from ray.data.aggregate import Sum
-
     w_total = int(
-        ds.select_columns([wcol]).aggregate(Sum(wcol, alias_name="w"))["w"]
+        aggregate(ds.select_columns([wcol]), [], [("w", "sum", wcol)])["w"]
     )
     if w_total <= 0:
         raise ValueError("distributed_weighted_median: no weight")

@@ -373,15 +373,13 @@ def embedding_neardup_lsh(
         batch_format="pyarrow",
         concurrency=(1, 4),
     )
-    from ray.data.aggregate import Max
+    from .aggregate import aggregate
 
     candidates = bucket_pairs(keyed, max_bucket=4096)
     verified = verify_cosine_partitioned(candidates, emb_ds, threshold)
     # bucket_pairs dedups locally only; collapse cross-batch duplicate
     # pairs (identical sims) over the small verified output
-    return verified.groupby(["vec_a", "vec_b"]).aggregate(
-        Max("sim", alias_name="sim")
-    )
+    return aggregate(verified, ["vec_a", "vec_b"], [("sim", "max", "sim")])
 
 
 # -- IVF (inverted-file) ANN: the coarse-quantizer scale path ---------------

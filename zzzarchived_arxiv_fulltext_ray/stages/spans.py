@@ -38,8 +38,6 @@ is the kept tokens joined by single spaces (the oracle mirrors with
 ``string_agg(... ORDER BY position)``).
 """
 
-from collections import Counter
-
 import numpy as np
 import pyarrow as pa
 
@@ -78,23 +76,10 @@ def _gram_explode(batch: pa.Table, w: int) -> pa.Table:
 
 def _dup_grams(grams_ds, min_count: int):
     """Dataset of (gram) occurring >= min_count times corpus-wide.
-    Per-batch Counter partials, one groupby-sum exchange."""
-    from ray.data.aggregate import Sum
+    Counted through ``stages/aggregate.py``."""
+    from .aggregate import aggregate
 
-    def partial(batch: pa.Table) -> pa.Table:
-        counts = Counter(batch["gram"].to_pylist())
-        return pa.Table.from_pydict(
-            {
-                "gram": pa.array(list(counts.keys()), pa.string()),
-                "n_occ": pa.array(list(counts.values()), pa.int64()),
-            }
-        )
-
-    counted = (
-        grams_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("gram")
-        .aggregate(Sum("n_occ", alias_name="n_occ"))
-    )
+    counted = aggregate(grams_ds, "gram", [("n_occ", "count", None)])
     return counted.filter(
         expr=f"n_occ >= {int(min_count)}"
     ).select_columns(["gram"])

@@ -123,38 +123,29 @@ def fingerprint_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def window_partial_batch(batch: pa.Table) -> pa.Table:
-    """Tumbling 1-hour event windows, partially aggregated per batch
-    (combiner before the small groupby shuffle). Money in int cents."""
-    window_start = pc.floor_temporal(batch["ts"], unit="hour")
-    cents = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)), pa.int64())
-    t = pa.Table.from_pydict(
-        {
-            "user_id": batch["user_id"].combine_chunks(),
-            "window_start": window_start,
-            "cents": cents,
-            "one": pa.array([1] * batch.num_rows, pa.int64()),
-        }
-    )
-    g = t.group_by(["user_id", "window_start"]).aggregate(
-        [("cents", "sum"), ("one", "sum")]
-    )
-    return g.rename_columns(
-        ["user_id", "window_start", "sum_cents", "n_events"]
-    )
-
-
 def windowed_events(events_ds):
-    """user x 1h-tumbling-window aggregate (count + value cents)."""
-    from ray.data.aggregate import Sum
+    """user x 1h-tumbling-window aggregate (count + value cents)
+    through ``stages/aggregate.py``. Money in int cents; window starts
+    are whole hours, so they carry second resolution."""
+    from .aggregate import aggregate
 
-    return (
-        events_ds.map_batches(window_partial_batch, batch_format="pyarrow")
-        .groupby(["user_id", "window_start"])
-        .aggregate(
-            Sum("sum_cents", alias_name="sum_cents"),
-            Sum("n_events", alias_name="n_events"),
+    def rows(batch: pa.Table) -> pa.Table:
+        start = pc.floor_temporal(batch["ts"], unit="hour")
+        return pa.table(
+            {
+                "user_id": batch["user_id"],
+                "window_start": start.cast(pa.timestamp("s")),
+                "cents": pc.cast(
+                    pc.round(pc.multiply(batch["value"], 100.0)), pa.int64()
+                ),
+            }
         )
+
+    return aggregate(
+        events_ds,
+        ["user_id", "window_start"],
+        [("sum_cents", "sum", "cents"), ("n_events", "count", None)],
+        rows=rows,
     )
 
 

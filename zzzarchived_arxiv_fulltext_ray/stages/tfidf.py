@@ -6,9 +6,9 @@ Classic curation/analysis operator: rank each document's terms by
 * term-frequency explode — one (doc_id, token, tf) row per DISTINCT
   token per doc (per-doc Counter; rows are documents, the per-row
   kernel is the tokenizer);
-* document frequencies — batch-level partial combine (a token counts
-  once per doc by construction), then one groupby-sum; df state is
-  vocabulary-sized and stays distributed;
+* document frequencies — one grouped count through
+  ``stages/aggregate.py`` (a token counts once per doc by
+  construction); df state is vocabulary-sized and stays distributed;
 * idf join — the tf stream bucket-hash-joins the df table on token
   (``partitioned_hash_join``; no broadcast vocabulary);
 * per-doc top-k — ``stages/topk.topk_per_group`` keeps each doc's
@@ -50,21 +50,12 @@ def doc_tfidf_topk(docs_ds, k: int = 3, num_buckets: int = 64):
     """(doc_id, token, weight): each document's top-``k`` terms by
     ``tf * ln(N/df)``, weight desc / token asc. ``docs_ds`` needs
     (doc_id, text)."""
-    from ray.data.aggregate import Sum
+    from .aggregate import aggregate
 
     n_docs = docs_ds.count()
 
     tf = docs_ds.map_batches(_tf_explode, batch_format="pyarrow")
-
-    def df_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("token").aggregate([("doc_id", "count")])
-        return g.rename_columns(["token", "df"])
-
-    df = (
-        tf.map_batches(df_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("df", alias_name="df"))
-    )
+    df = aggregate(tf, "token", [("df", "count", "doc_id")])
 
     joined = partitioned_hash_join(tf, df, key="token",
                                    num_buckets=num_buckets)

@@ -39,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import hash64_column
+from .aggregate import aggregate
 from .topk import topk
 
 # RE2-compatible (works identically under pyarrow's and DuckDB's RE2);
@@ -211,16 +212,7 @@ def decontaminate(
     # distinct (doc_id, gram) pairs survived the semi-join; count rows
     # per doc. The groupby key is high-cardinality (doc_id), so the
     # exchange is well-spread.
-    agg = hits.groupby("doc_id").count()
-    return agg.map_batches(
-        lambda b: pa.Table.from_pydict(
-            {
-                "doc_id": pc.cast(b["doc_id"], pa.int64()),
-                "n_hits": pc.cast(b["count()"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    return aggregate(hits, "doc_id", [("n_hits", "count", None)])
 
 
 def repetition_batch(
@@ -278,49 +270,33 @@ def split_lines(col) -> "tuple[pa.Array, np.ndarray]":
     return flat, offsets
 
 
-def line_count_partial(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """documents batch -> (line_hash, cnt) partial occurrence counts.
-
-    The combiner half of the CCNet-style cross-document line dedup:
-    only 16-byte (hash, count) pairs ever leave the batch — the line
-    strings themselves never shuffle."""
+def line_hashes(batch: pa.Table, text_col: str = "text") -> pa.Table:
+    """documents batch -> one ``line_hash`` row per line: the
+    CCNet-style cross-document line dedup counts 8-byte hashes, so the
+    line strings themselves never shuffle. The int64 bit view keeps
+    the key off uint64."""
     flat, _ = split_lines(batch[text_col])
-    if len(flat) == 0:
-        return pa.Table.from_pydict(
-            {
-                "line_hash": pa.array([], pa.int64()),
-                "cnt": pa.array([], pa.int64()),
-            }
-        )
-    hashes = hash64_column(flat).view(np.int64)  # opaque key: int64
-    uniq, counts = np.unique(hashes, return_counts=True)  # bit-view keeps
-    # the exchange off uint64, which Ray's reduce round-trips via Python
-    # ints and overflows
-    return pa.Table.from_pydict(
-        {
-            "line_hash": pa.array(uniq, pa.int64()),
-            "cnt": pa.array(counts.astype(np.int64), pa.int64()),
-        }
+    hashes = (
+        hash64_column(flat).view(np.int64) if len(flat) else
+        np.empty(0, np.int64)
     )
+    return pa.table({"line_hash": pa.array(hashes, pa.int64())})
 
 
 def hot_line_hashes(docs_ds, min_count: int, text_col: str = "text"):
     """Global line-occurrence counts -> sorted int64 array of the
     hashes occurring ``>= min_count`` times corpus-wide.
 
-    Exchange shape: per-batch partial counts (above) -> groupby sum on
-    the 8-byte hash (bit-viewed int64) -> filter. Only the HOT tail reaches the driver —
+    Exchange shape: ``stages/aggregate.py`` counts the 8-byte hashes
+    (bit-viewed int64) -> filter. Only the HOT tail reaches the driver —
     bounded by the number of globally repeated boilerplate lines, not
     by corpus size (each needs >= min_count occurrences, so the set is
     at most total_lines / min_count and in practice tiny)."""
-    from ray.data.aggregate import Sum
-
-    counts = (
-        docs_ds.map_batches(
-            lambda b: line_count_partial(b, text_col), batch_format="pyarrow"
-        )
-        .groupby("line_hash")
-        .aggregate(Sum("cnt", alias_name="cnt"))
+    counts = aggregate(
+        docs_ds,
+        "line_hash",
+        [("cnt", "count", None)],
+        rows=lambda b: line_hashes(b, text_col),
     )
     hot = counts.map_batches(
         lambda b: b.filter(pc.greater_equal(b["cnt"], min_count)).select(
@@ -496,27 +472,15 @@ def grouped_quantile_disc(
     ds, key: str, val: str, q_num: int, q_den: int
 ) -> pa.Table:
     """Exact discrete quantile per group WITHOUT shuffling whole
-    groups: reduce to a (key, val) count histogram (vectorized
-    per-batch combine, then a groupby sum — per-task state is
+    groups: reduce to a (key, val) count histogram
+    (``stages/aggregate.py`` — per-task state is
     O(distinct values per group), never O(rows)), then read the value
     at 1-based rank ceil(q*n) off cumulative counts — DuckDB's
     ``quantile_disc`` convention, computed in INTEGER arithmetic
     (``q = q_num/q_den``) so no float rank ever rounds the wrong way.
     Returns a small Arrow table (key, threshold, n) on the driver —
     bounded by group count."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.select([key, val]).group_by([key, val]).aggregate(
-            [(val, "count")]
-        )
-        return g.rename_columns([key, val, "n"])
-
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby([key, val])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    hist = aggregate(ds, [key, val], [("n", "count", val)])
 
     def stat(group: pa.Table) -> pa.Table:
         v = group[val].to_numpy(zero_copy_only=False)
@@ -756,21 +720,14 @@ def _window_doc_pairs(
     return h[keep], d[keep]
 
 
-def window_count_partial(
+def window_hashes(
     batch: pa.Table, w: int = 8, text_col: str = "text"
 ) -> pa.Table:
-    """documents batch -> (win_hash, cnt) distinct-document partial
-    counts. Windows are deduped per document BEFORE counting, so the
-    downstream sum is an exact distinct-doc count (documents never
-    span blocks). Only 16-byte pairs leave the batch."""
+    """documents batch -> one ``win_hash`` row per (window, document)
+    pair. Windows are deduped per document, so counting rows per hash
+    is an exact distinct-doc count (documents never span blocks)."""
     h, _ = _window_doc_pairs(batch, w, text_col)
-    uniq, counts = np.unique(h, return_counts=True)
-    return pa.Table.from_pydict(
-        {
-            "win_hash": pa.array(uniq.view(np.int64), pa.int64()),
-            "cnt": pa.array(counts.astype(np.int64), pa.int64()),
-        }
-    )
+    return pa.table({"win_hash": pa.array(h.view(np.int64), pa.int64())})
 
 
 def hot_window_hashes(
@@ -778,18 +735,14 @@ def hot_window_hashes(
 ) -> np.ndarray:
     """Sorted int64 array of window hashes shared by >= ``min_docs``
     distinct documents. Exchange shape identical to
-    ``hot_line_hashes``: per-batch partials -> 8-byte-key groupby sum
-    -> filtered tail to the driver (bounded by the duplicated-window
-    count, not corpus size)."""
-    from ray.data.aggregate import Sum
-
-    counts = (
-        docs_ds.map_batches(
-            lambda b: window_count_partial(b, w, text_col),
-            batch_format="pyarrow",
-        )
-        .groupby("win_hash")
-        .aggregate(Sum("cnt", alias_name="cnt"))
+    ``hot_line_hashes``: 8-byte-key counts through
+    ``stages/aggregate.py`` -> filtered tail to the driver (bounded by
+    the duplicated-window count, not corpus size)."""
+    counts = aggregate(
+        docs_ds,
+        "win_hash",
+        [("cnt", "count", None)],
+        rows=lambda b: window_hashes(b, w, text_col),
     )
     hot = counts.map_batches(
         lambda b: b.filter(pc.greater_equal(b["cnt"], min_docs)).select(
@@ -856,27 +809,14 @@ def substring_dedup(
 def corpus_vocab(docs_ds, top_v: int, text_col: str = "text"):
     """Deterministic top-``top_v`` vocabulary by corpus frequency
     (ties broken by word ascending — the SQL ``ORDER BY c DESC, w``
-    convention). One (word, cnt) partial-count exchange, then
+    convention). One (word, cnt) grouped count, then
     ``stages/topk.topk``: only ``top_v`` rows per block reach the
     driver."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        flat, _ = tokenize_flat(batch[text_col])
-        words, counts = np.unique(
-            flat.to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.Table.from_pydict(
-            {
-                "w": pa.array(words, pa.string()),
-                "cnt": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    agg = (
-        docs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("w")
-        .aggregate(Sum("cnt", alias_name="cnt"))
+    agg = aggregate(
+        docs_ds,
+        "w",
+        [("cnt", "count", None)],
+        rows=lambda b: pa.table({"w": tokenize_flat(b[text_col])[0]}),
     )
     top = topk(agg, top_v, [("cnt", "descending"), ("w", "ascending")])
     words = top["w"].to_numpy(zero_copy_only=False) if top.num_columns else []
@@ -899,45 +839,27 @@ def _mapped_token_ids(
 def train_bigram_counts(docs_ds, vocab: np.ndarray, text_col: str = "text"):
     """Corpus bigram counts over UNK-mapped tokens.
 
-    Per-batch partials are (int64 key = prev*(V+1)+w, cnt) from a
-    vectorized np.unique — strings never enter the exchange. Returns
+    The grouped count runs over int64 keys prev*(V+1)+w — strings
+    never enter the exchange. Returns
     (sorted keys, counts, prev_totals[V+1]) for broadcast. The table
     is bounded by the corpus's distinct mapped bigrams (<= (V+1)^2);
     for vocabularies too large to pin per node, score with a
     partitioned join on the key instead of this broadcast."""
-    from ray.data.aggregate import Sum
-
     import ray
 
     vocab_arr = pa.array(vocab, pa.string())
     vref = ray.put(vocab_arr)
     base = np.int64(len(vocab) + 1)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def bigram_keys(batch: pa.Table) -> pa.Table:
         ids, doc_idx = _mapped_token_ids(batch, ray.get(vref), text_col)
-        if len(ids) < 2:
-            return pa.Table.from_pydict(
-                {
-                    "key": pa.array([], pa.int64()),
-                    "cnt": pa.array([], pa.int64()),
-                }
-            )
         same = doc_idx[:-1] == doc_idx[1:]
         keys = ids[:-1][same] * base + ids[1:][same]
-        uniq, counts = np.unique(keys, return_counts=True)
-        return pa.Table.from_pydict(
-            {
-                "key": pa.array(uniq, pa.int64()),
-                "cnt": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"key": pa.array(keys, pa.int64())})
 
-    rows = (
-        docs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("key")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .take_all()
-    )
+    rows = aggregate(
+        docs_ds, "key", [("cnt", "count", None)], rows=bigram_keys
+    ).take_all()
     keys = np.array([r["key"] for r in rows], dtype=np.int64)
     counts = np.array([r["cnt"] for r in rows], dtype=np.int64)
     order = np.argsort(keys)

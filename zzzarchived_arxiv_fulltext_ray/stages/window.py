@@ -16,7 +16,8 @@ with no global sort:
 
 At 10^12 rows, pick ``n_buckets`` so a single (group, bucket) slice
 fits a task (n_buckets ~ group_size / 10^6); the exchange stays tiny
-because the histogram is pre-combined per batch.
+because the histogram runs through ``stages/aggregate.py`` (an Arrow
+partial per batch).
 
 :func:`shard_assign` applies it to the canonical use: carving a
 corpus into fixed-token-budget shards per group, the deterministic
@@ -29,6 +30,7 @@ from typing import Dict
 import numpy as np
 import pyarrow as pa
 
+from .aggregate import aggregate
 from .mixing import doc_hash_keys
 
 _SEP = "\x1f"  # composite (group, bucket) key separator
@@ -44,7 +46,6 @@ def grouped_ordered_cumsum(
     """Dataset[(group, id, val, ...)] -> Dataset[(id, group, val, cum)]
     where ``cum`` is the inclusive running total of ``val`` within
     ``group`` in ``(md5(id) prefix, id)`` order."""
-    from ray.data.aggregate import Sum
 
     def annotate(batch: pa.Table) -> pa.Table:
         h = doc_hash_keys(batch[id_col].to_pylist())
@@ -68,21 +69,8 @@ def grouped_ordered_cumsum(
 
     annotated = ds.map_batches(annotate, batch_format="pyarrow")
 
-    # fixed-size exchange: (group, bucket) -> sum(val), pre-combined
-    def partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select(["gk", "val"])
-            .group_by(["gk"])
-            .aggregate([("val", "sum")])
-            .rename_columns(["gk", "val"])
-        )
-
-    hist = (
-        annotated.map_batches(partial, batch_format="pyarrow")
-        .groupby("gk")
-        .aggregate(Sum("val", alias_name="val"))
-        .to_pandas()
-    )
+    # fixed-size exchange: (group, bucket) -> sum(val)
+    hist = aggregate(annotated, "gk", [("val", "sum", "val")]).to_pandas()
 
     # driver: exclusive prefix within each group, buckets ascending
     base: Dict[str, int] = {}
@@ -123,6 +111,16 @@ def grouped_ordered_cumsum(
     )
 
 
+def _value_counts(ds, col: str):
+    """(col, c) row counts per value of ``col`` as a pandas frame,
+    sorted by value."""
+    return (
+        aggregate(ds, col, [("c", "count", None)])
+        .to_pandas()
+        .sort_values(col)
+    )
+
+
 def global_row_number(
     ds,
     id_col: str,
@@ -132,7 +130,7 @@ def global_row_number(
     """Exact global ``row_number() OVER (ORDER BY key [DESC], id)``
     without a global sort — the ranking window primitive.
 
-    Plan: a (key -> count) histogram (pre-combined per batch; the
+    Plan: a (key -> count) histogram (``stages/aggregate.py``; the
     exchange is over DISTINCT key values, which for integer features
     like lengths is far smaller than the corpus) -> driver exclusive
     prefix over the sorted key domain -> per-key groups rank their own
@@ -142,20 +140,8 @@ def global_row_number(
 
     Returns Dataset[(id, key, rnk)], rnk starting at 1.
     """
-    from ray.data.aggregate import Sum
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select([key_col])
-            .group_by([key_col])
-            .aggregate([([], "count_all")])
-            .rename_columns([key_col, "n"])
-        )
-
     hist = (
-        ds.map_batches(count_partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .aggregate(Sum("n", alias_name="n"))
+        aggregate(ds, key_col, [("n", "count", None)])
         .to_pandas()
         .sort_values(key_col, ascending=not descending)
     )
@@ -204,24 +190,13 @@ def grouped_row_number(
     callers needing group sizes (ntile, quantiles) derive them from it
     instead of paying a second corpus scan.
     """
-    from ray.data.aggregate import Sum
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select([part_col, key_col])
-            .group_by([part_col, key_col])
-            .aggregate([([], "count_all")])
-            .rename_columns([part_col, key_col, "n"])
-        )
-
     hist = (
-        ds.map_batches(count_partial, batch_format="pyarrow")
-        .groupby([part_col, key_col])
-        .aggregate(Sum("n", alias_name="n"))
+        aggregate(ds, [part_col, key_col], [("n", "count", None)])
         .to_pandas()
         .sort_values(
             [part_col, key_col], ascending=[True, not descending]
         )
+        .reset_index(drop=True)
     )
     base: Dict[tuple, int] = {}
     run_part, run = None, 0
@@ -585,16 +560,6 @@ def grouped_rank_dense(ds, part_col: str, key_col: str,
     driver state) above ``max_hist_pairs`` distinct pairs — the
     ``latest_crawl``-style crossover. ``method="histogram"`` /
     ``"sorted"`` force a plan; both are pinned equal in pytest."""
-    from ray.data.aggregate import Sum
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select([part_col, key_col])
-            .group_by([part_col, key_col])
-            .aggregate([([], "count_all")])
-            .rename_columns([part_col, key_col, "n"])
-        )
-
     if method == "sorted":
         return grouped_rank_sorted(
             ds, part_col, key_col, descending=descending, with_pct=with_pct
@@ -602,11 +567,7 @@ def grouped_rank_dense(ds, part_col: str, key_col: str,
     if method not in ("auto", "histogram"):
         raise ValueError(f"unknown grouped_rank_dense method: {method}")
 
-    hist_ds = (
-        ds.map_batches(count_partial, batch_format="pyarrow")
-        .groupby([part_col, key_col])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    hist_ds = aggregate(ds, [part_col, key_col], [("n", "count", None)])
     if method == "auto":
         from .components import pin_loop_state
 
@@ -770,7 +731,6 @@ def cusum_changepoint(
     each — the driver reduces groups x n_buckets candidates."""
     import pandas as pd
     import ray
-    from ray.data.aggregate import Max, Min, Sum
 
     def to_keyed(b: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
@@ -784,8 +744,7 @@ def cusum_changepoint(
 
     keyed = ds.map_batches(to_keyed, batch_format="pyarrow").materialize()
 
-    lim = keyed.aggregate(Min("o", alias_name="lo"),
-                          Max("o", alias_name="hi"))
+    lim = aggregate(keyed, [], [("lo", "min", "o"), ("hi", "max", "o")])
     lo, hi = int(lim["lo"]), int(lim["hi"])
     span = max(hi - lo + 1, 1)
 
@@ -794,29 +753,18 @@ def cusum_changepoint(
         return ((o - lo).astype(np.uint64) * np.uint64(n_buckets)
                 // np.uint64(span)).astype(np.int64)
 
-    def hist_partial(b: pa.Table) -> pa.Table:
-        g = b["g"].to_pylist()
+    def hist_rows(b: pa.Table) -> pa.Table:
         bk = bucket_of(b["o"].to_numpy(zero_copy_only=False))
-        v = b["v"].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"g": g, "bk": bk, "v": v})
-        agg = df.groupby(["g", "bk"], sort=False).agg(
-            sv=("v", "sum"), c=("v", "size")
-        ).reset_index()
-        return pa.Table.from_pydict(
-            {
-                "g": pa.array(agg["g"], pa.string()),
-                "bk": pa.array(agg["bk"], pa.int64()),
-                "sv": pa.array(agg["sv"], pa.int64()),
-                "c": pa.array(agg["c"], pa.int64()),
-            }
+        return pa.table(
+            {"g": b["g"], "bk": pa.array(bk, pa.int64()), "v": b["v"]}
         )
 
-    hist = (
-        keyed.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["g", "bk"])
-        .aggregate(Sum("sv", alias_name="sv"), Sum("c", alias_name="c"))
-        .to_pandas()
-    )
+    hist = aggregate(
+        keyed,
+        ["g", "bk"],
+        [("sv", "sum", "v"), ("c", "count", None)],
+        rows=hist_rows,
+    ).to_pandas()
     hist = hist.sort_values(["g", "bk"]).reset_index(drop=True)
     # per-group totals + per-(group,bucket) exclusive base offsets
     totals = {}
@@ -936,7 +884,6 @@ def lag1_stats(
     DataFrame (group, n, s_x, s_xx, m, s_a, s_b, s_ab, first_v,
     last_v)."""
     import pandas as pd
-    from ray.data.aggregate import Max, Min
 
     def to_keyed(b: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
@@ -949,8 +896,7 @@ def lag1_stats(
         )
 
     keyed = ds.map_batches(to_keyed, batch_format="pyarrow").materialize()
-    lim = keyed.aggregate(Min("o", alias_name="lo"),
-                          Max("o", alias_name="hi"))
+    lim = aggregate(keyed, [], [("lo", "min", "o"), ("hi", "max", "o")])
     lo, hi = int(lim["lo"]), int(lim["hi"])
     span = max(hi - lo + 1, 1)
 
@@ -1077,7 +1023,6 @@ def kendall_tau(ds, x_col: str, y_col: str, num_buckets: int = 64):
 
     Returns a dict of exact python ints plus the one float ``tau_b``.
     """
-    from ray.data.aggregate import Count, Sum
 
     proj = ds.map_batches(
         lambda b: b.select([x_col, y_col]), batch_format="pyarrow"
@@ -1087,28 +1032,24 @@ def kendall_tau(ds, x_col: str, y_col: str, num_buckets: int = 64):
         c = hist_df["c"].to_numpy().astype(np.int64)
         return int((c * (c - 1) // 2).sum())
 
-    xh = (
-        proj.groupby(x_col).aggregate(Count(alias_name="c")).to_pandas()
-    ).sort_values(x_col)
-    yh = (
-        proj.groupby(y_col).aggregate(Count(alias_name="c")).to_pandas()
-    ).sort_values(y_col)
+    xh = _value_counts(proj, x_col)
+    yh = _value_counts(proj, y_col)
     n = int(xh["c"].sum())
     n0 = n * (n - 1) // 2
     n1 = tie_pairs(xh, x_col)
     n2 = tie_pairs(yh, y_col)
 
-    def pair_tie_partial(batch: pa.Table) -> pa.Table:
+    def pair_ties(batch: pa.Table) -> pa.Table:
         c = batch["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.Table.from_pydict(
-            {"t": pa.array([int((c * (c - 1) // 2).sum())], pa.int64())}
-        )
+        return pa.table({"t": c * (c - 1) // 2})
 
     n3 = int(
-        proj.groupby([x_col, y_col])
-        .aggregate(Count(alias_name="c"))
-        .map_batches(pair_tie_partial, batch_format="pyarrow")
-        .aggregate(Sum("t", alias_name="t"))["t"]
+        aggregate(
+            aggregate(proj, [x_col, y_col], [("c", "count", None)]),
+            [],
+            [("t", "sum", "t")],
+            rows=pair_ties,
+        )["t"]
     )
 
     # contiguous x-range buckets with ~equal row counts; boundary[i]
@@ -1219,19 +1160,14 @@ def chatterjee_xi(ds, x_col: str, y_col: str, tie_col: str,
     |dr| sum plus its first/last rank (the cusum boundary-stitching
     idiom) and the driver adds the num_buckets-1 boundary terms.
     """
-    from ray.data.aggregate import Count
 
     proj = ds.map_batches(
         lambda b: b.select([x_col, y_col, tie_col]),
         batch_format="pyarrow",
     ).materialize()
 
-    xh = (
-        proj.groupby(x_col).aggregate(Count(alias_name="c")).to_pandas()
-    ).sort_values(x_col)
-    yh = (
-        proj.groupby(y_col).aggregate(Count(alias_name="c")).to_pandas()
-    ).sort_values(y_col)
+    xh = _value_counts(proj, x_col)
+    yh = _value_counts(proj, y_col)
     n = int(xh["c"].sum())
     y_domain = yh[y_col].to_numpy()
     y_cdf = np.cumsum(yh["c"].to_numpy().astype(np.int64))
