@@ -26,8 +26,10 @@ ingest format (SURVEY S1), resumable per WARC shard.
 Dedup scope: latest-crawl dedup runs WITHIN each shard during
 processing, also inside a wave (winners are keyed by shard and url). Pass ``--global-dedup`` to follow with a second-pass
 winner resolution across ALL shard outputs (rewrites only shards
-holding losing rows, updates their manifests) — use it whenever
-re-crawls of a url may be split across shards. Without it, co-locate
+holding losing rows, all in one rewrite wave, and commits their
+manifests write-ahead, so a crash mid-pass is rolled forward by the
+next run) — use it whenever re-crawls of a url may be split across
+shards. Without it, co-locate
 re-crawls per shard (crawl dumps are naturally grouped per segment)
 or submit with --dedup none and dedup downstream.
 
@@ -102,7 +104,9 @@ def main():
                     choices=["broadcast", "shuffle", "none"])
     ap.add_argument("--global-dedup", action="store_true",
                     help="second-pass latest-crawl winner resolution "
-                         "across shards after all shards finish")
+                         "across shards after all shards finish; the "
+                         "shards holding losing crawls are rewritten in "
+                         "one wave with a crash-safe commit")
     ap.add_argument("--neardup-guard", type=float, default=0.0,
                     help=">0 runs a post-pass dropping newly ingested "
                          "docs whose shingle Jaccard vs the already-"

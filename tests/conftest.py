@@ -28,6 +28,45 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture(scope="module")
+def executions(ray_session):
+    """A callable that runs ``fn()`` and returns how many Ray Data
+    executions it started, counted with Ray Data's execution callback
+    (the hook ``perfbench/ledger.watch_executions`` uses)."""
+    from ray.data import DataContext
+    from ray.data._internal.execution.execution_callback import (
+        ExecutionCallback,
+        add_execution_callback,
+        remove_execution_callback,
+    )
+
+    started = []
+
+    class Count(ExecutionCallback):
+        def before_execution_starts(self, executor):
+            started.append(1)
+
+        # every Dataset deep-copies the data context, hooks included:
+        # the copies must count here
+        def __deepcopy__(self, memo):
+            return self
+
+        def __reduce__(self):
+            return (ExecutionCallback, ())
+
+    ctx = DataContext.get_current()
+    hook = Count()
+    add_execution_callback(hook, ctx)
+
+    def run(fn) -> int:
+        started.clear()
+        fn()
+        return len(started)
+
+    yield run
+    remove_execution_callback(hook, ctx)
+
+
 def _load_module_from(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)

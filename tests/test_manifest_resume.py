@@ -683,3 +683,197 @@ def test_wave_dedup_stays_per_shard(ray_session, tmp_path, monkeypatch,
         (alone,) = mf.run_status(str(alone_out))
         assert alone["wave"]["shards"] == 1
         assert _accounting(in_wave[alone["shard_id"]]) == _accounting(alone)
+
+
+def _committed_accounting(out):
+    """Every manifest's accounting, after checking that its ``rows`` and
+    ``content_hash`` equal a digest of the shard's files on disk."""
+    import ray.data as rd
+
+    got = {}
+    for m in mf.run_status(str(out)):
+        sdir = mf.shard_out_dir(str(out), m["shard_id"])
+        disk = mf.shard_digests(
+            rd.read_parquet(str(sdir), partitioning=None), m["hash_columns"]
+        )
+        assert (m["rows"], m["content_hash"]) == (
+            disk.rows, disk.content_hash
+        ), m["shard_id"]
+        got[m["shard_id"]] = _accounting(m)
+    return got
+
+
+def test_rewrites_keep_the_output_schema(ray_session, tmp_path):
+    """Shards rewritten by the global pass, the neardup guard and
+    compaction keep exactly the output columns: Ray must not parse
+    ``shard=<sid>`` into a ``shard`` column of the rewritten files."""
+    from zzzarchived_arxiv_fulltext_ray.stages.extract import OUTPUT_SCHEMA
+
+    def build(ds):
+        return _wave_build(ds).random_shuffle(seed=0).repartition(4)
+
+    a, b, c = (tmp_path / f"{name}.parquet" for name in "abc")
+    _write_pages_file(a, [("http://x/1", 0, _words("one")),
+                          ("http://x/2", 0, _words("two"))])
+    _write_pages_file(b, [
+        ("http://x/3", 1, _words("one").replace("oneword3item", "changed")),
+        ("http://x/4", 1, _words("four")),
+    ])
+    _write_pages_file(c, [("http://x/2", 5, _words("twob")),
+                          ("http://x/5", 0, _words("five"))])
+    out = tmp_path / "out"
+    mf.run_resumable([[str(a)]], build, str(out))
+    mf.global_neardup_guard(str(out), threshold=0.5)  # a is the base
+    mf.run_resumable([[str(a)], [str(b)], [str(c)]], build, str(out))
+
+    gd = mf.global_latest_crawl_pass(str(out))
+    assert gd == {"shards_rewritten": 1, "rows_removed": 1}
+    ng = mf.global_neardup_guard(str(out), threshold=0.5)
+    assert ng["shards_rewritten"] == 1 and ng["rows_removed"] == 1
+    assert mf.compact_shards(str(out), target_bytes=1 << 30)[
+        "shards_compacted"] >= 1
+    files = list(out.glob("shard=*/*.parquet"))
+    assert len({f.parent for f in files}) == 3
+    for f in files:
+        assert pq.read_schema(f).names == OUTPUT_SCHEMA.names, f
+    _committed_accounting(out)
+
+
+@pytest.fixture(scope="module")
+def two_loser_run(ray_session, tmp_path_factory):
+    """Three finished shards before the global pass, and the accounting
+    of a clean pass over a copy: shard a loses x/1 and x/2, b loses x/3,
+    c loses nothing."""
+    root = tmp_path_factory.mktemp("two_losers")
+    shards = []
+    for name, rows in {
+        "a": [("http://x/1", 0, _words("one")), ("http://x/2", 0, _words("two")),
+              ("http://x/9", 0, _words("nine"))],
+        "b": [("http://x/1", 5, _words("oneb")),
+              ("http://x/3", 0, _words("three"))],
+        "c": [("http://x/2", 5, _words("twoc")),
+              ("http://x/3", 5, _words("threec")),
+              ("http://x/4", 0, _words("four"))],
+    }.items():
+        _write_pages_file(root / f"{name}.parquet", rows)
+        shards.append([str(root / f"{name}.parquet")])
+    pristine, clean = root / "pristine", root / "clean"
+    mf.run_resumable(shards, _wave_build, str(pristine))
+    shutil.copytree(pristine, clean)
+    gd = mf.global_latest_crawl_pass(str(clean))
+    assert gd == {"shards_rewritten": 2, "rows_removed": 3}
+    return shards, pristine, _committed_accounting(clean)
+
+
+# crash points of a global pass's commit: right after the rename onto
+# the named target
+_CRASH_AFTER = {
+    # new data in shard=<sid>, its manifest not yet updated
+    "data_swap": lambda dst: dst.name.startswith("shard=") and not dst.suffix,
+    "first_pending": lambda dst: dst.name.endswith(mf.PENDING_SUFFIX),
+    # old data set aside, new data not yet in place
+    "set_aside": lambda dst: dst.suffix == ".old",
+}
+
+
+@pytest.mark.parametrize("resume_with", ["global_pass", "run_resumable"])
+@pytest.mark.parametrize("crash_after", sorted(_CRASH_AFTER))
+def test_global_pass_crash_rolls_forward(two_loser_run, tmp_path, monkeypatch,
+                                         crash_after, resume_with):
+    """A global pass killed inside its commit: the next entry point
+    leaves every manifest equal to its shard's files, and the run ends
+    with a clean pass's accounting."""
+    shards, pristine, clean = two_loser_run
+    out = tmp_path / "out"
+    shutil.copytree(pristine, out)
+    rename = Path.rename
+
+    def dying_rename(self, target):
+        moved = rename(self, target)
+        if _CRASH_AFTER[crash_after](Path(target)):
+            raise RuntimeError("killed after a rename")
+        return moved
+
+    monkeypatch.setattr(Path, "rename", dying_rename)
+    with pytest.raises(RuntimeError, match="killed"):
+        mf.global_latest_crawl_pass(str(out))
+    monkeypatch.undo()
+
+    if resume_with == "run_resumable":
+        resumed = mf.run_resumable(shards, _wave_build, str(out))
+        assert resumed["processed"] == 0 and resumed["skipped"] == 3
+    else:
+        mf.global_latest_crawl_pass(str(out))
+    _committed_accounting(out)
+    # a crash before the last pending manifest leaves losers behind
+    mf.global_latest_crawl_pass(str(out))
+    assert _committed_accounting(out) == clean
+    leftovers = [*out.glob("*.tmp"), *out.glob("*.old"),
+                 *out.glob(f"*{mf.PENDING_SUFFIX}")]
+    assert not leftovers
+
+
+def _loser_run(root, n):
+    """n shards that each lose one crawl to one shard of recrawls."""
+    root.mkdir()
+    shards = []
+    for i in range(n):
+        f = root / f"old{i}.parquet"
+        _write_pages_file(f, [(f"http://x/{i}", 0, _words(f"old{i}")),
+                              (f"http://y/{i}", 0, _words(f"solo{i}"))])
+        shards.append([str(f)])
+    f = root / "new.parquet"
+    _write_pages_file(
+        f, [(f"http://x/{i}", 5, _words(f"new{i}")) for i in range(n)]
+    )
+    shards.append([str(f)])
+    mf.run_resumable(shards, _wave_build, str(root / "out"))
+    return root / "out"
+
+
+def _guard_run(root, n):
+    """A guarded base of three docs and n incoming shards that each
+    near-copy one of them."""
+    root.mkdir()
+    base = root / "base.parquet"
+    _write_pages_file(
+        base, [(f"http://b/{i}", 0, _words(f"doc{i}")) for i in range(3)]
+    )
+    out = root / "out"
+    mf.run_resumable([[str(base)]], _wave_build, str(out))
+    mf.global_neardup_guard(str(out), threshold=0.5)
+    shards = [[str(base)]]
+    for i in range(n):
+        f = root / f"in{i}.parquet"
+        near = _words(f"doc{i}").replace(f"doc{i}word3item", "changed")
+        _write_pages_file(f, [(f"http://n/{i}", 1, near),
+                              (f"http://m/{i}", 1, _words(f"new{i}"))])
+        shards.append([str(f)])
+    mf.run_resumable(shards, _wave_build, str(out))
+    return out
+
+
+# Ray Data executions of one global pass, whatever it rewrites: the
+# winner table and the loser-file scan (latest crawl) or the neardup
+# counts (guard), then one wave write and one wave digest
+PASS_EXECUTIONS = {"latest_crawl": 4, "neardup_guard": 5}
+
+
+def test_global_passes_run_one_wave(executions, tmp_path):
+    """Each global pass runs as many Ray Data executions with three
+    shards to rewrite as with one."""
+    counts = {}
+    for n in (1, 3):
+        for name, setup, run in (
+            ("latest_crawl", _loser_run, mf.global_latest_crawl_pass),
+            ("neardup_guard", _guard_run,
+             lambda out: mf.global_neardup_guard(out, threshold=0.5)),
+        ):
+            out = str(setup(tmp_path / f"{name}{n}", n))
+            summary = {}
+            counts[name, n] = executions(lambda: summary.update(run(out)))
+            assert summary["shards_rewritten"] == n, (name, summary)
+            assert summary["rows_removed"] == n, (name, summary)
+            _committed_accounting(out)
+    for name, want in PASS_EXECUTIONS.items():
+        assert counts[name, 1] == counts[name, 3] == want, counts

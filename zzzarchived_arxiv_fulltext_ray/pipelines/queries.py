@@ -97,7 +97,8 @@ def _q_doc_tokens(sf_dir: str):
             names=["doc_id", "n_tokens", "n_chars"],
         )
 
-    return docs.map_batches(stats, batch_format="pyarrow").to_pandas()
+    out = docs.map_batches(stats, batch_format="pyarrow").to_pandas()
+    return out.sort_values("doc_id").reset_index(drop=True)
 
 
 def _q_doc_fingerprint(sf_dir: str):
@@ -120,7 +121,8 @@ def _q_doc_fingerprint(sf_dir: str):
             names=["doc_id", "fingerprint"],
         )
 
-    return docs.map_batches(fp, batch_format="pyarrow").to_pandas()
+    out = docs.map_batches(fp, batch_format="pyarrow").to_pandas()
+    return out.sort_values("doc_id").reset_index(drop=True)
 
 
 def _q_dedup_exact(sf_dir: str):

@@ -21,11 +21,33 @@ partitioned by ``shard_id`` (plus its winner pre-pass), and one
 execution that digests every shard; the shards are then renamed into
 place and their manifests written one by one, in order.
 
-The rewrites of finished shards — the cross-shard passes that remove
-rows (:func:`global_latest_crawl_pass` rewrites only shards holding
-losing crawls; :func:`global_neardup_guard`) and :func:`compact_shards`
-— go through one commit path (``_commit_shard``: tmp write, one digest,
-rename-aside swap). Every manifest goes through one writer.
+The cross-shard passes that remove rows from finished shards
+(:func:`global_latest_crawl_pass` rewrites only shards holding losing
+crawls; :func:`global_neardup_guard`) share one *rewrite wave*
+(``_rewrite_wave``): ONE read of the shards' files, a keep mask applied
+per batch before each row is tagged with its shard (from its path), ONE
+write partitioned by ``shard_id`` into ``rewrite=<first sid>.tmp`` and
+ONE digest of the staged files keyed by shard. Only shards whose row
+count dropped are committed, in write-ahead order:
+
+1. every new manifest is written as ``shard=<sid>.manifest.pending``;
+2. per shard, a rename-aside swap (``shard=<sid>`` -> ``.old``, staged
+   dir -> ``shard=<sid>``), the ``.pending`` renamed over the manifest,
+   and ``.old`` removed;
+3. the staging dir is removed.
+
+``_recover`` rolls a crashed commit forward: every entry point that
+writes (``run_resumable``, both global passes, :func:`compact_shards`)
+calls it first. It finishes the swap of each ``.pending`` whose staged
+dir still exists and renames the ``.pending`` into place; then it
+removes stale ``rewrite=*.tmp`` and ``wave=*.tmp`` dirs and puts a
+``.old`` whose shard dir is missing back in place. :func:`compact_shards`
+rewrites one shard at a time through ``_commit_shard`` (tmp write, one
+digest, rename-aside swap), its content hash-equal to the manifest.
+Every manifest goes through one writer. Every full-row read of a
+committed shard passes ``partitioning=None``: Ray would otherwise parse
+``shard=<sid>`` into a ``shard`` column and a rewrite would store it (a
+column-projected read adds none).
 
 ``run_resumable`` skips shards whose manifest exists, whose input
 fingerprint still matches AND whose config fingerprint (extractor
@@ -50,7 +72,7 @@ import shutil
 import time
 from pathlib import Path
 from typing import (
-    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 )
 
 import pyarrow as pa
@@ -58,6 +80,8 @@ import pyarrow as pa
 from .. import EXTRACTOR_VERSION, SHARD_COLUMN
 
 MANIFEST_SUFFIX = ".manifest.json"
+# a rewrite wave's manifest, written before its data swap
+PENDING_SUFFIX = ".manifest.pending"
 _HASH_MOD = 1 << 64
 # a wave (run_resumable) holds at most this much input and this many
 # shards, and always at least one shard
@@ -133,57 +157,55 @@ def shard_digests(
     return _keyed_digests({"": ds}, hash_columns, sketch_column)[""]
 
 
-def _keyed_digests(
-    datasets: Dict[str, object],
-    hash_columns: Sequence[str],
-    sketch_column: Optional[str] = None,
-) -> Dict[str, ShardDigest]:
-    """:func:`shard_digests` of several datasets in ONE execution: each
-    dataset's partials carry its key, the union of them is folded per
-    key."""
-    import base64
-
+def _digest_partials(
+    groups: Iterable[Tuple[str, pa.Table, Sequence[str]]],
+    sketch_column: Optional[str],
+) -> pa.Table:
+    """The digest kernel: one partial row (key, rows, failed rows,
+    content hash and, with ``sketch_column``, HLL registers) per
+    ``(key, rows, hash columns)`` group."""
     import pyarrow.compute as pc
 
     from ..functions.sketches import HyperLogLog
 
-    def partial_of(key: str):
-        def partial(batch: pa.Table) -> pa.Table:
-            failed = 0
-            if "status" in batch.column_names:
-                failed = pc.sum(
-                    pc.equal(batch["status"], "failed").cast(pa.int64())
-                ).as_py() or 0
-            cols = {
-                "key": pa.array([key], pa.string()),
-                "rows": pa.array([batch.num_rows], pa.int64()),
-                "failed": pa.array([failed], pa.int64()),
-                "h": pa.array(
-                    [content_hash_batch(batch, hash_columns)], pa.uint64()
-                ),
-            }
-            if sketch_column is not None:
-                hll = HyperLogLog()
-                hll.add_values(
-                    str(v) for v in batch[sketch_column].to_pylist()
-                )
-                cols["hll"] = pa.array([hll.serialize()], pa.large_binary())
-            return pa.Table.from_pydict(cols)
+    cols = {"key": [], "rows": [], "failed": [], "h": []}
+    fields = [("key", pa.string()), ("rows", pa.int64()),
+              ("failed", pa.int64()), ("h", pa.uint64())]
+    if sketch_column is not None:
+        cols["hll"] = []
+        fields.append(("hll", pa.large_binary()))
+    for key, batch, hash_columns in groups:
+        failed = 0
+        if "status" in batch.column_names:
+            failed = pc.sum(
+                pc.equal(batch["status"], "failed").cast(pa.int64())
+            ).as_py() or 0
+        cols["key"].append(key)
+        cols["rows"].append(batch.num_rows)
+        cols["failed"].append(failed)
+        cols["h"].append(content_hash_batch(batch, hash_columns))
+        if sketch_column is not None:
+            hll = HyperLogLog()
+            hll.add_values(str(v) for v in batch[sketch_column].to_pylist())
+            cols["hll"].append(hll.serialize())
+    return pa.Table.from_pydict(cols, schema=pa.schema(fields))
 
-        return partial
 
-    first, *rest = [
-        ds.map_batches(partial_of(key), batch_format="pyarrow")
-        for key, ds in datasets.items()
-    ]
+def _fold_digests(
+    partials, keys: Iterable[str], sketch_column: Optional[str]
+) -> Dict[str, ShardDigest]:
+    """Fold a Dataset of :func:`_digest_partials` rows on the driver,
+    per key; a key without partial rows digests as empty."""
+    import base64
+
+    from ..functions.sketches import HyperLogLog
+
     # key -> [rows, failed, content hash, merged HLL or None]
     acc = {
         key: [0, 0, 0, HyperLogLog() if sketch_column is not None else None]
-        for key in datasets
+        for key in keys
     }
-    for b in (first.union(*rest) if rest else first).iter_batches(
-        batch_format="pyarrow"
-    ):
+    for b in partials.iter_batches(batch_format="pyarrow"):
         blobs = (
             b["hll"].to_pylist() if sketch_column is not None
             else [None] * b.num_rows
@@ -207,6 +229,60 @@ def _keyed_digests(
     }
 
 
+def _keyed_digests(
+    datasets: Dict[str, object],
+    hash_columns: Sequence[str],
+    sketch_column: Optional[str] = None,
+) -> Dict[str, ShardDigest]:
+    """:func:`shard_digests` of several datasets in ONE execution: each
+    dataset's partials carry its key, the union of them is folded per
+    key."""
+
+    def partial_of(key: str):
+        def partial(batch: pa.Table) -> pa.Table:
+            return _digest_partials([(key, batch, hash_columns)],
+                                    sketch_column)
+
+        return partial
+
+    first, *rest = [
+        ds.map_batches(partial_of(key), batch_format="pyarrow")
+        for key, ds in datasets.items()
+    ]
+    return _fold_digests(first.union(*rest) if rest else first, datasets,
+                         sketch_column)
+
+
+def _sid_of(path: str) -> str:
+    """The shard id in a ``shard=<sid>`` or ``shard_id=<sid>`` file's
+    directory name."""
+    return Path(path).parent.name.split("=", 1)[1]
+
+
+def _staged_digests(
+    files: Sequence[str], hash_columns: Dict[str, Sequence[str]]
+) -> Dict[str, ShardDigest]:
+    """:func:`shard_digests` (no sketch) of every shard in
+    ``hash_columns``, from ONE read of ``files``: each row is keyed by
+    the shard id of its file's directory."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    def partial(batch: pa.Table) -> pa.Table:
+        paths = batch["path"]
+        groups = []
+        for path in pc.unique(paths).to_pylist():
+            sid = _sid_of(path)
+            groups.append((sid, batch.filter(pc.equal(paths, path)),
+                           hash_columns[sid]))
+        return _digest_partials(groups, None)
+
+    ds = rd.read_parquet(
+        list(files), include_paths=True, partitioning=None
+    ).map_batches(partial, batch_format="pyarrow")
+    return _fold_digests(ds, hash_columns, None)
+
+
 def run_distinct_estimate(out_dir: str) -> Optional[float]:
     """Corpus-level distinct estimate by merging the per-shard HLL
     sketches out of the manifests — no data re-scan. Returns None when
@@ -225,21 +301,51 @@ def run_distinct_estimate(out_dir: str) -> Optional[float]:
     return merged.estimate() if merged is not None else None
 
 
-def manifest_path(out_dir: str, shard_id: str) -> Path:
-    return Path(out_dir) / f"shard={shard_id}{MANIFEST_SUFFIX}"
+def manifest_path(
+    out_dir: str, shard_id: str, suffix: str = MANIFEST_SUFFIX
+) -> Path:
+    return Path(out_dir) / f"shard={shard_id}{suffix}"
 
 
 def shard_out_dir(out_dir: str, shard_id: str) -> Path:
     return Path(out_dir) / f"shard={shard_id}"
 
 
-def _write_manifest(out_dir: str, manifest: Dict) -> None:
-    """Write ``*.tmp``, then rename it over the shard's manifest: a
-    reader sees the old or the new manifest, never a torn one."""
-    mpath = manifest_path(out_dir, manifest["shard_id"])
+def _write_manifest(
+    out_dir: str, manifest: Dict, suffix: str = MANIFEST_SUFFIX
+) -> None:
+    """Write ``*.tmp``, then rename it over the shard's manifest (with
+    ``PENDING_SUFFIX``: its pending manifest): a reader sees the old or
+    the new file, never a torn one."""
+    mpath = manifest_path(out_dir, manifest["shard_id"], suffix)
     mtmp = mpath.with_suffix(".tmp")
     mtmp.write_text(json.dumps(manifest, indent=1))
     mtmp.rename(mpath)
+
+
+def _committed_schema(sdir: Path) -> pa.Schema:
+    import pyarrow.parquet as pq
+
+    return pq.read_schema(min(sdir.glob("*.parquet")))
+
+
+def _check_schema(path: Path, schema: pa.Schema) -> None:
+    """A staged file must carry ``schema`` (and never the shard column,
+    which lives in its directory name)."""
+    import pyarrow.parquet as pq
+
+    found = pq.read_schema(path)
+    if SHARD_COLUMN in found.names or not found.equals(schema):
+        raise RuntimeError(f"{path}: schema {found} differs from {schema}")
+
+
+def _write_empty(part: Path, schema: pa.Schema) -> None:
+    """Ray writes no directory for zero rows: a shard without rows is
+    one zero-row Parquet file with its schema."""
+    import pyarrow.parquet as pq
+
+    part.mkdir(parents=True, exist_ok=True)
+    pq.write_table(schema.empty_table(), part / "empty.parquet")
 
 
 def _commit_shard(
@@ -248,14 +354,11 @@ def _commit_shard(
     hash_columns: Sequence[str],
     accept: Callable[[ShardDigest], bool],
 ) -> Optional[ShardDigest]:
-    """The one way a finished shard's output is rewritten and accounted:
-    write ``ds`` to ``<shard>.tmp`` and digest it there. Ray writes no
-    directory for zero rows, so a rewrite that removes every row is
-    committed as one zero-row Parquet file with the shard's schema.
-    Unless ``accept(digest)`` rejects it (tmp discarded, returns None),
-    a rename-aside swap via ``<shard>.old`` replaces the shard
+    """Rewrite one finished shard's output (:func:`compact_shards`):
+    write ``ds`` to ``<shard>.tmp`` and digest it there. Unless
+    ``accept(digest)`` rejects it (tmp discarded, returns None), a
+    rename-aside swap via ``<shard>.old`` replaces the shard
     directory."""
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     tmp_dir, old_dir = sdir.with_suffix(".tmp"), sdir.with_suffix(".old")
@@ -264,11 +367,11 @@ def _commit_shard(
             shutil.rmtree(stale)
     ds.write_parquet(str(tmp_dir))
     if not any(tmp_dir.glob("*.parquet")):
-        schema = pq.read_schema(min(sdir.glob("*.parquet")))
-        tmp_dir.mkdir(exist_ok=True)
-        pq.write_table(schema.empty_table(), tmp_dir / "empty.parquet")
+        _write_empty(tmp_dir, _committed_schema(sdir))
 
-    digest = shard_digests(rd.read_parquet(str(tmp_dir)), hash_columns)
+    digest = shard_digests(
+        rd.read_parquet(str(tmp_dir), partitioning=None), hash_columns
+    )
     if not accept(digest):
         shutil.rmtree(tmp_dir)
         return None
@@ -276,6 +379,45 @@ def _commit_shard(
     tmp_dir.rename(sdir)
     shutil.rmtree(old_dir)
     return digest
+
+
+def _swap_in(out_dir: str, sid: str, staged: Optional[Path]) -> None:
+    """Commit one shard whose pending manifest is written: rename-aside
+    swap of ``staged`` (when it is still there) into ``shard=<sid>``,
+    the pending manifest renamed over the manifest, ``.old`` removed.
+    Safe to run again after a crash at any step."""
+    sdir = shard_out_dir(out_dir, sid)
+    old_dir = sdir.with_suffix(".old")
+    if staged is not None and staged.exists():
+        if sdir.exists():  # swap not begun: a .old here is stale
+            if old_dir.exists():
+                shutil.rmtree(old_dir)
+            sdir.rename(old_dir)
+        staged.rename(sdir)
+    manifest_path(out_dir, sid, PENDING_SUFFIX).rename(
+        manifest_path(out_dir, sid)
+    )
+    if old_dir.exists():
+        shutil.rmtree(old_dir)
+
+
+def _recover(out_dir: str) -> None:
+    """Roll an interrupted commit forward (module docstring): finish
+    every pending manifest's swap, then remove stale staging and wave
+    dirs, and put a ``.old`` whose shard dir is missing back."""
+    root = Path(out_dir)
+    for pending in sorted(root.glob(f"shard=*{PENDING_SUFFIX}")):
+        sid = pending.name[len("shard="):-len(PENDING_SUFFIX)]
+        staged = next(root.glob(f"rewrite=*.tmp/{SHARD_COLUMN}={sid}"), None)
+        _swap_in(out_dir, sid, staged)
+    for stale in [*root.glob("rewrite=*.tmp"), *root.glob("wave=*.tmp")]:
+        shutil.rmtree(stale)
+    for old_dir in root.glob("shard=*.old"):
+        sdir = old_dir.with_suffix("")
+        if sdir.exists():
+            shutil.rmtree(old_dir)
+        else:
+            old_dir.rename(sdir)
 
 
 def is_shard_done(
@@ -374,15 +516,12 @@ def _run_wave(
         raise ValueError(f"wave of shards {sids}: the build produced no rows")
     schema = pq.read_schema(written[0])
     for f in written:
-        found = pq.read_schema(f)
-        if SHARD_COLUMN in found.names or not found.equals(schema):
-            raise RuntimeError(f"{f}: schema {found} differs from {schema}")
+        _check_schema(f, schema)
 
     for sid in sids:
         part = tmp / f"{SHARD_COLUMN}={sid}"
         if not part.exists():  # the shard's build yielded no rows
-            part.mkdir(parents=True)
-            pq.write_table(schema.empty_table(), part / "empty.parquet")
+            _write_empty(part, schema)
         sdir = shard_out_dir(out_dir, sid)
         for stale in (sdir, sdir.with_suffix(".tmp"), sdir.with_suffix(".old")):
             if stale.exists():
@@ -390,7 +529,8 @@ def _run_wave(
         part.rename(sdir)
 
     digests = _keyed_digests(
-        {sid: rd.read_parquet(str(shard_out_dir(out_dir, sid)))
+        {sid: rd.read_parquet(str(shard_out_dir(out_dir, sid)),
+                              partitioning=None)
          for sid in sids},
         hash_columns,
         sketch_column,
@@ -460,8 +600,7 @@ def run_resumable(
     if config_fingerprint is None:
         config_fingerprint = default_config_fingerprint()
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    for stale in Path(out_dir).glob("wave=*.tmp"):
-        shutil.rmtree(stale)
+    _recover(out_dir)
 
     summary = {"processed": 0, "skipped": 0, "waves": 0, "rows": 0,
                "failed_rows": 0}
@@ -491,34 +630,71 @@ def run_resumable(
     return summary
 
 
-def _rewrite_shard(
+def _rewrite_wave(
     out_dir: str,
-    manifest: Dict,
-    keep: Callable[[pa.Table], pa.Table],
-    summary: Dict,
+    manifests: Dict[str, Dict],
+    sids: Iterable[str],
+    keep: Callable[[pa.Table], pa.Array],
+    stamp: Dict,
     hash_columns: Sequence[str] = ("url", "text"),
-) -> bool:
-    """Filter a finished shard through ``keep``; commit the result if it
-    removed rows, updating ``manifest`` (in memory: the caller stamps
-    and writes it) and ``summary``. Returns whether it committed."""
+) -> Dict[str, int]:
+    """Filter the finished shards ``sids`` through the per-batch keep
+    mask ``keep`` and commit, in write-ahead order, each one whose row
+    count dropped (module docstring). Its manifest in ``manifests`` is
+    updated from the digest and ``stamp``ed. Returns the rows removed
+    per committed shard."""
+    import pyarrow.compute as pc
     import ray.data as rd
 
-    sdir = shard_out_dir(out_dir, manifest["shard_id"])
-    before = manifest["rows"]
-    digest = _commit_shard(
-        rd.read_parquet(str(sdir)).map_batches(keep, batch_format="pyarrow"),
-        sdir,
-        manifest.get("hash_columns", hash_columns),
-        accept=lambda d: d.rows < before,
+    sids = sorted(sids)
+    if not sids:
+        return {}
+    stage = Path(out_dir) / f"rewrite={sids[0]}.tmp"
+    files = {sid: sorted(shard_out_dir(out_dir, sid).glob("*.parquet"))
+             for sid in sids}
+    schemas = {sid: _committed_schema(shard_out_dir(out_dir, sid))
+               for sid in sids}
+
+    def keep_then_tag(batch: pa.Table) -> pa.Table:
+        # the mask sees no shard column: winner_mask would key on it
+        batch = batch.filter(keep(batch))
+        paths = batch["path"]
+        dirs = pc.unique(paths)
+        shard = pc.take(pa.array([_sid_of(p) for p in dirs.to_pylist()],
+                                 pa.string()),
+                        pc.index_in(paths, value_set=dirs))
+        return batch.drop_columns(["path"]).append_column(SHARD_COLUMN, shard)
+
+    rd.read_parquet(
+        [str(f) for sid in sids for f in files[sid]],
+        include_paths=True, partitioning=None,
+    ).map_batches(keep_then_tag, batch_format="pyarrow").write_parquet(
+        str(stage), partition_cols=[SHARD_COLUMN]
     )
-    if digest is None:
-        return False
-    manifest["rows"] = digest.rows
-    manifest["failed_rows"] = digest.failed_rows
-    manifest["content_hash"] = digest.content_hash
-    summary["shards_rewritten"] += 1
-    summary["rows_removed"] += before - digest.rows
-    return True
+    staged = []
+    for sid in sids:
+        part = stage / f"{SHARD_COLUMN}={sid}"
+        if not part.exists():  # every row of the shard went
+            _write_empty(part, schemas[sid])
+        for f in sorted(part.glob("*.parquet")):
+            _check_schema(f, schemas[sid])
+            staged.append(str(f))
+
+    digests = _staged_digests(staged, {
+        sid: manifests[sid].get("hash_columns", hash_columns) for sid in sids
+    })
+    removed = {}
+    for sid in sids:
+        manifest, digest = manifests[sid], digests[sid]
+        if digest.rows < manifest["rows"]:
+            removed[sid] = manifest["rows"] - digest.rows
+            manifest.update(rows=digest.rows, failed_rows=digest.failed_rows,
+                            content_hash=digest.content_hash, **stamp)
+            _write_manifest(out_dir, manifest, PENDING_SUFFIX)
+    for sid in removed:
+        _swap_in(out_dir, sid, stage / f"{SHARD_COLUMN}={sid}")
+    shutil.rmtree(stage)
+    return removed
 
 
 def global_latest_crawl_pass(
@@ -534,10 +710,10 @@ def global_latest_crawl_pass(
     resolves global winners with the same distributed aggregate the
     in-pipeline dedup uses (O(cross-shard-dup) driver state), finds the
     files holding losing rows in a second pass over that projection,
-    and rewrites ONLY those shards — through the shared commit path,
-    with manifests updated from its one digest (``global_dedup``
-    stamped) so a subsequent resume still validates. A shard whose
-    every row loses becomes an empty shard.
+    and rewrites ONLY those shards — all in one rewrite wave, with
+    manifests updated from its one digest (``global_dedup`` stamped) so
+    a subsequent resume still validates. A shard whose every row loses
+    becomes an empty shard.
 
     Idempotent: a second invocation finds no losers and rewrites
     nothing.
@@ -553,6 +729,7 @@ def global_latest_crawl_pass(
 
     from ..stages.dedup import dup_winner_table, winner_arrays, winner_mask
 
+    _recover(out_dir)
     manifests = {m["shard_id"]: m for m in run_status(out_dir)}
     summary = {"shards_rewritten": 0, "rows_removed": 0}
     # read_parquet accepts one dir or a list of FILES, not a dir list
@@ -564,41 +741,34 @@ def global_latest_crawl_pass(
     if not out_files:
         return summary
 
-    def crawls():
-        return rd.read_parquet(
-            out_files, columns=["url", "warc_ts"], include_paths=True
-        )
-
-    wt = dup_winner_table(crawls())
+    # a projected read adds no partition column (and Ray 2.49 fails on
+    # columns= with partitioning=None)
+    crawls = rd.read_parquet(
+        out_files, columns=["url", "warc_ts"], include_paths=True
+    )
+    wt = dup_winner_table(crawls)
     if wt.num_rows == 0:
         return summary
     winners_ref = ray.put(winner_arrays(wt))
 
+    def keep_winners(batch: pa.Table) -> pa.Array:
+        return winner_mask(batch, ray.get(winners_ref))
+
     def loser_files(batch: pa.Table) -> pa.Table:
-        keep = winner_mask(batch, ray.get(winners_ref))
-        lost = batch["path"].filter(pc.invert(keep))
+        lost = batch["path"].filter(pc.invert(keep_winners(batch)))
         return pa.table({"path": pc.unique(lost)})
 
     loser_sids = {
-        Path(path).parent.name.removeprefix("shard=")
-        for b in crawls()
-        .map_batches(loser_files, batch_format="pyarrow")
+        _sid_of(path)
+        for b in crawls.map_batches(loser_files, batch_format="pyarrow")
         .iter_batches(batch_format="pyarrow")
         for path in b["path"].to_pylist()
     }
 
-    def keep_winners(batch: pa.Table) -> pa.Table:
-        return batch.filter(winner_mask(batch, ray.get(winners_ref)))
-
-    for sid in sorted(loser_sids):
-        manifest = manifests[sid]
-        if _rewrite_shard(
-            out_dir, manifest, keep_winners, summary, hash_columns
-        ):
-            manifest["global_dedup"] = True
-            _write_manifest(out_dir, manifest)
-
-    return summary
+    removed = _rewrite_wave(out_dir, manifests, loser_sids, keep_winners,
+                            {"global_dedup": True}, hash_columns)
+    return {"shards_rewritten": len(removed),
+            "rows_removed": sum(removed.values())}
 
 
 def global_neardup_guard(
@@ -617,11 +787,11 @@ def global_neardup_guard(
     Shards whose manifest carries ``neardup_guarded: true`` form the
     immutable BASE; every other finished shard is INCOMING. Incoming
     docs whose extracted text has Jaccard >= ``threshold`` against any
-    base doc are removed (their shards rewritten atomically, manifests
-    re-hashed and stamped). Same-url pairs are ignored — recrawl
-    winner resolution is :func:`global_latest_crawl_pass`'s job, and
-    dropping an incoming recrawl because its OWN older crawl is in the
-    base would invert keep-latest semantics.
+    base doc are removed (their shards rewritten in one rewrite wave,
+    manifests re-hashed and stamped). Same-url pairs are ignored —
+    recrawl winner resolution is :func:`global_latest_crawl_pass`'s
+    job, and dropping an incoming recrawl because its OWN older crawl
+    is in the base would invert keep-latest semantics.
 
     The first invocation (no guarded base yet) only stamps — it
     establishes the base without self-comparison; near-dups WITHIN one
@@ -646,6 +816,7 @@ def global_neardup_guard(
     from ..functions.hashing import hash64_column
     from ..stages.neardup import cross_neardup_counts
 
+    _recover(out_dir)
     manifests = {m["shard_id"]: m for m in run_status(out_dir)}
     base_sids = sorted(
         sid for sid, m in manifests.items() if m.get("neardup_guarded")
@@ -701,7 +872,7 @@ def global_neardup_guard(
             max_bucket=max_bucket,
             on_drop=on_drop,
         )
-        rows = pairs.take_all() if pairs.count() else []
+        rows = pairs.take_all()
         flagged = np.unique(
             np.array(
                 [
@@ -713,19 +884,24 @@ def global_neardup_guard(
             )
         )
 
-    flagged_ref = ray.put(flagged) if flagged.size else None
+    removed = {}
+    if flagged.size:
+        flagged_ref = ray.put(flagged)
 
-    def keep_unflagged(batch: pa.Table) -> pa.Table:
-        bad = ray.get(flagged_ref)
-        ids = (hash64_column(batch["url"]) >> np.uint64(1)).astype(np.int64)
-        return batch.filter(pa.array(~np.isin(ids, bad)))
+        def keep_unflagged(batch: pa.Table) -> pa.Array:
+            ids = (hash64_column(batch["url"]) >> np.uint64(1)).astype(
+                np.int64
+            )
+            return pa.array(~np.isin(ids, ray.get(flagged_ref)))
 
+        removed = _rewrite_wave(out_dir, manifests, new_sids, keep_unflagged,
+                                {"neardup_guarded": True})
+        summary["shards_rewritten"] = len(removed)
+        summary["rows_removed"] = sum(removed.values())
     for sid in new_sids:
-        manifest = manifests[sid]
-        if flagged.size:
-            _rewrite_shard(out_dir, manifest, keep_unflagged, summary)
-        manifest["neardup_guarded"] = True
-        _write_manifest(out_dir, manifest)
+        if sid not in removed:
+            manifests[sid]["neardup_guarded"] = True
+            _write_manifest(out_dir, manifests[sid])
 
     return summary
 
@@ -846,6 +1022,7 @@ def compact_shards(
     import ray.data as rd
 
     out = Path(out_dir)
+    _recover(out_dir)
     summary = {
         "shards_compacted": 0,
         "shards_skipped": 0,
@@ -868,7 +1045,9 @@ def compact_shards(
             continue
 
         digest = _commit_shard(
-            rd.read_parquet(str(sdir)).repartition(int(n_target)),
+            rd.read_parquet(str(sdir), partitioning=None).repartition(
+                int(n_target)
+            ),
             sdir,
             manifest["hash_columns"],
             accept=lambda d: d.content_hash == manifest["content_hash"],
