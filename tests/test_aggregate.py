@@ -1,7 +1,17 @@
-"""stages/aggregate.py against pandas ``groupby`` on seeded, shuffled,
-multi-block inputs: int, string and composite keys, sum / count / min /
-max (min and max over strings too), nulls in value and key columns,
-empty batches, an all-empty input and the keyless path."""
+"""stages/aggregate.py against brute force on seeded, shuffled,
+multi-block inputs with empty batches.
+
+``aggregate`` against pandas ``groupby``: int, string and composite
+keys, sum / count / min / max (min and max over strings too), nulls in
+value and key columns, an all-empty input and the keyless path.
+``exchange`` against the partition its contract names: every row in
+exactly one call, every key in one call, one call per bucket, no
+``__bucket`` column in sight. A source scan pins it as the package's
+one hash exchange."""
+
+import re
+import uuid
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -13,6 +23,7 @@ from zzzarchived_arxiv_fulltext_ray.stages.aggregate import (
     _BUCKETS,
     _bucket,
     aggregate,
+    exchange,
 )
 
 AGGS = [
@@ -169,3 +180,118 @@ def test_bucket_xors_every_key():
     assert _bucket(t, ["k", "s"]).to_numpy().tolist() == want.tolist()
     one = (hash64_column(t["k"]) % np.uint64(_BUCKETS)).astype(np.int64)
     assert _bucket(t, ["k"]).to_numpy().tolist() == one.tolist()
+
+
+def _numbered(blocks):
+    """The blocks with a global row number ``i`` appended."""
+    out, start = [], 0
+    for b in blocks:
+        i = pa.array(np.arange(start, start + b.num_rows), pa.int64())
+        out.append(b.append_column("i", i))
+        start += b.num_rows
+    return out
+
+
+def _stamper():
+    """An ``exchange`` function that returns its call's row numbers,
+    each stamped with an id of the call and the columns the call was
+    handed (a closure, so Ray ships it by value to the workers)."""
+
+    def stamp(g: pa.Table) -> pa.Table:
+        n = g.num_rows
+        return pa.table(
+            {
+                "i": g["i"],
+                "call": pa.array([uuid.uuid4().hex] * n, pa.string()),
+                "cols": pa.array([",".join(g.column_names)] * n),
+            }
+        )
+
+    return stamp
+
+
+def _check_partition(got: pd.DataFrame, whole: pa.Table, keys):
+    calls = got.set_index("i")["call"]
+    assert sorted(calls.index) == list(range(whole.num_rows))
+    assert set(got["cols"]) == {",".join(whole.column_names)}
+    call = calls.loc[np.arange(whole.num_rows)].to_numpy()
+    bucket = _bucket(whole, keys).to_numpy()
+    # call <-> bucket is one-to-one: the exchange partitions by _bucket
+    pairs = set(zip(call, bucket))
+    assert len(pairs) == len(set(call)) == len(set(bucket))
+    df = whole.select(keys).to_pandas()
+    df["call"] = call
+    assert (df.groupby(keys, dropna=False)["call"].nunique() == 1).all()
+
+
+@pytest.mark.parametrize("keys", [["k"], ["s"], ["k", "s"]])
+@pytest.mark.parametrize("null_keys", [False, True])
+def test_exchange_partitions_by_key(ray_session, keys, null_keys):
+    import ray.data as rd
+
+    blocks = _numbered(_blocks(11, [400, 0, 3, 250, 0, 90], null_keys))
+    got = exchange(rd.from_arrow(blocks), keys, _stamper()).to_pandas()
+    _check_partition(got, pa.concat_tables(blocks), keys)
+
+
+def test_exchange_rows_projection(ray_session):
+    """``rows`` runs first: ``fn`` sees only the projected columns and
+    the exchange keys on a column the input does not have."""
+    import ray.data as rd
+
+    blocks = _numbered(_blocks(13, [300, 0, 120]))
+
+    def project(b: pa.Table) -> pa.Table:
+        return b.select(["i", "s", "k"]).rename_columns(["i", "s", "key"])
+
+    got = exchange(rd.from_arrow(blocks), "key", _stamper(), rows=project)
+    whole = project(pa.concat_tables(blocks))
+    _check_partition(got.to_pandas(), whole, ["key"])
+
+
+def test_null_in_a_batch_keeps_int_key_buckets(ray_session):
+    """A null in an int key column must not move the bucket of the
+    other keys of its batch: an int64 key above 2**53 from a block with
+    a null and from one without meets itself in one group."""
+    import ray.data as rd
+
+    big = 2**60 + 1
+    blocks = [
+        pa.table({"k": pa.array([big, None], pa.int64()),
+                  "i": pa.array([0, 1], pa.int64())}),
+        pa.table({"k": pa.array([big], pa.int64()),
+                  "i": pa.array([2], pa.int64())}),
+    ]
+    got = aggregate(rd.from_arrow(blocks), "k", [("n", "count", None)])
+    df = got.to_pandas()
+    assert sorted(df["n"].tolist()) == [1, 2]
+    assert int(df.loc[df["k"] == big, "n"].iloc[0]) == 2
+
+
+def test_exchange_empty_input(ray_session):
+    import ray.data as rd
+
+    ds = rd.from_arrow(_numbered(_blocks(0, [0, 0])))
+    assert exchange(ds, ["k", "s"], _stamper()).count() == 0
+
+
+def test_one_hash_exchange_in_the_package():
+    """Every in-flight hash exchange goes through ``exchange``: no
+    bucket tag of its own anywhere but ``dedup.dup_winner_table``'s
+    coalesced winner pass, and no ``__b`` / ``_bucket`` groupby but
+    the range slices of ``stages/window.py`` (whose functions read
+    the slice id)."""
+    pkg = Path(exchange.__code__.co_filename).resolve().parents[1]
+    tags, groupbys = {}, []
+    for p in sorted(pkg.rglob("*.py")):
+        rel = p.relative_to(pkg).as_posix()
+        src = p.read_text()
+        n = len(re.findall(r"(?<!def )bucket_of_column\(", src))
+        if n:
+            tags[rel] = n
+        if rel != "stages/window.py" and re.search(
+            r'groupby\("(__b|_bucket)"\)', src
+        ):
+            groupbys.append(rel)
+    assert tags == {"stages/dedup.py": 1}
+    assert groupbys == []

@@ -936,12 +936,11 @@ def test_bloom_prefiltered_join_identical_and_prunes(ray_session):
     rds = ray.data.from_pandas(build).repartition(2)
 
     want = (
-        partitioned_hash_join(lds, rds, "k", num_buckets=8)
+        partitioned_hash_join(lds, rds, "k")
         .to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
     )
     got = (
-        bloom_prefiltered_join(lds, rds, "k", num_buckets=8,
-                               n_bits=1 << 14)
+        bloom_prefiltered_join(lds, rds, "k", n_bits=1 << 14)
         .to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(
@@ -985,12 +984,11 @@ def test_bloom_prefiltered_join_composite_and_bad_how(ray_session):
     lds = ray.data.from_pandas(probe).repartition(3)
     rds = ray.data.from_pandas(build)
     want = (
-        partitioned_hash_join(lds, rds, ["a", "b"], num_buckets=4)
+        partitioned_hash_join(lds, rds, ["a", "b"])
         .to_pandas().sort_values(["a", "b", "v"]).reset_index(drop=True)
     )
     got = (
-        bloom_prefiltered_join(lds, rds, ["a", "b"], num_buckets=4,
-                               n_bits=1 << 12)
+        bloom_prefiltered_join(lds, rds, ["a", "b"], n_bits=1 << 12)
         .to_pandas().sort_values(["a", "b", "v"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(
@@ -1037,12 +1035,12 @@ def test_skew_routed_join_identical_on_skewed_keys(ray_session):
     rds = ray.data.from_pandas(build).repartition(2)
 
     want = (
-        partitioned_hash_join(lds, rds, "k", num_buckets=8)
+        partitioned_hash_join(lds, rds, "k")
         .to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
     )
     for hk in (None, [7, 13]):  # auto-detect AND explicit routing
         got = (
-            skew_routed_join(lds, rds, "k", num_buckets=8, hot_keys=hk)
+            skew_routed_join(lds, rds, "k", hot_keys=hk)
             .to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(
@@ -1051,12 +1049,11 @@ def test_skew_routed_join_identical_on_skewed_keys(ray_session):
 
     # semi spelling, explicit hot keys
     want_semi = (
-        partitioned_hash_join(lds, rds, "k", num_buckets=8, how="semi")
+        partitioned_hash_join(lds, rds, "k", how="semi")
         .to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
     )
     got_semi = (
-        skew_routed_join(lds, rds, "k", num_buckets=8, how="semi",
-                         hot_keys=[7, 13])
+        skew_routed_join(lds, rds, "k", how="semi", hot_keys=[7, 13])
         .to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(

@@ -1,10 +1,16 @@
 """HTTP fetch source: retry/backoff semantics (reference
-``fulltext/services/legacy/legacy.py:64-112``) + end-to-end fetch ->
-pages -> extraction byte-identity against the table source."""
+``fulltext/services/legacy/legacy.py:64-112``), the same semantics over
+live HTTP from a loopback server, and end-to-end fetch -> pages ->
+extraction byte-identity against the table source."""
 
+import http.server
+import socket
+import threading
 from functools import partial
 
 import pyarrow as pa
+
+import pytest
 
 from zzzarchived_arxiv_fulltext_ray.sources.fetch import (
     FAILED,
@@ -12,6 +18,7 @@ from zzzarchived_arxiv_fulltext_ray.sources.fetch import (
     MISSING,
     DictTransport,
     FetchPool,
+    UrllibTransport,
     fetch_pages,
     to_pages_schema,
 )
@@ -144,6 +151,108 @@ class TestFetchSemantics:
         assert out["fetch_status"].to_pylist() == [FETCHED] * 4
         # 4 requests at 2 req/s: last request cannot start before 1.5 s
         assert now[0] >= 1.5
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """``/gone`` 404, ``/boom`` 500, ``/doc.pdf`` 200 text/html for the
+    first ``not_ready`` GETs and then 200 application/pdf."""
+
+    not_ready = 0
+    hits: dict = {}
+
+    def do_GET(self):
+        n = self.hits[self.path] = self.hits.get(self.path, 0) + 1
+        if self.path == "/doc.pdf":
+            if n <= self.not_ready:
+                self._reply(200, "text/html", b"<html>not yet</html>")
+            else:
+                self._reply(200, "application/pdf", b"%PDF-1.4 payload")
+        elif self.path == "/boom":
+            self._reply(500, "text/plain", b"server error")
+        else:
+            self._reply(404, "text/plain", b"not found")
+
+    def _reply(self, code: int, ctype: str, body: bytes):
+        self.send_response(code)
+        self.send_header("Content-Type", ctype)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback():
+    """A live HTTP server on 127.0.0.1 (port 0); yields its base url
+    and the per-path GET counts."""
+    handler = type("Handler", (_Handler,), {"not_ready": 2, "hits": {}})
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}", handler.hits
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def no_proxy(monkeypatch):
+    """Loopback requests go straight to the socket, whatever the
+    environment's proxy settings."""
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+
+
+def _live_pool(sleeps, **kwargs):
+    return FetchPool(
+        transport_factory=partial(UrllibTransport, timeout=5.0),
+        retry_sleep=5.0,
+        sleep=sleeps.append,
+        **kwargs,
+    )
+
+
+@pytest.mark.usefixtures("no_proxy")
+class TestUrllibTransport:
+    """``UrllibTransport`` against a loopback server: the status
+    taxonomy and both retry loops over real sockets, with the sleeps
+    recorded instead of slept."""
+
+    def test_404_is_missing_and_500_is_failed(self, loopback):
+        base, hits = loopback
+        sleeps = []
+        out = _live_pool(sleeps, max_retries=5)(
+            _batch([f"{base}/gone", f"{base}/boom"])
+        )
+        assert out["fetch_status"].to_pylist() == [MISSING, FAILED]
+        assert "500" in out["fetch_error"].to_pylist()[1]
+        assert hits == {"/gone": 1, "/boom": 1}  # no retries burned
+        assert sleeps == []
+
+    def test_wrong_content_type_retried_then_fetched(self, loopback):
+        base, hits = loopback
+        sleeps = []
+        out = _live_pool(
+            sleeps, max_retries=5, expected_content_type="application/pdf"
+        )(_batch([f"{base}/doc.pdf"]))
+        assert out["fetch_status"].to_pylist() == [FETCHED]
+        assert out["html"].to_pylist() == [b"%PDF-1.4 payload"]
+        assert out["fetch_content_type"].to_pylist() == ["application/pdf"]
+        assert hits == {"/doc.pdf": 3}
+        assert sleeps == [5.0, 5.0]
+
+    def test_refused_connection_retried_then_failed(self):
+        with socket.socket() as s:  # a port nothing listens on
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        sleeps = []
+        out = _live_pool(sleeps, max_retries=2)(
+            _batch([f"http://127.0.0.1:{port}/doc.pdf"])
+        )
+        assert out["fetch_status"].to_pylist() == [FAILED]
+        assert "transport error" in out["fetch_error"].to_pylist()[0]
+        assert sleeps == [5.0, 5.0]
 
 
 def test_fetch_to_extraction_byte_identity(ray_session):

@@ -39,7 +39,6 @@ def test_composite_key_join_matches_pandas(ray_session):
             rd.from_pandas(left).repartition(5),
             rd.from_pandas(right).repartition(3),
             key=["k1", "k2"],
-            num_buckets=16,
         )
         .to_pandas()
         .sort_values(["lv", "rv"])
@@ -91,7 +90,6 @@ def test_interval_join_matches_brute_force(ray_session):
             start="start",
             end="end",
             granule_us=_us(300),
-            num_buckets=16,
         )
         .to_pandas()
         .sort_values(["lid", "rid"])

@@ -813,6 +813,54 @@ def test_global_pass_crash_rolls_forward(two_loser_run, tmp_path, monkeypatch,
     assert not leftovers
 
 
+@pytest.mark.parametrize("resume_with", ["compact_shards", "run_resumable"])
+def test_compaction_crash_rolls_forward(ray_session, tmp_path, monkeypatch,
+                                        resume_with):
+    """Compaction killed between its data swap and its manifest commit:
+    the next entry point leaves the crashed shard with its ``compacted``
+    block and a manifest equal to its files, and no staging left."""
+
+    def build(ds):
+        return _wave_build(ds).random_shuffle(seed=0).repartition(4)
+
+    shards = []
+    for name in "ab":
+        f = tmp_path / f"{name}.parquet"
+        _write_pages_file(f, [(f"http://{name}/{i}", 0, _words(f"{name}{i}"))
+                              for i in range(4)])
+        shards.append([str(f)])
+    out = tmp_path / "out"
+    mf.run_resumable(shards, build, str(out))
+    rename = Path.rename
+    crashed = []
+
+    def dying_rename(self, target):
+        moved = rename(self, target)
+        if _CRASH_AFTER["data_swap"](Path(target)):
+            crashed.append(Path(target).name[len("shard="):])
+            raise RuntimeError("killed after a rename")
+        return moved
+
+    monkeypatch.setattr(Path, "rename", dying_rename)
+    with pytest.raises(RuntimeError, match="killed"):
+        mf.compact_shards(str(out), target_bytes=1 << 30)
+    monkeypatch.undo()
+
+    if resume_with == "run_resumable":
+        resumed = mf.run_resumable(shards, build, str(out))
+        assert resumed["processed"] == 0 and resumed["skipped"] == 2
+    else:
+        assert mf.compact_shards(str(out), target_bytes=1 << 30)[
+            "shards_compacted"] == 1
+    _committed_accounting(out)
+    (sid,) = crashed
+    m = json.loads(mf.manifest_path(str(out), sid).read_text())
+    assert m["compacted"]["files_after"] == 1
+    leftovers = [*out.glob("*.tmp"), *out.glob("*.old"),
+                 *out.glob(f"*{mf.PENDING_SUFFIX}")]
+    assert not leftovers
+
+
 def _loser_run(root, n):
     """n shards that each lose one crawl to one shard of recrawls."""
     root.mkdir()

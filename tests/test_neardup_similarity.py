@@ -211,7 +211,6 @@ def test_partitioned_hash_join_matches_pandas(ray_session):
             ray.data.from_pandas(left),
             ray.data.from_pandas(right),
             key="k",
-            num_buckets=4,
         )
         .to_pandas()
         .sort_values(["k", "lv", "rv"])
@@ -244,11 +243,11 @@ def test_partitioned_anti_semi_join(ray_session):
     right = pd.DataFrame({"k": [2, 3, 3, 4], "rv": [10, 20, 30, 40]})
     anti = partitioned_hash_join(
         ray.data.from_pandas(left), ray.data.from_pandas(right),
-        key="k", num_buckets=4, how="anti",
+        key="k", how="anti",
     ).to_pandas()
     semi = partitioned_hash_join(
         ray.data.from_pandas(left), ray.data.from_pandas(right),
-        key="k", num_buckets=4, how="semi",
+        key="k", how="semi",
     ).to_pandas()
     assert sorted(anti.k.tolist()) == [1, 5]
     assert sorted(semi.lv.tolist()) == ["b", "c", "d"]

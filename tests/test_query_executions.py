@@ -19,6 +19,9 @@ EXECUTIONS = {
     "join_priority_revenue": 3,
     "supplier_triangles": 3,
     "supplier_kcore": 2,
+    "events_sessions": 1,
+    "dedup_ngram_partitioned": 3,
+    "url_blocklist_partitioned": 3,
 }
 
 

@@ -26,7 +26,6 @@ def _docs_ds(texts):
 def _run(texts, broadcast, w=3):
     out = dup_span_removal(
         _docs_ds(texts), w=w, min_count=2, broadcast=broadcast,
-        num_buckets=4,
     ).to_pandas()
     if out.empty:
         return out

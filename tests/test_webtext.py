@@ -134,7 +134,7 @@ def test_decontaminate_plans_equal(ray_session):
         .reset_index(drop=True)
     )
     b = (
-        decontaminate(corpus, bench, n=3, plan="partitioned", num_buckets=8)
+        decontaminate(corpus, bench, n=3, plan="partitioned")
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

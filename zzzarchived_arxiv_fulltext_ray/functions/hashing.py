@@ -1,8 +1,10 @@
 """Vectorized, process-stable key hashing for in-flight exchanges.
 
-Every hash-partitioned exchange in the engine (winner aggregates,
-bucketed joins, block assignment) needs a bucket id per key that every
-worker computes identically. Two kernels:
+Every hash-partitioned exchange in the engine needs a bucket id per
+key that every worker computes identically. ``stages.aggregate``'s
+``exchange`` (joins, grouped aggregates, per-bucket kernels) takes it
+from :func:`hash64_column`; ``stages.dedup.dup_winner_table`` keeps
+:func:`bucket_of_column` for its coalesced winner pass. Two kernels:
 
 * numeric keys — a splitmix64 finalizer-style mix (pure numpy, wraps
   uint64), so sequential ids spread across buckets;
@@ -18,6 +20,7 @@ ever absent (import-gated per the no-new-deps rule).
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 try:  # vectorized string hashing; baked into this environment
     import polars as _pl
@@ -35,10 +38,15 @@ def splitmix_mix(keys: np.ndarray) -> np.ndarray:
 def hash64_column(col) -> np.ndarray:
     """uint64 hash per element of an Arrow (chunked) array.
 
-    Numeric columns use the splitmix mix; string/binary columns use
-    polars' vectorized hash (crc32 loop fallback)."""
+    Numeric columns use the splitmix mix, nulls hashing as 0 (numpy
+    would turn an integer column with a null into floats and round
+    keys above 2**53, so one key would hash by whether its batch holds
+    a null); string/binary columns use polars' vectorized hash (crc32
+    loop fallback)."""
     typ = col.type
     if pa.types.is_integer(typ) or pa.types.is_floating(typ):
+        if col.null_count:
+            col = pc.fill_null(col, 0)
         return splitmix_mix(col.to_numpy(zero_copy_only=False))
     if _pl is not None:
         series = _pl.from_arrow(
@@ -76,7 +84,8 @@ def stable_hash64_column(col) -> np.ndarray:
 
 def bucket_of_column(col, num_buckets: int) -> np.ndarray:
     """int64 bucket id in [0, num_buckets) per element of an Arrow
-    (chunked) array — the engine's standard exchange partitioner."""
+    (chunked) array — the partitioner of ``dup_winner_table``'s
+    coalesced winner pass."""
     return (hash64_column(col) % np.uint64(num_buckets)).astype(np.int64)
 
 

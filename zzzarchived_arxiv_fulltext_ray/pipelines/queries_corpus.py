@@ -987,18 +987,7 @@ def _q_events_pattern_triples(sf_dir: str):
     import pyarrow as pa
     import ray.data
 
-    n_buckets = 64
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].cast(pa.uint64()).to_numpy(
-            zero_copy_only=False
-        )
-        b = ((uid * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)) % (
-            np.uint64(n_buckets)
-        )
-        return batch.append_column(
-            "_bucket", pa.array(b.astype(np.int64))
-        )
+    from ..stages.aggregate import exchange
 
     def triples_of_bucket(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -1037,12 +1026,7 @@ def _q_events_pattern_triples(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "user_id", "event_type"],
     )
-    out = (
-        ev.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(triples_of_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    out = exchange(ev, "user_id", triples_of_bucket).to_pandas()
     return out.sort_values(["user_id", "view_ts"]).reset_index(
         drop=True
     )
@@ -1095,8 +1079,9 @@ def _q_events_activity_islands(sf_dir: str):
     import pyarrow as pa
     import ray.data
 
+    from ..stages.aggregate import exchange
+
     DAY_US = 86_400_000_000
-    n_buckets = 64
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
@@ -1110,16 +1095,11 @@ def _q_events_activity_islands(sf_dir: str):
         day = us // DAY_US
         key = np.unique(uid * np.int64(1 << 20) + day)
         uid_u, day_u = key >> np.int64(20), key & np.int64((1 << 20) - 1)
-        b = (
-            (uid_u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-            >> np.uint64(32)
-        ) % np.uint64(n_buckets)
         return pa.Table.from_pydict(
             {
                 "user_id": pa.array(uid_u, pa.int64()),
                 "day": pa.array(day_u, pa.int64()),
                 "one": pa.array(np.ones(key.size, np.int64)),
-                "_bucket": pa.array(b.astype(np.int64)),
             }
         )
 
@@ -1147,12 +1127,9 @@ def _q_events_activity_islands(sf_dir: str):
             }
         )
 
-    out = (
-        ev.map_batches(day_partial, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(islands_of_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    out = exchange(
+        ev, "user_id", islands_of_bucket, rows=day_partial
+    ).to_pandas()
     return out.sort_values(["user_id", "start_day"]).reset_index(
         drop=True
     )
@@ -1311,7 +1288,7 @@ def _q_nation_revenue_share(sf_dir: str):
         batch_format="pyarrow",
     )
     joined = partitioned_hash_join(
-        per_cust, cust, "c_custkey", num_buckets=32
+        per_cust, cust, "c_custkey"
     )
     out = aggregate(
         joined, "c_nationkey", [("revenue_cents", "sum", "cents")]
@@ -1640,9 +1617,8 @@ def _q_events_churn(sf_dir: str):
     (user, day) grain with a per-batch Arrow combine BEFORE the one
     groupby exchange; the full-outer join itself runs through the
     bucketed Acero exchange (``partitioned_hash_join``), so neither
-    side is ever broadcast or pulled to the driver. ``num_buckets``
-    scales with cluster size. Money follows the repo convention:
-    exact integer cents, half-away-from-zero.
+    side is ever broadcast or pulled to the driver. Money follows the
+    repo convention: exact integer cents, half-away-from-zero.
     """
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -1705,7 +1681,6 @@ def _q_events_churn(sf_dir: str):
         daily.map_batches(as_today, batch_format="pyarrow"),
         daily.map_batches(as_yesterday, batch_format="pyarrow"),
         ["user_id", "epoch_day"],
-        num_buckets=32,
         how="outer",
     )
 
@@ -2133,7 +2108,7 @@ def _q_events_first_last(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data
 
-    n_buckets = 64
+    from ..stages.aggregate import exchange
 
     def candidates(batch: pa.Table) -> pa.Table:
         cents = pc.cast(
@@ -2155,10 +2130,6 @@ def _q_events_first_last(sf_dir: str):
         starts = np.flatnonzero(nb)
         ends = np.append(starts[1:], uid_s.size) - 1
         keep = order[np.unique(np.concatenate([starts, ends]))]
-        b = ((uid[keep].astype(np.uint64)
-              * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)) % (
-            np.uint64(n_buckets)
-        )
         return pa.Table.from_pydict(
             {
                 "user_id": pa.array(uid[keep], pa.int64()),
@@ -2166,7 +2137,6 @@ def _q_events_first_last(sf_dir: str):
                 "event_id": pa.array(eid[keep], pa.int64()),
                 "event_type": pa.array(typ[keep], pa.string()),
                 "cents": pa.array(cents[keep], pa.int64()),
-                "_bucket": pa.array(b.astype(np.int64)),
             }
         )
 
@@ -2199,12 +2169,7 @@ def _q_events_first_last(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "user_id", "event_type", "value"],
     )
-    out = (
-        ev.map_batches(candidates, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    out = exchange(ev, "user_id", per_bucket, rows=candidates).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -2894,7 +2859,6 @@ def _q_urgent_revenue_by_month(sf_dir: str):
         li.map_batches(li_prep, batch_format="pyarrow"),
         orders.map_batches(o_prep, batch_format="pyarrow"),
         key="orderkey",
-        num_buckets=64,
     )
     out = aggregate(
         joined, "month", [("sum_cents", "sum", "cents")]
@@ -2937,7 +2901,7 @@ def _q_customer_order_dist(sf_dir: str):
         lambda b: b.rename_columns(["custkey"]), batch_format="pyarrow"
     )
     joined = partitioned_hash_join(
-        cust, counts, "custkey", num_buckets=32, how="left"
+        cust, counts, "custkey", how="left"
     )
 
     def hist_rows(batch: pa.Table) -> pa.Table:
@@ -3284,7 +3248,7 @@ def _q_idle_customer_balance(sf_dir: str):
         columns=["o_custkey", "o_orderdate"],
     ).map_batches(recent_custkeys, batch_format="pyarrow")
     idle = partitioned_hash_join(
-        rich, orders, "c_custkey", num_buckets=32, how="anti"
+        rich, orders, "c_custkey", how="anti"
     )
 
     out = aggregate(
@@ -3553,7 +3517,7 @@ def _q_top_revenue_supplier(sf_dir: str):
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
     )
     out = partitioned_hash_join(
-        winners, sup, "s_suppkey", num_buckets=8
+        winners, sup, "s_suppkey"
     ).to_pandas()
     out["total_revenue_cents"] = out["total_revenue_cents"].astype(
         "int64"
@@ -4222,8 +4186,7 @@ def _q_source_set_ops(sf_dir: str):
         .map_batches(mark, batch_format="pyarrow")
         .materialize()
     )
-    joined = partitioned_hash_join(en, zh, "source", num_buckets=8,
-                                   how="left")
+    joined = partitioned_hash_join(en, zh, "source", how="left")
     rows = [
         {
             "source": r["source"],
@@ -5641,8 +5604,8 @@ def _q_host_frontier(sf_dir: str):
     between retries, legacy.py:95-112; a cluster crawl needs the
     schedule up front).
 
-    Physical plan: ONE coalesced exchange on hash(host) into 64 fixed
-    buckets, then lexsort + segment arithmetic per bucket (the
+    Physical plan: ONE coalesced ``aggregate.exchange`` on host, then
+    lexsort + segment arithmetic per bucket (the
     sessionize idiom). Re-crawled urls collapse via in-bucket
     np.unique — globally correct because a url's host pins it to one
     bucket. Hosts are the inherent partition key of politeness;
@@ -5651,25 +5614,16 @@ def _q_host_frontier(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..functions.hashing import bucket_of_column
     from ..sources.pages import read_pages
+    from ..stages.aggregate import exchange
 
-    num_buckets = 64
     delay_sec = 10
     n_workers = 8
 
     def prep(b: pa.Table) -> pa.Table:
         url = b["url"].combine_chunks()
         host = pc.list_element(pc.split_pattern(url, "/"), 2)
-        return pa.Table.from_pydict(
-            {
-                "url": url,
-                "host": host,
-                "__b": pa.array(
-                    bucket_of_column(host, num_buckets), pa.int64()
-                ),
-            }
-        )
+        return pa.Table.from_pydict({"url": url, "host": host})
 
     def frontier_of_bucket(g: pa.Table) -> pa.Table:
         urls = np.asarray(g["url"].to_pylist())
@@ -5705,13 +5659,9 @@ def _q_host_frontier(sf_dir: str):
             }
         )
 
-    out = (
-        read_pages(sf_dir)
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(frontier_of_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    out = exchange(
+        read_pages(sf_dir), "host", frontier_of_bucket, rows=prep
+    ).to_pandas()
     return out.sort_values("url").reset_index(drop=True)
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Dict
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.aggregate import aggregate
+from ..stages.aggregate import aggregate, exchange
 from ..stages.topk import topk
 
 RELATIONAL_QUERIES: Dict[str, Callable] = {}
@@ -193,7 +193,7 @@ def _q_volume_shipping(sf_dir: str):
         ],
     ).map_batches(li_prep, batch_format="pyarrow")
 
-    joined = partitioned_hash_join(li, oc, key="orderkey", num_buckets=32)
+    joined = partitioned_hash_join(li, oc, key="orderkey")
 
     def cross(batch: pa.Table) -> pa.Table:
         sn = batch["supp_nat"].to_numpy(zero_copy_only=False)
@@ -361,7 +361,7 @@ def _q_market_share(sf_dir: str):
     ).map_batches(o_prep, batch_format="pyarrow")
 
     lo_join = partitioned_hash_join(
-        li_promo, orders, key="orderkey", num_buckets=32
+        li_promo, orders, key="orderkey"
     )
 
     ct = pq.read_table(
@@ -491,7 +491,7 @@ def _q_promo_revenue(sf_dir: str):
         columns=["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"],
     ).map_batches(li_prep, batch_format="pyarrow")
 
-    joined = partitioned_hash_join(li, parts, key="partkey", num_buckets=32)
+    joined = partitioned_hash_join(li, parts, key="partkey")
 
     def rows(batch: pa.Table) -> pa.Table:
         promo = pc.if_else(
@@ -613,7 +613,7 @@ def _q_disjunctive_revenue(sf_dir: str):
         columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
     ).map_batches(li_prep, batch_format="pyarrow")
 
-    joined = partitioned_hash_join(li, parts, key="partkey", num_buckets=32)
+    joined = partitioned_hash_join(li, parts, key="partkey")
 
     def rows(batch: pa.Table) -> pa.Table:
         brand = batch["p_brand"].to_numpy(zero_copy_only=False)
@@ -739,14 +739,14 @@ def _q_large_order_customers(sf_dir: str):
     # ~10% of orders survive the HAVING: the Bloom over survivor keys
     # prunes ~90% of the orders-side exchange before it happens
     enriched = bloom_prefiltered_join(
-        orders, big_orders, key="o_orderkey", num_buckets=32
+        orders, big_orders, key="o_orderkey"
     )
 
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     )
     out = partitioned_hash_join(
-        enriched, cust, key="c_custkey", num_buckets=32
+        enriched, cust, key="c_custkey"
     ).to_pandas()
 
     out = out[
@@ -804,11 +804,9 @@ def _q_sole_late_supplier(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data
 
-    from ..functions.hashing import bucket_of_column
     from ..stages.relational import partitioned_hash_join
 
     late_us = 90 * 86_400 * 1_000_000  # 90 days in microseconds
-    num_buckets = 64
 
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderdate"]
@@ -823,12 +821,11 @@ def _q_sole_late_supplier(sf_dir: str):
         lambda b: b.rename_columns(["orderkey", "l_suppkey", "l_shipdate"]),
         batch_format="pyarrow",
     )
-    lo = partitioned_hash_join(li, orders, key="orderkey", num_buckets=32)
+    lo = partitioned_hash_join(li, orders, key="orderkey")
 
     def pair_partial(batch: pa.Table) -> pa.Table:
-        """Distinct (orderkey, suppkey) with late=max within the batch,
-        tagged with the hashed order bucket — shrinks the ONE exchange
-        to the pair grain."""
+        """Distinct (orderkey, suppkey) with late=max within the batch
+        — shrinks the ONE exchange to the pair grain."""
         ship = batch["l_shipdate"].to_numpy(zero_copy_only=False).astype(
             "datetime64[us]"
         ).astype(np.int64)
@@ -843,14 +840,10 @@ def _q_sole_late_supplier(sf_dir: str):
                 "late": pa.array(late, pa.int64()),
             }
         )
-        t = (
+        return (
             t.group_by(["orderkey", "suppkey"])
             .aggregate([("late", "max")])
             .rename_columns(["orderkey", "suppkey", "late"])
-        )
-        return t.append_column(
-            "__b",
-            pa.array(bucket_of_column(t["orderkey"], num_buckets), pa.int64()),
         )
 
     def winners_of_bucket(group: pa.Table) -> pa.Table:
@@ -886,9 +879,7 @@ def _q_sole_late_supplier(sf_dir: str):
         return pa.Table.from_pydict({"s_suppkey": pa.array(wsk, pa.int64())})
 
     won = aggregate(
-        lo.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(winners_of_bucket, batch_format="pyarrow"),
+        exchange(lo, "orderkey", winners_of_bucket, rows=pair_partial),
         "s_suppkey",
         [("numwait", "count", None)],
     ).to_pandas()
@@ -997,7 +988,7 @@ def _q_part_profit_by_nation(sf_dir: str):
         ],
     ).map_batches(li_prep, batch_format="pyarrow")
 
-    joined = bloom_prefiltered_join(li, parts, key="partkey", num_buckets=32)
+    joined = bloom_prefiltered_join(li, parts, key="partkey")
 
     def rows(batch: pa.Table) -> pa.Table:
         price = batch["p_retailprice"].to_numpy(zero_copy_only=False)
@@ -1369,7 +1360,7 @@ def _q_shipping_priority(sf_dir: str):
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
     ).map_batches(o_prep, batch_format="pyarrow")
     orders_b = bloom_prefiltered_join(
-        orders, cust, key="custkey", how="semi", num_buckets=32
+        orders, cust, key="custkey", how="semi"
     ).map_batches(
         lambda b: b.select(["orderkey", "o_orderdate"]),
         batch_format="pyarrow",
@@ -1399,7 +1390,7 @@ def _q_shipping_priority(sf_dir: str):
     ).map_batches(li_prep, batch_format="pyarrow")
 
     per_order = aggregate(
-        partitioned_hash_join(li, orders_b, key="orderkey", num_buckets=32),
+        partitioned_hash_join(li, orders_b, key="orderkey"),
         ["orderkey", "o_orderdate"],
         [("revenue_cents", "sum", "cents")],
     )
@@ -1496,7 +1487,7 @@ def _q_returned_item_customers(sf_dir: str):
     ).map_batches(li_prep, batch_format="pyarrow")
 
     per_cust = aggregate(
-        partitioned_hash_join(li, orders, key="orderkey", num_buckets=32),
+        partitioned_hash_join(li, orders, key="orderkey"),
         "custkey",
         [("revenue_cents", "sum", "cents")],
     )
@@ -1898,16 +1889,12 @@ def _q_events_twap(sf_dir: str):
     whose total weighted duration is zero (single event, or all
     events within one second) are excluded in both engines.
 
-    Physical plan: ONE coalesced exchange on hash(user_id) into 64
-    fixed buckets, then lexsort + reduceat segment reduction per
-    bucket (the sessionize/sole-late idiom — never a per-user
-    map_groups dispatch)."""
+    Physical plan: ONE coalesced ``exchange`` on user_id, then
+    lexsort + reduceat segment reduction per bucket (the
+    sessionize/sole-late idiom — never a per-user map_groups
+    dispatch)."""
     import numpy as np
     import ray.data
-
-    from ..functions.hashing import bucket_of_column
-
-    num_buckets = 64
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -1927,9 +1914,6 @@ def _q_events_twap(sf_dir: str):
                     pa.int64(),
                 ),
                 "cents": _cents(b["value"]),
-                "__b": pa.array(
-                    bucket_of_column(b["user_id"], num_buckets), pa.int64()
-                ),
             }
         )
 
@@ -1971,9 +1955,7 @@ def _q_events_twap(sf_dir: str):
         )
 
     out = (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(twap_of_bucket, batch_format="pyarrow")
+        exchange(ev, "user_id", twap_of_bucket, rows=prep)
         .to_pandas()
     )
     for c in ("user_id", "wsum", "dsum", "n_seg"):
@@ -2212,17 +2194,14 @@ def _q_events_ewma(sf_dir: str):
     Users with fewer than 16 events use all of them (the denominator
     2^16 - 2^(16-m) self-normalizes).
 
-    Physical plan: ONE coalesced exchange on hash(user_id) into 64
-    fixed buckets, then lexsort + per-segment tail-gather with
-    vectorized offset-from-end weights (the sessionize/TWAP idiom —
-    never a per-user map_groups dispatch)."""
+    Physical plan: ONE coalesced ``exchange`` on user_id, then
+    lexsort + per-segment tail-gather with vectorized offset-from-end
+    weights (the sessionize/TWAP idiom — never a per-user map_groups
+    dispatch)."""
     import numpy as np
     import ray.data
 
-    from ..functions.hashing import bucket_of_column
-
     K = 16
-    num_buckets = 64
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -2244,10 +2223,6 @@ def _q_events_ewma(sf_dir: str):
                     pa.int64(),
                 ),
                 "cents": _cents(b["value"]),
-                "__b": pa.array(
-                    bucket_of_column(b["user_id"], num_buckets),
-                    pa.int64(),
-                ),
             }
         )
 
@@ -2296,9 +2271,7 @@ def _q_events_ewma(sf_dir: str):
         )
 
     out = (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(ewma_of_bucket, batch_format="pyarrow")
+        exchange(ev, "user_id", ewma_of_bucket, rows=prep)
         .to_pandas()
     )
     for c in ("user_id", "n_used", "ewma_num", "ewma_denom"):
@@ -2805,17 +2778,13 @@ def _q_events_markov(sf_dir: str):
     """First-order Markov transition counts over each user's
     time-ordered event-type sequence: exact (prev_type, next_type)
     counts plus the row-conditional transition probability (one float
-    division per cell). Physical plan: ONE coalesced exchange on
-    hash(user_id) into 64 buckets, lexsort + vectorized shift inside
+    division per cell). Physical plan: ONE coalesced ``exchange``
+    on user_id, lexsort + vectorized shift inside
     each bucket (adjacent pairs never cross users), per-bucket pair
     counts summed per (prev, next) by ``stages/aggregate.py``."""
     import numpy as np
     import pandas as pd
     import ray.data
-
-    from ..functions.hashing import bucket_of_column
-
-    num_buckets = 64
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -2835,10 +2804,6 @@ def _q_events_markov(sf_dir: str):
                     pa.int64(),
                 ),
                 "event_type": b["event_type"],
-                "__b": pa.array(
-                    bucket_of_column(b["user_id"], num_buckets),
-                    pa.int64(),
-                ),
             }
         )
 
@@ -2881,9 +2846,7 @@ def _q_events_markov(sf_dir: str):
         )
 
     out = aggregate(
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(pairs_of_bucket, batch_format="pyarrow"),
+        exchange(ev, "user_id", pairs_of_bucket, rows=prep),
         ["prev_type", "next_type"],
         [("n", "sum", "n")],
     ).to_pandas()
@@ -3103,10 +3066,6 @@ def _q_events_interarrival(sf_dir: str):
     import numpy as np
     import ray.data
 
-    from ..functions.hashing import bucket_of_column
-
-    num_buckets = 64
-
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts"],
@@ -3122,10 +3081,6 @@ def _q_events_interarrival(sf_dir: str):
                     .to_numpy(zero_copy_only=False)
                     .astype("datetime64[us]")
                     .astype(np.int64),
-                    pa.int64(),
-                ),
-                "__b": pa.array(
-                    bucket_of_column(b["user_id"], num_buckets),
                     pa.int64(),
                 ),
             }
@@ -3152,9 +3107,7 @@ def _q_events_interarrival(sf_dir: str):
         )
 
     out = aggregate(
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(gaps_of_bucket, batch_format="pyarrow"),
+        exchange(ev, "user_id", gaps_of_bucket, rows=prep),
         "band",
         [("n", "count", None), ("gap_sum", "sum", "g")],
     ).to_pandas()
@@ -4169,10 +4122,6 @@ def _q_events_entropy_rate(sf_dir: str):
     import pandas as pd
     import ray.data
 
-    from ..functions.hashing import bucket_of_column
-
-    num_buckets = 64
-
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "event_type"],
@@ -4191,10 +4140,6 @@ def _q_events_entropy_rate(sf_dir: str):
                     pa.int64(),
                 ),
                 "event_type": b["event_type"],
-                "__b": pa.array(
-                    bucket_of_column(b["user_id"], num_buckets),
-                    pa.int64(),
-                ),
             }
         )
 
@@ -4237,9 +4182,7 @@ def _q_events_entropy_rate(sf_dir: str):
 
     cells = (
         aggregate(
-            ev.map_batches(prep, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(pairs_of_bucket, batch_format="pyarrow"),
+            exchange(ev, "user_id", pairs_of_bucket, rows=prep),
             ["prev_type", "next_type"],
             [("n", "sum", "n")],
         )
@@ -4461,17 +4404,14 @@ def _q_events_dedup_window(sf_dir: str):
     order-invariant). The dedup a re-crawl scheduler applies to
     duplicate fetch requests. Reports kept vs dropped per type.
 
-    Physical plan: ONE coalesced exchange on hash(user_id) into 64
-    fixed buckets, per-bucket lexsort + vectorized gap test (the
-    TWAP/sessionize idiom), per-bucket per-type count partials; the
-    driver sums ~n_types x 64 rows."""
+    Physical plan: ONE coalesced ``exchange`` on user_id, per-bucket
+    lexsort + vectorized gap test (the TWAP/sessionize idiom),
+    per-bucket per-type count partials; the driver sums ~n_types x
+    buckets rows."""
     import numpy as np
     import ray.data
 
-    from ..functions.hashing import bucket_of_column
-
     gap_us = 86_400 * 1_000_000
-    num_buckets = 64
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -4489,10 +4429,6 @@ def _q_events_dedup_window(sf_dir: str):
                     .to_numpy(zero_copy_only=False)
                     .astype("datetime64[us]")
                     .astype(np.int64),
-                    pa.int64(),
-                ),
-                "__b": pa.array(
-                    bucket_of_column(b["user_id"], num_buckets),
                     pa.int64(),
                 ),
             }
@@ -4539,9 +4475,7 @@ def _q_events_dedup_window(sf_dir: str):
         )
 
     parts = (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(dedup_of_bucket, batch_format="pyarrow")
+        exchange(ev, "user_id", dedup_of_bucket, rows=prep)
         .to_pandas()
     )
     out = parts.groupby("event_type", as_index=False).agg(

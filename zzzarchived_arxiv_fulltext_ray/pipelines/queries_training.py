@@ -1522,7 +1522,6 @@ def _q_join_priority_revenue(sf_dir: str):
         li.map_batches(li_prep, batch_format="pyarrow"),
         orders.map_batches(o_prep, batch_format="pyarrow"),
         key="orderkey",
-        num_buckets=128,
     )
     out = aggregate(
         joined, "o_orderpriority", [("sum_cents", "sum", "cents")]
@@ -1581,7 +1580,7 @@ def _q_url_blocklist_partitioned(sf_dir: str):
         lambda b: b.select(["url"]), batch_format="pyarrow"
     )
     kept = partitioned_hash_join(
-        pages_urls, blocked, key="url", num_buckets=32, how="anti"
+        pages_urls, blocked, key="url", how="anti"
     )
     urls = sorted(set(kept.unique("url")))
     return pd.DataFrame({"url": urls})
@@ -1684,7 +1683,7 @@ def _q_regional_revenue(sf_dir: str):
     # and pointless at cluster scale (buckets scale with the SMALLER
     # side's size, not the corpus)
     oc = partitioned_hash_join(
-        orders, cust, key="custkey", num_buckets=32
+        orders, cust, key="custkey"
     ).map_batches(
         lambda b: b.select(["orderkey", "c_nationkey"]),
         batch_format="pyarrow",
@@ -3035,8 +3034,7 @@ def _q_dedup_lsh_eval(sf_dir: str):
     n_cand, n_truth = int(cands.count()), int(truth.count())
     n_hit = int(
         partitioned_hash_join(
-            cands, truth, key=["doc_a", "doc_b"],
-            num_buckets=16, how="semi",
+            cands, truth, key=["doc_a", "doc_b"], how="semi",
         ).count()
     )
     return pd.DataFrame(

@@ -1532,7 +1532,7 @@ def _q_doc_score_auc(sf_dir: str):
         batch_format="pyarrow",
     )
     joined = partitioned_hash_join(
-        ranked, flags, key="doc_id", num_buckets=32
+        ranked, flags, key="doc_id"
     )
 
     agg = aggregate(
@@ -1640,7 +1640,7 @@ def _q_doc_score_gains(sf_dir: str):
         batch_format="pyarrow",
     )
     joined = partitioned_hash_join(
-        ranked, flags, key="doc_id", num_buckets=32
+        ranked, flags, key="doc_id"
     )
 
     def deciles(b: pa.Table) -> pa.Table:

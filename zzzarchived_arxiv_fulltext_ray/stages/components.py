@@ -142,7 +142,7 @@ def _components_distributed(pairs_ds, max_rounds: int = 64):
             batch_format="pyarrow",
         )
         via_edges = partitioned_hash_join(
-            edges, lab_src, key="src", num_buckets=8
+            edges, lab_src, key="src"
         ).map_batches(
             lambda b: b.select(["dst", "label"]).rename_columns(
                 ["doc_id", "label"]
@@ -160,7 +160,6 @@ def _components_distributed(pairs_ds, max_rounds: int = 64):
                 batch_format="pyarrow",
             ),
             key="mid",
-            num_buckets=8,
         ).map_batches(
             lambda b: b.select(["doc_id", "label"]), batch_format="pyarrow"
         )
@@ -233,7 +232,6 @@ def canonical_filter(
     components_ds,
     method: str = "auto",
     broadcast_max_losers: int = 5_000_000,
-    num_buckets: int = 64,
 ):
     """Drop near-duplicate losers: keep docs that either appear in no
     cluster or ARE their cluster's minimum.
@@ -275,7 +273,6 @@ def canonical_filter(
     if method == "partitioned":
         return partitioned_hash_join(
             docs_ds, losers, key="doc_id", how="anti",
-            num_buckets=num_buckets,
         )
     if method != "broadcast":
         raise ValueError(f"unknown canonical_filter method: {method}")

@@ -414,8 +414,7 @@ def bloom_guard_filter(ds, bloom_ref, col: str = "url",
     return ds.map_batches(keep_new, batch_format="pyarrow")
 
 
-def snapshot_diff(old, new, key: str = "doc_id", content: str = "text",
-                  num_buckets: int = 64):
+def snapshot_diff(old, new, key: str = "doc_id", content: str = "text"):
     """Classify every key across two corpus snapshots as ``added`` /
     ``removed`` / ``changed`` / ``unchanged`` — the incremental-crawl
     diff that decides which documents need re-extraction between two
@@ -431,13 +430,14 @@ def snapshot_diff(old, new, key: str = "doc_id", content: str = "text",
     as 'unchanged'. Oracles compare exact content instead.
 
     Physical plan: both sides project + hash in ``map_batches`` ->
-    union -> ONE coalesced exchange on ``hash(key)`` into
-    ``num_buckets`` fixed buckets -> per-bucket sort + pair-off
+    union -> ONE ``aggregate.exchange`` on ``key`` -> per-bucket sort
+    + pair-off
     (the sessionize idiom). Returns a ``(key, change_class)`` Dataset.
     """
     import numpy as np
 
     from ..functions.hashing import hash64_column
+    from .aggregate import exchange
 
     def prep(side_val):
         def f(batch: pa.Table) -> pa.Table:
@@ -449,10 +449,6 @@ def snapshot_diff(old, new, key: str = "doc_id", content: str = "text",
                         np.full(batch.num_rows, side_val, np.int64)
                     ),
                     "__h": pa.array(h, pa.int64()),
-                    "__b": pa.array(
-                        bucket_of_column(batch[key], num_buckets),
-                        pa.int64(),
-                    ),
                 }
             )
 
@@ -506,6 +502,4 @@ def snapshot_diff(old, new, key: str = "doc_id", content: str = "text",
     tagged = old.map_batches(prep(0), batch_format="pyarrow").union(
         new.map_batches(prep(1), batch_format="pyarrow")
     )
-    return tagged.groupby("__b").map_groups(
-        diff_of_bucket, batch_format="pyarrow"
-    )
+    return exchange(tagged, key, diff_of_bucket)

@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from . import plan as plan_choice
-from .aggregate import aggregate
+from .aggregate import aggregate, exchange
 
 logger = logging.getLogger(__name__)
 
@@ -75,7 +75,6 @@ def _canonicalize(edges_ds):
 
 def triangle_stats(
     edges_ds,
-    num_buckets: int = 64,
     assume_canonical: bool = False,
     method: str = "auto",
     broadcast_limit: int = 2_000_000,
@@ -162,9 +161,7 @@ def triangle_stats(
     degrees_ds = _degrees(edges)
 
     if method == "broadcast":
-        return _triangles_broadcast(
-            edges, degrees_ds, n_edges, num_buckets
-        )
+        return _triangles_broadcast(edges, degrees_ds, n_edges)
 
     degrees = degrees_ds.materialize()
     n_nodes = degrees.count()
@@ -193,10 +190,8 @@ def triangle_stats(
                                 batch_format="pyarrow")
     deg_v = degrees.map_batches(rename(["v", "deg_v"]),
                                 batch_format="pyarrow")
-    with_du = partitioned_hash_join(edges, deg_u, "u",
-                                    num_buckets=num_buckets)
-    with_dv = partitioned_hash_join(with_du, deg_v, "v",
-                                    num_buckets=num_buckets)
+    with_du = partitioned_hash_join(edges, deg_u, "u")
+    with_dv = partitioned_hash_join(with_du, deg_v, "v")
 
     # -- orient: lower (deg, id) -> higher (deg, id)
     def orient(batch: pa.Table) -> pa.Table:
@@ -221,21 +216,11 @@ def triangle_stats(
     ).materialize()  # reused: wedge gen + closure probe
 
     # -- wedges per source, out-neighbors ordered by (deg, id).
-    # COALESCED exchange: bucket src by hash into ``num_buckets``
-    # groups so the per-group UDF dispatch count is num_buckets, not
-    # n_nodes (measured: per-node map_groups cost 30+ s on a 1k-node
-    # graph purely in dispatch overhead); inside a bucket, all
-    # sources are processed with one lexsort + per-source triu loops.
-    from ..functions.hashing import bucket_of_column
-
-    def tag_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__b",
-            pa.array(
-                bucket_of_column(batch["src"], num_buckets), pa.int64()
-            ),
-        )
-
+    # COALESCED exchange: bucket src (``aggregate.exchange``) so the
+    # per-group UDF dispatch count is the bucket count, not n_nodes
+    # (measured: per-node map_groups cost 30+ s on a 1k-node graph
+    # purely in dispatch overhead); inside a bucket, all sources are
+    # processed with one lexsort + per-source triu loops.
     def wedges_of_bucket(group: pa.Table) -> pa.Table:
         src = group["src"].to_numpy(zero_copy_only=False)
         dst = group["dst"].to_numpy(zero_copy_only=False)
@@ -266,11 +251,7 @@ def triangle_stats(
             }
         )
 
-    wedges = (
-        oriented.map_batches(tag_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(wedges_of_bucket, batch_format="pyarrow")
-    )
+    wedges = exchange(oriented, "src", wedges_of_bucket)
 
     closed = partitioned_hash_join(
         wedges,
@@ -278,7 +259,6 @@ def triangle_stats(
             lambda b: b.select(["src", "dst"]), batch_format="pyarrow"
         ),
         ["src", "dst"],
-        num_buckets=num_buckets,
         how="semi",
     )
     n_triangles = closed.count()
@@ -295,14 +275,12 @@ def triangle_stats(
     )
 
 
-def _triangles_broadcast(edges, degrees_ds, n_edges, num_buckets):
+def _triangles_broadcast(edges, degrees_ds, n_edges):
     """Small-graph plan: degrees + the oriented edge set (packed to
     int64 via compact node indices) broadcast once; closure probed
     inside the wedge UDF. Two exchanges, zero joins."""
     import pandas as pd
     import ray
-
-    from ..functions.hashing import bucket_of_column
 
     deg_df = degrees_ds.to_pandas()
     nodes = deg_df["node"].to_numpy().astype(np.int64)
@@ -337,8 +315,8 @@ def _triangles_broadcast(edges, degrees_ds, n_edges, num_buckets):
     )
     state_ref = ray.put((nodes, degs, packed_sorted))
 
-    # one map stage: orient via broadcast lookup + bucket tag
-    def orient_tag(batch: pa.Table) -> pa.Table:
+    # one map stage: orient via broadcast lookup
+    def orient(batch: pa.Table) -> pa.Table:
         nd, dg, _ = ray.get(state_ref)
         u = batch["u"].to_numpy(zero_copy_only=False)
         v = batch["v"].to_numpy(zero_copy_only=False)
@@ -349,18 +327,12 @@ def _triangles_broadcast(edges, degrees_ds, n_edges, num_buckets):
         isrc = np.where(u_first, iu, iv).astype(np.int64)
         idst = np.where(u_first, iv, iu).astype(np.int64)
         ddst = np.where(u_first, dv, du).astype(np.int64)
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "isrc": pa.array(isrc, pa.int64()),
                 "idst": pa.array(idst, pa.int64()),
                 "dst_deg": pa.array(ddst, pa.int64()),
             }
-        )
-        return t.append_column(
-            "__b",
-            pa.array(
-                bucket_of_column(t["isrc"], num_buckets), pa.int64()
-            ),
         )
 
     # wedge gen + closure probe fused in the bucket UDF
@@ -389,12 +361,7 @@ def _triangles_broadcast(edges, degrees_ds, n_edges, num_buckets):
             {"t": pa.array([total], pa.int64())}
         )
 
-    trow = (
-        edges.map_batches(orient_tag, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(count_of_bucket, batch_format="pyarrow")
-        .sum("t")
-    )
+    trow = exchange(edges, "isrc", count_of_bucket, rows=orient).sum("t")
     n_triangles = int(trow) if trow is not None else 0
     clustering = 3.0 * n_triangles / n_wedges if n_wedges > 0 else 0.0
     return pd.DataFrame(
@@ -412,7 +379,6 @@ def bfs_hops(
     edges_ds,
     seeds,
     max_hops: int = 4,
-    num_buckets: int = 64,
     assume_canonical: bool = False,
     method: str = "auto",
     broadcast_limit: int = 2_000_000,
@@ -600,7 +566,6 @@ def bfs_hops(
                 batch_format="pyarrow",
             ),
             "src",
-            num_buckets=num_buckets,
             how="semi",
         ).map_batches(
             lambda b: b.select(["dst"]).rename_columns(["node"]),
@@ -619,7 +584,6 @@ def bfs_hops(
                 nbrs,
                 visited.select_columns(["node"]),
                 "node",
-                num_buckets=num_buckets,
                 how="anti",
             ),
             num_blocks=None,
@@ -647,7 +611,6 @@ def kcore_peel(
     edges_ds,
     k: int = 3,
     rounds: int = 3,
-    num_buckets: int = 64,
     assume_canonical: bool = False,
     method: str = "auto",
     broadcast_limit: int = 2_000_000,
@@ -763,7 +726,6 @@ def kcore_peel(
                 batch_format="pyarrow",
             ),
             "u",
-            num_buckets=num_buckets,
             how="semi",
         )
         kept = partitioned_hash_join(
@@ -773,7 +735,6 @@ def kcore_peel(
                 batch_format="pyarrow",
             ),
             "v",
-            num_buckets=num_buckets,
             how="semi",
         )
         kept = pin_loop_state(kept, num_blocks=8)
@@ -797,8 +758,8 @@ def cooccurrence_edges(
 ) -> "object":
     """Undirected co-occurrence edge list: items sharing a group form
     a pair; an edge survives if the pair co-occurs in >= ``min_count``
-    distinct groups. One COALESCED exchange on the hashed group key
-    (a fixed 64 UDF dispatches, each handling all its groups with one
+    distinct groups. One COALESCED ``aggregate.exchange`` on the group
+    key (one UDF dispatch per bucket, each handling all its groups with one
     lexsort + per-group numpy pair generation — never a per-group
     map_groups dispatch, which costs tens of seconds in pure overhead
     on 10k+ small groups), one exchange on the pair key (the count
@@ -807,19 +768,11 @@ def cooccurrence_edges(
     pair generator. ``keep_count=True`` keeps the distinct-group
     count as column ``n`` (market-basket support counts)."""
 
-    from ..functions.hashing import bucket_of_column
-
-    num_buckets = 64
-
-    def tag_bucket(batch: pa.Table) -> pa.Table:
+    def project(batch: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
             {
                 "g": batch[group_col].combine_chunks(),
                 "item": batch[item_col].combine_chunks(),
-                "__b": pa.array(
-                    bucket_of_column(batch[group_col], num_buckets),
-                    pa.int64(),
-                ),
             }
         )
 
@@ -869,11 +822,7 @@ def cooccurrence_edges(
             }
         )
 
-    pairs = (
-        ds.map_batches(tag_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(pairs_of_bucket, batch_format="pyarrow")
-    )
+    pairs = exchange(ds, "g", pairs_of_bucket, rows=project)
 
     counted = aggregate(pairs, ["u", "v"], [("n", "count", None)])
     if min_count > 1:
@@ -887,7 +836,6 @@ def cooccurrence_edges(
 
 def local_clustering(
     edges_ds,
-    num_buckets: int = 64,
     assume_canonical: bool = False,
     method: str = "auto",
     broadcast_limit: int = 2_000_000,
@@ -909,7 +857,6 @@ def local_clustering(
     import ray
     import ray.data as rd
 
-    from ..functions.hashing import bucket_of_column
     from .relational import partitioned_hash_join
 
     def as_typed(batch: pa.Table) -> pa.Table:
@@ -983,7 +930,7 @@ def local_clustering(
         )
         state_ref = ray.put((nodes, degs, packed_sorted))
 
-        def orient_tag(batch: pa.Table) -> pa.Table:
+        def orient(batch: pa.Table) -> pa.Table:
             nd, dg, _ = ray.get(state_ref)
             u = batch["u"].to_numpy(zero_copy_only=False)
             v = batch["v"].to_numpy(zero_copy_only=False)
@@ -994,18 +941,12 @@ def local_clustering(
             isrc = np.where(u_first, iu, iv).astype(np.int64)
             idst = np.where(u_first, iv, iu).astype(np.int64)
             ddst = np.where(u_first, dv, du).astype(np.int64)
-            t = pa.Table.from_pydict(
+            return pa.Table.from_pydict(
                 {
                     "isrc": pa.array(isrc, pa.int64()),
                     "idst": pa.array(idst, pa.int64()),
                     "dst_deg": pa.array(ddst, pa.int64()),
                 }
-            )
-            return t.append_column(
-                "__b",
-                pa.array(
-                    bucket_of_column(t["isrc"], num_buckets), pa.int64()
-                ),
             )
 
         def tri_of_bucket(group: pa.Table) -> pa.Table:
@@ -1045,9 +986,7 @@ def local_clustering(
             )
 
         tri_df = aggregate(
-            edges.map_batches(orient_tag, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(tri_of_bucket, batch_format="pyarrow"),
+            exchange(edges, "isrc", tri_of_bucket, rows=orient),
             "inode",
             [("t", "sum", "t")],
         ).to_pandas()
@@ -1080,10 +1019,8 @@ def local_clustering(
                                 batch_format="pyarrow")
     deg_v = degrees.map_batches(rename(["v", "deg_v"]),
                                 batch_format="pyarrow")
-    with_du = partitioned_hash_join(edges, deg_u, "u",
-                                    num_buckets=num_buckets)
-    with_dv = partitioned_hash_join(with_du, deg_v, "v",
-                                    num_buckets=num_buckets)
+    with_du = partitioned_hash_join(edges, deg_u, "u")
+    with_dv = partitioned_hash_join(with_du, deg_v, "v")
 
     def orient(batch: pa.Table) -> pa.Table:
         u = batch["u"].to_numpy(zero_copy_only=False)
@@ -1105,14 +1042,6 @@ def local_clustering(
     oriented = with_dv.map_batches(
         orient, batch_format="pyarrow"
     ).materialize()
-
-    def tag_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__b",
-            pa.array(
-                bucket_of_column(batch["src"], num_buckets), pa.int64()
-            ),
-        )
 
     def wedges_of_bucket(group: pa.Table) -> pa.Table:
         src = group["src"].to_numpy(zero_copy_only=False)
@@ -1147,18 +1076,13 @@ def local_clustering(
             }
         )
 
-    wedges = (
-        oriented.map_batches(tag_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(wedges_of_bucket, batch_format="pyarrow")
-    )
+    wedges = exchange(oriented, "src", wedges_of_bucket)
     closed = partitioned_hash_join(
         wedges,
         oriented.map_batches(
             lambda b: b.select(["src", "dst"]), batch_format="pyarrow"
         ),
         ["src", "dst"],
-        num_buckets=num_buckets,
         how="semi",
     )
 
@@ -1171,10 +1095,7 @@ def local_clustering(
     tri_counts = aggregate(
         closed, "node", [("t", "count", None)], rows=corners
     )
-    joined = partitioned_hash_join(
-        degrees, tri_counts, "node",
-        num_buckets=num_buckets, how="left",
-    )
+    joined = partitioned_hash_join(degrees, tri_counts, "node", how="left")
 
     def finish(batch: pa.Table) -> pa.Table:
         d = batch["d"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1200,7 +1121,6 @@ def common_neighbor_pairs(
     edges_ds,
     min_common: int = 1,
     max_degree: int = 1024,
-    num_buckets: int = 64,
     assume_canonical: bool = False,
 ):
     """Link prediction by common-neighbor counting: for every
@@ -1213,8 +1133,8 @@ def common_neighbor_pairs(
     Plan shape (all exchanges bucketed, O(1) driver state):
 
     1. symmetrize the canonical edge list to (src, dst);
-    2. ONE coalesced exchange on hash(src): each of the fixed
-       ``num_buckets`` groups lexsorts its rows and, per center node,
+    2. ONE coalesced ``aggregate.exchange`` on src: each bucket
+       lexsorts its rows and, per center node,
        emits ordered neighbor pairs (numpy ``triu_indices``) tagged
        with the center's degree — the group length IS deg(center), so
        no degree join is needed;
@@ -1226,7 +1146,6 @@ def common_neighbor_pairs(
     quadratic pair fan-out is the scale hazard here).
     """
 
-    from ..functions.hashing import bucket_of_column
     from .relational import partitioned_hash_join
 
     if not assume_canonical:
@@ -1236,19 +1155,10 @@ def common_neighbor_pairs(
     def symmetrize(batch: pa.Table) -> pa.Table:
         u = batch["u"].combine_chunks()
         v = batch["v"].combine_chunks()
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "src": pa.chunked_array([u, v]).combine_chunks(),
                 "dst": pa.chunked_array([v, u]).combine_chunks(),
-            }
-        )
-        return pa.Table.from_pydict(
-            {
-                "src": t["src"],
-                "dst": t["dst"],
-                "__b": pa.array(
-                    bucket_of_column(t["src"], num_buckets), pa.int64()
-                ),
             }
         )
 
@@ -1297,9 +1207,7 @@ def common_neighbor_pairs(
         )
 
     scored = aggregate(
-        edges.map_batches(symmetrize, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(pairs_of_bucket, batch_format="pyarrow"),
+        exchange(edges, "src", pairs_of_bucket, rows=symmetrize),
         ["u", "v"],
         [("cn", "count", None), ("sum_ctr_deg", "sum", "ctr_deg")],
     )
@@ -1322,9 +1230,7 @@ def common_neighbor_pairs(
                 }
             )
         )
-    return partitioned_hash_join(
-        scored, edges, key=["u", "v"], how="anti", num_buckets=32
-    )
+    return partitioned_hash_join(scored, edges, key=["u", "v"], how="anti")
 
 
 def degree_assortativity(
@@ -1410,7 +1316,7 @@ def degree_assortativity(
             batch_format="pyarrow",
         )
         with_du = partitioned_hash_join(
-            eu, degrees, key="node", num_buckets=32
+            eu, degrees, key="node"
         ).map_batches(
             lambda b: pa.Table.from_pydict(
                 {"node": b["v"], "du": b["d"]}
@@ -1424,7 +1330,6 @@ def degree_assortativity(
                 batch_format="pyarrow",
             ),
             key="node",
-            num_buckets=32,
         )
 
         stats_ds = with_both
@@ -1460,7 +1365,6 @@ def degree_assortativity(
 def label_propagation(
     edges_ds,
     rounds: int = 3,
-    num_buckets: int = 64,
     assume_canonical: bool = False,
     method: str = "auto",
     broadcast_limit: int = 2_000_000,
@@ -1480,15 +1384,14 @@ def label_propagation(
     pulled once, each round is two lexsorts on the driver.
     Partitioned plan (the scale path): labels live in a Dataset; each
     round is ONE bucketed hash join (incidence.nbr x labels) plus ONE
-    coalesced exchange on hash(node) into ``num_buckets`` fixed
-    buckets where a lexsort + boundary-diff computes every node's
-    plurality label (the sessionize idiom — never a per-node
-    map_groups dispatch). Old labels ride along as zero-count marker
+    coalesced ``aggregate.exchange`` on node where a lexsort +
+    boundary-diff computes every node's plurality label (the
+    sessionize idiom — never a per-node map_groups dispatch). Old
+    labels ride along as zero-count marker
     rows so the convergence check costs no extra exchange. Driver
     state per round is O(1). Plans pinned equal in pytest."""
     import ray.data as rd
 
-    from ..functions.hashing import bucket_of_column
     from .components import pin_loop_state
     from .relational import partitioned_hash_join
 
@@ -1616,12 +1519,6 @@ def label_propagation(
             }
         )
 
-    def with_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "__b",
-            pa.array(bucket_of_column(b["node"], num_buckets), pa.int64()),
-        )
-
     def argmax_of_bucket(group: pa.Table) -> pa.Table:
         node = group["node"].to_numpy(zero_copy_only=False)
         out_empty = pa.Table.from_pydict(
@@ -1687,18 +1584,14 @@ def label_propagation(
             batch_format="pyarrow",
         )
         attached = partitioned_hash_join(
-            inc, lab_as_nbr, key="nbr", num_buckets=num_buckets
+            inc, lab_as_nbr, key="nbr"
         ).select_columns(["node", "lbl"])
         rows = attached.map_batches(
             count_partial, batch_format="pyarrow"
         ).union(
             labels.map_batches(mark_old, batch_format="pyarrow")
         )
-        new_labels = (
-            rows.map_batches(with_bucket, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(argmax_of_bucket, batch_format="pyarrow")
-        )
+        new_labels = exchange(rows, "node", argmax_of_bucket)
         new_labels = pin_loop_state(new_labels, num_blocks=None)
         n_changed = aggregate(
             new_labels, [], [("n", "sum", "changed")]
@@ -1717,7 +1610,6 @@ def random_walks(
     edges_ds,
     n_steps: int = 3,
     seed: int = 20260819,
-    num_buckets: int = 64,
     assume_canonical: bool = False,
     method: str = "auto",
     broadcast_limit: int = 2_000_000,
@@ -1745,7 +1637,6 @@ def random_walks(
     driver state is O(1). Plans pinned equal in pytest."""
     import ray.data as rd
 
-    from ..functions.hashing import bucket_of_column
     from ..functions.shingles import stable_hash64
     from .components import pin_loop_state
     from .relational import partitioned_hash_join
@@ -1827,12 +1718,6 @@ def random_walks(
 
     inc = edges.map_batches(to_incidence, batch_format="pyarrow")
 
-    def with_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "__b",
-            pa.array(bucket_of_column(b["node"], num_buckets), pa.int64()),
-        )
-
     def rank_of_bucket(group: pa.Table) -> pa.Table:
         node = group["node"].to_numpy(zero_copy_only=False)
         if node.size == 0:
@@ -1860,11 +1745,7 @@ def random_walks(
             }
         )
 
-    ranked = (
-        inc.map_batches(with_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(rank_of_bucket, batch_format="pyarrow")
-    )
+    ranked = exchange(inc, "node", rank_of_bucket)
     ranked = pin_loop_state(ranked, num_blocks=8)
 
     degrees = aggregate(
@@ -1896,7 +1777,7 @@ def random_walks(
 
     for t in range(n_steps):
         with_deg = partitioned_hash_join(
-            frontier, degrees, key="cur", num_buckets=num_buckets
+            frontier, degrees, key="cur"
         )
         seed_t = step_seeds[t]
 
@@ -1914,7 +1795,6 @@ def random_walks(
             with_deg.map_batches(pick_rank, batch_format="pyarrow"),
             ranked,
             key=["cur", "rn"],
-            num_buckets=num_buckets,
         )
 
         def advance(b: pa.Table, _t=t) -> pa.Table:
@@ -1939,7 +1819,6 @@ def random_walks(
 def edge_triangle_support(
     edges_ds,
     max_degree: int = 1024,
-    num_buckets: int = 64,
     assume_canonical: bool = False,
     method: str = "auto",
     broadcast_limit: int = 2_000_000,
@@ -1963,7 +1842,6 @@ def edge_triangle_support(
     exchange cost at small graph sizes (measured 21.6 s at sf0.1 for
     a 548-edge graph, vs <2 s broadcast)."""
 
-    from ..functions.hashing import bucket_of_column
     from .relational import partitioned_hash_join
 
     if not assume_canonical:
@@ -2077,19 +1955,10 @@ def edge_triangle_support(
     def symmetrize(batch: pa.Table) -> pa.Table:
         u = batch["u"].combine_chunks()
         v = batch["v"].combine_chunks()
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "src": pa.chunked_array([u, v]).combine_chunks(),
                 "dst": pa.chunked_array([v, u]).combine_chunks(),
-            }
-        )
-        return pa.Table.from_pydict(
-            {
-                "src": t["src"],
-                "dst": t["dst"],
-                "__b": pa.array(
-                    bucket_of_column(t["src"], num_buckets), pa.int64()
-                ),
             }
         )
 
@@ -2135,9 +2004,7 @@ def edge_triangle_support(
         )
 
     scored = aggregate(
-        edges.map_batches(symmetrize, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(pairs_of_bucket, batch_format="pyarrow"),
+        exchange(edges, "src", pairs_of_bucket, rows=symmetrize),
         ["u", "v"],
         [("t", "count", None)],
     ).materialize()
@@ -2155,7 +2022,6 @@ def edge_triangle_support(
 
     with_t = partitioned_hash_join(
         edges, scored, key=["u", "v"], how="left",
-        num_buckets=num_buckets,
     ).map_batches(
         lambda b: pa.Table.from_pydict(
             {
@@ -2178,7 +2044,6 @@ def edge_triangle_support(
         ),
         degrees,
         key="node",
-        num_buckets=num_buckets,
     ).map_batches(
         lambda b: pa.Table.from_pydict(
             {"u": b["node"], "node": b["v"], "t": b["t"],
@@ -2193,7 +2058,6 @@ def edge_triangle_support(
             batch_format="pyarrow",
         ),
         key="node",
-        num_buckets=num_buckets,
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -2223,7 +2087,6 @@ def ktruss_peel(
     edges_ds,
     k: int = 4,
     rounds: int = 2,
-    num_buckets: int = 64,
     assume_canonical: bool = False,
     max_degree: int = 1024,
 ):
@@ -2261,7 +2124,7 @@ def ktruss_peel(
     last = None
     for _ in range(rounds):
         supported = edge_triangle_support(
-            edges, max_degree=max_degree, num_buckets=num_buckets,
+            edges, max_degree=max_degree,
             assume_canonical=True,
         ).map_batches(
             lambda b: b.select(["u", "v", "t"]), batch_format="pyarrow"

@@ -39,7 +39,6 @@ def interval_join(
     start: str,
     end: str,
     granule_us: int,
-    num_buckets: int = 64,
 ):
     """Inner-join left rows to right intervals: same ``key`` and
     ``start <= ts < end``. Returns all left columns plus the right
@@ -82,7 +81,6 @@ def interval_join(
         left_ds.map_batches(tag_left, batch_format="pyarrow"),
         right_ds.map_batches(tag_right, batch_format="pyarrow"),
         key=[key, "__granule"],
-        num_buckets=num_buckets,
         how="inner",
     )
 

@@ -39,7 +39,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import shingles as sk
-from .aggregate import aggregate
+from .aggregate import aggregate, exchange
 from .relational import partitioned_hash_join
 
 logger = logging.getLogger(__name__)
@@ -289,7 +289,7 @@ def _empty_pairs_ds():
 
 
 def verify_jaccard_partitioned(
-    pairs_ds, shingled_ds, threshold: float, num_buckets: int = 64
+    pairs_ds, shingled_ds, threshold: float
 ):
     """Partitioned verify (default, no broadcast): bucket-hash-join the
     candidate pairs against the shingle table on doc_a, then doc_b,
@@ -308,13 +308,11 @@ def verify_jaccard_partitioned(
         pairs_ds,
         shingled_ds.map_batches(as_side("doc_a"), batch_format="pyarrow"),
         key="doc_a",
-        num_buckets=num_buckets,
     )
     with_ab = partitioned_hash_join(
         with_a,
         shingled_ds.map_batches(as_side("doc_b"), batch_format="pyarrow"),
         key="doc_b",
-        num_buckets=num_buckets,
     )
 
     def score(batch: pa.Table) -> pa.Table:
@@ -357,8 +355,8 @@ def neardup_pairs_ngram_counts(
     counting a pair's bucket co-occurrences IS ``|A∩B|``. The exploded
     stream carries each doc's set size (one extra int64), each bucket
     emits (doc_a, doc_b, size_a, size_b, cnt=1) rows, a vectorized
-    per-batch combine sums counts, and the coalesced bucket exchange
-    (the ``dup_winner_table`` pattern) produces one row per candidate
+    per-batch combine sums counts, and the coalesced
+    ``aggregate.exchange`` on the pair produces one row per candidate
     pair with everything Jaccard needs. Compared to the blob verify
     plan (two Acero joins shipping one ~KB shingle blob per candidate
     pair per side) the exchange moves five int64s per pair partial —
@@ -374,8 +372,6 @@ def neardup_pairs_ngram_counts(
     (it is the query output anyway).
     """
     import pyarrow.compute as pc
-
-    from ..functions.hashing import splitmix_mix
 
     shingled = docs_ds.map_batches(
         lambda b: shingle_batch(b, k), batch_format="pyarrow"
@@ -434,18 +430,10 @@ def neardup_pairs_ngram_counts(
 
     def local_combine(batch: pa.Table) -> pa.Table:
         g = batch.group_by(_KEYS).aggregate([("cnt", "sum")])
-        g = g.rename_columns(_KEYS + ["cnt"])
-        a = g["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = g["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bucket = (
-            splitmix_mix(splitmix_mix(a) ^ b) % np.uint64(64)
-        ).astype(np.int32)
-        return g.append_column("bucket", pa.array(bucket, pa.int32()))
+        return g.rename_columns(_KEYS + ["cnt"])
 
     def final_combine(group: pa.Table) -> pa.Table:
-        g = group.select(_KEYS + ["cnt"]).group_by(_KEYS).aggregate(
-            [("cnt", "sum")]
-        )
+        g = group.group_by(_KEYS).aggregate([("cnt", "sum")])
         g = g.rename_columns(_KEYS + ["n_common"])
         a = g["doc_a"].to_numpy(zero_copy_only=False)
         inter = g["n_common"].to_numpy(zero_copy_only=False)
@@ -467,14 +455,13 @@ def neardup_pairs_ngram_counts(
             }
         )
 
-    out = (
+    combined = (
         exploded.groupby("bucket_key")
         .map_groups(pairs_of_group, batch_format="pyarrow")
         .map_batches(local_combine, batch_format="pyarrow")
         .repartition(combine_partitions)
-        .groupby("bucket")
-        .map_groups(final_combine, batch_format="pyarrow")
-    ).materialize()
+    )
+    out = exchange(combined, ["doc_a", "doc_b"], final_combine).materialize()
 
     def only_markers(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.less(batch["doc_a"], 0))
@@ -747,8 +734,6 @@ def cross_neardup_counts(
     """
     import pyarrow.compute as pc
 
-    from ..functions.hashing import splitmix_mix
-
     if score not in ("jaccard", "containment"):
         raise ValueError(f"unknown score {score!r}")
 
@@ -825,18 +810,10 @@ def cross_neardup_counts(
 
     def local_combine(batch: pa.Table) -> pa.Table:
         g = batch.group_by(_KEYS).aggregate([("cnt", "sum")])
-        g = g.rename_columns(_KEYS + ["cnt"])
-        a = g["left_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = g["right_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bucket = (
-            splitmix_mix(splitmix_mix(a) ^ b) % np.uint64(64)
-        ).astype(np.int32)
-        return g.append_column("bucket", pa.array(bucket, pa.int32()))
+        return g.rename_columns(_KEYS + ["cnt"])
 
     def final_combine(group: pa.Table) -> pa.Table:
-        g = group.select(_KEYS + ["cnt"]).group_by(_KEYS).aggregate(
-            [("cnt", "sum")]
-        )
+        g = group.group_by(_KEYS).aggregate([("cnt", "sum")])
         g = g.rename_columns(_KEYS + ["n_common"])
         a = g["left_id"].to_numpy(zero_copy_only=False)
         inter = g["n_common"].to_numpy(zero_copy_only=False)
@@ -860,13 +837,14 @@ def cross_neardup_counts(
             }
         )
 
-    out = (
+    combined = (
         both.groupby("bucket_key")
         .map_groups(pairs_of_group, batch_format="pyarrow")
         .map_batches(local_combine, batch_format="pyarrow")
         .repartition(combine_partitions)
-        .groupby("bucket")
-        .map_groups(final_combine, batch_format="pyarrow")
+    )
+    out = exchange(
+        combined, ["left_id", "right_id"], final_combine
     ).materialize()
 
     n_dropped = 0

@@ -23,8 +23,8 @@ redistribution as a pure Ray Data plan:
   overhead dominates every later stage (measured 20-60 s/round at
   sf0.1 vs ~2 s pinned).
 
-Partitioning assumption: ``num_buckets`` bounds reduce parallelism of
-the join exchanges — raise it with cluster size. Skewed in-degree
+Partitioning assumption: the join exchanges run at the fixed bucket
+count of ``aggregate.exchange``. Skewed in-degree
 (one hot dst) concentrates one groupby-sum reducer; the per-batch
 combine caps its input at O(batches x distinct-dst-per-batch).
 """
@@ -43,7 +43,6 @@ def pagerank(
     edges_ds,
     n_iter: int = 3,
     damping: float = 0.85,
-    num_buckets: int = 32,
     num_blocks: int = 8,
     n_nodes: Optional[int] = None,
 ):
@@ -71,7 +70,7 @@ def pagerank(
 
     edges_norm = pin_loop_state(
         partitioned_hash_join(
-            edges, outw, "src", num_buckets=num_buckets
+            edges, outw, "src"
         ).map_batches(normalize, batch_format="pyarrow"),
         num_blocks,
     )
@@ -131,7 +130,6 @@ def pagerank(
                 ranks.map_batches(as_src, batch_format="pyarrow"),
                 edges_norm,
                 "src",
-                num_buckets=num_buckets,
             ),
             "node",
             [("infl", "sum", "infl")],
@@ -152,7 +150,7 @@ def pagerank(
 
         ranks = pin_loop_state(
             partitioned_hash_join(
-                nodes, inflow, "node", num_buckets=num_buckets, how="left"
+                nodes, inflow, "node", how="left"
             ).map_batches(apply_rank, batch_format="pyarrow"),
             num_blocks,
         )

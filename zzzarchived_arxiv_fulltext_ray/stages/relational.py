@@ -4,11 +4,10 @@ The reference has no relational joins (SURVEY.md §2.5) — these exist
 because a table-shaped corpus needs them, and they demonstrate the two
 physical join strategies the engine standardizes on:
 
-* **both sides large** → explicit bucketed hash join: add
-  ``bucket = stable_hash(key) % B`` to both sides, tag the side,
-  union, ``groupby(bucket)``, and merge the two sides inside each
-  group. One all-to-all exchange, no driver state; salt hot keys by
-  raising B.
+* **both sides large** → explicit bucketed hash join: tag the side,
+  union, and merge the two sides inside each bucket of one
+  ``aggregate.exchange`` on the key. One all-to-all exchange, no
+  driver state; hot keys are :func:`skew_routed_join`'s job.
 * **one side small** → broadcast semi/anti join: ``ray.put`` the key
   set once, filter inside ``map_batches``.
 """
@@ -20,8 +19,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-from ..functions.hashing import bucket_of_column as _bucket_of_column
 from ..functions.hashing import hash64_column as _hash64_column
+from .aggregate import exchange
 
 
 _ARROW_JOIN_TYPE = {
@@ -57,16 +56,15 @@ def partitioned_hash_join(
     left_ds,
     right_ds,
     key,
-    num_buckets: int = 128,
     how: str = "inner",
 ):
     """Join two large Datasets on ``key`` — one column name or a LIST
     of names (composite key) — without broadcast.
 
     Column names (other than the keys) must be disjoint. Returns the
-    joined Dataset; the exchange is a single groupby shuffle on the
-    bucket column, and each bucket is merged with the Arrow (Acero)
-    hash join — no pandas, no dtype widening. Composite keys bucket on
+    joined Dataset; the exchange is one ``aggregate.exchange`` on the
+    keys, and each bucket is merged with the Arrow (Acero) hash join —
+    no pandas, no dtype widening. Composite keys bucket on
     the XOR of the per-column hashes (bucket collisions only co-locate
     rows; the Acero join matches on the REAL key columns, so hashing
     never affects correctness). Non-key columns must be
@@ -98,24 +96,13 @@ def partitioned_hash_join(
     def tag(side: str, own_cols: List[str]):
         def fn(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
-            arrays = []
-            for name, typ in all_fields:
-                if name in own_cols:
-                    arrays.append(batch[name])
-                else:
-                    arrays.append(pa.nulls(n, type=typ))
-            if len(keys) == 1:
-                bucket = _bucket_of_column(batch[keys[0]], num_buckets)
-            else:
-                h = _hash64_column(batch[keys[0]])
-                for extra in keys[1:]:
-                    h = h ^ _hash64_column(batch[extra])
-                bucket = (h % np.uint64(num_buckets)).astype(np.int64)
-            arrays.append(pa.array(bucket))
+            arrays = [
+                batch[name] if name in own_cols else pa.nulls(n, type=typ)
+                for name, typ in all_fields
+            ]
             arrays.append(pa.array([side] * n, pa.string()))
             return pa.Table.from_arrays(
-                arrays,
-                names=[n for n, _ in all_fields] + ["__bucket", "__side"],
+                arrays, names=[n for n, _ in all_fields] + ["__side"]
             )
 
         return fn
@@ -132,9 +119,7 @@ def partitioned_hash_join(
         rf = group.filter(pc.invert(is_left)).select(right_cols)
         return lf.join(rf, keys=keys, join_type=join_type)
 
-    return tagged.groupby("__bucket").map_groups(
-        join_bucket, batch_format="pyarrow"
-    )
+    return exchange(tagged, keys, join_bucket)
 
 
 def broadcast_anti_join(ds, key: str, blocked_keys):
@@ -219,7 +204,6 @@ def bloom_prefiltered_join(
     left_ds,
     right_ds,
     key,
-    num_buckets: int = 128,
     how: str = "inner",
     n_bits: int = 1 << 22,
     k: int = 4,
@@ -308,16 +292,13 @@ def bloom_prefiltered_join(
         return batch.filter(pa.array(maybe))
 
     pruned = left_ds.map_batches(prune, batch_format="pyarrow")
-    return partitioned_hash_join(
-        pruned, right_ds, key, num_buckets=num_buckets, how=how
-    )
+    return partitioned_hash_join(pruned, right_ds, key, how=how)
 
 
 def skew_routed_join(
     left_ds,
     right_ds,
     key: str,
-    num_buckets: int = 128,
     how: str = "inner",
     hot_keys=None,
     hot_fraction: float = 0.02,
@@ -406,9 +387,7 @@ def skew_routed_join(
         ]
 
     if not hot_keys:
-        return partitioned_hash_join(
-            left_ds, right_ds, key, num_buckets=num_buckets, how=how
-        )
+        return partitioned_hash_join(left_ds, right_ds, key, how=how)
 
     hot_set = pa.array(list(hot_keys))
 
@@ -456,7 +435,6 @@ def skew_routed_join(
         split(left_ds, False),
         split(right_ds, False),
         key,
-        num_buckets=num_buckets,
         how=how,
     )
     return joined_cold.union(joined_hot)

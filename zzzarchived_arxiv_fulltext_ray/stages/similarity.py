@@ -297,7 +297,7 @@ class HyperplaneLSH:
 
 
 def verify_cosine_partitioned(
-    pairs_ds, emb_ds, threshold: float, num_buckets: int = 64
+    pairs_ds, emb_ds, threshold: float
 ):
     """Partitioned exact-cosine verify: bucket-hash-join candidate
     pairs (doc_a, doc_b) against the embedding table on each side
@@ -322,13 +322,11 @@ def verify_cosine_partitioned(
         pairs_ds,
         emb_ds.map_batches(as_side("doc_a"), batch_format="pyarrow"),
         key="doc_a",
-        num_buckets=num_buckets,
     )
     with_ab = partitioned_hash_join(
         with_a,
         emb_ds.map_batches(as_side("doc_b"), batch_format="pyarrow"),
         key="doc_b",
-        num_buckets=num_buckets,
     )
 
     def score(batch: pa.Table) -> pa.Table:

@@ -94,7 +94,6 @@ def dup_span_removal(
     docs_ds,
     w: int = 8,
     min_count: int = 2,
-    num_buckets: int = 64,
     broadcast: bool = None,
 ):
     """Remove every token covered by a duplicated ``w``-token span.
@@ -133,7 +132,7 @@ def dup_span_removal(
 
     if broadcast:
         return _removal_broadcast(docs_ds, dup, w)
-    return _removal_partitioned(docs_ds, grams, dup, w, num_buckets)
+    return _removal_partitioned(docs_ds, grams, dup, w)
 
 
 def _removal_broadcast(docs_ds, dup_ds, w: int):
@@ -179,12 +178,10 @@ def _removal_broadcast(docs_ds, dup_ds, w: int):
     return docs_ds.map_batches(rebuild, batch_format="pyarrow")
 
 
-def _removal_partitioned(docs_ds, grams_ds, dup_ds, w: int,
-                         num_buckets: int):
+def _removal_partitioned(docs_ds, grams_ds, dup_ds, w: int):
     # gram hits: which (doc_id, pos) windows start a duplicated span.
     hits = partitioned_hash_join(
-        grams_ds, dup_ds, key="gram", num_buckets=num_buckets,
-        how="semi",
+        grams_ds, dup_ds, key="gram", how="semi",
     )
 
     def fold_marks(group: pa.Table) -> pa.Table:
@@ -210,7 +207,7 @@ def _removal_partitioned(docs_ds, grams_ds, dup_ds, w: int,
 
     joined = partitioned_hash_join(
         docs_ds.select_columns(["doc_id", "text"]), marks,
-        key="doc_id", num_buckets=num_buckets,
+        key="doc_id",
     )
 
     def rebuild(batch: pa.Table) -> pa.Table:
@@ -244,7 +241,7 @@ def _removal_partitioned(docs_ds, grams_ds, dup_ds, w: int,
 
 
 def suffix_prefix_join(frags, k: int = 5, id_col: str = "frag_id",
-                       text_col: str = "text", num_buckets: int = 64):
+                       text_col: str = "text"):
     """(left_id, right_id) pairs where the left fragment's LAST ``k``
     whitespace tokens equal the right fragment's FIRST ``k`` tokens —
     the shard-boundary stitching join that re-assembles documents
@@ -252,14 +249,14 @@ def suffix_prefix_join(frags, k: int = 5, id_col: str = "frag_id",
 
     Physical plan: each fragment projects to two keyed rows (its
     suffix k-gram as a join key with side=0, its prefix k-gram with
-    side=1) -> ONE exchange on hash(key) into ``num_buckets`` fixed
-    buckets -> per-bucket pandas hash join of suffix rows x prefix
-    rows (self-pairs excluded). Fragments shorter than ``k`` tokens
+    side=1) -> ONE ``aggregate.exchange`` on the key -> per-bucket
+    pandas hash join of suffix rows x prefix rows (self-pairs
+    excluded). Fragments shorter than ``k`` tokens
     can't stitch and are dropped at the projection. A hot k-gram key
     makes its per-key product quadratic — this corpus's 5-grams are
     effectively unique; adopt neardup.bucket_pairs' cap-and-log if a
     future corpus changes that."""
-    from ..functions.hashing import bucket_of_column
+    from .aggregate import exchange
 
     def prep(batch: pa.Table) -> pa.Table:
         keys, sides, fids = [], [], []
@@ -275,16 +272,12 @@ def suffix_prefix_join(frags, k: int = 5, id_col: str = "frag_id",
             keys.append(" ".join(w[:k]))
             sides.append(1)
             fids.append(fid)
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 "key": pa.array(keys, pa.string()),
                 "side": pa.array(sides, pa.int64()),
                 "fid": pa.array(fids, pa.int64()),
             }
-        )
-        return t.append_column(
-            "__b",
-            pa.array(bucket_of_column(t["key"], num_buckets), pa.int64()),
         )
 
     def pairs_of_bucket(group: pa.Table) -> pa.Table:
@@ -296,7 +289,7 @@ def suffix_prefix_join(frags, k: int = 5, id_col: str = "frag_id",
         )
         if group.num_rows == 0:
             return empty
-        df = group.select(["key", "side", "fid"]).to_pandas()
+        df = group.to_pandas()
         m = df[df["side"] == 0].merge(
             df[df["side"] == 1], on="key", suffixes=("_l", "_r")
         )
@@ -314,8 +307,4 @@ def suffix_prefix_join(frags, k: int = 5, id_col: str = "frag_id",
             }
         )
 
-    return (
-        frags.map_batches(prep, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(pairs_of_bucket, batch_format="pyarrow")
-    )
+    return exchange(frags, "key", pairs_of_bucket, rows=prep)

@@ -152,28 +152,20 @@ def windowed_events(events_ds):
 _TS_UNIT_PER_SEC = {"s": 1, "ms": 10**3, "us": 10**6, "ns": 10**9}
 
 
-def sessionize_events(events_ds, gap_minutes: int = 30, n_buckets: int = 128):
+def sessionize_events(events_ds, gap_minutes: int = 30):
     """Session windows per user: a new session starts after a gap of
     more than ``gap_minutes`` between consecutive events.
 
-    One hash exchange on a user-id BUCKET (not per-user groups): each
-    of the ``n_buckets`` tasks receives every event of ~1/n_buckets of
-    the users and sessionizes ALL of them in one vectorized numpy pass
+    One ``aggregate.exchange`` on ``user_id`` (buckets, not per-user
+    groups): each bucket task receives every event of its users and
+    sessionizes ALL of them in one vectorized numpy pass
     — lexsort by (user, ts), new-session flags from user-change OR
     diff > gap, cumsum -> global session ids, per-user rebase via
     searchsorted. Per-task work scales with rows, not with the number
     of users; no pandas frames, no Python loop over events."""
     import numpy as np
 
-    def bucketize(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].cast(pa.uint64()).to_numpy(
-            zero_copy_only=False
-        )
-        # Fibonacci multiplicative hash — balanced even for dense ids
-        b = ((uid * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)) % (
-            np.uint64(n_buckets)
-        )
-        return batch.append_column("_bucket", pa.array(b.astype(np.int64)))
+    from .aggregate import exchange
 
     def per_bucket(group: pa.Table) -> pa.Table:
         ts_col = group["ts"].combine_chunks()
@@ -212,11 +204,7 @@ def sessionize_events(events_ds, gap_minutes: int = 30, n_buckets: int = 128):
             }
         )
 
-    return (
-        events_ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return exchange(events_ds, "user_id", per_bucket)
 
 
 def distinct_count_hll(ds, column: str, p: int = 12) -> float:

@@ -46,7 +46,7 @@ def _tf_explode(batch: pa.Table) -> pa.Table:
     )
 
 
-def doc_tfidf_topk(docs_ds, k: int = 3, num_buckets: int = 64):
+def doc_tfidf_topk(docs_ds, k: int = 3):
     """(doc_id, token, weight): each document's top-``k`` terms by
     ``tf * ln(N/df)``, weight desc / token asc. ``docs_ds`` needs
     (doc_id, text)."""
@@ -57,8 +57,7 @@ def doc_tfidf_topk(docs_ds, k: int = 3, num_buckets: int = 64):
     tf = docs_ds.map_batches(_tf_explode, batch_format="pyarrow")
     df = aggregate(tf, "token", [("df", "count", "doc_id")])
 
-    joined = partitioned_hash_join(tf, df, key="token",
-                                   num_buckets=num_buckets)
+    joined = partitioned_hash_join(tf, df, key="token")
 
     def weigh(batch: pa.Table) -> pa.Table:
         tf_v = batch["tf"].to_numpy(zero_copy_only=False).astype(np.float64)

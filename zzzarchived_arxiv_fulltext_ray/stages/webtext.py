@@ -119,7 +119,6 @@ def decontaminate(
     bench_ds,
     n: int = 3,
     plan: str = "broadcast",
-    num_buckets: int = 64,
 ):
     """Flag documents sharing any word ``n``-gram with a benchmark set
     (GPT-3/PaLM-style test-set decontamination). Returns a Dataset of
@@ -206,7 +205,6 @@ def decontaminate(
         shingled_docs,
         bench_keys,
         key="gram_hash",
-        num_buckets=num_buckets,
         how="semi",
     )
     # distinct (doc_id, gram) pairs survived the semi-join; count rows

@@ -42,10 +42,11 @@ calls it first. It finishes the swap of each ``.pending`` whose staged
 dir still exists and renames the ``.pending`` into place; then it
 removes stale ``rewrite=*.tmp`` and ``wave=*.tmp`` dirs and puts a
 ``.old`` whose shard dir is missing back in place. :func:`compact_shards`
-rewrites one shard at a time through ``_commit_shard`` (tmp write, one
-digest, rename-aside swap), its content hash-equal to the manifest.
-Every manifest goes through one writer. Every full-row read of a
-committed shard passes ``partitioning=None``: Ray would otherwise parse
+commits one shard at a time the same way: it stages the shard into
+``rewrite=<sid>.tmp``, digests the staged files, writes the
+``.pending`` manifest and swaps. Every manifest goes through one
+writer. Every full-row read of a committed shard passes
+``partitioning=None``: Ray would otherwise parse
 ``shard=<sid>`` into a ``shard`` column and a rewrite would store it (a
 column-projected read adds none).
 
@@ -346,39 +347,6 @@ def _write_empty(part: Path, schema: pa.Schema) -> None:
 
     part.mkdir(parents=True, exist_ok=True)
     pq.write_table(schema.empty_table(), part / "empty.parquet")
-
-
-def _commit_shard(
-    ds,
-    sdir: Path,
-    hash_columns: Sequence[str],
-    accept: Callable[[ShardDigest], bool],
-) -> Optional[ShardDigest]:
-    """Rewrite one finished shard's output (:func:`compact_shards`):
-    write ``ds`` to ``<shard>.tmp`` and digest it there. Unless
-    ``accept(digest)`` rejects it (tmp discarded, returns None), a
-    rename-aside swap via ``<shard>.old`` replaces the shard
-    directory."""
-    import ray.data as rd
-
-    tmp_dir, old_dir = sdir.with_suffix(".tmp"), sdir.with_suffix(".old")
-    for stale in (tmp_dir, old_dir):
-        if stale.exists():
-            shutil.rmtree(stale)
-    ds.write_parquet(str(tmp_dir))
-    if not any(tmp_dir.glob("*.parquet")):
-        _write_empty(tmp_dir, _committed_schema(sdir))
-
-    digest = shard_digests(
-        rd.read_parquet(str(tmp_dir), partitioning=None), hash_columns
-    )
-    if not accept(digest):
-        shutil.rmtree(tmp_dir)
-        return None
-    sdir.rename(old_dir)
-    tmp_dir.rename(sdir)
-    shutil.rmtree(old_dir)
-    return digest
 
 
 def _swap_in(out_dir: str, sid: str, staged: Optional[Path]) -> None:
@@ -1010,12 +978,14 @@ def compact_shards(
     otherwise leaves thousands of KB-scale files that tank every
     downstream scan).
 
-    Safety contract, per shard: the rewrite goes through the shared
-    commit path, and its ORDER-INDEPENDENT content hash
+    Safety contract, per shard: the rewrite is staged into
+    ``rewrite=<sid>.tmp`` and its ORDER-INDEPENDENT content hash
     (:func:`shard_digests`, same columns the manifest recorded) must
-    equal the manifest's hash BEFORE the rename-aside swap;
-    the manifest keeps its content_hash/row count (content is
-    byte-identical per hash) and gains a ``compacted`` block.
+    equal the manifest's hash, or the stage is dropped and the pass
+    raises. Then the manifest — same content_hash/row count, plus a
+    ``compacted`` block — is written as ``.pending`` and the shard
+    swapped in, the write-ahead commit of the global passes, so a
+    crash at any step rolls forward (module docstring).
     Shards already at one file (or below ``min_files``) are skipped.
     Returns {shards_compacted, shards_skipped, files_before,
     files_after}."""
@@ -1044,28 +1014,32 @@ def compact_shards(
             summary["files_after"] += len(files)
             continue
 
-        digest = _commit_shard(
-            rd.read_parquet(str(sdir), partitioning=None).repartition(
-                int(n_target)
-            ),
-            sdir,
-            manifest["hash_columns"],
-            accept=lambda d: d.content_hash == manifest["content_hash"],
-        )
-        if digest is None:
+        stage = out / f"rewrite={sid}.tmp"
+        part = stage / f"{SHARD_COLUMN}={sid}"
+        rd.read_parquet(str(sdir), partitioning=None).repartition(
+            int(n_target)
+        ).write_parquet(str(part))
+        if not any(part.glob("*.parquet")):
+            _write_empty(part, _committed_schema(sdir))
+        staged = sorted(str(f) for f in part.glob("*.parquet"))
+        digest = _staged_digests(staged, {sid: manifest["hash_columns"]})
+        if digest[sid].content_hash != manifest["content_hash"]:
+            shutil.rmtree(stage)
             raise RuntimeError(
                 f"compact_shards: content hash mismatch on shard {sid} "
                 "(rewrite aborted, original output untouched)"
             )
 
-        n_after = len(list(sdir.glob("*.parquet")))
+        n_after = len(staged)
         manifest["compacted"] = {
             "files_before": len(files),
             "files_after": n_after,
             "target_bytes": target_bytes,
             "at": time.time(),
         }
-        _write_manifest(out_dir, manifest)
+        _write_manifest(out_dir, manifest, PENDING_SUFFIX)
+        _swap_in(out_dir, sid, part)
+        shutil.rmtree(stage)
         summary["shards_compacted"] += 1
         summary["files_after"] += n_after
     return summary
