@@ -2,6 +2,7 @@
 stages/mixing.py) — each pinned against an in-test brute force."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pyarrow as pa
@@ -1163,14 +1164,24 @@ def test_global_row_number_sorted_matches_histogram_plan(ray_session):
         assert sorted(b["rnk"]) == list(range(1, 1001))
 
 
-def test_distributed_kth_matches_numpy(ray_session):
+def _both_branches(monkeypatch):
+    """Yield once per quantiles() branch: the histogram read-off, then
+    the refinement (forced as under GRAFT_FORCE_PARTITIONED=1)."""
+    from zzzarchived_arxiv_fulltext_ray.stages import selection
+
+    for forced in (False, True):
+        monkeypatch.setattr(selection, "force_partitioned",
+                            lambda forced=forced: forced)
+        yield forced
+
+
+def test_distributed_kth_matches_numpy(ray_session, monkeypatch):
+    """k-th smallest as quantiles() at q = k/n (rank exactly k), and
+    quantile_disc at float qs, in both branches."""
     import pandas as pd
     import ray.data
 
-    from zzzarchived_arxiv_fulltext_ray.stages.selection import (
-        distributed_kth_value,
-        distributed_quantile_disc,
-    )
+    from zzzarchived_arxiv_fulltext_ray.stages.selection import quantiles
 
     rng = np.random.default_rng(53)
     # huge near-unique domain AND planted heavy duplicates
@@ -1180,44 +1191,46 @@ def test_distributed_kth_matches_numpy(ray_session):
     )
     ds = ray.data.from_pandas(pd.DataFrame({"v": vals})).repartition(5)
     s = np.sort(vals)
-    for k in [1, 2, 500, 3000, len(vals)]:
-        assert distributed_kth_value(ds, "v", k) == s[k - 1]
-    for q in (0.5, 0.9, 0.01):
-        v, n = distributed_quantile_disc(ds, "v", q)
-        krank = max(1, -(-(round(q * 10**6) * n) // 10**6))
-        assert n == len(vals) and v == s[krank - 1]
-    with pytest.raises(ValueError, match="exceeds"):
-        distributed_kth_value(ds, "v", len(vals) + 1)
-    with pytest.raises(ValueError, match=">= 1"):
-        distributed_kth_value(ds, "v", 0)
+    n = len(vals)
+    ks = [1, 2, 500, 3000, n]
+    for _ in _both_branches(monkeypatch):
+        got = quantiles(ds, "v", {f"k{k}": Fraction(k, n) for k in ks})
+        assert [got[f"k{k}"][0] for k in ks] == [s[k - 1] for k in ks]
+        got = quantiles(ds, "v", {"a": 0.5, "b": 0.9, "c": 0.01})
+        for name, q in (("a", 0.5), ("b", 0.9), ("c", 0.01)):
+            krank = max(1, -(-(round(q * 10**6) * n) // 10**6))
+            assert got["n"][0] == n and got[name][0] == s[krank - 1]
+        assert (got["lo"][0], got["hi"][0]) == (s[0], s[-1])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        quantiles(ds, "v", {"x": Fraction(n + 1, n)})
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        quantiles(ds, "v", {"x": -0.5})
 
 
-def test_distributed_quantile_cont_matches_numpy(ray_session):
+def test_distributed_quantile_cont_matches_numpy(ray_session, monkeypatch):
     import pandas as pd
     import ray.data
 
-    from zzzarchived_arxiv_fulltext_ray.stages.selection import (
-        distributed_quantile_cont,
-    )
+    from zzzarchived_arxiv_fulltext_ray.stages.selection import quantiles
 
     rng = np.random.default_rng(59)
     vals = rng.integers(-(10**9), 10**9, size=4001)  # odd n: exact mid
     ds = ray.data.from_pandas(pd.DataFrame({"v": vals})).repartition(4)
-    for q in (0.25, 0.5, 0.75, 0.0, 1.0):
-        got, n = distributed_quantile_cont(ds, "v", q)
-        want = float(np.quantile(vals, q, method="linear"))
-        assert n == len(vals)
-        assert got == want, (q, got, want)
+    qs = (0.25, 0.5, 0.75, 0.0, 1.0)
+    for _ in _both_branches(monkeypatch):
+        got = quantiles(ds, "v", {str(q): q for q in qs}, interpolate=True)
+        assert got["n"][0] == len(vals)
+        for q in qs:
+            want = float(np.quantile(vals, q, method="linear"))
+            assert got[str(q)][0] == want, (q, got[str(q)][0], want)
 
 
-def test_grouped_quantile_disc_matches_duckdb(ray_session):
+def test_grouped_quantile_disc_matches_duckdb(ray_session, monkeypatch):
     import duckdb
     import pandas as pd
     import ray.data
 
-    from zzzarchived_arxiv_fulltext_ray.stages.selection import (
-        grouped_quantile_disc,
-    )
+    from zzzarchived_arxiv_fulltext_ray.stages.selection import quantiles
 
     rng = np.random.default_rng(61)
     df = pd.DataFrame(
@@ -1232,46 +1245,52 @@ def test_grouped_quantile_disc_matches_duckdb(ray_session):
         ignore_index=True,
     )
     ds = ray.data.from_pandas(df).repartition(5)
-    for q in (0.5, 0.9, 0.1):
-        got = grouped_quantile_disc(ds, "g", "v", q)
-        exp = duckdb.sql(
-            f"SELECT g, quantile_disc(v, {q}), count(*) "
-            "FROM df GROUP BY g ORDER BY g"
-        ).fetchall()
-        assert [(a, b, c) for a, b, c in got] == [
-            (a, int(b), int(c)) for a, b, c in exp
-        ]
+    for _ in _both_branches(monkeypatch):
+        got = quantiles(ds, "v", {"0.5": 0.5, "0.9": 0.9, "0.1": 0.1},
+                        by="g")
+        for q in (0.5, 0.9, 0.1):
+            exp = duckdb.sql(
+                f"SELECT g, quantile_disc(v, {q}), count(*) "
+                "FROM df GROUP BY g ORDER BY g"
+            ).fetchall()
+            assert list(zip(got["g"], got[str(q)], got["n"])) == [
+                (a, int(b), int(c)) for a, b, c in exp
+            ]
 
 
-def test_selection_many_passes_tiny_buckets(ray_session):
-    """num_buckets=4 forces ~log_4(domain) refinement passes — stress
-    the loop/termination logic well beyond the 1-2 passes the default
-    4096 takes on realistic domains."""
+def test_selection_many_passes_tiny_buckets(ray_session, monkeypatch):
+    """_BUCKETS = 4 forces ~log_4(domain) refinement passes — stress
+    the loop/termination logic well beyond the 1-2 passes 4096 takes
+    on realistic domains (every block also outgrows the 4-row pass-0
+    histogram, so both branches refine)."""
     import pandas as pd
     import ray.data
 
-    from zzzarchived_arxiv_fulltext_ray.stages.selection import (
-        distributed_kth_value,
-        distributed_kth_values,
-        grouped_quantile_disc,
-    )
+    from zzzarchived_arxiv_fulltext_ray.stages import selection
+    from zzzarchived_arxiv_fulltext_ray.stages.selection import quantiles
 
+    monkeypatch.setattr(selection, "_BUCKETS", 4)
     rng = np.random.default_rng(67)
     vals = rng.integers(-(10**10), 10**10, size=2000)
     df = pd.DataFrame({"v": vals, "g": rng.choice(["a", "b"], 2000)})
     ds = ray.data.from_pandas(df).repartition(3)
     s = np.sort(vals)
-    assert distributed_kth_value(ds, "v", 1000, num_buckets=4) == s[999]
-    got = distributed_kth_values(ds, "v", [1, 500, 2000], num_buckets=4)
-    assert got == {1: s[0], 500: s[499], 2000: s[-1]}
+    got = quantiles(ds, "v", {"k1000": Fraction(1000, 2000)})
+    assert got["k1000"][0] == s[999]
+    got = quantiles(ds, "v", {"k1": Fraction(1, 2000),
+                              "k500": Fraction(500, 2000),
+                              "k2000": Fraction(2000, 2000)})
+    assert (got["k1"][0], got["k500"][0], got["k2000"][0]) == (
+        s[0], s[499], s[-1]
+    )
     import duckdb
 
     exp = duckdb.sql(
         "SELECT g, quantile_disc(v, 0.5), count(*) FROM df "
         "GROUP BY g ORDER BY g"
     ).fetchall()
-    got_g = grouped_quantile_disc(ds, "g", "v", 0.5, num_buckets=4)
-    assert [(a, b, c) for a, b, c in got_g] == [
+    got_g = quantiles(ds, "v", {"p50": 0.5}, by="g")
+    assert list(zip(got_g["g"], got_g["p50"], got_g["n"])) == [
         (a, int(b), int(c)) for a, b, c in exp
     ]
 
@@ -1465,15 +1484,144 @@ def test_lag1_stats_boundary_stitch_vs_brute(ray_session):
         ) == truth[r.group], r.group
 
 
-def test_weighted_kth_and_median_vs_brute(ray_session):
+def test_one_exact_quantile_in_the_package():
+    """Every exact quantile goes through ``selection.quantiles``: no
+    k-th selection, grouped quantile or hand-written prefix-sum rank
+    read-off of its own in ``pipelines/`` or ``stages/``. The two
+    ``searchsorted(cum`` of ``stages/window.py`` are the equal-count
+    x-range splits of ``kendall_tau`` and ``chatterjee_xi``, which read
+    the whole x distribution, not a quantile."""
+    import re
+    from pathlib import Path
+
+    from zzzarchived_arxiv_fulltext_ray.stages import selection
+
+    pkg = Path(selection.__file__).resolve().parents[1]
+    found = {}
+    for sub in ("pipelines", "stages"):
+        for p in sorted((pkg / sub).rglob("*.py")):
+            rel = p.relative_to(pkg).as_posix()
+            if rel == "stages/selection.py":
+                continue
+            n = len(re.findall(
+                r"distributed_kth|grouped_quantile_disc|searchsorted\(cum",
+                p.read_text(),
+            ))
+            if n:
+                found[rel] = n
+    assert found == {"stages/window.py": 2}
+
+
+def test_quantile_rank_is_exact():
+    """ceil(q*n) in integer arithmetic, with no data: q = 1/3 at
+    n = 3,000,001 is rank 1,000,001, where rounding q to a multiple of
+    1e-6 gives 1,000,000."""
+    from zzzarchived_arxiv_fulltext_ray.stages.selection import (
+        _fraction,
+        _rank,
+    )
+
+    n = 3_000_001
+    q = Fraction(1, 3)
+    assert _rank(q, n) == -(-n // 3) == 1_000_001
+    assert -(-(round(float(q) * 10**6) * n) // 10**6) == 1_000_000
+    assert _rank(Fraction(0), n) == 1 and _rank(Fraction(1), n) == n
+    assert _fraction(0.9) == Fraction(9, 10) and _rank(_fraction(0.9), 10) == 9
+    assert _fraction(1) == 1 and _fraction(Fraction(2, 3)) == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("branch", ["histogram", "refinement"])
+def test_quantiles_matches_duckdb(ray_session, executions, monkeypatch,
+                                  branch):
+    """quantiles() against DuckDB quantile_disc / quantile_cont and a
+    brute-force weighted k-th: null values, a constant-value group, a
+    NULL group key, q = 0 and q = 1, several qs per call, zero weights
+    (one group has weight 0 in total). The histogram branch runs on a
+    small domain in one execution; the refinement branch on a ±10^12
+    domain with the forced mode. Pass 0 folds its partials every two
+    blocks, so the mid-stream merge runs too."""
+    import duckdb
+    import pandas as pd
+    import ray.data
+
+    from zzzarchived_arxiv_fulltext_ray.stages import selection
+    from zzzarchived_arxiv_fulltext_ray.stages.selection import quantiles
+
+    forced = branch == "refinement"
+    monkeypatch.setattr(selection, "force_partitioned", lambda: forced)
+    monkeypatch.setattr(selection, "_MERGE_EVERY", 2)
+    dom = 10**12 if forced else 50
+    rng = np.random.default_rng(71)
+    m = 3000
+    df = pd.DataFrame(
+        {
+            "g": rng.choice(["a", "b", "c", None], m),
+            "v": pd.array(rng.integers(-dom, dom, m), dtype="Int64"),
+            "w": rng.integers(0, 4, m),
+        }
+    )
+    df.loc[rng.random(m) < 0.05, "v"] = pd.NA
+    df = pd.concat(
+        [df, pd.DataFrame({"g": ["k"] * 9, "v": pd.array([7] * 9, "Int64"),
+                           "w": [0] * 9})],
+        ignore_index=True,
+    )
+    ds = ray.data.from_pandas(df).repartition(4)
+    qs = {"q0": 0.0, "q10": 0.1, "q50": 0.5, "q90": 0.9, "q100": 1.0}
+    sql_qs = ", ".join(
+        f"quantile_disc(v, {q}) AS {k}" for k, q in qs.items()
+    )
+    want = duckdb.sql(
+        f"SELECT g, count(v) AS n, min(v) AS lo, max(v) AS hi, {sql_qs} "
+        "FROM df WHERE v IS NOT NULL GROUP BY g ORDER BY g"
+    ).df()
+
+    got = []
+    n_exec = executions(
+        lambda: got.append(quantiles(ds, "v", qs, by="g"))
+    )
+    got = got[0]
+    if not forced:
+        assert n_exec == 1
+    assert got["g"].tolist() == want["g"].tolist()
+    for c in ["n", "lo", "hi"] + list(qs):
+        assert got[c].tolist() == want[c].astype("int64").tolist(), c
+
+    cont = quantiles(ds, "v", {"c25": 0.25, "c50": 0.5, "c1": 1.0},
+                     interpolate=True)
+    want_c = duckdb.sql(
+        "SELECT quantile_cont(v, 0.25) c25, quantile_cont(v, 0.5) c50, "
+        "quantile_cont(v, 1.0) c1 FROM df"
+    ).df()
+    for c in ("c25", "c50", "c1"):
+        assert cont[c][0] == want_c[c][0], c
+
+    wq = {"w0": 0.0, "w33": Fraction(1, 3), "w50": 0.5, "w100": 1.0}
+    wgot = quantiles(ds, "v", wq, by="g", weight="w")
+    live = df[df["v"].notna()]
+    for row in wgot.itertuples(index=False):
+        sub = live[live["g"].isna()] if row.g is None else \
+            live[live["g"] == row.g]
+        sub = sub.sort_values("v", kind="stable")
+        cw = np.cumsum(sub["w"].to_numpy())
+        assert row.n == cw[-1]
+        for k, q in wq.items():
+            f = Fraction(str(q)) if isinstance(q, float) else q
+            rank = max(1, -(-(f.numerator * int(cw[-1])) // f.denominator))
+            if cw[-1] == 0:
+                assert pd.isna(getattr(row, k)), (row.g, k)
+            else:
+                assert getattr(row, k) == sub["v"].to_numpy()[
+                    np.searchsorted(cw, rank)], (row.g, k)
+    assert wgot.loc[wgot["g"] == "k", "n"].tolist() == [0]
+
+
+def test_weighted_kth_and_median_vs_brute(ray_session, monkeypatch):
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from zzzarchived_arxiv_fulltext_ray.stages.selection import (
-        distributed_weighted_kth,
-        distributed_weighted_median,
-    )
+    from zzzarchived_arxiv_fulltext_ray.stages.selection import quantiles
 
     rng = np.random.default_rng(41)
     vals = rng.integers(-1000, 1000, 500).astype(np.int64)
@@ -1490,14 +1638,16 @@ def test_weighted_kth_and_median_vs_brute(ray_session):
     def brute(kw):
         return int(sv[np.searchsorted(cw, kw)])
 
-    for kw in (1, 2, W // 3, (W + 1) // 2, W - 1, W):
-        assert distributed_weighted_kth(ds, "v", "w", kw) == brute(kw)
-
-    med, tot = distributed_weighted_median(ds, "v", "w")
-    assert tot == W and med == brute((W + 1) // 2)
+    kws = (1, 2, W // 3, (W + 1) // 2, W - 1, W)
+    for _ in _both_branches(monkeypatch):
+        got = quantiles(ds, "v", {f"k{kw}": Fraction(kw, W) for kw in kws},
+                        weight="w")
+        assert [got[f"k{kw}"][0] for kw in kws] == [brute(kw) for kw in kws]
+        med = quantiles(ds, "v", {"m": 0.5}, weight="w")
+        assert med["n"][0] == W and med["m"][0] == brute((W + 1) // 2)
 
     with pytest.raises(ValueError):
-        distributed_weighted_kth(ds, "v", "w", W + 1)
+        quantiles(ds, "v", {"x": Fraction(W + 1, W)}, weight="w")
 
 
 def test_morton2_bit_exact_and_locality():

@@ -22,6 +22,12 @@ EXECUTIONS = {
     "events_sessions": 1,
     "dedup_ngram_partitioned": 3,
     "url_blocklist_partitioned": 3,
+    "events_interval": 3,
+    "events_band_pairs": 3,
+    "events_value_quartiles": 1,
+    "events_median_value": 1,
+    "event_type_value_mad": 3,
+    "lang_p90_filter": 2,
 }
 
 

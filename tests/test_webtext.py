@@ -1,6 +1,8 @@
 """Webtext-curation operators: PII scrubbing, per-domain cap,
 decontamination (both physical plans pinned equal), repetition."""
 
+from fractions import Fraction
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -347,9 +349,7 @@ def test_grouped_quantile_matches_duckdb_convention(ray_session):
     import duckdb
     import ray.data as rd
 
-    from zzzarchived_arxiv_fulltext_ray.stages.webtext import (
-        grouped_quantile_disc,
-    )
+    from zzzarchived_arxiv_fulltext_ray.stages.selection import quantiles
 
     rng = np.random.default_rng(3)
     frames = []
@@ -363,9 +363,10 @@ def test_grouped_quantile_matches_duckdb_convention(ray_session):
             )
         )
     df = pd.concat(frames, ignore_index=True)
-    th = grouped_quantile_disc(
-        rd.from_pandas(df).repartition(5), "g", "v", 9, 10
-    ).to_pandas().sort_values("g").reset_index(drop=True)
+    th = quantiles(
+        rd.from_pandas(df).repartition(5), "v",
+        {"threshold": Fraction(9, 10)}, by="g",
+    )
     want = (
         duckdb.connect()
         .execute(
@@ -391,7 +392,7 @@ def test_quantile_filter_keeps_at_most_decile_plus_ties(ray_session):
         }
     )
     kept = quantile_filter(
-        rd.from_pandas(df), "g", "v", 9, 10
+        rd.from_pandas(df), "g", "v", Fraction(9, 10)
     ).to_pandas()
     # threshold = value at rank ceil(0.9*100)=90 -> v=89; keep v>=89
     assert sorted(kept["v"].tolist()) == list(range(89, 100))

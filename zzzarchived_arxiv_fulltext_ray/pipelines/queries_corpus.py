@@ -3853,17 +3853,15 @@ ORDER BY s.source, l.lang
 # ------------------------------- distributed exact selection
 
 def _q_events_median_value(sf_dir: str):
-    """Exact global median event value (integer cents) via iterative
-    bucket-refinement selection (``stages.selection``) — the quantile
-    plan whose driver state is one fixed bucket vector per pass, never
-    a value histogram: works unchanged when values are near-unique
-    over a huge domain (pinned on a ±10^12 domain in pytest)."""
-    import pandas as pd
+    """Exact global median event value (integer cents) via
+    ``stages.selection.quantiles``: one histogram pass while the cents
+    domain is small, the bucket refinement when values are near-unique
+    over a huge domain (both branches pinned in pytest)."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
 
-    from ..stages.selection import distributed_quantile_disc
+    from ..stages.selection import quantiles
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["value"])
@@ -3876,8 +3874,7 @@ def _q_events_median_value(sf_dir: str):
         return pa.table({"cents": cents})
 
     cents = ev.map_batches(to_cents, batch_format="pyarrow")
-    p50, n = distributed_quantile_disc(cents, "cents", 0.5)
-    return pd.DataFrame({"p50_cents": [int(p50)], "n": [int(n)]})
+    return quantiles(cents, "cents", {"p50_cents": 0.5})[["p50_cents", "n"]]
 
 
 CORPUS_QUERIES["events_median_value"] = _q_events_median_value
@@ -3891,14 +3888,14 @@ FROM events
 
 def _q_events_value_quartiles(sf_dir: str):
     """Interpolated (quantile_cont) quartiles of the event value in
-    cents via the same value-domain selection — order statistics
-    exact, interpolation mirroring the SQL formula term-for-term."""
-    import pandas as pd
+    cents via ``stages.selection.quantiles(interpolate=True)`` — order
+    statistics exact, interpolation mirroring the SQL formula
+    term-for-term."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
 
-    from ..stages.selection import distributed_quantile_cont
+    from ..stages.selection import quantiles
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["value"])
@@ -3910,36 +3907,11 @@ def _q_events_value_quartiles(sf_dir: str):
         )
         return pa.table({"cents": cents})
 
-    import numpy as np
-
-    from ..stages.selection import distributed_kth_values
-
-    # the projected 8-byte working column is materialized ONCE so the
-    # refinement passes re-read cached blocks, not parquet; and all
-    # six order statistics refine in lockstep (shared scans)
-    cents = ev.map_batches(to_cents, batch_format="pyarrow").materialize()
-    n = aggregate(cents, [], [("n", "count", None)])["n"]
-    qs = (0.25, 0.5, 0.75)
-    pos = {q: q * (n - 1) for q in qs}
-    ks = set()
-    for p in pos.values():
-        ks.add(int(np.floor(p)) + 1)
-        ks.add(int(np.ceil(p)) + 1)
-    vals = distributed_kth_values(cents, "cents", ks)
-    out = {}
-    for name, q in zip(("q25", "q50", "q75"), qs):
-        p = pos[q]
-        lo_i, hi_i = int(np.floor(p)), int(np.ceil(p))
-        x_lo = vals[lo_i + 1]
-        if hi_i == lo_i:
-            out[name] = [float(x_lo)]
-        else:
-            x_hi = vals[hi_i + 1]
-            out[name] = [
-                float(x_lo) + (float(x_hi) - float(x_lo)) * (p - lo_i)
-            ]
-    out["n"] = [n]
-    return pd.DataFrame(out)
+    out = quantiles(
+        ev.map_batches(to_cents, batch_format="pyarrow"), "cents",
+        {"q25": 0.25, "q50": 0.5, "q75": 0.75}, interpolate=True,
+    )
+    return out[["q25", "q50", "q75", "n"]]
 
 
 CORPUS_QUERIES["events_value_quartiles"] = _q_events_value_quartiles
@@ -4008,16 +3980,15 @@ ORDER BY user_id, ts, cents
 
 
 def _q_event_type_median_value(sf_dir: str):
-    """Median event value (cents) per event type via the GROUPED
-    bucket-refinement selection — all groups share each scan (one
-    (G x 4096) count matrix per pass), exact over unbounded value
-    domains where per-group count histograms would degenerate."""
-    import pandas as pd
+    """Median event value (cents) per event type via the grouped
+    ``stages.selection.quantiles`` — all groups share each scan, exact
+    over unbounded value domains where per-group count histograms
+    would degenerate."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
 
-    from ..stages.selection import grouped_quantile_disc
+    from ..stages.selection import quantiles
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
@@ -4034,14 +4005,8 @@ def _q_event_type_median_value(sf_dir: str):
         )
 
     cents = ev.map_batches(to_cents, batch_format="pyarrow")
-    rows = grouped_quantile_disc(cents, "event_type", "cents", 0.5)
-    return pd.DataFrame(
-        {
-            "event_type": [r[0] for r in rows],
-            "p50_cents": [r[1] for r in rows],
-            "n": [r[2] for r in rows],
-        }
-    )
+    out = quantiles(cents, "cents", {"p50_cents": 0.5}, by="event_type")
+    return out[["event_type", "p50_cents", "n"]]
 
 
 CORPUS_QUERIES["event_type_median_value"] = _q_event_type_median_value
@@ -4058,18 +4023,16 @@ ORDER BY event_type
 
 def _q_event_type_value_mad(sf_dir: str):
     """Median absolute deviation per event type — the robust-spread
-    statistic, composed from TWO grouped selections: p50 of cents,
-    then (tiny per-group medians broadcast) p50 of |cents - p50|.
-    Both passes are the shared-scan bucket-refinement selection with
-    DuckDB quantile_disc rank convention, so the composition is
-    integer-exact end-to-end."""
-    import pandas as pd
+    statistic, composed from TWO grouped ``stages.selection.quantiles``
+    calls: p50 of cents, then (tiny per-group medians broadcast) p50 of
+    |cents - p50|. Both use DuckDB's quantile_disc rank convention, so
+    the composition is integer-exact end-to-end."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
     import ray.data
 
-    from ..stages.selection import grouped_quantile_disc
+    from ..stages.selection import quantiles
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
@@ -4087,9 +4050,9 @@ def _q_event_type_value_mad(sf_dir: str):
 
     cents = ev.map_batches(
         to_cents, batch_format="pyarrow"
-    ).materialize()  # scanned by both selection passes
-    med_rows = grouped_quantile_disc(cents, "event_type", "cents", 0.5)
-    med_ref = ray.put({g: int(v) for g, v, _ in med_rows})
+    ).materialize()  # scanned by both quantile calls
+    med = quantiles(cents, "cents", {"median_cents": 0.5}, by="event_type")
+    med_ref = ray.put(dict(zip(med["event_type"], med["median_cents"])))
 
     def abs_dev(b: pa.Table) -> pa.Table:
         import numpy as np
@@ -4106,15 +4069,9 @@ def _q_event_type_value_mad(sf_dir: str):
         )
 
     devs = cents.map_batches(abs_dev, batch_format="pyarrow")
-    mad_rows = grouped_quantile_disc(devs, "event_type", "dev", 0.5)
-    med_map = {g: (int(v), int(n)) for g, v, n in med_rows}
-    return pd.DataFrame(
-        {
-            "event_type": [g for g, _, _ in mad_rows],
-            "n": [med_map[g][1] for g, _, _ in mad_rows],
-            "median_cents": [med_map[g][0] for g, _, _ in mad_rows],
-            "mad_cents": [int(v) for _, v, _ in mad_rows],
-        }
+    mad = quantiles(devs, "dev", {"mad_cents": 0.5}, by="event_type")
+    return med[["event_type", "n", "median_cents"]].assign(
+        mad_cents=mad["mad_cents"]
     )
 
 
@@ -5862,7 +5819,7 @@ def _q_source_divergence(sf_dir: str):
     Physical plan: one (source, token) grouped count
     (``stages/aggregate.py``) over distinct pairs; the
     driver holds the vocab x sources count table (bounded-vocab
-    contract, the kendall/lang_length_median histogram idiom) and
+    contract, the ``kendall_tau`` histogram idiom) and
     evaluates the 380-pair matrix locally."""
     import pandas as pd
     import pyarrow as pa

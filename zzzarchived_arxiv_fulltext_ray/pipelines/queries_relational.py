@@ -104,6 +104,16 @@ def _nation_names(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 
+def _empty_frame(text_cols, int_cols):
+    """A result without rows: string columns, then int64 columns."""
+    import pandas as pd
+
+    return pd.DataFrame(
+        {c: pd.Series(dtype=object) for c in text_cols}
+        | {c: pd.Series(dtype="int64") for c in int_cols}
+    )
+
+
 def _q_volume_shipping(sf_dir: str):
     """TPC-H Q7 shape: shipped revenue between two named nations, by
     (supplier nation, customer nation, ship year), both directions.
@@ -206,6 +216,9 @@ def _q_volume_shipping(sf_dir: str):
         [("revenue_cents", "sum", "cents"), ("n_items", "count", None)],
         rows=cross,
     ).to_pandas()
+    if out.empty:  # no rows: aggregate gives a Dataset without columns
+        return _empty_frame(["supp_nation", "cust_nation"],
+                            ["l_year", "revenue_cents", "n_items"])
     out["supp_nation"] = out["supp_nat"].map(lambda k: nat_name[int(k)])
     out["cust_nation"] = out["cust_nat"].map(lambda k: nat_name[int(k)])
     out = out[
@@ -642,6 +655,8 @@ def _q_disjunctive_revenue(sf_dir: str):
         [("revenue_cents", "sum", "cents"), ("n_items", "count", None)],
         rows=rows,
     ).to_pandas()
+    if out.empty:  # no rows: aggregate gives a Dataset without columns
+        return _empty_frame(["p_brand"], ["revenue_cents", "n_items"])
     out["p_brand"] = out["branch"].map(lambda i: brand_names[int(i)])
     out = out[["p_brand", "revenue_cents", "n_items"]]
     out["revenue_cents"] = out["revenue_cents"].astype("int64")
@@ -1189,15 +1204,15 @@ def _q_events_anomaly(sf_dir: str):
     SQL.
 
     Physical plan: one materialized cents scan feeds two grouped
-    bucket-refinement selections (median, then MAD of deviations —
-    O(KiB) driver state each); the tiny (type -> median, mad) map
-    broadcasts via ``ray.put`` into one final vectorized filter scan.
-    Three passes over the column, zero row exchanges."""
+    ``stages.selection.quantiles`` calls (median, then MAD of
+    deviations); the tiny (type -> median, mad) map broadcasts via
+    ``ray.put`` into one final vectorized filter scan. Zero row
+    exchanges."""
     import numpy as np
     import ray
     import ray.data
 
-    from ..stages.selection import grouped_quantile_disc
+    from ..stages.selection import quantiles
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -1217,13 +1232,10 @@ def _q_events_anomaly(sf_dir: str):
             }
         )
 
+    # scanned by both quantile calls and the filter
     cents = ev.map_batches(to_cents, batch_format="pyarrow").materialize()
-    med = {
-        g: int(v)
-        for g, v, _ in grouped_quantile_disc(
-            cents, "event_type", "cents", 0.5
-        )
-    }
+    q = quantiles(cents, "cents", {"m": 0.5}, by="event_type")
+    med = dict(zip(q["event_type"], q["m"].tolist()))
     med_ref = ray.put(med)
 
     def abs_dev(b: pa.Table) -> pa.Table:
@@ -1241,10 +1253,8 @@ def _q_events_anomaly(sf_dir: str):
         )
 
     devs = cents.map_batches(abs_dev, batch_format="pyarrow")
-    mad = {
-        g: int(v)
-        for g, v, _ in grouped_quantile_disc(devs, "event_type", "dev", 0.5)
-    }
+    q = quantiles(devs, "dev", {"m": 0.5}, by="event_type")
+    mad = dict(zip(q["event_type"], q["m"].tolist()))
     thr_ref = ray.put({t: (med[t], 4 * mad[t]) for t in med})
 
     def flag(b: pa.Table) -> pa.Table:
@@ -1785,17 +1795,17 @@ def _q_events_value_eqdepth(sf_dir: str):
     """Equi-depth (equal-frequency) 8-bin histogram of event value
     cents: the seven inner boundaries are exact order statistics
     (DuckDB quantile_disc rank convention, rank = ceil(q*n) in
-    integer arithmetic) found by the multi-k lockstep selection —
-    all seven refine sharing every scan — then ONE counting pass
+    integer arithmetic) found by ONE ``stages.selection.quantiles``
+    call for the seven qs k/8 — then ONE counting pass
     assigns each row bin_id = 1 + #(boundaries < value). Exact
     integers end-to-end; duplicate boundaries under heavy ties yield
     empty bins identically in both engines."""
-    import numpy as np
-    import pandas as pd
+    from fractions import Fraction
+
     import ray
     import ray.data
 
-    from ..stages.selection import distributed_kth_values
+    from ..stages.selection import quantiles
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["value"]
@@ -1811,11 +1821,10 @@ def _q_events_value_eqdepth(sf_dir: str):
             }
         )
 
-    cents = ev.map_batches(to_cents, batch_format="pyarrow").materialize()
-    n = cents.count()
-    ks = [((k * n) + 7) // 8 for k in range(1, 8)]  # ceil(k*n/8)
-    kv = distributed_kth_values(cents, "cents", ks)
-    bounds = np.array([kv[k] for k in ks], dtype=np.int64)
+    cents = ev.map_batches(to_cents, batch_format="pyarrow")
+    q = quantiles(cents, "cents",
+                  {f"b{k}": Fraction(k, 8) for k in range(1, 8)})
+    bounds = q[[f"b{k}" for k in range(1, 8)]].to_numpy()[0]
     bref = ray.put(bounds)
 
     def bins_of(b: pa.Table) -> pa.Table:
@@ -2526,8 +2535,9 @@ def _q_events_gini(sf_dir: str):
     """Gini coefficient of the cents distribution per event type:
     G = (2*sum(i*x_(i)) - (n+1)*sum(x)) / (n*sum(x)) over the
     ascending-sorted values — computed WITHOUT any sort of the rows:
-    a (type, cents) count-histogram exchange (the lang_length_median
-    idiom; the histogram is value-domain-bounded, never row-scale),
+    a (type, cents) count-histogram exchange (like pass 0 of
+    ``selection.quantiles``; the histogram is value-domain-bounded,
+    never row-scale),
     then the rank-weighted sum in closed form per distinct value
     (positions p+1..p+c contribute x*(2*(c*p + c*(c+1)/2))) in
     python bigints on the driver. Tie order cannot affect the sum
@@ -2616,14 +2626,12 @@ def _q_lineitem_weighted_median(sf_dir: str):
     """Quantity-weighted median of the lineitem extended price (in
     integer cents): the smallest price whose cumulative quantity
     reaches ceil(W/2) — the weighted order statistic via
-    ``stages.selection.distributed_weighted_kth`` (iterative
-    value-domain bucket refinement with exact int64 WEIGHT sums in
-    the 8 KiB histogram; ~2 scans at cents domain). Nothing ever
-    sorts and no per-value state exists anywhere."""
-    import pandas as pd
+    ``stages.selection.quantiles(weight=...)`` (exact int64 weight
+    sums, in the histogram or the bucket refinement). Nothing ever
+    sorts."""
     import ray.data
 
-    from ..stages.selection import distributed_weighted_median
+    from ..stages.selection import quantiles
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -2640,13 +2648,9 @@ def _q_lineitem_weighted_median(sf_dir: str):
             }
         )
 
-    keyed = li.map_batches(prep, batch_format="pyarrow").materialize()
-    median_cents, w_total = distributed_weighted_median(
-        keyed, "cents", "qty"
-    )
-    return pd.DataFrame(
-        {"w_total": [w_total], "median_cents": [median_cents]}
-    )
+    keyed = li.map_batches(prep, batch_format="pyarrow")
+    out = quantiles(keyed, "cents", {"median_cents": 0.5}, weight="qty")
+    return out.rename(columns={"n": "w_total"})[["w_total", "median_cents"]]
 
 
 RELATIONAL_QUERIES["lineitem_weighted_median"] = (
@@ -2963,14 +2967,14 @@ def _q_events_winsorized_mean(sf_dir: str):
     """Winsorized mean per event type (the standard outlier-robust
     cleaning step): cents clipped to the per-type [p05, p95] discrete
     quantiles (rank = ceil(q*n) integer arithmetic, DuckDB
-    quantile_disc convention, via the grouped bucket-refinement
-    selection — two lockstep multi-group passes, no sort), then the
+    quantile_disc convention, both from ONE grouped
+    ``stages.selection.quantiles`` call, no sort), then the
     clipped sum stays exact int64 and the mean is one float division.
     Output per type: n, p05/p95 cents, winsorized sum and mean."""
     import numpy as np
     import ray.data
 
-    from ..stages.selection import grouped_quantile_disc
+    from ..stages.selection import quantiles
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
@@ -2984,11 +2988,11 @@ def _q_events_winsorized_mean(sf_dir: str):
             }
         )
 
-    keyed = ev.map_batches(prep, batch_format="pyarrow").materialize()
-    lo_q = {g: v for g, v, _ in
-            grouped_quantile_disc(keyed, "event_type", "cents", 0.05)}
-    hi_q = {g: v for g, v, _ in
-            grouped_quantile_disc(keyed, "event_type", "cents", 0.95)}
+    keyed = ev.map_batches(prep, batch_format="pyarrow")
+    q = quantiles(keyed, "cents", {"p05": 0.05, "p95": 0.95},
+                  by="event_type")
+    lo_q = dict(zip(q["event_type"], q["p05"].tolist()))
+    hi_q = dict(zip(q["event_type"], q["p95"].tolist()))
     import ray
 
     bounds_ref = ray.put((lo_q, hi_q))

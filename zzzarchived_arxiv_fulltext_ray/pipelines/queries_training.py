@@ -2070,46 +2070,18 @@ def _q_events_sliding(sf_dir: str):
 
 def _q_lang_length_median(sf_dir: str):
     """Exact per-group order statistics (lower median + max + count per
-    language) WITHOUT shuffling whole groups of a 5-value key: reduce
-    the stream to a (lang, n_chars) count histogram first
-    (``stages/aggregate.py``), then read the median off
-    cumulative counts per language. Per-task state is O(distinct
-    lengths per lang), never O(rows) — exact at any corpus size, and
-    still hash-identical to quantile_disc (integer values)."""
-    import numpy as np
+    language) WITHOUT shuffling whole groups of a 5-value key: one
+    grouped ``stages.selection.quantiles`` call, whose pass 0 reduces
+    the stream to a (lang, n_chars) count histogram and reads the
+    median off its prefix sums; ``max_chars`` is its ``hi``. Exact at
+    any corpus size, and hash-identical to quantile_disc."""
+    from ..stages.selection import quantiles
 
-    hist = aggregate(
-        read_documents(sf_dir, ["lang", "n_chars"]),
-        ["lang", "n_chars"],
-        [("n", "count", "n_chars")],
-    )
-
-    def stats(group: pa.Table) -> pa.Table:
-        # one language's histogram rows: O(distinct lengths), tiny
-        v = group["n_chars"].to_numpy(zero_copy_only=False)
-        c = group["n"].to_numpy(zero_copy_only=False)
-        order = np.argsort(v)
-        v, c = v[order], c[order]
-        cum = np.cumsum(c)
-        total = int(cum[-1])
-        # lower median = quantile_disc 0.5: first value whose
-        # cumulative count covers 0-based index (total-1)//2
-        med = int(v[np.searchsorted(cum, (total - 1) // 2 + 1)])
-        return pa.Table.from_pydict(
-            {
-                "lang": [group["lang"][0].as_py()],
-                "median_chars": pa.array([med], pa.int64()),
-                "max_chars": pa.array([int(v[-1])], pa.int64()),
-                "n_docs": pa.array([total], pa.int64()),
-            }
-        )
-
-    out = (
-        hist.groupby("lang")
-        .map_groups(stats, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return out.sort_values("lang").reset_index(drop=True)
+    out = quantiles(
+        read_documents(sf_dir, ["lang", "n_chars"]), "n_chars",
+        {"median_chars": 0.5}, by="lang",
+    ).rename(columns={"hi": "max_chars", "n": "n_docs"})
+    return out[["lang", "median_chars", "max_chars", "n_docs"]]
 
 
 def _q_top_docs_per_lang(sf_dir: str):

@@ -677,16 +677,18 @@ WEBTEXT_QUERIES["semdedup"] = _q_semdedup
 def _q_lang_p90_filter(sf_dir: str):
     """Keep each language's longest decile (n_chars >= the exact
     per-language 0.9 discrete quantile) — the per-group
-    quantile-threshold filter every curation pipeline runs. Exchange
-    is the (lang, n_chars) count histogram, never whole groups."""
+    quantile-threshold filter every curation pipeline runs. The
+    threshold comes from ``stages.selection.quantiles``, never from
+    shuffling whole groups."""
+    from fractions import Fraction
+
     from ..stages.webtext import quantile_filter
 
     kept = quantile_filter(
         read_documents(sf_dir, ["doc_id", "lang", "n_chars"]),
         key="lang",
         val="n_chars",
-        q_num=9,
-        q_den=10,
+        q=Fraction(9, 10),
     )
     out = (
         aggregate(
@@ -1296,16 +1298,17 @@ def _q_ccnet_buckets(sf_dir: str):
     """The full CCNet selection step: LM-score every document, then
     bucket the corpus into head/middle/tail by EXACT global perplexity
     tertiles. Scores are fixed-pointed to integer milli-bits (explicit
-    half-away-from-zero, the repo-wide convention) so the tertile
-    exchange is a bounded (value, count) histogram — O(distinct
-    fixed-point scores) driver state, never the corpus — with the
-    DuckDB ``quantile_disc`` rank convention ceil(q*n) computed in
-    integer arithmetic. The scored table is materialized once between
-    the two consumers (histogram + bucket probe); at cluster scale
-    that intermediate is a 3-fixed-width-column parquet checkpoint
-    instead."""
+    half-away-from-zero, the repo-wide convention) so the tertiles are
+    exact ``stages.selection.quantiles`` at 1/3 and 2/3 (DuckDB
+    ``quantile_disc`` ranks, integer arithmetic). The scored table is
+    materialized once between the two consumers (quantiles + bucket
+    probe); at cluster scale that intermediate is a
+    3-fixed-width-column parquet checkpoint instead."""
+    from fractions import Fraction
+
     import ray.data
 
+    from ..stages.selection import quantiles
     from ..stages.webtext import bigram_lm_score
 
     scored = bigram_lm_score(
@@ -1324,24 +1327,9 @@ def _q_ccnet_buckets(sf_dir: str):
         )
 
     sm = scored.map_batches(to_milli, batch_format="pyarrow").materialize()
-
-    hist = aggregate(
-        sm,
-        "v",
-        [("cnt", "count", None)],
-        rows=lambda b: b.select(["milli_bpt"]).rename_columns(["v"]),
-    ).take_all()
-    vals = np.array([r["v"] for r in hist], dtype=np.int64)
-    counts = np.array([r["cnt"] for r in hist], dtype=np.int64)
-    order = np.argsort(vals)
-    vals, counts = vals[order], counts[order]
-    cum = np.cumsum(counts)
-    n = int(cum[-1])
-    # quantile_disc convention: value at 1-based rank ceil(q*n),
-    # integer arithmetic (float q*n rounds the wrong way on exact
-    # multiples)
-    t1 = int(vals[np.searchsorted(cum, (n + 2) // 3)])
-    t2 = int(vals[np.searchsorted(cum, (2 * n + 2) // 3)])
+    th = quantiles(sm, "milli_bpt",
+                   {"t1": Fraction(1, 3), "t2": Fraction(2, 3)})
+    t1, t2 = int(th["t1"][0]), int(th["t2"][0])
 
     def bucket(batch: pa.Table) -> pa.Table:
         m = batch["milli_bpt"].to_numpy(zero_copy_only=False)

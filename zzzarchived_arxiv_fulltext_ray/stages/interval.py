@@ -47,12 +47,6 @@ def interval_join(
     """
     from .relational import partitioned_hash_join
 
-    left_cols = list(left_ds.schema().names)
-    right_cols = list(right_ds.schema().names)
-    overlap = (set(left_cols) & set(right_cols)) - {key}
-    if overlap:
-        raise ValueError(f"overlapping non-key columns: {overlap}")
-
     def ts_us(col) -> np.ndarray:
         return col.cast(pa.int64()).to_numpy(zero_copy_only=False)
 

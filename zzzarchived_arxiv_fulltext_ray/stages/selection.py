@@ -1,408 +1,327 @@
-"""Exact distributed order-statistic selection (k-th smallest).
+"""Exact distributed quantiles: one entry, :func:`quantiles`.
 
-``lang_p90_filter`` / ``lang_length_median`` compute exact quantiles
-through a (key -> count) value histogram — correct and cheap while the
-key domain is bounded (lengths, scores in cents at modest range), but
-the histogram degenerates to row count when values are near-unique
-over a huge domain. This stage is the scale-general complement: the
-classic ITERATIVE BUCKET REFINEMENT selection (distributed
-quickselect over the value domain), the same gap-closer for quantiles
-that ``window.global_row_number_sorted`` is for ranking.
+Every exact quantile of the engine — global or grouped, plain or
+weighted, discrete (DuckDB ``quantile_disc``) or interpolated
+(``quantile_cont``) — is one call::
 
-Plan per pass (int64 columns):
+    quantiles(ds, value, {"p50": 0.5, "p90": Fraction(9, 10)},
+              by="lang", weight=None, interpolate=False)
 
-1. driver holds a live range [lo, hi] and the target's residual rank
-   ``k_rem`` inside it (pass 0 seeds [min, max] from one aggregate);
-2. one projected scan: each batch bincounts its in-range values into
-   ``num_buckets`` equal-width buckets (a fixed 8 KiB int64 vector per
-   block — NO per-value state anywhere);
-3. the driver prefix-sums the merged vector, descends into the bucket
-   containing ``k_rem``, and tightens [lo, hi].
+It returns a pandas DataFrame, one row per group sorted by ``by``:
+the group key, ``n`` (non-null values, or their total weight), ``lo``
+and ``hi`` (min and max value) and one column per named q. NULL
+values are skipped (SQL aggregate semantics); a group whose total
+weight is 0 gets a NULL quantile.
 
-Each pass shrinks the range by ~num_buckets x, so passes =
-ceil(log_B(domain)) — at B=4096 a full int64 domain takes 6 scans, a
-cents-scale domain 1-2. When the live range itself fits one bucket
-vector (width 1), the value is read off exactly. Total driver state:
-one int64[num_buckets] per pass.
+Ranks are exact: each q is a :class:`fractions.Fraction` (a float is
+read as ``Fraction(str(q))``, so 0.9 is 9/10) and the rank is
+ceil(q*n) in integer arithmetic — DuckDB's ``quantile_disc``. A
+weighted quantile is the smallest value whose cumulative weight
+reaches the rank. ``interpolate=True`` is ``quantile_cont``: position
+q*(n-1) over the sorted order, linearly interpolated in float64
+between the two straddling order statistics.
+
+Plan:
+
+* **Pass 0, one execution.** Each block is reduced by Arrow
+  ``group_by([by, value])`` to (group, value, count-or-weight) rows.
+  A block with more than ``_BUCKETS`` distinct pairs sends only one
+  (group, lo, hi, n) row per group instead. The driver merges the
+  partials as they stream in.
+* **The decision.** If every block sent its exact histogram and the
+  merged histogram holds at most ``targets x _BUCKETS`` rows (the
+  driver state of one refinement pass), every rank is read off its
+  prefix sums and the call ends after that one execution.
+* **Otherwise ONE lockstep refinement** runs over every
+  (group, rank) target, seeded from pass 0's lo/hi/n: each pass scans
+  once into a (targets x ``_BUCKETS``) count-or-weight matrix of
+  equal-width buckets over each target's live [lo, hi], and the driver
+  descends every target into the bucket holding its residual rank.
+  A pass shrinks each range ~``_BUCKETS``-fold, so a ±10^12 domain
+  resolves in 4 passes, a cents-scale domain in 1-2; no per-value
+  state exists anywhere.
+
+``GRAFT_FORCE_PARTITIONED=1`` (:func:`.plan.force_partitioned`) skips
+the histogram read-off, so the oracle gate run in that mode covers the
+refinement branch on every quantile query.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Mapping, Optional
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .aggregate import aggregate
+from .plan import force_partitioned
 
-__all__ = [
-    "distributed_kth_value",
-    "distributed_quantile_disc",
-    "distributed_quantile_cont",
-]
+__all__ = ["quantiles"]
+
+# equal-width buckets per target and refinement pass; also the most
+# (group, value) rows one block sends in pass 0
+_BUCKETS = 4096
+# pass-0 partial tables held on the driver before they are merged
+_MERGE_EVERY = 64
 
 
-def _range_histogram(ds, col: str, lo: int, hi: int, num_buckets: int,
-                     width: int) -> np.ndarray:
-    """One scan: int64[num_buckets] counts of in-[lo, hi] values."""
+def _fraction(q) -> Fraction:
+    """``q`` as an exact fraction in [0, 1]; a float through its
+    shortest decimal repr (0.9 -> 9/10, never 0.900000000000000022)."""
+    f = q if isinstance(q, Fraction) else Fraction(
+        str(q) if isinstance(q, float) else q
+    )
+    if not 0 <= f <= 1:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    return f
 
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch[col].to_numpy(zero_copy_only=False)
-        x = x[(x >= lo) & (x <= hi)]
-        b = ((x - lo) // width).astype(np.int64)
-        counts = np.bincount(b, minlength=num_buckets)[:num_buckets]
-        return pa.Table.from_pydict(
-            {"h": pa.array([counts], pa.list_(pa.int64()))}
+
+def _rank(q: Fraction, n: int) -> int:
+    """1-based rank ceil(q*n) in integer arithmetic (at least 1) —
+    DuckDB's ``quantile_disc``."""
+    return max(1, -(-(q.numerator * n) // q.denominator))
+
+
+def _cont_ranks(q: Fraction, n: int):
+    """(position, floor rank, ceil rank) of ``quantile_cont``: the
+    float position q*(n-1) and the 1-based ranks straddling it."""
+    pos = float(q) * (n - 1)
+    return pos, int(np.floor(pos)) + 1, int(np.ceil(pos)) + 1
+
+
+def _keys(by: Optional[str]) -> list:
+    return [by] if by else []
+
+
+def _pass0(ds, value: str, by: Optional[str], weight: Optional[str]):
+    """Per-block (group, lo, hi, n) rows: exact (lo == hi == value) when
+    the block holds at most ``_BUCKETS`` distinct pairs, else one
+    summary row per group."""
+    keys = _keys(by)
+    cols = keys + [value] + ([weight] if weight else [])
+    agg = [(weight, "sum")] if weight else [([], "count_all")]
+    n_name = f"{weight}_sum" if weight else "count_all"
+
+    def partial(block: pa.Table) -> pa.Table:
+        t = block.filter(pc.is_valid(block[value]))
+        for c in [value] + ([weight] if weight else []):
+            t = t.set_column(t.schema.get_field_index(c), c,
+                             pc.cast(pc.fill_null(t[c], 0), pa.int64()))
+        h = t.group_by(keys + [value], use_threads=False).aggregate(agg)
+        if h.num_rows <= _BUCKETS:
+            return pa.Table.from_arrays(
+                [h[k] for k in keys] + [h[value], h[value], h[n_name]],
+                names=keys + ["lo", "hi", "n"],
+            )
+        s = t.group_by(keys, use_threads=False).aggregate(
+            [(value, "min"), (value, "max")] + agg
+        )
+        return pa.Table.from_arrays(
+            [s[k] for k in keys]
+            + [s[f"{value}_min"], s[f"{value}_max"], s[n_name]],
+            names=keys + ["lo", "hi", "n"],
         )
 
-    total = np.zeros(num_buckets, dtype=np.int64)
-    partials = ds.select_columns([col]).map_batches(
+    return ds.select_columns(cols).map_batches(
         partial, batch_format="pyarrow", batch_size=None
     )
-    for t in partials.iter_batches(batch_format="pyarrow"):
-        for row in t["h"].to_pylist():
-            total += np.asarray(row, dtype=np.int64)
-    return total
 
 
-def _value_range(ds, col: str):
-    """(min, max) of ``col`` over its non-null values; (None, None)
-    when it has none."""
-    agg = aggregate(
-        ds.select_columns([col]), [], [("lo", "min", col), ("hi", "max", col)]
-    )
-    return agg["lo"], agg["hi"]
-
-
-def _row_count(ds, col: str) -> int:
-    """Rows of ``ds``, counted on the one projected column."""
-    return aggregate(ds.select_columns([col]), [], [("n", "count", None)])["n"]
-
-
-def distributed_kth_value(
-    ds, col: str, k: int, num_buckets: int = 4096
-) -> int:
-    """Exact k-th smallest (1-based) of an int64 column.
-
-    Raises if ``k`` exceeds the row count. NULLs are excluded (SQL
-    aggregate semantics)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    lo, hi = _value_range(ds, col)
-    if lo is None:
-        raise ValueError("distributed_kth_value: no non-null values")
-    lo, hi = int(lo), int(hi)
-    k_rem = k
-
-    while True:
-        span = hi - lo + 1
-        width = max(1, -(-span // num_buckets))  # ceil div
-        counts = _range_histogram(ds, col, lo, hi, num_buckets, width)
-        csum = np.cumsum(counts)
-        if k_rem > int(csum[-1]):
-            raise ValueError(
-                f"k={k_rem} exceeds {int(csum[-1])} in-range rows "
-                "(k larger than the non-null row count?)"
-            )
-        b = int(np.searchsorted(csum, k_rem))
-        if b > 0:
-            k_rem -= int(csum[b - 1])
-        lo = lo + b * width
-        hi = min(hi, lo + width - 1)
-        if width == 1:
-            return lo
-
-
-def distributed_quantile_disc(
-    ds, col: str, q: float, num_buckets: int = 4096
-) -> "tuple[int, int]":
-    """Exact discrete quantile: the value at rank ceil(q * n) — the
-    repo's integer-arithmetic convention that matches DuckDB
-    ``quantile_disc`` (see lang_p90_filter). Returns (value, n).
-
-    The row count comes from one projected count; the selection adds
-    ceil(log_B(domain)) scans."""
-    n = _row_count(ds, col)
-    if n == 0:
-        raise ValueError("distributed_quantile_disc: empty column")
-    # rank = ceil(q * n) in INTEGER arithmetic: q as a fraction over a
-    # power of 10 avoids float 0.9*10 != 9 artifacts
-    num, den = round(q * 10**6), 10**6
-    k = max(1, -(-(num * n) // den))
-    return distributed_kth_value(ds, col, k, num_buckets=num_buckets), n
-
-
-def distributed_quantile_cont(
-    ds, col: str, q: float, num_buckets: int = 4096
-) -> "tuple[float, int]":
-    """Exact continuous (interpolated) quantile — SQL
-    ``quantile_cont`` semantics: position q*(n-1) over the 0-based
-    sorted order, linear interpolation between the straddling order
-    statistics. Both order statistics come from
-    :func:`distributed_kth_value`; the interpolation mirrors the SQL
-    formula term-for-term in float64. Returns (value, n)."""
-    n = _row_count(ds, col)
-    if n == 0:
-        raise ValueError("distributed_quantile_cont: empty column")
-    pos = q * (n - 1)
-    lo_i = int(np.floor(pos))
-    hi_i = int(np.ceil(pos))
-    x_lo = distributed_kth_value(ds, col, lo_i + 1,
-                                 num_buckets=num_buckets)
-    if hi_i == lo_i:
-        return float(x_lo), n
-    x_hi = distributed_kth_value(ds, col, hi_i + 1,
-                                 num_buckets=num_buckets)
-    return float(x_lo) + (float(x_hi) - float(x_lo)) * (pos - lo_i), n
-
-
-def grouped_quantile_disc(
-    ds, group_col: str, col: str, q: float, num_buckets: int = 4096
-) -> "list[tuple]":
-    """GROUPED exact discrete quantile over an unbounded value domain:
-    every group runs the same bucket-refinement selection, and all
-    groups share each scan — one pass bincounts every active group's
-    in-range values into a (groups x num_buckets) matrix via a single
-    vectorized ``np.add.at``.
-
-    Driver state: groups x num_buckets int64 per pass (G bounded by
-    contract — e.g. event types, languages; a grouped quantile over
-    unbounded group cardinality wants the count-histogram plan or a
-    per-group shuffle instead). Passes = ceil(log_B(max domain)).
-    Rank convention = ceil(q * n_g), matching DuckDB quantile_disc.
-    Returns [(group, value, n_g), ...] sorted by group."""
-    stats = (
-        aggregate(
-            ds.select_columns([group_col, col]),
-            group_col,
-            [("lo", "min", col), ("hi", "max", col), ("n", "count", None)],
+def _merge(t: pa.Table, keys: list, exact: bool) -> pa.Table:
+    """Merge pass-0 rows: the histogram by (group, value) while every
+    block was exact, else the per-group (lo, hi, n) summaries."""
+    if exact:
+        m = t.group_by(keys + ["lo"], use_threads=False).aggregate(
+            [("n", "sum")]
         )
-        .to_pandas()
-        .sort_values(group_col)
+        return pa.Table.from_arrays(
+            [m[k] for k in keys] + [m["lo"], m["lo"], m["n_sum"]],
+            names=keys + ["lo", "hi", "n"],
+        )
+    m = t.group_by(keys, use_threads=False).aggregate(
+        [("lo", "min"), ("hi", "max"), ("n", "sum")]
     )
-    groups = stats[group_col].to_numpy()
-    lo = stats["lo"].to_numpy().astype(np.int64).copy()
-    hi = stats["hi"].to_numpy().astype(np.int64).copy()
-    n = stats["n"].to_numpy().astype(np.int64)
-    num, den = round(q * 10**6), 10**6
-    k_rem = np.maximum(1, -(-(num * n) // den))
-    G = len(groups)
-    active = lo < hi  # width-1 ranges are already resolved
+    return pa.Table.from_arrays(
+        [m[k] for k in keys] + [m["lo_min"], m["hi_max"], m["n_sum"]],
+        names=keys + ["lo", "hi", "n"],
+    )
 
-    # group value -> index mapping for the scan (groups are sorted)
-    gkeys = np.asarray(groups)
 
-    while active.any():
-        span = hi - lo + 1
-        width = np.maximum(1, -(-span // num_buckets))
-        lo_c, width_c, act_c = lo.copy(), width.copy(), active.copy()
+def _histogram_or_summary(ds, value, by, weight, ranks_per_group: int):
+    """Stream pass 0 into the driver. Returns (table, exact): the merged
+    histogram with ``exact`` True, or the per-group summaries. The
+    histogram is dropped as soon as it outgrows one refinement pass's
+    (targets x _BUCKETS) state."""
+    keys = _keys(by)
+    parts, exact = [], not force_partitioned()
 
-        def partial(batch: pa.Table) -> pa.Table:
-            gv = np.asarray(batch[group_col].to_pylist())
-            gi = np.searchsorted(gkeys, gv)
-            # guard stray keys (none expected: stats came from ds)
-            ok = (gi < G) & (gkeys[np.minimum(gi, G - 1)] == gv)
-            x = batch[col].to_numpy(zero_copy_only=False)
-            m = (
-                ok
-                & act_c[np.minimum(gi, G - 1)]
-                & (x >= lo_c[np.minimum(gi, G - 1)])
-                & (x <= lo_c[np.minimum(gi, G - 1)]
-                   + width_c[np.minimum(gi, G - 1)] * num_buckets - 1)
-            )
-            gi, x = gi[m], x[m]
-            b = np.minimum(
-                (x - lo_c[gi]) // width_c[gi], num_buckets - 1
-            ).astype(np.int64)
-            mat = np.zeros(G * num_buckets, dtype=np.int64)
-            np.add.at(mat, gi * num_buckets + b, 1)
-            return pa.Table.from_pydict(
-                {"h": pa.array([mat], pa.list_(pa.int64()))}
-            )
+    def fold(tables, exact):
+        t = _merge(pa.concat_tables(tables), keys, exact)
+        groups = len(pc.unique(t[by])) if by else 1
+        if exact and t.num_rows > groups * ranks_per_group * _BUCKETS:
+            return _merge(t, keys, False), False
+        return t, exact
 
-        total = np.zeros(G * num_buckets, dtype=np.int64)
-        parts = ds.select_columns([group_col, col]).map_batches(
+    for t in _pass0(ds, value, by, weight).iter_batches(
+        batch_size=None, batch_format="pyarrow"
+    ):
+        if not t.num_rows:
+            continue
+        if exact and not pc.all(pc.equal(t["lo"], t["hi"])).as_py():
+            exact = False
+        parts.append(t)
+        if len(parts) >= _MERGE_EVERY:
+            merged, exact = fold(parts, exact)
+            parts = [merged]
+    if not parts:
+        return None, exact
+    return fold(parts, exact)
+
+
+def _read_off(hist: pa.Table, keys: list, base: np.ndarray,
+              ranks: np.ndarray) -> np.ndarray:
+    """Values at ``ranks`` (groups x R) off the exact histogram's prefix
+    sums; ``base`` is the total count of the groups before each group,
+    in the same key order."""
+    h = hist.sort_by([(k, "ascending") for k in keys] + [("lo", "ascending")])
+    cum = np.cumsum(h["n"].to_numpy())
+    idx = np.searchsorted(cum, base[:, None] + ranks, side="left")
+    return h["lo"].to_numpy()[np.minimum(idx, len(cum) - 1)]
+
+
+def _refine(ds, value, by, weight, groups, lo, hi, ranks):
+    """Lockstep bucket refinement of every (group, rank) target.
+
+    ``groups`` is the Arrow array of group keys (None without ``by``);
+    ``lo``/``hi`` the per-group value range; ``ranks`` (G x R) the
+    1-based ranks (cumulative weights when weighted). Returns the
+    (G x R) values."""
+    G, R = ranks.shape
+    T = G * R
+    lo = np.repeat(lo.astype(np.int64), R)
+    hi = np.repeat(hi.astype(np.int64), R)
+    k_rem = ranks.reshape(-1).astype(np.int64)
+    cols = _keys(by) + [value] + ([weight] if weight else [])
+
+    while (lo < hi).any():
+        width = np.maximum(1, -(-(hi - lo + 1) // _BUCKETS))
+        lo_c, hi_c, width_c = lo.copy(), hi.copy(), width.copy()
+
+        def partial(block: pa.Table) -> pa.Table:
+            x = block[value]
+            ok = pc.is_valid(x)
+            if by:
+                gi = pc.index_in(block[by],
+                                 value_set=groups.cast(block[by].type),
+                                 skip_nulls=False)
+                ok = pc.and_(ok, pc.is_valid(gi))
+                gi = pc.fill_null(gi, 0).to_numpy(
+                    zero_copy_only=False).astype(np.int64)
+            else:
+                gi = np.zeros(block.num_rows, dtype=np.int64)
+            ok = ok.to_numpy(zero_copy_only=False)
+            x = pc.fill_null(pc.cast(x, pa.int64()), 0).to_numpy(
+                zero_copy_only=False)
+            w = (pc.fill_null(pc.cast(block[weight], pa.int64()), 0)
+                 .to_numpy(zero_copy_only=False) if weight else None)
+            mat = np.zeros(T * _BUCKETS, dtype=np.int64)
+            for j in range(R):
+                t = gi * R + j
+                m = ok & (x >= lo_c[t]) & (x <= hi_c[t]) \
+                    & (lo_c[t] < hi_c[t])
+                t = t[m]
+                cell = t * _BUCKETS + (x[m] - lo_c[t]) // width_c[t]
+                if weight is None:
+                    mat += np.bincount(cell, minlength=T * _BUCKETS)
+                else:
+                    np.add.at(mat, cell, w[m])
+            return pa.table({"h": mat})
+
+        total = np.zeros(T * _BUCKETS, dtype=np.int64)
+        parts = ds.select_columns(cols).map_batches(
             partial, batch_format="pyarrow", batch_size=None
         )
-        for t in parts.iter_batches(batch_format="pyarrow"):
-            for row in t["h"].to_pylist():
-                total += np.asarray(row, dtype=np.int64)
-        mat = total.reshape(G, num_buckets)
-
-        for g in range(G):
-            if not active[g]:
-                continue
-            csum = np.cumsum(mat[g])
-            b = int(np.searchsorted(csum, k_rem[g]))
-            if b > 0:
-                k_rem[g] -= int(csum[b - 1])
-            lo[g] = lo[g] + b * int(width[g])
-            hi[g] = min(int(hi[g]), int(lo[g]) + int(width[g]) - 1)
-            if width[g] == 1:
-                active[g] = False
-        active &= lo < hi  # fully narrowed ranges are resolved
-
-    return [
-        (groups[g], int(lo[g]), int(n[g])) for g in range(G)
-    ]
+        for t in parts.iter_batches(batch_size=None,
+                                    batch_format="pyarrow"):
+            if t.num_rows:
+                total += t["h"].to_numpy().reshape(-1, T * _BUCKETS).sum(0)
+        cs = np.cumsum(total.reshape(T, _BUCKETS), axis=1)
+        live = lo < hi
+        b = (cs < k_rem[:, None]).sum(axis=1)
+        b = np.where(live, b, 0)
+        below = np.where(b > 0, cs[np.arange(T), np.maximum(b - 1, 0)], 0)
+        k_rem = np.where(live, k_rem - below, k_rem)
+        lo = np.where(live, lo + b * width, lo)
+        hi = np.where(live, np.minimum(hi, lo + width - 1), hi)
+    return lo.reshape(G, R)
 
 
-def distributed_kth_values(
-    ds, col: str, ks, num_buckets: int = 4096
-) -> "dict[int, int]":
-    """Multi-k selection: all requested order statistics refine in
-    LOCKSTEP, sharing every scan — one (targets x num_buckets) count
-    matrix per pass instead of a separate selection per k (a
-    three-quartile query needs up to six order statistics; this
-    collapses ~6x the scans into the pass count of one). Same
-    per-pass driver-state bound, multiplied by len(ks)."""
-    targets = sorted(set(int(k) for k in ks))
-    if not targets:
-        return {}
-    if targets[0] < 1:
-        raise ValueError(f"k must be >= 1, got {targets[0]}")
-    glo, ghi = _value_range(ds, col)
-    if glo is None:
-        raise ValueError("distributed_kth_values: no non-null values")
-    T = len(targets)
-    lo = np.full(T, int(glo), dtype=np.int64)
-    hi = np.full(T, int(ghi), dtype=np.int64)
-    k_rem = np.asarray(targets, dtype=np.int64)
-    active = np.ones(T, dtype=bool)
-    out: dict = {}
+def quantiles(
+    ds,
+    value: str,
+    qs: Mapping[str, object],
+    by: Optional[str] = None,
+    weight: Optional[str] = None,
+    interpolate: bool = False,
+) -> pd.DataFrame:
+    """Exact quantiles of the integer column ``value`` of ``ds``.
 
-    while active.any():
-        span = hi - lo + 1
-        width = np.maximum(1, -(-span // num_buckets))
-        lo_c, width_c, act = lo.copy(), width.copy(), active.copy()
+    ``qs`` maps output column names to quantiles in [0, 1]
+    (:class:`~fractions.Fraction`, int or float). ``by`` groups by one
+    column; ``weight`` (non-negative integers, NULL as 0) makes every
+    quantile weighted; ``interpolate`` gives ``quantile_cont`` (not
+    with ``weight``). See the module docstring for the plan."""
+    if interpolate and weight:
+        raise ValueError("quantiles: interpolate does not take a weight")
+    names = list(qs)
+    fqs = [_fraction(qs[k]) for k in names]
+    keys = _keys(by)
+    per_q = 2 if interpolate else 1
+    R = max(1, per_q * len(fqs))
+    tab, exact = _histogram_or_summary(ds, value, by, weight, R)
+    if tab is None:
+        return pd.DataFrame(
+            {c: [] for c in keys + ["n", "lo", "hi"] + names}
+        )
+    summary = _merge(tab, keys, False) if exact else tab
+    if keys:
+        summary = summary.sort_by([(k, "ascending") for k in keys])
+    n = summary["n"].to_numpy()
+    lo, hi = summary["lo"].to_numpy(), summary["hi"].to_numpy()
 
-        def partial(batch: pa.Table) -> pa.Table:
-            x = batch[col].to_numpy(zero_copy_only=False)
-            mat = np.zeros((T, num_buckets), dtype=np.int64)
-            for t in range(T):
-                if not act[t]:
-                    continue
-                xt = x[(x >= lo_c[t])
-                       & (x <= lo_c[t] + width_c[t] * num_buckets - 1)]
-                b = np.minimum(
-                    (xt - lo_c[t]) // width_c[t], num_buckets - 1
-                )
-                mat[t] = np.bincount(
-                    b.astype(np.int64), minlength=num_buckets
-                )[:num_buckets]
-            return pa.Table.from_pydict(
-                {"h": pa.array([mat.ravel()], pa.list_(pa.int64()))}
+    ranks = np.ones((len(n), R), dtype=np.int64)
+    pos = np.zeros((len(n), len(fqs)))
+    for g, n_g in enumerate(n.tolist()):
+        for j, q in enumerate(fqs):
+            if interpolate:
+                pos[g, j], ranks[g, 2 * j], ranks[g, 2 * j + 1] = \
+                    _cont_ranks(q, n_g)
+            else:
+                ranks[g, j] = _rank(q, n_g)
+    if exact:
+        base = np.concatenate([[0], np.cumsum(n)[:-1]])
+        vals = _read_off(tab, keys, base, ranks)
+    else:
+        groups = summary[by].combine_chunks() if by else None
+        # a group without weight has nothing to refine
+        vals = _refine(ds, value, by, weight, groups, lo,
+                       np.where(n > 0, hi, lo), ranks)
+
+    out = {k: summary[k].to_pandas() for k in keys}
+    out.update(n=n, lo=lo, hi=hi)
+    for j, name in enumerate(names):
+        if interpolate:
+            x_lo = vals[:, 2 * j].astype(np.float64)
+            x_hi = vals[:, 2 * j + 1].astype(np.float64)
+            p = pos[:, j]
+            out[name] = np.where(
+                ranks[:, 2 * j] == ranks[:, 2 * j + 1],
+                x_lo, x_lo + (x_hi - x_lo) * (p - np.floor(p)),
             )
-
-        total = np.zeros(T * num_buckets, dtype=np.int64)
-        parts = ds.select_columns([col]).map_batches(
-            partial, batch_format="pyarrow", batch_size=None
-        )
-        for tb in parts.iter_batches(batch_format="pyarrow"):
-            for row in tb["h"].to_pylist():
-                total += np.asarray(row, dtype=np.int64)
-        mat = total.reshape(T, num_buckets)
-
-        for t in range(T):
-            if not active[t]:
-                continue
-            csum = np.cumsum(mat[t])
-            if k_rem[t] > int(csum[-1]):
-                raise ValueError(
-                    f"k={targets[t]} exceeds the non-null row count"
-                )
-            b = int(np.searchsorted(csum, k_rem[t]))
-            if b > 0:
-                k_rem[t] -= int(csum[b - 1])
-            lo[t] = lo[t] + b * int(width[t])
-            hi[t] = min(int(hi[t]), int(lo[t]) + int(width[t]) - 1)
-            if width[t] == 1 or lo[t] == hi[t]:
-                out[targets[t]] = int(lo[t])
-                active[t] = False
-
-    return out
-
-
-def _range_weight_histogram(ds, col: str, wcol: str, lo: int, hi: int,
-                            num_buckets: int, width: int) -> np.ndarray:
-    """One scan: int64[num_buckets] WEIGHT sums of in-[lo, hi] values
-    (exact integer accumulation — never float bincount weights)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch[col].to_numpy(zero_copy_only=False)
-        w = batch[wcol].to_numpy(zero_copy_only=False)
-        m = (x >= lo) & (x <= hi)
-        b = ((x[m] - lo) // width).astype(np.int64)
-        acc = np.zeros(num_buckets, dtype=np.int64)
-        np.add.at(acc, b, w[m])
-        return pa.Table.from_pydict(
-            {"h": pa.array([acc], pa.list_(pa.int64()))}
-        )
-
-    total = np.zeros(num_buckets, dtype=np.int64)
-    partials = ds.select_columns([col, wcol]).map_batches(
-        partial, batch_format="pyarrow", batch_size=None
-    )
-    for t in partials.iter_batches(batch_format="pyarrow"):
-        for row in t["h"].to_pylist():
-            total += np.asarray(row, dtype=np.int64)
-    return total
-
-
-def distributed_weighted_kth(
-    ds, col: str, wcol: str, k_w: int, num_buckets: int = 4096
-) -> int:
-    """Smallest value v whose cumulative WEIGHT (sum of ``wcol`` over
-    rows with value <= v, ascending) reaches ``k_w`` — the weighted
-    order statistic; with k_w = (W+1)//2 it is the lower weighted
-    median. Same iterative bucket-refinement plan as
-    :func:`distributed_kth_value` with weight sums in the histogram;
-    weights must be non-negative int64 (exact arithmetic contract —
-    asserted per scan via the total never decreasing)."""
-    if k_w < 1:
-        raise ValueError(f"k_w must be >= 1, got {k_w}")
-    lo, hi = _value_range(ds, col)
-    if lo is None:
-        raise ValueError("distributed_weighted_kth: no non-null values")
-    lo, hi = int(lo), int(hi)
-    k_rem = k_w
-
-    while True:
-        span = hi - lo + 1
-        width = max(1, -(-span // num_buckets))
-        sums = _range_weight_histogram(
-            ds, col, wcol, lo, hi, num_buckets, width
-        )
-        assert (sums >= 0).all(), (
-            "distributed_weighted_kth: negative weights violate the "
-            "exact-selection contract"
-        )
-        csum = np.cumsum(sums)
-        if k_rem > int(csum[-1]):
-            raise ValueError(
-                f"k_w={k_rem} exceeds in-range weight {int(csum[-1])}"
-            )
-        b = int(np.searchsorted(csum, k_rem))
-        if b > 0:
-            k_rem -= int(csum[b - 1])
-        lo = lo + b * width
-        hi = min(hi, lo + width - 1)
-        if width == 1:
-            return lo
-
-
-def distributed_weighted_median(
-    ds, col: str, wcol: str, num_buckets: int = 4096
-) -> "tuple[int, int]":
-    """Lower weighted median: the smallest value whose cumulative
-    weight reaches ceil(W/2) (W = total weight, integer arithmetic).
-    Returns (value, W)."""
-    w_total = int(
-        aggregate(ds.select_columns([wcol]), [], [("w", "sum", wcol)])["w"]
-    )
-    if w_total <= 0:
-        raise ValueError("distributed_weighted_median: no weight")
-    k_w = (w_total + 1) // 2
-    return (
-        distributed_weighted_kth(ds, col, wcol, k_w,
-                                 num_buckets=num_buckets),
-        w_total,
-    )
+        elif (n == 0).any():  # weight 0 in total: NULL
+            out[name] = pd.Series(vals[:, j]).astype("Int64").mask(n == 0)
+        else:
+            out[name] = vals[:, j]
+    return pd.DataFrame(out)

@@ -464,60 +464,19 @@ class HashedLinearScorer:
         )
 
 
-# ------------------------------------------- grouped exact quantiles
+# ------------------------------------------- grouped quantile filter
 
-def grouped_quantile_disc(
-    ds, key: str, val: str, q_num: int, q_den: int
-) -> pa.Table:
-    """Exact discrete quantile per group WITHOUT shuffling whole
-    groups: reduce to a (key, val) count histogram
-    (``stages/aggregate.py`` — per-task state is
-    O(distinct values per group), never O(rows)), then read the value
-    at 1-based rank ceil(q*n) off cumulative counts — DuckDB's
-    ``quantile_disc`` convention, computed in INTEGER arithmetic
-    (``q = q_num/q_den``) so no float rank ever rounds the wrong way.
-    Returns a small Arrow table (key, threshold, n) on the driver —
-    bounded by group count."""
-    hist = aggregate(ds, [key, val], [("n", "count", val)])
-
-    def stat(group: pa.Table) -> pa.Table:
-        v = group[val].to_numpy(zero_copy_only=False)
-        c = group["n"].to_numpy(zero_copy_only=False)
-        order = np.argsort(v)
-        v, c = v[order], c[order]
-        cum = np.cumsum(c)
-        total = int(cum[-1])
-        rank = (q_num * total + q_den - 1) // q_den  # ceil, exact
-        thr = v[np.searchsorted(cum, max(rank, 1))]
-        return pa.Table.from_pydict(
-            {
-                key: group[key].slice(0, 1),
-                "threshold": pa.array([thr], group[val].type),
-                "n": pa.array([total], pa.int64()),
-            }
-        )
-
-    parts = (
-        hist.groupby(key)
-        .map_groups(stat, batch_format="pyarrow")
-        .take_all()
-    )
-    return pa.Table.from_pylist(parts) if parts else pa.table(
-        {key: [], "threshold": [], "n": []}
-    )
-
-
-def quantile_filter(ds, key: str, val: str, q_num: int, q_den: int):
+def quantile_filter(ds, key: str, val: str, q):
     """Keep rows whose ``val`` >= their group's exact discrete
-    ``q``-quantile. The threshold table (one row per group) is
-    broadcast via ``ray.put``; the filter is a vectorized
-    ``index_in``/``take`` probe per batch."""
+    ``q``-quantile (``stages.selection.quantiles``). The threshold
+    table (one row per group) is broadcast via ``ray.put``; the filter
+    is a vectorized ``index_in``/``take`` probe per batch."""
     import ray
 
-    th = grouped_quantile_disc(ds, key, val, q_num, q_den)
-    ref = ray.put(
-        (th[key].combine_chunks(), th["threshold"].combine_chunks())
-    )
+    from .selection import quantiles
+
+    th = quantiles(ds, val, {"threshold": q}, by=key)
+    ref = ray.put((pa.array(th[key]), pa.array(th["threshold"])))
 
     def keep(batch: pa.Table) -> pa.Table:
         keys_arr, thr_arr = ray.get(ref)

@@ -1009,7 +1009,8 @@ def kendall_tau(ds, x_col: str, y_col: str, num_buckets: int = 64):
         tau_b = (C - D) / sqrt((n0 - n1)(n0 - n2))
 
     Physical plan: the x and y VALUE HISTOGRAMS come to the driver
-    (bounded-value-domain contract, the lang_length_median idiom) and
+    (bounded-value-domain contract, like pass 0 of
+    ``selection.quantiles``) and
     give n, n1, n2, the x range-bucket boundaries (ties never split a
     bucket) and the global y domain; n3 folds distributedly over the
     (x, y) groupby (the 2-D histogram never reaches the driver).
