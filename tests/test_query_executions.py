@@ -4,7 +4,10 @@ Every execution pays Ray's per-execution setup, so a change that adds
 one (a stray ``count()``, ``materialize()`` or ``.schema()``) shows up
 here. Executions are counted with the ``executions`` fixture
 (conftest.py); a query that reuses a pinned intermediate counts each
-execution it starts."""
+execution it starts. The iterative queries are pinned in both modes:
+``GRAFT_FORCE_PARTITIONED=1`` (read by ``plan.force_partitioned`` at
+call time) runs their partitioned plans, one superstep execution per
+round."""
 
 import pytest
 
@@ -28,6 +31,19 @@ EXECUTIONS = {
     "events_median_value": 1,
     "event_type_value_mad": 3,
     "lang_p90_filter": 2,
+    "pagerank": 6,
+    "dedup_components": 5,
+    "supplier_communities": 2,
+    "supplier_diameter": 7,
+    "supplier_closeness": 10,
+}
+
+FORCED_EXECUTIONS = {
+    "pagerank": 6,
+    "dedup_components": 5,
+    "supplier_communities": 6,
+    "supplier_diameter": 16,
+    "supplier_closeness": 19,
 }
 
 
@@ -36,3 +52,12 @@ def test_query_executions(executions, name):
     from zzzarchived_arxiv_fulltext_ray.pipelines.queries import QUERIES
 
     assert executions(lambda: QUERIES[name](SF)) == EXECUTIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FORCED_EXECUTIONS))
+def test_query_executions_forced(executions, monkeypatch, name):
+    from zzzarchived_arxiv_fulltext_ray.pipelines.queries import QUERIES
+
+    monkeypatch.setenv("GRAFT_FORCE_PARTITIONED", "1")
+    n = executions(lambda: QUERIES[name](SF))
+    assert n == FORCED_EXECUTIONS[name]

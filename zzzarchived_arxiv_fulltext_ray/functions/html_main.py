@@ -200,16 +200,6 @@ def _accumulate_scores(root: _Node) -> dict:
     return scores
 
 
-def score_candidate(node: _Node) -> float:
-    """Final readability score of one candidate: accumulated paragraph
-    mass damped by link density and class/id priors."""
-    scores = _accumulate_scores(node)
-    entry = scores.get(id(node))
-    if entry is None:
-        return 0.0
-    return _finalize_score(node, entry[1])
-
-
 def _finalize_score(node: _Node, raw: float) -> float:
     total_len = len(_text_of(node).strip())
     if total_len == 0:

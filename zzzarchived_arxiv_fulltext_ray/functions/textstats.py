@@ -17,10 +17,6 @@ _BPE_TOKEN = re.compile(r"\w+|[^\w\s]")
 _WORD = re.compile(r"\w+")
 
 
-def whitespace_tokens(text: str) -> List[str]:
-    return text.split()
-
-
 def bpe_token_count(text: str) -> int:
     return len(_BPE_TOKEN.findall(text))
 

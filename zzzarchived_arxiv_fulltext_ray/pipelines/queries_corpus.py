@@ -1920,11 +1920,9 @@ ORDER BY deg.node
 def _q_supplier_bfs(sf_dir: str):
     """Multi-source BFS hop counts over the supplier co-supply graph
     (``stages.graph.bfs_hops``): seeds = suppliers with key % 97 == 1,
-    levels truncated at 3. Each level of the scale plan is a bucketed
-    SEMI-join of the symmetric adjacency against the frontier + a
-    distinct + a bucketed ANTI-join against the visited set — O(1)
-    driver state per level, frontier/visited re-pinned Datasets (the
-    iterative contract shared with components/pagerank). The hop
+    levels truncated at 3. Each level of the scale plan is one
+    ``iterate.supersteps`` round: the frontier messages its
+    neighbours, O(1) driver state per level. The hop
     truncation is what makes a recursive-CTE oracle finite on a
     cyclic graph; min(hop) == first-visit level."""
     import pyarrow as pa
@@ -2922,10 +2920,9 @@ def _q_supplier_kcore(sf_dir: str):
     (``stages.graph.kcore_peel``): drop degree<3 nodes and their
     edges, repeat. The FIXED round count (with no-op early stop) is
     what makes the iterative operator SQL-expressible — the oracle
-    unrolls the three peels as chained CTEs. Scale plan: per round
-    one degree aggregate from batch partials + two bucketed
-    semi-joins of the edge set against the survivors, edge Dataset
-    re-pinned every round."""
+    unrolls the three peels as chained CTEs. Scale plan: one
+    ``iterate.supersteps`` round per peel — live nodes ping their
+    neighbours and the degree is the ping count."""
     import pyarrow as pa
     import ray.data
 
@@ -4173,11 +4170,9 @@ def _q_supplier_communities(sf_dir: str):
     round simultaneously adopts its neighbors' plurality label (tie
     -> smallest), early-stopping at a fixpoint. The fixed round count
     + deterministic tie-break make the oracle a 3x unrolled
-    histogram + row_number CTE chain. Scale plan: labels are a
-    Dataset; per round ONE bucketed hash join (incidence x labels) +
-    ONE coalesced hash(node) exchange with lexsort plurality; old
-    labels ride as zero-count markers so convergence costs no extra
-    exchange."""
+    histogram + row_number CTE chain. Scale plan: one
+    ``iterate.supersteps`` round (ONE exchange) per propagation
+    round; the changed-label count rides the round's stats rows."""
     import pyarrow as pa
     import ray.data
 
@@ -4436,9 +4431,9 @@ def _q_supplier_walks(sf_dir: str):
     the node2vec/DeepWalk corpus-generation primitive made exactly
     replayable: step t moves to the (splitmix64(md5hash(start) XOR
     seed_t) mod degree)-th smallest neighbor, so the oracle unrolls
-    the three steps as ranked-adjacency join CTEs. Scale plan: ranked
-    adjacency via ONE hash(node) exchange, then two bucketed joins
-    per step with the walk history riding as payload columns."""
+    the three steps as ranked-adjacency join CTEs. Scale plan: one
+    ``iterate.supersteps`` round per step; the walkers are the
+    messages, their history riding as payload columns."""
     import pyarrow as pa
     import ray.data
 

@@ -13,12 +13,14 @@ doc_id in the cluster — deterministic, joinable back to the corpus):
   ints per distinct doc appearing in a pair. Right whenever that set
   fits one machine — up to ~10^8 pair-docs.
 * ``distributed`` — iterative min-label propagation with pointer
-  jumping, expressed as Ray Data exchanges: labels start as each
-  node's own id; every round each node takes the min over its label,
-  its neighbors' labels (edge join + groupby-min) and its label's
-  label (the pointer jump), converging in O(log diameter) rounds —
-  near-dup clusters are shallow, so typically 2-3 rounds. Driver
-  state is one label-sum per round (monotone convergence check).
+  jumping, a vertex program on :func:`iterate.supersteps`: each doc
+  carries its neighbours, labels start as each doc's own id, and
+  every superstep (ONE exchange) a doc takes the min of its label,
+  the labels its neighbours sent and the label of its label (the
+  pointer jump), converging in O(log diameter) supersteps — near-dup
+  clusters are shallow, so typically 2-3. The changed-label count of
+  each superstep is its stats row; a superstep that changes nothing
+  halts the loop. At most ``_MAX_ROUNDS`` supersteps run.
 
 ``components="auto"`` counts the pair stream once and picks driver
 below ``driver_max_pairs``. Both plans are pinned equal in tests and
@@ -30,8 +32,12 @@ from typing import Dict
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-_LABEL_SCHEMA = pa.schema([("doc_id", pa.int64()), ("label", pa.int64())])
+from .graph import _adjacency, _out_edges, _positions, _set
+from .iterate import pin_loop_state, supersteps
+
+_MAX_ROUNDS = 64
 
 
 def _components_driver(pairs_ds) -> pa.Table:
@@ -69,114 +75,80 @@ def _components_driver(pairs_ds) -> pa.Table:
     )
 
 
-def pin_loop_state(ds, num_blocks=8):
-    """Pin a Dataset that feeds back into an iterative plan.
+def _messages(node, label=None, ask=None) -> pa.Table:
+    """Message rows of the components loop: ``label`` offered to
+    ``node``, or ``ask`` asking ``node`` for its label."""
 
-    Two invariants keep every round the same cost (without them
-    per-round wall compounds 4-5x, measured):
+    def col(values):
+        if values is None:
+            return pa.nulls(len(node), pa.int64())
+        return pa.array(values, pa.int64())
 
-    * constant BLOCK COUNT — a round's union-of-k-streams sort
-      shuffle otherwise emits ~k-fold the blocks of the previous
-      round, and scheduling overhead scales with blocks;
-    * severed LINEAGE — a fresh Dataset over the materialized
-      Arrow refs, so round N+1's plan does not re-plan round N.
+    return pa.table(
+        {"node": pa.array(node, pa.int64()), "label": col(label),
+         "ask": col(ask)}
+    )
 
-    ``num_blocks=None`` skips the repartition (severs lineage only) —
-    right when the producing plan already emits a bounded, constant
-    block count each round (e.g. a bucketed-join groupby), where the
-    extra AllToAll would be pure fixed cost.
 
-    Shared by every iterative operator (components label propagation,
-    PageRank power iteration).
+def _components_distributed(pairs_ds):
+    """Min-label propagation with pointer jumping on
+    :func:`iterate.supersteps`.
+
+    Superstep 0 takes the min over each node's closed neighbourhood
+    from its adjacency. Then every superstep a node takes the min of
+    its label and the labels it received; a node whose label changed
+    sends it to its neighbours. Pointer jumping rides the same
+    messages: a node labelled L asks L for its label, and L answers
+    the askers of the previous superstep with its own label, so a
+    diameter-D chain collapses in O(log D) supersteps, not O(D).
+    Labels only decrease; a superstep that changes none is the
+    fixpoint and halts the loop.
     """
-    import ray.data as rd
 
-    if num_blocks is not None:
-        ds = ds.repartition(num_blocks)
-    return rd.from_arrow_refs(ds.materialize().to_arrow_refs())
+    def as_uv(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {"u": b["doc_a"].cast(pa.int64()),
+             "v": b["doc_b"].cast(pa.int64())}
+        )
 
-
-def _components_distributed(pairs_ds, max_rounds: int = 64):
-    """Min-label propagation with pointer jumping.
-
-    Each round every node takes the min over (its label, its
-    neighbors' labels, its label's label) — the label-of-label term is
-    classic pointer jumping, which collapses a diameter-D chain in
-    O(log D) rounds instead of O(D). Labels only ever decrease, so
-    convergence is detected by one cheap global sum (monotone:
-    unchanged sum == fixpoint), no compare-join needed.
-    """
-    from .aggregate import aggregate
-    from .relational import partitioned_hash_join
-
-    _pin = pin_loop_state
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        a = batch["doc_a"].cast(pa.int64())
-        b = batch["doc_b"].cast(pa.int64())
-        return pa.concat_tables(
+    def hop(verts, msgs, r, stats):
+        node = verts["node"].to_numpy(zero_copy_only=False)
+        if r == 0:  # the closed neighbourhood, read off the adjacency
+            old = node
+            at, offered = _out_edges(verts, np.ones(node.size, bool))
+            asker = asked = np.zeros(0, np.int64)
+        else:
+            old = verts["label"].to_numpy(zero_copy_only=False)
+            offer = msgs.filter(pc.is_valid(msgs["label"]))
+            at = _positions(verts, offer["node"])
+            offered = offer["label"].to_numpy(zero_copy_only=False)
+            query = msgs.filter(pc.is_valid(msgs["ask"]))
+            asker = query["ask"].to_numpy(zero_copy_only=False)
+            asked = _positions(verts, query["node"])
+        label = old.copy()
+        np.minimum.at(label, at, offered)
+        changed = label != old
+        at, nbr = _out_edges(verts, changed)
+        answer = label[asked] != node[asked]  # a root's label is no news
+        ask = label != node
+        out = pa.concat_tables(
             [
-                pa.table({"src": a, "dst": b}),
-                pa.table({"src": b, "dst": a}),
+                _messages(nbr, label=label[at]),
+                _messages(asker[answer], label=label[asked][answer]),
+                _messages(label[ask], ask=node[ask]),
             ]
         )
+        return _set(verts, label=label), out, {"active": int(changed.sum())}
 
-    # the edge list is reused every round: materialize once
-    edges = _pin(pairs_ds.map_batches(to_edges, batch_format="pyarrow"))
-
-    def init_labels(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"doc_id": batch["src"], "label": batch["src"]}
-        ).cast(_LABEL_SCHEMA)
-
-    labels = _pin(
-        aggregate(
-            edges, "doc_id", [("label", "min", "label")], rows=init_labels
-        )
+    labels = supersteps(
+        _adjacency(pairs_ds.map_batches(as_uv, batch_format="pyarrow")),
+        hop,
+        _MAX_ROUNDS,
     )
-    prev_sum = aggregate(labels, [], [("s", "sum", "label")])["s"]
-
-    for _ in range(max_rounds):
-        lab_src = labels.map_batches(
-            lambda b: b.rename_columns(["src", "label"]),
-            batch_format="pyarrow",
-        )
-        via_edges = partitioned_hash_join(
-            edges, lab_src, key="src"
-        ).map_batches(
-            lambda b: b.select(["dst", "label"]).rename_columns(
-                ["doc_id", "label"]
-            ),
-            batch_format="pyarrow",
-        )
-        # pointer jump: (doc -> label) ∘ (label -> its label)
-        jump = partitioned_hash_join(
-            labels.map_batches(
-                lambda b: b.rename_columns(["doc_id", "mid"]),
-                batch_format="pyarrow",
-            ),
-            labels.map_batches(
-                lambda b: b.rename_columns(["mid", "label"]),
-                batch_format="pyarrow",
-            ),
-            key="mid",
-        ).map_batches(
-            lambda b: b.select(["doc_id", "label"]), batch_format="pyarrow"
-        )
-        labels = _pin(
-            aggregate(
-                labels.union(via_edges).union(jump),
-                "doc_id",
-                [("label", "min", "label")],
-            )
-        )
-        cur_sum = aggregate(labels, [], [("s", "sum", "label")])["s"]
-        if cur_sum == prev_sum:  # labels are monotone non-increasing
-            break
-        prev_sum = cur_sum
-
     return labels.map_batches(
-        lambda b: b.rename_columns(["doc_id", "component"]),
+        lambda b: pa.table(
+            {"doc_id": b["node"], "component": b["label"]}
+        ),
         batch_format="pyarrow",
     )
 
@@ -185,7 +157,6 @@ def neardup_components(
     pairs_ds,
     method: str = "auto",
     driver_max_pairs: int = 10_000_000,
-    max_rounds: int = 64,
 ):
     """(doc_id, component) for every doc appearing in a near-dup pair;
     component = min doc_id of the cluster. See module docstring for
@@ -210,15 +181,13 @@ def neardup_components(
     if method == "driver":
         return rd.from_arrow(_components_driver(pairs_ds))
     if method == "distributed":
-        return _components_distributed(pairs_ds, max_rounds=max_rounds)
+        return _components_distributed(pairs_ds)
     raise ValueError(f"unknown components method: {method}")
 
 
 def _losers_ds(components_ds):
     """(doc_id) of every cluster member that is NOT its cluster's
     minimum — the rows ``canonical_filter`` removes."""
-    import pyarrow.compute as pc
-
     def non_min(batch: pa.Table) -> pa.Table:
         return batch.filter(
             pc.not_equal(batch["doc_id"], batch["component"])
@@ -251,7 +220,6 @@ def canonical_filter(
     broadcast below ``broadcast_max_losers``. Both plans are pinned
     equal in tests and witnessed under the DuckDB oracle
     (``dedup_canonical_docs``)."""
-    import pyarrow.compute as pc
     import ray
 
     from .relational import partitioned_hash_join

@@ -21,6 +21,16 @@ Degree attachment uses two :func:`partitioned_hash_join` passes
 (edges x degrees on u, then on v) — all exchanges are hash-bucketed;
 driver state is O(1) (five scalar statistics).
 
+The iterative operators (:func:`bfs_hops`, :func:`kcore_peel`,
+:func:`label_propagation`, :func:`random_walks`) run their partitioned
+plans as vertex programs on :func:`iterate.supersteps`: the vertex
+rows of :func:`_adjacency` carry their neighbour lists, so a round is
+ONE exchange and no edge relation is re-joined. :func:`ktruss_peel`
+keeps its own loop: its round is :func:`edge_triangle_support`'s
+wedge exchange, not a vertex program. Every operator with a broadcast
+twin takes it up to ``_BROADCAST_EDGES`` edges
+(``plan.choose_broadcast``).
+
 Reference parity note: the reference engine has no graph operators;
 this extends the near-dup/link-graph family (components, pagerank)
 with the standard local-structure statistic a crawl-graph / dup-graph
@@ -28,15 +38,19 @@ analysis needs.
 """
 
 import logging
-from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from . import plan as plan_choice
 from .aggregate import aggregate, exchange
+from .iterate import pin_loop_state, supersteps
 
 logger = logging.getLogger(__name__)
+
+# edge count up to which an operator takes its broadcast plan
+_BROADCAST_EDGES = 2_000_000
 
 
 def _degrees(edges_ds, out: str = "d"):
@@ -73,11 +87,122 @@ def _canonicalize(edges_ds):
     return aggregate(edges_ds, ["u", "v"], [], rows=canon)
 
 
+def _typed_uv(edges_ds):
+    """Every block as a typed int64 ``(u, v)`` table: empty input blocks
+    (pandas-backed repartition leftovers) carry no column types and
+    would poison a later schema inference."""
+
+    def as_typed(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0 or "u" not in batch.column_names:
+            return pa.Table.from_pydict(
+                {"u": pa.array([], pa.int64()),
+                 "v": pa.array([], pa.int64())}
+            )
+        return pa.Table.from_pydict(
+            {
+                "u": pc.cast(batch["u"].combine_chunks(), pa.int64()),
+                "v": pc.cast(batch["v"].combine_chunks(), pa.int64()),
+            }
+        )
+
+    return edges_ds.map_batches(as_typed, batch_format="pyarrow")
+
+
+def _driver_edges(edges):
+    """``(us, vs)``: the int64 endpoints of an edge list as numpy
+    arrays in this process (the broadcast plans)."""
+    parts = [
+        (
+            b["u"].to_numpy(zero_copy_only=False),
+            b["v"].to_numpy(zero_copy_only=False),
+        )
+        for b in edges.iter_batches(batch_format="pyarrow")
+        if b.num_rows
+    ]
+    if not parts:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return (
+        np.concatenate([p[0] for p in parts]).astype(np.int64),
+        np.concatenate([p[1] for p in parts]).astype(np.int64),
+    )
+
+
+def _adjacency(edges_ds, nodes=None):
+    """Vertex rows ``(node, nbrs)`` of an undirected ``(u, v)`` edge
+    list for :func:`iterate.supersteps`, built by ONE
+    ``aggregate.exchange`` on node: ``nbrs`` is the sorted, distinct
+    neighbour list, self-loops dropped. ``nodes`` adds vertices that
+    need no edge (BFS seeds); they enter as self-loops."""
+    import ray.data as rd
+
+    def both_ends(b: pa.Table) -> pa.Table:
+        u = b["u"].combine_chunks().cast(pa.int64())
+        v = b["v"].combine_chunks().cast(pa.int64())
+        return pa.table(
+            {"node": pa.concat_arrays([u, v]),
+             "nbr": pa.concat_arrays([v, u])}
+        )
+
+    def build(t: pa.Table) -> pa.Table:
+        node = t["node"].to_numpy(zero_copy_only=False)
+        nbr = t["nbr"].to_numpy(zero_copy_only=False)
+        verts = np.unique(node)
+        keep = node != nbr
+        node, nbr = node[keep], nbr[keep]
+        order = np.lexsort((nbr, node))
+        node, nbr = node[order], nbr[order]
+        first = np.concatenate(
+            [[True], (node[1:] != node[:-1]) | (nbr[1:] != nbr[:-1])]
+        )
+        node, nbr = node[first], nbr[first]
+        offsets = np.append(np.searchsorted(node, verts), node.size)
+        return pa.table(
+            {
+                "node": pa.array(verts, pa.int64()),
+                "nbrs": pa.ListArray.from_arrays(
+                    pa.array(offsets, pa.int32()), pa.array(nbr, pa.int64())
+                ),
+            }
+        )
+
+    if nodes is not None:
+        loops = pa.array(nodes, pa.int64())
+        edges_ds = edges_ds.union(
+            rd.from_arrow(pa.table({"u": loops, "v": loops}))
+        )
+    return exchange(edges_ds, "node", build, rows=both_ends)
+
+
+def _out_edges(verts: pa.Table, mask: np.ndarray, col: str = "nbrs"):
+    """``(pos, values)`` of every entry of list column ``col`` of the
+    vertices selected by ``mask``, as numpy arrays: ``pos`` is the
+    vertex's row position, ``values`` the entry."""
+    lists = verts[col].combine_chunks()
+    pos = pc.list_parent_indices(lists).to_numpy(zero_copy_only=False)
+    values = pc.list_flatten(lists).to_numpy(zero_copy_only=False)
+    keep = mask[pos]
+    return pos[keep], values[keep]
+
+
+def _positions(verts: pa.Table, nodes) -> np.ndarray:
+    """Row position in ``verts`` of each of ``nodes`` (all present)."""
+    return pc.index_in(
+        nodes, value_set=verts["node"].combine_chunks()
+    ).to_numpy(zero_copy_only=False)
+
+
+def _set(t: pa.Table, **cols) -> pa.Table:
+    """``t`` with the numpy columns ``cols`` put in (replacing any)."""
+    t = t.drop_columns([c for c in cols if c in t.column_names])
+    for name, values in cols.items():
+        t = t.append_column(name, pa.array(values))
+    return t
+
+
 def triangle_stats(
     edges_ds,
     assume_canonical: bool = False,
     method: str = "auto",
-    broadcast_limit: int = 2_000_000,
 ):
     """Exact triangle count + global clustering coefficient of the
     undirected graph given as an edge list (columns ``u``, ``v``,
@@ -91,7 +216,7 @@ def triangle_stats(
     Two physical plans, ``latest_crawl``-style auto crossover on the
     canonical edge count:
 
-    * ``"broadcast"`` (<= ``broadcast_limit`` edges): degrees and the
+    * ``"broadcast"`` (<= ``_BROADCAST_EDGES`` edges): degrees and the
       oriented edge set (packed into int64 via compact node indices)
       ship once via ``ray.put``; orientation is a lookup map stage and
       closure is probed INSIDE the wedge UDF (searchsorted against
@@ -108,27 +233,9 @@ def triangle_stats(
 
     from .relational import partitioned_hash_join
 
-    # normalize first: empty input blocks (pandas-backed repartition
-    # leftovers) carry no column types and would poison the joins'
-    # schema inference — force every block to a typed (u, v) table
-    def as_typed(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return pa.Table.from_pydict(
-                {"u": pa.array([], pa.int64()),
-                 "v": pa.array([], pa.int64())}
-            )
-        import pyarrow.compute as pc
-
-        return pa.Table.from_pydict(
-            {
-                "u": pc.cast(batch["u"].combine_chunks(), pa.int64()),
-                "v": pc.cast(batch["v"].combine_chunks(), pa.int64()),
-            }
-        )
-
     import pandas as pd
 
-    edges_ds = edges_ds.map_batches(as_typed, batch_format="pyarrow")
+    edges_ds = _typed_uv(edges_ds)
     edges = edges_ds if assume_canonical else _canonicalize(edges_ds)
     edges = edges.materialize()  # reused by degrees + 2 joins + count
 
@@ -152,7 +259,7 @@ def triangle_stats(
         method = (
             "broadcast"
             if plan_choice.choose_broadcast(
-                n_edges, broadcast_limit, est_row_bytes=16
+                n_edges, _BROADCAST_EDGES, est_row_bytes=16
             )
             else "partitioned"
         )
@@ -173,11 +280,8 @@ def triangle_stats(
             {"w": pa.array([int((d * (d - 1) // 2).sum())], pa.int64())}
         )
 
-    wrow = (
-        degrees.map_batches(wedge_partial, batch_format="pyarrow")
-        .sum("w")
-    )
-    n_wedges = int(wrow) if wrow is not None else 0
+    wrow = aggregate(degrees, [], [("w", "sum", "w")], rows=wedge_partial)
+    n_wedges = int(wrow["w"] or 0)
 
     # -- attach degrees to both endpoints (two bucketed joins)
     def rename(cols):
@@ -291,7 +395,7 @@ def _triangles_broadcast(edges, degrees_ds, n_edges):
     n_wedges = int((degs * (degs - 1) // 2).sum())
 
     # oriented packed edge set: compact index of lower-(deg, id)
-    # endpoint in the high 32 bits (n_nodes <= 2 * broadcast_limit
+    # endpoint in the high 32 bits (n_nodes <= 2 * _BROADCAST_EDGES
     # always fits int32)
     def pack(u, v):
         iu = np.searchsorted(nodes, u)
@@ -361,8 +465,12 @@ def _triangles_broadcast(edges, degrees_ds, n_edges):
             {"t": pa.array([total], pa.int64())}
         )
 
-    trow = exchange(edges, "isrc", count_of_bucket, rows=orient).sum("t")
-    n_triangles = int(trow) if trow is not None else 0
+    trow = aggregate(
+        exchange(edges, "isrc", count_of_bucket, rows=orient),
+        [],
+        [("t", "sum", "t")],
+    )
+    n_triangles = int(trow["t"] or 0)
     clustering = 3.0 * n_triangles / n_wedges if n_wedges > 0 else 0.0
     return pd.DataFrame(
         {
@@ -381,7 +489,6 @@ def bfs_hops(
     max_hops: int = 4,
     assume_canonical: bool = False,
     method: str = "auto",
-    broadcast_limit: int = 2_000_000,
 ):
     """Multi-source BFS over the undirected edge list: minimum hop
     count from any seed, truncated at ``max_hops``. Returns a Ray
@@ -390,19 +497,15 @@ def bfs_hops(
 
     Two physical plans (auto crossover on canonical edge count):
 
-    * ``"broadcast"`` (<= ``broadcast_limit`` edges): the symmetric
+    * ``"broadcast"`` (<= ``_BROADCAST_EDGES`` edges): the symmetric
       adjacency is pulled once into a driver CSR (sorted src array +
       offsets) and levels expand via numpy ``unique``/membership —
       zero exchanges after the canonicalize.
-    * ``"partitioned"``: the frontier stays a Dataset. Each level is
-      (a) a bucketed SEMI-join of the symmetric adjacency against the
-      frontier on ``src`` (only adjacency rows leaving the frontier
-      move), (b) a distinct on the neighbor set (partial per-batch
-      ``np.unique`` shrinks the exchange), (c) a bucketed ANTI-join
-      against the visited set. Driver state per level is O(1) (one
-      count); frontier/visited are re-pinned each round
-      (:func:`components.pin_loop_state` — constant block count +
-      severed lineage, the iterative-Dataset contract).
+    * ``"partitioned"``: one :func:`iterate.supersteps` round per
+      level over vertex rows carrying their adjacency: the frontier
+      (the nodes first reached last round) sends one message per
+      neighbour, and a receiver not yet visited takes the round as
+      its hop. The loop halts once a round reaches no new node.
 
     The truncation makes the operator SQL-expressible: a recursive
     CTE bounded by ``hop < max_hops`` enumerates finitely many
@@ -410,25 +513,7 @@ def bfs_hops(
     first-visit levels exactly. Plans pinned equal in pytest."""
     import ray.data as rd
 
-    from .components import pin_loop_state
-    from .relational import partitioned_hash_join
-
-    def as_typed(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return pa.Table.from_pydict(
-                {"u": pa.array([], pa.int64()),
-                 "v": pa.array([], pa.int64())}
-            )
-        import pyarrow.compute as pc
-
-        return pa.Table.from_pydict(
-            {
-                "u": pc.cast(batch["u"].combine_chunks(), pa.int64()),
-                "v": pc.cast(batch["v"].combine_chunks(), pa.int64()),
-            }
-        )
-
-    edges_ds = edges_ds.map_batches(as_typed, batch_format="pyarrow")
+    edges_ds = _typed_uv(edges_ds)
     edges = edges_ds if assume_canonical else _canonicalize(edges_ds)
     edges = edges.materialize()
     n_edges = edges.count()
@@ -461,14 +546,13 @@ def bfs_hops(
         method = (
             "broadcast"
             if plan_choice.choose_broadcast(
-                n_edges, broadcast_limit, est_row_bytes=16
+                n_edges, _BROADCAST_EDGES, est_row_bytes=16
             )
             else "partitioned"
         )
 
     if n_edges == 0:
-        # an empty materialized edge set reports schema None, which
-        # the join family can't consume — and the answer is the seeds
+        # no edge: the answer is the seeds
         return rd.from_arrow(
             pa.Table.from_pydict(
                 {
@@ -482,21 +566,10 @@ def bfs_hops(
 
     if method == "broadcast":
         # driver CSR: symmetric edges sorted by src
-        parts = [
-            (
-                b["u"].to_numpy(zero_copy_only=False),
-                b["v"].to_numpy(zero_copy_only=False),
-            )
-            for b in edges.iter_batches(batch_format="pyarrow")
-            if b.num_rows
-        ]
-        if parts:
-            us = np.concatenate([p[0] for p in parts] + [p[1] for p in parts])
-            vs = np.concatenate([p[1] for p in parts] + [p[0] for p in parts])
-            order = np.argsort(us, kind="stable")
-            us, vs = us[order], vs[order]
-        else:
-            us = vs = np.empty(0, np.int64)
+        u, v = _driver_edges(edges)
+        us, vs = np.concatenate([u, v]), np.concatenate([v, u])
+        order = np.argsort(us, kind="stable")
+        us, vs = us[order], vs[order]
         visited_nodes = seed_arr
         visited_hops = np.zeros(seed_arr.size, np.int64)
         frontier = seed_arr
@@ -527,84 +600,31 @@ def bfs_hops(
             )
         )
 
-    # ---- partitioned plan: frontier/visited stay Datasets
-    def symmetrize(batch: pa.Table) -> pa.Table:
-        u = batch["u"].to_numpy(zero_copy_only=False)
-        v = batch["v"].to_numpy(zero_copy_only=False)
-        return pa.Table.from_pydict(
-            {
-                "src": pa.array(np.concatenate([u, v]), pa.int64()),
-                "dst": pa.array(np.concatenate([v, u]), pa.int64()),
-            }
+    # ---- partitioned plan: one superstep per level; hops -1 = unseen
+    def level(verts, msgs, r, stats):
+        node = verts["node"].to_numpy(zero_copy_only=False)
+        if r == 0:
+            hops = np.where(np.isin(node, seed_arr), 0, -1)
+        else:
+            hops = verts["hops"].to_numpy(zero_copy_only=False).copy()
+            reached = msgs["node"].to_numpy(zero_copy_only=False)
+            hops[(hops < 0) & np.isin(node, reached)] = r
+        send = (hops == r) & (r < max_hops)
+        _, nbrs = _out_edges(verts, send)
+        return (
+            _set(verts, hops=hops.astype(np.int64)),
+            pa.table({"node": pa.array(np.unique(nbrs), pa.int64())}),
+            {"active": int(send.sum())},
         )
 
-    adj = edges.map_batches(
-        symmetrize, batch_format="pyarrow"
-    ).materialize()  # reused every level
-
-    def distinct_nodes(ds, col):
-        return aggregate(
-            ds,
-            "node",
-            [],
-            rows=lambda b: pa.table({"node": b[col].cast(pa.int64())}),
+    def visited(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t["hops"], 0)).select(
+            ["node", "hops"]
         )
 
-    seed_tbl = pa.Table.from_pydict(
-        {
-            "node": pa.array(seed_arr, pa.int64()),
-            "hops": pa.array(np.zeros(seed_arr.size, np.int64)),
-        }
-    )
-    visited = pin_loop_state(rd.from_arrow(seed_tbl), num_blocks=None)
-    frontier = visited.select_columns(["node"])
-    for hop in range(1, max_hops + 1):
-        reached = partitioned_hash_join(
-            adj,
-            frontier.map_batches(
-                lambda b: b.rename_columns(["src"]),
-                batch_format="pyarrow",
-            ),
-            "src",
-            how="semi",
-        ).map_batches(
-            lambda b: b.select(["dst"]).rename_columns(["node"]),
-            batch_format="pyarrow",
-        )
-        # pin ONCE per level, count the pinned refs, reuse — never
-        # re-execute the semi-join plan (and an all-empty neighbor
-        # set must not reach the anti-join: schema-less inputs raise)
-        nbrs = pin_loop_state(
-            distinct_nodes(reached, "node"), num_blocks=None
-        )
-        if nbrs.count() == 0:
-            break
-        new = pin_loop_state(
-            partitioned_hash_join(
-                nbrs,
-                visited.select_columns(["node"]),
-                "node",
-                how="anti",
-            ),
-            num_blocks=None,
-        )
-        if new.count() == 0:
-            break
-
-        def with_hop(batch: pa.Table, h=hop) -> pa.Table:
-            return pa.Table.from_pydict(
-                {
-                    "node": batch["node"].combine_chunks(),
-                    "hops": pa.array(
-                        np.full(batch.num_rows, h, np.int64)
-                    ),
-                }
-            )
-
-        tagged = new.map_batches(with_hop, batch_format="pyarrow")
-        visited = pin_loop_state(visited.union(tagged), num_blocks=8)
-        frontier = new
-    return visited
+    return supersteps(
+        _adjacency(edges, nodes=seed_arr), level, max_hops + 1
+    ).map_batches(visited, batch_format="pyarrow")
 
 
 def kcore_peel(
@@ -613,7 +633,6 @@ def kcore_peel(
     rounds: int = 3,
     assume_canonical: bool = False,
     method: str = "auto",
-    broadcast_limit: int = 2_000_000,
 ):
     """``rounds`` iterations of k-core peeling: repeatedly drop nodes
     of degree < ``k`` and their incident edges. Returns a Ray Dataset
@@ -624,33 +643,15 @@ def kcore_peel(
     full-fixpoint coreness.
 
     Broadcast plan: edges pulled once, numpy peel on the driver.
-    Partitioned plan (the scale path): each round is one degree
-    aggregate (batch partials) + TWO bucketed semi-joins of the edge
-    set against the surviving nodes (on u, then v); the edge Dataset
-    is re-pinned every round (constant block count + severed lineage
-    — the iterative contract). Driver state per round is O(1). Plans
-    pinned equal in pytest."""
+    Partitioned plan (the scale path): :func:`iterate.supersteps`
+    over vertex rows carrying their adjacency. Every live node pings
+    its neighbours; a round's degree is the ping count, and a peel
+    kills the live nodes below ``k``. One last round counts the
+    degrees on the surviving edge set. Plans pinned equal in
+    pytest."""
     import ray.data as rd
 
-    from .components import pin_loop_state
-    from .relational import partitioned_hash_join
-
-    def as_typed(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return pa.Table.from_pydict(
-                {"u": pa.array([], pa.int64()),
-                 "v": pa.array([], pa.int64())}
-            )
-        import pyarrow.compute as pc
-
-        return pa.Table.from_pydict(
-            {
-                "u": pc.cast(batch["u"].combine_chunks(), pa.int64()),
-                "v": pc.cast(batch["v"].combine_chunks(), pa.int64()),
-            }
-        )
-
-    edges_ds = edges_ds.map_batches(as_typed, batch_format="pyarrow")
+    edges_ds = _typed_uv(edges_ds)
     edges = edges_ds if assume_canonical else _canonicalize(edges_ds)
     edges = edges.materialize()
     n_edges = edges.count()
@@ -668,22 +669,13 @@ def kcore_peel(
         method = (
             "broadcast"
             if plan_choice.choose_broadcast(
-                n_edges, broadcast_limit, est_row_bytes=16
+                n_edges, _BROADCAST_EDGES, est_row_bytes=16
             )
             else "partitioned"
         )
 
     if method == "broadcast":
-        parts = [
-            (
-                b["u"].to_numpy(zero_copy_only=False),
-                b["v"].to_numpy(zero_copy_only=False),
-            )
-            for b in edges.iter_batches(batch_format="pyarrow")
-            if b.num_rows
-        ]
-        us = np.concatenate([p[0] for p in parts])
-        vs = np.concatenate([p[1] for p in parts])
+        us, vs = _driver_edges(edges)
         for _ in range(rounds):
             if us.size == 0:
                 break
@@ -707,45 +699,34 @@ def kcore_peel(
             )
         )
 
-    # ---- partitioned plan
-    cur = pin_loop_state(edges, num_blocks=8)
-    n_cur = n_edges
-    for _ in range(rounds):
-        keep = (
-            _degrees(cur, "degree")
-            .filter(expr=f"degree >= {k}")
-            .select_columns(["node"])
+    # ---- partitioned plan: round 0 pings, rounds 1..rounds peel, and
+    # round rounds + 1 only counts; a peel that kills nothing halts
+    # the loop, its degrees already being those of the final edge set
+    def peel(verts, msgs, r, stats):
+        n = verts.num_rows
+        if r == 0:
+            alive, degree, active = np.ones(n, bool), np.zeros(n), n
+        else:
+            alive = verts["alive"].to_numpy(zero_copy_only=False)
+            degree = np.bincount(
+                _positions(verts, msgs["node"]), minlength=n
+            )
+            dead = alive & (degree < k) & (r <= rounds)
+            alive, active = alive & ~dead, int(dead.sum())
+        _, nbrs = _out_edges(verts, alive & (r <= rounds))
+        return (
+            _set(verts, alive=alive, degree=degree.astype(np.int64)),
+            pa.table({"node": pa.array(nbrs, pa.int64())}),
+            {"active": active},
         )
-        keep = pin_loop_state(keep, num_blocks=None)
-        if keep.count() == 0:
-            return rd.from_arrow(empty)
-        kept_u = partitioned_hash_join(
-            cur,
-            keep.map_batches(
-                lambda b: b.rename_columns(["u"]),
-                batch_format="pyarrow",
-            ),
-            "u",
-            how="semi",
-        )
-        kept = partitioned_hash_join(
-            kept_u,
-            keep.map_batches(
-                lambda b: b.rename_columns(["v"]),
-                batch_format="pyarrow",
-            ),
-            "v",
-            how="semi",
-        )
-        kept = pin_loop_state(kept, num_blocks=8)
-        n_kept = kept.count()
-        if n_kept == 0:
-            return rd.from_arrow(empty)
-        converged = n_kept == n_cur
-        cur, n_cur = kept, n_kept
-        if converged:
-            break  # remaining rounds are no-ops
-    return _degrees(cur, "degree")
+
+    def survivors(t: pa.Table) -> pa.Table:
+        keep = pc.and_(t["alive"], pc.greater(t["degree"], 0))
+        return t.filter(keep).select(["node", "degree"])
+
+    return supersteps(_adjacency(edges), peel, rounds + 2).map_batches(
+        survivors, batch_format="pyarrow"
+    )
 
 
 def cooccurrence_edges(
@@ -838,7 +819,6 @@ def local_clustering(
     edges_ds,
     assume_canonical: bool = False,
     method: str = "auto",
-    broadcast_limit: int = 2_000_000,
 ):
     """Per-node triangle counts + local clustering coefficient
     ``c(v) = 2.0 * tri(v) / (d(v) * (d(v) - 1))`` (0.0 below degree
@@ -859,22 +839,7 @@ def local_clustering(
 
     from .relational import partitioned_hash_join
 
-    def as_typed(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return pa.Table.from_pydict(
-                {"u": pa.array([], pa.int64()),
-                 "v": pa.array([], pa.int64())}
-            )
-        import pyarrow.compute as pc
-
-        return pa.Table.from_pydict(
-            {
-                "u": pc.cast(batch["u"].combine_chunks(), pa.int64()),
-                "v": pc.cast(batch["v"].combine_chunks(), pa.int64()),
-            }
-        )
-
-    edges_ds = edges_ds.map_batches(as_typed, batch_format="pyarrow")
+    edges_ds = _typed_uv(edges_ds)
     edges = edges_ds if assume_canonical else _canonicalize(edges_ds)
     edges = edges.materialize()
     n_edges = edges.count()
@@ -895,7 +860,7 @@ def local_clustering(
         method = (
             "broadcast"
             if plan_choice.choose_broadcast(
-                n_edges, broadcast_limit, est_row_bytes=16
+                n_edges, _BROADCAST_EDGES, est_row_bytes=16
             )
             else "partitioned"
         )
@@ -1367,7 +1332,6 @@ def label_propagation(
     rounds: int = 3,
     assume_canonical: bool = False,
     method: str = "auto",
-    broadcast_limit: int = 2_000_000,
 ):
     """``rounds`` SYNCHRONOUS rounds of label propagation (community
     detection): every node starts labeled with its own id; each round
@@ -1380,20 +1344,13 @@ def label_propagation(
     histogram-CTE + one ``row_number() OVER (ORDER BY c DESC, lbl)``
     CTE. Returns a Ray Dataset ``(node, label)``.
 
-    Broadcast plan (<= ``broadcast_limit`` edges): incidence arrays
+    Broadcast plan (<= ``_BROADCAST_EDGES`` edges): incidence arrays
     pulled once, each round is two lexsorts on the driver.
-    Partitioned plan (the scale path): labels live in a Dataset; each
-    round is ONE bucketed hash join (incidence.nbr x labels) plus ONE
-    coalesced ``aggregate.exchange`` on node where a lexsort +
-    boundary-diff computes every node's plurality label (the
-    sessionize idiom — never a per-node map_groups dispatch). Old
-    labels ride along as zero-count marker
-    rows so the convergence check costs no extra exchange. Driver
-    state per round is O(1). Plans pinned equal in pytest."""
+    Partitioned plan (the scale path): :func:`iterate.supersteps` over
+    vertex rows carrying their adjacency; every round each node sends
+    its label to its neighbours and takes the plurality of the labels
+    it received. Plans pinned equal in pytest."""
     import ray.data as rd
-
-    from .components import pin_loop_state
-    from .relational import partitioned_hash_join
 
     edges = edges_ds if assume_canonical else _canonicalize(edges_ds)
     edges = edges.materialize()
@@ -1412,22 +1369,13 @@ def label_propagation(
         method = (
             "broadcast"
             if plan_choice.choose_broadcast(
-                n_edges, broadcast_limit, est_row_bytes=16
+                n_edges, _BROADCAST_EDGES, est_row_bytes=16
             )
             else "partitioned"
         )
 
     if method == "broadcast":
-        parts = [
-            (
-                b["u"].to_numpy(zero_copy_only=False),
-                b["v"].to_numpy(zero_copy_only=False),
-            )
-            for b in edges.iter_batches(batch_format="pyarrow")
-            if b.num_rows
-        ]
-        us = np.concatenate([p[0] for p in parts]).astype(np.int64)
-        vs = np.concatenate([p[1] for p in parts]).astype(np.int64)
+        us, vs = _driver_edges(edges)
         src = np.concatenate([us, vs])
         dst = np.concatenate([vs, us])
         nodes = np.unique(src)
@@ -1435,23 +1383,7 @@ def label_propagation(
         di = np.searchsorted(nodes, dst)
         labels = nodes.copy()
         for _ in range(rounds):
-            lbl = labels[di]
-            # count per (src, nbr-label): sort, boundary-diff
-            order = np.lexsort((lbl, si))
-            s, l = si[order], lbl[order]
-            new_grp = np.concatenate(
-                [[True], (s[1:] != s[:-1]) | (l[1:] != l[:-1])]
-            )
-            starts = np.flatnonzero(new_grp)
-            cnt = np.diff(np.append(starts, s.size))
-            gs, gl = s[starts], l[starts]
-            # plurality with min-label tie-break: sort groups by
-            # (src, -count, label), keep first per src
-            gorder = np.lexsort((gl, -cnt, gs))
-            gs, gl = gs[gorder], gl[gorder]
-            first = np.concatenate([[True], gs[1:] != gs[:-1]])
-            new_labels = labels.copy()
-            new_labels[gs[first]] = gl[first]
+            new_labels = _plurality(si, labels[di], labels)
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
@@ -1464,146 +1396,59 @@ def label_propagation(
             )
         )
 
-    # ---- partitioned plan
-    def to_incidence(b: pa.Table) -> pa.Table:
-        u = b["u"].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = b["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.Table.from_pydict(
-            {
-                "nbr": pa.array(np.concatenate([v, u]), pa.int64()),
-                "node": pa.array(np.concatenate([u, v]), pa.int64()),
-            }
-        )
-
-    inc = pin_loop_state(
-        edges.map_batches(to_incidence, batch_format="pyarrow"),
-        num_blocks=8,
-    )
-
-    def init_labels(b: pa.Table) -> pa.Table:
-        n = b["node"].cast(pa.int64())
-        return pa.table({"node": n, "lbl": n})
-
-    labels = pin_loop_state(
-        aggregate(inc, "node", [("lbl", "min", "lbl")], rows=init_labels),
-        num_blocks=None,
-    )
-
-    def count_partial(b: pa.Table) -> pa.Table:
-        node = b["node"].to_numpy(zero_copy_only=False)
-        lbl = b["lbl"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((lbl, node))
-        node, lbl = node[order], lbl[order]
-        new_grp = np.concatenate(
-            [[True], (node[1:] != node[:-1]) | (lbl[1:] != lbl[:-1])]
-        )
-        starts = np.flatnonzero(new_grp)
-        cnt = np.diff(np.append(starts, node.size))
-        return pa.Table.from_pydict(
-            {
-                "node": pa.array(node[starts], pa.int64()),
-                "lbl": pa.array(lbl[starts], pa.int64()),
-                "c": pa.array(cnt, pa.int64()),
-            }
-        )
-
-    def mark_old(b: pa.Table) -> pa.Table:
-        # old labels ride to the argmax exchange as zero-count rows
-        return pa.Table.from_pydict(
-            {
-                "node": b["node"],
-                "lbl": b["lbl"],
-                "c": pa.array(
-                    np.zeros(b.num_rows, dtype=np.int64), pa.int64()
-                ),
-            }
-        )
-
-    def argmax_of_bucket(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        out_empty = pa.Table.from_pydict(
-            {
-                "node": pa.array([], pa.int64()),
-                "lbl": pa.array([], pa.int64()),
-                "changed": pa.array([], pa.int64()),
-            }
-        )
-        if node.size == 0:
-            return out_empty
-        lbl = group["lbl"].to_numpy(zero_copy_only=False)
-        c = group["c"].to_numpy(zero_copy_only=False)
-        # merge duplicate (node,lbl) rows from different partials
-        order = np.lexsort((lbl, node))
-        node, lbl, c = node[order], lbl[order], c[order]
-        new_grp = np.concatenate(
-            [[True], (node[1:] != node[:-1]) | (lbl[1:] != lbl[:-1])]
-        )
-        starts = np.flatnonzero(new_grp)
-        csum = np.add.reduceat(c, starts)
-        node, lbl = node[starts], lbl[starts]
-        # old label per node = the (possibly merged-with-count) row
-        # flagged by the zero-count marker; recover it as the label
-        # whose row EXISTS for the node with marker semantics: the
-        # marker guarantees every node has a row for its old label,
-        # so plurality runs over all rows while `old` is extracted
-        # from the marker join below.
-        old_rows = group.filter(
-            pa.array(group["c"].to_numpy(zero_copy_only=False) == 0)
-        )
-        onode = old_rows["node"].to_numpy(zero_copy_only=False)
-        olbl = old_rows["lbl"].to_numpy(zero_copy_only=False)
-        oorder = np.argsort(onode, kind="stable")
-        onode, olbl = onode[oorder], olbl[oorder]
-        gorder = np.lexsort((lbl, -csum, node))
-        gn, gl, gc = node[gorder], lbl[gorder], csum[gorder]
-        first = np.concatenate([[True], gn[1:] != gn[:-1]])
-        gn, gl, gc = gn[first], gl[first], gc[first]
-        # nodes whose ONLY row is the marker (isolated in this round's
-        # incidence — cannot happen on a real edge list, but keep the
-        # zero-count winner from overriding a real old label)
-        keep_old = gc == 0
-        old_of = olbl[np.searchsorted(onode, gn)]
-        new_lbl = np.where(keep_old, old_of, gl)
-        return pa.Table.from_pydict(
-            {
-                "node": pa.array(gn, pa.int64()),
-                "lbl": pa.array(new_lbl, pa.int64()),
-                "changed": pa.array(
-                    (new_lbl != old_of).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    for _ in range(rounds):
-        # incidence carries (nbr, node); attach the nbr's current
-        # label by renaming labels to the join key
-        lab_as_nbr = labels.map_batches(
-            lambda b: pa.Table.from_pydict(
-                {"nbr": b["node"], "lbl": b["lbl"]}
+    # ---- partitioned plan: round 0 sends the initial labels, rounds
+    # 1..rounds adopt the plurality; a round that changes nothing halts
+    def propagate(verts, msgs, r, stats):
+        if r == 0:
+            label = verts["node"].to_numpy(zero_copy_only=False)
+            active = verts.num_rows
+        else:
+            old = verts["label"].to_numpy(zero_copy_only=False)
+            label = _plurality(
+                _positions(verts, msgs["node"]),
+                msgs["label"].to_numpy(zero_copy_only=False),
+                old,
+            )
+            active = int((label != old).sum())
+        pos, nbrs = _out_edges(verts, np.full(len(label), r < rounds))
+        return (
+            _set(verts, label=label),
+            pa.table(
+                {
+                    "node": pa.array(nbrs, pa.int64()),
+                    "label": pa.array(label[pos], pa.int64()),
+                }
             ),
-            batch_format="pyarrow",
+            {"active": active},
         )
-        attached = partitioned_hash_join(
-            inc, lab_as_nbr, key="nbr"
-        ).select_columns(["node", "lbl"])
-        rows = attached.map_batches(
-            count_partial, batch_format="pyarrow"
-        ).union(
-            labels.map_batches(mark_old, batch_format="pyarrow")
-        )
-        new_labels = exchange(rows, "node", argmax_of_bucket)
-        new_labels = pin_loop_state(new_labels, num_blocks=None)
-        n_changed = aggregate(
-            new_labels, [], [("n", "sum", "changed")]
-        )["n"]
-        labels = new_labels.select_columns(["node", "lbl"])
-        labels = pin_loop_state(labels, num_blocks=None)
-        if not n_changed:
-            break
-    return labels.map_batches(
-        lambda b: b.rename_columns(["node", "label"]),
-        batch_format="pyarrow",
+
+    return supersteps(_adjacency(edges), propagate, rounds + 1).map_batches(
+        lambda t: t.select(["node", "label"]), batch_format="pyarrow"
     )
+
+
+def _plurality(pos, lbl, labels):
+    """``labels`` with each position in ``pos`` set to the plurality of
+    its ``lbl`` values (tie -> smallest label)."""
+    if pos.size == 0:
+        return labels.copy()
+    # count per (pos, label): sort, boundary-diff
+    order = np.lexsort((lbl, pos))
+    s, l = pos[order], lbl[order]
+    new_grp = np.concatenate(
+        [[True], (s[1:] != s[:-1]) | (l[1:] != l[:-1])]
+    )
+    starts = np.flatnonzero(new_grp)
+    cnt = np.diff(np.append(starts, s.size))
+    gs, gl = s[starts], l[starts]
+    # plurality with min-label tie-break: sort groups by
+    # (pos, -count, label), keep first per pos
+    gorder = np.lexsort((gl, -cnt, gs))
+    gs, gl = gs[gorder], gl[gorder]
+    first = np.concatenate([[True], gs[1:] != gs[:-1]])
+    out = labels.copy()
+    out[gs[first]] = gl[first]
+    return out
 
 
 def random_walks(
@@ -1612,7 +1457,6 @@ def random_walks(
     seed: int = 20260819,
     assume_canonical: bool = False,
     method: str = "auto",
-    broadcast_limit: int = 2_000_000,
 ):
     """Deterministic pseudo-random walks from EVERY node of the
     undirected graph — the random-walk corpus generator that
@@ -1626,20 +1470,15 @@ def random_walks(
     replays every step with an unrolled join chain. Returns a Ray
     Dataset ``(start, s1, ..., s{n_steps})``.
 
-    Broadcast plan (<= ``broadcast_limit`` edges): driver CSR (sorted
+    Broadcast plan (<= ``_BROADCAST_EDGES`` edges): driver CSR (sorted
     incidence + offsets), each step one vectorized gather — zero
-    exchanges. Partitioned plan: a ranked adjacency relation
-    (node, nbr, rn) built by ONE hash(node) exchange (lexsort +
-    boundary diff per bucket) plus a degree relation; each step is
-    two bucketed hash joins — frontier x degree on the current node
-    (computes k), then a composite (cur, rn) join against the ranked
-    adjacency. Walk history rides the joins as payload columns;
-    driver state is O(1). Plans pinned equal in pytest."""
+    exchanges. Partitioned plan: :func:`iterate.supersteps` over
+    vertex rows carrying their sorted neighbours; the walkers are the
+    messages, each step moving every walker to its next node with the
+    walk so far as payload columns. Plans pinned equal in pytest."""
     import ray.data as rd
 
-    from ..functions.shingles import stable_hash64
-    from .components import pin_loop_state
-    from .relational import partitioned_hash_join
+    from ..functions.shingles import _splitmix64, stable_hash64
 
     edges = edges_ds if assume_canonical else _canonicalize(edges_ds)
     edges = edges.materialize()
@@ -1663,22 +1502,13 @@ def random_walks(
         method = (
             "broadcast"
             if plan_choice.choose_broadcast(
-                n_edges, broadcast_limit, est_row_bytes=16
+                n_edges, _BROADCAST_EDGES, est_row_bytes=16
             )
             else "partitioned"
         )
 
     if method == "broadcast":
-        parts = [
-            (
-                b["u"].to_numpy(zero_copy_only=False),
-                b["v"].to_numpy(zero_copy_only=False),
-            )
-            for b in edges.iter_batches(batch_format="pyarrow")
-            if b.num_rows
-        ]
-        us = np.concatenate([p[0] for p in parts]).astype(np.int64)
-        vs = np.concatenate([p[1] for p in parts]).astype(np.int64)
+        us, vs = _driver_edges(edges)
         src = np.concatenate([us, vs])
         dst = np.concatenate([vs, us])
         order = np.lexsort((dst, src))
@@ -1691,8 +1521,6 @@ def random_walks(
         )
         cur = nodes.copy()
         out = {"start": nodes}
-        from ..functions.shingles import _splitmix64
-
         for t in range(n_steps):
             ci = np.searchsorted(nodes, cur)
             deg = counts[ci].astype(np.uint64)
@@ -1705,114 +1533,40 @@ def random_walks(
             )
         )
 
-    # ---- partitioned plan
-    def to_incidence(b: pa.Table) -> pa.Table:
-        u = b["u"].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = b["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.Table.from_pydict(
-            {
-                "node": pa.array(np.concatenate([u, v]), pa.int64()),
-                "nbr": pa.array(np.concatenate([v, u]), pa.int64()),
-            }
-        )
-
-    inc = edges.map_batches(to_incidence, batch_format="pyarrow")
-
-    def rank_of_bucket(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        if node.size == 0:
-            return pa.Table.from_pydict(
+    # ---- partitioned plan: round t moves the walkers that reached
+    # their node by step t; the last round returns the finished walks
+    def step(verts, msgs, r, stats):
+        if r == 0:  # one walker per node, standing at its start
+            node = verts["node"].to_numpy(zero_copy_only=False)
+            h = np.array(
+                [stable_hash64(str(int(x))) for x in node], np.uint64
+            )
+            msgs = pa.table(
                 {
-                    "cur": pa.array([], pa.int64()),
-                    "nxt": pa.array([], pa.int64()),
-                    "rn": pa.array([], pa.int64()),
+                    "node": pa.array(node, pa.int64()),
+                    "start": pa.array(node, pa.int64()),
+                    # int64 bit view: Ray reduces overflow raw uint64
+                    "h": pa.array(h.view(np.int64), pa.int64()),
                 }
             )
-        nbr = group["nbr"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((nbr, node))
-        node, nbr = node[order], nbr[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], node[1:] != node[:-1]])
+        if r == n_steps:
+            return msgs, msgs.select(["node"]).slice(0, 0), {}
+        nbrs = verts["nbrs"].combine_chunks()
+        deg = pc.list_value_length(nbrs).to_numpy(zero_copy_only=False)
+        first = np.cumsum(deg) - deg
+        at = _positions(verts, msgs["node"])
+        h = msgs["h"].to_numpy(zero_copy_only=False).view(np.uint64)
+        k = _splitmix64(h ^ step_seeds[r]) % deg[at].astype(np.uint64)
+        nxt = pc.list_flatten(nbrs).take(
+            pa.array(first[at] + k.astype(np.int64))
         )
-        seg = np.repeat(np.arange(starts.size),
-                        np.diff(np.append(starts, node.size)))
-        rn = np.arange(node.size) - starts[seg] + 1
-        return pa.Table.from_pydict(
-            {
-                "cur": pa.array(node, pa.int64()),
-                "nxt": pa.array(nbr, pa.int64()),
-                "rn": pa.array(rn, pa.int64()),
-            }
+        moved = msgs.set_column(
+            msgs.schema.get_field_index("node"), "node", nxt
         )
+        return verts, moved.append_column(f"s{r + 1}", nxt), {}
 
-    ranked = exchange(inc, "node", rank_of_bucket)
-    ranked = pin_loop_state(ranked, num_blocks=8)
-
-    degrees = aggregate(
-        inc,
-        "cur",
-        [("deg", "count", None)],
-        rows=lambda b: b.select(["node"]).rename_columns(["cur"]),
-    )
-    degrees = pin_loop_state(degrees, num_blocks=None)
-
-    def init_frontier(b: pa.Table) -> pa.Table:
-        n = b["cur"].to_numpy(zero_copy_only=False)
-        h = np.array(
-            [stable_hash64(str(int(x))) for x in n], dtype=np.uint64
-        )
-        return pa.Table.from_pydict(
-            {
-                "start": pa.array(n, pa.int64()),
-                # int64 bit view: Ray reduces overflow raw uint64 keys
-                "h": pa.array(h.view(np.int64), pa.int64()),
-                "cur": pa.array(n, pa.int64()),
-            }
-        )
-
-    frontier = degrees.map_batches(init_frontier, batch_format="pyarrow")
-    frontier = pin_loop_state(frontier, num_blocks=8)
-
-    from ..functions.shingles import _splitmix64
-
-    for t in range(n_steps):
-        with_deg = partitioned_hash_join(
-            frontier, degrees, key="cur"
-        )
-        seed_t = step_seeds[t]
-
-        def pick_rank(b: pa.Table, _s=seed_t) -> pa.Table:
-            h = b["h"].to_numpy(zero_copy_only=False).view(np.uint64)
-            deg = b["deg"].to_numpy(zero_copy_only=False).astype(
-                np.uint64
-            )
-            rn = (_splitmix64(h ^ _s) % deg).astype(np.int64) + 1
-            return b.drop_columns(["deg"]).append_column(
-                "rn", pa.array(rn, pa.int64())
-            )
-
-        stepped = partitioned_hash_join(
-            with_deg.map_batches(pick_rank, batch_format="pyarrow"),
-            ranked,
-            key=["cur", "rn"],
-        )
-
-        def advance(b: pa.Table, _t=t) -> pa.Table:
-            keep = {
-                "start": b["start"],
-                "h": b["h"],
-                "cur": b["nxt"],
-            }
-            for j in range(1, _t + 1):
-                keep[f"s{j}"] = b[f"s{j}"]
-            keep[f"s{_t + 1}"] = b["nxt"]
-            return pa.Table.from_pydict(keep)
-
-        frontier = stepped.map_batches(advance, batch_format="pyarrow")
-        frontier = pin_loop_state(frontier, num_blocks=8)
-
-    return frontier.map_batches(
-        lambda b: b.select(cols), batch_format="pyarrow"
+    return supersteps(_adjacency(edges), step, n_steps + 1).map_batches(
+        lambda t: t.select(cols), batch_format="pyarrow"
     )
 
 
@@ -1821,7 +1575,6 @@ def edge_triangle_support(
     max_degree: int = 1024,
     assume_canonical: bool = False,
     method: str = "auto",
-    broadcast_limit: int = 2_000_000,
 ):
     """Per-EDGE triangle support and neighbor-set Jaccard — the exact
     tie-strength feature (embeddedness) link analysis ranks edges by:
@@ -1836,7 +1589,7 @@ def edge_triangle_support(
     two bucketed degree joins attach du/dv. Returns a Ray Dataset
     (u, v, t, du, dv, jaccard).
 
-    Broadcast plan (<= ``broadcast_limit`` edges, the family's auto
+    Broadcast plan (<= ``_BROADCAST_EDGES`` edges, the family's auto
     crossover): edges pulled once, support via one sorted-adjacency
     sweep on the driver — the three bucketed joins are pure fixed
     exchange cost at small graph sizes (measured 21.6 s at sf0.1 for
@@ -1858,22 +1611,13 @@ def edge_triangle_support(
         method = (
             "broadcast"
             if plan_choice.choose_broadcast(
-                n_edges, broadcast_limit, est_row_bytes=16
+                n_edges, _BROADCAST_EDGES, est_row_bytes=16
             )
             else "partitioned"
         )
 
     if n_edges and method == "broadcast":
-        parts = [
-            (
-                b["u"].to_numpy(zero_copy_only=False),
-                b["v"].to_numpy(zero_copy_only=False),
-            )
-            for b in edges.iter_batches(batch_format="pyarrow")
-            if b.num_rows
-        ]
-        us = np.concatenate([p[0] for p in parts]).astype(np.int64)
-        vs = np.concatenate([p[1] for p in parts]).astype(np.int64)
+        us, vs = _driver_edges(edges)
         src_a = np.concatenate([us, vs])
         dst_a = np.concatenate([vs, us])
         order = np.lexsort((dst_a, src_a))
@@ -2102,8 +1846,6 @@ def ktruss_peel(
     lineage — the iterative-Dataset contract). Returns a Ray Dataset
     (u, v, t) of surviving edges with their final-round support."""
     import ray.data as rd
-
-    from .components import pin_loop_state
 
     if not assume_canonical:
         edges_ds = _canonicalize(edges_ds)

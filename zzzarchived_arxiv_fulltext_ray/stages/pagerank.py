@@ -3,156 +3,133 @@
 A crawl-scale curation stack ranks its URL frontier and scores domain
 authority with link analysis; PageRank is the canonical form. This
 stage runs weighted PageRank with damping and dangling-mass
-redistribution as a pure Ray Data plan:
+redistribution as a vertex program on :func:`iterate.supersteps`:
 
-* the rank relation and the edge relation are both Datasets
-  end-to-end — no broadcast rank vector, no driver-resident state
-  beyond two scalars per round (node count, dangling mass);
-* each power-iteration round is (1) a bucketed hash join of ranks
-  against the out-probability edge list on the source node
-  (``relational.partitioned_hash_join`` — Acero per bucket), then (2)
-  the sum over destinations through ``stages/aggregate.py`` (Arrow
-  partial per batch, bucketed Arrow merge), then (3) a left-outer join
-  back onto the static node relation applying teleport + dangling
-  mass, so nodes with zero inflow keep receiving rank;
-* loop state is pinned (lineage severed AND coalesced to a constant
-  small block count) each round (``components.pin_loop_state``) —
-  ``materialize()`` alone lets the per-round plan compound (measured
-  4-5x per round on the components loop), and skipping the coalesce
-  leaves hundreds of tiny sort-output blocks whose per-block task
-  overhead dominates every later stage (measured 20-60 s/round at
-  sf0.1 vs ~2 s pinned).
+* the vertex rows are built by ONE ``aggregate.exchange`` on node
+  over both ends of every edge: each node carries its out-neighbours
+  and their out-probabilities as list columns, and its dangling flag;
+* each power-iteration round is one superstep: a node's new rank is
+  ``d * fsum(inflow) + base`` from the messages it received, and it
+  sends ``rank * p`` to each out-neighbour. The dangling mass and the
+  node count travel as the round's stats, so no extra execution runs;
+* every float sum is ``math.fsum`` — the inflow of a node and the
+  dangling mass alike — so the ranks are bit-identical across runs,
+  block arrival orders and modes.
 
-Partitioning assumption: the join exchanges run at the fixed bucket
-count of ``aggregate.exchange``. Skewed in-degree
-(one hot dst) concentrates one groupby-sum reducer; the per-batch
-combine caps its input at O(batches x distinct-dst-per-batch).
+Partitioning assumption: the exchange runs at the fixed bucket count
+of ``aggregate.exchange``; a hot destination concentrates its inflow
+messages in one bucket.
 """
 
-from typing import Optional
+import math
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import aggregate
-from .components import pin_loop_state
-from .relational import partitioned_hash_join
+from .aggregate import exchange
+from .graph import _out_edges, _positions, _set
+from .iterate import supersteps
 
 
-def pagerank(
-    edges_ds,
-    n_iter: int = 3,
-    damping: float = 0.85,
-    num_blocks: int = 8,
-    n_nodes: Optional[int] = None,
-):
+def _link_rows(b: pa.Table) -> pa.Table:
+    """Both ends of every edge: the source with its link, the
+    destination alone (a node without out-links is dangling)."""
+    src, dst = b["src"].combine_chunks(), b["dst"].combine_chunks()
+    return pa.table(
+        {
+            "node": pa.concat_arrays([src, dst]),
+            "dst": pa.concat_arrays([dst, pa.nulls(len(dst), dst.type)]),
+            "w": pa.concat_arrays(
+                [
+                    b["w"].combine_chunks().cast(pa.int64()),
+                    pa.nulls(len(dst), pa.int64()),
+                ]
+            ),
+        }
+    )
+
+
+def _vertex_rows(t: pa.Table) -> pa.Table:
+    """``(node, nbrs, p, dang)``: the out-links of each node summed per
+    destination, with ``p = w / outw``."""
+    nodes = pc.unique(t["node"]).sort()
+    out = (
+        t.filter(pc.is_valid(t["dst"]))
+        .group_by(["node", "dst"], use_threads=False)
+        .aggregate([("w", "sum")])
+        .sort_by([("node", "ascending"), ("dst", "ascending")])
+    )
+    at = pc.index_in(out["node"], value_set=nodes).to_numpy()
+    w = out["w_sum"].to_numpy()
+    outw = np.zeros(len(nodes), np.int64)
+    np.add.at(outw, at, w)
+    n_out = np.bincount(at, minlength=len(nodes))
+    offsets = pa.array(np.append(0, np.cumsum(n_out)), pa.int32())
+    p = w.astype(np.float64) / outw[at].astype(np.float64)
+    return pa.table(
+        {
+            "node": nodes,
+            "nbrs": pa.ListArray.from_arrays(
+                offsets, out["dst"].combine_chunks()
+            ),
+            "p": pa.ListArray.from_arrays(offsets, pa.array(p)),
+            "dang": pa.array((n_out == 0).astype(np.int64)),
+        }
+    )
+
+
+def _inflow(verts: pa.Table, msgs: pa.Table) -> np.ndarray:
+    """``math.fsum`` of each vertex's inflow messages (0.0 for none)."""
+    out = np.zeros(verts.num_rows)
+    if msgs.num_rows == 0:
+        return out
+    at = _positions(verts, msgs["node"])
+    vals = msgs["infl"].to_numpy(zero_copy_only=False)
+    order = np.argsort(at, kind="stable")
+    at, vals = at[order], vals[order]
+    starts = np.flatnonzero(np.concatenate([[True], at[1:] != at[:-1]]))
+    for s, e in zip(starts, np.append(starts[1:], at.size)):
+        out[at[s]] = math.fsum(vals[s:e])
+    return out
+
+
+def pagerank(edges_ds, n_iter: int = 3, damping: float = 0.85):
     """Weighted PageRank over ``edges_ds`` (src: string, dst: string,
     w: int64; parallel edges allowed — weights add). Returns a
     Dataset (node, pr) over the union of sources and destinations.
 
     r_{k+1}(v) = (1-d)/N + d * (sum_{u->v} r_k(u) * w(u,v)/outw(u)
                                 + dangling_mass_k / N)
+
+    Superstep 0 counts the nodes; superstep 1 sets r_0 = 1/N; each
+    later one applies one iteration, and every superstep but the last
+    sends ``r * p`` along the out-links.
     """
-    # ---- out-weight normalized edge list (built once, pinned) -----
-    edges = pin_loop_state(
-        aggregate(edges_ds, ["src", "dst"], [("w", "sum", "w")]), num_blocks
-    )
-    outw = aggregate(edges, "src", [("outw", "sum", "w")])
+    last = n_iter + 1
 
-    def normalize(b: pa.Table) -> pa.Table:
-        p = pc.divide(
-            pc.cast(b["w"], pa.float64()), pc.cast(b["outw"], pa.float64())
-        )
-        return pa.Table.from_arrays(
-            [b["src"].combine_chunks(), b["dst"].combine_chunks(), p],
-            names=["src", "dst", "p"],
-        )
-
-    edges_norm = pin_loop_state(
-        partitioned_hash_join(
-            edges, outw, "src"
-        ).map_batches(normalize, batch_format="pyarrow"),
-        num_blocks,
-    )
-
-    # ---- node relation with dangling flag (static) ----------------
-    def sides(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table(
-            {
-                "node": pa.concat_arrays(
-                    [b["src"].combine_chunks(), b["dst"].combine_chunks()]
-                ),
-                "f": pa.array([0] * n + [1] * n, pa.int64()),
-            }
-        )
-
-    nodes = pin_loop_state(
-        aggregate(edges, "node", [("dang", "min", "f")], rows=sides),
-        num_blocks,
-    )
-    n = n_nodes if n_nodes is not None else nodes.count()
-
-    # ---- r0: uniform -----------------------------------------------
-    r0 = 1.0 / n
-
-    def init_rank(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "r", pa.array([r0] * b.num_rows, pa.float64())
-        )
-
-    # lazy over the pinned nodes blocks: round 1 re-executes this tiny
-    # map twice (dm pass + join) — cheaper than another materialize
-    # round-trip
-    ranks = nodes.map_batches(init_rank, batch_format="pyarrow")
-
-    teleport = (1.0 - damping) / n
-
-    for _ in range(n_iter):
-        # dangling mass: one scalar to the driver per round
-        dm = ranks.filter(expr="dang == 1").sum("r") or 0.0
-        base = teleport + damping * (dm / n)
-
-        def as_src(b: pa.Table) -> pa.Table:
-            return pa.Table.from_arrays(
-                [b["node"].combine_chunks(), b["r"].combine_chunks()],
-                names=["src", "r"],
-            )
-
-        def contrib(b: pa.Table) -> pa.Table:
-            return pa.Table.from_arrays(
-                [b["dst"], pc.multiply(b["r"], b["p"])],
-                names=["node", "infl"],
-            )
-
-        inflow = aggregate(
-            partitioned_hash_join(
-                ranks.map_batches(as_src, batch_format="pyarrow"),
-                edges_norm,
-                "src",
+    def step(verts, msgs, r, stats):
+        n = stats.get("n")
+        if r == 0:  # superstep 0 only counts the nodes
+            rank = np.zeros(verts.num_rows)
+        elif r == 1:
+            rank = np.full(verts.num_rows, 1.0 / n)
+        else:
+            base = (1.0 - damping) / n + damping * (stats["dm"] / n)
+            rank = _inflow(verts, msgs) * damping + base
+        send = np.full(verts.num_rows, 0 < r < last)
+        at, dst = _out_edges(verts, send)
+        _, p = _out_edges(verts, send, "p")
+        dang = verts["dang"].to_numpy(zero_copy_only=False) == 1
+        return (
+            _set(verts, r=rank),
+            pa.table(
+                {
+                    "node": pa.array(dst, verts["node"].type),
+                    "infl": pa.array(rank[at] * p, pa.float64()),
+                }
             ),
-            "node",
-            [("infl", "sum", "infl")],
-            rows=contrib,
-        )
-
-        def apply_rank(b: pa.Table) -> pa.Table:
-            infl = pc.coalesce(b["infl"], pa.scalar(0.0, pa.float64()))
-            r = pc.add(pc.multiply(infl, damping), base)
-            return pa.Table.from_arrays(
-                [
-                    b["node"].combine_chunks(),
-                    b["dang"].combine_chunks(),
-                    r,
-                ],
-                names=["node", "dang", "r"],
-            )
-
-        ranks = pin_loop_state(
-            partitioned_hash_join(
-                nodes, inflow, "node", how="left"
-            ).map_batches(apply_rank, batch_format="pyarrow"),
-            num_blocks,
+            {"n": verts.num_rows, "dm": math.fsum(rank[dang])},
         )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -161,7 +138,10 @@ def pagerank(
             names=["node", "pr"],
         )
 
-    return ranks.map_batches(finish, batch_format="pyarrow")
+    vertices = exchange(edges_ds, "node", _vertex_rows, rows=_link_rows)
+    return supersteps(vertices, step, n_iter + 2).map_batches(
+        finish, batch_format="pyarrow"
+    )
 
 
 def pagerank_numpy(src, dst, w, n_iter: int = 3, damping: float = 0.85):

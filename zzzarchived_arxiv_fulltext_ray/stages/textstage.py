@@ -50,19 +50,6 @@ def filter_verdict_batch(batch: pa.Table) -> pa.Table:
     return out.append_column("verdict", pa.array(verdicts, pa.string()))
 
 
-def quality_filter(docs_ds, keep_only: bool = True):
-    """The corpus-filter op: classify every document, keep survivors
-    (or all rows with their verdicts when ``keep_only=False``)."""
-    ds = docs_ds.map_batches(filter_verdict_batch, batch_format="pyarrow")
-    if not keep_only:
-        return ds
-
-    def keep(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["verdict"], "keep"))
-
-    return ds.map_batches(keep, batch_format="pyarrow")
-
-
 def langid_batch(batch: pa.Table) -> pa.Table:
     """Marker-word language ID per document."""
     langs = [

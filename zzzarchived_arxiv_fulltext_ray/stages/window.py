@@ -569,7 +569,7 @@ def grouped_rank_dense(ds, part_col: str, key_col: str,
 
     hist_ds = aggregate(ds, [part_col, key_col], [("n", "count", None)])
     if method == "auto":
-        from .components import pin_loop_state
+        from .iterate import pin_loop_state
 
         from . import plan as plan_choice
 
