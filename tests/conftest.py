@@ -1,5 +1,6 @@
 """Shared fixtures. Ray is initialised ONCE per pytest session."""
 
+import contextlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -11,6 +12,16 @@ sys.path.insert(0, str(REPO_ROOT))
 
 REFERENCE_ROOT = Path("/root/reference")
 TESTDATA = Path("/root/testdata")
+
+
+@contextlib.contextmanager
+def forced(on: bool = True):
+    """Run the block in the forced mode (``GRAFT_FORCE_PARTITIONED=1``,
+    every ``plan.broadcast`` decision takes the exchange) or, with
+    ``on=False``, in the normal mode."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GRAFT_FORCE_PARTITIONED", "1" if on else "0")
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,8 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import forced
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -31,9 +33,10 @@ def test_components_methods_equal(ray_session, method):
         neardup_components,
     )
 
+    with forced(method == "distributed"):
+        got = neardup_components(ray.data.from_items(_pairs_items()))
     got = (
-        neardup_components(ray.data.from_items(_pairs_items()), method=method)
-        .to_pandas()
+        got.to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
@@ -52,13 +55,9 @@ def test_components_chain_diameter(ray_session):
     pairs = [
         {"doc_a": i, "doc_b": i + 1, "jaccard": 1.0} for i in range(19)
     ]
-    got = (
-        neardup_components(
-            ray.data.from_items(pairs), method="distributed"
-        )
-        .to_pandas()
-        .sort_values("doc_id")
-    )
+    with forced():
+        got = neardup_components(ray.data.from_items(pairs))
+    got = got.to_pandas().sort_values("doc_id")
     assert got.component.tolist() == [0] * 20
 
 
@@ -70,9 +69,7 @@ def test_canonical_filter_keeps_cluster_minimum(ray_session):
         neardup_components,
     )
 
-    comp = neardup_components(
-        ray.data.from_items(_pairs_items()), method="driver"
-    )
+    comp = neardup_components(ray.data.from_items(_pairs_items()))
     docs = ray.data.from_items(
         [{"doc_id": i, "text": f"doc {i}"} for i in range(12)]
     )
@@ -81,13 +78,16 @@ def test_canonical_filter_keeps_cluster_minimum(ray_session):
     assert kept == [0, 1, 4, 5, 6, 8, 10]
 
 
-def test_canonical_filter_plans_equal_dense_duplicates(ray_session):
-    """broadcast ≡ partitioned ≡ auto on a corpus where MOST docs are
-    losers (the regime the partitioned plan exists for)."""
+def test_canonical_filter_plans_equal_dense_duplicates(ray_session,
+                                                       monkeypatch):
+    """broadcast ≡ partitioned (the forced mode and the twin) ≡ over
+    the byte budget, on a corpus where MOST docs are losers (the regime
+    the partitioned plan exists for)."""
     import ray.data
 
     from zzzarchived_arxiv_fulltext_ray.stages.components import (
         canonical_filter,
+        canonical_filter_partitioned,
         neardup_components,
     )
 
@@ -98,7 +98,7 @@ def test_canonical_filter_plans_equal_dense_duplicates(ray_session):
         for c in range(10)
         for i in range(19)
     ]
-    comp = neardup_components(ray.data.from_items(pairs), method="driver")
+    comp = neardup_components(ray.data.from_items(pairs))
     docs = ray.data.from_items(
         [
             {"doc_id": d, "lang": f"l{d % 3}"}
@@ -109,9 +109,17 @@ def test_canonical_filter_plans_equal_dense_duplicates(ray_session):
     )
     expect = sorted([c * 100 for c in range(10)] + list(range(5000, 5050)))
     got = {}
-    for method in ("broadcast", "partitioned", "auto"):
+    plans = {
+        "broadcast": lambda: canonical_filter(docs, comp),
+        "partitioned": lambda: canonical_filter_partitioned(docs, comp),
+    }
+    for method in ("broadcast", "partitioned"):
+        with forced(method == "partitioned"):
+            out = canonical_filter(docs, comp)
+        twin = plans[method]().to_pandas().sort_values("doc_id")
+        assert twin.doc_id.tolist() == expect, method
         out = (
-            canonical_filter(docs, comp, method=method)
+            out
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
@@ -123,22 +131,16 @@ def test_canonical_filter_plans_equal_dense_duplicates(ray_session):
     assert got["broadcast"].equals(
         got["partitioned"][got["broadcast"].columns.tolist()]
     )
-    # tiny loser set -> auto must pick broadcast; forcing the
-    # threshold to 0 must flip it to partitioned with equal output
-    forced = (
-        canonical_filter(
-            docs, comp, method="auto", broadcast_max_losers=0
-        )
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert forced.doc_id.tolist() == expect
+    # a loser set over the byte budget flips to partitioned with
+    # equal output
+    monkeypatch.setenv("GRAFT_BROADCAST_BYTES_LIMIT", "1")
+    over = canonical_filter(docs, comp).to_pandas()
+    assert sorted(over.doc_id) == expect
 
 
 def test_components_auto_executes_pairs_plan_once(ray_session):
-    """method='auto' must not run the (expensive) pair plan twice:
-    once for the count and again for the chosen method."""
+    """The plan decision must not run the (expensive) pair plan twice:
+    once for the sizes and again for the chosen plan."""
     import ray
     import ray.data
 
@@ -167,7 +169,7 @@ def test_components_auto_executes_pairs_plan_once(ray_session):
         tap, batch_format="pyarrow"
     )
     got = (
-        neardup_components(pairs, method="auto")
+        neardup_components(pairs)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -216,7 +218,9 @@ def test_components_on_real_neardup_pairs(ray_session):
         method="ngram",
         threshold=0.5,
     )
-    got = neardup_components(pairs, method="distributed").to_pandas()
+    with forced():
+        got = neardup_components(pairs)
+    got = got.to_pandas()
     assert dict(zip(got.doc_id, got.component)) == expect
 
 

@@ -469,30 +469,33 @@ def test_anchors_of_markup():
     ]
 
 
-def test_token_budget_distributed_plan_equal(ray_session):
-    """boundary='distributed' (window-cumsum filter, no driver row
-    pull) must select exactly the same documents as the driver plan."""
+def test_token_budget_distributed_plan_equal(ray_session, monkeypatch):
+    """The distributed plan (window-cumsum filter, no driver row pull:
+    the forced mode and ``token_budget_select_distributed``) must
+    select exactly the same documents as the driver plan."""
+    from zzzarchived_arxiv_fulltext_ray.stages.mixing import (
+        token_budget_select_distributed,
+    )
+
     rng = np.random.default_rng(21)
     rows = [
         (int(i), ["en", "de"][i % 2],
          " ".join(["w"] * int(rng.integers(0, 25))))
         for i in range(150)
     ]
-    a = token_budget_select(_mix_ds(rows), 2, 3, boundary="driver")
-    b = token_budget_select(_mix_ds(rows), 2, 3, boundary="distributed")
-    assert _got_tuples(a) == _got_tuples(b) == _mix_brute(rows, 2, 3)
-
-
-def test_token_budget_unknown_plan_raises(ray_session):
-    with pytest.raises(ValueError):
-        token_budget_select(_mix_ds([(1, "en", "x")]), boundary="nope")
+    a = token_budget_select(_mix_ds(rows), 2, 3)
+    b = token_budget_select_distributed(_mix_ds(rows), 2, 3)
+    monkeypatch.setenv("GRAFT_FORCE_PARTITIONED", "1")
+    c = token_budget_select(_mix_ds(rows), 2, 3)
+    assert _got_tuples(a) == _got_tuples(b) == _got_tuples(c) \
+        == _mix_brute(rows, 2, 3)
 
 
 def test_token_budget_auto_boundary(ray_session, monkeypatch):
-    """boundary='auto' measures the boundary-bucket pull from the
-    histogram: under the default limit it takes the driver shortcut;
-    with a zero row budget it routes to the distributed twin — both
-    bit-equal to the brute-force answer."""
+    """The histogram pass measures the boundary-bucket pull:
+    ``plan.broadcast`` takes the driver shortcut under the default
+    budget; over the byte budget it routes to the distributed twin —
+    both bit-equal to the brute-force answer."""
     from zzzarchived_arxiv_fulltext_ray.stages import mixing, window
 
     rng = np.random.default_rng(33)
@@ -510,13 +513,13 @@ def test_token_budget_auto_boundary(ray_session, monkeypatch):
         lambda *a, **k: calls.append(1) or real(*a, **k),
     )
 
-    a = token_budget_select(_mix_ds(rows), 2, 3, boundary="auto")
+    monkeypatch.delenv("GRAFT_FORCE_PARTITIONED", raising=False)
+    a = token_budget_select(_mix_ds(rows), 2, 3)
     assert _got_tuples(a) == want
     assert not calls, "small pull must take the driver shortcut"
 
-    b = mixing.token_budget_select(
-        _mix_ds(rows), 2, 3, boundary="auto", driver_pull_row_limit=0
-    )
+    monkeypatch.setenv("GRAFT_BROADCAST_BYTES_LIMIT", "1")
+    b = mixing.token_budget_select(_mix_ds(rows), 2, 3)
     assert _got_tuples(b) == want
     assert calls, "over-budget pull must route to the distributed twin"
 
@@ -620,7 +623,7 @@ def test_window_cumsum_property_fuzz(ray_session):
         assert got == want, (trial, n, n_groups, nb)
 
 
-def test_token_budget_string_ids_both_plans(ray_session):
+def test_token_budget_string_ids_both_plans(ray_session, monkeypatch):
     """url-keyed selection (the curate_pages path): md5(url) ordering,
     both physical plans, vs brute force."""
     import ray.data as rd
@@ -661,7 +664,9 @@ def test_token_budget_string_ids_both_plans(ray_session):
             want.append((u, lang, n))
     want.sort()
     for plan in ("driver", "distributed"):
-        got = token_budget_select(ds, 1, 2, id_col="url", boundary=plan)
+        monkeypatch.setenv("GRAFT_FORCE_PARTITIONED",
+                           "1" if plan == "distributed" else "0")
+        got = token_budget_select(ds, 1, 2, id_col="url")
         tuples = sorted(
             zip(got["url"], got["lang"], got["n_tokens"].astype(int))
         )
@@ -1166,12 +1171,9 @@ def test_global_row_number_sorted_matches_histogram_plan(ray_session):
 
 def _both_branches(monkeypatch):
     """Yield once per quantiles() branch: the histogram read-off, then
-    the refinement (forced as under GRAFT_FORCE_PARTITIONED=1)."""
-    from zzzarchived_arxiv_fulltext_ray.stages import selection
-
+    the refinement (GRAFT_FORCE_PARTITIONED=1)."""
     for forced in (False, True):
-        monkeypatch.setattr(selection, "force_partitioned",
-                            lambda forced=forced: forced)
+        monkeypatch.setenv("GRAFT_FORCE_PARTITIONED", "1" if forced else "0")
         yield forced
 
 
@@ -1295,12 +1297,12 @@ def test_selection_many_passes_tiny_buckets(ray_session, monkeypatch):
     ]
 
 
-def test_grouped_rank_sorted_equals_histogram(ray_session):
-    """Sort-based rank plan pinned against the histogram plan (and a
-    pandas brute force) on BOTH regimes: heavy ties (groups span the
-    sorted block boundaries) and near-unique keys (the regime the
-    sorted plan exists for); with_pct included; auto crossover flips
-    with max_hist_pairs=0."""
+def test_grouped_rank_sorted_equals_histogram(ray_session, monkeypatch):
+    """Sort-based rank plan (the forced mode) pinned against the
+    histogram plan (and a pandas brute force) on BOTH regimes: heavy
+    ties (groups span the sorted block boundaries) and near-unique
+    keys (the regime the sorted plan exists for); with_pct included;
+    the crossover flips over the byte budget."""
     import pandas as pd
     import ray.data
 
@@ -1336,10 +1338,12 @@ def test_grouped_rank_sorted_equals_histogram(ray_session):
         for desc in (True, False):
             outs = {}
             for method in ("histogram", "sorted"):
+                monkeypatch.setenv("GRAFT_FORCE_PARTITIONED",
+                                   "1" if method == "sorted" else "0")
                 outs[method] = (
                     grouped_rank_dense(
                         ds, "part", "key", descending=desc,
-                        with_pct=True, method=method,
+                        with_pct=True,
                     )
                     .to_pandas()
                     .sort_values("id")
@@ -1361,13 +1365,14 @@ def test_grouped_rank_sorted_equals_histogram(ray_session):
                 outs["sorted"].sort_values("id")["rnk"].to_numpy()
                 == want_rnk.to_numpy()
             ).all(), (name, desc)
-    # forced crossover: auto with a zero budget must take the sorted
-    # path and still produce identical values
+    # a histogram over the byte budget takes the sorted path and still
+    # produces identical values
+    monkeypatch.setenv("GRAFT_FORCE_PARTITIONED", "0")
+    monkeypatch.setenv("GRAFT_BROADCAST_BYTES_LIMIT", "1")
     df = corpora["ties"]
     ds = ray.data.from_pandas(df).repartition(8)
     forced = (
-        grouped_rank_dense(ds, "part", "key", method="auto",
-                           max_hist_pairs=0)
+        grouped_rank_dense(ds, "part", "key")
         .to_pandas()
         .sort_values("id")
         .reset_index(drop=True)
@@ -1530,6 +1535,28 @@ def test_quantile_rank_is_exact():
     assert _fraction(1) == 1 and _fraction(Fraction(2, 3)) == Fraction(2, 3)
 
 
+def test_quantiles_reads_off_past_4096_values(ray_session, executions,
+                                              monkeypatch):
+    """One q over more than 4096 distinct values (each block's own
+    histogram stays under 4096 rows): the merged histogram is read off
+    in one execution — the read-off is ``plan.broadcast``'s decision on
+    the histogram's rows and bytes, not a bound of 4096 rows per
+    target."""
+    import pandas as pd
+    import ray.data
+
+    from zzzarchived_arxiv_fulltext_ray.stages.selection import quantiles
+
+    monkeypatch.delenv("GRAFT_FORCE_PARTITIONED", raising=False)
+    vals = np.random.default_rng(73).permutation(10**6)[:6000]
+    ds = ray.data.from_pandas(pd.DataFrame({"v": vals})).repartition(4)
+    got = []
+    assert executions(
+        lambda: got.append(quantiles(ds, "v", {"p50": 0.5}))
+    ) == 1
+    assert got[0]["p50"][0] == np.sort(vals)[3000 - 1]
+
+
 @pytest.mark.parametrize("branch", ["histogram", "refinement"])
 def test_quantiles_matches_duckdb(ray_session, executions, monkeypatch,
                                   branch):
@@ -1548,7 +1575,7 @@ def test_quantiles_matches_duckdb(ray_session, executions, monkeypatch,
     from zzzarchived_arxiv_fulltext_ray.stages.selection import quantiles
 
     forced = branch == "refinement"
-    monkeypatch.setattr(selection, "force_partitioned", lambda: forced)
+    monkeypatch.setenv("GRAFT_FORCE_PARTITIONED", "1" if forced else "0")
     monkeypatch.setattr(selection, "_MERGE_EVERY", 2)
     dom = 10**12 if forced else 50
     rng = np.random.default_rng(71)

@@ -6,6 +6,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from conftest import forced
+
 from zzzarchived_arxiv_fulltext_ray.stages.graph import (
     cooccurrence_edges,
     triangle_stats,
@@ -165,9 +167,8 @@ def test_triangles_broadcast_equals_partitioned(ray_session):
     outs = {}
     for method in ("broadcast", "partitioned"):
         ds = ray.data.from_arrow(pa.Table.from_pandas(df)).repartition(3)
-        outs[method] = triangle_stats(
-            ds, assume_canonical=True, method=method
-        )
+        with forced(method == "partitioned"):
+            outs[method] = triangle_stats(ds, assume_canonical=True)
     pd.testing.assert_frame_equal(
         outs["broadcast"], outs["partitioned"]
     )
@@ -208,8 +209,10 @@ def test_local_clustering_both_plans_vs_brute(ray_session):
     outs = {}
     for method in ("broadcast", "partitioned"):
         ds = ray.data.from_arrow(pa.Table.from_pandas(df)).repartition(3)
+        with forced(method == "partitioned"):
+            out = local_clustering(ds, assume_canonical=True)
         outs[method] = (
-            local_clustering(ds, assume_canonical=True, method=method)
+            out
             .to_pandas()
             .sort_values("node")
             .reset_index(drop=True)
@@ -255,7 +258,8 @@ def _bfs_df(ray_session, edges, seeds, max_hops, method):
 
     df = pd.DataFrame(edges, columns=["u", "v"]).astype("int64")
     ds = ray.data.from_arrow(pa.Table.from_pandas(df)).repartition(3)
-    out = bfs_hops(ds, seeds, max_hops=max_hops, method=method).to_pandas()
+    with forced(method == "partitioned"):
+        out = bfs_hops(ds, seeds, max_hops=max_hops).to_pandas()
     if len(out) == 0:
         return out
     return out.sort_values("node").reset_index(drop=True)
@@ -333,7 +337,8 @@ def _peel_df(ray_session, edges, k, rounds, method):
 
     df = pd.DataFrame(edges, columns=["u", "v"]).astype("int64")
     ds = ray.data.from_arrow(pa.Table.from_pandas(df)).repartition(3)
-    out = kcore_peel(ds, k=k, rounds=rounds, method=method).to_pandas()
+    with forced(method == "partitioned"):
+        out = kcore_peel(ds, k=k, rounds=rounds).to_pandas()
     if len(out) == 0:
         return {}
     return dict(zip(out["node"], out["degree"]))

@@ -6,6 +6,8 @@ import itertools
 import pandas as pd
 import pytest
 
+from conftest import forced
+
 from zzzarchived_arxiv_fulltext_ray.stages.graph import (
     common_neighbor_pairs,
     degree_assortativity,
@@ -134,7 +136,8 @@ def test_assortativity_matches_brute(ray_session):
 
     # the partitioned (large-graph) plan must agree exactly with the
     # broadcast fast path — integer sufficient stats are bit-stable
-    part = degree_assortativity(_edges_ds(edges), broadcast_nodes=0)
+    with forced():
+        part = degree_assortativity(_edges_ds(edges))
     for col in ("n_edges", "s_deg", "s_deg2", "s_dudv"):
         assert int(part[col][0]) == int(out[col][0])
     assert part["assortativity"][0] == out["assortativity"][0]
@@ -205,19 +208,13 @@ def test_lpa_matches_brute_and_plans_agree(ray_session):
     for rounds in (1, 2, 3):
         want = _brute_lpa(edges, rounds)
         got_b = (
-            label_propagation(
-                _edges_ds(edges), rounds=rounds, method="broadcast"
-            )
+            label_propagation(_edges_ds(edges), rounds=rounds)
             .to_pandas()
             .sort_values("node")
         )
-        got_p = (
-            label_propagation(
-                _edges_ds(edges), rounds=rounds, method="partitioned"
-            )
-            .to_pandas()
-            .sort_values("node")
-        )
+        with forced():
+            got_p = label_propagation(_edges_ds(edges), rounds=rounds)
+        got_p = got_p.to_pandas().sort_values("node")
         assert dict(zip(got_b["node"], got_b["label"])) == want
         assert got_b.reset_index(drop=True).equals(
             got_p.reset_index(drop=True)
@@ -264,14 +261,15 @@ def test_random_walks_plans_agree_and_match_brute(ray_session):
         }
     )
     b = (
-        random_walks(_edges_ds(edges), n_steps=3, method="broadcast")
+        random_walks(_edges_ds(edges), n_steps=3)
         .to_pandas()
         .sort_values("start")
         .reset_index(drop=True)
     )
+    with forced():
+        p = random_walks(_edges_ds(edges), n_steps=3)
     p = (
-        random_walks(_edges_ds(edges), n_steps=3, method="partitioned")
-        .to_pandas()
+        p.to_pandas()
         .sort_values("start")
         .reset_index(drop=True)
     )
@@ -352,9 +350,10 @@ def test_edge_triangle_support_vs_brute(ray_session):
     assert iso.iloc[0]["t"] == 0 and iso.iloc[0]["jaccard"] == 0.0
 
     # partitioned plan pinned identical to the broadcast fast path
+    with forced():
+        part = edge_triangle_support(_edges_ds(edges))
     part = (
-        edge_triangle_support(_edges_ds(edges), method="partitioned")
-        .to_pandas()
+        part.to_pandas()
         .sort_values(["u", "v"])
         .reset_index(drop=True)
     )

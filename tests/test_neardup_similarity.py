@@ -47,20 +47,31 @@ def test_ngram_matches_brute_force(ray_session, truth_pairs):
     assert list(zip(got.doc_a, got.doc_b, got.jaccard)) == truth_pairs
 
 
-def test_verify_physical_plans_equivalent(ray_session, truth_pairs):
-    """broadcast, partitioned (blob join) and counts verify are the
+def test_verify_physical_plans_equivalent(ray_session, truth_pairs,
+                                          monkeypatch):
+    """counts verify and the shingle-set verify of the ngram candidates
+    — broadcast, and the blob join under the forced mode — are the
     same logical operator: identical exact-Jaccard output."""
-    from zzzarchived_arxiv_fulltext_ray.stages.neardup import neardup_pairs
+    from zzzarchived_arxiv_fulltext_ray.stages.neardup import (
+        _verified_pairs,
+        explode_shingle_keys,
+        neardup_pairs,
+    )
 
-    for verify in ("broadcast", "partitioned", "counts"):
-        got = (
-            neardup_pairs(
-                _docs_ds(), method="ngram", threshold=0.5, verify=verify
-            )
-            .to_pandas()
-            .sort_values(["doc_a", "doc_b"])
-        )
-        assert list(zip(got.doc_a, got.doc_b, got.jaccard)) == truth_pairs, verify
+    runs = {
+        "counts": lambda: neardup_pairs(
+            _docs_ds(), method="ngram", threshold=0.5
+        ),
+        "shingle-set": lambda: _verified_pairs(
+            _docs_ds(), 0.5, 3, 256, explode_shingle_keys
+        ),
+    }
+    for forced in ("0", "1"):
+        monkeypatch.setenv("GRAFT_FORCE_PARTITIONED", forced)
+        for name, run in runs.items():
+            got = run().to_pandas().sort_values(["doc_a", "doc_b"])
+            assert list(zip(got.doc_a, got.doc_b, got.jaccard)) == \
+                truth_pairs, (name, forced)
 
 
 def test_minhash_matches_brute_force(ray_session, truth_pairs):
@@ -340,10 +351,11 @@ def test_simhash_hot_block_capped(ray_session, caplog):
     assert len(capped) == 0
 
 
-def test_ngram_counts_drop_guard(ray_session):
+def test_ngram_counts_drop_guard(ray_session, monkeypatch):
     """The counts plan must not silently under-count |A intersect B|
-    under hot-bucket drops: 'fallback' reruns the exact blob plan,
-    'approx' proceeds (possibly under-counted), 'error' raises."""
+    under hot-bucket drops: 'fallback' reruns the exact shingle-set
+    verify, 'approx' proceeds (possibly under-counted), 'error'
+    raises."""
     import ray.data
 
     from zzzarchived_arxiv_fulltext_ray.stages.neardup import (
@@ -371,14 +383,15 @@ def test_ngram_counts_drop_guard(ray_session):
         ray.data.from_items(docs), threshold=0.5, max_bucket=4,
         on_drop="fallback",
     ).to_pandas().sort_values(["doc_a", "doc_b"])
-    # fallback = blob plan under the same max_bucket: candidates from
-    # hot buckets are lost the same way bucket_pairs loses them
-    from zzzarchived_arxiv_fulltext_ray.stages.neardup import neardup_pairs
-
-    blob = neardup_pairs(
-        ray.data.from_items(docs), method="ngram", threshold=0.5,
-        max_bucket=4, verify="partitioned",
+    # fallback = shingle-set verify under the same max_bucket:
+    # candidates from hot buckets are lost the same way bucket_pairs
+    # loses them; the forced mode runs the blob-join verify
+    monkeypatch.setenv("GRAFT_FORCE_PARTITIONED", "1")
+    blob = neardup_pairs_ngram_counts(
+        ray.data.from_items(docs), threshold=0.5, max_bucket=4,
+        on_drop="fallback",
     ).to_pandas().sort_values(["doc_a", "doc_b"])
+    monkeypatch.delenv("GRAFT_FORCE_PARTITIONED")
     assert list(map(tuple, fb.values)) == list(map(tuple, blob.values))
     # docs 0/1 are full duplicates, found via the surviving rare
     # buckets; the blob plan scores their FULL sets -> jaccard 1.0
@@ -401,7 +414,7 @@ def test_ngram_counts_drop_guard(ray_session):
         )
 
 
-def test_neardup_no_duplicates_corpus(ray_session):
+def test_neardup_no_duplicates_corpus(ray_session, monkeypatch):
     """A corpus with zero near-dup pairs must yield empty results (not
     schema errors) through every verify plan and through simhash."""
     import ray.data
@@ -417,12 +430,14 @@ def test_neardup_no_duplicates_corpus(ray_session):
                   f" alpha{i} beta{i} gamma{i} delta{i} epsilon{i}"}
          for i in range(20)]
     )
-    for verify in ("broadcast", "partitioned", "counts"):
+    for method, forced in (("ngram", "0"), ("minhash", "0"),
+                           ("minhash", "1")):
+        monkeypatch.setenv("GRAFT_FORCE_PARTITIONED", forced)
         got = neardup_pairs(
-            ray.data.from_items(docs.take_all()), method="ngram",
-            threshold=0.9, verify=verify,
+            ray.data.from_items(docs.take_all()), method=method,
+            threshold=0.9,
         ).to_pandas()
-        assert len(got) == 0, verify
+        assert len(got) == 0, (method, forced)
     sh = simhash_pairs(
         ray.data.from_items(docs.take_all()), max_hamming=0
     ).to_pandas()

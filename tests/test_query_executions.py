@@ -2,11 +2,11 @@
 
 Every execution pays Ray's per-execution setup, so a change that adds
 one (a stray ``count()``, ``materialize()`` or ``.schema()``) shows up
-here. Executions are counted with the ``executions`` fixture
+here. No join probes a schema: a join's executions are its own. Executions are counted with the ``executions`` fixture
 (conftest.py); a query that reuses a pinned intermediate counts each
 execution it starts. The iterative queries are pinned in both modes:
-``GRAFT_FORCE_PARTITIONED=1`` (read by ``plan.force_partitioned`` at
-call time) runs their partitioned plans, one superstep execution per
+``GRAFT_FORCE_PARTITIONED=1`` (read by ``plan.broadcast`` at call
+time) runs their partitioned plans, one superstep execution per
 round."""
 
 import pytest
@@ -19,14 +19,14 @@ EXECUTIONS = {
     "lineitem_agg": 1,
     "lang_stats": 1,
     "lang_length_median": 1,
-    "join_priority_revenue": 3,
+    "join_priority_revenue": 1,
     "supplier_triangles": 3,
     "supplier_kcore": 2,
     "events_sessions": 1,
     "dedup_ngram_partitioned": 3,
-    "url_blocklist_partitioned": 3,
-    "events_interval": 3,
-    "events_band_pairs": 3,
+    "url_blocklist_partitioned": 1,
+    "events_interval": 1,
+    "events_band_pairs": 1,
     "events_value_quartiles": 1,
     "events_median_value": 1,
     "event_type_value_mad": 3,
@@ -36,6 +36,10 @@ EXECUTIONS = {
     "supplier_communities": 2,
     "supplier_diameter": 7,
     "supplier_closeness": 10,
+    "shipping_priority": 2,
+    "regional_revenue": 1,
+    "events_asof": 1,
+    "doc_tfidf": 1,
 }
 
 FORCED_EXECUTIONS = {
@@ -44,6 +48,10 @@ FORCED_EXECUTIONS = {
     "supplier_communities": 6,
     "supplier_diameter": 16,
     "supplier_closeness": 19,
+    "shipping_priority": 2,
+    "regional_revenue": 1,
+    "events_asof": 1,
+    "doc_tfidf": 1,
 }
 
 

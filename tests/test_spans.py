@@ -7,6 +7,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from conftest import forced
 from zzzarchived_arxiv_fulltext_ray.stages.spans import dup_span_removal
 
 
@@ -24,9 +25,9 @@ def _docs_ds(texts):
 
 
 def _run(texts, broadcast, w=3):
-    out = dup_span_removal(
-        _docs_ds(texts), w=w, min_count=2, broadcast=broadcast,
-    ).to_pandas()
+    with forced(not broadcast):
+        out = dup_span_removal(_docs_ds(texts), w=w, min_count=2)
+    out = out.to_pandas()
     if out.empty:
         return out
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -80,14 +81,10 @@ def test_no_duplicates_typed_empty():
 
 def test_min_count_three_requires_third_copy():
     texts = ["x y z a", "x y z b", "x y z c"]
-    two = dup_span_removal(
-        _docs_ds(texts[:2]), w=3, min_count=3, broadcast=True
-    ).to_pandas()
+    two = dup_span_removal(_docs_ds(texts[:2]), w=3, min_count=3).to_pandas()
     assert two.empty
     three = (
-        dup_span_removal(
-            _docs_ds(texts), w=3, min_count=3, broadcast=True
-        )
+        dup_span_removal(_docs_ds(texts), w=3, min_count=3)
         .to_pandas()
         .sort_values("doc_id")
     )
@@ -102,8 +99,10 @@ def test_sf0001_plans_match_corpus():
         "/root/testdata/sf0.001/documents.parquet",
         columns=["doc_id", "text"],
     )
-    a = dup_span_removal(ds, w=8, broadcast=True).to_pandas()
-    b = dup_span_removal(ds, w=8, broadcast=False).to_pandas()
+    a = dup_span_removal(ds, w=8).to_pandas()
+    with forced():
+        b = dup_span_removal(ds, w=8)
+    b = b.to_pandas()
     if a.empty and b.empty:
         pytest.skip("no 8-gram dups at sf0.001")
     a = a.sort_values("doc_id").reset_index(drop=True)

@@ -8,12 +8,14 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from conftest import forced
 from zzzarchived_arxiv_fulltext_ray.stages.topk import (
     topk_batch,
     topk_per_group,
 )
 from zzzarchived_arxiv_fulltext_ray.stages.webtext import (
     decontaminate,
+    decontaminate_partitioned,
     pii_scrub_batch,
     repetition_batch,
     shingle_hash_batch,
@@ -129,20 +131,21 @@ def test_decontaminate_plans_equal(ray_session):
 
     corpus = docs.map_batches(split(False), batch_format="pyarrow")
     bench = docs.map_batches(split(True), batch_format="pyarrow")
-    a = (
-        decontaminate(corpus, bench, n=3, plan="broadcast")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    b = (
-        decontaminate(corpus, bench, n=3, plan="partitioned")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
+    def run(op):
+        return (
+            op(corpus, bench, n=3)
+            .to_pandas()
+            .sort_values("doc_id")
+            .reset_index(drop=True)
+        )
+
+    a = run(decontaminate)
+    with forced():
+        b = run(decontaminate)
+    c = run(decontaminate_partitioned)
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
+    pd.testing.assert_frame_equal(a, c)
 
 
 def test_decontaminate_empty_benchmark(ray_session):
@@ -150,8 +153,10 @@ def test_decontaminate_empty_benchmark(ray_session):
 
     docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
     empty = docs.filter(lambda r: False)
-    out = decontaminate(docs, empty, n=3, plan="broadcast").to_pandas()
-    assert len(out) == 0
+    for on in (False, True):
+        with forced(on):
+            out = decontaminate(docs, empty, n=3)
+        assert len(out.to_pandas()) == 0
 
 
 # ------------------------------------------------------- repetition

@@ -56,14 +56,15 @@ def _q_extract_text(sf_dir: str):
     byte-identical to the synthesizer's embedded ground truth (and
     ``fix_unicode`` is the identity on this ASCII corpus)."""
     ds = extraction_pipeline(read_pages(sf_dir), derive_psv=False)
-    df = ds.to_pandas()
-    return df[["url", "status", "text"]]
+    df = ds.to_pandas()[["url", "status", "text"]]
+    return df.sort_values("url").reset_index(drop=True)
 
 
 def _q_extract_dedup_latest(sf_dir: str):
     """Latest-crawl dedup: url -> surviving warc_ts."""
     ds = extraction_pipeline(read_pages(sf_dir), derive_psv=False)
-    return ds.to_pandas()[["url", "warc_ts"]]
+    df = ds.to_pandas()[["url", "warc_ts"]]
+    return df.sort_values("url").reset_index(drop=True)
 
 
 def _q_extract_status_counts(sf_dir: str):

@@ -352,12 +352,10 @@ def _q_token_budget_mix_distributed(sf_dir: str):
     """Same selection, forced no-driver-pull physical plan: the full
     distributed window cumsum + budget filter (the 10^12-doc path) —
     a gate witness that both plans agree (cf. decontaminate_partitioned)."""
-    from ..stages.mixing import token_budget_select
+    from ..stages.mixing import token_budget_select_distributed
 
     docs = read_documents(sf_dir, ["doc_id", "lang", "text"])
-    return token_budget_select(
-        docs, budget_num=1, budget_den=2, boundary="distributed"
-    )
+    return token_budget_select_distributed(docs, budget_num=1, budget_den=2)
 
 
 CORPUS_QUERIES["token_budget_mix"] = _q_token_budget_mix
@@ -2559,15 +2557,15 @@ def _q_event_value_rank(sf_dir: str):
     Cents are near-unique, so the histogram plan's driver state would
     approach row count — this query forces the SORT-based plan
     (``stages.window.grouped_rank_sorted``: one distributed sort,
-    O(blocks) boundary stitching on the driver), the path ``auto``
-    takes above ``max_hist_pairs``; both plans pinned equal in
-    pytest."""
+    O(blocks) boundary stitching on the driver), the path
+    ``grouped_rank_dense`` takes when ``plan.broadcast`` declines the
+    histogram; both plans pinned equal in pytest."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
     import ray.data
 
-    from ..stages.window import grouped_rank_dense
+    from ..stages.window import grouped_rank_sorted
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
@@ -2588,10 +2586,9 @@ def _q_event_value_rank(sf_dir: str):
             }
         )
 
-    ranked = grouped_rank_dense(
+    ranked = grouped_rank_sorted(
         ev.map_batches(to_cents, batch_format="pyarrow"),
-        "event_type", "cents",
-        descending=True, with_pct=True, method="sorted",
+        "event_type", "cents", descending=True, with_pct=True,
     )
     return ranked.to_pandas().sort_values("event_id").reset_index(drop=True)
 

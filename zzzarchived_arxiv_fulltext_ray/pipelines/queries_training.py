@@ -53,17 +53,16 @@ def _q_dedup_minhash(sf_dir: str):
 
 def _q_dedup_ngram_partitioned(sf_dir: str):
     """Same logical operator as dedup_ngram, forced onto the
-    no-broadcast 10^12-doc plan — now the blob-free counts plan
-    (intersection counts + per-doc set sizes ride the exchange; no
-    shingle-blob joins) — sharing the exact-Jaccard oracle, proving
-    plan equivalence under the driver gate."""
+    no-broadcast 10^12-doc plan — the blob-free counts plan every
+    ngram run takes (intersection counts + per-doc set sizes ride the
+    exchange; no shingle-blob joins) — sharing the exact-Jaccard
+    oracle."""
     from ..stages.neardup import neardup_pairs
 
     ds = neardup_pairs(
         read_documents(sf_dir, ["doc_id", "text"]),
         method="ngram",
         threshold=0.5,
-        verify="counts",
     )
     return (
         ds.to_pandas()
@@ -783,7 +782,7 @@ def _q_dedup_components(sf_dir: str):
     union-find pinned equal in pytest). component = min doc_id of the
     cluster — the canonical survivor. Oracle: recursive-CTE transitive
     closure over the same SQL-expressed pair graph."""
-    from ..stages.components import neardup_components
+    from ..stages.components import neardup_components_distributed
     from ..stages.neardup import neardup_pairs
 
     pairs = neardup_pairs(
@@ -791,7 +790,7 @@ def _q_dedup_components(sf_dir: str):
         method="ngram",
         threshold=0.5,
     )
-    out = neardup_components(pairs, method="distributed").to_pandas()
+    out = neardup_components_distributed(pairs).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -801,7 +800,10 @@ def _q_dedup_canonical_docs(sf_dir: str):
     plan — the zero-driver-state path a 10^12-doc corpus needs; the
     broadcast twin is pinned equal in pytest. Oracle chains the
     components recursive CTE with a NOT EXISTS loser filter."""
-    from ..stages.components import canonical_filter, neardup_components
+    from ..stages.components import (
+        canonical_filter_partitioned,
+        neardup_components,
+    )
     from ..stages.neardup import neardup_pairs
 
     pairs = neardup_pairs(
@@ -809,9 +811,9 @@ def _q_dedup_canonical_docs(sf_dir: str):
         method="ngram",
         threshold=0.5,
     )
-    comp = neardup_components(pairs, method="auto")
+    comp = neardup_components(pairs)
     docs = read_documents(sf_dir, ["doc_id", "lang", "n_chars"])
-    out = canonical_filter(docs, comp, method="partitioned").to_pandas()
+    out = canonical_filter_partitioned(docs, comp).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1552,17 +1554,19 @@ def _q_url_blocklist(sf_dir: str):
     blocklist = [url_for(i) for i in ids if i % 97 == 0]
 
     kept = broadcast_anti_join(read_pages(sf_dir), "url", blocklist)
-    urls = sorted(set(kept.unique("url")))
-    import pandas as pd
+    return _distinct_urls(kept)
 
-    return pd.DataFrame({"url": urls})
+
+def _distinct_urls(ds):
+    """Sorted distinct ``url`` of ``ds``: one keys-only aggregate."""
+    urls = aggregate(ds, ["url"], [], rows=lambda b: b.select(["url"]))
+    return urls.to_pandas().sort_values("url").reset_index(drop=True)
 
 
 def _q_url_blocklist_partitioned(sf_dir: str):
     """Same blocklist filter as url_blocklist, spelled as a
     PARTITIONED anti join on the string url key (no broadcast set) —
     the plan for blocklists too large to ship to every task."""
-    import pandas as pd
     import pyarrow.parquet as pq
     import ray.data
 
@@ -1582,8 +1586,7 @@ def _q_url_blocklist_partitioned(sf_dir: str):
     kept = partitioned_hash_join(
         pages_urls, blocked, key="url", how="anti"
     )
-    urls = sorted(set(kept.unique("url")))
-    return pd.DataFrame({"url": urls})
+    return _distinct_urls(kept)
 
 
 def _q_extract_psv(sf_dir: str):

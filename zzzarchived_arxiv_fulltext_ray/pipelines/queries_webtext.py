@@ -22,6 +22,7 @@ from ..stages.webtext import (
     IPV4_RE,
     PHONE_RE,
     decontaminate,
+    decontaminate_partitioned,
     pii_scrub_batch,
     repetition_batch,
 )
@@ -222,12 +223,12 @@ def _split_docs(sf_dir: str):
     )
 
 
-def _q_decontaminate(sf_dir: str, plan: str = "broadcast"):
+def _q_decontaminate(sf_dir: str, op=decontaminate):
     """Test-set decontamination: docs sharing any word 3-gram with the
     held-out benchmark slice (doc_id % 101 == 0), with the count of
     distinct contaminated grams."""
     corpus, bench = _split_docs(sf_dir)
-    out = decontaminate(corpus, bench, n=3, plan=plan)
+    out = op(corpus, bench, n=3)
     return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
@@ -257,7 +258,7 @@ def _q_decontaminate_partitioned(sf_dir: str):
     """Benchmark n-gram decontamination via the partitioned
     hash-semi-join plan (no broadcast) — pinned equal to the
     broadcast spelling under the same oracle."""
-    return _q_decontaminate(sf_dir, plan="partitioned")
+    return _q_decontaminate(sf_dir, op=decontaminate_partitioned)
 
 
 WEBTEXT_QUERIES["decontaminate_partitioned"] = _q_decontaminate_partitioned

@@ -5,16 +5,16 @@ greatest such right per key) that plain equi-joins can't express —
 named by this engine's design brief as a first-class custom operator.
 DuckDB's ``ASOF JOIN`` is the oracle.
 
-Physical plan: tag the two sides, union, hash-shuffle by ``key`` once,
-and merge each key group with a vectorized sorted ``searchsorted``
-probe (O((nl+nr) log) per group, no per-row Python). Partitioning
+Physical plan: ONE exchange of both sides on ``key``
+(``relational._exchange_sides``, which reads no schema up front); each
+bucket sorts both sides by (key, on) and merges each key's run with a
+vectorized sorted ``searchsorted`` probe (O((nl+nr) log) per key, no
+per-row Python). Partitioning
 assumption: one key's rows fit one task — keys are users/devices/
 sessions, whose per-key event counts are bounded; a pathological key
 needs time-bucketed pre-splitting (carry the last right row of bucket
 N into bucket N+1), which composes from this same operator.
 """
-
-from typing import List
 
 import numpy as np
 import pyarrow as pa
@@ -37,116 +37,106 @@ def asof_join(left_ds, right_ds, key: str, on: str, how: str = "left",
     """
     if direction not in ("backward", "forward", "nearest"):
         raise ValueError(f"unknown asof direction: {direction}")
-    left_fields = list(zip(left_ds.schema().names, left_ds.schema().types))
-    right_fields = list(zip(right_ds.schema().names, right_ds.schema().types))
-    left_cols = [n for n, _ in left_fields]
-    right_value_fields = [
-        (n, t) for n, t in right_fields if n not in (key, on)
-    ]
-    overlap = set(left_cols) & {n for n, _ in right_value_fields}
-    if overlap:
-        raise ValueError(f"overlapping non-key columns: {overlap}")
-    on_type = dict(left_fields)[on]
-
-    all_fields = (
-        left_fields
-        + right_value_fields
-        + [(f"matched_{on}", on_type)]
+    from .relational import (
+        _check_disjoint, _exchange_sides, check_disjoint_inputs,
     )
 
-    def tag(side: str, own: List[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            arrays = []
-            for name, typ in all_fields:
-                if name in own:
-                    arrays.append(batch[name])
-                elif side == "r" and name in (key, on):
-                    arrays.append(batch[name])
-                else:
-                    arrays.append(pa.nulls(n, type=typ))
-            arrays.append(pa.array([side] * n, pa.string()))
-            return pa.Table.from_arrays(
-                arrays, names=[f for f, _ in all_fields] + ["__side"]
-            )
+    check_disjoint_inputs(left_ds, right_ds, [key, on])
+    order = [(key, "ascending"), (on, "ascending")]
 
-        return fn
-
-    # the right side's key/on ride in the LEFT-named columns (they
-    # are the join coordinates, not payload)
-    tagged = left_ds.map_batches(
-        tag("l", left_cols), batch_format="pyarrow"
-    ).union(
-        right_ds.map_batches(
-            tag("r", [n for n, _ in right_value_fields]),
-            batch_format="pyarrow",
+    def merge_bucket(lt, rt) -> pa.Table:
+        if lt is None:  # the left input is empty
+            return pa.table({})
+        if rt is None:  # the right input is empty: nothing matches
+            rt = lt.select([key, on]).slice(0, 0)
+        _check_disjoint(lt.column_names, rt.column_names, [key, on])
+        lt, rt = lt.sort_by(order), rt.sort_by(order)
+        right = {k: (s, n) for k, s, n in _runs(rt[key])}
+        parts = [
+            _merge_key(lt.slice(s, n), rt.slice(*right.get(k, (0, 0))),
+                       key, on, how, direction)
+            for k, s, n in _runs(lt[key])
+        ]
+        return pa.concat_tables(parts) if parts else _merge_key(
+            lt, rt.slice(0, 0), key, on, how, direction
         )
-    )
 
-    def merge_group(group: pa.Table) -> pa.Table:
-        is_left = pc.equal(group["__side"], "l")
-        lt = group.filter(is_left)
-        rt = group.filter(pc.invert(is_left))
-        lt = lt.sort_by(on)
-        rt = rt.sort_by(on)
-        if rt.num_rows == 0:  # key has no right rows at all
-            cols = {name: lt[name] for name in left_cols}
-            for name, typ in right_value_fields:
-                cols[name] = pa.nulls(lt.num_rows, type=typ)
-            cols[f"matched_{on}"] = pa.nulls(lt.num_rows, type=on_type)
-            out = pa.Table.from_pydict(cols)
-            return out.slice(0, 0) if how == "inner" else out
-        # native dtype comparison (datetime64 for timestamps, float
-        # stays float) — no int64 cast that would truncate float keys
-        lo = lt[on].to_numpy(zero_copy_only=False)
-        ro = rt[on].to_numpy(zero_copy_only=False)
-        if direction == "backward":
-            idx = np.searchsorted(ro, lo, side="right") - 1
-            matched = idx >= 0
-        elif direction == "forward":
-            # forward: smallest right on >= left on (inclusive)
-            idx = np.searchsorted(ro, lo, side="left")
-            matched = idx < ro.size
-        else:  # nearest: smaller |on - matched_on|; ties -> backward
-            bi = np.searchsorted(ro, lo, side="right") - 1
-            fi = np.searchsorted(ro, lo, side="left")
-            has_b = bi >= 0
-            has_f = fi < ro.size
-            bis = np.clip(bi, 0, ro.size - 1)
-            fis = np.clip(fi, 0, ro.size - 1)
-            bd = lo - ro[bis]
-            fd = ro[fis] - lo
-            # timedelta64 distances compare via their integer ticks
-            # (both sides share the unit); numeric keys compare as-is
-            bdv = bd.view(np.int64) if bd.dtype.kind == "m" else bd
-            fdv = fd.view(np.int64) if fd.dtype.kind == "m" else fd
-            big = (
-                np.inf
-                if np.issubdtype(bdv.dtype, np.floating)
-                else np.iinfo(np.int64).max
-            )
-            bdv = np.where(has_b, bdv, big)
-            fdv = np.where(has_f, fdv, big)
-            idx = np.where(bdv <= fdv, bis, fis)
-            matched = has_b | has_f
-        safe = pa.array(
-            np.clip(idx, 0, ro.size - 1), pa.int64()
-        )
-        matched_pa = pa.array(matched, pa.bool_())
+    return _exchange_sides(left_ds, right_ds, [key], merge_bucket)
 
-        cols = {name: lt[name] for name in left_cols}
-        for name, typ in right_value_fields:
-            taken = rt[name].take(safe).combine_chunks()
-            cols[name] = pc.if_else(
-                matched_pa, taken, pa.nulls(len(lo), type=typ)
-            )
-        ron = rt[on].take(safe).combine_chunks()
-        cols[f"matched_{on}"] = pc.if_else(
-            matched_pa, ron, pa.nulls(len(lo), type=on_type)
-        )
+
+def _runs(col):
+    """(value, start, length) per run of equal values of a sorted
+    column."""
+    vals = col.to_pylist()
+    out, start = [], 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] != vals[start]:
+            out.append((vals[start], start, i - start))
+            start = i
+    return out
+
+
+def _merge_key(lt, rt, key, on, how, direction) -> pa.Table:
+    """As-of merge of one key's left rows ``lt`` with its right rows
+    ``rt``, both sorted by ``on``; ``rt``'s schema types the null
+    columns of unmatched rows."""
+    on_type = lt.schema.field(on).type
+    value_fields = [f for f in rt.schema if f.name not in (key, on)]
+    n = lt.num_rows
+    if rt.num_rows == 0:  # key has no right rows at all
+        cols = {name: lt[name] for name in lt.column_names}
+        for f in value_fields:
+            cols[f.name] = pa.nulls(n, type=f.type)
+        cols[f"matched_{on}"] = pa.nulls(n, type=on_type)
         out = pa.Table.from_pydict(cols)
-        if how == "inner":
-            out = out.filter(matched_pa)
-        return out
+        return out.slice(0, 0) if how == "inner" else out
+    # native dtype comparison (datetime64 for timestamps, float
+    # stays float) — no int64 cast that would truncate float keys
+    lo = lt[on].to_numpy(zero_copy_only=False)
+    ro = rt[on].to_numpy(zero_copy_only=False)
+    if direction == "backward":
+        idx = np.searchsorted(ro, lo, side="right") - 1
+        matched = idx >= 0
+    elif direction == "forward":
+        # forward: smallest right on >= left on (inclusive)
+        idx = np.searchsorted(ro, lo, side="left")
+        matched = idx < ro.size
+    else:  # nearest: smaller |on - matched_on|; ties -> backward
+        bi = np.searchsorted(ro, lo, side="right") - 1
+        fi = np.searchsorted(ro, lo, side="left")
+        has_b = bi >= 0
+        has_f = fi < ro.size
+        bis = np.clip(bi, 0, ro.size - 1)
+        fis = np.clip(fi, 0, ro.size - 1)
+        bd = lo - ro[bis]
+        fd = ro[fis] - lo
+        # timedelta64 distances compare via their integer ticks
+        # (both sides share the unit); numeric keys compare as-is
+        bdv = bd.view(np.int64) if bd.dtype.kind == "m" else bd
+        fdv = fd.view(np.int64) if fd.dtype.kind == "m" else fd
+        big = (
+            np.inf
+            if np.issubdtype(bdv.dtype, np.floating)
+            else np.iinfo(np.int64).max
+        )
+        bdv = np.where(has_b, bdv, big)
+        fdv = np.where(has_f, fdv, big)
+        idx = np.where(bdv <= fdv, bis, fis)
+        matched = has_b | has_f
+    safe = pa.array(np.clip(idx, 0, ro.size - 1), pa.int64())
+    matched_pa = pa.array(matched, pa.bool_())
 
-    return tagged.groupby(key).map_groups(merge_group, batch_format="pyarrow")
+    cols = {name: lt[name] for name in lt.column_names}
+    for f in value_fields:
+        taken = rt[f.name].take(safe).combine_chunks()
+        cols[f.name] = pc.if_else(
+            matched_pa, taken, pa.nulls(n, type=f.type)
+        )
+    ron = rt[on].take(safe).combine_chunks()
+    cols[f"matched_{on}"] = pc.if_else(
+        matched_pa, ron, pa.nulls(n, type=on_type)
+    )
+    out = pa.Table.from_pydict(cols)
+    if how == "inner":
+        out = out.filter(matched_pa)
+    return out

@@ -22,10 +22,10 @@ doc_id in the cluster — deterministic, joinable back to the corpus):
   each superstep is its stats row; a superstep that changes nothing
   halts the loop. At most ``_MAX_ROUNDS`` supersteps run.
 
-``components="auto"`` counts the pair stream once and picks driver
-below ``driver_max_pairs``. Both plans are pinned equal in tests and
-the distributed plan is the one exercised under the DuckDB oracle
-(recursive-CTE transitive closure).
+:func:`neardup_components` pins the pair stream once and asks
+``plan.broadcast`` with its observed rows and bytes. Both plans are
+pinned equal in tests and the distributed plan is the one exercised
+under the DuckDB oracle (recursive-CTE transitive closure).
 """
 
 from typing import Dict
@@ -90,7 +90,7 @@ def _messages(node, label=None, ask=None) -> pa.Table:
     )
 
 
-def _components_distributed(pairs_ds):
+def neardup_components_distributed(pairs_ds):
     """Min-label propagation with pointer jumping on
     :func:`iterate.supersteps`.
 
@@ -153,36 +153,23 @@ def _components_distributed(pairs_ds):
     )
 
 
-def neardup_components(
-    pairs_ds,
-    method: str = "auto",
-    driver_max_pairs: int = 10_000_000,
-):
+def neardup_components(pairs_ds):
     """(doc_id, component) for every doc appearing in a near-dup pair;
     component = min doc_id of the cluster. See module docstring for
     the two physical plans."""
     import ray.data as rd
 
-    if method == "auto":
-        # pin ONCE so the count does not execute the (expensive)
-        # candidate+verify plan a first time and the chosen method a
-        # second time — both consumers read the same materialized refs
-        from . import plan as plan_choice
+    from . import plan
 
-        pairs_ds = pin_loop_state(pairs_ds, num_blocks=None)
-        n = pairs_ds.count()
-        method = (
-            "driver"
-            if plan_choice.choose_broadcast(
-                n, driver_max_pairs, est_row_bytes=16
-            )
-            else "distributed"
-        )
-    if method == "driver":
+    # pin ONCE so the decision does not execute the (expensive)
+    # candidate+verify plan a first time and the chosen plan a second
+    # time — both read the same materialized refs
+    pairs_ds = pin_loop_state(pairs_ds, num_blocks=None)
+    if plan.broadcast(
+        "neardup_components", pairs_ds.count(), pairs_ds.size_bytes()
+    ):
         return rd.from_arrow(_components_driver(pairs_ds))
-    if method == "distributed":
-        return _components_distributed(pairs_ds)
-    raise ValueError(f"unknown components method: {method}")
+    return neardup_components_distributed(pairs_ds)
 
 
 def _losers_ds(components_ds):
@@ -196,58 +183,40 @@ def _losers_ds(components_ds):
     return components_ds.map_batches(non_min, batch_format="pyarrow")
 
 
-def canonical_filter(
-    docs_ds,
-    components_ds,
-    method: str = "auto",
-    broadcast_max_losers: int = 5_000_000,
-):
+def canonical_filter(docs_ds, components_ds):
     """Drop near-duplicate losers: keep docs that either appear in no
     cluster or ARE their cluster's minimum.
 
-    Two physical plans, mirroring ``latest_crawl``'s crossover:
+    Two physical plans, chosen by ``plan.broadcast`` on the pinned
+    loser ids:
 
-    * ``broadcast`` — collect the loser ids once (`ray.put`), filter
+    * broadcast — collect the loser ids once (`ray.put`), filter
       inside ``map_batches``. Driver/actor state is O(loser count);
       right while the duplicate set fits comfortably in one heap.
-    * ``partitioned`` — bucketed hash ANTI-join of docs against the
-      loser ids (`relational.partitioned_hash_join(how="anti")`). One
-      exchange, zero driver state — the 10^12-doc plan; at a 30-50%
-      duplicate rate the loser set is corpus-scale and must never be
-      collected.
+    * partitioned (:func:`canonical_filter_partitioned`) — bucketed
+      hash ANTI-join of docs against the loser ids. One exchange, zero
+      driver state — the 10^12-doc plan; at a 30-50% duplicate rate
+      the loser set is corpus-scale and must never be collected.
 
-    ``auto`` pins the (small) loser Dataset once, counts it, and picks
-    broadcast below ``broadcast_max_losers``. Both plans are pinned
-    equal in tests and witnessed under the DuckDB oracle
-    (``dedup_canonical_docs``)."""
+    Both plans are pinned equal in tests and witnessed under the
+    DuckDB oracle (``dedup_canonical_docs``)."""
     import ray
 
+    from . import plan
     from .relational import partitioned_hash_join
 
-    losers = _losers_ds(components_ds)
-    if method == "auto":
-        from . import plan as plan_choice
-
-        losers = pin_loop_state(losers, num_blocks=None)
-        n = losers.count()
-        method = (
-            "broadcast"
-            if plan_choice.choose_broadcast(
-                n, broadcast_max_losers, est_row_bytes=8
-            )
-            else "partitioned"
-        )
-
-    if method == "partitioned":
+    losers = pin_loop_state(_losers_ds(components_ds), num_blocks=None)
+    if not plan.broadcast(
+        "canonical_filter", losers.count(), losers.size_bytes()
+    ):
         return partitioned_hash_join(
-            docs_ds, losers, key="doc_id", how="anti",
+            docs_ds, losers, key="doc_id", how="anti"
         )
-    if method != "broadcast":
-        raise ValueError(f"unknown canonical_filter method: {method}")
 
-    chunks = []
-    for b in losers.iter_batches(batch_format="pyarrow"):
-        chunks.append(b["doc_id"].to_numpy(zero_copy_only=False))
+    chunks = [
+        b["doc_id"].to_numpy(zero_copy_only=False)
+        for b in losers.iter_batches(batch_format="pyarrow")
+    ]
     loser_arr = pa.array(
         np.concatenate(chunks) if chunks else np.empty(0, np.int64),
         pa.int64(),
@@ -263,3 +232,13 @@ def canonical_filter(
         )
 
     return docs_ds.map_batches(keep, batch_format="pyarrow")
+
+
+def canonical_filter_partitioned(docs_ds, components_ds):
+    """The partitioned twin of :func:`canonical_filter`: one anti join
+    of the docs against the loser ids, no pin and no decision."""
+    from .relational import partitioned_hash_join
+
+    return partitioned_hash_join(
+        docs_ds, _losers_ds(components_ds), key="doc_id", how="anti"
+    )

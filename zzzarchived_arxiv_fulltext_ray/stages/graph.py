@@ -28,8 +28,8 @@ rows of :func:`_adjacency` carry their neighbour lists, so a round is
 ONE exchange and no edge relation is re-joined. :func:`ktruss_peel`
 keeps its own loop: its round is :func:`edge_triangle_support`'s
 wedge exchange, not a vertex program. Every operator with a broadcast
-twin takes it up to ``_BROADCAST_EDGES`` edges
-(``plan.choose_broadcast``).
+twin decides between its two plans with ``plan.broadcast`` on the
+pinned edge list's observed rows and bytes.
 
 Reference parity note: the reference engine has no graph operators;
 this extends the near-dup/link-graph family (components, pagerank)
@@ -43,14 +43,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import plan as plan_choice
+from . import plan
 from .aggregate import aggregate, exchange
 from .iterate import pin_loop_state, supersteps
 
 logger = logging.getLogger(__name__)
-
-# edge count up to which an operator takes its broadcast plan
-_BROADCAST_EDGES = 2_000_000
 
 
 def _degrees(edges_ds, out: str = "d"):
@@ -202,7 +199,6 @@ def _set(t: pa.Table, **cols) -> pa.Table:
 def triangle_stats(
     edges_ds,
     assume_canonical: bool = False,
-    method: str = "auto",
 ):
     """Exact triangle count + global clustering coefficient of the
     undirected graph given as an edge list (columns ``u``, ``v``,
@@ -213,16 +209,16 @@ def triangle_stats(
     wedge-free graph) — a single float expression of exact ints, so a
     SQL oracle reproduces it bit-for-bit.
 
-    Two physical plans, ``latest_crawl``-style auto crossover on the
-    canonical edge count:
+    Two physical plans, chosen by ``plan.broadcast`` on the pinned
+    canonical edge list:
 
-    * ``"broadcast"`` (<= ``_BROADCAST_EDGES`` edges): degrees and the
+    * broadcast: degrees and the
       oriented edge set (packed into int64 via compact node indices)
       ship once via ``ray.put``; orientation is a lookup map stage and
       closure is probed INSIDE the wedge UDF (searchsorted against
       the broadcast packed set) — TWO exchanges total (degree groupby
       + wedge bucket groupby), O(n_nodes + n_edges) driver state.
-    * ``"partitioned"``: no driver state — two bucketed degree joins
+    * partitioned: no driver state — two bucketed degree joins
       + a bucketed semi-join of wedges against oriented edges. The
       100x-scale path.
 
@@ -253,21 +249,12 @@ def triangle_stats(
             }
         )
 
-    if method not in ("auto", "broadcast", "partitioned"):
-        raise ValueError(f"unknown triangle_stats method: {method}")
-    if method == "auto":
-        method = (
-            "broadcast"
-            if plan_choice.choose_broadcast(
-                n_edges, _BROADCAST_EDGES, est_row_bytes=16
-            )
-            else "partitioned"
-        )
+    broadcast = plan.broadcast("triangle_stats", n_edges, edges.size_bytes())
 
     # -- degrees: one grouped count (stages/aggregate.py)
     degrees_ds = _degrees(edges)
 
-    if method == "broadcast":
+    if broadcast:
         return _triangles_broadcast(edges, degrees_ds, n_edges)
 
     degrees = degrees_ds.materialize()
@@ -395,7 +382,7 @@ def _triangles_broadcast(edges, degrees_ds, n_edges):
     n_wedges = int((degs * (degs - 1) // 2).sum())
 
     # oriented packed edge set: compact index of lower-(deg, id)
-    # endpoint in the high 32 bits (n_nodes <= 2 * _BROADCAST_EDGES
+    # endpoint in the high 32 bits (n_nodes <= 2 * plan.ROW_CAP
     # always fits int32)
     def pack(u, v):
         iu = np.searchsorted(nodes, u)
@@ -488,20 +475,19 @@ def bfs_hops(
     seeds,
     max_hops: int = 4,
     assume_canonical: bool = False,
-    method: str = "auto",
 ):
     """Multi-source BFS over the undirected edge list: minimum hop
     count from any seed, truncated at ``max_hops``. Returns a Ray
     Dataset ``(node, hops)`` — seeds at hop 0 (whether or not they
     have edges), every other reached node at its first-visit level.
 
-    Two physical plans (auto crossover on canonical edge count):
+    Two physical plans (``plan.broadcast`` on the canonical edges):
 
-    * ``"broadcast"`` (<= ``_BROADCAST_EDGES`` edges): the symmetric
+    * broadcast: the symmetric
       adjacency is pulled once into a driver CSR (sorted src array +
       offsets) and levels expand via numpy ``unique``/membership —
       zero exchanges after the canonicalize.
-    * ``"partitioned"``: one :func:`iterate.supersteps` round per
+    * partitioned: one :func:`iterate.supersteps` round per
       level over vertex rows carrying their adjacency: the frontier
       (the nodes first reached last round) sends one message per
       neighbour, and a receiver not yet visited takes the round as
@@ -540,16 +526,7 @@ def bfs_hops(
             )
         )
 
-    if method not in ("auto", "broadcast", "partitioned"):
-        raise ValueError(f"unknown bfs_hops method: {method}")
-    if method == "auto":
-        method = (
-            "broadcast"
-            if plan_choice.choose_broadcast(
-                n_edges, _BROADCAST_EDGES, est_row_bytes=16
-            )
-            else "partitioned"
-        )
+    broadcast = plan.broadcast("bfs_hops", n_edges, edges.size_bytes())
 
     if n_edges == 0:
         # no edge: the answer is the seeds
@@ -564,7 +541,7 @@ def bfs_hops(
             )
         )
 
-    if method == "broadcast":
+    if broadcast:
         # driver CSR: symmetric edges sorted by src
         u, v = _driver_edges(edges)
         us, vs = np.concatenate([u, v]), np.concatenate([v, u])
@@ -632,7 +609,6 @@ def kcore_peel(
     k: int = 3,
     rounds: int = 3,
     assume_canonical: bool = False,
-    method: str = "auto",
 ):
     """``rounds`` iterations of k-core peeling: repeatedly drop nodes
     of degree < ``k`` and their incident edges. Returns a Ray Dataset
@@ -663,18 +639,9 @@ def kcore_peel(
     if n_edges == 0:
         return rd.from_arrow(empty)
 
-    if method not in ("auto", "broadcast", "partitioned"):
-        raise ValueError(f"unknown kcore_peel method: {method}")
-    if method == "auto":
-        method = (
-            "broadcast"
-            if plan_choice.choose_broadcast(
-                n_edges, _BROADCAST_EDGES, est_row_bytes=16
-            )
-            else "partitioned"
-        )
+    broadcast = plan.broadcast("kcore_peel", n_edges, edges.size_bytes())
 
-    if method == "broadcast":
+    if broadcast:
         us, vs = _driver_edges(edges)
         for _ in range(rounds):
             if us.size == 0:
@@ -818,7 +785,6 @@ def cooccurrence_edges(
 def local_clustering(
     edges_ds,
     assume_canonical: bool = False,
-    method: str = "auto",
 ):
     """Per-node triangle counts + local clustering coefficient
     ``c(v) = 2.0 * tri(v) / (d(v) * (d(v) - 1))`` (0.0 below degree
@@ -826,8 +792,8 @@ def local_clustering(
     local_clustering)`` — one row per node, so the result itself
     stays distributed on the scale path.
 
-    Same two physical plans as :func:`triangle_stats` (auto crossover
-    on edge count): the broadcast plan attributes each closed wedge to
+    Same two physical plans as :func:`triangle_stats` (``plan.broadcast``
+    on the edges): the broadcast plan attributes each closed wedge to
     its three corners inside the wedge UDF (numpy ``add.at`` on a
     per-bucket count vector); the partitioned plan keeps the wedge
     CENTER through the closure join, fans each closed wedge out to
@@ -854,20 +820,11 @@ def local_clustering(
     if n_edges == 0:
         return rd.from_arrow(empty)
 
-    if method not in ("auto", "broadcast", "partitioned"):
-        raise ValueError(f"unknown local_clustering method: {method}")
-    if method == "auto":
-        method = (
-            "broadcast"
-            if plan_choice.choose_broadcast(
-                n_edges, _BROADCAST_EDGES, est_row_bytes=16
-            )
-            else "partitioned"
-        )
+    broadcast = plan.broadcast("local_clustering", n_edges, edges.size_bytes())
 
     degrees_ds = _degrees(edges)
 
-    if method == "broadcast":
+    if broadcast:
         deg_df = degrees_ds.to_pandas()
         nodes = deg_df["node"].to_numpy().astype(np.int64)
         degs = deg_df["d"].to_numpy().astype(np.int64)
@@ -1178,30 +1135,12 @@ def common_neighbor_pairs(
     )
     if min_common > 1:
         scored = scored.filter(expr=f"cn >= {min_common}")
-    scored = scored.materialize()
-    if scored.schema() is None:
-        # every center was dropped/filtered: a fully-empty aggregate
-        # loses its schema, which the join family cannot accept —
-        # short-circuit with a typed empty result
-        import ray.data
-
-        return ray.data.from_arrow(
-            pa.Table.from_pydict(
-                {
-                    "u": pa.array([], pa.int64()),
-                    "v": pa.array([], pa.int64()),
-                    "cn": pa.array([], pa.int64()),
-                    "sum_ctr_deg": pa.array([], pa.int64()),
-                }
-            )
-        )
     return partitioned_hash_join(scored, edges, key=["u", "v"], how="anti")
 
 
 def degree_assortativity(
     edges_ds,
     assume_canonical: bool = False,
-    broadcast_nodes: int = 1_000_000,
 ):
     """Degree assortativity coefficient of an undirected graph: the
     Pearson correlation of endpoint degrees over all DIRECTED edge
@@ -1217,10 +1156,9 @@ def degree_assortativity(
     one-row pandas DataFrame (n_edges, s_deg, s_deg2, s_dudv,
     assortativity).
 
-    Degree attachment auto-selects (the latest_crawl crossover
-    pattern): graphs with <= ``broadcast_nodes`` nodes broadcast the
-    degree table once (8 bytes/node) and attach both endpoints in one
-    edge scan; larger graphs fall back to the two bucketed joins."""
+    Degree attachment: when ``plan.broadcast`` takes the degree
+    table, it broadcasts once and both endpoints attach in one edge
+    scan; otherwise two bucketed joins attach them."""
     import pandas as pd
 
     from .relational import partitioned_hash_join
@@ -1243,11 +1181,8 @@ def degree_assortativity(
             }
         )
 
-    if plan_choice.choose_broadcast(
-        n_nodes, broadcast_nodes, est_row_bytes=16
-    ):
-        # small-graph fast path (the latest_crawl-style crossover):
-        # the degree table broadcasts once and both endpoint degrees
+    if plan.broadcast("degree_assortativity", n_nodes, degrees.size_bytes()):
+        # small-graph fast path: the degree table broadcasts once and both endpoint degrees
         # attach in ONE edge scan — zero degree-join exchanges.
         # Sorted-key searchsorted lookup, NOT a dense max-id array:
         # node ids may be sparse 64-bit hashes, so the broadcast must
@@ -1331,7 +1266,6 @@ def label_propagation(
     edges_ds,
     rounds: int = 3,
     assume_canonical: bool = False,
-    method: str = "auto",
 ):
     """``rounds`` SYNCHRONOUS rounds of label propagation (community
     detection): every node starts labeled with its own id; each round
@@ -1344,7 +1278,7 @@ def label_propagation(
     histogram-CTE + one ``row_number() OVER (ORDER BY c DESC, lbl)``
     CTE. Returns a Ray Dataset ``(node, label)``.
 
-    Broadcast plan (<= ``_BROADCAST_EDGES`` edges): incidence arrays
+    Broadcast plan (``plan.broadcast`` on the edges): incidence arrays
     pulled once, each round is two lexsorts on the driver.
     Partitioned plan (the scale path): :func:`iterate.supersteps` over
     vertex rows carrying their adjacency; every round each node sends
@@ -1363,18 +1297,9 @@ def label_propagation(
     if n_edges == 0:
         return rd.from_arrow(empty)
 
-    if method not in ("auto", "broadcast", "partitioned"):
-        raise ValueError(f"unknown label_propagation method: {method}")
-    if method == "auto":
-        method = (
-            "broadcast"
-            if plan_choice.choose_broadcast(
-                n_edges, _BROADCAST_EDGES, est_row_bytes=16
-            )
-            else "partitioned"
-        )
+    broadcast = plan.broadcast("label_propagation", n_edges, edges.size_bytes())
 
-    if method == "broadcast":
+    if broadcast:
         us, vs = _driver_edges(edges)
         src = np.concatenate([us, vs])
         dst = np.concatenate([vs, us])
@@ -1456,7 +1381,6 @@ def random_walks(
     n_steps: int = 3,
     seed: int = 20260819,
     assume_canonical: bool = False,
-    method: str = "auto",
 ):
     """Deterministic pseudo-random walks from EVERY node of the
     undirected graph — the random-walk corpus generator that
@@ -1470,7 +1394,7 @@ def random_walks(
     replays every step with an unrolled join chain. Returns a Ray
     Dataset ``(start, s1, ..., s{n_steps})``.
 
-    Broadcast plan (<= ``_BROADCAST_EDGES`` edges): driver CSR (sorted
+    Broadcast plan (``plan.broadcast`` on the edges): driver CSR (sorted
     incidence + offsets), each step one vectorized gather — zero
     exchanges. Partitioned plan: :func:`iterate.supersteps` over
     vertex rows carrying their sorted neighbours; the walkers are the
@@ -1496,18 +1420,9 @@ def random_walks(
         0, np.iinfo(np.uint64).max, size=n_steps, dtype=np.uint64
     )
 
-    if method not in ("auto", "broadcast", "partitioned"):
-        raise ValueError(f"unknown random_walks method: {method}")
-    if method == "auto":
-        method = (
-            "broadcast"
-            if plan_choice.choose_broadcast(
-                n_edges, _BROADCAST_EDGES, est_row_bytes=16
-            )
-            else "partitioned"
-        )
+    broadcast = plan.broadcast("random_walks", n_edges, edges.size_bytes())
 
-    if method == "broadcast":
+    if broadcast:
         us, vs = _driver_edges(edges)
         src = np.concatenate([us, vs])
         dst = np.concatenate([vs, us])
@@ -1574,7 +1489,6 @@ def edge_triangle_support(
     edges_ds,
     max_degree: int = 1024,
     assume_canonical: bool = False,
-    method: str = "auto",
 ):
     """Per-EDGE triangle support and neighbor-set Jaccard — the exact
     tie-strength feature (embeddedness) link analysis ranks edges by:
@@ -1589,8 +1503,7 @@ def edge_triangle_support(
     two bucketed degree joins attach du/dv. Returns a Ray Dataset
     (u, v, t, du, dv, jaccard).
 
-    Broadcast plan (<= ``_BROADCAST_EDGES`` edges, the family's auto
-    crossover): edges pulled once, support via one sorted-adjacency
+    Broadcast plan (``plan.broadcast`` on the edges): edges pulled once, support via one sorted-adjacency
     sweep on the driver — the three bucketed joins are pure fixed
     exchange cost at small graph sizes (measured 21.6 s at sf0.1 for
     a 548-edge graph, vs <2 s broadcast)."""
@@ -1602,21 +1515,12 @@ def edge_triangle_support(
     edges = edges_ds.materialize()
     import ray.data as rd
 
-    if method not in ("auto", "broadcast", "partitioned"):
-        raise ValueError(
-            f"unknown edge_triangle_support method: {method}"
-        )
     n_edges = edges.count()
-    if method == "auto":
-        method = (
-            "broadcast"
-            if plan_choice.choose_broadcast(
-                n_edges, _BROADCAST_EDGES, est_row_bytes=16
-            )
-            else "partitioned"
-        )
+    broadcast = plan.broadcast(
+        "edge_triangle_support", n_edges, edges.size_bytes()
+    )
 
-    if n_edges and method == "broadcast":
+    if n_edges and broadcast:
         us, vs = _driver_edges(edges)
         src_a = np.concatenate([us, vs])
         dst_a = np.concatenate([vs, us])
@@ -1751,33 +1655,23 @@ def edge_triangle_support(
         exchange(edges, "src", pairs_of_bucket, rows=symmetrize),
         ["u", "v"],
         [("t", "count", None)],
-    ).materialize()
+    )
 
-    if scored.schema() is None:
-        scored = rd.from_arrow(
-            pa.Table.from_pydict(
-                {
-                    "u": pa.array([], pa.int64()),
-                    "v": pa.array([], pa.int64()),
-                    "t": pa.array([], pa.int64()),
-                }
-            )
+    def support(b: pa.Table) -> pa.Table:
+        # no wedge closes anywhere: the join's right side is empty and
+        # brings no ``t`` column
+        t = b["t"] if "t" in b.column_names else pa.nulls(b.num_rows)
+        return pa.Table.from_pydict(
+            {
+                "u": b["u"],
+                "v": b["v"],
+                "t": pc.fill_null(pc.cast(t, pa.int64()), 0),
+            }
         )
 
     with_t = partitioned_hash_join(
         edges, scored, key=["u", "v"], how="left",
-    ).map_batches(
-        lambda b: pa.Table.from_pydict(
-            {
-                "u": b["u"],
-                "v": b["v"],
-                "t": pa.compute.fill_null(
-                    pa.compute.cast(b["t"], pa.int64()), 0
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    ).map_batches(support, batch_format="pyarrow")
 
     degrees = _degrees(edges)
 

@@ -45,7 +45,9 @@ def interval_join(
     side's non-key columns (names must be disjoint; ``start``/``end``
     are carried through). Timestamps compare as int64 microseconds.
     """
-    from .relational import partitioned_hash_join
+    from .relational import check_disjoint_inputs, partitioned_hash_join
+
+    check_disjoint_inputs(left_ds, right_ds, [key])
 
     def ts_us(col) -> np.ndarray:
         return col.cast(pa.int64()).to_numpy(zero_copy_only=False)

@@ -38,6 +38,7 @@ from typing import Dict, List
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .aggregate import aggregate
 
@@ -118,83 +119,40 @@ def _tokens_hash_batch(
     )
 
 
-def token_budget_select(
-    docs_ds,
-    budget_num: int = 1,
-    budget_den: int = 2,
-    n_buckets: int = 256,
-    boundary: str = "auto",
-    id_col: str = "doc_id",
-    group_col: str = "lang",
-    driver_pull_row_limit: int = 1_000_000,
-):
-    """Per-group token-budget prefix selection.
+def _pull_bytes(t: pa.Table) -> np.ndarray:
+    """Arrow bytes of each row of ``t``: a fixed width, or a string's
+    length plus its 4-byte offset."""
+    total = np.zeros(t.num_rows, dtype=np.int64)
+    for col in t.columns:
+        if pa.types.is_primitive(col.type):
+            total += max(1, col.type.bit_width // 8)
+        else:
+            total += 4 + pc.fill_null(pc.binary_length(col), 0).to_numpy()
+    return total
 
-    Selects, per group (default: language), the maximal prefix of
-    documents ordered by ``(md5(id) prefix, id)`` whose cumulative
-    whitespace-token count is <=
-    ``floor(total_tokens(group) * budget_num / budget_den)`` —
-    exactly the SQL window ``sum(n_tokens) OVER (PARTITION BY group
-    ORDER BY hash, id) <= budget``, computed without any global sort
-    (see module docstring). ``id_col`` may be an integer column
-    (doc_id; hashed as md5(str(id))) or a string column (url; hashed
-    as md5(url)).
 
-    ``boundary`` picks how the cutoff bucket is resolved exactly
-    (identical answers, pinned equal in tests):
+def _budget_cutoffs(hashed, budget_num, budget_den, n_buckets, id_col,
+                    group_col):
+    """Pass 1: the (group, bucket) histogram of tokens, rows and the
+    bytes a driver pull of the rows would move, then each group's
+    budget, cutoff bucket and the tokens selected below it. None for an
+    input without rows."""
 
-    * ``"auto"`` (default) — measure the actual boundary-bucket row
-      count from the histogram pass (it carries per-bucket row counts
-      for free) and pick ``driver`` only when the would-be pull fits
-      ``driver_pull_row_limit`` AND the central broadcast byte budget
-      (``stages/plan.choose_broadcast``); otherwise ``distributed``.
-      At cluster scale the pull exceeds the budget and the plan is
-      the distributed one without anyone tuning n_buckets.
-    * ``"driver"`` — pull ONLY the boundary bucket's rows
-      (~1/n_buckets of each group) and order them on the driver. Two
-      narrow scans, no row shuffle; right while group_size/n_buckets
-      fits the driver (raise n_buckets with corpus size).
-    * ``"distributed"`` — run the full
-      :func:`~..stages.window.grouped_ordered_cumsum` (per-bucket
-      distributed sorts) and filter ``cum <= budget``. One narrow
-      (id, group, val, h) shuffle instead of any driver row pull —
-      the 10^12-doc path.
+    def with_bytes(b: pa.Table) -> pa.Table:
+        pulled = b.select([id_col, group_col, "n_tokens", "h"])
+        return b.append_column("n_bytes", pa.array(_pull_bytes(pulled)))
 
-    Returns a pandas frame (id_col, group_col, n_tokens) sorted by id.
-    """
-    from . import plan as plan_choice
-
-    if plan_choice.force_partitioned():
-        boundary = "distributed"
-    if boundary not in ("auto", "driver", "distributed"):
-        raise ValueError(f"unknown boundary plan: {boundary}")
-
-    hashed = docs_ds.map_batches(
-        lambda b: _tokens_hash_batch(b, n_buckets, id_col, group_col),
-        batch_format="pyarrow",
-    )
-
-    # pass 1: (group, bucket) token histogram — one grouped aggregate
-    # whose exchange carries <= n_groups * n_buckets rows per block
+    # one grouped aggregate whose exchange carries <= n_groups *
+    # n_buckets rows per block
     hist = aggregate(
         hashed,
         [group_col, "bucket"],
-        [("n_tokens", "sum", "n_tokens"), ("n_rows", "count", "n_tokens")],
+        [("n_tokens", "sum", "n_tokens"), ("n_rows", "count", "n_tokens"),
+         ("n_bytes", "sum", "n_bytes")],
+        rows=with_bytes,
     ).to_pandas()
-
     if hist.empty:
-        # all rows filtered upstream: typed-empty result, not a
-        # pandas-groupby KeyError (same guard family as the
-        # schema-less partitioned_hash_join limitation)
-        import pandas as pd
-
-        return pd.DataFrame(
-            {
-                id_col: pd.Series([], dtype=object),
-                group_col: pd.Series([], dtype=object),
-                "n_tokens": pd.Series([], dtype="int64"),
-            }
-        )
+        return None
 
     # driver: per group, prefix-sum the buckets; find the cutoff
     cutoff: Dict[str, int] = {}
@@ -214,65 +172,85 @@ def token_budget_select(
             cum += int(n)
         cutoff[grp_key] = cut
         base_cum[grp_key] = cum  # tokens selected below the cutoff
+    return hist, cutoff, base_cum, budget
 
-    if boundary == "auto":
-        # the histogram already knows EXACTLY how many rows the driver
-        # plan would pull (each group's cutoff bucket); take the driver
-        # shortcut only when that pull is bounded
-        pull_rows = int(
-            sum(
-                int(n)
-                for grp_key, b, n in zip(
-                    hist[group_col], hist["bucket"], hist["n_rows"]
-                )
-                if cutoff.get(grp_key, n_buckets) == b
-            )
-        )
-        boundary = (
-            "driver"
-            if plan_choice.choose_broadcast(
-                pull_rows, driver_pull_row_limit, est_row_bytes=96
-            )
-            else "distributed"
-        )
 
-    if boundary == "distributed":
-        # no driver row pull at all: full distributed window cumsum
-        # (per-bucket sorts), then a stateless budget filter
-        from .window import grouped_ordered_cumsum
+def _empty_selection(id_col: str, group_col: str):
+    """All rows filtered upstream: a typed-empty result, not a
+    pandas-groupby KeyError."""
+    import pandas as pd
 
-        def tok_only(batch: pa.Table) -> pa.Table:
-            return _tokens_hash_batch(
-                batch, n_buckets, id_col, group_col
-            ).select([id_col, group_col, "n_tokens"])
+    return pd.DataFrame(
+        {
+            id_col: pd.Series([], dtype=object),
+            group_col: pd.Series([], dtype=object),
+            "n_tokens": pd.Series([], dtype="int64"),
+        }
+    )
 
-        cum_ds = grouped_ordered_cumsum(
-            docs_ds.map_batches(tok_only, batch_format="pyarrow"),
-            group_col,
-            id_col,
-            "n_tokens",
-            n_buckets=n_buckets,
-        )
 
-        def keep(batch: pa.Table) -> pa.Table:
-            groups = np.asarray(batch["group"].to_pylist())
-            c = batch["cum"].to_numpy(zero_copy_only=False)
-            mask = np.zeros(len(groups), dtype=bool)
-            for grp_key, bud in budget.items():  # vectorized per group
-                mask |= (groups == grp_key) & (c <= bud)
-            out = batch.filter(pa.array(mask))
-            return pa.Table.from_pydict(
-                {
-                    id_col: out["id"].combine_chunks(),
-                    group_col: out["group"].combine_chunks(),
-                    "n_tokens": out["val"].combine_chunks(),
-                }
-            )
+def token_budget_select(
+    docs_ds,
+    budget_num: int = 1,
+    budget_den: int = 2,
+    n_buckets: int = 256,
+    id_col: str = "doc_id",
+    group_col: str = "lang",
+):
+    """Per-group token-budget prefix selection.
 
-        out = cum_ds.map_batches(keep, batch_format="pyarrow").to_pandas()
-        return out.sort_values(id_col).reset_index(drop=True)
-    if boundary != "driver":
-        raise ValueError(f"unknown boundary plan: {boundary}")
+    Selects, per group (default: language), the maximal prefix of
+    documents ordered by ``(md5(id) prefix, id)`` whose cumulative
+    whitespace-token count is <=
+    ``floor(total_tokens(group) * budget_num / budget_den)`` —
+    exactly the SQL window ``sum(n_tokens) OVER (PARTITION BY group
+    ORDER BY hash, id) <= budget``, computed without any global sort
+    (see module docstring). ``id_col`` may be an integer column
+    (doc_id; hashed as md5(str(id))) or a string column (url; hashed
+    as md5(url)).
+
+    The cutoff bucket is resolved exactly by one of two plans
+    (identical answers, pinned equal in tests). The histogram pass
+    observes the rows and bytes of each group's boundary bucket, and
+    ``plan.broadcast`` decides on them:
+
+    * driver — pull ONLY the boundary bucket's rows (~1/n_buckets of
+      each group) and order them on the driver. Two narrow scans, no
+      row shuffle.
+    * distributed (:func:`token_budget_select_distributed`) — run the
+      full :func:`~..stages.window.grouped_ordered_cumsum` (per-bucket
+      distributed sorts) and filter ``cum <= budget``. One narrow
+      (id, group, val, h) shuffle instead of any driver row pull —
+      the 10^12-doc path.
+
+    Returns a pandas frame (id_col, group_col, n_tokens) sorted by id.
+    """
+    from . import plan
+
+    hashed = docs_ds.map_batches(
+        lambda b: _tokens_hash_batch(b, n_buckets, id_col, group_col),
+        batch_format="pyarrow",
+    )
+    cuts = _budget_cutoffs(hashed, budget_num, budget_den, n_buckets,
+                           id_col, group_col)
+    if cuts is None:
+        return _empty_selection(id_col, group_col)
+    hist, cutoff, base_cum, budget = cuts
+
+    # the histogram already knows EXACTLY how many rows and bytes the
+    # driver plan would pull (each group's cutoff bucket)
+    at_cut = np.array(
+        [cutoff.get(g, n_buckets) == b
+         for g, b in zip(hist[group_col], hist["bucket"])],
+        dtype=bool,
+    )
+    if not plan.broadcast(
+        "token_budget_select",
+        hist["n_rows"][at_cut].sum(),
+        hist["n_bytes"][at_cut].sum(),
+    ):
+        return _select_distributed(docs_ds, budget, n_buckets, id_col,
+                                   group_col)
 
     # boundary: pull ONLY each group's cutoff bucket (~1/n_buckets of
     # the group), order exactly, extend the prefix to the budget
@@ -328,6 +306,66 @@ def token_budget_select(
         )
 
     out = hashed.map_batches(select, batch_format="pyarrow").to_pandas()
+    return out.sort_values(id_col).reset_index(drop=True)
+
+
+def token_budget_select_distributed(
+    docs_ds,
+    budget_num: int = 1,
+    budget_den: int = 2,
+    n_buckets: int = 256,
+    id_col: str = "doc_id",
+    group_col: str = "lang",
+):
+    """The distributed plan of :func:`token_budget_select`, without the
+    decision: the histogram pass for the budgets, then the full
+    distributed window cumsum."""
+    hashed = docs_ds.map_batches(
+        lambda b: _tokens_hash_batch(b, n_buckets, id_col, group_col),
+        batch_format="pyarrow",
+    )
+    cuts = _budget_cutoffs(hashed, budget_num, budget_den, n_buckets,
+                           id_col, group_col)
+    if cuts is None:
+        return _empty_selection(id_col, group_col)
+    return _select_distributed(docs_ds, cuts[3], n_buckets, id_col,
+                               group_col)
+
+
+def _select_distributed(docs_ds, budget, n_buckets, id_col, group_col):
+    """No driver row pull at all: full distributed window cumsum
+    (per-bucket sorts), then a stateless budget filter."""
+    from .window import grouped_ordered_cumsum
+
+    def tok_only(batch: pa.Table) -> pa.Table:
+        return _tokens_hash_batch(
+            batch, n_buckets, id_col, group_col
+        ).select([id_col, group_col, "n_tokens"])
+
+    cum_ds = grouped_ordered_cumsum(
+        docs_ds.map_batches(tok_only, batch_format="pyarrow"),
+        group_col,
+        id_col,
+        "n_tokens",
+        n_buckets=n_buckets,
+    )
+
+    def keep(batch: pa.Table) -> pa.Table:
+        groups = np.asarray(batch["group"].to_pylist())
+        c = batch["cum"].to_numpy(zero_copy_only=False)
+        mask = np.zeros(len(groups), dtype=bool)
+        for grp_key, bud in budget.items():  # vectorized per group
+            mask |= (groups == grp_key) & (c <= bud)
+        out = batch.filter(pa.array(mask))
+        return pa.Table.from_pydict(
+            {
+                id_col: out["id"].combine_chunks(),
+                group_col: out["group"].combine_chunks(),
+                "n_tokens": out["val"].combine_chunks(),
+            }
+        )
+
+    out = cum_ds.map_batches(keep, batch_format="pyarrow").to_pandas()
     return out.sort_values(id_col).reset_index(drop=True)
 
 

@@ -14,15 +14,15 @@ Three candidate-generation strategies feeding one exact verifier:
   the 4x16-bit pigeonhole blocks (hamming<=3 implies one equal block).
 
 The verifier computes exact shingle Jaccard (or hamming) per candidate
-pair. The default verify path is fully partitioned: candidate pairs
-are hash-bucket-joined against the shingle table on doc_a, then on
-doc_b (two bounded shuffles via ``stages.relational
-.partitioned_hash_join``; shingle sets ride as binary blobs because
-Acero joins don't carry list columns). No driver-side or broadcast
-corpus state — this is the 10^12-doc path. ``verify="broadcast"``
-keeps the small-corpus fast path (one ``ray.put`` of the whole
-doc_id -> shingles map; fine to ~10^7 docs per node, one shuffle
-fewer).
+pair. The ngram method always verifies through intersection counts
+(no blobs, no joins). The minhash method pins its shingle table and
+``plan.broadcast`` decides on its observed rows and bytes: the
+broadcast verify ships one ``ray.put`` doc_id -> shingles map; the
+partitioned verify hash-bucket-joins the candidate pairs against the
+shingle table on doc_a, then on doc_b (two bounded shuffles via
+``stages.relational.partitioned_hash_join``; shingle sets ride as
+binary blobs because Acero joins don't carry list columns), with no
+driver-side or broadcast corpus state.
 
 The shingled stream feeds both candidate generation and the verify
 join. It is recomputed for each consumer (Ray Data has no common-
@@ -274,20 +274,6 @@ def verify_jaccard(pairs_ds, shingle_map_ref, threshold: float):
     return pairs_ds.map_batches(verify, batch_format="pyarrow")
 
 
-def _empty_pairs_ds():
-    import ray.data as rd
-
-    return rd.from_arrow(
-        pa.table(
-            {
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                "jaccard": pa.array([], pa.float64()),
-            }
-        )
-    )
-
-
 def verify_jaccard_partitioned(
     pairs_ds, shingled_ds, threshold: float
 ):
@@ -295,8 +281,6 @@ def verify_jaccard_partitioned(
     candidate pairs against the shingle table on doc_a, then doc_b,
     then score each pair locally. Two bounded shuffles; per-task state
     is one bucket's pairs + shingle rows, never the corpus."""
-    if pairs_ds.schema() is None:  # zero candidates -> schema-less
-        return _empty_pairs_ds()
 
     def as_side(name):
         def rename(batch: pa.Table) -> pa.Table:
@@ -365,8 +349,9 @@ def neardup_pairs_ngram_counts(
     Drop-aware guard: a hot bucket dropped at ``max_bucket`` would
     silently UNDERCOUNT ``|A∩B|`` for surviving pairs (not just lose
     candidates, as the blob plan does), so drops emit marker rows and
-    ``on_drop`` decides: "fallback" (default) reruns the blob
-    partitioned plan — exact under drops — with a warning; "approx"
+    ``on_drop`` decides: "fallback" (default) reruns the candidates
+    through the shingle-set verify — exact under drops — with a
+    warning; "approx"
     returns the undercounted result with a warning; "error" raises.
     The small verified result is materialized to read the marker count
     (it is the query output anyway).
@@ -481,12 +466,11 @@ def neardup_pairs_ngram_counts(
         if on_drop == "fallback":
             logger.warning(
                 "neardup counts plan dropped %d hot buckets; falling "
-                "back to the blob-join partitioned verify (exact under "
-                "drops)", n_dropped,
+                "back to the shingle-set verify (exact under drops)",
+                n_dropped,
             )
-            return neardup_pairs(
-                docs_ds, method="ngram", threshold=threshold, k=k,
-                max_bucket=max_bucket, verify="partitioned",
+            return _verified_pairs(
+                docs_ds, threshold, k, max_bucket, explode_shingle_keys
             )
         logger.warning(
             "neardup counts plan dropped %d hot buckets; returned "
@@ -497,10 +481,7 @@ def neardup_pairs_ngram_counts(
 
 
 def _broadcast_shingle_map(shingled_ds):
-    """Collect doc_id -> shingle array into the object store once.
-
-    Fine up to O(10^7) docs per node; the default ``partitioned``
-    verify path never builds this."""
+    """Collect doc_id -> shingle array into the object store once."""
     import ray
 
     smap: Dict[int, np.ndarray] = {}
@@ -521,101 +502,61 @@ def neardup_pairs(
     bands: int = 64,
     rows: int = 2,
     max_bucket: int = 256,
-    verify: str = "auto",
-    broadcast_max_docs: int = 1_000_000,
 ):
     """End-to-end near-dup pairs: shingle -> candidates -> verify.
 
-    Returns a Dataset of (doc_a, doc_b, jaccard), doc_a < doc_b.
+    Returns a Dataset of (doc_a, doc_b, jaccard), doc_a < doc_b. Every
+    verify plan gives the identical exact-Jaccard answer (pinned equal
+    in tests):
 
-    ``verify`` selects the physical verify plan — both produce the
-    identical exact-Jaccard answer (pinned equal in tests):
-
-    * "counts" (ngram only): fused candidates+verify via intersection
-      counts — no blobs, no joins, drop-aware
-      (:func:`neardup_pairs_ngram_counts`). The preferred no-broadcast
-      plan for the ngram method.
-    * "partitioned": hash-join candidates against the shingle table;
-      no broadcast/driver corpus state, but the shuffle carries one
-      shingle-set copy PER CANDIDATE PAIR — the no-broadcast plan for
-      minhash (whose band buckets don't partition the intersection),
-      and the exact-under-drops fallback for ngram.
-    * "broadcast": one ``ray.put`` of the doc->shingles map; each
-      verify task reads it zero-copy — right while the map fits a
-      node (<= ~10^6-10^7 docs), and much faster there because the
-      shingle table ships once, not once per pair.
-    * "auto" (default): ngram always takes "counts" — measured at or
-      faster than the broadcast verify at sf0.1 (2.5-5.8 s vs
-      3.3-4.4 s) with zero broadcast state, so there is no regime
-      where broadcast wins enough to justify holding the corpus map.
-      minhash picks broadcast below ``broadcast_max_docs`` (one cheap
-      projected ``count()``) and the partitioned blob join above — the
-      standard small-side-broadcast vs shuffle choice.
+    * ngram: fused candidates+verify via intersection counts — no
+      blobs, no joins, drop-aware (:func:`neardup_pairs_ngram_counts`).
+      Measured at or faster than the broadcast verify at sf0.1
+      (2.5-5.8 s vs 3.3-4.4 s) with zero broadcast state, so ngram
+      never broadcasts.
+    * minhash: its band buckets don't partition the intersection, so
+      the shingle table is pinned once and ``plan.broadcast`` decides
+      on its observed rows and bytes. Broadcast: one ``ray.put`` of
+      the doc->shingles map that each verify task reads zero-copy —
+      the shingle table ships once, not once per pair. Exchange:
+      hash-join the candidates against the shingle table; no
+      broadcast/driver corpus state, but the shuffle carries one
+      shingle-set copy PER CANDIDATE PAIR.
     """
-    if verify == "auto":
-        if method == "ngram":
-            verify = "counts"
-        else:
-            # plain Dataset.count() is parquet-metadata-only for an
-            # untransformed read — no scan; transformed inputs fall
-            # back to a projected scan as before
-            n_docs = docs_ds.count()
-            # memory-aware crossover: the broadcast state is one
-            # num_perm x uint64 signature per doc, so fat signatures
-            # (large num_perm) flip to partitioned before the row
-            # limit does; GRAFT_FORCE_PARTITIONED=1 always flips
-            from . import plan as plan_choice
-
-            verify = (
-                "broadcast"
-                if plan_choice.choose_broadcast(
-                    n_docs, broadcast_max_docs, est_row_bytes=num_perm * 8
-                )
-                else "partitioned"
-            )
-    if verify == "counts":
-        if method != "ngram":
-            raise ValueError(
-                "verify='counts' requires method='ngram': only the "
-                "shingle inverted index partitions |A intersect B| "
-                "exactly across buckets"
-            )
+    if method == "ngram":
         return neardup_pairs_ngram_counts(
             docs_ds, threshold=threshold, k=k, max_bucket=max_bucket
         )
+    if method != "minhash":
+        raise ValueError(f"unknown candidate method: {method}")
+    return _verified_pairs(
+        docs_ds, threshold, k, max_bucket,
+        lambda sh: minhash_band_batch(sh, num_perm, bands, rows),
+    )
+
+
+def _verified_pairs(docs_ds, threshold, k, max_bucket, explode):
+    """Shingle, explode each doc to its candidate bucket keys
+    (``explode(shingled batch)``), pair within buckets and verify
+    exactly. The shingle table is pinned: the candidate stream and the
+    verify both read it, and ``plan.broadcast`` decides on it."""
+    from . import plan
+
     shingled = docs_ds.map_batches(
         lambda b: shingle_batch(b, k), batch_format="pyarrow"
+    ).materialize()
+    candidates = bucket_pairs(
+        shingled.map_batches(explode, batch_format="pyarrow"),
+        max_bucket=max_bucket,
     )
-    if verify == "broadcast":
-        # the broadcast verify pulls the whole (projected) shingle
-        # table into the object store anyway; materializing it FIRST
-        # means shingling runs once and both consumers (the candidate
-        # stream and the broadcast map) read the cached blocks,
-        # instead of re-reading + re-shingling the corpus. Strictly
-        # less peak state than the ray.put map the plan already
-        # requires; the partitioned path never does this.
-        shingled = shingled.materialize()
-
-    if method == "ngram":
-        exploded = shingled.map_batches(
-            explode_shingle_keys, batch_format="pyarrow"
-        )
-    elif method == "minhash":
-        exploded = shingled.map_batches(
-            lambda b: minhash_band_batch(b, num_perm, bands, rows),
-            batch_format="pyarrow",
+    if plan.broadcast(
+        "neardup_pairs", shingled.count(), shingled.size_bytes()
+    ):
+        verified = verify_jaccard(
+            candidates, _broadcast_shingle_map(shingled), threshold
         )
     else:
-        raise ValueError(f"unknown candidate method: {method}")
-
-    candidates = bucket_pairs(exploded, max_bucket=max_bucket)
-    if verify == "broadcast":
-        smap_ref = _broadcast_shingle_map(shingled)
-        verified = verify_jaccard(candidates, smap_ref, threshold)
-    elif verify == "partitioned":
         verified = verify_jaccard_partitioned(candidates, shingled, threshold)
-    else:
-        raise ValueError(f"unknown verify mode: {verify}")
     return _distinct_pairs(verified, "jaccard")
 
 
@@ -849,7 +790,7 @@ def cross_neardup_counts(
 
     n_dropped = 0
     n_total = 0
-    if out.schema() is not None:
+    if out.schema(fetch_if_missing=False) is not None:
         n_total = out.count()
         n_dropped = out.map_batches(
             lambda b: b.filter(pc.less(b["left_id"], 0)),

@@ -1,29 +1,44 @@
-"""Central physical-plan choice for broadcast<->partitioned twins.
+"""The engine's one crossover decision: broadcast (or driver merge) vs
+exchange.
 
-Every operator family with two physical plans (a small-side broadcast
-fast path and an at-scale partitioned/shuffle plan producing the
-IDENTICAL result) routes its crossover decision through
-:func:`choose_broadcast`, which adds two properties the per-site
-row-count checks lacked:
+Every operator family with two physical plans — a small-side plan
+that ships one side to every task (``ray.put``) or merges it on the
+driver, and a partitioned plan that exchanges both sides and holds no
+driver state, producing the IDENTICAL result — asks
+:func:`broadcast` once, with the small side's OBSERVED size:
 
-* ``GRAFT_FORCE_PARTITIONED=1`` disables EVERY broadcast fast path in
-  one shot, so a single ``scripts/check_oracle.py`` run gives
-  gate-level coverage of all at-scale twins (not just their dedicated
-  pytest pins). CI spelling::
+* ``rows`` and ``nbytes`` come from a pinned Dataset's ``count()`` and
+  ``size_bytes()`` (block metadata of materialized blocks — no
+  execution) or from a driver table's ``num_rows`` and ``nbytes``.
+  Nothing is estimated and no probe runs for the decision (*Adaptive
+  and Robust Query Execution for Lakehouses*, VLDB 2024, decides from
+  sizes observed at run time in the same way).
+* The small side broadcasts when it holds at most :data:`ROW_CAP`
+  rows AND at most :func:`broadcast_bytes_limit` bytes. The row cap
+  bounds per-row driver work (Python-level merges, dict builds); the
+  byte budget bounds object-store and heap state, so a fat-row side
+  (4096-dim float64 embeddings are 32 KiB a row) flips to the exchange
+  long before the row cap does.
+* ``GRAFT_FORCE_PARTITIONED=1`` makes every decision take the
+  exchange, so one ``scripts/check_oracle.py`` run covers every
+  partitioned twin at gate level::
 
       GRAFT_FORCE_PARTITIONED=1 python scripts/check_oracle.py
 
-* The decision is memory-aware: callers pass the estimated bytes PER
-  ROW of the would-be broadcast state, and the crossover compares
-  ``n_rows * est_row_bytes`` against a byte budget
-  (``GRAFT_BROADCAST_BYTES_LIMIT``, default 2 GiB — a small fraction
-  of one worker's object store) IN ADDITION to the row-count limit.
-  A fat-row corpus (e.g. 4096-dim float64 embeddings: 32 KiB/row
-  means ~65k rows already exceed 2 GiB) flips to the partitioned plan
-  where row count alone would have broadcast it.
+* Each decision logs one INFO record on this module's logger: the
+  site, the rows, the bytes and the choice.
+
+No operator takes a plan-selector argument or a row limit of its own;
+tests reach a partitioned twin through the forced mode.
 """
 
+import logging
 import os
+
+logger = logging.getLogger(__name__)
+
+# the most rows a broadcast or driver-merged side may hold
+ROW_CAP = 1_000_000
 
 # Default per-node budget for a single broadcast object: 2 GiB.
 # Rationale: Ray's default object store is 30% of node RAM; on the
@@ -44,27 +59,17 @@ def broadcast_bytes_limit() -> int:
     return int(v) if v else DEFAULT_BROADCAST_BYTES_LIMIT
 
 
-def choose_broadcast(
-    n_rows: int,
-    row_limit: int,
-    est_row_bytes: float = None,
-    byte_limit: int = None,
-) -> bool:
-    """Should this operator take its broadcast fast path?
-
-    ``n_rows``/``row_limit``: the legacy row-count crossover.
-    ``est_row_bytes``: estimated serialized bytes per row of the
-    broadcast state (signature width, edge record width, embedding
-    dim x itemsize, mean blob width...). When given, the estimated
-    total must also fit ``byte_limit`` (default
-    :func:`broadcast_bytes_limit`).
-    """
-    if force_partitioned():
-        return False
-    if n_rows > row_limit:
-        return False
-    if est_row_bytes is not None:
-        limit = byte_limit if byte_limit is not None else broadcast_bytes_limit()
-        if n_rows * est_row_bytes > limit:
-            return False
-    return True
+def broadcast(site: str, rows: int, nbytes: int) -> bool:
+    """Should ``site`` broadcast (or driver-merge) its small side of
+    ``rows`` rows and ``nbytes`` bytes? ``False`` means: exchange."""
+    rows, nbytes = int(rows), int(nbytes)
+    choice = (
+        not force_partitioned()
+        and rows <= ROW_CAP
+        and nbytes <= broadcast_bytes_limit()
+    )
+    logger.info(
+        "plan site=%s rows=%d bytes=%d choice=%s",
+        site, rows, nbytes, "broadcast" if choice else "exchange",
+    )
+    return choice

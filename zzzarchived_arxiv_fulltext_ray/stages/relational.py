@@ -12,6 +12,7 @@ physical join strategies the engine standardizes on:
   set once, filter inside ``map_batches``.
 """
 
+import functools
 from typing import List
 
 import numpy as np
@@ -20,7 +21,7 @@ import pyarrow.compute as pc
 
 
 from ..functions.hashing import hash64_column as _hash64_column
-from .aggregate import exchange
+from .aggregate import _BUCKETS, _bucket, exchange
 
 
 _ARROW_JOIN_TYPE = {
@@ -36,20 +37,114 @@ _ARROW_JOIN_TYPE = {
 }
 
 
-def _arrow_fields(schema_obj):
-    """``(name, Arrow type)`` per column of a Dataset schema:
-    pandas-backed Datasets report numpy dtypes / ``object`` in
-    ``.types``, normalized here to Arrow types."""
-    fields = []
-    for name, typ in zip(schema_obj.names, schema_obj.types):
-        if not isinstance(typ, pa.DataType):
-            typ = (
-                pa.string()
-                if typ is object or typ == np.dtype("O")
-                else pa.from_numpy_dtype(np.dtype(typ))
-            )
-        fields.append((name, typ))
-    return fields
+def _key_hashes(batch: pa.Table, keys: List[str]) -> np.ndarray:
+    """uint64 key hash per row, XORed over composite keys (the
+    exchange's bucketing hash)."""
+    h = _hash64_column(batch[keys[0]])
+    for extra in keys[1:]:
+        h = h ^ _hash64_column(batch[extra])
+    return h
+
+
+@functools.lru_cache(maxsize=None)
+def _bucket_markers() -> pa.Array:
+    """One int64 ``__h`` per exchange bucket: the i-th value lands in
+    bucket i."""
+    h = pa.table({"h": pa.array(np.arange(64 * _BUCKETS), pa.int64())})
+    b = _bucket(h, ["h"]).to_numpy()
+    return pa.array([int(np.argmax(b == i)) for i in range(_BUCKETS)])
+
+
+def _tag_side(side: str, keys: List[str]):
+    """Tag one side's batch for :func:`_exchange_sides`: its own columns
+    renamed ``side|name``, ``__side``, and ``__h`` (the key hash). One
+    null MARKER row per bucket rides along: it carries the side's
+    column names and types into every bucket, so a bucket that holds
+    no row of this side still knows its schema."""
+
+    def fn(batch: pa.Table) -> pa.Table:
+        names = [f"{side}|{c}" for c in batch.column_names] + [
+            "__side", "__h"
+        ]
+        n, m = batch.num_rows, _BUCKETS
+        rows = pa.Table.from_arrays(
+            batch.columns
+            + [
+                pa.repeat(pa.scalar(side), n),
+                pa.array(_key_hashes(batch, keys).view(np.int64)),
+            ],
+            names=names,
+        )
+        markers = pa.Table.from_arrays(
+            [pa.nulls(m, f.type) for f in batch.schema]
+            + [pa.nulls(m, pa.string()), _bucket_markers()],
+            names=names,
+        )
+        return pa.concat_tables([rows, markers])
+
+    return fn
+
+
+def _split_side(group: pa.Table, side: str):
+    """One side's rows of a bucket under its own column names, or None
+    when that side sent no batch at all (an empty input)."""
+    prefix = side + "|"
+    cols = [c for c in group.column_names if c.startswith(prefix)]
+    if not cols:
+        return None
+    own = group.filter(pc.equal(group["__side"], side)).select(cols)
+    return own.rename_columns([c[len(prefix):] for c in cols])
+
+
+def _exchange_sides(left_ds, right_ds, keys: List[str], fn):
+    """ONE ``aggregate.exchange`` of both sides on ``keys``: ``fn(l, r)``
+    runs once per bucket with each side's rows of the bucket (a side
+    that is empty everywhere is None). No side's schema is read up
+    front — each batch carries its own, so empty and schema-less
+    inputs are legal."""
+    tagged = left_ds.map_batches(
+        _tag_side("l", keys), batch_format="pyarrow"
+    ).union(
+        right_ds.map_batches(_tag_side("r", keys), batch_format="pyarrow")
+    )
+    return exchange(
+        tagged,
+        "__h",
+        lambda g: fn(_split_side(g, "l"), _split_side(g, "r")),
+    )
+
+
+def _check_disjoint(left_names, right_names, keys: List[str]) -> None:
+    overlap = (set(left_names) & set(right_names)) - set(keys)
+    if overlap:
+        raise ValueError(f"overlapping non-key columns: {overlap}")
+
+
+def check_disjoint_inputs(left_ds, right_ds, keys: List[str]) -> None:
+    """Raise early on overlapping non-key columns when both inputs'
+    schemas are already known (materialized inputs); lazy inputs are
+    checked per bucket instead. Never executes anything."""
+    ls = left_ds.schema(fetch_if_missing=False)
+    rs = right_ds.schema(fetch_if_missing=False)
+    if ls is not None and rs is not None:
+        _check_disjoint(ls.names, rs.names, keys)
+
+
+def _unify_keys(lf: pa.Table, rf: pa.Table, keys: List[str]):
+    """Cast both sides' key columns to one type (int32 vs int64 and the
+    like), as a union of the two sides would."""
+    for k in keys:
+        lt, rt = lf.schema.field(k).type, rf.schema.field(k).type
+        if lt != rt:
+            typ = pa.unify_schemas(
+                [pa.schema([(k, lt)]), pa.schema([(k, rt)])],
+                promote_options="permissive",
+            ).field(k).type
+            lf = lf.set_column(lf.schema.get_field_index(k), k,
+                               lf[k].cast(typ))
+            rf = rf.set_column(rf.schema.get_field_index(k), k,
+                               rf[k].cast(typ))
+    return lf, rf
 
 
 def partitioned_hash_join(
@@ -63,13 +158,17 @@ def partitioned_hash_join(
 
     Column names (other than the keys) must be disjoint. Returns the
     joined Dataset; the exchange is one ``aggregate.exchange`` on the
-    keys, and each bucket is merged with the Arrow (Acero) hash join —
-    no pandas, no dtype widening. Composite keys bucket on
+    key hash, and each bucket is merged with the Arrow (Acero) hash
+    join — no pandas, no dtype widening. Composite keys bucket on
     the XOR of the per-column hashes (bucket collisions only co-locate
     rows; the Acero join matches on the REAL key columns, so hashing
     never affects correctness). Non-key columns must be
     Acero-joinable (fixed-width, string or binary); encode list
     columns as binary blobs first (see ``stages/neardup.py``).
+
+    No schema is read before the join runs. A side without rows (even
+    one without a schema) is an empty side: the result then carries
+    only the other side's columns.
     """
     keys: List[str] = [key] if isinstance(key, str) else list(key)
     if how in ("anti", "semi"):
@@ -78,48 +177,20 @@ def partitioned_hash_join(
         right_ds = right_ds.map_batches(
             lambda b: b.select(keys), batch_format="pyarrow"
         )
-
-    left_fields = _arrow_fields(left_ds.schema())
-    right_fields = _arrow_fields(right_ds.schema())
-    left_cols = [n for n, _ in left_fields]
-    right_cols = [n for n, _ in right_fields]
-    overlap = (set(left_cols) & set(right_cols)) - set(keys)
-    if overlap:
-        raise ValueError(f"overlapping non-key columns: {overlap}")
-
-    # union needs one schema: each side carries null columns for the
-    # other side's fields (cheap — null arrays are bitmap-only)
-    all_fields = left_fields + [
-        (n, t) for n, t in right_fields if n not in left_cols
-    ]
-
-    def tag(side: str, own_cols: List[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            arrays = [
-                batch[name] if name in own_cols else pa.nulls(n, type=typ)
-                for name, typ in all_fields
-            ]
-            arrays.append(pa.array([side] * n, pa.string()))
-            return pa.Table.from_arrays(
-                arrays, names=[n for n, _ in all_fields] + ["__side"]
-            )
-
-        return fn
-
-    tagged = left_ds.map_batches(
-        tag("l", left_cols), batch_format="pyarrow"
-    ).union(right_ds.map_batches(tag("r", right_cols), batch_format="pyarrow"))
-
+    check_disjoint_inputs(left_ds, right_ds, keys)
     join_type = _ARROW_JOIN_TYPE[how]
 
-    def join_bucket(group: pa.Table) -> pa.Table:
-        is_left = pc.equal(group["__side"], "l")
-        lf = group.filter(is_left).select(left_cols)
-        rf = group.filter(pc.invert(is_left)).select(right_cols)
+    def keys_only(other: pa.Table) -> pa.Table:
+        return pa.schema([other.schema.field(k) for k in keys]).empty_table()
+
+    def join_bucket(lf, rf) -> pa.Table:
+        lf = keys_only(rf) if lf is None else lf
+        rf = keys_only(lf) if rf is None else rf
+        _check_disjoint(lf.column_names, rf.column_names, keys)
+        lf, rf = _unify_keys(lf, rf, keys)
         return lf.join(rf, keys=keys, join_type=join_type)
 
-    return exchange(tagged, keys, join_bucket)
+    return _exchange_sides(left_ds, right_ds, keys, join_bucket)
 
 
 def broadcast_anti_join(ds, key: str, blocked_keys):
@@ -250,10 +321,7 @@ def bloom_prefiltered_join(
         from ..functions.sketches import BloomFilter
 
         def key_hashes(batch: pa.Table) -> np.ndarray:
-            h = _hash64_column(batch[keys[0]])
-            for extra in keys[1:]:
-                h = h ^ _hash64_column(batch[extra])
-            return h
+            return _key_hashes(batch, keys)
 
         def partial(batch: pa.Table) -> pa.Table:
             bf = BloomFilter(n_bits, k)
@@ -407,10 +475,15 @@ def skew_routed_join(
         n_hot_rows += t.num_rows
         if n_hot_rows > max_broadcast_rows:
             break
-    if hot_tables:
-        hot_build = pa.concat_tables(hot_tables)
-    else:  # hot keys absent from the build side: typed empty
-        hot_build = pa.schema(_arrow_fields(right_ds.schema())).empty_table()
+    joined_cold = partitioned_hash_join(
+        split(left_ds, False),
+        split(right_ds, False),
+        key,
+        how=how,
+    )
+    if not n_hot_rows:  # hot keys absent from the build side
+        return joined_cold
+    hot_build = pa.concat_tables(hot_tables)
     if hot_build.num_rows > max_broadcast_rows:
         raise ValueError(
             f"skew_routed_join: {hot_build.num_rows} hot build rows "
@@ -430,12 +503,6 @@ def skew_routed_join(
 
     joined_hot = split(left_ds, True).map_batches(
         hot_join, batch_format="pyarrow"
-    )
-    joined_cold = partitioned_hash_join(
-        split(left_ds, False),
-        split(right_ds, False),
-        key,
-        how=how,
     )
     return joined_cold.union(joined_hot)
 

@@ -28,10 +28,12 @@ Plan:
   A block with more than ``_BUCKETS`` distinct pairs sends only one
   (group, lo, hi, n) row per group instead. The driver merges the
   partials as they stream in.
-* **The decision.** If every block sent its exact histogram and the
-  merged histogram holds at most ``targets x _BUCKETS`` rows (the
-  driver state of one refinement pass), every rank is read off its
-  prefix sums and the call ends after that one execution.
+* **The decision.** If every block sent its exact histogram and
+  ``plan.broadcast`` takes the merged histogram (its rows and bytes,
+  as held on the driver), every rank is read off its prefix sums and
+  the call ends after that one execution. A histogram that outgrows
+  ``plan.ROW_CAP`` rows while it streams in is dropped to the
+  summaries at once.
 * **Otherwise ONE lockstep refinement** runs over every
   (group, rank) target, seeded from pass 0's lo/hi/n: each pass scans
   once into a (targets x ``_BUCKETS``) count-or-weight matrix of
@@ -41,9 +43,9 @@ Plan:
   resolves in 4 passes, a cents-scale domain in 1-2; no per-value
   state exists anywhere.
 
-``GRAFT_FORCE_PARTITIONED=1`` (:func:`.plan.force_partitioned`) skips
-the histogram read-off, so the oracle gate run in that mode covers the
-refinement branch on every quantile query.
+``GRAFT_FORCE_PARTITIONED=1`` makes ``plan.broadcast`` decline the
+read-off, so the oracle gate run in that mode covers the refinement
+branch on every quantile query.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .plan import force_partitioned
+from . import plan
 
 __all__ = ["quantiles"]
 
@@ -149,18 +151,16 @@ def _merge(t: pa.Table, keys: list, exact: bool) -> pa.Table:
     )
 
 
-def _histogram_or_summary(ds, value, by, weight, ranks_per_group: int):
+def _histogram_or_summary(ds, value, by, weight):
     """Stream pass 0 into the driver. Returns (table, exact): the merged
-    histogram with ``exact`` True, or the per-group summaries. The
-    histogram is dropped as soon as it outgrows one refinement pass's
-    (targets x _BUCKETS) state."""
+    histogram with ``exact`` True when ``plan.broadcast`` takes it, or
+    the per-group summaries."""
     keys = _keys(by)
-    parts, exact = [], not force_partitioned()
+    parts, exact = [], True
 
     def fold(tables, exact):
         t = _merge(pa.concat_tables(tables), keys, exact)
-        groups = len(pc.unique(t[by])) if by else 1
-        if exact and t.num_rows > groups * ranks_per_group * _BUCKETS:
+        if exact and t.num_rows > plan.ROW_CAP:
             return _merge(t, keys, False), False
         return t, exact
 
@@ -177,7 +177,10 @@ def _histogram_or_summary(ds, value, by, weight, ranks_per_group: int):
             parts = [merged]
     if not parts:
         return None, exact
-    return fold(parts, exact)
+    t, exact = fold(parts, exact)
+    if exact and not plan.broadcast("quantiles", t.num_rows, t.nbytes):
+        return _merge(t, keys, False), False
+    return t, exact
 
 
 def _read_off(hist: pa.Table, keys: list, base: np.ndarray,
@@ -280,7 +283,7 @@ def quantiles(
     keys = _keys(by)
     per_q = 2 if interpolate else 1
     R = max(1, per_q * len(fqs))
-    tab, exact = _histogram_or_summary(ds, value, by, weight, R)
+    tab, exact = _histogram_or_summary(ds, value, by, weight)
     if tab is None:
         return pd.DataFrame(
             {c: [] for c in keys + ["n", "lo", "hi"] + names}

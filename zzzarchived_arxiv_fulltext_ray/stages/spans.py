@@ -29,8 +29,8 @@ Physical plans (identical results, pinned in tests):
   back to the docs on doc_id. Three exchanges, all on bounded rows;
   document text never rides the gram exchange.
 
-The crossover routes through ``stages.plan.choose_broadcast`` (row
-count + estimated bytes; ``GRAFT_FORCE_PARTITIONED=1`` disables the
+``plan.broadcast`` decides on the pinned duplicated-gram set's
+observed rows and bytes (``GRAFT_FORCE_PARTITIONED=1`` disables the
 broadcast path for gate coverage).
 
 Tokenization is the engine-wide ``str.split()`` contract; rebuilt text
@@ -41,13 +41,8 @@ is the kept tokens joined by single spaces (the oracle mirrors with
 import numpy as np
 import pyarrow as pa
 
-from .plan import choose_broadcast
+from . import plan
 from .relational import partitioned_hash_join
-
-# Broadcast crossover: the dup-gram set rides one object-store object.
-# Rows are gram strings (~8 tokens, ~50 B each); 4M rows ~ 200 MiB.
-DUP_GRAM_BROADCAST_ROW_LIMIT = 4_000_000
-EST_GRAM_BYTES = 64
 
 
 def _gram_explode(batch: pa.Table, w: int) -> pa.Table:
@@ -90,12 +85,7 @@ def _rebuild_row(words, covered_mask):
     return " ".join(kept), int(covered_mask.sum())
 
 
-def dup_span_removal(
-    docs_ds,
-    w: int = 8,
-    min_count: int = 2,
-    broadcast: bool = None,
-):
+def dup_span_removal(docs_ds, w: int = 8, min_count: int = 2):
     """Remove every token covered by a duplicated ``w``-token span.
 
     ``docs_ds`` needs (doc_id, text). Returns a Dataset of the docs
@@ -111,7 +101,8 @@ def dup_span_removal(
     n_dup = dup.count()
 
     if n_dup == 0:
-        # typed empty (the schema-less partitioned_hash_join guard)
+        # typed empty: map stages skip empty blocks, so the exchange
+        # plan's rebuild would never run to type its output
         import ray.data as rd
 
         return rd.from_arrow(
@@ -125,12 +116,7 @@ def dup_span_removal(
             )
         )
 
-    if broadcast is None:
-        broadcast = choose_broadcast(
-            n_dup, DUP_GRAM_BROADCAST_ROW_LIMIT, est_row_bytes=EST_GRAM_BYTES
-        )
-
-    if broadcast:
+    if plan.broadcast("dup_span_removal", n_dup, dup.size_bytes()):
         return _removal_broadcast(docs_ds, dup, w)
     return _removal_partitioned(docs_ds, grams, dup, w)
 

@@ -114,95 +114,98 @@ def shingle_hash_batch(
     )
 
 
-def decontaminate(
-    docs_ds,
-    bench_ds,
-    n: int = 3,
-    plan: str = "broadcast",
-):
+def _bench_keys(bench_ds, n: int):
+    """The benchmark's gram hashes, distinct per batch: bench docs
+    share grams, so this shrinks the filter side before anything
+    else sees it."""
+
+    def distinct_keys(b: pa.Table) -> pa.Table:
+        u = np.unique(
+            shingle_hash_batch(b, n=n)["gram_hash"].to_numpy(
+                zero_copy_only=False
+            )
+        )
+        return pa.Table.from_pydict({"gram_hash": pa.array(u, pa.uint64())})
+
+    return bench_ds.map_batches(distinct_keys, batch_format="pyarrow")
+
+
+def decontaminate(docs_ds, bench_ds, n: int = 3):
     """Flag documents sharing any word ``n``-gram with a benchmark set
     (GPT-3/PaLM-style test-set decontamination). Returns a Dataset of
     ``(doc_id, n_hits)`` where ``n_hits`` counts DISTINCT contaminated
     grams per document; docs with no overlap are absent.
 
-    ``plan='broadcast'``: materialize the benchmark's distinct gram
-    hashes (the small side by construction for test-set decontam),
-    ``ray.put`` once, probe per batch with a sorted-array
-    ``searchsorted`` — no shuffle at all, the corpus streams through
-    one map stage. ``plan='partitioned'``: hash semi-join on the gram
+    The benchmark's gram hashes are pinned once and ``plan.broadcast``
+    decides on their observed rows and bytes. Broadcast: ``ray.put``
+    the sorted distinct hashes once, probe per batch with a
+    sorted-array ``searchsorted`` — no shuffle at all, the corpus
+    streams through one map stage. Exchange
+    (:func:`decontaminate_partitioned`): hash semi-join on the gram
     hash + a doc_id count aggregate — no driver/broadcast state, for
     benchmark sides too large to pin in every node's object store.
     Both plans are pinned equal in tests.
     """
     import ray
 
-    from . import plan as plan_choice
+    from . import plan
 
-    if plan_choice.force_partitioned():
-        plan = "partitioned"
+    keys = _bench_keys(bench_ds, n).materialize()
+    if not plan.broadcast("decontaminate", keys.count(), keys.size_bytes()):
+        return _decontaminate_join(docs_ds, keys, n)
 
-    shingled_bench = bench_ds.map_batches(
-        lambda b: shingle_hash_batch(b, n=n), batch_format="pyarrow"
+    chunks = [
+        b["gram_hash"].to_numpy(zero_copy_only=False)
+        for b in keys.iter_batches(batch_format="pyarrow")
+    ]
+    bench_sorted = (
+        np.unique(np.concatenate(chunks))
+        if chunks
+        else np.array([], np.uint64)
     )
+    ref = ray.put(bench_sorted)
 
-    if plan == "broadcast":
-        chunks = [
-            b["gram_hash"].to_numpy(zero_copy_only=False)
-            for b in shingled_bench.iter_batches(batch_format="pyarrow")
-        ]
-        bench_sorted = (
-            np.unique(np.concatenate(chunks))
-            if chunks
-            else np.array([], np.uint64)
-        )
-        ref = ray.put(bench_sorted)
-
-        def probe(batch: pa.Table) -> pa.Table:
-            bench = ray.get(ref)
-            pairs = shingle_hash_batch(batch, n=n)
-            if pairs.num_rows == 0 or bench.size == 0:
-                return pa.Table.from_pydict(
-                    {
-                        "doc_id": pa.array([], pa.int64()),
-                        "n_hits": pa.array([], pa.int64()),
-                    }
-                )
-            h = pairs["gram_hash"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(bench, h)
-            pos[pos == bench.size] = 0
-            mask = bench[pos] == h
-            hit_docs = pairs["doc_id"].to_numpy(zero_copy_only=False)[mask]
-            # pairs are already distinct per (doc, gram): counting rows
-            # counts distinct contaminated grams
-            docs, counts = np.unique(hit_docs, return_counts=True)
+    def probe(batch: pa.Table) -> pa.Table:
+        bench = ray.get(ref)
+        pairs = shingle_hash_batch(batch, n=n)
+        if pairs.num_rows == 0 or bench.size == 0:
             return pa.Table.from_pydict(
                 {
-                    "doc_id": pa.array(docs, pa.int64()),
-                    "n_hits": pa.array(counts, pa.int64()),
+                    "doc_id": pa.array([], pa.int64()),
+                    "n_hits": pa.array([], pa.int64()),
                 }
             )
+        h = pairs["gram_hash"].to_numpy(zero_copy_only=False)
+        pos = np.searchsorted(bench, h)
+        pos[pos == bench.size] = 0
+        mask = bench[pos] == h
+        hit_docs = pairs["doc_id"].to_numpy(zero_copy_only=False)[mask]
+        # pairs are already distinct per (doc, gram): counting rows
+        # counts distinct contaminated grams
+        docs, counts = np.unique(hit_docs, return_counts=True)
+        return pa.Table.from_pydict(
+            {
+                "doc_id": pa.array(docs, pa.int64()),
+                "n_hits": pa.array(counts, pa.int64()),
+            }
+        )
 
-        return docs_ds.map_batches(probe, batch_format="pyarrow")
+    return docs_ds.map_batches(probe, batch_format="pyarrow")
 
-    if plan != "partitioned":
-        raise ValueError(f"unknown decontaminate plan: {plan}")
 
+def decontaminate_partitioned(docs_ds, bench_ds, n: int = 3):
+    """The exchange plan of :func:`decontaminate`, without the
+    decision or the pin."""
+    return _decontaminate_join(docs_ds, _bench_keys(bench_ds, n), n)
+
+
+def _decontaminate_join(docs_ds, bench_keys, n: int):
     from .relational import partitioned_hash_join
 
-    shingled_docs = docs_ds.map_batches(
-        lambda b: shingle_hash_batch(b, n=n), batch_format="pyarrow"
-    )
-    def distinct_keys(b: pa.Table) -> pa.Table:
-        # bench docs share grams: per-batch distinct shrinks the
-        # filter side before it enters the exchange
-        u = np.unique(b["gram_hash"].to_numpy(zero_copy_only=False))
-        return pa.Table.from_pydict({"gram_hash": pa.array(u, pa.uint64())})
-
-    bench_keys = shingled_bench.map_batches(
-        distinct_keys, batch_format="pyarrow"
-    )
     hits = partitioned_hash_join(
-        shingled_docs,
+        docs_ds.map_batches(
+            lambda b: shingle_hash_batch(b, n=n), batch_format="pyarrow"
+        ),
         bench_keys,
         key="gram_hash",
         how="semi",

@@ -530,9 +530,7 @@ def grouped_rank_sorted(ds, part_col: str, key_col: str,
 
 
 def grouped_rank_dense(ds, part_col: str, key_col: str,
-                       descending: bool = True, with_pct: bool = False,
-                       method: str = "auto",
-                       max_hist_pairs: int = 2_000_000):
+                       descending: bool = True, with_pct: bool = False):
     """Exact ``rank()`` and ``dense_rank()`` ``OVER (PARTITION BY part
     ORDER BY key [DESC])`` — the tie-AWARE siblings of
     :func:`grouped_row_number`.
@@ -554,33 +552,24 @@ def grouped_rank_dense(ds, part_col: str, key_col: str,
 
     Bound honesty: "bounded by distinct (part, key) pairs" degenerates
     to row count when the key is near-unique (continuous scores, raw
-    ids). ``method="auto"`` (default) guards that: it pins the
-    pre-aggregated histogram Dataset once, counts it, and falls back
-    to :func:`grouped_rank_sorted` (one distributed sort, O(blocks)
-    driver state) above ``max_hist_pairs`` distinct pairs — the
-    ``latest_crawl``-style crossover. ``method="histogram"`` /
-    ``"sorted"`` force a plan; both are pinned equal in pytest."""
-    if method == "sorted":
+    ids). So the pre-aggregated histogram Dataset is pinned once and
+    ``plan.broadcast`` decides on its observed rows and bytes; the
+    exchange answer is :func:`grouped_rank_sorted` (one distributed
+    sort, O(blocks) driver state). Both plans are pinned equal in
+    pytest."""
+    from . import plan
+    from .iterate import pin_loop_state
+
+    hist_ds = pin_loop_state(
+        aggregate(ds, [part_col, key_col], [("n", "count", None)]),
+        num_blocks=None,
+    )
+    if not plan.broadcast(
+        "grouped_rank_dense", hist_ds.count(), hist_ds.size_bytes()
+    ):
         return grouped_rank_sorted(
             ds, part_col, key_col, descending=descending, with_pct=with_pct
         )
-    if method not in ("auto", "histogram"):
-        raise ValueError(f"unknown grouped_rank_dense method: {method}")
-
-    hist_ds = aggregate(ds, [part_col, key_col], [("n", "count", None)])
-    if method == "auto":
-        from .iterate import pin_loop_state
-
-        from . import plan as plan_choice
-
-        hist_ds = pin_loop_state(hist_ds, num_blocks=None)
-        if not plan_choice.choose_broadcast(
-            hist_ds.count(), max_hist_pairs, est_row_bytes=16
-        ):
-            return grouped_rank_sorted(
-                ds, part_col, key_col,
-                descending=descending, with_pct=with_pct,
-            )
     hist = hist_ds.to_pandas()
     if hist[key_col].isna().any() or hist[part_col].isna().any():
         raise ValueError(
