@@ -2,8 +2,15 @@
 
 The expected strings reproduce the reference's own unit-test contract
 (``fulltext/process/tests/test_process_psv.py``) — these are the
-byte-identity anchors for operators E7-E21 in SURVEY.md §2.3.
+byte-identity anchors for operators E7-E21 in SURVEY.md §2.3. The
+property tests at the end pin each fused regex pass to the step-by-step
+spelling it replaces, which they keep as the oracle.
 """
+
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zzzarchived_arxiv_fulltext_ray.functions import psv
 
@@ -163,3 +170,55 @@ def test_split_references_no_heading_keeps_everything():
     body, tail = psv.split_references(lines)
     assert body == lines
     assert tail == []
+
+
+# -- fused passes vs the reference's step-by-step spelling -------------------
+
+# the characters where \d, \w, \s and case folding disagree across
+# ASCII and Unicode: Nd digits, \x0b, the \x1c-\x1f separators, NEL,
+# NBSP, long s, the Kelvin sign — plus "_", "/" and "." that the
+# symbol and number steps special-case
+_EDGE = (
+    "aZ09 ._/-\t\n\r\x0b\x1c\x1d\x1e\x1f\x85\xa0ſK"
+    "٣५１é,;()$"
+)
+_edge_text = st.text(
+    alphabet=st.one_of(st.sampled_from(_EDGE), st.characters()),
+    max_size=80,
+)
+
+
+def _symbols_then_numbers_stepwise(line):
+    line = re.sub(r"[^\.\w ]", " ", line)
+    line = re.sub(r"\_", " ", line)
+    line = re.sub(r"\d+[\.]?\d+/", " ", line)
+    return re.sub(r"\d", " ", line)
+
+
+def _clean_sentences_stepwise(lines):
+    out = []
+    for line in lines:
+        if not re.match(r"\w", line):
+            continue
+        line = re.sub(r"\W", " ", line)
+        line = re.sub(r"\s+", " ", line)
+        line = re.sub(r"^\s+", "", line)
+        line = re.sub(r"\s+$", "", line)
+        if len(line) <= 3:
+            continue
+        out.append(line.lower())
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edge_text)
+def test_strip_symbols_and_numbers_fused(line):
+    want = _symbols_then_numbers_stepwise(line)
+    assert psv.strip_numbers(psv.strip_symbols(line)) == want
+    assert psv.strip_symbols_and_numbers(line) == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_edge_text, max_size=4))
+def test_clean_sentences_fused(lines):
+    assert psv.clean_sentences(lines) == _clean_sentences_stepwise(lines)

@@ -333,44 +333,108 @@ def test_read_pages_from_files(ray_session, tmp_path):
                         "bin": "failed"}
 
 
-def test_dedup_overlap_prepass_equals_sync(ray_session):
-    """The async (promise-actor) winner pre-pass must be
-    indistinguishable from the blocking spelling — including when the
-    filter consumer starts before the pre-pass lands."""
-    from zzzarchived_arxiv_fulltext_ray.sources.pages import read_pages
-    from zzzarchived_arxiv_fulltext_ray.stages.dedup import (
-        latest_crawl_broadcast,
-    )
-
-    a = (
-        latest_crawl_broadcast(read_pages(SF), overlap=True)
-        .to_pandas()[["url", "warc_ts"]]
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    b = (
-        latest_crawl_broadcast(read_pages(SF), overlap=False)
-        .to_pandas()[["url", "warc_ts"]]
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    assert a.equals(b)
-
-
-def test_dedup_overlap_prepass_error_surfaces(ray_session):
-    """A pre-pass failure must fail the consuming pipeline loudly,
-    not hang or silently keep everything."""
+def test_dedup_prepass_error_raises_on_driver(ray_session):
+    """A pre-pass failure raises from the call that builds the graph,
+    on the driver, before any extraction can run."""
     import pandas as pd
     import pytest
     import ray.data as rd
 
+    from zzzarchived_arxiv_fulltext_ray.pipelines.extraction import (
+        extraction_pipeline,
+    )
     from zzzarchived_arxiv_fulltext_ray.stages.dedup import (
         latest_crawl_broadcast,
     )
 
-    # no warc_ts column -> the winner aggregate inside the pre-pass
-    # thread raises; the filter tasks must re-raise it
+    # no warc_ts column -> the winner aggregate raises
     df = pd.DataFrame({"url": ["a", "b"], "x": [1, 2]})
-    ds = latest_crawl_broadcast(rd.from_pandas(df), overlap=True)
-    with pytest.raises(Exception, match="winner pre-pass failed"):
-        ds.take_all()
+    with pytest.raises(Exception, match="warc_ts"):
+        latest_crawl_broadcast(rd.from_pandas(df))
+    with pytest.raises(Exception, match="warc_ts"):
+        extraction_pipeline(rd.from_pandas(df))
+
+
+def test_dedup_over_byte_budget_takes_the_shuffle(ray_session, monkeypatch,
+                                                  caplog):
+    """A winner table over the broadcast byte budget goes through the
+    one crossover to the shuffle twin: same rows, one logged
+    ``choice=exchange`` decision."""
+    import logging
+
+    from zzzarchived_arxiv_fulltext_ray.sources.pages import read_pages
+    from zzzarchived_arxiv_fulltext_ray.stages import plan
+    from zzzarchived_arxiv_fulltext_ray.stages.dedup import (
+        latest_crawl_broadcast,
+        latest_crawl_shuffle,
+    )
+
+    monkeypatch.delenv("GRAFT_FORCE_PARTITIONED", raising=False)
+    monkeypatch.setenv("GRAFT_BROADCAST_BYTES_LIMIT", "1")
+    caplog.set_level(logging.INFO, logger=plan.__name__)
+
+    def rows(ds):
+        return (
+            ds.to_pandas()[["url", "warc_ts"]]
+            .sort_values("url")
+            .reset_index(drop=True)
+        )
+
+    got = rows(latest_crawl_broadcast(read_pages(SF)))
+    assert got.equals(rows(latest_crawl_shuffle(read_pages(SF))))
+    decisions = [
+        r.getMessage() for r in caplog.records if r.name == plan.__name__
+    ]
+    assert len(decisions) == 1
+    assert decisions[0].startswith("plan site=latest_crawl ")
+    assert decisions[0].endswith(" choice=exchange")
+
+
+@pytest.fixture(scope="module")
+def written(ray_session, tmp_path_factory):
+    """One ``extraction_pipeline(...).write_parquet`` run: the actor
+    classes it started and its ``ds.stats()``."""
+    import ray._private.state as ray_state
+
+    from zzzarchived_arxiv_fulltext_ray.pipelines.extraction import (
+        extraction_pipeline,
+    )
+    from zzzarchived_arxiv_fulltext_ray.sources.pages import read_pages
+
+    before = set(ray_state.actors())
+    ds = extraction_pipeline(read_pages(SF))
+    ds.write_parquet(str(tmp_path_factory.mktemp("written")))
+    started = [
+        info for aid, info in ray_state.actors().items() if aid not in before
+    ]
+    return started, ds.stats()
+
+
+def test_extraction_starts_no_actor_beyond_ray_data(written):
+    """The dedup publishes its winners with ``ray.put``: the only new
+    actors are Ray Data's map workers and its detached singletons
+    (stats, autoscaling, location tracking)."""
+    started, _ = written
+    extra = [
+        info["ActorClassName"]
+        for info in started
+        if not info["ActorClassName"].startswith("MapWorker(")
+        and not info["IsDetached"]
+    ]
+    assert extra == []
+    assert any(
+        "ExtractorPool" in info["ActorClassName"] for info in started
+    )
+
+
+def test_keep_latest_fuses_into_extractor_pool(written):
+    """The winner filter stays a lazy stateless stage, so Ray fuses it
+    into the ExtractorPool operator (no extra operator, no extra
+    hand-off of the payload blocks)."""
+    _, stats = written
+    fused = [
+        line for line in stats.splitlines()
+        if line.startswith("Operator ") and "MapBatches(ExtractorPool)" in line
+    ]
+    assert len(fused) == 1
+    assert "MapBatches(keep_latest)->" in fused[0]

@@ -118,17 +118,17 @@ _ABBREV_EXPANSIONS = tuple(
         (r"Dr\.", "Dr"),
     )
 )
-_NON_WORD_SYMBOL = re.compile(r"[^\.\w ]")
-_UNDERSCORE = re.compile(r"\_")
-# fused single-pass equivalents (see strip_symbols/strip_numbers):
+# fused single-pass equivalents of the reference's two-pass steps:
 # underscore is \w, so "non-word-symbol OR underscore" in one scan is
 # byte-identical to the two-pass original; the number-slash
 # alternation fires before the lone-digit branch exactly where the
 # two-pass version's first sub would have
 _SYMBOL_FUSED = re.compile(r"[^\.\w ]|_")
 _NUMBER_FUSED = re.compile(r"\d+[\.]?\d+/|\d")
-_NUMBER_SLASH = re.compile(r"\d+[\.]?\d+/")
-_DIGIT = re.compile(r"\d")
+# strip_symbols then strip_numbers in one scan: the symbol pass blanks
+# every "/", so the number-slash branch can never fire after it and
+# both passes are one per-character map
+_SYMBOL_OR_DIGIT = re.compile(r"[^.\w ]|[\d_]")
 _DOTTED_3 = re.compile(r"\s\w\.\w\.\w\.\s")
 _DOTTED_2 = re.compile(r"\s\w\.\w\.\s")
 _DOTTED_1 = re.compile(r"\s\w\.\s")
@@ -138,8 +138,7 @@ _MULTI_SPACE = re.compile(r"\s+")
 _LEADING_SPACE = re.compile(r"^\s+")
 _SENTENCE_SPLIT = re.compile(r"\.\s")
 _HAS_WORD = re.compile(r"\w")
-_NON_WORD = re.compile(r"\W")
-_TRAILING_SPACE = re.compile(r"\s+$")
+_NON_WORD_RUN = re.compile(r"\W+")
 
 
 def expand_abbreviations(line: str) -> str:
@@ -160,6 +159,11 @@ def strip_symbols(line: str) -> str:
 
 def strip_numbers(line: str) -> str:
     return _NUMBER_FUSED.sub(" ", line)
+
+
+def strip_symbols_and_numbers(line: str) -> str:
+    """``strip_numbers(strip_symbols(line))`` in one regex pass."""
+    return _SYMBOL_OR_DIGIT.sub(" ", line)
 
 
 def strip_dotted_abbrevs(line: str) -> str:
@@ -196,9 +200,9 @@ def clean_sentences(lines: List[str]) -> List[str]:
     for line in lines:
         if not _HAS_WORD.match(line):
             continue
-        line = _NON_WORD.sub(" ", line)
-        line = squeeze_spaces(line)  # also strips leading whitespace
-        line = _TRAILING_SPACE.sub("", line)
+        # one pass for the reference's four (\W -> space, squeeze,
+        # strip both ends): after the first only spaces are whitespace
+        line = _NON_WORD_RUN.sub(" ", line).strip(" ")
         if len(line) <= 3:
             continue
         out.append(line.lower())
@@ -254,7 +258,7 @@ def tidy_lines(lines: List[str]) -> List[str]:
         squeeze_spaces(
             strip_single_letters(
                 strip_dotted_abbrevs(
-                    strip_numbers(strip_symbols(expand_abbreviations(line)))
+                    strip_symbols_and_numbers(expand_abbreviations(line))
                 )
             )
         )

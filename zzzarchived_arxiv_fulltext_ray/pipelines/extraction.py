@@ -3,16 +3,21 @@
 ::
 
     pages (url, warc_ts, html, text, lang)
+      -> latest-crawl dedup         (broadcast filter; fuses into the
+                                     pool's operator)
       -> sniff_stats_batch          (stateless tasks: kind/size metadata)
-      -> latest-crawl dedup         (projected shuffle + broadcast filter)
       -> ExtractorPool              (actor pool: cascade + PSV/markdown,
                                      drops html)
 
-Everything streams: no stage materializes the dataset; output is
-consumed by ``write_parquet`` (see ``state/manifest.py`` for the
+The one eager step is the dedup's winner pre-pass: a projected
+shuffle the driver executes while the graph is built, so its table
+size picks the plan and its failure raises before any extraction.
+Everything after it streams: no stage materializes the dataset; output
+is consumed by ``write_parquet`` (see ``state/manifest.py`` for the
 resumable writer) or by the caller's aggregation.
 """
 
+import gc
 from typing import Optional, Tuple, Union
 
 from ..stages import dedup as dedup_stage
@@ -39,9 +44,17 @@ def extraction_pipeline(
     remaining slots. ``dedup=None`` skips the latest-crawl dedup (for
     inputs known unique); ``"shuffle"`` selects the no-broadcast path.
     """
+    # Ray Data (2.49) frees a finished run's pool actors by reference
+    # counting, and the driver keeps their handles in reference cycles,
+    # so those actors hold their CPUs until a cyclic collection. A new
+    # pool then waits for those CPUs: measured 15-24 s stalls at 2 CPUs,
+    # ended only when the raylet asks every process to collect. Collect
+    # now, before this run's pre-pass and pool ask for CPUs.
+    gc.collect()
     # dedup first, over the RAW pages stream, so no stage runs on a
-    # losing crawl. The winner pre-pass still reads payload bytes: Ray
-    # Data (2.49) pushes no projection into the Parquet read
+    # losing crawl. The winner pre-pass executes now and still reads
+    # payload bytes: Ray Data (2.49) pushes no projection into the
+    # Parquet read
     ds = pages_ds
     if dedup:
         ds = dedup_stage.latest_crawl(ds, method=dedup)

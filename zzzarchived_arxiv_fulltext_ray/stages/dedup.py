@@ -4,16 +4,16 @@ Two physical strategies for the same logical operator:
 
 * ``latest_crawl_broadcast`` — aggregate ``max(warc_ts)`` per url over
   a *projected* (url, warc_ts) stream (the shuffle moves two tiny
-  columns, never payloads), broadcast the winner set once via
-  ``ray.put``, and filter the full stream against it inside
-  ``map_batches``. The per-url aggregate runs as a distributed
-  ``groupby("url")`` shuffle (batch-level combine first); only urls
-  with >1 crawl ever reach the driver, so driver/broadcast state is
-  O(#urls-with-duplicates), never O(#urls).
+  columns, never payloads) on the driver, broadcast the winner set
+  once via ``ray.put``, and filter the full stream against it inside
+  a lazy ``map_batches`` stage. The per-url aggregate runs as a
+  distributed ``groupby("url")`` shuffle (batch-level combine first);
+  only urls with >1 crawl ever reach the driver, so driver/broadcast
+  state is O(#urls-with-duplicates), never O(#urls).
 
 * ``latest_crawl_shuffle`` — hash-shuffle full rows by url and keep the
   max-``warc_ts`` row per group. No driver-side state; the fallback
-  when the url directory itself is too big to broadcast (true
+  when ``plan.broadcast`` rejects the observed winner table (true
   10^12-row regime), at the price of shuffling payloads.
 
 Inside a wave of shards (rows carrying a ``shard_id`` column, see
@@ -26,13 +26,14 @@ Assumption (documented per SURVEY.md): (url, warc_ts) pairs are unique
 guarantees this; real WARC data does too at second granularity).
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import SHARD_COLUMN
 from ..functions.hashing import bucket_of_column
+from . import plan
 
 
 def _key_columns(t: pa.Table) -> List[str]:
@@ -148,53 +149,7 @@ def winner_mask(batch: pa.Table, winners: Tuple[pa.Array, pa.Array]):
     return pc.fill_null(eq, True)
 
 
-class _WinnerPromise:
-    """Async single-value promise actor (num_cpus=0): the winner
-    pre-pass thread ``set``s the winner-table ObjectRef; filter tasks
-    ``get`` it. async methods so a waiting ``get`` never blocks the
-    ``set`` (default actors are one-call-at-a-time)."""
-
-    def __init__(self):
-        import asyncio
-
-        self._ev = asyncio.Event()
-        self._boxed_ref = None
-        self._err: Optional[str] = None
-
-    async def set_value(self, boxed_ref):
-        # the ref arrives boxed in a list so Ray does NOT auto-deref it
-        self._boxed_ref = boxed_ref
-        self._ev.set()
-
-    async def set_error(self, msg: str):
-        self._err = msg
-        self._ev.set()
-
-    async def get(self):
-        await self._ev.wait()
-        if self._err is not None:
-            raise RuntimeError(f"winner pre-pass failed: {self._err}")
-        return self._boxed_ref
-
-
-# per-worker-process cache: one winner-table fetch per process, not one
-# actor RPC per batch
-_WINNER_CACHE: dict = {}
-
-
-def _resolve_winners(handle):
-    import ray
-
-    key = handle._actor_id.hex()
-    got = _WINNER_CACHE.get(key)
-    if got is None:
-        boxed = ray.get(handle.get.remote())
-        got = ray.get(boxed[0])
-        _WINNER_CACHE[key] = got
-    return got
-
-
-def latest_crawl_broadcast(ds, overlap: bool = True):
+def latest_crawl_broadcast(ds):
     """Keep the latest crawl per url via a projected aggregate +
     broadcast anti-filter. Only urls that actually have >1 crawl enter
     the broadcast winner table, so its size tracks the duplicate rate,
@@ -206,49 +161,23 @@ def latest_crawl_broadcast(ds, overlap: bool = True):
     Data (2.49) has no projection pushdown into the Parquet read, so it
     still reads the payload bytes of every file it scans.
 
-    ``overlap=True`` (default) removes the pre-pass from the serial
-    head: instead of executing the winner aggregate on the driver
-    BEFORE the consumer pipeline can even start (which serialized
-    pre-pass + actor-pool spin-up + first payload read), the aggregate
-    runs in a daemon thread and publishes the winner table through an
-    async promise actor. The filter tasks block in ``ray.get`` until
-    it lands — blocked workers release their CPUs, so the pre-pass,
-    the extraction pool spin-up and the payload read all proceed
-    concurrently. ``overlap=False`` keeps the old synchronous
-    spelling (and zero extra actors) for callers that want the winner
-    map on the driver anyway (e.g. manifest summaries)."""
+    The winner pre-pass executes here, on the driver (one execution,
+    before any consumer starts), so a pre-pass failure raises from this
+    call. Its observed size goes to the one crossover,
+    :func:`plan.broadcast`: a table it rejects takes
+    :func:`latest_crawl_shuffle` instead. Otherwise the table is
+    published with one ``ray.put`` and the returned filter is a lazy
+    stateless ``map_batches`` stage, which Ray fuses into the
+    downstream map stages and the extraction actor pool."""
     import ray
 
-    if not overlap:
-        winners_ref = ray.put(winner_arrays(dup_winner_table(ds)))
-
-        def keep_latest_sync(batch: pa.Table) -> pa.Table:
-            return winner_filter_batch(batch, ray.get(winners_ref))
-
-        return ds.map_batches(keep_latest_sync, batch_format="pyarrow")
-
-    import threading
-
-    promise = (
-        ray.remote(_WinnerPromise).options(num_cpus=0).remote()
-    )
-
-    def prepass():
-        try:
-            ref = ray.put(winner_arrays(dup_winner_table(ds)))
-            ray.get(promise.set_value.remote([ref]))
-        except Exception as exc:  # surface in every filter task
-            try:
-                ray.get(promise.set_error.remote(repr(exc)))
-            except Exception:
-                pass
-
-    threading.Thread(
-        target=prepass, daemon=True, name="winner-prepass"
-    ).start()
+    wt = dup_winner_table(ds)
+    if not plan.broadcast("latest_crawl", wt.num_rows, wt.nbytes):
+        return latest_crawl_shuffle(ds)
+    winners_ref = ray.put(winner_arrays(wt))
 
     def keep_latest(batch: pa.Table) -> pa.Table:
-        return winner_filter_batch(batch, _resolve_winners(promise))
+        return winner_filter_batch(batch, ray.get(winners_ref))
 
     return ds.map_batches(keep_latest, batch_format="pyarrow")
 
@@ -283,9 +212,7 @@ def latest_crawl_shuffle(ds):
 
 
 def latest_crawl(ds, method: str = "broadcast"):
-    from . import plan as plan_choice
-
-    if plan_choice.force_partitioned():
+    if plan.force_partitioned():
         # GRAFT_FORCE_PARTITIONED=1: gate-level coverage of the
         # shuffle twin (pinned equal to broadcast in tests)
         method = "shuffle"
