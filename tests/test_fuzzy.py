@@ -7,12 +7,12 @@ import pyarrow as pa
 import pytest
 
 from zzzarchived_arxiv_fulltext_ray.stages.fuzzy import (
-    _bucket_verified_pairs,
-    _is_deletion,
+    _distances,
     _variants,
     deletion_keys_batch,
     fuzzy_self_join,
 )
+from zzzarchived_arxiv_fulltext_ray.stages.neardup import run_pairs
 
 
 def _lev(a: str, b: str) -> int:
@@ -39,13 +39,35 @@ def _brute_pairs(names):
     return out
 
 
+def _bucket_verified_pairs(names):
+    """The pairs the in-bucket verify keeps among one key's names:
+    the key's run from ``run_pairs``, then ``_distances``."""
+    rows, i, j, _ = run_pairs(
+        pa.table({
+            "bucket_key": pa.array([0] * len(names), pa.uint64()),
+            "name": pa.array(list(names), pa.string()),
+        }),
+        max_bucket=len(names),
+    )
+    m = _distances(rows["name"], i, j) <= 1
+    return set(zip(rows["name"].take(i[m]).to_pylist(),
+                   rows["name"].take(j[m]).to_pylist()))
+
+
+def _dist(a: str, b: str) -> int:
+    return int(_distances(pa.chunked_array([pa.array([a, b])]),
+                          np.array([0]), np.array([1]))[0])
+
+
 def test_is_deletion_cases():
-    assert _is_deletion(b"abc", b"abxc")
-    assert _is_deletion(b"abc", b"xabc")
-    assert _is_deletion(b"abc", b"abcx")
-    assert _is_deletion(b"", b"x")
-    assert not _is_deletion(b"abc", b"abxx")
-    assert not _is_deletion(b"abc", b"xaby")
+    for short, long in (("abc", "abxc"), ("abc", "xabc"), ("abc", "abcx"),
+                        ("", "x"), ("a", "a\0"), ("", "\0")):
+        assert _dist(short, long) == _dist(long, short) == 1
+    assert _dist("abc", "abxx") == 2
+    assert _dist("abc", "xaby") == 2
+    # the NUL padding never passes for a string's own NUL bytes
+    assert _dist("a", "a\0\0") == 2
+    assert _dist("a\0", "a\0") == 0
 
 
 def test_variants_count_and_identity():
@@ -72,8 +94,7 @@ def test_bucket_verified_pairs_matches_brute():
         ),
         dtype=object,
     )
-    a, b = _bucket_verified_pairs(names)
-    got = set(zip(a, b))
+    got = _bucket_verified_pairs(names)
     want = _brute_pairs(list(names))
     assert got == want
     assert all(x < y for x, y in got)
@@ -192,10 +213,7 @@ def test_fuzzy_candidate_completeness_property():
         for members in buckets.values():
             if len(members) < 2:
                 continue
-            a, b = _bucket_verified_pairs(
-                np.array(sorted(members), dtype=object)
-            )
-            got.update(zip(a, b))
+            got |= _bucket_verified_pairs(sorted(members))
         assert got == _brute_pairs(sorted(words)), f"trial {trial}"
 
 
@@ -205,9 +223,7 @@ def test_fuzzy_byte_level_contract_on_unicode():
     pairs are (correctly, per contract) NOT matched even though their
     character distance is 1 — pinned so the ASCII-only oracle claim
     stays honest."""
-    names = np.array(sorted({"café", "cafe", "cafés"}), dtype=object)
-    a, b = _bucket_verified_pairs(names)
-    got = set(zip(a, b))
+    got = _bucket_verified_pairs(sorted({"café", "cafe", "cafés"}))
     # "café" vs "cafés": one byte appended -> matched.
     # "cafe" vs "café": é is 2 UTF-8 bytes -> byte distance 2 -> not.
     assert ("café", "cafés") in got

@@ -703,10 +703,12 @@ def _committed_accounting(out):
     return got
 
 
-def test_rewrites_keep_the_output_schema(ray_session, tmp_path):
+def test_rewrites_keep_the_output_schema(ray_session, tmp_path, monkeypatch):
     """Shards rewritten by the global pass, the neardup guard and
     compaction keep exactly the output columns: Ray must not parse
-    ``shard=<sid>`` into a ``shard`` column of the rewritten files."""
+    ``shard=<sid>`` into a ``shard`` column of the rewritten files.
+    The guard stages only the shard holding a near-copy (b), and still
+    stamps the incoming shard without one (c)."""
     from zzzarchived_arxiv_fulltext_ray.stages.extract import OUTPUT_SCHEMA
 
     def build(ds):
@@ -728,8 +730,20 @@ def test_rewrites_keep_the_output_schema(ray_session, tmp_path):
 
     gd = mf.global_latest_crawl_pass(str(out))
     assert gd == {"shards_rewritten": 1, "rows_removed": 1}
+    staged, wave = [], mf._rewrite_wave
+
+    def spy(out_dir, manifests, sids, *args):
+        staged.append(sorted(sids))
+        return wave(out_dir, manifests, sids, *args)
+
+    monkeypatch.setattr(mf, "_rewrite_wave", spy)
     ng = mf.global_neardup_guard(str(out), threshold=0.5)
+    monkeypatch.undo()
     assert ng["shards_rewritten"] == 1 and ng["rows_removed"] == 1
+    assert staged == [[mf.shard_id_for([str(b)])]]
+    sid_c = mf.shard_id_for([str(c)])
+    assert json.loads(mf.manifest_path(str(out), sid_c).read_text())[
+        "neardup_guarded"]
     assert mf.compact_shards(str(out), target_bytes=1 << 30)[
         "shards_compacted"] >= 1
     files = list(out.glob("shard=*/*.parquet"))

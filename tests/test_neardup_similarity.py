@@ -6,6 +6,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zzzarchived_arxiv_fulltext_ray.functions import shingles as sk
 
@@ -351,14 +353,85 @@ def test_simhash_hot_block_capped(ray_session, caplog):
     assert len(capped) == 0
 
 
+_MAX_RUN = 4
+
+
+def _brute_run_pairs(rows, cross):
+    """Per key: the distinct members, their pairs (upper triangle, or
+    left x right) and whether the key is dropped at ``_MAX_RUN``."""
+    pairs, dropped = [], 0
+    for key in sorted({k for k, _, _ in rows}):
+        left = sorted({m for k, s, m in rows if k == key and s == 0})
+        right = sorted({m for k, s, m in rows if k == key and s == 1})
+        if cross:
+            run = list(itertools.product(left, right))
+            size = len(left) + len(right)
+        else:
+            members = sorted({m for k, _, m in rows if k == key})
+            run = list(itertools.combinations(members, 2))
+            size = len(members)
+        if run and size > _MAX_RUN:
+            dropped += 1
+        elif run:
+            pairs += [(key, a, b) for a, b in run]
+    return pairs, dropped
+
+
+def _run(n, side=0):
+    """One key's run of ``n`` members on ``side``."""
+    return [(1, side, m) for m in range(n)]
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 6)),
+        max_size=40,
+    ),
+    st.booleans(),
+)
+@example(_run(_MAX_RUN), False)
+@example(_run(_MAX_RUN + 1), False)
+@example(_run(3) * 2, False)  # duplicate members
+@example(_run(2) + _run(_MAX_RUN - 2, 1), True)
+@example(_run(2) + _run(_MAX_RUN - 1, 1), True)
+@example(_run(3) * 2 + [(2, 1, 0)], True)  # duplicates, a one-sided key
+@example(_run(_MAX_RUN + 1, 1), True)  # one-sided: skipped, not dropped
+@settings(max_examples=300, deadline=None)
+def test_run_pairs_matches_per_key_brute_force(rows, cross):
+    """The in-bucket run splitter against a per-key brute force: the
+    pairs of every key's distinct members, none from runs without a
+    pair, and a dropped count for runs with a pair over max_bucket —
+    duplicate members, one-sided keys and runs of exactly max_bucket
+    and max_bucket + 1 included."""
+    from zzzarchived_arxiv_fulltext_ray.stages.neardup import run_pairs
+
+    cols = {
+        "bucket_key": pa.array([k for k, _, _ in rows], pa.uint64()),
+        "doc_id": pa.array([m for _, _, m in rows], pa.int64()),
+    }
+    if cross:
+        cols["side"] = pa.array([s for _, s, _ in rows], pa.int8())
+    out, i, j, n_dropped = run_pairs(pa.table(cols), _MAX_RUN)
+    key, ids = out["bucket_key"].to_numpy(), out["doc_id"].to_numpy()
+    assert (key[i] == key[j]).all()
+    if cross:
+        side = out["side"].to_numpy()
+        assert (side[i] == 0).all() and (side[j] == 1).all()
+    else:
+        assert (i < j).all()
+    got = sorted(zip(key[i].tolist(), ids[i].tolist(), ids[j].tolist()))
+    assert (got, n_dropped) == _brute_run_pairs(rows, cross)
+
+
 def test_ngram_counts_drop_guard(ray_session, monkeypatch):
     """The counts plan must not silently under-count |A intersect B|
-    under hot-bucket drops: 'fallback' reruns the exact shingle-set
-    verify, 'approx' proceeds (possibly under-counted), 'error'
-    raises."""
+    under hot-bucket drops: the self plan reruns the exact shingle-set
+    verify, the cross plan raises — unless the hot key holds one side
+    only, which loses no pair."""
     import ray.data
 
     from zzzarchived_arxiv_fulltext_ray.stages.neardup import (
+        cross_neardup_counts,
         neardup_pairs_ngram_counts,
     )
 
@@ -381,7 +454,6 @@ def test_ngram_counts_drop_guard(ray_session, monkeypatch):
 
     fb = neardup_pairs_ngram_counts(
         ray.data.from_items(docs), threshold=0.5, max_bucket=4,
-        on_drop="fallback",
     ).to_pandas().sort_values(["doc_a", "doc_b"])
     # fallback = shingle-set verify under the same max_bucket:
     # candidates from hot buckets are lost the same way bucket_pairs
@@ -389,7 +461,6 @@ def test_ngram_counts_drop_guard(ray_session, monkeypatch):
     monkeypatch.setenv("GRAFT_FORCE_PARTITIONED", "1")
     blob = neardup_pairs_ngram_counts(
         ray.data.from_items(docs), threshold=0.5, max_bucket=4,
-        on_drop="fallback",
     ).to_pandas().sort_values(["doc_a", "doc_b"])
     monkeypatch.delenv("GRAFT_FORCE_PARTITIONED")
     assert list(map(tuple, fb.values)) == list(map(tuple, blob.values))
@@ -397,21 +468,21 @@ def test_ngram_counts_drop_guard(ray_session, monkeypatch):
     # buckets; the blob plan scores their FULL sets -> jaccard 1.0
     assert len(fb) == 1 and fb.iloc[0].jaccard == 1.0
 
-    approx = neardup_pairs_ngram_counts(
-        ray.data.from_items(docs), threshold=0.5, max_bucket=4,
-        on_drop="approx",
-    ).to_pandas()
-    # approx only counts surviving buckets -> under-reports (here the
-    # (0,1) pair's counted jaccard falls below threshold entirely)
-    assert len(approx) < len(fb) or len(approx) == 0
-
     import pytest as _pytest
 
+    # template keys hold 1 left + 7 right docs: dropped, so it raises
     with _pytest.raises(RuntimeError, match="hot buckets"):
-        neardup_pairs_ngram_counts(
-            ray.data.from_items(docs), threshold=0.5, max_bucket=4,
-            on_drop="error",
+        cross_neardup_counts(
+            ray.data.from_items(docs[:1]), ray.data.from_items(docs[1:]),
+            threshold=0.5, max_bucket=4,
         )
+    # template keys on the right side only pair nothing: no drop
+    lone = [{"doc_id": 99, "text": "solitary words nobody else writes"}]
+    none = cross_neardup_counts(
+        ray.data.from_items(lone), ray.data.from_items(docs),
+        threshold=0.5, max_bucket=4,
+    )
+    assert none.count() == 0
 
 
 def test_neardup_no_duplicates_corpus(ray_session, monkeypatch):

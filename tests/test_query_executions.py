@@ -23,7 +23,12 @@ EXECUTIONS = {
     "supplier_triangles": 3,
     "supplier_kcore": 2,
     "events_sessions": 1,
-    "dedup_ngram_partitioned": 3,
+    "dedup_ngram_partitioned": 2,
+    "dedup_minhash": 2,
+    "dedup_simhash": 1,
+    "customer_fuzzy_pairs": 1,
+    "fuzzy_blocklist_match": 1,
+    "snippet_containment": 2,
     "url_blocklist_partitioned": 1,
     "events_interval": 1,
     "events_band_pairs": 1,

@@ -15,7 +15,7 @@ from ..stages.aggregate import aggregate
 
 
 def _q_dedup_ngram(sf_dir: str):
-    """N-gram Jaccard near-duplicate pairs (shingle -> capped inverted-index candidates -> exact verify, auto physical plan)."""
+    """N-gram Jaccard near-duplicate pairs (shingle -> capped inverted-index candidates -> exact Jaccard from intersection counts: the blob-free partitioned plan, no broadcast)."""
     from ..stages.neardup import neardup_pairs
 
     ds = neardup_pairs(
@@ -43,26 +43,6 @@ def _q_dedup_minhash(sf_dir: str):
         num_perm=128,
         bands=64,
         rows=2,
-    )
-    return (
-        ds.to_pandas()
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-    )
-
-
-def _q_dedup_ngram_partitioned(sf_dir: str):
-    """Same logical operator as dedup_ngram, forced onto the
-    no-broadcast 10^12-doc plan — the blob-free counts plan every
-    ngram run takes (intersection counts + per-doc set sizes ride the
-    exchange; no shingle-blob joins) — sharing the exact-Jaccard
-    oracle."""
-    from ..stages.neardup import neardup_pairs
-
-    ds = neardup_pairs(
-        read_documents(sf_dir, ["doc_id", "text"]),
-        method="ngram",
-        threshold=0.5,
     )
     return (
         ds.to_pandas()
@@ -1023,7 +1003,8 @@ FROM v GROUP BY verdict ORDER BY verdict
 
 TRAINING_QUERIES: Dict[str, Callable] = {
     "dedup_ngram": _q_dedup_ngram,
-    "dedup_ngram_partitioned": _q_dedup_ngram_partitioned,
+    # the same query: every ngram run takes the blob-free counts plan
+    "dedup_ngram_partitioned": _q_dedup_ngram,
     "dedup_components": _q_dedup_components,
     "dedup_canonical_docs": _q_dedup_canonical_docs,
     "events_asof": _q_events_asof,
@@ -2996,8 +2977,8 @@ def _q_dedup_lsh_eval(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    # bucket_pairs dedups only within batches; one tiny pair-grain
-    # aggregate makes the candidate set globally distinct
+    # bucket_pairs emits a pair once per shared band key; one tiny
+    # pair-grain aggregate makes the candidate set distinct
     cands = aggregate(
         bucket_pairs(banded), ["doc_a", "doc_b"], []
     ).materialize()

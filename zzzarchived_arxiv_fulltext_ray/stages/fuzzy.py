@@ -17,19 +17,22 @@ scheme of Bocek et al., "Fast Similarity Search in Large Dictionaries",
    string IS a deletion variant of the longer. The exchange therefore
    moves fixed-width ints plus each (short, by contract) string ~L
    times — cheaper than a join to re-attach payloads afterwards.
-2. **Bucketed pair gen + exact verify in one task**
-   (``fuzzy_self_join``): groupby variant hash -> within each bucket,
-   numpy-vectorized Hamming over the equal-length strings (a byte
-   matrix XOR-count) and a bytes-slicing deletion check across
-   adjacent lengths. Because the bucket already holds the strings,
-   verification is local — no second exchange, no blob join. Hot
-   buckets above ``max_bucket`` are dropped AND logged (same contract
-   as ``neardup.bucket_pairs``); hash collisions only co-bucket
-   strangers, which the exact verify rejects, so the result is exact
-   whenever the drop log is empty.
+2. **Blocked pairs + exact verify in one task** (``fuzzy_self_join``):
+   the blocked-pairs plan of ``stages/neardup.py`` (ONE exchange on
+   the variant hash, every key's strings paired with numpy) hands
+   each exchange bucket its candidate pairs, and the bucket verifies
+   them in place, vectorized over all its pairs: one NUL-padded byte
+   matrix of its strings gives Hamming for equal lengths and a
+   prefix/suffix match (a one-byte deletion) across adjacent lengths.
+   Because the bucket already holds the strings, verification is
+   local — no second exchange, no blob join. Hot keys above
+   ``max_bucket`` strings are dropped AND logged (the blocked-pairs
+   contract); hash collisions only co-bucket strangers, which the
+   exact verify rejects, so the result is exact whenever the drop log
+   is empty.
 3. **Distinct**: a pair sharing several variants is emitted once per
-   bucket; verified pairs are tiny (strings + dist), so a final
-   groupby makes them distinct — the dedup-after-verify pattern.
+   shared key; verified pairs are tiny (strings + dist), so a final
+   aggregate makes them distinct — the dedup-after-verify pattern.
 
 Contracts:
 * keys are SHORT strings (<= ``max_len`` bytes, default 64); longer
@@ -58,6 +61,7 @@ import pyarrow as pa
 
 from ..functions.hashing import hash64_column
 from .aggregate import aggregate
+from .neardup import blocked_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -110,49 +114,63 @@ def deletion_keys_batch(
     )
 
 
-def _is_deletion(short: bytes, long: bytes) -> bool:
-    """True iff deleting ONE byte of ``long`` yields ``short``
-    (lengths differ by exactly 1; bytes-slice compares run at C speed)."""
-    # first mismatch position
-    i = 0
-    n = len(short)
-    while i < n and short[i] == long[i]:
-        i += 1
-    return short[i:] == long[i + 1 :]
+def _distances(names: pa.ChunkedArray, i: np.ndarray, j: np.ndarray):
+    """Byte-level Levenshtein distance of each pair ``(names[i],
+    names[j])``, capped at 2 (2 = more than one edit), vectorized over
+    all pairs: the strings become one NUL-padded byte matrix with at
+    least one pad column, so padding compares equal."""
+    enc = [x.encode("utf-8") for x in names.to_pylist()]
+    lens = np.array([len(e) for e in enc], np.int64)
+    w = int(lens.max(initial=0)) + 1
+    mat = np.frombuffer(
+        b"".join(e.ljust(w, b"\0") for e in enc), np.uint8
+    ).reshape(len(enc), w)
+    swap = lens[i] > lens[j]
+    short, long = np.where(swap, j, i), np.where(swap, i, j)
+    gap = lens[long] - lens[short]
+    s, t = mat[short], mat[long]
+    eq = s == t
+    # s is t less the byte at k iff s[:k] == t[:k] and s[k:] == t[k+1:]
+    ones = np.ones((i.size, 1), bool)
+    prefix = np.logical_and.accumulate(np.hstack([ones, eq[:, :-1]]), axis=1)
+    shifted = np.hstack([s[:, :-1] == t[:, 1:], ones])
+    suffix = np.logical_and.accumulate(shifted[:, ::-1], axis=1)[:, ::-1]
+    d = np.full(i.size, 2)
+    d[gap == 0] = np.minimum((~eq[gap == 0]).sum(axis=1), 2)
+    d[(gap == 1) & (prefix & suffix).any(axis=1)] = 1
+    return d
 
 
-def _bucket_verified_pairs(names: np.ndarray) -> "tuple[list, list]":
-    """Exact distance<=1 pairs among the bucket's unique sorted
-    strings. Returns (list_a, list_b) with a < b lexicographically."""
-    enc = [s.encode("utf-8") for s in names]
-    lens = np.array([len(b) for b in enc], dtype=np.int64)
-    out_a: list = []
-    out_b: list = []
-    # same length: vectorized Hamming over an (n, L) byte matrix
-    for L in np.unique(lens):
-        idx = np.nonzero(lens == L)[0]
-        if idx.size >= 2 and L > 0:
-            mat = np.frombuffer(
-                b"".join(enc[i] for i in idx), dtype=np.uint8
-            ).reshape(idx.size, L)
-            ii, jj = np.triu_indices(idx.size, k=1)
-            mism = (mat[ii] != mat[jj]).sum(axis=1)
-            hit = np.nonzero(mism == 1)[0]
-            if hit.size:  # vectorized emission (hits can be dense)
-                out_a.extend(names[idx[ii[hit]]].tolist())
-                out_b.extend(names[idx[jj[hit]]].tolist())
-        # adjacent length L vs L+1: deletion check per cross pair
-        jdx = np.nonzero(lens == L + 1)[0]
-        for i in idx:
-            si = enc[i]
-            for j in jdx:
-                if _is_deletion(si, enc[j]):
-                    a, b = names[i], names[j]
-                    if b < a:
-                        a, b = b, a
-                    out_a.append(a)
-                    out_b.append(b)
-    return out_a, out_b
+def _fuzzy_pairs(keyed, max_bucket: int):
+    """Distinct verified pairs at distance <= 1 of the deletion-variant
+    rows ``keyed`` — (bucket_key, name) rows, plus ``side`` in a cross
+    plan — with a typed empty result when there are none."""
+    import ray.data as rd
+
+    def emit(rows, i, j, _):
+        names = rows["name"]
+        d = _distances(names, i, j)
+        m = d <= 1
+        return pa.table({
+            "name_a": names.take(i[m]),
+            "name_b": names.take(j[m]),
+            "dist": pa.array(d[m], pa.int64()),
+        })
+
+    out = (
+        aggregate(
+            blocked_pairs(keyed, emit, max_bucket),
+            ["name_a", "name_b"],
+            [("dist", "max", "dist")],
+        )
+        # the verified-distinct result is tiny (pairs, not corpus):
+        # materialize it so the emptiness probe and the caller's
+        # consumption share ONE execution of the plan
+        .materialize()
+    )
+    if out.count() == 0:
+        return rd.from_arrow(_EMPTY_PAIRS.empty_table())
+    return out
 
 
 def fuzzy_self_join(ds, col: str, max_bucket: int = 256, max_len: int = 64):
@@ -160,101 +178,13 @@ def fuzzy_self_join(ds, col: str, max_bucket: int = 256, max_len: int = 64):
     Levenshtein distance exactly 1 (equal values are not pairs), as
     (name_a, name_b, dist) with name_a < name_b. Exact when the hot
     bucket / max_len drop logs are empty."""
-    keyed = ds.map_batches(
-        lambda b: deletion_keys_batch(b, col, max_len=max_len),
-        batch_format="pyarrow",
+    return _fuzzy_pairs(
+        ds.map_batches(
+            lambda b: deletion_keys_batch(b, col, max_len=max_len),
+            batch_format="pyarrow",
+        ),
+        max_bucket,
     )
-
-    def pairs_of_group(group: pa.Table) -> pa.Table:
-        names = np.unique(group["name"].to_numpy(zero_copy_only=False))
-        if names.size < 2 or names.size > max_bucket:
-            if names.size > max_bucket:
-                logger.warning(
-                    "fuzzy: dropping hot bucket key=%s with %d strings "
-                    "(max_bucket=%d); pairs sharing only it are lost",
-                    group["bucket_key"][0].as_py(),
-                    names.size,
-                    max_bucket,
-                )
-            return _EMPTY_PAIRS.empty_table()
-        a, b = _bucket_verified_pairs(names)
-        return pa.Table.from_pydict(
-            {
-                "name_a": pa.array(a, pa.string()),
-                "name_b": pa.array(b, pa.string()),
-                "dist": pa.array([1] * len(a), pa.int64()),
-            },
-            schema=_EMPTY_PAIRS,
-        )
-
-    pairs = keyed.groupby("bucket_key").map_groups(
-        pairs_of_group, batch_format="pyarrow"
-    )
-
-    # distinct pairs through stages/aggregate.py
-    out = (
-        aggregate(pairs, ["name_a", "name_b"], [("dist", "max", "dist")])
-        # the verified-distinct result is tiny (pairs, not corpus):
-        # materialize it so the emptiness probe and the caller's
-        # consumption share ONE execution of the plan
-        .materialize()
-    )
-    if out.count() == 0:  # all buckets trivial/dropped: typed empty
-        import ray.data as rd
-
-        return rd.from_arrow(_EMPTY_PAIRS.empty_table())
-    return out
-
-
-def _bucket_cross_pairs(a_names, b_names) -> "tuple[list, list, list]":
-    """Exact distance<=1 pairs ACROSS two sides (distance 0 = equal
-    keys included: cross-side equality is a match, unlike the
-    self-join). Returns (list_a, list_b, dists)."""
-    enc_a = [(s, s.encode("utf-8")) for s in a_names]
-    enc_b = [(s, s.encode("utf-8")) for s in b_names]
-    by_len_b: dict = {}
-    for s, e in enc_b:
-        by_len_b.setdefault(len(e), []).append((s, e))
-    out_a: list = []
-    out_b: list = []
-    out_d: list = []
-    # group the A side by length, vectorize against same-length B
-    by_len_a: dict = {}
-    for s, e in enc_a:
-        by_len_a.setdefault(len(e), []).append((s, e))
-    for L, rows_a in by_len_a.items():
-        rows_b = by_len_b.get(L, [])
-        if rows_b and L > 0:
-            mat_a = np.frombuffer(
-                b"".join(e for _, e in rows_a), dtype=np.uint8
-            ).reshape(len(rows_a), L)
-            mat_b = np.frombuffer(
-                b"".join(e for _, e in rows_b), dtype=np.uint8
-            ).reshape(len(rows_b), L)
-            mism = (mat_a[:, None, :] != mat_b[None, :, :]).sum(axis=2)
-            for i, j in zip(*np.nonzero(mism <= 1)):
-                out_a.append(rows_a[i][0])
-                out_b.append(rows_b[j][0])
-                out_d.append(int(mism[i, j]))
-        elif rows_b:  # L == 0: both empty strings -> equal
-            for sa, _ in rows_a:
-                for sb, _ in rows_b:
-                    out_a.append(sa)
-                    out_b.append(sb)
-                    out_d.append(0)
-        # adjacent lengths: deletion checks in both directions
-        for sa, ea in rows_a:
-            for sb, eb in by_len_b.get(L + 1, []):
-                if _is_deletion(ea, eb):
-                    out_a.append(sa)
-                    out_b.append(sb)
-                    out_d.append(1)
-            for sb, eb in by_len_b.get(L - 1, []):
-                if _is_deletion(eb, ea):
-                    out_a.append(sa)
-                    out_b.append(sb)
-                    out_d.append(1)
-    return out_a, out_b, out_d
 
 
 def fuzzy_join(
@@ -281,51 +211,6 @@ def fuzzy_join(
 
         return ds.map_batches(emit, batch_format="pyarrow")
 
-    both = keyed(ds_a, col_a, 0).union(keyed(ds_b, col_b, 1))
-    empty = pa.schema(
-        [
-            ("name_a", pa.string()),
-            ("name_b", pa.string()),
-            ("dist", pa.int64()),
-        ]
+    return _fuzzy_pairs(
+        keyed(ds_a, col_a, 0).union(keyed(ds_b, col_b, 1)), max_bucket
     )
-
-    def pairs_of_group(group: pa.Table) -> pa.Table:
-        sides = group["side"].to_numpy(zero_copy_only=False)
-        names = group["name"].to_numpy(zero_copy_only=False)
-        a = np.unique(names[sides == 0])
-        b = np.unique(names[sides == 1])
-        if a.size == 0 or b.size == 0 or a.size + b.size > max_bucket:
-            if a.size + b.size > max_bucket:
-                logger.warning(
-                    "fuzzy: dropping hot bucket key=%s with %d+%d strings "
-                    "(max_bucket=%d); pairs sharing only it are lost",
-                    group["bucket_key"][0].as_py(),
-                    a.size,
-                    b.size,
-                    max_bucket,
-                )
-            return empty.empty_table()
-        out_a, out_b, out_d = _bucket_cross_pairs(a, b)
-        return pa.Table.from_pydict(
-            {
-                "name_a": pa.array(out_a, pa.string()),
-                "name_b": pa.array(out_b, pa.string()),
-                "dist": pa.array(out_d, pa.int64()),
-            },
-            schema=empty,
-        )
-
-    pairs = both.groupby("bucket_key").map_groups(
-        pairs_of_group, batch_format="pyarrow"
-    )
-
-    out = (
-        aggregate(pairs, ["name_a", "name_b"], [("dist", "max", "dist")])
-        .materialize()  # tiny result: one execution for probe + caller
-    )
-    if out.count() == 0:
-        import ray.data as rd
-
-        return rd.from_arrow(empty.empty_table())
-    return out

@@ -3,9 +3,9 @@
 Three candidate-generation strategies feeding one exact verifier:
 
 * ``ngram``   — inverted index on shingle hashes: explode (shingle,
-  doc) -> groupby shingle -> in-bucket pairs. 100% recall for any pair
-  sharing a shingle; candidate volume is bounded by capping bucket
-  size (hot shingles are stop-shingles; cap + log, like stop-words).
+  doc) -> blocked pairs per shingle. 100% recall for any pair sharing
+  a shingle; candidate volume is bounded by capping bucket size (hot
+  shingles are stop-shingles; cap + log, like stop-words).
 * ``minhash`` — MinHash signatures -> LSH band buckets -> in-bucket
   pairs. Tunable recall/cost: (bands=64, rows=2) gives ~certain recall
   at J>=0.5 on small docs (miss prob (1-J^2)^64); the scale preset is
@@ -24,6 +24,14 @@ shingle table on doc_a, then on doc_b (two bounded shuffles via
 binary blobs because Acero joins don't carry list columns), with no
 driver-side or broadcast corpus state.
 
+Every candidate stage here and in ``stages/fuzzy.py`` runs one
+blocked-pairs plan (:func:`blocked_pairs`): ONE ``aggregate.exchange``
+on ``bucket_key``, then each exchange bucket is sorted by key and
+every key's run of rows is paired at once with numpy — upper
+triangle in a self plan, left x right in a cross plan — never a
+Python call per key. Runs over ``max_bucket`` rows are dropped and
+logged.
+
 The shingled stream feeds both candidate generation and the verify
 join. It is recomputed for each consumer (Ray Data has no common-
 subexpression reuse): shingling is a cheap, pure, deterministic
@@ -37,6 +45,7 @@ from typing import Dict, List
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions import shingles as sk
 from .aggregate import aggregate, exchange
@@ -187,54 +196,87 @@ def simhash_block_keys(batch: pa.Table) -> pa.Table:
     )
 
 
-def bucket_pairs(ds, max_bucket: int = 256):
-    """groupby bucket_key -> unordered candidate pairs (doc_a < doc_b),
-    numpy-vectorized per bucket, locally (within-batch) deduplicated.
+def run_pairs(t: pa.Table, max_bucket: int):
+    """The blocked pairs of one exchange bucket.
 
-    Pairs sharing several bucket keys MAY appear more than once across
-    batches: verification is idempotent and measured ~12% duplicate
-    volume, so re-verifying duplicates is far cheaper than a global
-    pair-key shuffle here (measured 11 s on 1.3M candidate rows) —
-    callers make the (small) VERIFIED output distinct instead
-    (:func:`_distinct_pairs`).
-
-    Buckets above ``max_bucket`` docs are dropped AND logged with
-    their size (hot shingles/bands are boilerplate). NOTE: a pair
-    whose only shared keys are hot ones is lost — when the drop log is
-    non-empty the result may under-report vs an exact-Jaccard oracle."""
-
-    def pairs_of_group(group: pa.Table) -> pa.Table:
-        ids = np.unique(
-            group["doc_id"].to_numpy(zero_copy_only=False)
-        )  # sorted
-        if ids.size < 2 or ids.size > max_bucket:
-            if ids.size > max_bucket:
-                logger.warning(
-                    "neardup: dropping hot bucket key=%s with %d docs "
-                    "(max_bucket=%d); pairs sharing only this key are lost",
-                    group["bucket_key"][0].as_py(), ids.size, max_bucket,
-                )
-            return pa.Table.from_pydict(
-                {"doc_a": pa.array([], pa.int64()),
-                 "doc_b": pa.array([], pa.int64())}
-            )
-        ii, jj = np.triu_indices(ids.size, k=1)  # vectorized pair gen
-        return pa.Table.from_pydict(
-            {
-                "doc_a": pa.array(ids[ii], pa.int64()),
-                "doc_b": pa.array(ids[jj], pa.int64()),
-            }
+    ``t`` holds ``bucket_key``, a ``side`` column (0 = left, 1 = right)
+    in a cross plan, and the member columns. Returns ``(rows, i, j,
+    n_dropped)``: ``rows`` are the distinct rows of ``t`` sorted by
+    key, side and members, so each key's rows form one run; ``i`` and
+    ``j`` index ``rows`` — every two rows of a run (``i < j``) in a
+    self plan, every left row with every right row of its run in a
+    cross plan. A run without a pair (fewer than 2 rows, or one side
+    missing) is skipped; a run with a pair and more than
+    ``max_bucket`` rows is dropped, logged and counted in
+    ``n_dropped``."""
+    cross = "side" in t.column_names
+    cols = ["bucket_key"] + (["side"] if cross else []) + [
+        c for c in t.column_names if c not in ("bucket_key", "side")
+    ]
+    rows = t.group_by(cols, use_threads=False).aggregate([])
+    rows = rows.take(
+        pc.sort_indices(rows, sort_keys=[(c, "ascending") for c in cols])
+    )
+    key = rows["bucket_key"].to_numpy()
+    n = key.size
+    new = np.ones(n, bool)
+    new[1:] = key[1:] != key[:-1]
+    run = np.cumsum(new) - 1
+    start = np.flatnonzero(new)
+    size = np.diff(np.r_[start, n])
+    end = (start + size)[run]
+    pos = np.arange(n)
+    if cross:
+        left = rows["side"].to_numpy() == 0
+        n_left = np.bincount(run[left], minlength=start.size)
+        paired = (n_left > 0) & (n_left < size)
+        # a run's left rows sort first; each pairs with its run's right
+        lo = np.where(left, (start + n_left)[run], end)
+    else:
+        paired = size > 1
+        lo = pos + 1
+    hot = paired & (size > max_bucket)
+    for r in np.flatnonzero(hot):
+        logger.warning(
+            "neardup: dropping hot bucket key=%s with %d rows "
+            "(max_bucket=%d); pairs sharing only this key are lost",
+            key[start[r]], size[r], max_bucket,
         )
+    # row p pairs with rows lo[p] .. end[p] - 1 of its run
+    cnt = np.where(hot[run], 0, end - lo)
+    i = np.repeat(pos, cnt)
+    j = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(i.size)
+    return rows, i, j, int(hot.sum())
 
-    pairs = ds.groupby("bucket_key").map_groups(
-        pairs_of_group, batch_format="pyarrow"
+
+def blocked_pairs(keyed_ds, emit, max_bucket: int):
+    """Pairs of rows sharing a ``bucket_key``: ONE exchange on the key,
+    :func:`run_pairs` over each exchange bucket, and
+    ``emit(rows, i, j, n_dropped)`` turns the bucket's pairs into the
+    output table — vectorized over every key of the bucket."""
+    return exchange(
+        keyed_ds, "bucket_key", lambda t: emit(*run_pairs(t, max_bucket))
     )
 
-    # local (within-batch) distinct: vectorized Arrow group_by, cheap
-    def local_distinct(batch: pa.Table) -> pa.Table:
-        return batch.group_by(["doc_a", "doc_b"]).aggregate([])
 
-    return pairs.map_batches(local_distinct, batch_format="pyarrow")
+def bucket_pairs(ds, max_bucket: int = 256):
+    """Unordered candidate pairs (doc_a < doc_b) of docs sharing a
+    ``bucket_key``.
+
+    A pair sharing several keys appears once per shared key:
+    verification is idempotent, so callers make the (small) VERIFIED
+    output distinct instead (:func:`_distinct_pairs`).
+
+    Keys above ``max_bucket`` docs are dropped AND logged with their
+    size (hot shingles/bands are boilerplate). NOTE: a pair whose only
+    shared keys are hot ones is lost — when the drop log is non-empty
+    the result may under-report vs an exact-Jaccard oracle."""
+
+    def emit(rows, i, j, _):
+        ids = rows["doc_id"]
+        return pa.table({"doc_a": ids.take(i), "doc_b": ids.take(j)})
+
+    return blocked_pairs(ds, emit, max_bucket)
 
 
 def _distinct_pairs(verified_ds, value_col: str):
@@ -324,160 +366,171 @@ def verify_jaccard_partitioned(
 
 
 def neardup_pairs_ngram_counts(
-    docs_ds,
-    threshold: float = 0.5,
-    k: int = 3,
-    max_bucket: int = 256,
-    combine_partitions: int = 16,
-    on_drop: str = "fallback",
+    docs_ds, threshold: float = 0.5, k: int = 3, max_bucket: int = 256
 ):
     """Blob-free partitioned ngram near-dup: exact Jaccard from
-    intersection COUNTS, no shingle-set blobs and no joins.
+    intersection COUNTS, no shingle-set blobs and no joins — the self
+    case of the shingle-count plan (:func:`_shingle_counts`).
 
     ``jaccard(A, B) = |A∩B| / (|A| + |B| - |A∩B|)``, and each shared
-    shingle hash lives in exactly one bucket of the inverted index, so
-    counting a pair's bucket co-occurrences IS ``|A∩B|``. The exploded
-    stream carries each doc's set size (one extra int64), each bucket
-    emits (doc_a, doc_b, size_a, size_b, cnt=1) rows, a vectorized
-    per-batch combine sums counts, and the coalesced
-    ``aggregate.exchange`` on the pair produces one row per candidate
-    pair with everything Jaccard needs. Compared to the blob verify
-    plan (two Acero joins shipping one ~KB shingle blob per candidate
-    pair per side) the exchange moves five int64s per pair partial —
-    the 10^12-doc partitioned plan for pairs-dense corpora.
+    shingle hash is exactly one key of the inverted index, so counting
+    a pair's key co-occurrences IS ``|A∩B|``. The exploded stream
+    carries each doc's set size (one extra int64), each exchange
+    bucket of the blocked pairs emits one (doc_a, doc_b, size_a,
+    size_b, cnt) row per pair it holds, and a second exchange on the
+    pair sums the counts into one row per candidate pair with
+    everything Jaccard needs. Compared to the blob verify plan (two
+    Acero joins shipping one ~KB shingle blob per candidate pair per
+    side) the exchange moves five int64s per pair partial — the
+    10^12-doc partitioned plan for pairs-dense corpora.
 
-    Drop-aware guard: a hot bucket dropped at ``max_bucket`` would
+    Drop-aware guard: a hot key dropped at ``max_bucket`` would
     silently UNDERCOUNT ``|A∩B|`` for surviving pairs (not just lose
-    candidates, as the blob plan does), so drops emit marker rows and
-    ``on_drop`` decides: "fallback" (default) reruns the candidates
-    through the shingle-set verify — exact under drops — with a
-    warning; "approx"
-    returns the undercounted result with a warning; "error" raises.
-    The small verified result is materialized to read the marker count
-    (it is the query output anyway).
+    candidates, as the blob plan does), so on any drop the candidates
+    rerun through the shingle-set verify — exact under drops — with a
+    warning.
     """
-    import pyarrow.compute as pc
+    return _shingle_counts(docs_ds, None, threshold, k, max_bucket, "jaccard")
 
-    shingled = docs_ds.map_batches(
-        lambda b: shingle_batch(b, k), batch_format="pyarrow"
-    )
-    exploded = shingled.map_batches(
-        explode_shingle_keys_sized, batch_format="pyarrow"
-    )
 
-    _EMPTY = pa.Table.from_pydict(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "size_a": pa.array([], pa.int64()),
-            "size_b": pa.array([], pa.int64()),
-            "cnt": pa.array([], pa.int64()),
-        }
-    )
+def cross_neardup_counts(
+    left_ds,
+    right_ds,
+    threshold: float,
+    k: int = 3,
+    score: str = "jaccard",
+    max_bucket: int = 256,
+):
+    """Cross-set near-dup scoring between TWO corpora — the cross case
+    of the shingle-count plan (see :func:`neardup_pairs_ngram_counts`):
+    exact ``|A∩B|`` from shared-shingle co-occurrence counts, with
+    candidates restricted to (left, right) pairs only.
 
-    def pairs_of_group(group: pa.Table) -> pa.Table:
-        # shingle sets are distinct per doc, so each doc appears at
-        # most once per shingle bucket — no in-bucket dedup needed
-        ids = group["doc_id"].to_numpy(zero_copy_only=False)
-        sz = group["size"].to_numpy(zero_copy_only=False)
-        n = int(ids.size)
-        if n < 2:
-            return _EMPTY
-        if n > max_bucket:
-            logger.warning(
-                "neardup-counts: dropping hot bucket key=%s with %d docs "
-                "(max_bucket=%d)",
-                group["bucket_key"][0].as_py(), n, max_bucket,
+    Two production shapes ride on this:
+
+    * ``score="jaccard"`` — incremental dedup: score an INCOMING shard
+      (left) against the existing BASE corpus (right) without ever
+      pairing base docs with each other (the reference's exists-already
+      guard, ``fulltext/services/store/store.py``, generalized from
+      exact url match to content near-match).
+    * ``score="containment"`` — benchmark decontamination / quotation
+      detection: ``|A∩B| / |A|`` with A the left (snippet/benchmark)
+      set, so a short snippet fully inside a long document scores 1.0
+      even when symmetric Jaccard is tiny.
+
+    Returns a Dataset of (left_id, right_id, score) with
+    ``score >= threshold``. Same-id pairs are kept (a snippet and its
+    source document share an id by construction in the eval queries).
+
+    A hot shingle key beyond ``max_bucket`` with docs on both sides
+    raises: cross-set counts have no exact blob fallback.
+
+    CONTRACT: ``doc_id`` must be NONNEGATIVE on both sides — negative
+    ids are reserved for the hot-bucket marker rows (callers hashing
+    urls to ids must shift to 63 bits, see
+    ``state.manifest.global_neardup_guard``); violations raise inside
+    the pair stage.
+    """
+    if score not in ("jaccard", "containment"):
+        raise ValueError(f"unknown score {score!r}")
+    return _shingle_counts(left_ds, right_ds, threshold, k, max_bucket, score)
+
+
+def _shingle_counts(docs_ds, right_ds, threshold, k, max_bucket, score):
+    """The shingle-count plan: the self case pairs ``docs_ds`` with
+    itself (``right_ds=None``) as (doc_a, doc_b, jaccard); the cross
+    case pairs ``docs_ds`` (left) with ``right_ds`` as (left_id,
+    right_id, score).
+
+    An exchange bucket that drops hot keys adds one marker row, ids
+    (-1, -1) with the number of keys dropped as its count; the marker
+    rows meet in the pair exchange, which keeps their total as minus
+    the score. The materialized result is the query output anyway, so
+    reading its marker row costs one small execution."""
+    import ray.data as rd
+
+    cross = right_ds is not None
+    a, b, s = ("left_id", "right_id", "score") if cross else (
+        "doc_a", "doc_b", "jaccard"
+    )
+    keys = [a, b, "size_a", "size_b"]
+
+    def exploded(ds, side):
+        def explode(batch: pa.Table) -> pa.Table:
+            t = explode_shingle_keys_sized(shingle_batch(batch, k))
+            if side is None:
+                return t
+            return t.append_column(
+                "side", pa.array(np.full(t.num_rows, side, np.int8))
             )
-            return pa.Table.from_pydict(
-                {
-                    "doc_a": pa.array([-1], pa.int64()),
-                    "doc_b": pa.array([-1], pa.int64()),
-                    "size_a": pa.array([0], pa.int64()),
-                    "size_b": pa.array([0], pa.int64()),
-                    "cnt": pa.array([1], pa.int64()),
-                }
+
+        return ds.map_batches(explode, batch_format="pyarrow")
+
+    keyed = (
+        exploded(docs_ds, 0).union(exploded(right_ds, 1))
+        if cross
+        else exploded(docs_ds, None)
+    )
+
+    def emit(rows, i, j, n_dropped):
+        ids, size = rows["doc_id"].to_numpy(), rows["size"].to_numpy()
+        if ids.size and ids.min() < 0:
+            raise ValueError(
+                "shingle counts require nonnegative doc ids (negative "
+                "ids are the hot-bucket marker sentinel)"
             )
-        order = np.argsort(ids)
-        ids, sz = ids[order], sz[order]
-        ii, jj = np.triu_indices(n, k=1)
-        return pa.Table.from_pydict(
-            {
-                "doc_a": pa.array(ids[ii], pa.int64()),
-                "doc_b": pa.array(ids[jj], pa.int64()),
-                "size_a": pa.array(sz[ii], pa.int64()),
-                "size_b": pa.array(sz[jj], pa.int64()),
-                "cnt": pa.array(np.ones(ii.size, np.int64), pa.int64()),
-            }
+        mark = np.full(int(n_dropped > 0), -1)
+        t = pa.table({
+            a: np.r_[ids[i], mark],
+            b: np.r_[ids[j], mark],
+            "size_a": np.r_[size[i], mark],
+            "size_b": np.r_[size[j], mark],
+            "cnt": np.r_[np.ones(i.size, np.int64), mark * -n_dropped],
+        })
+        g = t.group_by(keys, use_threads=False).aggregate([("cnt", "sum")])
+        return g.rename_columns(keys + ["cnt"])
+
+    def final(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate(
+            [("cnt", "sum")]
         )
+        ga, inter = g[a].to_numpy(), g["cnt_sum"].to_numpy()
+        sa, sb = g["size_a"].to_numpy(), g["size_b"].to_numpy()
+        denom = sa if score == "containment" else sa + sb - inter
+        val = inter / np.maximum(denom, 1)
+        marker = ga < 0
+        keep = marker | (val >= threshold)
+        return pa.table({
+            a: ga[keep],
+            b: g[b].to_numpy()[keep],
+            s: np.where(marker, -inter, val)[keep],
+        })
 
-    _KEYS = ["doc_a", "doc_b", "size_a", "size_b"]
-
-    def local_combine(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(_KEYS).aggregate([("cnt", "sum")])
-        return g.rename_columns(_KEYS + ["cnt"])
-
-    def final_combine(group: pa.Table) -> pa.Table:
-        g = group.group_by(_KEYS).aggregate([("cnt", "sum")])
-        g = g.rename_columns(_KEYS + ["n_common"])
-        a = g["doc_a"].to_numpy(zero_copy_only=False)
-        inter = g["n_common"].to_numpy(zero_copy_only=False)
-        sa = g["size_a"].to_numpy(zero_copy_only=False)
-        sb = g["size_b"].to_numpy(zero_copy_only=False)
-        marker = a < 0
-        union = np.maximum(sa + sb - inter, 1)
-        j = inter / union
-        keep = marker | (j >= threshold)
-        j = np.where(marker, -1.0, j)
-        return pa.Table.from_pydict(
-            {
-                "doc_a": pa.array(a[keep], pa.int64()),
-                "doc_b": pa.array(
-                    g["doc_b"].to_numpy(zero_copy_only=False)[keep],
-                    pa.int64(),
-                ),
-                "jaccard": pa.array(j[keep], pa.float64()),
-            }
+    out = exchange(blocked_pairs(keyed, emit, max_bucket), [a, b], final)
+    out = out.materialize()
+    if out.count() == 0:
+        return rd.from_arrow(pa.table({
+            a: pa.array([], pa.int64()),
+            b: pa.array([], pa.int64()),
+            s: pa.array([], pa.float64()),
+        }))
+    n_dropped = -int(sum(r[s] for r in out.map_batches(
+        lambda t: t.filter(pc.less(t[a], 0)), batch_format="pyarrow"
+    ).take_all()))
+    if not n_dropped:
+        return out
+    if cross:
+        raise RuntimeError(
+            f"cross-neardup counts plan dropped {n_dropped} hot "
+            "buckets; intersection counts would be under-reported"
         )
-
-    combined = (
-        exploded.groupby("bucket_key")
-        .map_groups(pairs_of_group, batch_format="pyarrow")
-        .map_batches(local_combine, batch_format="pyarrow")
-        .repartition(combine_partitions)
+    logger.warning(
+        "neardup counts plan dropped %d hot buckets; falling back to "
+        "the shingle-set verify (exact under drops)", n_dropped,
     )
-    out = exchange(combined, ["doc_a", "doc_b"], final_combine).materialize()
-
-    def only_markers(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.less(batch["doc_a"], 0))
-
-    def no_markers(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.greater_equal(batch["doc_a"], 0))
-
-    n_dropped = out.map_batches(
-        only_markers, batch_format="pyarrow"
-    ).count()
-    if n_dropped:
-        if on_drop == "error":
-            raise RuntimeError(
-                f"neardup counts plan dropped {n_dropped} hot buckets; "
-                "intersection counts would be under-reported"
-            )
-        if on_drop == "fallback":
-            logger.warning(
-                "neardup counts plan dropped %d hot buckets; falling "
-                "back to the shingle-set verify (exact under drops)",
-                n_dropped,
-            )
-            return _verified_pairs(
-                docs_ds, threshold, k, max_bucket, explode_shingle_keys
-            )
-        logger.warning(
-            "neardup counts plan dropped %d hot buckets; returned "
-            "jaccards may be under-counted (on_drop='approx')",
-            n_dropped,
-        )
-    return out.map_batches(no_markers, batch_format="pyarrow")
+    return _verified_pairs(
+        docs_ds, threshold, k, max_bucket, explode_shingle_keys
+    )
 
 
 def _broadcast_shingle_map(shingled_ds):
@@ -566,266 +619,33 @@ def simhash_pairs(
     """SimHash near-dup pairs: (doc_a, doc_b, hamming), hamming <=
     ``max_hamming`` (<=3 guarantees block-level recall via pigeonhole).
 
-    Per-bucket pair generation is numpy-vectorized (XOR + table
-    popcount over the packed uint64 simhashes) and bounded by
-    ``max_bucket`` with the same drop-and-log contract as
-    :func:`bucket_pairs` — a hot 16-bit block (short/templated docs
-    collapsing to near-equal simhashes) costs at most
-    ``max_bucket**2 / 2`` vectorized ops per task instead of an
-    unbounded pure-Python double loop; pairs whose only shared block
-    is a dropped one are lost (logged)."""
+    Pair generation is the blocked-pairs plan (:func:`blocked_pairs`),
+    numpy-vectorized (XOR + table popcount over the packed uint64
+    simhashes) and bounded by ``max_bucket`` with its drop-and-log
+    contract — a hot 16-bit block (short/templated docs collapsing to
+    near-equal simhashes) is dropped, not ground through; pairs whose
+    only shared block is a dropped one are lost (logged)."""
 
     shingled = docs_ds.map_batches(
         lambda b: shingle_batch(b, k), batch_format="pyarrow"
     )
     keyed = shingled.map_batches(simhash_block_keys, batch_format="pyarrow")
 
-    _EMPTY = pa.Table.from_pydict(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "hamming": pa.array([], pa.int32()),
-        }
-    )
-
-    def pairs_of_group(group: pa.Table) -> pa.Table:
-        ids = group["doc_id"].to_numpy(zero_copy_only=False)
-        sims = group["simhash"].to_numpy(zero_copy_only=False).astype(
-            np.uint64, copy=False
-        )
-        # one simhash per doc_id by construction; keep first per doc
-        order = np.argsort(ids, kind="stable")
-        ids, sims = ids[order], sims[order]
-        keep = np.ones(ids.size, dtype=bool)
-        keep[1:] = ids[1:] != ids[:-1]
-        ids, sims = ids[keep], sims[keep]
-        n = int(ids.size)
-        if n < 2:
-            return _EMPTY
-        if n > max_bucket:
-            logger.warning(
-                "simhash: dropping hot block bucket key=%s with %d docs "
-                "(max_bucket=%d); pairs sharing only this block are lost",
-                group["bucket_key"][0].as_py(), n, max_bucket,
-            )
-            return _EMPTY
-        ii, jj = np.triu_indices(n, k=1)
-        d = sk.popcount64(sims[ii] ^ sims[jj])
+    def emit(rows, i, j, _):
+        # one simhash per doc_id by construction: a run's rows are docs
+        ids = rows["doc_id"].to_numpy()
+        sims = rows["simhash"].to_numpy()
+        d = sk.popcount64(sims[i] ^ sims[j])
         m = d <= max_hamming
-        return pa.Table.from_pydict(
-            {
-                "doc_a": pa.array(ids[ii[m]], pa.int64()),
-                "doc_b": pa.array(ids[jj[m]], pa.int64()),
-                "hamming": pa.array(d[m], pa.int32()),
-            }
-        )
-
-    pairs = keyed.groupby("bucket_key").map_groups(
-        pairs_of_group, batch_format="pyarrow"
-    )
+        return pa.table({
+            "doc_a": pa.array(ids[i[m]], pa.int64()),
+            "doc_b": pa.array(ids[j[m]], pa.int64()),
+            "hamming": pa.array(d[m], pa.int32()),
+        })
 
     # distinct pairs via one grouped aggregate (duplicates across
     # blocks carry the same hamming, so min is just "pick one")
     return aggregate(
-        pairs, ["doc_a", "doc_b"], [("hamming", "min", "hamming")]
-    )
-
-
-def cross_neardup_counts(
-    left_ds,
-    right_ds,
-    threshold: float,
-    k: int = 3,
-    score: str = "jaccard",
-    max_bucket: int = 256,
-    combine_partitions: int = 16,
-    on_drop: str = "error",
-):
-    """Cross-set near-dup scoring between TWO corpora via the blob-free
-    counts plan (see :func:`neardup_pairs_ngram_counts`): exact
-    ``|A∩B|`` from shared-shingle-bucket co-occurrence counts, with
-    candidates restricted to (left, right) pairs only.
-
-    Two production shapes ride on this:
-
-    * ``score="jaccard"`` — incremental dedup: score an INCOMING shard
-      (left) against the existing BASE corpus (right) without ever
-      pairing base docs with each other (the reference's exists-already
-      guard, ``fulltext/services/store/store.py``, generalized from
-      exact url match to content near-match).
-    * ``score="containment"`` — benchmark decontamination / quotation
-      detection: ``|A∩B| / |A|`` with A the left (snippet/benchmark)
-      set, so a short snippet fully inside a long document scores 1.0
-      even when symmetric Jaccard is tiny.
-
-    Returns a Dataset of (left_id, right_id, score) with
-    ``score >= threshold``. Same-id pairs are kept (a snippet and its
-    source document share an id by construction in the eval queries).
-
-    Hot shingle buckets beyond ``max_bucket`` emit marker rows;
-    ``on_drop="error"`` (default) raises — cross-set counts have no
-    exact blob fallback wired yet — and ``"approx"`` returns
-    under-counted scores with a warning.
-
-    CONTRACT: ``doc_id`` must be NONNEGATIVE on both sides — negative
-    ids are reserved for the hot-bucket marker rows (callers hashing
-    urls to ids must shift to 63 bits, see
-    ``state.manifest.global_neardup_guard``); violations raise inside
-    the group stage.
-    """
-    import pyarrow.compute as pc
-
-    if score not in ("jaccard", "containment"):
-        raise ValueError(f"unknown score {score!r}")
-
-    def exploded_side(ds, side: int):
-        def tag(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "side",
-                pa.array(np.full(b.num_rows, side, np.int8), pa.int8()),
-            )
-
-        return (
-            ds.map_batches(
-                lambda b: shingle_batch(b, k), batch_format="pyarrow"
-            )
-            .map_batches(explode_shingle_keys_sized, batch_format="pyarrow")
-            .map_batches(tag, batch_format="pyarrow")
-        )
-
-    both = exploded_side(left_ds, 0).union(exploded_side(right_ds, 1))
-
-    _EMPTY = pa.Table.from_pydict(
-        {
-            "left_id": pa.array([], pa.int64()),
-            "right_id": pa.array([], pa.int64()),
-            "size_l": pa.array([], pa.int64()),
-            "size_r": pa.array([], pa.int64()),
-            "cnt": pa.array([], pa.int64()),
-        }
-    )
-
-    def pairs_of_group(group: pa.Table) -> pa.Table:
-        ids = group["doc_id"].to_numpy(zero_copy_only=False)
-        sz = group["size"].to_numpy(zero_copy_only=False)
-        side = group["side"].to_numpy(zero_copy_only=False)
-        if ids.size and ids.min() < 0:
-            raise ValueError(
-                "cross_neardup_counts requires nonnegative doc ids "
-                "(negative ids are the hot-bucket marker sentinel)"
-            )
-        if ids.size > max_bucket:
-            logger.warning(
-                "cross-neardup: dropping hot bucket key=%s with %d docs "
-                "(max_bucket=%d)",
-                group["bucket_key"][0].as_py(), ids.size, max_bucket,
-            )
-            return pa.Table.from_pydict(
-                {
-                    "left_id": pa.array([-1], pa.int64()),
-                    "right_id": pa.array([-1], pa.int64()),
-                    "size_l": pa.array([0], pa.int64()),
-                    "size_r": pa.array([0], pa.int64()),
-                    "cnt": pa.array([1], pa.int64()),
-                }
-            )
-        lmask = side == 0
-        lids, lsz = ids[lmask], sz[lmask]
-        rids, rsz = ids[~lmask], sz[~lmask]
-        if lids.size == 0 or rids.size == 0:
-            return _EMPTY
-        # cross product left x right (each doc appears at most once
-        # per side per bucket: shingle sets are distinct per doc)
-        la = np.repeat(lids, rids.size)
-        return pa.Table.from_pydict(
-            {
-                "left_id": pa.array(la, pa.int64()),
-                "right_id": pa.array(np.tile(rids, lids.size), pa.int64()),
-                "size_l": pa.array(np.repeat(lsz, rids.size), pa.int64()),
-                "size_r": pa.array(np.tile(rsz, lids.size), pa.int64()),
-                "cnt": pa.array(np.ones(la.size, np.int64), pa.int64()),
-            }
-        )
-
-    _KEYS = ["left_id", "right_id", "size_l", "size_r"]
-
-    def local_combine(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(_KEYS).aggregate([("cnt", "sum")])
-        return g.rename_columns(_KEYS + ["cnt"])
-
-    def final_combine(group: pa.Table) -> pa.Table:
-        g = group.group_by(_KEYS).aggregate([("cnt", "sum")])
-        g = g.rename_columns(_KEYS + ["n_common"])
-        a = g["left_id"].to_numpy(zero_copy_only=False)
-        inter = g["n_common"].to_numpy(zero_copy_only=False)
-        sl = g["size_l"].to_numpy(zero_copy_only=False)
-        sr = g["size_r"].to_numpy(zero_copy_only=False)
-        marker = a < 0
-        if score == "containment":
-            s = inter / np.maximum(sl, 1)
-        else:
-            s = inter / np.maximum(sl + sr - inter, 1)
-        keep = marker | (s >= threshold)
-        s = np.where(marker, -1.0, s)
-        return pa.Table.from_pydict(
-            {
-                "left_id": pa.array(a[keep], pa.int64()),
-                "right_id": pa.array(
-                    g["right_id"].to_numpy(zero_copy_only=False)[keep],
-                    pa.int64(),
-                ),
-                "score": pa.array(s[keep], pa.float64()),
-            }
-        )
-
-    combined = (
-        both.groupby("bucket_key")
-        .map_groups(pairs_of_group, batch_format="pyarrow")
-        .map_batches(local_combine, batch_format="pyarrow")
-        .repartition(combine_partitions)
-    )
-    out = exchange(
-        combined, ["left_id", "right_id"], final_combine
-    ).materialize()
-
-    n_dropped = 0
-    n_total = 0
-    if out.schema(fetch_if_missing=False) is not None:
-        n_total = out.count()
-        n_dropped = out.map_batches(
-            lambda b: b.filter(pc.less(b["left_id"], 0)),
-            batch_format="pyarrow",
-        ).count()
-    if n_total - n_dropped == 0:
-        # empty side / zero candidate pairs: blocks are empty (or
-        # marker-only), and map_batches skips empty blocks, so the
-        # lazy filter below would yield a column-less frame — return
-        # the typed empty instead (schema-less-empty guard family).
-        import ray.data as rd
-
-        empty_out = rd.from_arrow(
-            pa.Table.from_pydict(
-                {
-                    "left_id": pa.array([], pa.int64()),
-                    "right_id": pa.array([], pa.int64()),
-                    "score": pa.array([], pa.float64()),
-                }
-            )
-        )
-        if not n_dropped:
-            return empty_out
-        out = empty_out  # fall through to the drop-policy check
-    if n_dropped:
-        if on_drop == "error":
-            raise RuntimeError(
-                f"cross-neardup counts plan dropped {n_dropped} hot "
-                "buckets; intersection counts would be under-reported"
-            )
-        logger.warning(
-            "cross-neardup counts plan dropped %d hot buckets; scores "
-            "may be under-counted (on_drop='approx')", n_dropped,
-        )
-    return out.map_batches(
-        lambda b: b.filter(pc.greater_equal(b["left_id"], 0)),
-        batch_format="pyarrow",
+        blocked_pairs(keyed, emit, max_bucket),
+        ["doc_a", "doc_b"], [("hamming", "min", "hamming")],
     )

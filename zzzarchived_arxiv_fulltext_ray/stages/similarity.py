@@ -375,8 +375,8 @@ def embedding_neardup_lsh(
 
     candidates = bucket_pairs(keyed, max_bucket=4096)
     verified = verify_cosine_partitioned(candidates, emb_ds, threshold)
-    # bucket_pairs dedups locally only; collapse cross-batch duplicate
-    # pairs (identical sims) over the small verified output
+    # bucket_pairs emits a pair once per shared band key; collapse the
+    # duplicates (identical sims) over the small verified output
     return aggregate(verified, ["vec_a", "vec_b"], [("sim", "max", "sim")])
 
 

@@ -240,7 +240,7 @@ def suffix_prefix_join(frags, k: int = 5, id_col: str = "frag_id",
     excluded). Fragments shorter than ``k`` tokens
     can't stitch and are dropped at the projection. A hot k-gram key
     makes its per-key product quadratic — this corpus's 5-grams are
-    effectively unique; adopt neardup.bucket_pairs' cap-and-log if a
+    effectively unique; adopt neardup.blocked_pairs' cap-and-log if a
     future corpus changes that."""
     from .aggregate import exchange
 

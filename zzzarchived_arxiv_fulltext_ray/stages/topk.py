@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import exchange
+
 SortKeys = Sequence[Tuple[str, str]]
 
 
@@ -70,11 +72,13 @@ def topk(ds, k: int, by: SortKeys) -> pa.Table:
 
 def topk_per_group(ds, group: str, k: int, by: SortKeys):
     """Grouped top-``k`` as a Dataset: the kernel runs per block, then
-    one ``groupby(group)`` merge over at most ``k`` x blocks rows per
-    group — never a whole-group shuffle."""
-    return ds.map_batches(
+    one ``aggregate.exchange`` on ``group`` merges at most ``k`` x
+    blocks rows per group, many groups per bucket — never a
+    whole-group shuffle."""
+    partials = ds.map_batches(
         topk_batch, fn_args=(k, by), fn_kwargs={"group": group},
         batch_format="pyarrow",
-    ).groupby(group).map_groups(
-        topk_batch, fn_args=(k, by), batch_format="pyarrow"
+    )
+    return exchange(
+        partials, group, lambda t: topk_batch(t, k, by, group=group)
     )

@@ -744,7 +744,6 @@ def global_neardup_guard(
     threshold: float = 0.5,
     k: int = 3,
     max_bucket: int = 256,
-    on_drop: str = "error",
 ) -> Dict:
     """Incremental near-CONTENT dedup of newly ingested shards against
     the already-guarded base corpus (the continuous-crawl analogue of
@@ -778,6 +777,7 @@ def global_neardup_guard(
     scales with the incoming batch, never the base-pair count.
     """
     import numpy as np
+    import pyarrow.compute as pc
     import ray
     import ray.data as rd
 
@@ -803,13 +803,14 @@ def global_neardup_guard(
     if not new_sids:
         return summary
 
-    def docs_of(sids: Sequence[str]):
-        files = [
+    def files_of(sids: Sequence[str]) -> List[str]:
+        return [
             str(f)
             for sid in sids
             for f in sorted(shard_out_dir(out_dir, sid).glob("*.parquet"))
         ]
 
+    def docs_of(sids: Sequence[str]):
         def to_docs(batch: pa.Table) -> pa.Table:
             # >>1 keeps ids NONNEGATIVE (cross_neardup_counts reserves
             # negative ids for hot-bucket marker rows); 63 bits of a
@@ -819,16 +820,14 @@ def global_neardup_guard(
             )
             text = batch["text"]
             if text.null_count:
-                import pyarrow.compute as pc
-
                 text = pc.fill_null(text, "")
             return pa.Table.from_pydict(
                 {"doc_id": pa.array(ids, pa.int64()), "text": text}
             )
 
-        return rd.read_parquet(files, columns=["url", "text"]).map_batches(
-            to_docs, batch_format="pyarrow"
-        )
+        return rd.read_parquet(
+            files_of(sids), columns=["url", "text"]
+        ).map_batches(to_docs, batch_format="pyarrow")
 
     flagged = np.empty(0, np.int64)
     if base_sids:
@@ -838,7 +837,6 @@ def global_neardup_guard(
             threshold=threshold,
             k=k,
             max_bucket=max_bucket,
-            on_drop=on_drop,
         )
         rows = pairs.take_all()
         flagged = np.unique(
@@ -862,8 +860,22 @@ def global_neardup_guard(
             )
             return pa.array(~np.isin(ids, ray.get(flagged_ref)))
 
-        removed = _rewrite_wave(out_dir, manifests, new_sids, keep_unflagged,
-                                {"neardup_guarded": True})
+        def flagged_files(batch: pa.Table) -> pa.Table:
+            lost = batch["path"].filter(pc.invert(keep_unflagged(batch)))
+            return pa.table({"path": pc.unique(lost)})
+
+        # one projected url read finds the shards holding a flagged doc;
+        # only those are staged and rewritten
+        flagged_sids = {
+            _sid_of(path)
+            for b in rd.read_parquet(
+                files_of(new_sids), columns=["url"], include_paths=True
+            ).map_batches(flagged_files, batch_format="pyarrow")
+            .iter_batches(batch_format="pyarrow")
+            for path in b["path"].to_pylist()
+        }
+        removed = _rewrite_wave(out_dir, manifests, flagged_sids,
+                                keep_unflagged, {"neardup_guarded": True})
         summary["shards_rewritten"] = len(removed)
         summary["rows_removed"] = sum(removed.values())
     for sid in new_sids:
