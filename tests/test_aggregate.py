@@ -278,27 +278,29 @@ def test_exchange_empty_input(ray_session):
 def test_one_hash_exchange_in_the_package():
     """Every in-flight hash exchange goes through ``exchange``: no
     bucket tag of its own anywhere but ``dedup.dup_winner_table``'s
-    coalesced winner pass, no ``__b`` / ``_bucket`` groupby but the
-    range slices of ``stages/window.py`` (whose functions read the
-    slice id), no ``bucket_key`` groupby anywhere (the blocked-pairs
-    plan exchanges it) and no ``map_groups`` in the near-dup, fuzzy
-    and top-k stages."""
+    coalesced winner pass, no ``__b`` / ``_bucket`` or ``bucket_key``
+    groupby anywhere, no ``map_groups`` in the near-dup, fuzzy, top-k
+    and window stages (the window scan sorts instead) and no Ray-native
+    aggregate (``ray.data.aggregate``) anywhere."""
     pkg = Path(exchange.__code__.co_filename).resolve().parents[1]
-    tags, groupbys, map_groups = {}, [], []
+    tags, groupbys, map_groups, native = {}, [], [], []
     for p in sorted(pkg.rglob("*.py")):
         rel = p.relative_to(pkg).as_posix()
         src = p.read_text()
         n = len(re.findall(r"(?<!def )bucket_of_column\(", src))
         if n:
             tags[rel] = n
-        if re.search(r"""groupby\(\[?["']bucket_key["']""", src) or (
-            rel != "stages/window.py"
-            and re.search(r'groupby\("(__b|_bucket)"\)', src)
+        if re.search(
+            r"""groupby\(\[?["'](bucket_key|__b|_bucket)["']""", src
         ):
             groupbys.append(rel)
-        if rel in ("stages/neardup.py", "stages/fuzzy.py", "stages/topk.py") \
-                and "map_groups" in src:
+        if rel in ("stages/neardup.py", "stages/fuzzy.py", "stages/topk.py",
+                   "stages/window.py") and "map_groups" in src:
             map_groups.append(rel)
+        if re.search(r"ray\.data\.aggregate|ray\.data import aggregate",
+                     src):
+            native.append(rel)
     assert tags == {"stages/dedup.py": 1}
     assert groupbys == []
     assert map_groups == []
+    assert native == []

@@ -212,8 +212,8 @@ def test_kendall_tau_matches_brute(ray_session):
     y = (x + rng.integers(-5, 6, size=n)).astype("int64")
     ds = rd.from_arrow(
         pa.table({"x": pa.array(x), "y": pa.array(y)})
-    ).repartition(5)
-    r = kendall_tau(ds, "x", "y", num_buckets=7)
+    ).repartition(8)
+    r = kendall_tau(ds, "x", "y")
 
     conc = disc = 0
     for i in range(n):
@@ -358,8 +358,8 @@ def test_chatterjee_xi_matches_brute(ray_session):
         pa.table(
             {"x": pa.array(x), "y": pa.array(y), "tie": pa.array(tie)}
         )
-    ).repartition(6)
-    r = chatterjee_xi(ds, "x", "y", tie_col="tie", num_buckets=9)
+    ).repartition(9)
+    r = chatterjee_xi(ds, "x", "y", tie_col="tie")
 
     order = np.lexsort((tie, x))
     rank = np.array([(y <= yi).sum() for yi in y])[order]

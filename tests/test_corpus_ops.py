@@ -265,13 +265,14 @@ def test_token_buckets_memo_consistency():
 # ---------------------------------------------- window cumsum / shards
 
 from zzzarchived_arxiv_fulltext_ray.stages.window import (  # noqa: E402
-    grouped_ordered_cumsum,
+    over,
     shard_assign,
 )
 
 
 def _cum_brute(rows):
-    """rows: (id, group, val) -> {id: cum} per the SQL window."""
+    """rows: (id, group, val) -> {id: cum} per the SQL window ordered
+    by (md5(id) prefix, id)."""
     bygroup = {}
     for i, g, v in rows:
         bygroup.setdefault(g, []).append((i, v))
@@ -287,6 +288,20 @@ def _cum_brute(rows):
             cum += v
             out[i] = cum
     return out
+
+
+def _hash_cumsum(ds, blocks):
+    """{id: cum} of ``over``'s running sum of ``v`` per ``g`` in
+    (md5(doc_id) prefix, doc_id) order, the input cut into ``blocks``."""
+    keyed = ds.repartition(blocks).map_batches(
+        lambda b: b.append_column(
+            "h", pa.array(doc_hash_keys(b["doc_id"].to_pylist()),
+                          pa.uint64())
+        ),
+        batch_format="pyarrow",
+    )
+    out = over(keyed, ["g"], ["h", "doc_id"], sums=["v"]).to_pandas()
+    return dict(zip(out["doc_id"].astype(int), out["cum_v"].astype(int)))
 
 
 def test_grouped_ordered_cumsum_matches_window(ray_session):
@@ -306,13 +321,8 @@ def test_grouped_ordered_cumsum_matches_window(ray_session):
             }
         )
     )
-    for nb in (4, 64):  # small bucket count forces multi-bucket bases
-        out = grouped_ordered_cumsum(
-            ds, "g", "doc_id", "v", n_buckets=nb
-        ).to_pandas()
-        want = _cum_brute(rows)
-        got = dict(zip(out["id"].astype(int), out["cum"].astype(int)))
-        assert got == want
+    for blocks in (1, 8):  # one block, and bases carried across 8
+        assert _hash_cumsum(ds, blocks) == _cum_brute(rows)
 
 
 def test_shard_assign_first_token_rule(ray_session):
@@ -507,9 +517,9 @@ def test_token_budget_auto_boundary(ray_session, monkeypatch):
     want = _mix_brute(rows, 2, 3)
 
     calls = []
-    real = window.grouped_ordered_cumsum
+    real = window.over
     monkeypatch.setattr(
-        window, "grouped_ordered_cumsum",
+        window, "over",
         lambda *a, **k: calls.append(1) or real(*a, **k),
     )
 
@@ -549,10 +559,6 @@ def test_hrefs_robust_to_malformed_markup():
 def test_global_row_number_matches_window(ray_session):
     import ray.data as rd
 
-    from zzzarchived_arxiv_fulltext_ray.stages.window import (
-        global_row_number,
-    )
-
     rng = np.random.default_rng(9)
     keys = rng.integers(0, 12, size=180)  # heavy ties on purpose
     ids = np.arange(180)
@@ -563,12 +569,14 @@ def test_global_row_number_matches_window(ray_session):
                 "k": pa.array(keys, pa.int64()),
             }
         )
-    )
-    out = global_row_number(ds, "doc_id", "k").to_pandas()
+    ).repartition(7)
+    out = over(
+        ds, [], ["k", "doc_id"], descending=[True, False]
+    ).to_pandas()
     # brute force: sort by (k desc, id), 1-based positions
     order = sorted(zip(keys, ids), key=lambda t: (-t[0], t[1]))
     want = {i: r + 1 for r, (_, i) in enumerate(order)}
-    got = dict(zip(out["id"].astype(int), out["rnk"].astype(int)))
+    got = dict(zip(out["doc_id"].astype(int), out["rn"].astype(int)))
     assert got == want
 
 
@@ -591,16 +599,16 @@ def test_ntile_of_rank_matches_sql_semantics():
 
 
 def test_window_cumsum_property_fuzz(ray_session):
-    """Property fuzz: grouped_ordered_cumsum == the SQL window for
-    arbitrary group shapes, value distributions (incl. zeros) and
-    bucket counts."""
+    """Property fuzz: the running sum of ``over`` in hash order == the
+    SQL window for arbitrary group shapes, value distributions (incl.
+    zeros) and block counts."""
     import ray.data as rd
 
     rng = np.random.default_rng(123)
     for trial in range(4):
         n = int(rng.integers(5, 150))
         n_groups = int(rng.integers(1, 5))
-        nb = int(rng.choice([2, 16, 256]))
+        blocks = int(rng.choice([1, 7, 16]))
         rows = [
             (int(i), f"g{rng.integers(n_groups)}",
              int(rng.choice([0, 0, 1, 3, 50])))
@@ -615,12 +623,9 @@ def test_window_cumsum_property_fuzz(ray_session):
                 }
             )
         )
-        out = grouped_ordered_cumsum(
-            ds, "g", "doc_id", "v", n_buckets=nb
-        ).to_pandas()
-        want = _cum_brute(rows)
-        got = dict(zip(out["id"].astype(int), out["cum"].astype(int)))
-        assert got == want, (trial, n, n_groups, nb)
+        assert _hash_cumsum(ds, blocks) == _cum_brute(rows), (
+            trial, n, n_groups, blocks
+        )
 
 
 def test_token_budget_string_ids_both_plans(ray_session, monkeypatch):
@@ -676,10 +681,6 @@ def test_token_budget_string_ids_both_plans(ray_session, monkeypatch):
 def test_grouped_row_number_descending(ray_session):
     import ray.data as rd
 
-    from zzzarchived_arxiv_fulltext_ray.stages.window import (
-        grouped_row_number,
-    )
-
     rng = np.random.default_rng(17)
     parts = [["a", "b"][i % 2] for i in range(80)]
     keys = rng.integers(0, 6, size=80)
@@ -691,10 +692,10 @@ def test_grouped_row_number_descending(ray_session):
                 "k": pa.array(keys, pa.int64()),
             }
         )
-    )
-    out = grouped_row_number(ds, "p", "doc_id", "k", descending=True)
+    ).repartition(7)
+    out = over(ds, ["p"], ["k", "doc_id"], descending=[True, False])
     got = {
-        (r["part"], int(r["id"])): int(r["rnk"])
+        (r["p"], int(r["doc_id"])): int(r["rn"])
         for r in out.to_pandas().to_dict("records")
     }
     for p in ("a", "b"):
@@ -1138,37 +1139,6 @@ def test_pivot_unpivot_round_trip(ray_session):
     assert (back["n"].to_numpy() == want["n"].to_numpy()).all()
 
 
-def test_global_row_number_sorted_matches_histogram_plan(ray_session):
-    import pandas as pd
-    import ray.data
-
-    from zzzarchived_arxiv_fulltext_ray.stages.window import (
-        global_row_number,
-        global_row_number_sorted,
-    )
-
-    rng = np.random.default_rng(43)
-    # near-unique keys (the histogram plan's degenerate regime) PLUS
-    # planted heavy ties (the sort plan must tie-break on id)
-    keys = np.concatenate(
-        [rng.integers(0, 10**6, size=900), np.full(100, 777)]
-    )
-    df = pd.DataFrame({"id": np.arange(1000), "key": keys})
-    ds = ray.data.from_pandas(df).repartition(7)
-    for desc in (True, False):
-        a = (
-            global_row_number(ds, "id", "key", descending=desc)
-            .to_pandas().sort_values("id").reset_index(drop=True)
-        )
-        b = (
-            global_row_number_sorted(ds, "id", "key", descending=desc)
-            .to_pandas().sort_values("id").reset_index(drop=True)
-        )
-        assert (a["rnk"].to_numpy() == b["rnk"].to_numpy()).all()
-        # both are a permutation of 1..n
-        assert sorted(b["rnk"]) == list(range(1, 1001))
-
-
 def _both_branches(monkeypatch):
     """Yield once per quantiles() branch: the histogram read-off, then
     the refinement (GRAFT_FORCE_PARTITIONED=1)."""
@@ -1431,8 +1401,8 @@ def test_cusum_changepoint_exact_vs_brute(ray_session):
                 "v": pa.array(rows["v"], pa.int64()),
             }
         )
-    ).repartition(5)
-    out = cusum_changepoint(ds, "g", "o", "t", "v", n_buckets=8)
+    ).repartition(8)
+    out = cusum_changepoint(ds, "g", "o", "t", "v")
     assert len(out) == 3
     for r in out.itertuples():
         n, s, k, stat, p = truth[r.group]
@@ -1477,10 +1447,10 @@ def test_lag1_stats_boundary_stitch_vs_brute(ray_session):
                 "v": pa.array(rows["v"], pa.int64()),
             }
         )
-    ).repartition(4)
-    # n_buckets=8 forces many boundary pairs in group x; group z has
-    # a single row (m=0); group y spans fewer buckets than exist
-    out = lag1_stats(ds, "g", "o", "t", "v", n_buckets=8)
+    ).repartition(8)
+    # 8 sorted blocks put many boundary pairs in group x; group z has
+    # a single row (m=0); group y spans fewer blocks than exist
+    out = lag1_stats(ds, "g", "o", "t", "v")
     assert len(out) == 3
     for r in out.itertuples():
         assert (
@@ -1492,10 +1462,7 @@ def test_lag1_stats_boundary_stitch_vs_brute(ray_session):
 def test_one_exact_quantile_in_the_package():
     """Every exact quantile goes through ``selection.quantiles``: no
     k-th selection, grouped quantile or hand-written prefix-sum rank
-    read-off of its own in ``pipelines/`` or ``stages/``. The two
-    ``searchsorted(cum`` of ``stages/window.py`` are the equal-count
-    x-range splits of ``kendall_tau`` and ``chatterjee_xi``, which read
-    the whole x distribution, not a quantile."""
+    read-off of its own in ``pipelines/`` or ``stages/``."""
     import re
     from pathlib import Path
 
@@ -1514,7 +1481,7 @@ def test_one_exact_quantile_in_the_package():
             ))
             if n:
                 found[rel] = n
-    assert found == {"stages/window.py": 2}
+    assert found == {}
 
 
 def test_quantile_rank_is_exact():

@@ -7,7 +7,10 @@ here. No join probes a schema: a join's executions are its own. Executions are c
 execution it starts. The iterative queries are pinned in both modes:
 ``GRAFT_FORCE_PARTITIONED=1`` (read by ``plan.broadcast`` at call
 time) runs their partitioned plans, one superstep execution per
-round."""
+round. The window queries (``stages.window.over``: one sort, then Ray
+tasks per sorted block) are pinned in both modes too; forced mode
+sends ``lang_rank_dense`` from its histogram plan to the sorted scan
+at the same count."""
 
 import pytest
 
@@ -45,6 +48,19 @@ EXECUTIONS = {
     "regional_revenue": 1,
     "events_asof": 1,
     "doc_tfidf": 1,
+    "doc_rank": 2,
+    "lang_ntile": 2,
+    "events_lorenz": 2,
+    "lang_rank_dense": 3,
+    "event_value_rank": 2,
+    "doc_score_auc": 2,
+    "doc_score_gains": 2,
+    "events_changepoint": 2,
+    "events_autocorr": 2,
+    "doc_kendall": 4,
+    "doc_chatterjee_xi": 4,
+    "shard_assign": 2,
+    "token_budget_mix_distributed": 3,
 }
 
 FORCED_EXECUTIONS = {
@@ -57,6 +73,19 @@ FORCED_EXECUTIONS = {
     "regional_revenue": 1,
     "events_asof": 1,
     "doc_tfidf": 1,
+    "doc_rank": 2,
+    "lang_ntile": 2,
+    "events_lorenz": 2,
+    "lang_rank_dense": 3,
+    "event_value_rank": 2,
+    "doc_score_auc": 2,
+    "doc_score_gains": 2,
+    "events_changepoint": 2,
+    "events_autocorr": 2,
+    "doc_kendall": 4,
+    "doc_chatterjee_xi": 4,
+    "shard_assign": 2,
+    "token_budget_mix_distributed": 3,
 }
 
 

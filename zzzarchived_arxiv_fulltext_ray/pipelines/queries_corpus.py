@@ -14,9 +14,10 @@
   (``weighted_sample``), URL canonicalization
   (``url_canonicalize``), per-domain language entropy
   (``domain_lang_entropy``).
-* Window primitives (``stages.window``): distributed exact cumsum
-  (``shard_assign``), global/grouped row_number (``doc_rank``,
-  ``lang_ntile``), a ROWS-frame moving aggregate (``events_moving``).
+* Window primitives (``stages.window.over``, one sorted scan): the
+  ordered running sum (``shard_assign``), global/grouped row_number
+  (``doc_rank``, ``lang_ntile``); a ROWS-frame moving aggregate
+  (``events_moving``).
 * IR / context prep: bounded-df inverted index (``inverted_index``),
   overlapping context windows (``doc_chunks``).
 * The flagship composition ``curate_pages``: dedup -> extraction ->
@@ -1487,13 +1488,16 @@ GROUP BY d.day ORDER BY 1
 
 def _q_doc_rank(sf_dir: str):
     """Exact global row_number by document length (desc, doc_id ties)
-    — the ranking window primitive, computed via distinct-value
-    histogram range partitioning, never a global sort."""
-    from ..stages.window import global_row_number
+    — the ranking window primitive: one sort on (n_chars DESC, doc_id)
+    and a segmented scan (``stages.window.over``). Registered under
+    ``doc_rank`` and ``doc_rank_sorted``."""
+    from ..stages.window import over
 
     docs = read_documents(sf_dir, ["doc_id", "n_chars"])
-    out = global_row_number(docs, "doc_id", "n_chars").to_pandas()
-    out = out.rename(columns={"id": "doc_id", "key": "n_chars"})
+    out = over(
+        docs, [], ["n_chars", "doc_id"], descending=[True, False]
+    ).to_pandas()
+    out = out[["doc_id", "n_chars", "rn"]].rename(columns={"rn": "rnk"})
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1508,39 +1512,30 @@ ORDER BY doc_id
 
 def _q_lang_ntile(sf_dir: str):
     """Per-language length quartiles — NTILE(4) OVER (PARTITION BY
-    lang ORDER BY n_chars, doc_id) via the grouped ranking primitive
-    plus the exact SQL ntile arithmetic on broadcast group sizes."""
-    import numpy as np
+    lang ORDER BY n_chars, doc_id) from the sorted scan's row_number
+    and partition size (``stages.window.over``) and the exact SQL
+    ntile arithmetic."""
     import pyarrow as pa
 
-    from ..stages.window import grouped_row_number, ntile_of_rank
+    from ..stages.window import ntile_of_rank, over
 
     docs = read_documents(sf_dir, ["doc_id", "lang", "n_chars"])
-    # group sizes come from the ranking plan's own histogram — no
-    # second corpus scan
-    ranked, hist = grouped_row_number(
-        docs, "lang", "doc_id", "n_chars", with_hist=True
-    )
-    sizes = hist.groupby("lang")["n"].sum().astype(int).to_dict()
 
     def tile(batch: pa.Table) -> pa.Table:
-        parts = np.asarray(batch["part"].to_pylist())
-        rnk = batch["rnk"].to_numpy(zero_copy_only=False)
-        t = np.zeros(len(parts), dtype=np.int64)
-        for lang, n in sizes.items():  # vectorized per lang
-            m = parts == lang
-            if m.any():
-                t[m] = ntile_of_rank(rnk[m], int(n), 4)
-        return pa.Table.from_pydict(
-            {
-                "doc_id": batch["id"].combine_chunks(),
-                "lang": batch["part"].combine_chunks(),
-                "n_chars": batch["key"].combine_chunks(),
-                "tile": pa.array(t, pa.int64()),
-            }
+        t = ntile_of_rank(
+            batch["rn"].to_numpy(zero_copy_only=False),
+            batch["n"].to_numpy(zero_copy_only=False),
+            4,
+        )
+        return batch.select(["doc_id", "lang", "n_chars"]).append_column(
+            "tile", pa.array(t, pa.int64())
         )
 
-    out = ranked.map_batches(tile, batch_format="pyarrow").to_pandas()
+    out = (
+        over(docs, ["lang"], ["n_chars", "doc_id"])
+        .map_batches(tile, batch_format="pyarrow")
+        .to_pandas()
+    )
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -2555,8 +2550,8 @@ def _q_event_value_rank(sf_dir: str):
     """Near-unique-key ranking: RANK/DENSE_RANK (+pct/cume) of every
     event's integer-cents value within its event type, value DESC.
     Cents are near-unique, so the histogram plan's driver state would
-    approach row count — this query forces the SORT-based plan
-    (``stages.window.grouped_rank_sorted``: one distributed sort,
+    approach row count — this query runs the sorted scan
+    (``stages.window.over`` with ``ties=True``: one distributed sort,
     O(blocks) boundary stitching on the driver), the path
     ``grouped_rank_dense`` takes when ``plan.broadcast`` declines the
     histogram; both plans pinned equal in pytest."""
@@ -2565,7 +2560,7 @@ def _q_event_value_rank(sf_dir: str):
 
     import ray.data
 
-    from ..stages.window import grouped_rank_sorted
+    from ..stages.window import over, rank_columns
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
@@ -2586,10 +2581,10 @@ def _q_event_value_rank(sf_dir: str):
             }
         )
 
-    ranked = grouped_rank_sorted(
+    ranked = over(
         ev.map_batches(to_cents, batch_format="pyarrow"),
-        "event_type", "cents", descending=True, with_pct=True,
-    )
+        ["event_type"], ["cents"], descending=True, ties=True,
+    ).map_batches(rank_columns, fn_args=(True,), batch_format="pyarrow")
     return ranked.to_pandas().sort_values("event_id").reset_index(drop=True)
 
 
@@ -3788,22 +3783,7 @@ ORDER BY d.doc_id
 """
 
 
-def _q_doc_rank_sorted(sf_dir: str):
-    """`doc_rank`'s second physical plan: the same global row_number
-    through Ray's distributed sort + per-block base offsets
-    (``stages.window.global_row_number_sorted``) — the plan that stays
-    bounded when the order key is near-unique and the histogram plan's
-    driver state would degenerate to row count. Same oracle as
-    `doc_rank`; the two plans are pinned equal in pytest."""
-    from ..stages.window import global_row_number_sorted
-
-    docs = read_documents(sf_dir, ["doc_id", "n_chars"])
-    out = global_row_number_sorted(docs, "doc_id", "n_chars").to_pandas()
-    out = out.rename(columns={"id": "doc_id", "key": "n_chars"})
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-CORPUS_QUERIES["doc_rank_sorted"] = _q_doc_rank_sorted
+CORPUS_QUERIES["doc_rank_sorted"] = _q_doc_rank
 CORPUS_ORACLE_SQL["doc_rank_sorted"] = """
 SELECT doc_id, n_chars,
        row_number() OVER (ORDER BY n_chars DESC, doc_id) AS rnk

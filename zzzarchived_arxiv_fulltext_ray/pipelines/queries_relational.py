@@ -2322,9 +2322,9 @@ def _q_events_changepoint(sf_dir: str):
     k* = argmax_k |n*P_k - k*S| over each type's event-cents
     sequence, statistic kept in exact int64 (scaled by n so no
     rational mean enters), ties -> earliest k. mean_before/after are
-    two float divisions of exact integers. Physical plan: contiguous
-    time-range buckets + driver prefix sums; each (type, bucket) task
-    lexsorts ~1/64 of a type and emits one candidate row."""
+    two float divisions of exact integers. Physical plan: one sorted
+    scan (``stages.window.over``) gives every event its k and prefix
+    sum, then a grouped top-1 keeps each type's argmax."""
     import numpy as np
     import ray.data
 
@@ -2416,9 +2416,9 @@ def _q_events_autocorr(sf_dir: str):
     """Lag-1 autocorrelation of the cents sequence per event type
     (``stages.window.lag1_stats``): Pearson correlation of the n-1
     consecutive (x_{k-1}, x_k) pairs in (ts, event_id) order. All
-    sufficient statistics are exact int64 collected via the
-    contiguous-time-bucket plan (per-slice local pair sums, driver
-    stitches the O(buckets) boundary pairs); the final correlation is
+    sufficient statistics are exact int64, collected by one sorted
+    scan that pairs each event with its predecessor
+    (``stages.window.over``) and one grouped sum; the final correlation is
     four python-bigint products and three float ops, so the SQL
     ``lag()`` window oracle replays it bit-for-bit. Degenerate
     (zero-variance) sides define corr = 0.0."""
@@ -4014,53 +4014,42 @@ RELATIONAL_ORACLE_SQL["events_permutation_test"] = _perm_oracle_sql()
 
 def _q_events_lorenz(sf_dir: str):
     """Lorenz curve deciles of per-user spend (the curve behind
-    events_gini): users ranked by (total cents, user_id) via the
-    grouped ranking primitive (histogram + searchsorted, no global
-    sort), NTILE(10) by the exact integer arithmetic, then exact
+    events_gini): users ranked by (total cents, user_id) on one sorted
+    scan (``stages.window.over``), NTILE(10) by the exact integer
+    arithmetic from each row's rank and the user count, then exact
     per-decile user counts and cents sums; the cumulative share is a
     running float ratio of exact integers computed in decile order on
     the driver over 10 rows."""
-    import numpy as np
     import ray.data
 
-    from ..stages.window import grouped_row_number, ntile_of_rank
+    from ..stages.window import ntile_of_rank, over
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"]
     )
 
-    totals = (
-        aggregate(
-            ev,
-            "user_id",
-            [("total", "sum", "cents")],
-            rows=lambda b: pa.table(
-                {
-                    "user_id": pc.cast(b["user_id"], pa.int64()),
-                    "cents": _cents(b["value"]),
-                }
-            ),
-        )
-        .map_batches(
-            lambda b: b.append_column(
-                "grp", pa.array(["all"] * b.num_rows, pa.string())
-            ),
-            batch_format="pyarrow",
-        )
+    totals = aggregate(
+        ev,
+        "user_id",
+        [("total", "sum", "cents")],
+        rows=lambda b: pa.table(
+            {
+                "user_id": pc.cast(b["user_id"], pa.int64()),
+                "cents": _cents(b["value"]),
+            }
+        ),
     )
-    ranked, hist = grouped_row_number(
-        totals, "grp", "user_id", "total", with_hist=True
-    )
-    n_users = int(hist["n"].sum())
+    ranked = over(totals, [], ["total", "user_id"])
 
     def tile(batch: pa.Table) -> pa.Table:
-        rnk = batch["rnk"].to_numpy(zero_copy_only=False)
+        rnk = batch["rn"].to_numpy(zero_copy_only=False)
+        n_users = batch["n"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "decile": pa.array(
                     ntile_of_rank(rnk, n_users, 10), pa.int64()
                 ),
-                "total": pc.cast(batch["key"], pa.int64()),
+                "total": pc.cast(batch["total"], pa.int64()),
             }
         )
 

@@ -1477,39 +1477,33 @@ ORDER BY doc_id
 
 def _q_doc_score_auc(sf_dir: str):
     """Ranking-quality AUC of the hashed-linear scorer at separating
-    English documents: every doc ranked by (score ASC, doc_id) via
-    the sort-based global row_number (exact, near-unique float keys),
+    English documents: every doc ranked by (score ASC, doc_id) on one
+    sorted scan (``stages.window.over``; exact, near-unique float keys),
     then AUC = (R_en - n_en(n_en+1)/2) / (n_en * n_rest) from the
     EXACT integer rank sum of the English docs — ties broken by
     doc_id identically in both engines (scores are bit-equal because
     the scorer itself is oracle-replayed; under a float tie this is
     row_number-AUC, documented). The lang flag joins back via one
     bucketed hash join; rank-sum partials reduce as three integers."""
-    import numpy as np
     import pandas as pd
     import pyarrow as pa
-    import ray.data
 
     from ..stages.relational import partitioned_hash_join
     from ..stages.webtext import HashedLinearScorer
-    from ..stages.window import global_row_number_sorted
+    from ..stages.window import over
 
-    docs = read_documents(sf_dir, ["doc_id", "text", "lang"]).materialize()
-
-    scored = docs.map_batches(
+    scored = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         HashedLinearScorer,
         batch_format="pyarrow",
         concurrency=(1, 4),
     )
-    ranked = global_row_number_sorted(
-        scored, id_col="doc_id", key_col="score", descending=False
-    ).map_batches(
+    ranked = over(scored, [], ["score", "doc_id"]).map_batches(
         lambda b: pa.Table.from_pydict(
-            {"doc_id": b["id"], "rnk": b["rnk"]}
+            {"doc_id": b["doc_id"], "rnk": b["rn"]}
         ),
         batch_format="pyarrow",
     )
-    flags = docs.map_batches(
+    flags = read_documents(sf_dir, ["doc_id", "lang"]).map_batches(
         lambda b: pa.Table.from_pydict(
             {
                 "doc_id": b["doc_id"],
@@ -1595,29 +1589,24 @@ def _q_doc_score_gains(sf_dir: str):
     float-boundary risk) — with exact per-decile English counts and
     the cumulative recall curve as running ratios of exact integers.
     The model-eval companion of doc_score_auc."""
-    import numpy as np
     import pyarrow as pa
-    import ray.data
 
     from ..stages.relational import partitioned_hash_join
     from ..stages.webtext import HashedLinearScorer
-    from ..stages.window import global_row_number_sorted, ntile_of_rank
+    from ..stages.window import ntile_of_rank, over
 
-    docs = read_documents(sf_dir, ["doc_id", "text", "lang"]).materialize()
-    scored = docs.map_batches(
+    scored = read_documents(sf_dir, ["doc_id", "text"]).map_batches(
         HashedLinearScorer, batch_format="pyarrow", concurrency=(1, 4)
     )
-    ranked = global_row_number_sorted(
-        scored, id_col="doc_id", key_col="score", descending=True
-    )
-    n_all = int(docs.count())
-    ranked = ranked.map_batches(
+    ranked = over(
+        scored, [], ["score", "doc_id"], descending=[True, False]
+    ).map_batches(
         lambda b: pa.Table.from_pydict(
-            {"doc_id": b["id"], "rnk": b["rnk"]}
+            {"doc_id": b["doc_id"], "rnk": b["rn"], "n": b["n"]}
         ),
         batch_format="pyarrow",
     )
-    flags = docs.map_batches(
+    flags = read_documents(sf_dir, ["doc_id", "lang"]).map_batches(
         lambda b: pa.Table.from_pydict(
             {
                 "doc_id": b["doc_id"],
@@ -1634,6 +1623,7 @@ def _q_doc_score_gains(sf_dir: str):
 
     def deciles(b: pa.Table) -> pa.Table:
         rnk = b["rnk"].to_numpy(zero_copy_only=False)
+        n_all = b["n"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "decile": pa.array(

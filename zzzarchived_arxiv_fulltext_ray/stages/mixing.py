@@ -217,11 +217,11 @@ def token_budget_select(
     * driver — pull ONLY the boundary bucket's rows (~1/n_buckets of
       each group) and order them on the driver. Two narrow scans, no
       row shuffle.
-    * distributed (:func:`token_budget_select_distributed`) — run the
-      full :func:`~..stages.window.grouped_ordered_cumsum` (per-bucket
-      distributed sorts) and filter ``cum <= budget``. One narrow
-      (id, group, val, h) shuffle instead of any driver row pull —
-      the 10^12-doc path.
+    * distributed (:func:`token_budget_select_distributed`) — the
+      ordered running sum of :func:`~..stages.window.over` (one
+      distributed sort on (group, h, id)), filtered to ``cum <=
+      budget``. One narrow (id, group, n_tokens, h) sort instead of
+      any driver row pull — the 10^12-doc path.
 
     Returns a pandas frame (id_col, group_col, n_tokens) sorted by id.
     """
@@ -333,36 +333,29 @@ def token_budget_select_distributed(
 
 
 def _select_distributed(docs_ds, budget, n_buckets, id_col, group_col):
-    """No driver row pull at all: full distributed window cumsum
-    (per-bucket sorts), then a stateless budget filter."""
-    from .window import grouped_ordered_cumsum
+    """No driver row pull at all: the ordered running token sum of
+    ``stages.window.over`` on ``(h, id)`` per group, then a stateless
+    budget filter."""
+    from .window import over
 
     def tok_only(batch: pa.Table) -> pa.Table:
         return _tokens_hash_batch(
             batch, n_buckets, id_col, group_col
-        ).select([id_col, group_col, "n_tokens"])
+        ).select([id_col, group_col, "n_tokens", "h"])
 
-    cum_ds = grouped_ordered_cumsum(
+    cum_ds = over(
         docs_ds.map_batches(tok_only, batch_format="pyarrow"),
-        group_col,
-        id_col,
-        "n_tokens",
-        n_buckets=n_buckets,
+        [group_col], ["h", id_col], sums=["n_tokens"],
     )
 
     def keep(batch: pa.Table) -> pa.Table:
-        groups = np.asarray(batch["group"].to_pylist())
-        c = batch["cum"].to_numpy(zero_copy_only=False)
+        groups = np.asarray(batch[group_col].to_pylist())
+        c = batch["cum_n_tokens"].to_numpy(zero_copy_only=False)
         mask = np.zeros(len(groups), dtype=bool)
         for grp_key, bud in budget.items():  # vectorized per group
             mask |= (groups == grp_key) & (c <= bud)
-        out = batch.filter(pa.array(mask))
-        return pa.Table.from_pydict(
-            {
-                id_col: out["id"].combine_chunks(),
-                group_col: out["group"].combine_chunks(),
-                "n_tokens": out["val"].combine_chunks(),
-            }
+        return batch.filter(pa.array(mask)).select(
+            [id_col, group_col, "n_tokens"]
         )
 
     out = cum_ds.map_batches(keep, batch_format="pyarrow").to_pandas()

@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import aggregate
 from .relational import partitioned_hash_join
 from .topk import topk_per_group
 
@@ -607,9 +608,9 @@ def kmeans(
         lambda b, r=ref: _assign_clusters_batch(b, r, id_col),
         batch_format="pyarrow",
     ).drop_columns(["embedding"])
-    from ray.data.aggregate import Sum
-
-    inertia = float(final.aggregate(Sum("dist2"))["sum(dist2)"])
+    inertia = float(
+        aggregate(final, [], [("inertia", "sum", "dist2")])["inertia"]
+    )
     return final, cents, inertia
 
 

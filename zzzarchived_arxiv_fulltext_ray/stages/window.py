@@ -1,275 +1,328 @@
-"""Distributed exact grouped ordered running totals (window cumsum).
+"""Window functions on one sorted scan.
 
-Ray Data has no window functions; this stage computes the SQL
-``sum(val) OVER (PARTITION BY group ORDER BY hash(id), id)`` exactly,
-with no global sort:
+Ray Data has no window functions. :func:`over` computes the SQL
+``... OVER (PARTITION BY part ORDER BY order)`` family with the
+textbook plan (Leis et al., "Efficient Processing of Window Functions
+in Analytical SQL Queries", VLDB 2015): sort once on (part, order),
+then run a segmented scan over the sorted runs.
 
-1. annotate each row with its deterministic order key (md5 prefix of
-   the id — the SQL-reconstructable ``stages.mixing`` convention) and
-   a contiguous range bucket of that key (bucket order refines hash
-   order);
-2. one fixed-size exchange: the (group, bucket) value histogram;
-   the driver prefix-sums it into per-(group, bucket) base offsets —
-   O(groups x n_buckets) state, never rows;
-3. per-(group, bucket) tasks sort their own slice (~1/n_buckets of a
-   group) and emit base + local cumsum.
+1. ONE ``ds.sort(part + order)``, materialized: its blocks are
+   globally ordered.
+2. One summary task per block (:func:`_summary`) reports the block's
+   partition runs (key, rows, int64 sums, distinct peer groups), its
+   first/last key and lag values and its head/tail peer-group sizes.
+3. The driver folds the O(blocks) summaries (:func:`_carries`) into
+   one carry per block: what the block inherits from the blocks before
+   it (rows, sums, distinct peers, the peer group and lag value that
+   cross its head), the peers that continue past its tail, and the
+   totals of the partitions it holds.
+4. One annotate task per block (:func:`_annotate`) adds the window
+   columns to its rows.
 
-At 10^12 rows, pick ``n_buckets`` so a single (group, bucket) slice
-fits a task (n_buckets ~ group_size / 10^6); the exchange stays tiny
-because the histogram runs through ``stages/aggregate.py`` (an Arrow
-partial per batch).
-
-:func:`shard_assign` applies it to the canonical use: carving a
-corpus into fixed-token-budget shards per group, the deterministic
-"which output shard does this document belong to" mapping a resumable
-100 TB write needs.
+No row leaves its block after the sort, and the driver holds
+O(blocks + partition appearances) state, never rows. It is one
+repartition per operator, as *Hyper Dimension Shuffle* (VLDB 2019)
+asks. Every ordered operator of the engine runs on it: row_number and
+NTILE (``doc_rank``, ``lang_ntile``, ``events_lorenz``,
+``doc_score_*``), rank / dense_rank / percent_rank / cume_dist
+(:func:`grouped_rank_dense`'s exchange branch, ``event_value_rank``),
+the ordered running token sum of :func:`shard_assign` and of
+``mixing``'s distributed budget, CUSUM (:func:`cusum_changepoint`),
+lag-1 statistics (:func:`lag1_stats`), Kendall's tau
+(:func:`kendall_tau`) and Chatterjee's xi (:func:`chatterjee_xi`).
 """
 
-from typing import Dict
+import math
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 
 from .aggregate import aggregate
 from .mixing import doc_hash_keys
 
-_SEP = "\x1f"  # composite (group, bucket) key separator
+_NULL = "__null"
+_NULL_KEYS = (
+    "window: null partition/order keys are not supported (SQL NULL "
+    "ordering is dialect-dependent; filter or fill them first)"
+)
 
 
-def grouped_ordered_cumsum(
+def _flag_nulls(t: pa.Table, keys: List[str]) -> pa.Table:
+    """Fill null keys with a typed zero and flag their rows in
+    ``__null``: Ray's sort cannot compare a null string key, so the
+    summary, not the sort, is where a null key is reported."""
+    bad = np.zeros(t.num_rows, dtype=bool)
+    for c in keys:
+        if t[c].null_count:
+            bad |= t[c].is_null().to_numpy(zero_copy_only=False)
+            zero = pa.array([0]).cast(t[c].type)[0]
+            t = t.set_column(
+                t.schema.get_field_index(c), c, pc.fill_null(t[c], zero)
+            )
+    return t.append_column(_NULL, pa.array(bad))
+
+
+def _starts(t: pa.Table, cols: Sequence[str]) -> np.ndarray:
+    """True on row 0 and where a row's ``cols`` differ from the row
+    before: the run starts of a sorted block."""
+    new = np.zeros(t.num_rows, dtype=bool)
+    if t.num_rows:
+        new[0] = True
+        for c in cols:
+            col = t[c]
+            new[1:] |= pc.not_equal(col[1:], col[:-1]).to_numpy(
+                zero_copy_only=False
+            )
+    return new
+
+
+def _row(t: pa.Table, cols: Sequence[str], i: int) -> tuple:
+    return tuple(t[c][i].as_py() for c in cols)
+
+
+def _int64(t: pa.Table, c: str) -> np.ndarray:
+    return pc.cast(t[c], pa.int64()).to_numpy(zero_copy_only=False)
+
+
+@ray.remote
+def _summary(t: pa.Table, part, order, sums, lag):
+    """One sorted block -> its partition runs and its edges; None for
+    a block without rows, ``"null"`` for one with a null key."""
+    n = t.num_rows
+    if n == 0:
+        return None
+    if pc.any(t[_NULL]).as_py():
+        return "null"
+    pstart = _starts(t, part)
+    gs = np.flatnonzero(pstart | _starts(t, order))
+    ps = np.flatnonzero(pstart)
+    pe = np.append(ps[1:], n)
+    cs = [np.concatenate(([0], np.cumsum(_int64(t, c)))) for c in sums]
+    runs = [
+        (
+            _row(t, part, s),
+            int(e - s),
+            [int(c[e] - c[s]) for c in cs],
+            int(np.searchsorted(gs, e) - np.searchsorted(gs, s)),
+        )
+        for s, e in zip(ps, pe)
+    ]
+    return {
+        "runs": runs,
+        "head": _row(t, part + order, 0),
+        "tail": _row(t, part + order, n - 1),
+        "head_size": int(gs[1] if len(gs) > 1 else n),
+        "tail_size": int(n - gs[-1]),
+        "groups": len(gs),
+        "last": _row(t, lag, n - 1),
+    }
+
+
+def _carries(summaries: list) -> list:
+    """Fold the block summaries into one carry per block (None for a
+    block without rows): a forward pass for what each block inherits,
+    a reverse pass for the peers that continue past its tail."""
+    carries: List[Optional[dict]] = [None] * len(summaries)
+    totals: Dict[tuple, tuple] = {}
+    key = tail = last = None
+    rows = dist = tail_ties = 0
+    sums: List[int] = []
+    for i, s in enumerate(summaries):
+        if s is None:
+            continue
+        first = s["runs"][0][0]
+        cont = tail is not None and key == first
+        span = cont and tail == s["head"]
+        carries[i] = {
+            "rows": rows if cont else 0,
+            "sums": sums if cont else [0] * len(s["runs"][0][2]),
+            "dist": dist - span if cont else 0,
+            "ties": tail_ties if span else 0,
+            "lag": last if cont else None,
+        }
+        for k, r, sm, d in s["runs"]:
+            if k == key:
+                rows, dist = rows + r, dist + d - span
+                sums = [a + b for a, b in zip(sums, sm)]
+            else:
+                key, rows, sums, dist = k, r, sm, d
+            n_, s_ = totals.get(k, (0, [0] * len(sm)))
+            totals[k] = (n_ + r, [a + b for a, b in zip(s_, sm)])
+        single = s["groups"] == 1
+        tail_ties = s["tail_size"] + (tail_ties if single and span else 0)
+        tail, last = s["tail"], s["last"]
+
+    after, a_cum = None, 0
+    for i in range(len(summaries) - 1, -1, -1):
+        s, c = summaries[i], carries[i]
+        if c is None:
+            continue
+        ext = a_cum if after == s["tail"] else 0
+        single = s["groups"] == 1
+        c["head_peers"] = c["ties"] + s["head_size"] + (ext if single else 0)
+        c["tail_peers"] = (c["ties"] if single else 0) + s["tail_size"] + ext
+        c["totals"] = {k: totals[k] for k, _, _, _ in s["runs"]}
+        after, a_cum = s["head"], s["head_size"] + (ext if single else 0)
+    return carries
+
+
+@ray.remote
+def _annotate(t: pa.Table, part, order, sums, lag, ties, carry):
+    """One sorted block and its carry -> its rows with the window
+    columns of :func:`over`."""
+    n = t.num_rows
+    t = t.drop_columns([_NULL])
+    pstart = _starts(t, part)
+    ps = np.flatnonzero(pstart)
+    run = np.cumsum(pstart) - 1
+    head = run == 0  # the run that continues from earlier blocks
+    idx = np.arange(n, dtype=np.int64)
+    tot = [carry["totals"][_row(t, part, s)] for s in ps]
+    rn = idx - ps[run] + 1 + np.where(head, carry["rows"], 0)
+    cnt = np.array([x[0] for x in tot], dtype=np.int64)[run]
+    t = t.append_column("rn", pa.array(rn, pa.int64()))
+    t = t.append_column("n", pa.array(cnt, pa.int64()))
+    for j, c in enumerate(sums):
+        v = _int64(t, c)
+        cs = np.cumsum(v)
+        cum = cs - (cs - v)[ps][run] + np.where(head, carry["sums"][j], 0)
+        total = np.array([x[1][j] for x in tot], dtype=np.int64)[run]
+        t = t.append_column(f"cum_{c}", pa.array(cum, pa.int64()))
+        t = t.append_column(f"sum_{c}", pa.array(total, pa.int64()))
+    for j, c in enumerate(lag):
+        col = t[c].combine_chunks()
+        prev = None if carry["lag"] is None else carry["lag"][j]
+        src = pa.concat_arrays([pa.array([prev], col.type), col])
+        first = pstart.copy()
+        first[0] = carry["lag"] is None
+        t = t.append_column(
+            f"lag_{c}", pc.take(src, pa.array(idx, mask=first))
+        )
+    if ties:
+        gs = np.flatnonzero(pstart | _starts(t, order))
+        size = np.diff(np.append(gs, n))
+        g_run = run[gs]
+        g_head = g_run == 0
+        rank = gs - ps[g_run] + 1 + np.where(g_head, carry["rows"], 0)
+        rank[0] -= carry["ties"]
+        dense = (
+            np.arange(len(gs)) - np.searchsorted(gs, ps)[g_run] + 1
+            + np.where(g_head, carry["dist"], 0)
+        )
+        peers = size.copy()
+        peers[0] = carry["head_peers"]
+        peers[-1] = carry["tail_peers"]
+        for name, g in (("rnk", rank), ("drnk", dense), ("peers", peers)):
+            t = t.append_column(
+                name, pa.array(np.repeat(g, size), pa.int64())
+            )
+    return t
+
+
+def over(
     ds,
-    group_col: str,
-    id_col: str,
-    val_col: str,
-    n_buckets: int = 256,
+    part: Sequence[str],
+    order: Sequence[str],
+    descending: Union[bool, Sequence[bool]] = False,
+    sums: Sequence[str] = (),
+    lag: Sequence[str] = (),
+    ties: bool = False,
 ):
-    """Dataset[(group, id, val, ...)] -> Dataset[(id, group, val, cum)]
-    where ``cum`` is the inclusive running total of ``val`` within
-    ``group`` in ``(md5(id) prefix, id)`` order."""
+    """``... OVER (PARTITION BY part ORDER BY order)`` on one sort.
 
-    def annotate(batch: pa.Table) -> pa.Table:
-        h = doc_hash_keys(batch[id_col].to_pylist())
-        bucket = ((h * np.uint64(n_buckets)) >> np.uint64(32)).astype(
-            np.int64
-        )
-        gk = pa.compute.binary_join_element_wise(
-            pa.compute.cast(batch[group_col], pa.string()),
-            pa.compute.cast(pa.array(bucket), pa.string()),
-            _SEP,
-        )
-        return pa.Table.from_pydict(
-            {
-                "id": batch[id_col].combine_chunks(),
-                "group": batch[group_col].combine_chunks(),
-                "val": batch[val_col].combine_chunks(),
-                "h": pa.array(h, pa.uint64()),
-                "gk": gk,
-            }
-        )
+    ``descending`` is one flag for every ``order`` column or one per
+    column; partitions are always ascending. Returns the input columns
+    plus, per row:
 
-    annotated = ds.map_batches(annotate, batch_format="pyarrow")
+    * ``rn`` — row_number within the partition, 1-based. Rows that tie
+      on every ``order`` column come in no fixed order, so a caller
+      that needs a deterministic ``rn`` ends ``order`` with a unique id;
+    * ``n`` — the partition's rows;
+    * ``cum_<c>`` / ``sum_<c>`` — the running (inclusive) and total
+      int64 sum of each column ``c`` of ``sums``;
+    * ``lag_<c>`` — the previous row's ``c`` for each column of
+      ``lag``, null on a partition's first row;
+    * with ``ties=True``: ``rnk`` and ``drnk`` (rank and dense_rank)
+      and ``peers``, the size of the row's peer group (the rows equal
+      on every ``order`` column), which ``cume_dist`` needs.
 
-    # fixed-size exchange: (group, bucket) -> sum(val)
-    hist = aggregate(annotated, "gk", [("val", "sum", "val")]).to_pandas()
+    A null ``part`` or ``order`` key raises ``ValueError``. An input
+    without rows gives a Dataset without rows or columns."""
+    import ray.data as rd
 
-    # driver: exclusive prefix within each group, buckets ascending
-    base: Dict[str, int] = {}
-    rows = []
-    for gk, v in zip(hist["gk"], hist["val"]):
-        group, bucket = gk.rsplit(_SEP, 1)
-        rows.append((group, int(bucket), gk, int(v)))
-    rows.sort()
-    run_group, run = None, 0
-    for group, _bucket, gk, v in rows:
-        if group != run_group:
-            run_group, run = group, 0
-        base[gk] = run
-        run += v
-
-    def cum_of_group(g: pa.Table) -> pa.Table:
-        # np.asarray over the pylist gives '<U..' dtype for string ids
-        # (np.lexsort rejects object arrays) and int64 for ints
-        ids = np.asarray(g["id"].to_pylist())
-        hs = g["h"].to_numpy(zero_copy_only=False)
-        vals = g["val"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((ids, hs))  # primary h, tie-break id
-        start = base.get(g["gk"][0].as_py(), 0)
-        cum = start + np.cumsum(vals[order])
-        return pa.Table.from_pydict(
-            {
-                "id": pa.array(ids[order]),
-                "group": pa.array(
-                    np.asarray(g["group"].to_pylist(), dtype=object)[order]
-                ),
-                "val": pa.array(vals[order], pa.int64()),
-                "cum": pa.array(cum, pa.int64()),
-            }
-        )
-
-    return annotated.groupby("gk").map_groups(
-        cum_of_group, batch_format="pyarrow"
+    part, order, sums, lag = list(part), list(order), list(sums), list(lag)
+    if isinstance(descending, bool):
+        descending = [descending] * len(order)
+    keys = part + order
+    sorted_ds = (
+        ds.map_batches(_flag_nulls, fn_args=(keys,), batch_format="pyarrow")
+        .sort(keys, descending=[False] * len(part) + list(descending))
+        .materialize()
     )
+    out = _scan(sorted_ds.to_arrow_refs(), part, order, sums, lag, ties)
+    return rd.from_arrow_refs(out) if out else rd.from_arrow(pa.table({}))
 
 
-def _value_counts(ds, col: str):
-    """(col, c) row counts per value of ``col`` as a pandas frame,
-    sorted by value."""
-    return (
-        aggregate(ds, col, [("c", "count", None)])
-        .to_pandas()
-        .sort_values(col)
+def _scan(refs: list, part, order, sums, lag, ties) -> list:
+    """The segmented scan of :func:`over` over the refs of blocks in
+    (part, order) order, each with its ``__null`` flags: one summary
+    task per block, the driver's fold, one annotate task per block with
+    rows. Ray's sort keeps equal keys in one block, so only blocks cut
+    some other way carry a peer group across a boundary."""
+    summaries = ray.get(
+        [_summary.remote(r, part, order, sums, lag) for r in refs]
     )
+    if "null" in summaries:
+        raise ValueError(_NULL_KEYS)
+    return [
+        _annotate.remote(r, part, order, sums, lag, ties, c)
+        for r, c in zip(refs, _carries(summaries))
+        if c is not None
+    ]
 
 
-def global_row_number(
-    ds,
-    id_col: str,
-    key_col: str,
-    descending: bool = True,
-):
-    """Exact global ``row_number() OVER (ORDER BY key [DESC], id)``
-    without a global sort — the ranking window primitive.
-
-    Plan: a (key -> count) histogram (``stages/aggregate.py``; the
-    exchange is over DISTINCT key values, which for integer features
-    like lengths is far smaller than the corpus) -> driver exclusive
-    prefix over the sorted key domain -> per-key groups rank their own
-    rows by id against the broadcast base offset. A key value shared
-    by many rows makes one task proportional to that tie group — cap
-    via a finer (composite) key if a feature is extremely heavy-tied.
-
-    Returns Dataset[(id, key, rnk)], rnk starting at 1.
-    """
-    hist = (
-        aggregate(ds, key_col, [("n", "count", None)])
-        .to_pandas()
-        .sort_values(key_col, ascending=not descending)
-    )
-    base: Dict[int, int] = {}
-    run = 0
-    for k, n in zip(hist[key_col], hist["n"]):
-        base[k] = run
-        run += int(n)
-
-    def rank_group(g: pa.Table) -> pa.Table:
-        ids = np.asarray(g[id_col].to_pylist())
-        order = np.argsort(ids, kind="stable")
-        start = base.get(g[key_col][0].as_py(), 0)
-        rnk = start + np.arange(1, len(ids) + 1, dtype=np.int64)
-        return pa.Table.from_pydict(
-            {
-                "id": pa.array(ids[order]),
-                "key": g[key_col].take(
-                    pa.array(order, pa.int64())
-                ).combine_chunks(),
-                "rnk": pa.array(rnk, pa.int64()),
-            }
-        )
-
-    return ds.select_columns([id_col, key_col]).groupby(key_col).map_groups(
-        rank_group, batch_format="pyarrow"
-    )
-
-
-def grouped_row_number(
-    ds,
-    part_col: str,
-    id_col: str,
-    key_col: str,
-    descending: bool = False,
-    with_hist: bool = False,
-):
-    """Exact ``row_number() OVER (PARTITION BY part ORDER BY key
-    [DESC], id)`` — the partitioned spelling of
-    :func:`global_row_number`, same no-global-sort plan with the
-    histogram keyed by (part, key).
-
-    Returns Dataset[(id, part, key, rnk)], rnk starting at 1 within
-    each partition. ``with_hist=True`` returns ``(ds, hist)`` where
-    ``hist`` is the already-computed (part, key, n) pandas histogram —
-    callers needing group sizes (ntile, quantiles) derive them from it
-    instead of paying a second corpus scan.
-    """
-    hist = (
-        aggregate(ds, [part_col, key_col], [("n", "count", None)])
-        .to_pandas()
-        .sort_values(
-            [part_col, key_col], ascending=[True, not descending]
-        )
-        .reset_index(drop=True)
-    )
-    base: Dict[tuple, int] = {}
-    run_part, run = None, 0
-    for p, k, n in zip(hist[part_col], hist[key_col], hist["n"]):
-        if p != run_part:
-            run_part, run = p, 0
-        base[(p, k)] = run
-        run += int(n)
-
-    def annotate(batch: pa.Table) -> pa.Table:
-        gk = pa.compute.binary_join_element_wise(
-            pa.compute.cast(batch[part_col], pa.string()),
-            pa.compute.cast(batch[key_col], pa.string()),
-            _SEP,
-        )
-        return pa.Table.from_pydict(
-            {
-                "id": batch[id_col].combine_chunks(),
-                "part": batch[part_col].combine_chunks(),
-                "key": batch[key_col].combine_chunks(),
-                "gk": gk,
-            }
-        )
-
-    def rank_group(g: pa.Table) -> pa.Table:
-        ids = np.asarray(g["id"].to_pylist())
-        order = np.argsort(ids, kind="stable")
-        start = base.get(
-            (g["part"][0].as_py(), g["key"][0].as_py()), 0
-        )
-        rnk = start + np.arange(1, len(ids) + 1, dtype=np.int64)
-        take = pa.array(order, pa.int64())
-        return pa.Table.from_pydict(
-            {
-                "id": pa.array(ids[order]),
-                "part": g["part"].take(take).combine_chunks(),
-                "key": g["key"].take(take).combine_chunks(),
-                "rnk": pa.array(rnk, pa.int64()),
-            }
-        )
-
-    out = (
-        ds.select_columns([part_col, id_col, key_col])
-        .map_batches(annotate, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(rank_group, batch_format="pyarrow")
-    )
-    return (out, hist) if with_hist else out
-
-
-def ntile_of_rank(rnk: np.ndarray, n: int, tiles: int) -> np.ndarray:
-    """SQL NTILE semantics from 1-based ranks: the first ``n % tiles``
-    tiles hold ``n // tiles + 1`` rows, the rest ``n // tiles``."""
+def ntile_of_rank(rnk, n, tiles: int) -> np.ndarray:
+    """SQL NTILE semantics from 1-based ranks and partition sizes (one
+    ``n`` or one per row): the first ``n % tiles`` tiles hold
+    ``n // tiles + 1`` rows, the rest ``n // tiles``."""
+    r = np.asarray(rnk, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
     big = n // tiles + 1
     cut = (n % tiles) * big  # rows covered by the big tiles
-    r = np.asarray(rnk, dtype=np.int64)
-    in_big = r <= cut
-    t_big = (r - 1) // max(big, 1) + 1
-    small = max(n // tiles, 1)
-    t_small = (n % tiles) + (r - cut - 1) // small + 1
-    return np.where(in_big, t_big, t_small).astype(np.int64)
+    t_big = (r - 1) // np.maximum(big, 1) + 1
+    t_small = (n % tiles) + (r - cut - 1) // np.maximum(n // tiles, 1) + 1
+    return np.where(r <= cut, t_big, t_small).astype(np.int64)
 
 
-def shard_assign(
-    docs_ds,
-    shard_tokens: int,
-    group_col: str = "lang",
-    n_buckets: int = 256,
-):
+def rank_columns(t: pa.Table, with_pct: bool) -> pa.Table:
+    """``over(ties=True)`` rows -> the input columns plus ``rnk`` and
+    ``drnk``; ``with_pct`` adds ``pct_rank`` (= (rnk-1)/(n-1), 0.0 in a
+    one-row partition) and ``cume_dist`` (= rows ordered at or before
+    the row / n)."""
+    out = t.drop_columns(["rn", "n", "peers"])
+    if not with_pct:
+        return out
+    rnk = t["rnk"].to_numpy(zero_copy_only=False)
+    n = t["n"].to_numpy(zero_copy_only=False)
+    peers = t["peers"].to_numpy(zero_copy_only=False)
+    pct = np.where(n > 1, (rnk - 1) / np.maximum(n - 1, 1), 0.0)
+    cume = (rnk + peers - 1) / n
+    return out.append_column(
+        "pct_rank", pa.array(pct, pa.float64())
+    ).append_column("cume_dist", pa.array(cume, pa.float64()))
+
+
+def shard_assign(docs_ds, shard_tokens: int, group_col: str = "lang"):
     """Deterministic fixed-token-budget shard ids per group: documents
-    are laid out in hash order and cut every ``shard_tokens`` tokens;
-    a document belongs to the shard its FIRST token lands in
-    (``(cum - n_tokens) // shard_tokens``, the exclusive prefix).
+    are laid out in ``(md5(doc_id) prefix, doc_id)`` order (the
+    SQL-reconstructable ``stages.mixing`` convention) and cut every
+    ``shard_tokens`` tokens; a document belongs to the shard its FIRST
+    token lands in (``(cum - n_tokens) // shard_tokens``, the exclusive
+    prefix) — the "which output shard does this document belong to"
+    mapping a resumable 100 TB write needs.
 
     Returns a pandas frame (doc_id, lang, n_tokens, shard_id) sorted
     by doc_id.
@@ -284,278 +337,50 @@ def shard_assign(
                 "doc_id": batch["doc_id"].combine_chunks(),
                 group_col: batch[group_col].combine_chunks(),
                 "n_tokens": n,
+                "h": pa.array(
+                    doc_hash_keys(batch["doc_id"].to_pylist()), pa.uint64()
+                ),
             }
         )
 
     tok = docs_ds.map_batches(tokens, batch_format="pyarrow")
-    cum = grouped_ordered_cumsum(
-        tok, group_col, "doc_id", "n_tokens", n_buckets=n_buckets
-    )
+    cum = over(tok, [group_col], ["h", "doc_id"], sums=["n_tokens"])
 
     def to_shard(batch: pa.Table) -> pa.Table:
-        c = batch["cum"].to_numpy(zero_copy_only=False)
-        v = batch["val"].to_numpy(zero_copy_only=False)
-        return pa.Table.from_pydict(
-            {
-                "doc_id": batch["id"].combine_chunks(),
-                group_col: batch["group"].combine_chunks(),
-                "n_tokens": pa.array(v, pa.int64()),
-                "shard_id": pa.array((c - v) // shard_tokens, pa.int64()),
-            }
+        c = batch["cum_n_tokens"].to_numpy(zero_copy_only=False)
+        v = batch["n_tokens"].to_numpy(zero_copy_only=False)
+        return batch.select(["doc_id", group_col, "n_tokens"]).append_column(
+            "shard_id", pa.array((c - v) // shard_tokens, pa.int64())
         )
 
     out = cum.map_batches(to_shard, batch_format="pyarrow").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
-def grouped_rank_sorted(ds, part_col: str, key_col: str,
-                        descending: bool = True, with_pct: bool = False):
-    """Exact ``rank()`` / ``dense_rank()`` (and optionally
-    ``percent_rank`` / ``cume_dist``) via Ray's distributed SORT — the
-    scale-general sibling of :func:`grouped_rank_dense` for
-    NEAR-UNIQUE keys, where the histogram plan's driver state would
-    degenerate to row count.
-
-    Plan: ``ds.sort([part, key])`` range-partitions into globally
-    ordered blocks; one tiny summary task per block reports its
-    per-part (rows, distinct keys) and its head/tail tie groups; the
-    driver stitches block boundaries with a forward pass (base rows /
-    base distinct / ties carried into each block) plus a reverse pass
-    (ties extending past each block) — O(blocks + parts-appearances)
-    driver state, never rows; each block then annotates itself
-    independently (raw Ray tasks over the materialized sorted refs —
-    the documented last-resort case, same as
-    :func:`global_row_number_sorted`). Pinned equal to the histogram
-    plan on heavy-tie AND near-unique corpora in pytest."""
-    import ray
-    import ray.data as rd
-
-    sorted_ds = ds.sort(
-        [part_col, key_col], descending=[False, descending]
-    ).materialize()
-    refs = sorted_ds.to_arrow_refs()
-
-    @ray.remote
-    def _summary(t: pa.Table):
-        if t.num_rows == 0:
-            return None
-        if t[part_col].null_count or t[key_col].null_count:
-            return "null"
-        parts = np.asarray(t[part_col].to_pylist(), dtype=object)
-        keys = np.asarray(t[key_col].to_pylist(), dtype=object)
-        n = len(parts)
-        new_part = np.empty(n, dtype=bool)
-        new_part[0] = True
-        np.not_equal(parts[1:], parts[:-1], out=new_part[1:])
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
-        np.logical_or(new_group, new_part, out=new_group)
-        gstarts = np.flatnonzero(new_group)
-        gsizes = np.diff(np.append(gstarts, n))
-        pstarts = np.flatnonzero(new_part)
-        pends = np.append(pstarts[1:], n)
-        per_part = [
-            (
-                parts[s],
-                int(e - s),  # rows of this part in this block
-                int(np.searchsorted(gstarts, e)
-                    - np.searchsorted(gstarts, s)),  # distinct keys
-            )
-            for s, e in zip(pstarts, pends)
-        ]
-        return {
-            "per_part": per_part,
-            "head_key": keys[0],
-            "tail_key": keys[-1],
-            "head_size": int(gsizes[0]),
-            "tail_size": int(gsizes[-1]),
-            "n_groups": len(gstarts),
-        }
-
-    summaries = ray.get([_summary.remote(r) for r in refs])
-    if any(s == "null" for s in summaries):
-        raise ValueError(
-            "grouped_rank_sorted: null partition/order keys are not "
-            "supported (SQL NULL ordering is dialect-dependent; filter "
-            "or fill them first)"
-        )
-
-    _NONE = object()
-    # forward pass: what each block inherits from the blocks before it
-    fwd = []  # (base_rows, base_distinct, prev_ties) per block
-    cur_part, rows_b, dist_b = _NONE, 0, 0
-    tail_key, tail_ties = _NONE, 0
-    part_totals: Dict[object, int] = {}
-    for s in summaries:
-        if s is None:
-            fwd.append((0, 0, 0))
-            continue
-        continuing = cur_part is not _NONE and cur_part == s["per_part"][0][0]
-        spanning = continuing and tail_key == s["head_key"]
-        prev_ties = tail_ties if spanning else 0
-        fwd.append(
-            (
-                rows_b if continuing else 0,
-                (dist_b - 1 if spanning else dist_b) if continuing else 0,
-                prev_ties,
-            )
-        )
-        for part, n_rows, n_dist in s["per_part"]:
-            if cur_part is not _NONE and part == cur_part:
-                rows_b += n_rows
-                dist_b += n_dist - (1 if spanning else 0)
-            else:
-                cur_part, rows_b, dist_b = part, n_rows, n_dist
-            part_totals[part] = part_totals.get(part, 0) + n_rows
-        single = s["n_groups"] == 1
-        tail_ties = s["tail_size"] + (tail_ties if single and spanning else 0)
-        tail_key = s["tail_key"]
-
-    # reverse pass: ties extending past each block's tail group
-    after = [0] * len(summaries)
-    a_part, a_key, a_cum = _NONE, _NONE, 0
-    for i in range(len(summaries) - 1, -1, -1):
-        s = summaries[i]
-        if s is None:
-            continue
-        tail_part = s["per_part"][-1][0]
-        ext = (
-            a_cum
-            if a_part is not _NONE
-            and a_part == tail_part
-            and a_key == s["tail_key"]
-            else 0
-        )
-        after[i] = ext
-        single = s["n_groups"] == 1
-        a_part = s["per_part"][0][0]
-        a_key = s["head_key"]
-        a_cum = s["head_size"] + (ext if single else 0)
-
-    @ray.remote
-    def _annotate(
-        t: pa.Table, base_rows, base_dist, prev_ties, head_total,
-        tail_total, totals
-    ):
-        parts = np.asarray(t[part_col].to_pylist(), dtype=object)
-        keys = np.asarray(t[key_col].to_pylist(), dtype=object)
-        n = len(parts)
-        new_part = np.empty(n, dtype=bool)
-        new_part[0] = True
-        np.not_equal(parts[1:], parts[:-1], out=new_part[1:])
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
-        np.logical_or(new_group, new_part, out=new_group)
-        gstarts = np.flatnonzero(new_group)
-        gsizes = np.diff(np.append(gstarts, n))
-        n_groups = len(gstarts)
-        # per-group part-start row index + group index within its part
-        pstarts = np.flatnonzero(new_part)
-        g_pstart = pstarts[
-            np.searchsorted(pstarts, gstarts, side="right") - 1
-        ]
-        g_first_of_part = np.searchsorted(gstarts, g_pstart)
-        g_in_part = np.arange(n_groups) - g_first_of_part
-        head_part = g_pstart == 0  # groups belonging to the block's head part
-        local_rank = gstarts - g_pstart + 1
-        g_rank = local_rank + np.where(head_part, base_rows, 0)
-        if prev_ties:
-            g_rank[0] -= prev_ties
-        g_dense = g_in_part + 1 + np.where(head_part, base_dist, 0)
-        g_total = gsizes.astype(np.int64).copy()
-        g_total[0] = head_total
-        g_total[-1] = tail_total
-        rnk = np.repeat(g_rank, gsizes).astype(np.int64)
-        drnk = np.repeat(g_dense, gsizes).astype(np.int64)
-        out = t.append_column(
-            "rnk", pa.array(rnk, pa.int64())
-        ).append_column("drnk", pa.array(drnk, pa.int64()))
-        if with_pct:
-            n_part = np.array(
-                [totals[p] for p in parts], dtype=np.int64
-            )
-            at_or_before = np.repeat(
-                g_rank + g_total, gsizes
-            ).astype(np.int64) - 1
-            pct = np.where(
-                n_part > 1, (rnk - 1) / np.maximum(n_part - 1, 1), 0.0
-            )
-            out = out.append_column(
-                "pct_rank", pa.array(pct, pa.float64())
-            ).append_column(
-                "cume_dist", pa.array(at_or_before / n_part, pa.float64())
-            )
-        return out
-
-    out_refs = []
-    for i, (r, s) in enumerate(zip(refs, summaries)):
-        if s is None:
-            continue
-        base_rows, base_dist, prev_ties = fwd[i]
-        single = s["n_groups"] == 1
-        head_total = (
-            prev_ties + s["head_size"] + (after[i] if single else 0)
-        )
-        tail_total = (
-            (prev_ties if single else 0) + s["tail_size"] + after[i]
-        )
-        totals = (
-            {p: part_totals[p] for p, _, _ in s["per_part"]}
-            if with_pct
-            else None
-        )
-        out_refs.append(
-            _annotate.remote(
-                r, int(base_rows), int(base_dist), int(prev_ties),
-                int(head_total), int(tail_total), totals,
-            )
-        )
-    if not out_refs:
-        base = (
-            ray.get(refs[0])
-            if refs
-            else pa.Table.from_pydict({part_col: [], key_col: []})
-        )
-        empty = base.slice(0, 0)
-        empty = empty.append_column(
-            "rnk", pa.array([], pa.int64())
-        ).append_column("drnk", pa.array([], pa.int64()))
-        if with_pct:
-            empty = empty.append_column(
-                "pct_rank", pa.array([], pa.float64())
-            ).append_column("cume_dist", pa.array([], pa.float64()))
-        return rd.from_arrow(empty)
-    return rd.from_arrow_refs(out_refs)
-
 
 def grouped_rank_dense(ds, part_col: str, key_col: str,
                        descending: bool = True, with_pct: bool = False):
     """Exact ``rank()`` and ``dense_rank()`` ``OVER (PARTITION BY part
-    ORDER BY key [DESC])`` — the tie-AWARE siblings of
-    :func:`grouped_row_number`.
+    ORDER BY key [DESC])``.
 
-    Unlike row_number, both ranks are pure functions of the (part,
-    key) VALUE: rank(v) = 1 + count of rows in the partition with a
-    strictly better key, dense_rank(v) = 1 + count of DISTINCT better
-    keys. So the whole window collapses to the same pre-aggregated
-    value histogram the row_number plan builds (driver state bounded
-    by distinct (part, key) pairs, never row count) plus ONE
-    stateless map_batches that probes per-part sorted value arrays
-    with ``np.searchsorted`` — no exchange, no group shuffle at all.
+    Both ranks are pure functions of the (part, key) VALUE: rank(v) =
+    1 + count of rows in the partition with a strictly better key,
+    dense_rank(v) = 1 + count of DISTINCT better keys. So the whole
+    window collapses to the pre-aggregated (part, key) value histogram
+    (driver state bounded by distinct (part, key) pairs, never row
+    count) plus ONE stateless map_batches that probes per-part sorted
+    value arrays with ``np.searchsorted`` — no exchange at all.
 
     Returns the input columns + ``rnk`` + ``drnk`` (both int64,
     1-based). ``with_pct=True`` adds ``pct_rank`` (= (rnk-1)/(n-1),
     0.0 for single-row partitions) and ``cume_dist`` (= rows ordered
     at-or-before v / n) — also pure value-functions of the same
-    histogram, so still no exchange.
+    histogram.
 
-    Bound honesty: "bounded by distinct (part, key) pairs" degenerates
-    to row count when the key is near-unique (continuous scores, raw
-    ids). So the pre-aggregated histogram Dataset is pinned once and
-    ``plan.broadcast`` decides on its observed rows and bytes; the
-    exchange answer is :func:`grouped_rank_sorted` (one distributed
-    sort, O(blocks) driver state). Both plans are pinned equal in
+    "Bounded by distinct (part, key) pairs" degenerates to row count
+    when the key is near-unique (continuous scores, raw ids). So the
+    histogram Dataset is pinned once and ``plan.broadcast`` decides on
+    its observed rows and bytes; the exchange answer is
+    :func:`over` with ``ties=True``. Both plans are pinned equal in
     pytest."""
     from . import plan
     from .iterate import pin_loop_state
@@ -567,16 +392,14 @@ def grouped_rank_dense(ds, part_col: str, key_col: str,
     if not plan.broadcast(
         "grouped_rank_dense", hist_ds.count(), hist_ds.size_bytes()
     ):
-        return grouped_rank_sorted(
-            ds, part_col, key_col, descending=descending, with_pct=with_pct
+        return over(
+            ds, [part_col], [key_col], descending=descending, ties=True
+        ).map_batches(
+            rank_columns, fn_args=(with_pct,), batch_format="pyarrow"
         )
     hist = hist_ds.to_pandas()
     if hist[key_col].isna().any() or hist[part_col].isna().any():
-        raise ValueError(
-            "grouped_rank_dense: null partition/order keys are not "
-            "supported (SQL NULL ordering is dialect-dependent; filter "
-            "or fill them first)"
-        )
+        raise ValueError(_NULL_KEYS)
     # per part: ascending distinct keys -> (rank, dense_rank) arrays
     lut: Dict[object, tuple] = {}
     for part, grp in hist.groupby(part_col):
@@ -628,74 +451,26 @@ def grouped_rank_dense(ds, part_col: str, key_col: str,
 
     return ds.map_batches(annotate, batch_format="pyarrow")
 
-def global_row_number_sorted(
-    ds,
-    id_col: str,
-    key_col: str,
-    descending: bool = True,
-):
-    """Exact global ``row_number() OVER (ORDER BY key [DESC], id)``
-    via Ray's distributed SORT — the scale-general sibling of
-    :func:`global_row_number` for NEAR-UNIQUE keys, where the
-    histogram plan's driver state would degenerate to row count.
 
-    Plan: ``ds.sort`` range-partitions into globally ordered blocks;
-    block row counts come from the materialized blocks' metadata (an
-    exclusive prefix over #blocks integers — the only driver state);
-    each block then annotates ``base + arange`` in place. The
-    annotation step drops to raw Ray tasks because a Dataset map
-    cannot see its block's global position — exactly the documented
-    last-resort case; order and lineage are preserved by operating on
-    the materialized sorted block refs.
+def _keyed(group_col, order_col, tiebreak_col, val_col):
+    """Batch -> the (g, o, t, v) projection of the per-group sequence
+    operators: string group, int64 order key, tie-break and value."""
 
-    Returns Dataset[(id, key, rnk)], rnk starting at 1.
-    """
-    import ray
-    import ray.data as rd
-
-    sorted_ds = (
-        ds.select_columns([id_col, key_col])
-        .sort([key_col, id_col], descending=[descending, False])
-        .materialize()
-    )
-    refs = sorted_ds.to_arrow_refs()
-
-    @ray.remote
-    def _nrows(t: pa.Table) -> int:
-        return t.num_rows
-
-    counts = ray.get([_nrows.remote(r) for r in refs])
-    bases = np.concatenate(([0], np.cumsum(counts)[:-1]))
-
-    @ray.remote
-    def _annotate(t: pa.Table, base: int) -> pa.Table:
+    def to_keyed(b: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
             {
-                "id": t[id_col].combine_chunks(),
-                "key": t[key_col].combine_chunks(),
-                "rnk": pa.array(
-                    base + np.arange(1, t.num_rows + 1, dtype=np.int64),
-                    pa.int64(),
-                ),
+                "g": pc.cast(b[group_col], pa.string()),
+                "o": pc.cast(b[order_col], pa.int64()),
+                "t": pc.cast(b[tiebreak_col], pa.int64()),
+                "v": pc.cast(b[val_col], pa.int64()),
             }
         )
 
-    return rd.from_arrow_refs(
-        [
-            _annotate.remote(r, int(b))
-            for r, b in zip(refs, bases)
-        ]
-    )
+    return to_keyed
 
 
-def cusum_changepoint(
-    ds,
-    group_col: str,
-    order_col: str,
-    tiebreak_col: str,
-    val_col: str,
-    n_buckets: int = 64,
-):
+def cusum_changepoint(ds, group_col: str, order_col: str,
+                      tiebreak_col: str, val_col: str):
     """Exact CUSUM change-point per group: over each group's rows in
     ``(order_col, tiebreak_col)`` order, find the split position
     k* = argmax_k |n * P_k - k * S| (P_k the prefix sum of ``val``,
@@ -709,152 +484,53 @@ def cusum_changepoint(
     Returns a pandas DataFrame (group, n, total_s, k_star,
     cusum_stat, split_p) — ``split_p`` the prefix sum at k* and
     ``total_s`` the group total, so callers derive
-    mean_before/mean_after with two float divisions.
+    mean_before/mean_after with two float divisions. A group of one
+    row has no split and no row.
 
-    Physical plan (no global sort, no whole-group shuffle): one tiny
-    (min, max) aggregate of the order key; one fixed-size exchange of
-    the (group, contiguous-order-range-bucket) value/count histogram
-    that the driver prefix-sums into base offsets (O(groups x
-    n_buckets) state); then per-(group, bucket) tasks lexsort their
-    own ~1/n_buckets slice and emit ONE local-argmax candidate row
-    each — the driver reduces groups x n_buckets candidates."""
+    Plan: :func:`over` with ``sums=["v"]`` gives every row its k
+    (``rn``), P_k, n and S; each row's statistic is one vectorized
+    expression and ``topk.topk_per_group(k=1)`` keeps each group's
+    argmax."""
     import pandas as pd
-    import ray
 
-    def to_keyed(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "g": pa.compute.cast(b[group_col], pa.string()),
-                "o": pa.compute.cast(b[order_col], pa.int64()),
-                "t": pa.compute.cast(b[tiebreak_col], pa.int64()),
-                "v": pa.compute.cast(b[val_col], pa.int64()),
-            }
-        )
+    from .topk import topk_per_group
 
-    keyed = ds.map_batches(to_keyed, batch_format="pyarrow").materialize()
+    scan = over(
+        ds.map_batches(
+            _keyed(group_col, order_col, tiebreak_col, val_col),
+            batch_format="pyarrow",
+        ),
+        ["g"], ["o", "t"], sums=["v"],
+    )
 
-    lim = aggregate(keyed, [], [("lo", "min", "o"), ("hi", "max", "o")])
-    lo, hi = int(lim["lo"]), int(lim["hi"])
-    span = max(hi - lo + 1, 1)
-
-    def bucket_of(o: np.ndarray) -> np.ndarray:
-        # contiguous ranges (never modulo): bucket order == key order
-        return ((o - lo).astype(np.uint64) * np.uint64(n_buckets)
-                // np.uint64(span)).astype(np.int64)
-
-    def hist_rows(b: pa.Table) -> pa.Table:
-        bk = bucket_of(b["o"].to_numpy(zero_copy_only=False))
-        return pa.table(
-            {"g": b["g"], "bk": pa.array(bk, pa.int64()), "v": b["v"]}
-        )
-
-    hist = aggregate(
-        keyed,
-        ["g", "bk"],
-        [("sv", "sum", "v"), ("c", "count", None)],
-        rows=hist_rows,
-    ).to_pandas()
-    hist = hist.sort_values(["g", "bk"]).reset_index(drop=True)
-    # per-group totals + per-(group,bucket) exclusive base offsets
-    totals = {}
-    bases = {}
-    for g, sub in hist.groupby("g", sort=False):
-        sv = sub["sv"].to_numpy()
-        c = sub["c"].to_numpy()
-        n, s = int(c.sum()), int(sv.sum())
-        assert n * abs(s) < (1 << 63), (
+    def stat(b: pa.Table) -> pa.Table:
+        k = b["rn"].to_numpy(zero_copy_only=False)
+        n = b["n"].to_numpy(zero_copy_only=False)
+        p = b["cum_v"].to_numpy(zero_copy_only=False)
+        s = b["sum_v"].to_numpy(zero_copy_only=False)
+        assert (np.abs(s) <= (2**63 - 1) // n).all(), (
             "cusum_changepoint int64 contract violated: n*|S| overflows"
         )
-        totals[g] = (n, s)
-        pc_ = np.concatenate([[0], np.cumsum(sv)[:-1]])
-        kc = np.concatenate([[0], np.cumsum(c)[:-1]])
-        for bk, p0, k0 in zip(sub["bk"], pc_, kc):
-            bases[(g, int(bk))] = (int(p0), int(k0))
-    state_ref = ray.put((totals, bases))
-
-    def with_gk(b: pa.Table) -> pa.Table:
-        bk = bucket_of(b["o"].to_numpy(zero_copy_only=False))
-        gk = pa.compute.binary_join_element_wise(
-            b["g"], pa.array(bk.astype("str")), _SEP
-        )
-        return b.append_column("gk", gk).append_column(
-            "bk", pa.array(bk, pa.int64())
-        )
-
-    def best_of_slice(group: pa.Table) -> pa.Table:
-        empty = pa.Table.from_pydict(
+        m = k < n
+        return pa.table(
             {
-                "g": pa.array([], pa.string()),
-                "k": pa.array([], pa.int64()),
-                "stat": pa.array([], pa.int64()),
-                "p": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        totals_, bases_ = ray.get(state_ref)
-        g = group["g"][0].as_py()
-        bk = int(group["bk"][0].as_py())
-        n, s = totals_[g]
-        p0, k0 = bases_[(g, bk)]
-        o = group["o"].to_numpy(zero_copy_only=False)
-        t = group["t"].to_numpy(zero_copy_only=False)
-        v = group["v"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((t, o))
-        p = p0 + np.cumsum(v[order])
-        k = k0 + 1 + np.arange(o.size)
-        valid = k < n
-        if not valid.any():
-            return empty
-        stat = np.abs(n * p[valid] - k[valid] * s)
-        i = int(np.argmax(stat))  # first max -> smallest k
-        return pa.Table.from_pydict(
-            {
-                "g": pa.array([g], pa.string()),
-                "k": pa.array([int(k[valid][i])], pa.int64()),
-                "stat": pa.array([int(stat[i])], pa.int64()),
-                "p": pa.array([int(p[valid][i])], pa.int64()),
+                "group": b["g"].filter(pa.array(m)),
+                "n": n[m], "total_s": s[m], "k_star": k[m],
+                "cusum_stat": np.abs(n * p - k * s)[m], "split_p": p[m],
             }
         )
 
-    cand = (
-        keyed.map_batches(with_gk, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(best_of_slice, batch_format="pyarrow")
-        .to_pandas()
-    )
-    rows = []
-    for g, sub in cand.groupby("g", sort=False):
-        sub = sub.sort_values(["stat", "k"],
-                              ascending=[False, True])
-        best = sub.iloc[0]
-        n, s = totals[g]
-        rows.append(
-            {
-                "group": g,
-                "n": n,
-                "total_s": s,
-                "k_star": int(best["k"]),
-                "cusum_stat": int(best["stat"]),
-                "split_p": int(best["p"]),
-            }
-        )
-    out = pd.DataFrame(
-        rows,
-        columns=["group", "n", "total_s", "k_star", "cusum_stat",
-                 "split_p"],
-    )
+    best = topk_per_group(
+        scan.map_batches(stat, batch_format="pyarrow"), "group", 1,
+        [("cusum_stat", "descending"), ("k_star", "ascending")],
+    ).to_pandas()
+    cols = ["group", "n", "total_s", "k_star", "cusum_stat", "split_p"]
+    out = best[cols] if len(best) else pd.DataFrame(columns=cols)
     return out.sort_values("group").reset_index(drop=True)
 
 
-def lag1_stats(
-    ds,
-    group_col: str,
-    order_col: str,
-    tiebreak_col: str,
-    val_col: str,
-    n_buckets: int = 64,
-):
+def lag1_stats(ds, group_col: str, order_col: str, tiebreak_col: str,
+               val_col: str):
     """Exact lag-1 (adjacent-pair) sufficient statistics per group
     over the ``(order_col, tiebreak_col)``-ordered value sequence:
     for the m = n-1 consecutive pairs (x_{k-1}, x_k), the int64 sums
@@ -864,107 +540,52 @@ def lag1_stats(
     float math is a handful of driver-side ops a SQL ``lag()`` oracle
     replays bit-for-bit.
 
-    Physical plan (the cusum_changepoint bucket scheme): contiguous
-    order-range buckets; each (group, bucket) task lexsorts its own
-    slice and emits ONE stats row (local pair sums + its first/last
-    value); the driver stitches the O(groups x n_buckets) boundary
-    pairs (last of bucket b with first of bucket b+1) in python ints.
-    No global sort, no whole-group shuffle. Returns a pandas
-    DataFrame (group, n, s_x, s_xx, m, s_a, s_b, s_ab, first_v,
-    last_v)."""
-    import pandas as pd
+    Plan: :func:`over` with ``lag=["v"]`` pairs every row with its
+    predecessor, then ONE grouped ``aggregate`` sums the pairs.
+    Returns a pandas DataFrame (group, n, s_x, s_xx, m, s_a, s_b,
+    s_ab, first_v, last_v)."""
 
-    def to_keyed(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
+    def pairs(b: pa.Table) -> pa.Table:
+        v = b["v"].to_numpy(zero_copy_only=False)
+        has = b["lag_v"].is_valid().to_numpy(zero_copy_only=False)
+        a = pc.fill_null(b["lag_v"], 0).to_numpy(zero_copy_only=False)
+        rn = b["rn"].to_numpy(zero_copy_only=False)
+        return pa.table(
             {
-                "g": pa.compute.cast(b[group_col], pa.string()),
-                "o": pa.compute.cast(b[order_col], pa.int64()),
-                "t": pa.compute.cast(b[tiebreak_col], pa.int64()),
-                "v": pa.compute.cast(b[val_col], pa.int64()),
+                "group": b["g"], "v": v, "vv": v * v, "a": a,
+                "b": np.where(has, v, 0), "ab": a * v,
+                "first": pa.array(v, mask=rn != 1),
+                "last": pa.array(v, mask=rn != b["n"].to_numpy()),
             }
         )
 
-    keyed = ds.map_batches(to_keyed, batch_format="pyarrow").materialize()
-    lim = aggregate(keyed, [], [("lo", "min", "o"), ("hi", "max", "o")])
-    lo, hi = int(lim["lo"]), int(lim["hi"])
-    span = max(hi - lo + 1, 1)
-
-    def with_gk(b: pa.Table) -> pa.Table:
-        o = b["o"].to_numpy(zero_copy_only=False)
-        bk = ((o - lo).astype(np.uint64) * np.uint64(n_buckets)
-              // np.uint64(span)).astype(np.int64)
-        gk = pa.compute.binary_join_element_wise(
-            b["g"], pa.array(bk.astype("str")), _SEP
-        )
-        return b.append_column("gk", gk).append_column(
-            "bk", pa.array(bk, pa.int64())
-        )
-
-    def stats_of_slice(group: pa.Table) -> pa.Table:
-        empty = pa.Table.from_pydict(
-            {c: pa.array([], pa.int64() if c not in ("g",)
-                         else pa.string())
-             for c in ("g", "bk", "n", "sx", "sxx", "sa", "sb",
-                       "sab", "first_v", "last_v")}
-        )
-        if group.num_rows == 0:
-            return empty
-        g = group["g"][0].as_py()
-        bk = int(group["bk"][0].as_py())
-        o = group["o"].to_numpy(zero_copy_only=False)
-        t = group["t"].to_numpy(zero_copy_only=False)
-        v = group["v"].to_numpy(zero_copy_only=False)
-        v = v[np.lexsort((t, o))]
-        a, b_ = v[:-1], v[1:]
-        return pa.Table.from_pydict(
-            {
-                "g": pa.array([g], pa.string()),
-                "bk": pa.array([bk], pa.int64()),
-                "n": pa.array([v.size], pa.int64()),
-                "sx": pa.array([int(v.sum())], pa.int64()),
-                "sxx": pa.array([int((v * v).sum())], pa.int64()),
-                "sa": pa.array([int(a.sum())], pa.int64()),
-                "sb": pa.array([int(b_.sum())], pa.int64()),
-                "sab": pa.array([int((a * b_).sum())], pa.int64()),
-                "first_v": pa.array([int(v[0])], pa.int64()),
-                "last_v": pa.array([int(v[-1])], pa.int64()),
-            }
-        )
-
-    cand = (
-        keyed.map_batches(with_gk, batch_format="pyarrow")
-        .groupby("gk")
-        .map_groups(stats_of_slice, batch_format="pyarrow")
-        .to_pandas()
+    scan = over(
+        ds.map_batches(
+            _keyed(group_col, order_col, tiebreak_col, val_col),
+            batch_format="pyarrow",
+        ),
+        ["g"], ["o", "t"], lag=["v"],
     )
-    rows = []
-    for g, sub in cand.groupby("g", sort=False):
-        sub = sub.sort_values("bk")
-        n = int(sub["n"].sum())
-        sx = int(sub["sx"].sum())
-        sxx = int(sub["sxx"].sum())
-        sa, sb, sab = (int(sub["sa"].sum()), int(sub["sb"].sum()),
-                       int(sub["sab"].sum()))
-        lasts = sub["last_v"].tolist()
-        firsts = sub["first_v"].tolist()
-        for prev_last, nxt_first in zip(lasts[:-1], firsts[1:]):
-            sa += int(prev_last)
-            sb += int(nxt_first)
-            sab += int(prev_last) * int(nxt_first)
-        rows.append(
-            {
-                "group": g, "n": n, "s_x": sx, "s_xx": sxx,
-                "m": n - 1, "s_a": sa, "s_b": sb, "s_ab": sab,
-                "first_v": int(sub["first_v"].iloc[0]),
-                "last_v": int(sub["last_v"].iloc[-1]),
-            }
-        )
-    out = pd.DataFrame(
-        rows,
-        columns=["group", "n", "s_x", "s_xx", "m", "s_a", "s_b",
-                 "s_ab", "first_v", "last_v"],
-    )
+    out = aggregate(
+        scan,
+        "group",
+        [("n", "count", None), ("s_x", "sum", "v"), ("s_xx", "sum", "vv"),
+         ("s_a", "sum", "a"), ("s_b", "sum", "b"), ("s_ab", "sum", "ab"),
+         ("first_v", "max", "first"), ("last_v", "max", "last")],
+        rows=pairs,
+    ).to_pandas()
+    out.insert(4, "m", out["n"] - 1)
     return out.sort_values("group").reset_index(drop=True)
+
+
+def _value_counts(ds, col: str):
+    """(col, c) row counts per value of ``col`` as a pandas frame,
+    sorted by value."""
+    return (
+        aggregate(ds, col, [("c", "count", None)])
+        .to_pandas()
+        .sort_values(col)
+    )
 
 
 def _count_inversions(a: np.ndarray) -> int:
@@ -984,7 +605,7 @@ def _count_inversions(a: np.ndarray) -> int:
     return inv
 
 
-def kendall_tau(ds, x_col: str, y_col: str, num_buckets: int = 64):
+def kendall_tau(ds, x_col: str, y_col: str):
     """Exact distributed Kendall tau-b between two integer columns —
     integer sufficient statistics end-to-end via Knight's O(n log n)
     identity (Knight 1966, "A computer method for calculating
@@ -997,123 +618,67 @@ def kendall_tau(ds, x_col: str, y_col: str, num_buckets: int = 64):
         C  = n0 - n1 - n2 + n3 - D
         tau_b = (C - D) / sqrt((n0 - n1)(n0 - n2))
 
-    Physical plan: the x and y VALUE HISTOGRAMS come to the driver
-    (bounded-value-domain contract, like pass 0 of
-    ``selection.quantiles``) and
-    give n, n1, n2, the x range-bucket boundaries (ties never split a
-    bucket) and the global y domain; n3 folds distributedly over the
-    (x, y) groupby (the 2-D histogram never reaches the driver).
-    Inversions: one (x, y) pair exchange into ``num_buckets``
-    contiguous x-range buckets; within-bucket counts run the numpy
-    merge count, cross-bucket counts combine per-bucket y histograms
-    (ONE list<int64> row per bucket — the packed-wide-stats lesson)
-    against a running cumulative histogram on the driver. Cross-bucket
-    x ties are impossible by construction, so bucket pairs contribute
-    pure y-order inversions.
+    Plan: the y VALUE HISTOGRAM comes to the driver (bounded-value-
+    domain contract, like pass 0 of ``selection.quantiles``) and gives
+    n, n2 and the y domain. :func:`over` partitioned by x and ordered
+    by y is the one sort on (x, y): its ``n`` is each row's x-tie
+    group and its ``peers`` its (x, y)-tie group, so n1 and n3 are
+    row sums. Each sorted block counts the inversions of its own y
+    sequence (numpy merge count) and returns its y histogram (ONE
+    list<int64> row per block); the driver adds the cross-block
+    inversions against a running cumulative histogram, blocks in
+    (x, rn) order. In (x, y) order two rows of one x never invert, so
+    every cross-block inversion has x_i < x_j and is a pure y-order
+    inversion.
 
     Returns a dict of exact python ints plus the one float ``tau_b``.
     """
-
     proj = ds.map_batches(
         lambda b: b.select([x_col, y_col]), batch_format="pyarrow"
-    ).materialize()  # feeds 4 scans; never re-derive upstream
-
-    def tie_pairs(hist_df, col):
-        c = hist_df["c"].to_numpy().astype(np.int64)
-        return int((c * (c - 1) // 2).sum())
-
-    xh = _value_counts(proj, x_col)
+    ).materialize()  # feeds 2 scans; never re-derive upstream
     yh = _value_counts(proj, y_col)
-    n = int(xh["c"].sum())
-    n0 = n * (n - 1) // 2
-    n1 = tie_pairs(xh, x_col)
-    n2 = tie_pairs(yh, y_col)
-
-    def pair_ties(batch: pa.Table) -> pa.Table:
-        c = batch["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"t": c * (c - 1) // 2})
-
-    n3 = int(
-        aggregate(
-            aggregate(proj, [x_col, y_col], [("c", "count", None)]),
-            [],
-            [("t", "sum", "t")],
-            rows=pair_ties,
-        )["t"]
-    )
-
-    # contiguous x-range buckets with ~equal row counts; boundary[i]
-    # is the FIRST x value of bucket i+1 (ties stay whole)
-    xv = xh[x_col].to_numpy()
-    xc = xh["c"].to_numpy().astype(np.int64)
-    cum = np.cumsum(xc)
-    nb = min(num_buckets, xv.size)
-    targets = (np.arange(1, nb) * n) // nb
-    splits = np.unique(np.searchsorted(cum, targets, side="left") + 1)
-    splits = splits[splits < xv.size]
-    bounds = xv[splits]  # sorted first-values of buckets 1..k
     y_domain = yh[y_col].to_numpy()
+    c = yh["c"].to_numpy().astype(np.int64)
+    n = int(c.sum())
+    n0 = n * (n - 1) // 2
+    n2 = int((c * (c - 1) // 2).sum())
 
-    def annotate(batch: pa.Table) -> pa.Table:
-        x = batch[x_col].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "__b",
-            pa.array(
-                np.searchsorted(bounds, x, side="right").astype(
-                    np.int64
-                )
-            ),
+    def block_stats(b: pa.Table) -> pa.Table:
+        ycodes = np.searchsorted(
+            y_domain, b[y_col].to_numpy(zero_copy_only=False)
         )
-
-    def bucket_stats(group: pa.Table) -> pa.Table:
-        empty = pa.Table.from_pydict(
+        x_ties = b["n"].to_numpy(zero_copy_only=False) - 1
+        xy_ties = b["peers"].to_numpy(zero_copy_only=False) - 1
+        return pa.table(
             {
-                "__b": pa.array([], pa.int64()),
-                "inv": pa.array([], pa.int64()),
-                "yhist": pa.array([], pa.list_(pa.int64())),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        x = group[x_col].to_numpy(zero_copy_only=False)
-        y = group[y_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((y, x))
-        ycodes = np.searchsorted(y_domain, y)
-        inv = _count_inversions(ycodes[order])
-        hist = np.bincount(ycodes, minlength=y_domain.size).astype(
-            np.int64
-        )
-        return pa.Table.from_pydict(
-            {
-                "__b": pa.array(
-                    [int(group["__b"][0].as_py())], pa.int64()
+                "x0": b[x_col][:1],
+                "rn0": b["rn"][:1],
+                "inv": [_count_inversions(ycodes)],
+                "x_ties": [int(x_ties.sum())],
+                "xy_ties": [int(xy_ties.sum())],
+                "yhist": pa.array(
+                    [np.bincount(ycodes, minlength=y_domain.size).tolist()],
+                    pa.list_(pa.int64()),
                 ),
-                "inv": pa.array([inv], pa.int64()),
-                "yhist": pa.array([hist.tolist()], pa.list_(pa.int64())),
             }
         )
 
-    parts = (
-        proj.map_batches(annotate, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_stats, batch_format="pyarrow")
+    blocks = (
+        over(proj, [x_col], [y_col], ties=True)
+        .map_batches(block_stats, batch_format="pyarrow", batch_size=None)
         .to_pandas()
-        .sort_values("__b")
+        .sort_values(["x0", "rn0"])
     )
-    d_pairs = int(parts["inv"].sum())
+    n1 = int(blocks["x_ties"].sum()) // 2
+    n3 = int(blocks["xy_ties"].sum()) // 2
+    d_pairs = int(blocks["inv"].sum())
     seen = np.zeros(y_domain.size, dtype=np.int64)
-    seen_n = 0
-    for hist in parts["yhist"]:
+    for hist in blocks["yhist"]:
         h = np.asarray(hist, dtype=np.int64)
-        if seen_n:
-            # earlier-bucket ys strictly greater than v, per v
-            gt = seen_n - np.cumsum(seen)
-            d_pairs += int((h * gt).sum())
+        # earlier-block ys strictly greater than v, per v
+        d_pairs += int((h * (seen.sum() - np.cumsum(seen))).sum())
         seen += h
-        seen_n += int(h.sum())
     c_pairs = n0 - n1 - n2 + n3 - d_pairs
-
-    import math
 
     tau_b = float(c_pairs - d_pairs) / math.sqrt(
         float(n0 - n1) * float(n0 - n2)
@@ -1129,8 +694,7 @@ def kendall_tau(ds, x_col: str, y_col: str, num_buckets: int = 64):
     }
 
 
-def chatterjee_xi(ds, x_col: str, y_col: str, tie_col: str,
-                  num_buckets: int = 64):
+def chatterjee_xi(ds, x_col: str, y_col: str, tie_col: str):
     """Chatterjee's xi dependence coefficient (Chatterjee 2020, "A new
     coefficient of correlation"):
 
@@ -1143,82 +707,34 @@ def chatterjee_xi(ds, x_col: str, y_col: str, tie_col: str,
     documented convention). Every quantity is an exact int64 until
     the one final division.
 
-    Physical plan: y ranks come from the broadcast y value-histogram
-    CDF (bounded-value-domain contract); rows range-partition on x
-    (boundaries from the x histogram, x-ties never split, so the
-    bucket order IS the global order); each bucket emits its internal
-    |dr| sum plus its first/last rank (the cusum boundary-stitching
-    idiom) and the driver adds the num_buckets-1 boundary terms.
+    Plan: y ranks come from the broadcast y value-histogram CDF
+    (bounded-value-domain contract); :func:`over` ordered by
+    (x, tie) with ``lag=["r"]`` pairs every rank with its predecessor
+    and one keyless sum adds |r - lag_r|.
     """
-
     proj = ds.map_batches(
         lambda b: b.select([x_col, y_col, tie_col]),
         batch_format="pyarrow",
     ).materialize()
-
-    xh = _value_counts(proj, x_col)
     yh = _value_counts(proj, y_col)
-    n = int(xh["c"].sum())
+    n = int(yh["c"].sum())
     y_domain = yh[y_col].to_numpy()
     y_cdf = np.cumsum(yh["c"].to_numpy().astype(np.int64))
 
-    xv = xh[x_col].to_numpy()
-    xc = xh["c"].to_numpy().astype(np.int64)
-    cum = np.cumsum(xc)
-    nb = min(num_buckets, xv.size)
-    targets = (np.arange(1, nb) * n) // nb
-    splits = np.unique(np.searchsorted(cum, targets, side="left") + 1)
-    splits = splits[splits < xv.size]
-    bounds = xv[splits]
-
-    def annotate(batch: pa.Table) -> pa.Table:
-        x = batch[x_col].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "__b",
-            pa.array(
-                np.searchsorted(bounds, x, side="right").astype(np.int64)
-            ),
+    def ranks(b: pa.Table) -> pa.Table:
+        y = b[y_col].to_numpy(zero_copy_only=False)
+        return b.append_column(
+            "r", pa.array(y_cdf[np.searchsorted(y_domain, y)], pa.int64())
         )
 
-    def bucket_stats(group: pa.Table) -> pa.Table:
-        empty = pa.Table.from_pydict(
-            {
-                "__b": pa.array([], pa.int64()),
-                "s_abs": pa.array([], pa.int64()),
-                "first_r": pa.array([], pa.int64()),
-                "last_r": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        x = group[x_col].to_numpy(zero_copy_only=False)
-        y = group[y_col].to_numpy(zero_copy_only=False)
-        t = group[tie_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((t, x))
-        r = y_cdf[np.searchsorted(y_domain, y)][order]
-        s = int(np.abs(np.diff(r)).sum()) if r.size > 1 else 0
-        return pa.Table.from_pydict(
-            {
-                "__b": pa.array(
-                    [int(group["__b"][0].as_py())], pa.int64()
-                ),
-                "s_abs": pa.array([s], pa.int64()),
-                "first_r": pa.array([int(r[0])], pa.int64()),
-                "last_r": pa.array([int(r[-1])], pa.int64()),
-            }
-        )
+    def steps(b: pa.Table) -> pa.Table:
+        d = pc.abs(pc.subtract(b["r"], b["lag_r"]))
+        return pa.table({"d": pc.fill_null(d, 0)})
 
-    parts = (
-        proj.map_batches(annotate, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_stats, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("__b")
+    scan = over(
+        proj.map_batches(ranks, batch_format="pyarrow"),
+        [], [x_col, tie_col], lag=["r"],
     )
-    s_abs = int(parts["s_abs"].sum())
-    last = parts["last_r"].to_numpy()
-    first = parts["first_r"].to_numpy()
-    if len(parts) > 1:
-        s_abs += int(np.abs(first[1:] - last[:-1]).sum())
+    s_abs = int(aggregate(scan, [], [("s", "sum", "d")], rows=steps)["s"])
     xi = 1.0 - 3.0 * s_abs / (n * n - 1)
     return {"n": n, "s_abs": s_abs, "xi": xi}
